@@ -218,6 +218,25 @@ func BenchmarkEngineScheduleFireProbed(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineFeedFire is the arrival path: b.N fed events, each
+// scheduling one follow-up through the heap the way an arrival schedules
+// its dispatch. The 0 allocs/op pin covers the feed as well.
+func BenchmarkEngineFeedFire(b *testing.B) {
+	eng := sim.NewEngine()
+	noop := func(any, float64) {}
+	eng.Feed(b.N+1, func(i int) sim.Time { return float64(i) }, func(any, float64) {
+		eng.AfterCall(0.5, noop, nil, 0)
+	}, nil)
+	eng.Step() // prime the free list
+	eng.Step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+		eng.Step()
+	}
+}
+
 // BenchmarkParallelGrid runs the Figure 4 grid end-to-end at both pool
 // widths; the ratio of the two is the harness speedup on this machine.
 func BenchmarkParallelGrid(b *testing.B) {
@@ -405,6 +424,85 @@ func BenchmarkShardedControlPlane(b *testing.B) {
 			b.ReportMetric(polled, "polled/tick")
 			b.ReportMetric(float64(p), "global-equiv")
 		})
+	}
+}
+
+// BenchmarkShardMapRebalance measures deriving a successor shard map at
+// p = 512: "flip" is the autoscaler's unit of work (same shard count, one
+// slave leaves or rejoins), "grow" and "shrink" change the shard count by
+// one (a promotion or demotion).
+func BenchmarkShardMapRebalance(b *testing.B) {
+	const p = 512
+	for _, shards := range []int{16, 256} {
+		slaves := make([]int, 0, p-shards)
+		for id := shards; id < p; id++ {
+			slaves = append(slaves, id)
+		}
+		base, err := core.NewShardMap(core.ShardHash, shards, slaves)
+		if err != nil {
+			b.Fatal(err)
+		}
+		without := slaves[:len(slaves)-1]
+		b.Run(fmt.Sprintf("shards=%d/flip", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			m := base
+			for i := 0; i < b.N; i++ {
+				next := without
+				if i%2 == 1 {
+					next = slaves
+				}
+				if m, err = m.Rebalanced(shards, next); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		for _, c := range []struct {
+			name  string
+			delta int
+		}{{"grow", 1}, {"shrink", -1}} {
+			b.Run(fmt.Sprintf("shards=%d/%s", shards, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := base.Rebalanced(shards+c.delta, slaves); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkAutoscaleChurn replays one cell of the benchmark's
+// sim_sharded_autoscale workload: p = 512 under 16 shards, a diurnal KSU
+// trace and the online autoscaler, whose c/µ scale-down flips dozens of
+// slaves (one shard-map epoch each) per control period.
+func BenchmarkAutoscaleChurn(b *testing.B) {
+	const p, shards, seconds = 512, 16, 4.0
+	prof, r := trace.KSU, 1.0/40
+	lambda := experiments.LambdaForRho(p, prof.ArrivalRatio(), r, 0.65) / 1.6
+	tr, err := trace.Generate(trace.GenConfig{
+		Profile: prof, Lambda: lambda, Requests: int(lambda * seconds),
+		MuH: experiments.MuH, R: r, Seed: 2,
+		Arrival: trace.DiurnalArrivals, DiurnalPeriod: seconds / 3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	wt := core.SampleW(tr, 16)
+	cfg := cluster.DefaultConfig(p, shards)
+	cfg.WarmupFraction = 0.15
+	cfg.Shards = shards
+	cfg.SLOResponse = 2
+	cfg.Seed = 2
+	cfg.Autoscale = &cluster.Autoscale{Period: 0.5, MinM: 2, MaxM: p / 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := cluster.Simulate(cfg, core.NewMS(wt, 2), tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Shards.EpochChanges), "epochs")
 	}
 }
 

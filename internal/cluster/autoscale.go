@@ -26,7 +26,8 @@ package cluster
 // lands on it, but it finishes the work it holds and is never drained.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"msweb/internal/queuemodel"
 )
@@ -280,38 +281,35 @@ func (c *Cluster) autoscaleTick() {
 // scaleDownOrder lists powered slave-role nodes in switch-off order:
 // the c/μ rule powers off the slowest first (least service rate per
 // powered node), ties to the highest id. Deterministic by construction.
+// The list lives in a scratch slice the next ordering overwrites.
 func (c *Cluster) scaleDownOrder() []int {
-	var ids []int
-	for id := c.roleMasters; id < c.cfg.Nodes; id++ {
-		if c.powered[id] {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		si, sj := c.nodeSpeed(ids[i]), c.nodeSpeed(ids[j])
-		if si != sj {
-			return si < sj
-		}
-		return ids[i] > ids[j]
-	})
-	return ids
+	return c.leastValuableFirst(true)
 }
 
 // scaleUpOrder mirrors scaleDownOrder: fastest unpowered node first,
 // ties to the lowest id.
 func (c *Cluster) scaleUpOrder() []int {
-	var ids []int
+	ids := c.leastValuableFirst(false)
+	slices.Reverse(ids)
+	return ids
+}
+
+// leastValuableFirst sorts the slave-role nodes in the given power state
+// by (speed ascending, id descending) into the autoscaler's scratch
+// slice.
+func (c *Cluster) leastValuableFirst(powered bool) []int {
+	ids := c.asOrder[:0]
 	for id := c.roleMasters; id < c.cfg.Nodes; id++ {
-		if !c.powered[id] {
+		if c.powered[id] == powered {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		si, sj := c.nodeSpeed(ids[i]), c.nodeSpeed(ids[j])
-		if si != sj {
-			return si > sj
+	c.asOrder = ids
+	slices.SortFunc(ids, func(a, b int) int {
+		if sa, sb := c.nodeSpeed(a), c.nodeSpeed(b); sa != sb {
+			return cmp.Compare(sa, sb)
 		}
-		return ids[i] < ids[j]
+		return cmp.Compare(b, a)
 	})
 	return ids
 }

@@ -335,9 +335,10 @@ type Cluster struct {
 	asHold      float64 // current hold-epoch length (s)
 	asHoldUntil float64 // no scaling action before this virtual time
 	asStats     *AutoscaleStats
+	asOrder     []int // scratch for scaleDownOrder/scaleUpOrder
 
-	// trace and warmupUntil back the typed arrival events: each arrival
-	// is scheduled as an index into trace.Requests instead of a closure.
+	// trace and warmupUntil back the typed arrival events: the engine's
+	// feed delivers each arrival as an index into trace.Requests.
 	trace       *trace.Trace
 	warmupUntil float64
 	// freePending recycles pendingRequest structs; with it, the
@@ -372,11 +373,9 @@ type Cluster struct {
 
 	// sharded control plane (nil/zero when Config.Shards ≤ 1); see
 	// shard.go for the per-master views, summaries and accounting. The
-	// map is epoch-versioned and rebuilt by reshard() on every topology
-	// change; shardOf maps a master's node id to its shard index (the
-	// two coincide only in the initial static layout).
+	// map is epoch-versioned and rebalanced by reshard() on every
+	// topology change; shard i belongs to the master at view.Masters[i].
 	shardMap     *core.ShardMap
-	shardOf      map[int]int
 	shardViews   []core.View
 	shardSums    []core.ShardSummary
 	remoteSums   [][]core.ShardSummary
@@ -482,8 +481,6 @@ func (c *Cluster) setMasters(m int) {
 		m = c.cfg.Nodes
 	}
 	c.roleMasters = m
-	c.view.Masters = make([]int, 0, m)
-	c.view.Slaves = make([]int, 0, c.cfg.Nodes-m)
 	c.recomputeView()
 	c.history = append(c.history, m)
 }
@@ -569,17 +566,16 @@ func (c *Cluster) dispatchFull(req trace.Request, countSample bool, arrival floa
 		return
 	}
 	c.winArrivals++
-	master := c.view.Masters[c.front.Intn(len(c.view.Masters))]
+	pick := c.front.Intn(len(c.view.Masters))
+	master := c.view.Masters[pick]
 	view := &c.view
 	shard := -1
 	if c.shardMap != nil {
-		// Sharded: this master places within its own shard only. The
-		// shard index comes from the current epoch's map — master node
-		// ids and shard indices coincide only in the initial layout.
-		if s, ok := c.shardOf[master]; ok {
-			shard = s
-			view = &c.shardViews[s]
-		}
+		// Sharded: this master places within its own shard only — the
+		// shard at its position in the master list (node ids and shard
+		// indices coincide only in the initial layout).
+		shard = pick
+		view = &c.shardViews[shard]
 	}
 
 	// Optional live-parity shedding: with no slaves in view and the
@@ -917,12 +913,12 @@ func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 		c.warmupUntil = start + c.cfg.WarmupFraction*tr.Duration()
 	}
 
-	// Arrivals are typed events carrying the request's trace index, so
-	// scheduling a whole trace allocates only pooled Events.
+	// The arrivals are the engine's feed (Validate checked they are in
+	// time order): each fires as a typed event carrying its trace index
+	// without ever entering the event heap.
 	c.trace = tr
-	for i := range tr.Requests {
-		c.eng.ScheduleCall(tr.Requests[i].Arrival, c.arrivalC, nil, float64(i))
-	}
+	c.collector.Reserve(len(tr.Requests))
+	c.eng.Feed(len(tr.Requests), func(i int) sim.Time { return tr.Requests[i].Arrival }, c.arrivalC, nil)
 	for _, e := range c.cfg.Events {
 		e := e
 		c.eng.Schedule(e.At, func() { c.applyAvailability(e) })

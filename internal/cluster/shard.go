@@ -60,25 +60,24 @@ type ShardStats struct {
 }
 
 // setupShards builds the initial epoch-0 shard map and the per-master
-// views from the configured topology. The views alias the cluster-sized
-// load array — a master's reads are bounded by its Masters/Slaves
-// lists, so aliasing is safe and keeps refresh writes in one place.
+// views from the configured topology.
 func (c *Cluster) setupShards() error {
 	sm, err := core.NewShardMap(c.cfg.ShardMapMode, len(c.view.Masters), c.view.Slaves)
 	if err != nil {
 		return err
 	}
 	c.shardMap = sm
-	c.rebuildShardStructs(true)
+	c.resizeShardState()
+	c.pointShardViews()
 	return nil
 }
 
 // reshard rebalances the shard map after a topology change: the next
 // epoch's map is derived from the current one over the new master count
-// and slave list, and the per-shard views are rebuilt. Remote summaries
-// survive a rebalance that keeps the shard count (they are one epoch
-// old — inside the handoff window); a master-count change resizes the
-// gossip state and starts the new shards cold.
+// and slave list, and the per-shard views are pointed at it. Remote
+// summaries survive a rebalance that keeps the shard count (they are one
+// epoch old — inside the handoff window); a master-count change resizes
+// the gossip state and starts the new shards cold.
 func (c *Cluster) reshard() {
 	if c.shardMap == nil {
 		return
@@ -94,59 +93,60 @@ func (c *Cluster) reshard() {
 		return // unreachable: the mode was validated at construction
 	}
 	c.shardMoved += int64(next.MovedFrom(c.shardMap))
-	sameShape := next.NumShards() == c.shardMap.NumShards()
 	c.shardMap = next
 	c.epochChanges++
-	c.rebuildShardStructs(sameShape)
+	if m != len(c.shardSums) {
+		c.resizeShardState()
+	}
+	c.pointShardViews()
 }
 
-// rebuildShardStructs sizes the per-shard views, summaries and gossip
-// mailboxes to the current map. keepRemote preserves the held remote
-// summaries (same shard count: their shard indices still mean the same
-// owners, and their one-epoch-old stamps stay inside the spill window).
-func (c *Cluster) rebuildShardStructs(keepRemote bool) {
+// pointShardViews aims master i's view at shard i of the current map. A
+// view aliases the map's member list, its owner's slot in the master
+// list and the cluster-sized load array — a master's reads are bounded
+// by its Masters/Slaves lists and nothing writes through a view, so
+// aliasing is safe and keeps refresh writes in one place.
+func (c *Cluster) pointShardViews() {
+	for s := range c.shardViews {
+		v := &c.shardViews[s]
+		v.Masters = c.view.Masters[s : s+1 : s+1]
+		v.Slaves = c.shardMap.Members(s)
+		v.Load = c.view.Load
+		v.Affinity = c.cfg.Affinity
+		v.Now = c.view.Now
+	}
+}
+
+// resizeShardState sizes the per-shard views, summaries and gossip
+// mailboxes to the current shard count and empties them: shard indices
+// mean different owners now, so every master starts with no remote
+// summaries held. Backing arrays (the summaries' digest lists included)
+// are kept across resizes.
+func (c *Cluster) resizeShardState() {
 	m := c.shardMap.NumShards()
-	if c.shardOf == nil {
-		c.shardOf = make(map[int]int, m)
-	}
-	for id := range c.shardOf {
-		delete(c.shardOf, id)
-	}
-	for i, id := range c.view.Masters {
-		c.shardOf[id] = i
-	}
-
-	if cap(c.shardViews) < m {
-		c.shardViews = make([]core.View, m)
-	}
-	c.shardViews = c.shardViews[:m]
+	c.shardViews = resized(c.shardViews, m)
+	c.shardSums = resized(c.shardSums, m)
+	c.remoteSums = resized(c.remoteSums, m)
+	c.remoteAt = resized(c.remoteAt, m)
 	for s := 0; s < m; s++ {
-		owner := []int{s}
-		if s < len(c.view.Masters) {
-			owner = []int{c.view.Masters[s]}
-		}
-		c.shardViews[s] = core.View{
-			Masters:  owner,
-			Slaves:   append(c.shardViews[s].Slaves[:0], c.shardMap.Members(s)...),
-			Load:     c.view.Load,
-			Affinity: c.cfg.Affinity,
-			Now:      c.view.Now,
+		c.shardSums[s] = core.ShardSummary{Top: c.shardSums[s].Top[:0]}
+		c.remoteSums[s] = resized(c.remoteSums[s], m)
+		c.remoteAt[s] = resized(c.remoteAt[s], m)
+		for t := 0; t < m; t++ {
+			c.remoteSums[s][t] = core.ShardSummary{Top: c.remoteSums[s][t].Top[:0]}
+			c.remoteAt[s][t] = -1
 		}
 	}
+}
 
-	keepRemote = keepRemote && len(c.shardSums) == m
-	if !keepRemote {
-		c.shardSums = make([]core.ShardSummary, m)
-		c.remoteSums = make([][]core.ShardSummary, m)
-		c.remoteAt = make([][]float64, m)
-		for s := 0; s < m; s++ {
-			c.remoteSums[s] = make([]core.ShardSummary, m)
-			c.remoteAt[s] = make([]float64, m)
-			for t := range c.remoteAt[s] {
-				c.remoteAt[s][t] = -1
-			}
-		}
+// resized returns s with length n, growing the backing array only when
+// it is too small; elements past the old length keep whatever an earlier,
+// longer use left in them.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
+	return s[:n]
 }
 
 // gossipPeriod is the summary exchange period (default 4× the load

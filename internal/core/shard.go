@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -35,6 +37,11 @@ const (
 // fleets in the hundreds-to-thousands range.
 const ringPointsPerShard = 64
 
+// maxShardNodeID bounds the node IDs a map accepts. The owner table is a
+// dense slice indexed by ID, so an absurd ID from a corrupt membership
+// must be refused rather than allocated for.
+const maxShardNodeID = 1<<24 - 1
+
 // ShardMap is an immutable node→shard partition. The zero value is not
 // usable; construct with NewShardMap. Maps are versioned by a
 // monotonically increasing epoch: the initial map of a run is epoch 0,
@@ -42,12 +49,18 @@ const ringPointsPerShard = 64
 // change) derives a successor via Rebalanced, which bumps the epoch.
 // Gossip carries the epoch so masters converge newest-wins on the same
 // partition without a coordination step.
+//
+// Successors share what the change did not touch — the ring, the member
+// slices of unaffected shards — so nothing reachable from a map is ever
+// written after construction.
 type ShardMap struct {
 	mode    string
 	shards  int
 	epoch   uint64
-	owner   map[int]int // slave node ID → shard
+	size    int         // mapped slave population
+	owner   []int32     // slave node ID → shard, -1 for IDs not in the map
 	members [][]int     // shard → slave node IDs, ascending
+	ring    []ringPoint // ShardHash with ≥ 2 shards: the sorted virtual points
 }
 
 // NewShardMap partitions the given slave IDs into shards at epoch 0.
@@ -60,6 +73,7 @@ func NewShardMap(mode string, shards int, slaves []int) (*ShardMap, error) {
 
 // NewShardMapAt is NewShardMap at an explicit epoch — for peers adopting
 // a map version learned from gossip rather than deriving it locally.
+// Slave IDs must be distinct and in [0, 2^24).
 func NewShardMapAt(mode string, shards int, slaves []int, epoch uint64) (*ShardMap, error) {
 	if mode == "" {
 		mode = ShardHash
@@ -70,36 +84,82 @@ func NewShardMapAt(mode string, shards int, slaves []int, epoch uint64) (*ShardM
 	if shards < 1 {
 		shards = 1
 	}
-	m := &ShardMap{
-		mode:    mode,
-		shards:  shards,
-		epoch:   epoch,
-		owner:   make(map[int]int, len(slaves)),
-		members: make([][]int, shards),
+	m := &ShardMap{mode: mode, shards: shards, epoch: epoch}
+	if mode == ShardHash {
+		m.ring = deriveRing(nil, shards)
 	}
-	switch {
-	case shards == 1:
-		for _, id := range slaves {
-			m.owner[id] = 0
-		}
-	case mode == ShardStatic:
-		for i, id := range slaves {
-			m.owner[id] = i % shards
-		}
-	default: // ShardHash
-		ring := buildRing(shards)
-		for _, id := range slaves {
-			m.owner[id] = ring.ownerOf(hashID(id))
-		}
+	if err := m.assignOwners(slaves, nil); err != nil {
+		return nil, err
 	}
-	for _, id := range slaves {
-		s := m.owner[id]
-		m.members[s] = append(m.members[s], id)
-	}
-	for s := range m.members {
-		sort.Ints(m.members[s])
-	}
+	m.bucketMembers()
 	return m, nil
+}
+
+// assignOwners fills the owner table: every slave gets its shard by list
+// position under ShardStatic and by ring lookup under ShardHash. known,
+// when non-nil, is a map with the same partition function (ShardHash,
+// same shard count) whose answers are reused instead of looked up.
+func (m *ShardMap) assignOwners(slaves []int, known *ShardMap) error {
+	n := 0
+	for _, id := range slaves {
+		if id < 0 || id > maxShardNodeID {
+			return fmt.Errorf("core: shard map: slave id %d outside [0, %d]", id, maxShardNodeID)
+		}
+		if id >= n {
+			n = id + 1
+		}
+	}
+	m.size = len(slaves)
+	m.owner = make([]int32, n)
+	for i := range m.owner {
+		m.owner[i] = -1
+	}
+	for i, id := range slaves {
+		if m.owner[id] >= 0 {
+			return fmt.Errorf("core: shard map: slave %d listed twice", id)
+		}
+		s := -1
+		if known != nil {
+			s = known.ShardOf(id)
+		}
+		switch {
+		case s >= 0:
+		case m.shards == 1:
+			s = 0
+		case m.mode == ShardStatic:
+			s = i % m.shards
+		default:
+			s = ringOwner(m.ring, hashID(id))
+		}
+		m.owner[id] = int32(s)
+	}
+	return nil
+}
+
+// bucketMembers builds every shard's member list from the owner table
+// with a counting sort: walking the dense table visits IDs in ascending
+// order, so the lists come out sorted without a comparison sort.
+func (m *ShardMap) bucketMembers() {
+	sizes := make([]int, m.shards)
+	for _, s := range m.owner {
+		if s >= 0 {
+			sizes[s]++
+		}
+	}
+	// One backing array carved into per-shard windows; the capacity limit
+	// keeps a shard's appends inside its own window.
+	flat := make([]int, m.size)
+	m.members = make([][]int, m.shards)
+	off := 0
+	for s, n := range sizes {
+		m.members[s] = flat[off : off : off+n]
+		off += n
+	}
+	for id, s := range m.owner {
+		if s >= 0 {
+			m.members[s] = append(m.members[s], id)
+		}
+	}
 }
 
 // Mode reports the construction mode ("static" or "hash").
@@ -118,8 +178,65 @@ func (m *ShardMap) Epoch() uint64 { return m.epoch }
 // ring point belongs to an added or removed shard move — about 1/m of
 // the fleet per master change — while ShardStatic reassigns by position
 // as always.
+//
+// The result equals NewShardMapAt on the same inputs, but is derived: a
+// shard's ring points do not depend on the other shards, so a changed
+// shard count merges or filters the ring instead of re-sorting it, and
+// an unchanged one (where a slave's owner depends on its ID alone) keeps
+// the ring and every member list no slave joined or left.
 func (m *ShardMap) Rebalanced(shards int, slaves []int) (*ShardMap, error) {
-	return NewShardMapAt(m.mode, shards, slaves, m.epoch+1)
+	if shards < 1 {
+		shards = 1
+	}
+	next := &ShardMap{mode: m.mode, shards: shards, epoch: m.epoch + 1}
+	if m.mode == ShardHash {
+		next.ring = deriveRing(m.ring, shards)
+	}
+	if m.mode == ShardStatic || shards != m.shards {
+		if err := next.assignOwners(slaves, nil); err != nil {
+			return nil, err
+		}
+		next.bucketMembers()
+		return next, nil
+	}
+	if err := next.assignOwners(slaves, m); err != nil {
+		return nil, err
+	}
+	// Nobody changed owner, so the member lists differ only where a slave
+	// left or joined. Copy-on-write: the outer slice on the first
+	// difference, a shard's list each time it loses or gains a slave.
+	next.members = m.members
+	shared := true
+	for id := 0; id < len(next.owner) || id < len(m.owner); id++ {
+		was, now := m.ShardOf(id), next.ShardOf(id)
+		if was == now {
+			continue
+		}
+		if shared {
+			next.members = append([][]int(nil), m.members...)
+			shared = false
+		}
+		if was >= 0 {
+			next.members[was] = withoutID(next.members[was], id)
+		} else {
+			next.members[now] = withID(next.members[now], id)
+		}
+	}
+	return next, nil
+}
+
+// withoutID returns a copy of the ascending list without id.
+func withoutID(ids []int, id int) []int {
+	i := sort.SearchInts(ids, id)
+	out := make([]int, 0, len(ids)-1)
+	return append(append(out, ids[:i]...), ids[i+1:]...)
+}
+
+// withID returns a copy of the ascending list with id inserted in order.
+func withID(ids []int, id int) []int {
+	i := sort.SearchInts(ids, id)
+	out := make([]int, 0, len(ids)+1)
+	return append(append(append(out, ids[:i]...), id), ids[i:]...)
 }
 
 // MovedFrom reports how many slaves present in both maps are owned by a
@@ -128,7 +245,7 @@ func (m *ShardMap) Rebalanced(shards int, slaves []int) (*ShardMap, error) {
 func (m *ShardMap) MovedFrom(old *ShardMap) int {
 	moved := 0
 	for id, s := range m.owner {
-		if os, ok := old.owner[id]; ok && os != s {
+		if os := old.ShardOf(id); s >= 0 && os >= 0 && os != int(s) {
 			moved++
 		}
 	}
@@ -136,15 +253,15 @@ func (m *ShardMap) MovedFrom(old *ShardMap) int {
 }
 
 // Size reports the mapped slave population.
-func (m *ShardMap) Size() int { return len(m.owner) }
+func (m *ShardMap) Size() int { return m.size }
 
 // ShardOf reports the shard owning the given slave, or -1 when the node
 // is not in the map (masters, unknown IDs).
 func (m *ShardMap) ShardOf(node int) int {
-	if s, ok := m.owner[node]; ok {
-		return s
+	if node < 0 || node >= len(m.owner) {
+		return -1
 	}
-	return -1
+	return int(m.owner[node])
 }
 
 // Members reports the slaves of one shard in ascending ID order. The
@@ -156,45 +273,76 @@ func (m *ShardMap) Members(shard int) []int {
 	return m.members[shard]
 }
 
-// ring is a consistent-hash ring of shard virtual points.
-type ring struct {
-	points []ringPoint
-}
-
+// ringPoint is one virtual point of the consistent-hash ring. A ring is
+// a []ringPoint sorted by (hash, shard) holding ringPointsPerShard points
+// for each of shards 0..k−1.
 type ringPoint struct {
 	hash  uint64
 	shard int
 }
 
-// buildRing hashes ringPointsPerShard virtual points per shard onto the
-// ring. Point hashes mix the shard index and the point index so shards
-// interleave rather than clump.
-func buildRing(shards int) *ring {
-	r := &ring{points: make([]ringPoint, 0, shards*ringPointsPerShard)}
-	for s := 0; s < shards; s++ {
-		for p := 0; p < ringPointsPerShard; p++ {
-			r.points = append(r.points, ringPoint{hash: hashPoint(s, p), shard: s})
-		}
+// cmpRingPoint orders points by hash; collisions resolve by shard index
+// so the ring order — and therefore the whole map — is deterministic.
+func cmpRingPoint(a, b ringPoint) int {
+	if c := cmp.Compare(a.hash, b.hash); c != 0 {
+		return c
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		a, b := r.points[i], r.points[j]
-		if a.hash != b.hash {
-			return a.hash < b.hash
-		}
-		// Hash collisions resolve by shard index so the ring order — and
-		// therefore the whole map — is deterministic.
-		return a.shard < b.shard
-	})
-	return r
+	return cmp.Compare(a.shard, b.shard)
 }
 
-// ownerOf finds the first ring point clockwise from h.
-func (r *ring) ownerOf(h uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
+// deriveRing returns the ring of the given shard count from the ring of
+// another (nil: none). Point hashes mix the shard index and the point
+// index, so a shard's points are the same on every ring that has the
+// shard: fewer shards filter the old ring, more shards sort only the new
+// shards' points and merge them in, an equal count shares it. A single
+// shard owns everything and needs no ring.
+func deriveRing(old []ringPoint, shards int) []ringPoint {
+	have := len(old) / ringPointsPerShard
+	switch {
+	case shards == 1:
+		return nil
+	case shards == have:
+		return old
+	case shards < have:
+		ring := make([]ringPoint, 0, shards*ringPointsPerShard)
+		for _, pt := range old {
+			if pt.shard < shards {
+				ring = append(ring, pt)
+			}
+		}
+		return ring
+	}
+	added := make([]ringPoint, 0, (shards-have)*ringPointsPerShard)
+	for s := have; s < shards; s++ {
+		for p := 0; p < ringPointsPerShard; p++ {
+			added = append(added, ringPoint{hash: hashPoint(s, p), shard: s})
+		}
+	}
+	slices.SortFunc(added, cmpRingPoint)
+	if have == 0 {
+		return added
+	}
+	ring := make([]ringPoint, 0, shards*ringPointsPerShard)
+	i, j := 0, 0
+	for i < len(old) && j < len(added) {
+		if cmpRingPoint(added[j], old[i]) < 0 {
+			ring = append(ring, added[j])
+			j++
+		} else {
+			ring = append(ring, old[i])
+			i++
+		}
+	}
+	return append(append(ring, old[i:]...), added[j:]...)
+}
+
+// ringOwner finds the shard of the first ring point clockwise from h.
+func ringOwner(ring []ringPoint, h uint64) int {
+	i := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= h })
+	if i == len(ring) {
 		i = 0
 	}
-	return r.points[i].shard
+	return ring[i].shard
 }
 
 // mix64 is the splitmix64 finalizer — full-avalanche mixing of a 64-bit

@@ -19,6 +19,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -84,6 +85,13 @@ func (r *running) add(s Sample) {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{byClass: make(map[string]*running)}
+}
+
+// Reserve sizes the sample streams for n further samples, so a run of
+// known length appends without regrowing them.
+func (c *Collector) Reserve(n int) {
+	c.stretches = slices.Grow(c.stretches, n)
+	c.responses = slices.Grow(c.responses, n)
 }
 
 // Add records one completed request.

@@ -226,3 +226,20 @@ func TestResponsePercentiles(t *testing.T) {
 		t.Fatalf("stale response percentile cache: %v", got)
 	}
 }
+
+func TestReserveLetsAddsAppendInPlace(t *testing.T) {
+	c := NewCollector()
+	c.Add(Sample{Demand: 1, Response: 2})
+	const n = 1000
+	c.Reserve(n)
+	stretches, responses := &c.stretches[0], &c.responses[0]
+	for i := 0; i < n; i++ {
+		c.Add(Sample{Demand: 1, Response: 2})
+	}
+	if c.Count() != n+1 {
+		t.Fatalf("count %d, want %d", c.Count(), n+1)
+	}
+	if &c.stretches[0] != stretches || &c.responses[0] != responses {
+		t.Fatalf("%d adds after Reserve(%d) regrew the sample streams", n, n)
+	}
+}

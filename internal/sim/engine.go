@@ -35,6 +35,11 @@
 // child pointers per level. The (at, seq) key is a total order (seq is
 // unique), so pop order — and therefore simulation output — is exactly
 // the FIFO-at-equal-time order the binary heap produced.
+//
+// A workload known in advance — a trace's arrivals — does not go through
+// the heap at all. Feed registers it as a time-sorted stream that Step
+// merges with the heap under the same (at, seq) order, so the heap holds
+// only the in-flight work the model schedules as it runs.
 package sim
 
 import (
@@ -116,6 +121,15 @@ type Engine struct {
 	liveCanceled int
 	// probe, when non-nil, observes every fired event (see SetProbe).
 	probe func(at Time)
+	// feed is the registered pre-sorted event stream (see Feed); events
+	// feedNext..feedN−1 have not fired, the next one at feedAt.
+	feed     func(i int) Time
+	feedCall CallFunc
+	feedArg  any
+	feedNext int
+	feedN    int
+	feedAt   Time
+	feedSeq  uint64 // seq of feed event 0; event i holds feedSeq+i
 }
 
 // NewEngine returns an empty engine with the clock at zero.
@@ -130,8 +144,9 @@ func (e *Engine) Now() Time { return e.now }
 // and cost metric for large simulations.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of live (non-canceled) events still queued.
-func (e *Engine) Pending() int { return len(e.heap) - e.liveCanceled }
+// Pending returns the number of live (non-canceled) events still queued,
+// un-fired feed events included.
+func (e *Engine) Pending() int { return len(e.heap) - e.liveCanceled + e.feedN - e.feedNext }
 
 // schedule pops a recycled Event (or allocates the pool's next one),
 // stamps it with (at, seq) and pushes it onto the timer heap. The caller
@@ -195,11 +210,78 @@ func (e *Engine) AfterCall(d float64, call CallFunc, arg any, f64 float64) *Even
 	return e.ScheduleCall(e.now+d, call, arg, f64)
 }
 
+// Feed registers n events known in advance: event i fires call(arg,
+// float64(i)) at time at(i), and at must be non-decreasing in i. The
+// events take the next n sequence numbers, exactly as n ScheduleCall
+// calls made here would, so they keep that place in the FIFO order of
+// equal-time events: after everything scheduled before Feed, in index
+// order among themselves, before anything scheduled later. They never
+// enter the heap — Step merges the stream's head with the heap's top —
+// and cannot be canceled. One feed at a time: registering while events
+// of a previous feed are still un-fired panics.
+func (e *Engine) Feed(n int, at func(i int) Time, call CallFunc, arg any) {
+	if e.feedNext < e.feedN {
+		panic("sim: Feed while a previous feed has un-fired events")
+	}
+	if n <= 0 {
+		return
+	}
+	e.feed, e.feedCall, e.feedArg = at, call, arg
+	e.feedNext, e.feedN = 0, n
+	e.feedSeq = e.seq
+	e.seq += uint64(n)
+	e.feedAt = e.feedTime(0, e.now)
+}
+
+// feedTime reads feed event i's timestamp and checks it against the
+// time it may not precede (the clock for event 0, event i−1 after).
+func (e *Engine) feedTime(i int, floor Time) Time {
+	at := e.feed(i)
+	if !(at >= floor) || math.IsInf(at, 0) {
+		panic(fmt.Sprintf("sim: feed event %d at %v, want finite and not before %v", i, at, floor))
+	}
+	return at
+}
+
+// feedFirst reports whether the feed's head fires before the heap's top
+// (a canceled top still orders: it is reclaimed when its turn comes).
+func (e *Engine) feedFirst() bool {
+	if e.feedNext == e.feedN {
+		return false
+	}
+	if len(e.heap) == 0 {
+		return true
+	}
+	top := e.heap[0]
+	if e.feedAt != top.at {
+		return e.feedAt < top.at
+	}
+	return e.feedSeq+uint64(e.feedNext) < top.seq
+}
+
+// fireFeed executes the feed's head event and advances the stream.
+func (e *Engine) fireFeed() {
+	i, at := e.feedNext, e.feedAt
+	call, arg := e.feedCall, e.feedArg
+	e.feedNext++
+	if e.feedNext < e.feedN {
+		e.feedAt = e.feedTime(e.feedNext, at)
+	} else {
+		e.feed, e.feedCall, e.feedArg = nil, nil, nil
+	}
+	e.now = at
+	e.fired++
+	if e.probe != nil {
+		e.probe(at)
+	}
+	call(arg, float64(i))
+}
+
 // eventSlab is the pool refill batch. Events are carved from slabs of
-// this many structs, so a cold engine scheduling a whole trace's worth
-// of arrivals up front costs one allocation per slab rather than one
-// per event. Slab memory is retained by the free list for the engine's
-// lifetime — exactly the lifetime the recycled events already had.
+// this many structs, so a cold engine scheduling a burst of events costs
+// one allocation per slab rather than one per event. Slab memory is
+// retained by the free list for the engine's lifetime — exactly the
+// lifetime the recycled events already had.
 const eventSlab = 64
 
 // refill grows the free list by one slab of events.
@@ -242,7 +324,14 @@ func (e *Engine) release(ev *Event) {
 // empty. Canceled events are skipped without advancing the clock beyond
 // their timestamps.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
+	for {
+		if e.feedFirst() {
+			e.fireFeed()
+			return true
+		}
+		if len(e.heap) == 0 {
+			return false
+		}
 		ev := e.pop()
 		if ev.canceled {
 			e.liveCanceled--
@@ -265,7 +354,6 @@ func (e *Engine) Step() bool {
 		}
 		return true
 	}
-	return false
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -400,15 +488,18 @@ func (e *Engine) compact() {
 	}
 }
 
-// peek returns the timestamp of the next non-canceled event.
+// peek returns the timestamp of the next non-canceled event, heap or
+// feed.
 func (e *Engine) peek() (Time, bool) {
-	for len(e.heap) > 0 {
-		if e.heap[0].canceled {
-			ev := e.pop()
-			e.liveCanceled--
-			e.release(ev)
-			continue
-		}
+	for len(e.heap) > 0 && e.heap[0].canceled {
+		ev := e.pop()
+		e.liveCanceled--
+		e.release(ev)
+	}
+	if e.feedFirst() {
+		return e.feedAt, true
+	}
+	if len(e.heap) > 0 {
 		return e.heap[0].at, true
 	}
 	return 0, false

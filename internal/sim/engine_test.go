@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -591,5 +593,181 @@ func TestProbeObservesFiredEvents(t *testing.T) {
 	e.Run()
 	if len(times) != 2 {
 		t.Fatal("probe fired after removal")
+	}
+}
+
+// ---- Arrival feed ----------------------------------------------------
+
+// feedScenario drives one engine through a schedule built to collide:
+// equal-timestamp arrivals, arrivals tying with an event scheduled before
+// them, with Ticker ticks and with After(0) events, an event canceled from
+// inside an arrival handler and compacted away, and RunUntil stopping
+// mid-stream. register decides how the arrivals reach the engine; the
+// returned log records every callback, probe observation and checkpoint.
+func feedScenario(register func(e *Engine, times []float64, call CallFunc)) []string {
+	e := NewEngine()
+	var log []string
+	say := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
+	checkpoint := func(name string) {
+		at, ok := e.NextEventTime()
+		say("%s: now=%v fired=%d pending=%d dead=%d next=%v/%v", name, e.Now(), e.Fired(), e.Pending(), e.liveCanceled, at, ok)
+	}
+	e.SetProbe(func(at Time) { say("probe %v", at) })
+
+	e.Schedule(2, func() { say("early@2") }) // scheduled first: wins ties against arrivals
+	times := []float64{1, 2, 2, 2, 3, 3, 4, 4.5, 5, 5, 6, 7, 7, 8}
+	var armed *Event // the live timeout; nil once it fired or was canceled
+	register(e, times, func(_ any, f64 float64) {
+		i := int(f64)
+		say("arrival %d @%v", i, e.Now())
+		e.After(0, func() { say("after0 of %d", i) })
+		if i%3 == 0 {
+			armed = e.After(0.75, func() { say("timeout of %d", i); armed = nil })
+		} else if i%3 == 1 && armed != nil {
+			say("cancel timeout @%v", e.Now()) // leaves a dead entry in the heap
+			armed.Cancel()
+			armed = nil
+		}
+	})
+	tick := e.Every(1, func() { say("tick @%v", e.Now()) })
+	e.Schedule(4.5, func() { say("late@4.5") }) // scheduled after: loses the tie
+
+	checkpoint("start")
+	e.RunUntil(3.5)
+	checkpoint("mid-feed")
+	e.RunUntil(4.5) // arrival 7 cancels the 4.75 timeout; returning compacts it away
+	checkpoint("compacted")
+	e.RunUntil(6)
+	checkpoint("at 6")
+	tick.Stop()
+	e.Run()
+	checkpoint("drained")
+	return log
+}
+
+func TestFeedFiresExactlyLikeScheduledArrivals(t *testing.T) {
+	scheduled := feedScenario(func(e *Engine, times []float64, call CallFunc) {
+		for i, at := range times {
+			e.ScheduleCall(at, call, nil, float64(i))
+		}
+	})
+	fed := feedScenario(func(e *Engine, times []float64, call CallFunc) {
+		e.Feed(len(times), func(i int) Time { return times[i] }, call, nil)
+	})
+	if len(scheduled) < 60 {
+		t.Fatalf("scenario logged only %d lines; it is not exercising the schedule", len(scheduled))
+	}
+	for i := range scheduled {
+		if i >= len(fed) || fed[i] != scheduled[i] {
+			got := "<nothing>"
+			if i < len(fed) {
+				got = fed[i]
+			}
+			t.Fatalf("line %d: feed logged %q, one ScheduleCall per arrival logged %q", i, got, scheduled[i])
+		}
+	}
+	if len(fed) != len(scheduled) {
+		t.Fatalf("feed logged %d lines, scheduled arrivals %d", len(fed), len(scheduled))
+	}
+}
+
+func TestFeedCountsAsPending(t *testing.T) {
+	e := NewEngine()
+	times := []float64{3, 5, 9}
+	var seen []int
+	e.Feed(len(times), func(i int) Time { return times[i] }, func(_ any, f64 float64) {
+		seen = append(seen, int(f64))
+	}, nil)
+	e.Schedule(4, func() {})
+	if got := e.Pending(); got != 4 {
+		t.Fatalf("Pending() = %d with 3 fed and 1 scheduled event, want 4", got)
+	}
+	if at, ok := e.NextEventTime(); !ok || at != 3 {
+		t.Fatalf("NextEventTime = %v, %v; want the feed head 3, true", at, ok)
+	}
+	e.Step()
+	if at, ok := e.NextEventTime(); !ok || at != 4 {
+		t.Fatalf("NextEventTime after the first arrival = %v, %v; want 4, true", at, ok)
+	}
+	e.RunUntil(5)
+	if got := e.Pending(); got != 1 || e.Fired() != 3 {
+		t.Fatalf("after RunUntil(5): Pending() = %d, Fired() = %d; want 1, 3", got, e.Fired())
+	}
+	e.Run()
+	if len(seen) != 3 || seen[0] != 0 || seen[1] != 1 || seen[2] != 2 || e.Now() != 9 {
+		t.Fatalf("fed events fired as %v ending at %v, want [0 1 2] ending at 9", seen, e.Now())
+	}
+	if _, ok := e.NextEventTime(); ok || e.Pending() != 0 {
+		t.Fatal("drained engine still reports queued events")
+	}
+}
+
+func TestFeedTakesTheSeqRangeOfScheduledArrivals(t *testing.T) {
+	e := NewEngine()
+	before := e.Schedule(1, func() {})
+	e.Feed(5, func(i int) Time { return 1 }, func(any, float64) {}, nil)
+	after := e.Schedule(1, func() {})
+	if got := after.Seq() - before.Seq(); got != 6 {
+		t.Fatalf("events either side of a 5-event feed are %d seqs apart, want 6", got)
+	}
+}
+
+func TestFeedSteadyStateAllocsNothing(t *testing.T) {
+	e := NewEngine()
+	noop := func(any, float64) {}
+	e.Feed(1<<20, func(i int) Time { return float64(i) }, func(any, float64) {
+		e.AfterCall(0.5, noop, nil, 0)
+	}, nil)
+	e.Step() // warm the pool
+	e.Step()
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.Step() // an arrival
+		e.Step() // the event it scheduled
+	})
+	if allocs != 0 {
+		t.Fatalf("firing fed events allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+func TestFeedRejectsMisuse(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		fn()
+	}
+	noop := func(any, float64) {}
+	mustPanic("feed starting in the past", func() {
+		e := NewEngine()
+		e.RunUntil(10)
+		e.Feed(1, func(int) Time { return 5 }, noop, nil)
+	})
+	mustPanic("feed going back in time", func() {
+		e := NewEngine()
+		times := []float64{1, 3, 2}
+		e.Feed(len(times), func(i int) Time { return times[i] }, noop, nil)
+		e.Run()
+	})
+	mustPanic("feed at NaN", func() {
+		e := NewEngine()
+		e.Feed(1, func(int) Time { return math.NaN() }, noop, nil)
+	})
+	mustPanic("second feed while the first is live", func() {
+		e := NewEngine()
+		e.Feed(2, func(i int) Time { return float64(i) }, noop, nil)
+		e.Step()
+		e.Feed(1, func(int) Time { return 9 }, noop, nil)
+	})
+	// A drained feed may be followed by another.
+	e := NewEngine()
+	e.Feed(1, func(int) Time { return 1 }, noop, nil)
+	e.Run()
+	e.Feed(1, func(int) Time { return 2 }, noop, nil)
+	e.Run()
+	if e.Fired() != 2 || e.Now() != 2 {
+		t.Fatalf("two consecutive feeds fired %d events ending at %v, want 2 at 2", e.Fired(), e.Now())
 	}
 }
