@@ -3,12 +3,18 @@
 // reusable discard ResponseWriter. No TCP round trip is included — on
 // loopback the net/http client machinery costs ~150 µs/op and would
 // drown the scheduling and parsing work these benchmarks pin down; the
-// full network path is measured end-to-end by cmd/loadgen instead.
+// full network path is measured end-to-end by benchmark/ and, for one
+// connection against the edge, by BenchmarkEdgeReq below.
 package bench
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,6 +83,74 @@ func BenchmarkMasterReqPath(b *testing.B) {
 	}
 	b.Run("static", bench("/req?class=s&demand=0&w=0.5&script=0"))
 	b.Run("dynamic", bench("/req?class=d&demand=0&w=0.9&script=1"))
+}
+
+// BenchmarkEdgeReq measures one static /req round trip through the
+// master's own HTTP/1.1 edge over a real loopback connection, with the
+// benchmark harness's raw client: pre-encoded GET, one write, one
+// Content-Length-framed reply. Unlike BenchmarkMasterReqPath it
+// includes the kernel's share (two syscalls and a wake-up per side), so
+// read it against httpcluster.http.req_roundtrip_ns in the benchmark's
+// ledger, not against the in-process figures above.
+func BenchmarkEdgeReq(b *testing.B) {
+	m, err := httpcluster.LaunchMaster(httpcluster.NodeOptions{
+		ID: 0, Masters: []int{0}, NodeURLs: []string{""},
+		Policy:      core.NewMS(nil, 1),
+		TimeScale:   1e-6,
+		LoadRefresh: time.Hour, PolicyTick: time.Hour,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Shutdown()
+	addr := strings.TrimPrefix(m.URL, "http://")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReaderSize(conn, 64<<10)
+	req := []byte("GET /req?class=s&demand=0&w=0.5&script=0&size=1024 HTTP/1.1\r\nHost: " + addr + "\r\n\r\n")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := conn.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		if err := discardReply(br, 1024); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// discardReply consumes one 200 reply whose body is bodyLen bytes,
+// without allocating, so BenchmarkEdgeReq's allocs/op are the server's.
+func discardReply(br *bufio.Reader, bodyLen int) error {
+	line, err := br.ReadSlice('\n')
+	if err != nil {
+		return err
+	}
+	if !bytes.HasPrefix(line, []byte("HTTP/1.1 200 ")) {
+		return fmt.Errorf("status line %q", line)
+	}
+	framed := false
+	for len(line) > 2 { // until the blank line
+		if line, err = br.ReadSlice('\n'); err != nil {
+			return err
+		}
+		if v, ok := bytes.CutPrefix(line, []byte("Content-Length: ")); ok {
+			n := 0
+			for _, c := range bytes.TrimSpace(v) {
+				n = n*10 + int(c-'0')
+			}
+			framed = n == bodyLen
+		}
+	}
+	if !framed {
+		return fmt.Errorf("reply without Content-Length: %d", bodyLen)
+	}
+	_, err = br.Discard(bodyLen)
+	return err
 }
 
 // BenchmarkNodeExec measures a slave node's /exec pipeline: query

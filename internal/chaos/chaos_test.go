@@ -186,7 +186,10 @@ func TestChaosInvariants(t *testing.T) {
 	// Closed-loop clients: each hammers one master with a static/dynamic
 	// mix until the schedule window closes, classifying every response
 	// into exactly one terminal bucket.
-	var ok, shed, exhausted, unexpected atomic.Int64
+	// Clients only ever ask for /req, so their connections stay on the
+	// masters' own HTTP edge: every reply must come from it (an edge reply
+	// carries no Date; net/http's adapter would stamp one).
+	var ok, shed, exhausted, unexpected, viaNetHTTP atomic.Int64
 	deadline := time.Now().Add(2500 * time.Millisecond)
 	urls := h.MasterURLs()
 	var clients sync.WaitGroup
@@ -207,6 +210,9 @@ func TestChaosInvariants(t *testing.T) {
 				}
 				io.Copy(io.Discard, resp.Body) //nolint:errcheck
 				resp.Body.Close()              //nolint:errcheck
+				if resp.Header.Get("Date") != "" {
+					viaNetHTTP.Add(1)
+				}
 				switch {
 				case resp.StatusCode >= 200 && resp.StatusCode < 300:
 					ok.Add(1)
@@ -243,6 +249,9 @@ func TestChaosInvariants(t *testing.T) {
 	}
 	if ok.Load() == 0 {
 		t.Error("no request succeeded during the chaos run")
+	}
+	if n := viaNetHTTP.Load(); n != 0 {
+		t.Errorf("%d of %d replies came through net/http, want every /req served by the edge", n, total)
 	}
 	// Terminal-outcome invariant: everything a master admitted reached
 	// exactly one of served/shed/exhausted, and the clients saw the same

@@ -34,6 +34,11 @@ const (
 	// ModeSlowLoris trickles server→client bytes one at a time — the
 	// classic slow-consumer attack shape, from the node's side.
 	ModeSlowLoris
+	// ModeSlowRequest trickles client→server bytes one at a time — the
+	// slow-loris client itself, as the node's edge sees it: a request head
+	// that never quite arrives. Random schedules do not draw it (it faults
+	// the requester's side of a link, not the node behind it).
+	ModeSlowRequest
 )
 
 func (m Mode) String() string {
@@ -48,6 +53,8 @@ func (m Mode) String() string {
 		return "latency"
 	case ModeSlowLoris:
 		return "slowloris"
+	case ModeSlowRequest:
+		return "slowrequest"
 	default:
 		return "mode?"
 	}
@@ -92,7 +99,8 @@ func NewProxy(targetURL string) (*Proxy, error) {
 }
 
 // SetMode switches the fault mode; delay paces ModeLatency (per read
-// burst) and ModeSlowLoris (per byte). ModeDown kills live connections.
+// burst) and ModeSlowLoris / ModeSlowRequest (per byte). ModeDown kills
+// live connections.
 func (p *Proxy) SetMode(m Mode, delay time.Duration) {
 	p.delay.Store(int64(delay))
 	p.mode.Store(int32(m))
@@ -201,28 +209,26 @@ func (p *Proxy) pump(dst, src net.Conn, toServer bool) {
 		n, err := src.Read(buf)
 		if n > 0 {
 			delay := time.Duration(p.delay.Load())
-			switch p.Mode() {
-			case ModeLatency:
+			switch mode := p.Mode(); {
+			case mode == ModeLatency:
 				if toServer && !p.sleep(delay) {
 					return
 				}
-			case ModeSlowLoris:
-				if !toServer {
-					if delay <= 0 {
-						delay = 2 * time.Millisecond
-					}
-					wrote := true
-					for i := 0; i < n && wrote; i++ {
-						if _, werr := dst.Write(buf[i : i+1]); werr != nil {
-							return
-						}
-						wrote = p.sleep(delay)
-					}
-					if !wrote {
+			case mode == ModeSlowLoris && !toServer, mode == ModeSlowRequest && toServer:
+				if delay <= 0 {
+					delay = 2 * time.Millisecond
+				}
+				wrote := true
+				for i := 0; i < n && wrote; i++ {
+					if _, werr := dst.Write(buf[i : i+1]); werr != nil {
 						return
 					}
-					continue
+					wrote = p.sleep(delay)
 				}
+				if !wrote {
+					return
+				}
+				continue
 			}
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return

@@ -3,6 +3,7 @@ package httpcluster
 import (
 	"bufio"
 	"bytes"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -95,6 +96,59 @@ func TestReqPathAllocPins(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, run); allocs > c.maxAvg {
 			t.Errorf("%s: %.2f allocs/op, pinned at ≤ %.2f", c.name, allocs, c.maxAvg)
 		}
+	}
+}
+
+// replayConn feeds an edge connection loop one scripted read at a time
+// and discards what it writes.
+type replayConn struct {
+	net.Conn // unused: the loop only reads, writes and sets deadlines
+	rd       bytes.Reader
+	wrote    int
+}
+
+func (c *replayConn) Read(p []byte) (int, error) { return c.rd.Read(p) }
+func (c *replayConn) Write(p []byte) (int, error) {
+	c.wrote += len(p)
+	return len(p), nil
+}
+
+// One static /req on the edge — head parsed in place, parseReqQuery,
+// serveReq, the reply assembled with its load stamp and written with the
+// body — allocates nothing server-side once the connection's scratch is
+// warm: the steady state of (*edgeConn).next on a keep-alive connection.
+func TestEdgeHotPathAllocPin(t *testing.T) {
+	m, err := LaunchMaster(NodeOptions{
+		ID: 0, Masters: []int{0}, NodeURLs: []string{""},
+		Policy:      core.NewMS(nil, 1),
+		TimeScale:   1e-6,
+		LoadRefresh: time.Hour, PolicyTick: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+
+	head := []byte("GET /req?class=s&demand=0&w=0.5&script=0&size=1024 HTTP/1.1\r\nHost: 127.0.0.1:40001\r\n\r\n")
+	conn := &replayConn{}
+	ec := &edgeConn{n: m.Node, c: conn, br: bufio.NewReaderSize(conn, edgeMaxHead)}
+	run := func() {
+		conn.rd.Reset(head)
+		conn.wrote = 0
+		if !ec.next() {
+			t.Fatal("the edge ended a keep-alive connection")
+		}
+		if conn.wrote < 1024 {
+			t.Fatalf("reply of %d bytes, want a head and 1024 body bytes", conn.wrote)
+		}
+	}
+	run() // warm the reply buffer and the writev vector
+	// Same amortized load-stamp budget as the pins above.
+	if allocs := testing.AllocsPerRun(100, run); allocs > 0.1 {
+		t.Errorf("edge /req: %.2f allocs/op, pinned at ≤ 0.10", allocs)
+	}
+	if m.edgeHandoffs.Load() != 0 {
+		t.Fatal("the pinned request was handed off")
 	}
 }
 

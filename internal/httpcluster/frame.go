@@ -26,9 +26,10 @@ import (
 // connections carrying length-prefixed binary frames: a master upgrades
 // a connection once per node-pair (HTTP/1.1 Upgrade on GET /frame, so
 // the negotiation rides the existing port and falls back cleanly when
-// the peer predates the protocol), then exchanges fixed-layout exec
-// batches on it. Frame buffers are connection-owned and reused, so the
-// steady-state exchange allocates nothing on either side.
+// the peer predates the protocol; the serving side is the edge loop in
+// edge.go), then exchanges fixed-layout exec batches on it. Frame
+// buffers are connection-owned and reused, so the steady-state exchange
+// allocates nothing on either side.
 //
 // Wire format (all integers little-endian):
 //
@@ -366,107 +367,6 @@ func statusToErr(st int) error {
 
 // slave side --------------------------------------------------------------
 
-// handleFrame negotiates the binary protocol: an Upgrade request hijacks
-// the connection out of net/http and hands it to the frame loop. Peers
-// that ask for anything else get a plain HTTP error — which a
-// negotiating master reads as "HTTP only", keeping old and new nodes
-// interoperable in one cluster.
-func (n *Node) handleFrame(rw http.ResponseWriter, req *http.Request) {
-	if !strings.EqualFold(req.Header.Get("Upgrade"), frameProtocol) {
-		http.Error(rw, "unsupported upgrade", http.StatusBadRequest)
-		return
-	}
-	hj, ok := rw.(http.Hijacker)
-	if !ok {
-		http.Error(rw, "hijack unsupported", http.StatusInternalServerError)
-		return
-	}
-	conn, brw, err := hj.Hijack()
-	if err != nil {
-		return
-	}
-	if _, err := brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " +
-		frameProtocol + "\r\n\r\n"); err != nil || brw.Flush() != nil {
-		conn.Close()
-		return
-	}
-	shard, ok := n.trackFrameConn(conn)
-	if !ok {
-		conn.Close() // shutting down
-		return
-	}
-	defer n.untrackFrameConn(shard, conn)
-	defer conn.Close()
-	n.serveFrames(conn, brw.Reader)
-}
-
-// frameConnShard is one slot of the sharded frame-connection registry —
-// per-listener-shard pools, so connection churn on one accept loop never
-// takes a lock any other loop's connections contend on.
-type frameConnShard struct {
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-}
-
-// trackFrameConn registers a hijacked frame connection so Shutdown can
-// close it (hijacked connections are invisible to http.Server.Shutdown),
-// returning the registry shard it landed in. ok is false when the node
-// is already shutting down.
-func (n *Node) trackFrameConn(c net.Conn) (shard int, ok bool) {
-	shard = int(n.frameSeq.Add(1) % uint64(len(n.frameReg)))
-	reg := &n.frameReg[shard]
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if n.frameClosed.Load() {
-		return 0, false
-	}
-	if reg.conns == nil {
-		reg.conns = make(map[net.Conn]struct{})
-	}
-	reg.conns[c] = struct{}{}
-	n.frameWG.Add(1)
-	return shard, true
-}
-
-func (n *Node) untrackFrameConn(shard int, c net.Conn) {
-	reg := &n.frameReg[shard]
-	reg.mu.Lock()
-	delete(reg.conns, c)
-	reg.mu.Unlock()
-	n.frameWG.Done()
-}
-
-// FrameConns reports the live hijacked frame connections across every
-// registry shard.
-func (n *Node) FrameConns() int {
-	total := 0
-	for i := range n.frameReg {
-		reg := &n.frameReg[i]
-		reg.mu.Lock()
-		total += len(reg.conns)
-		reg.mu.Unlock()
-	}
-	return total
-}
-
-// closeFrameConns kills every live frame connection and waits for their
-// loops to exit; subsequent upgrades are refused. The closed flag is
-// flipped first, so a track racing the per-shard walk either lands in
-// the map before the walk locks its shard (and is closed by it) or
-// observes the flag and refuses.
-func (n *Node) closeFrameConns() {
-	n.frameClosed.Store(true)
-	for i := range n.frameReg {
-		reg := &n.frameReg[i]
-		reg.mu.Lock()
-		for c := range reg.conns {
-			c.Close()
-		}
-		reg.mu.Unlock()
-	}
-	n.frameWG.Wait()
-}
-
 // serveFrames is one connection's exchange loop, dispatching on the
 // payload kind: 'E' exec batches run on the node's resources, 'Q'
 // client batches run through a master's full /req pipeline (refused
@@ -798,14 +698,7 @@ func (m *Master) serveFrameReq(r frameReq) int {
 	if r.dynamic {
 		p.class = trace.Dynamic
 	}
-	start := time.Now()
-	deadline := start.Add(m.rs.DispatchTimeout)
-	if r.timeoutMs > 0 {
-		if d := start.Add(time.Duration(r.timeoutMs) * time.Millisecond); d.Before(deadline) {
-			deadline = d
-		}
-	}
-	status, _ := m.serveReq(p, start, deadline)
+	status, _ := m.serveReq(p, time.Now(), int64(r.timeoutMs))
 	if status == 0 {
 		return http.StatusOK
 	}

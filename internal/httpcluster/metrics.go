@@ -66,6 +66,10 @@ func (n *Node) writeMetrics(w io.Writer) {
 	p.Value("msweb_node_listener_shards", label, float64(len(n.lis)))
 	p.Header("msweb_node_frame_conns", "Live persistent frame connections tracked by this node.", "gauge")
 	p.Value("msweb_node_frame_conns", label, float64(n.FrameConns()))
+	p.Header("msweb_node_edge_conns", "Live connections served by the node's own edge loop (frame connections included; handed-off ones not).", "gauge")
+	p.Value("msweb_node_edge_conns", label, float64(n.EdgeConns()))
+	p.Header("msweb_node_edge_handoffs_total", "Connections the edge handed to net/http (any head it does not serve natively).", "counter")
+	p.Value("msweb_node_edge_handoffs_total", label, float64(n.edgeHandoffs.Load()))
 	p.Histogram("msweb_node_service_seconds", "Per-request service time at this node (unscaled seconds).", label, &hist)
 }
 

@@ -287,7 +287,6 @@ func LaunchNode(o NodeOptions) (*Node, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/exec", n.handleExec)
-	mux.HandleFunc("/frame", n.handleFrame)
 	mux.HandleFunc("/load", n.handleLoad)
 	mux.HandleFunc("/stats", n.handleStats)
 	mux.HandleFunc("/metrics", n.handleMetrics)
@@ -424,11 +423,11 @@ func LaunchMaster(o NodeOptions) (*Master, error) {
 		m.rebuildShardStamp(ms, m.snap.Load())
 	}
 	m.serveClientFrames = m.runFrameReqs
+	m.serveClientReq = m.serveReq
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/req", m.handleRequest)
 	mux.HandleFunc("/exec", m.handleExec)
-	mux.HandleFunc("/frame", m.handleFrame)
 	mux.HandleFunc("/load", m.handleLoad)
 	mux.HandleFunc("/shard", m.handleShard)
 	mux.HandleFunc(MembershipPath, m.handleMembership)

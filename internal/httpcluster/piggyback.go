@@ -85,6 +85,20 @@ func (n *Node) attachLoadHeader(h http.Header) {
 	}
 }
 
+// appendLoadHeaders is attachLoadHeader for a reply assembled as bytes
+// (the edge, edge.go): the same two stamps as complete header lines.
+func (n *Node) appendLoadHeaders(b []byte) []byte {
+	b = append(b, LoadHeader+": "...)
+	b = append(b, n.currentLoad().hdr[0]...)
+	b = append(b, "\r\n"...)
+	if s := n.shardWire.Load(); s != nil {
+		b = append(b, ShardHeader+": "...)
+		b = append(b, s.hdr[0]...)
+		b = append(b, "\r\n"...)
+	}
+	return b
+}
+
 // piggySlot is a master's mailbox for one node's piggybacked reports.
 type piggySlot struct {
 	mu   sync.Mutex

@@ -40,7 +40,9 @@ const (
 // Node is one cluster machine: virtual resources behind a real HTTP
 // server exposing /exec (run work), /load (report load) and /metrics
 // (Prometheus text exposition). Masters additionally expose /req (see
-// Master).
+// Master). The node's own edge loop (edge.go) accepts every connection
+// and serves GET /req and the /frame upgrade natively; every other
+// request reaches srv and mux through the hand-off listener.
 type Node struct {
 	ID        int
 	URL       string
@@ -56,6 +58,8 @@ type Node struct {
 	// for more and the platform cooperated.
 	lis []net.Listener
 	mux *http.ServeMux
+	// handoff feeds srv the connections the edge does not serve itself.
+	handoff *handoffListener
 
 	// Request counters are plain atomics: the hot path pays two
 	// uncontended atomic adds instead of a mutex round trip.
@@ -76,18 +80,23 @@ type Node struct {
 
 	// serveClientFrames, when set (masters only), serves client-request
 	// ('Q') frames through the master's full /req pipeline; nil nodes
-	// refuse the frame kind.
+	// refuse the frame kind. serveClientReq is the same hook for the
+	// edge's native GET /req; nil nodes hand /req to the mux (a 404).
 	serveClientFrames func(reqs []frameReq, statuses []int)
+	serveClientReq    func(p reqParams, start time.Time, timeoutMs int64) (status, retryAfter int)
 
-	// Hijacked binary-frame connections, invisible to srv.Shutdown, are
-	// tracked here so Shutdown can close them (see frame.go). The
-	// registry is sharded alongside the listeners: connection open/close
-	// on one shard never contends with the others, so a listener shard's
-	// accept path stays independent end to end.
-	frameReg    []frameConnShard
-	frameSeq    atomic.Uint64
-	frameClosed atomic.Bool
-	frameWG     sync.WaitGroup
+	// Connections the edge owns — in its HTTP request loop or upgraded
+	// to frames — are invisible to srv.Shutdown and tracked here so
+	// Shutdown can close them (see edge.go). The registry is sharded
+	// alongside the listeners: connection open/close on one shard never
+	// contends with the others, so a listener shard's accept path stays
+	// independent end to end. edgeWG counts the accept loops and every
+	// connection loop.
+	edgeReg      []edgeConnShard
+	edgeClosed   atomic.Bool
+	edgeWG       sync.WaitGroup
+	frameConns   atomic.Int64
+	edgeHandoffs atomic.Int64
 
 	// statsMu guards only the two windowed aggregates below; nothing on
 	// the request path blocks behind anything slower than an Observe.
@@ -113,20 +122,28 @@ func newNode(o NodeOptions) (*Node, error) {
 		origin:    o.Origin,
 		maxQueue:  o.Resilience.MaxQueue,
 		lis:       lis,
-		frameReg:  make([]frameConnShard, len(lis)),
+		edgeReg:   make([]edgeConnShard, len(lis)),
 		svcHist:   obs.NewHistogram(),
 		reqRate:   obs.NewWindowedCounter(10, 10),
 	}, nil
 }
 
-// serve attaches the role-specific mux and starts one accept loop per
-// listener shard. A single http.Server serves every shard, so Shutdown
-// still closes the whole set in one call.
+// serve attaches the role-specific mux and starts one edge accept loop
+// per listener shard. The http.Server never sees a socket of its own:
+// it serves the connections the edge hands off, under the same head
+// bounds the edge enforces.
 func (n *Node) serve(mux *http.ServeMux) {
 	n.mux = mux
-	n.srv = &http.Server{Handler: mux}
-	for _, l := range n.lis {
-		go n.srv.Serve(l) //nolint:errcheck // Serve returns on Shutdown
+	n.handoff = newHandoffListener(n.lis[0].Addr())
+	n.srv = &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: edgeHeadTimeout,
+		MaxHeaderBytes:    edgeMaxHead,
+	}
+	go n.srv.Serve(n.handoff) //nolint:errcheck // Serve returns on Shutdown
+	for shard, l := range n.lis {
+		n.edgeWG.Add(1)
+		go n.acceptLoop(shard, l)
 	}
 }
 
@@ -160,8 +177,9 @@ func (n *Node) runWork(demand float64, w float64, forked bool) {
 		n.res.CPU.Use(n.fork)
 	}
 	n.res.Execute(d, w)
-	service := time.Since(start).Seconds() / n.timeScale
-	now := time.Since(n.origin).Seconds()
+	end := time.Now()
+	service := end.Sub(start).Seconds() / n.timeScale
+	now := end.Sub(n.origin).Seconds()
 	n.executed.Add(1)
 	if forked {
 		n.cgiServed.Add(1)
@@ -172,14 +190,23 @@ func (n *Node) runWork(demand float64, w float64, forked bool) {
 	n.statsMu.Unlock()
 }
 
-func (n *Node) handleExec(rw http.ResponseWriter, req *http.Request) {
-	p := parseReqQuery(req.URL.RawQuery)
+// badField names the required query field that is missing or invalid —
+// the 400 message of /exec and of both /req adapters — or "" when the
+// request is acceptable.
+func (p reqParams) badField() string {
 	if !p.demandOK || p.demand < 0 {
-		http.Error(rw, "bad demand", http.StatusBadRequest)
-		return
+		return "bad demand"
 	}
 	if !p.wOK {
-		http.Error(rw, "bad w", http.StatusBadRequest)
+		return "bad w"
+	}
+	return ""
+}
+
+func (n *Node) handleExec(rw http.ResponseWriter, req *http.Request) {
+	p := parseReqQuery(req.URL.RawQuery)
+	if msg := p.badField(); msg != "" {
+		http.Error(rw, msg, http.StatusBadRequest)
 		return
 	}
 	var dl int64
@@ -208,11 +235,21 @@ func (n *Node) handleExec(rw http.ResponseWriter, req *http.Request) {
 // okBody is the fallback response body when no size is requested.
 var okBody = []byte("ok\n")
 
+// bodySize applies the size rule of every 200 reply: a requested size
+// in (0, 8 MiB] is served as that many filler bytes; 0 means the size
+// was absent or invalid and the body is okBody.
+func bodySize(size int64) int64 {
+	if size <= 0 || size > 8<<20 {
+		return 0
+	}
+	return size
+}
+
 // writeBody streams a response body of the requested size (bytes), so
 // the live cluster moves real data over the loopback TCP connections;
 // absent or invalid sizes fall back to a 3-byte "ok".
 func writeBody(rw http.ResponseWriter, size int64) {
-	if size <= 0 || size > 8<<20 {
+	if size = bodySize(size); size == 0 {
 		rw.WriteHeader(http.StatusOK)
 		rw.Write(okBody) //nolint:errcheck
 		return
@@ -290,17 +327,22 @@ func (n *Node) handleLoad(rw http.ResponseWriter, req *http.Request) {
 	json.NewEncoder(rw).Encode(rep) //nolint:errcheck
 }
 
-// Shutdown stops the server and unblocks in-flight work. Resources are
-// closed before the hijacked frame connections so a frame loop blocked
-// in virtual work is released and can observe its dead connection.
+// Shutdown stops accepting, stops the server and unblocks in-flight
+// work. Resources are closed before the edge's connections so a request
+// or frame loop blocked in virtual work is released and can observe its
+// dead connection.
 func (n *Node) Shutdown() {
+	n.edgeClosed.Store(true)
+	for _, l := range n.lis {
+		l.Close() //nolint:errcheck // only stops the accept loop
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	if n.srv != nil {
 		n.srv.Shutdown(ctx) //nolint:errcheck
 	}
 	n.res.Close()
-	n.closeFrameConns()
+	n.closeEdgeConns()
 }
 
 // loadSnapshot is one immutable generation of the master's scheduling
@@ -794,20 +836,37 @@ func (m *Master) tickLoop(every time.Duration) {
 	}
 }
 
+// parseTimeoutMs reads a TimeoutHeader value: the client's relative
+// budget in milliseconds, 0 when absent or unparseable.
+func parseTimeoutMs(h string) int64 {
+	if h == "" {
+		return 0 // the common case; ParseInt would allocate its error
+	}
+	if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
+		return ms
+	}
+	return 0
+}
+
 // reqDeadline derives a request's absolute deadline: the client's
-// TimeoutHeader budget when present and tighter than the configured
-// dispatch timeout, else the dispatch timeout itself.
-func (m *Master) reqDeadline(start time.Time, req *http.Request) time.Time {
+// budget (TimeoutHeader, or a 'Q' entry's timeoutMs) when present and
+// tighter than the configured dispatch timeout, else the dispatch
+// timeout itself.
+func (m *Master) reqDeadline(start time.Time, timeoutMs int64) time.Time {
 	deadline := start.Add(m.rs.DispatchTimeout)
-	if h := req.Header.Get(TimeoutHeader); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
-			if d := start.Add(time.Duration(ms) * time.Millisecond); d.Before(deadline) {
-				deadline = d
-			}
+	if timeoutMs > 0 {
+		if d := start.Add(time.Duration(timeoutMs) * time.Millisecond); d.Before(deadline) {
+			deadline = d
 		}
 	}
 	return deadline
 }
+
+// The 503 and 502 bodies of /req, shared by its two adapters.
+const (
+	msgShed      = "overloaded: request shed"
+	msgExhausted = "dynamic request exhausted its retry budget or deadline"
+)
 
 // handleRequest is the client-facing endpoint:
 // /req?class=s|d&demand=F&w=F&script=N[&size=N][&idem=0]
@@ -815,36 +874,37 @@ func (m *Master) reqDeadline(start time.Time, req *http.Request) time.Time {
 // Every accepted request reaches exactly one terminal outcome: 2xx
 // (served), 503 + Retry-After (shed by overload protection), or 502
 // (retry budget / deadline exhausted). The outcome logic lives in
-// serveReq, shared with the binary client-frame transport.
+// serveReq, shared with the binary client-frame transport and with the
+// edge's native /req (edge.go), which answers a client's connection
+// until something hands it off; this net/http adapter serves it from
+// then on, and serves Handler().
 func (m *Master) handleRequest(rw http.ResponseWriter, req *http.Request) {
 	p := parseReqQuery(req.URL.RawQuery)
-	if !p.demandOK || p.demand < 0 {
-		http.Error(rw, "bad demand", http.StatusBadRequest)
+	if msg := p.badField(); msg != "" {
+		http.Error(rw, msg, http.StatusBadRequest)
 		return
 	}
-	if !p.wOK {
-		http.Error(rw, "bad w", http.StatusBadRequest)
-		return
-	}
-	start := time.Now()
-	status, retryAfter := m.serveReq(p, start, m.reqDeadline(start, req))
+	status, retryAfter := m.serveReq(p, time.Now(), parseTimeoutMs(req.Header.Get(TimeoutHeader)))
 	switch status {
 	case 0:
 		m.attachLoadHeader(rw.Header())
 		writeBody(rw, p.size)
 	case http.StatusServiceUnavailable:
 		rw.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		http.Error(rw, "overloaded: request shed", http.StatusServiceUnavailable)
+		http.Error(rw, msgShed, http.StatusServiceUnavailable)
 	default:
-		http.Error(rw, "dynamic request exhausted its retry budget or deadline", status)
+		http.Error(rw, msgExhausted, status)
 	}
 }
 
 // serveReq runs one accepted client request through admission,
 // execution/dispatch and completion accounting — the transport-neutral
-// core of /req, also driven by 'Q' frames. Returns status 0 (served),
-// 503 with a Retry-After hint (shed), or 502 (exhausted).
-func (m *Master) serveReq(p reqParams, start time.Time, deadline time.Time) (status, retryAfter int) {
+// core of /req, driven by the edge, the net/http adapter and 'Q'
+// frames. timeoutMs is the client's relative budget (0 = none). Returns
+// status 0 (served), 503 with a Retry-After hint (shed), or 502
+// (exhausted).
+func (m *Master) serveReq(p reqParams, start time.Time, timeoutMs int64) (status, retryAfter int) {
+	deadline := m.reqDeadline(start, timeoutMs)
 	m.accepted.Add(1)
 	var reqID int64
 	if m.tracer != nil {
