@@ -318,8 +318,10 @@ type Cluster struct {
 	// powered is the autoscaler's graceful on/off state, distinct from
 	// available (crash semantics): a powered-off node leaves the view but
 	// finishes its queued work and is never drained.
-	powered   []bool
-	inflight  map[int64]*pendingRequest
+	powered []bool
+	// inflight is the set of requests dispatched and not yet complete,
+	// in no particular order; pendingRequest.slot indexes it.
+	inflight  []*pendingRequest
 	nextReqID int64
 	failovers int64
 	shed      int64
@@ -401,7 +403,6 @@ func New(eng *sim.Engine, cfg Config, policy core.Policy) (*Cluster, error) {
 		policy:    policy,
 		front:     rng.New(cfg.Seed),
 		collector: metrics.NewCollector(),
-		inflight:  make(map[int64]*pendingRequest),
 		nextReqID: 1, // 0 means "untraced" to the node OS
 	}
 	c.explainer, _ = policy.(core.PlacementExplainer)
@@ -679,7 +680,7 @@ func (c *Cluster) dispatchFull(req trace.Request, countSample bool, arrival floa
 	pr.arrival = arrival
 	pr.count = countSample
 	pr.onDone = onDone
-	c.inflight[reqID] = pr
+	c.own(pr)
 
 	if latency > 0 {
 		c.eng.AfterCall(latency, c.submitC, pr, 0)
@@ -703,8 +704,26 @@ func (c *Cluster) newPending() *pendingRequest {
 // hold the last live reference; see the ownership rules on submitNow and
 // applyAvailability.
 func (c *Cluster) releasePending(pr *pendingRequest) {
-	*pr = pendingRequest{}
+	*pr = pendingRequest{slot: -1}
 	c.freePending = append(c.freePending, pr)
+}
+
+// own adds pr to the in-flight set.
+func (c *Cluster) own(pr *pendingRequest) {
+	pr.slot = len(c.inflight)
+	c.inflight = append(c.inflight, pr)
+}
+
+// disown removes pr from the in-flight set in O(1): the last member
+// moves into pr's slot.
+func (c *Cluster) disown(pr *pendingRequest) {
+	last := len(c.inflight) - 1
+	moved := c.inflight[last]
+	c.inflight[pr.slot] = moved
+	moved.slot = pr.slot
+	c.inflight[last] = nil
+	c.inflight = c.inflight[:last]
+	pr.slot = -1
 }
 
 // arrival is the typed-event handler replaying trace request f64 (its
@@ -718,11 +737,11 @@ func (c *Cluster) arrival(_ any, f64 float64) {
 func (c *Cluster) submitCall(arg any, _ float64) { c.submitNow(arg.(*pendingRequest)) }
 
 // submitNow hands pr's job to its target node. Ownership: pr may have
-// been disowned while the dispatch-latency event was in flight — the
-// identity check (not just key presence) guards against a recycled
-// struct impersonating a newer request.
+// been disowned while the dispatch-latency event was in flight. A
+// disowned struct is not recycled before this event releases it, so its
+// slot < 0 cannot belong to a newer request.
 func (c *Cluster) submitNow(pr *pendingRequest) {
-	if c.inflight[pr.id] != pr {
+	if pr.slot < 0 {
 		// A node-failure handler already took ownership of this
 		// request (it was in the dispatch-latency window when its
 		// target crashed) and restarted it; submitting now would
@@ -735,7 +754,7 @@ func (c *Cluster) submitNow(pr *pendingRequest) {
 		// The target failed inside the dispatch latency window;
 		// the failure handler has not seen this request, so
 		// re-place it ourselves.
-		delete(c.inflight, pr.id)
+		c.disown(pr)
 		c.failovers++
 		req, count, arrival, onDone := pr.req, pr.count, pr.arrival, pr.onDone
 		c.releasePending(pr)
@@ -764,7 +783,7 @@ func (c *Cluster) submitNow(pr *pendingRequest) {
 // pendingRequest (pr is dead once released; onDone runs after).
 func (c *Cluster) complete(arg any, now float64) {
 	pr := arg.(*pendingRequest)
-	delete(c.inflight, pr.id)
+	c.disown(pr)
 	req := &pr.req
 	if c.cache != nil && req.Class == trace.Dynamic && req.Param != 0 {
 		c.cache.Insert(dyncache.Key{Script: req.Script, Param: req.Param}, req.Size, now)

@@ -41,17 +41,17 @@ func validateEvents(events []AvailabilityEvent, nodes int) error {
 
 // pendingRequest records an in-flight request so it can be restarted if
 // its execution node fails. Structs recycle through Cluster.freePending;
-// the identity (not just the id) of the pointer in c.inflight decides
-// ownership, so a recycled struct can never impersonate an older
-// request.
+// slot decides ownership: the struct's index in c.inflight while the
+// cluster owns it, −1 once a failure handler has disowned it.
 type pendingRequest struct {
 	id      int64
+	slot    int
 	req     trace.Request
 	node    int
 	arrival float64
 	count   bool
 	// submitted flips when the job reaches its node: from then on the
-	// only live references are the inflight map and the job's DoneArg.
+	// only live references are the inflight set and the job's DoneArg.
 	// While false, a dispatch-latency submit event still holds the
 	// struct and is responsible for releasing it if disowned.
 	submitted bool
@@ -73,15 +73,17 @@ func (c *Cluster) applyAvailability(e AvailabilityEvent) {
 	// requests elsewhere after the failover-detection delay.
 	c.nodes[e.Node].Drain()
 	var lost []*pendingRequest
-	for id, p := range c.inflight {
+	for _, p := range c.inflight {
 		if p.node == e.Node {
 			lost = append(lost, p)
-			delete(c.inflight, id)
 		}
 	}
-	// The inflight map iterates in random order; the restarts it yields
-	// must not (their After events tie on time and fall back to insertion
-	// order, which would leak the map order into the replay).
+	for _, p := range lost {
+		c.disown(p)
+	}
+	// Swap-removes leave the inflight set out of id order; the restarts
+	// must not be (their After events tie on time and fall back to
+	// insertion order, which would leak the set's order into the replay).
 	sort.Slice(lost, func(i, j int) bool { return lost[i].id < lost[j].id })
 	delay := c.cfg.RetryDelay
 	for _, p := range lost {

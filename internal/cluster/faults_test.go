@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"msweb/internal/core"
+	"msweb/internal/obs"
 	"msweb/internal/trace"
 )
 
@@ -27,6 +28,47 @@ func TestSlaveFailureRestartsWork(t *testing.T) {
 	// count stays below what an even share would be.
 	if res.NodeStats[5].Completed+res.NodeStats[5].Aborted != res.NodeStats[5].Submitted {
 		t.Fatalf("node 5 conservation broken: %+v", res.NodeStats[5])
+	}
+}
+
+// arrivalLog records the arrival events of a run in emission order.
+type arrivalLog []obs.Event
+
+func (l *arrivalLog) Emit(ev obs.Event) {
+	if ev.Kind == obs.KindArrival {
+		*l = append(*l, ev)
+	}
+}
+
+// The requests a crash loses restart in the order they first arrived,
+// whatever order the in-flight set holds them in: their retry events tie
+// on time, so any other order would reach the replay.
+func TestFailoverRestartsInArrivalOrder(t *testing.T) {
+	tr := genTrace(t, trace.ADL, 300, 4000, 1.0/40, 21)
+	cfg := DefaultConfig(6, 2)
+	cfg.Events = []AvailabilityEvent{{Node: 5, At: 3.0, Available: false}}
+	var log arrivalLog
+	cfg.Tracer = &log
+	if _, err := Simulate(cfg, core.NewMS(core.SampleW(tr, 16), 1), tr); err != nil {
+		t.Fatal(err)
+	}
+	// A restart re-emits its original arrival time, which lies before
+	// the latest first arrival already seen; consecutive restarts are
+	// one batch of tied retry events.
+	latest, batch, longest := 0.0, 0, 0
+	for i, ev := range log {
+		if ev.Time >= latest {
+			latest, batch = ev.Time, 0
+			continue
+		}
+		if batch > 0 && ev.Time < log[i-1].Time {
+			t.Fatalf("restart of the request that arrived at %v follows the one that arrived at %v", ev.Time, log[i-1].Time)
+		}
+		batch++
+		longest = max(longest, batch)
+	}
+	if longest < 2 {
+		t.Fatalf("longest batch of restarts is %d: the crash did not exercise the restart order", longest)
 	}
 }
 

@@ -55,8 +55,9 @@ type Collector struct {
 	responses []float64
 	byClass   map[string]*running
 	overall   running
-	sorted    []float64 // stretches, populated lazily on first percentile
-	sortedRT  []float64 // response times, populated lazily
+	// stretchQ and responseQ answer percentile reads from scratch copies
+	// of the two streams, refreshed on the first read after an Add.
+	stretchQ, responseQ quantiles
 }
 
 type running struct {
@@ -108,8 +109,8 @@ func (c *Collector) Add(s Sample) {
 		c.byClass[s.Class] = rc
 	}
 	rc.add(s)
-	c.sorted = nil
-	c.sortedRT = nil
+	c.stretchQ.fresh = false
+	c.responseQ.fresh = false
 }
 
 // Count returns the number of recorded samples.
@@ -174,49 +175,21 @@ func (c *Collector) MaxStretch() float64 { return c.overall.maxStretch }
 func (c *Collector) MaxResponse() float64 { return c.overall.maxResponse }
 
 // StretchPercentile returns the q-quantile (q in [0,1]) of individual
-// stretches using nearest-rank on the sorted sample.
+// stretches by nearest rank.
 func (c *Collector) StretchPercentile(q float64) float64 {
 	if c.overall.n == 0 {
 		return 1
 	}
-	if c.sorted == nil {
-		c.sorted = append(make([]float64, 0, len(c.stretches)), c.stretches...)
-		sort.Float64s(c.sorted)
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(c.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return c.sorted[idx]
+	return c.stretchQ.at(c.stretches, q)
 }
 
-// ResponsePercentile returns the q-quantile of response times using
-// nearest-rank on the sorted sample.
+// ResponsePercentile returns the q-quantile of response times by nearest
+// rank.
 func (c *Collector) ResponsePercentile(q float64) float64 {
 	if c.overall.n == 0 {
 		return 0
 	}
-	if c.sortedRT == nil {
-		c.sortedRT = append(make([]float64, 0, len(c.responses)), c.responses...)
-		sort.Float64s(c.sortedRT)
-	}
-	if q <= 0 {
-		return c.sortedRT[0]
-	}
-	if q >= 1 {
-		return c.sortedRT[len(c.sortedRT)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(c.sortedRT)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return c.sortedRT[idx]
+	return c.responseQ.at(c.responses, q)
 }
 
 // Classes returns the class labels seen, sorted for deterministic output.

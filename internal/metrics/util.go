@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // UtilizationTracker integrates a busy/idle signal over virtual time and
 // reports the time-weighted busy fraction. Simulated OS components use one
@@ -106,27 +103,6 @@ func Stddev(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// Percentile returns the nearest-rank q-quantile of xs without modifying
-// the input slice.
-func Percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if q <= 0 {
-		return cp[0]
-	}
-	if q >= 1 {
-		return cp[len(cp)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(cp)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return cp[idx]
 }
 
 // EWMA is an exponentially-weighted moving average used for smoothing

@@ -96,26 +96,6 @@ func TestMeanStddev(t *testing.T) {
 	}
 }
 
-func TestPercentileHelper(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if got := Percentile(xs, 0.5); got != 3 {
-		t.Fatalf("Percentile 0.5 = %v, want 3", got)
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Fatalf("Percentile 0 = %v, want 1", got)
-	}
-	if got := Percentile(xs, 1); got != 5 {
-		t.Fatalf("Percentile 1 = %v, want 5", got)
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Fatalf("Percentile(nil) = %v, want 0", got)
-	}
-	// input must not be mutated
-	if xs[0] != 5 {
-		t.Fatalf("Percentile mutated input: %v", xs)
-	}
-}
-
 func TestEWMA(t *testing.T) {
 	e := NewEWMA(0.5)
 	if e.Initialized() {

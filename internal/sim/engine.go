@@ -31,10 +31,11 @@
 // The timer queue is a hand-rolled 4-ary min-heap ordered by (at, seq).
 // Compared with container/heap's binary heap it needs no interface
 // boxing, no virtual Less/Swap calls, and ~half the levels: children of
-// node i live at 4i+1..4i+4, so sift-down touches one cache line of
-// child pointers per level. The (at, seq) key is a total order (seq is
-// unique), so pop order — and therefore simulation output — is exactly
-// the FIFO-at-equal-time order the binary heap produced.
+// node i live at 4i+1..4i+4. Each heap slot holds the event's (at, seq)
+// key next to its pointer, so a sift compares keys in the heap array
+// and never dereferences an Event. The (at, seq) key is a total order
+// (seq is unique), so pop order — and therefore simulation output — is
+// exactly the FIFO-at-equal-time order the binary heap produced.
 //
 // A workload known in advance — a trace's arrivals — does not go through
 // the heap at all. Feed registers it as a time-sorted stream that Step
@@ -59,10 +60,13 @@ type CallFunc func(arg any, f64 float64)
 // skips it when its time arrives; the engine never reorders the heap on
 // cancellation, so Cancel is O(1).
 type Event struct {
-	eng      *Engine
-	at       Time
-	seq      uint64
-	index    int
+	eng *Engine
+	at  Time
+	seq uint64
+	// queued is true from push until the event leaves the heap (fired
+	// or reclaimed after cancellation): what Cancel checks to ignore a
+	// handle whose event is gone.
+	queued   bool
 	canceled bool
 	// Exactly one of fn / call is set: fn for the closure form
 	// (Schedule/After), call+arg+f64 for the typed allocation-free form
@@ -85,7 +89,7 @@ func (e *Event) Seq() uint64 { return e.seq }
 // Cancel prevents the event from firing. Canceling an already-fired or
 // already-canceled event is a no-op.
 func (e *Event) Cancel() {
-	if e.canceled || e.index < 0 {
+	if e.canceled || !e.queued {
 		return
 	}
 	e.canceled = true
@@ -95,13 +99,20 @@ func (e *Event) Cancel() {
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// before reports whether e fires strictly before o: earlier time first,
+// slot is one heap entry: a queued event under its (at, seq) key.
+type slot struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
+
+// before reports whether s fires strictly before o: earlier time first,
 // FIFO scheduling order (seq) at equal times.
-func (e *Event) before(o *Event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+func (s *slot) before(o *slot) bool {
+	if s.at != o.at {
+		return s.at < o.at
 	}
-	return e.seq < o.seq
+	return s.seq < o.seq
 }
 
 // Engine drives a single simulation. It is not safe for concurrent use;
@@ -110,7 +121,7 @@ func (e *Event) before(o *Event) bool {
 type Engine struct {
 	now     Time
 	seq     uint64
-	heap    []*Event // 4-ary min-heap ordered by (at, seq)
+	heap    []slot // 4-ary min-heap ordered by (at, seq)
 	fired   uint64
 	stopped bool
 	// free is the Event free list; fired and reclaimed-canceled events
@@ -252,7 +263,7 @@ func (e *Engine) feedFirst() bool {
 	if len(e.heap) == 0 {
 		return true
 	}
-	top := e.heap[0]
+	top := &e.heap[0]
 	if e.feedAt != top.at {
 		return e.feedAt < top.at
 	}
@@ -386,38 +397,37 @@ func (e *Engine) RunUntil(deadline Time) {
 // ---- 4-ary timer heap ------------------------------------------------
 
 // heapArity is the heap branching factor. Four children per node halves
-// the tree depth of a binary heap; the extra comparisons per level stay
-// within the same cache line of the []*Event backing array.
+// the tree depth of a binary heap; the extra comparisons per level read
+// four adjacent 24-byte slots, two or three cache lines.
 const heapArity = 4
 
 // push appends ev and sifts it up to its (at, seq) position.
 func (e *Engine) push(ev *Event) {
-	h := append(e.heap, ev)
+	ev.queued = true
+	s := slot{at: ev.at, seq: ev.seq, ev: ev}
+	h := append(e.heap, s)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / heapArity
-		parent := h[p]
-		if !ev.before(parent) {
+		if !s.before(&h[p]) {
 			break
 		}
-		h[i] = parent
-		parent.index = i
+		h[i] = h[p]
 		i = p
 	}
-	h[i] = ev
-	ev.index = i
+	h[i] = s
 	e.heap = h
 }
 
 // pop removes and returns the minimum event, re-sifting the displaced
-// last element down.
+// last slot down.
 func (e *Engine) pop() *Event {
 	h := e.heap
-	top := h[0]
-	top.index = -1
+	top := h[0].ev
+	top.queued = false
 	n := len(h) - 1
 	last := h[n]
-	h[n] = nil
+	h[n] = slot{}
 	e.heap = h[:n]
 	if n > 0 {
 		e.siftDown(last, 0)
@@ -425,10 +435,10 @@ func (e *Engine) pop() *Event {
 	return top
 }
 
-// siftDown places ev into the subtree rooted at i, moving smaller
-// children up as it descends. ev is carried in a register and written
+// siftDown places s into the subtree rooted at i, moving smaller
+// children up as it descends. s is carried in registers and written
 // exactly once, instead of swapping at every level.
-func (e *Engine) siftDown(ev *Event, i int) {
+func (e *Engine) siftDown(s slot, i int) {
 	h := e.heap
 	n := len(h)
 	for {
@@ -442,20 +452,17 @@ func (e *Engine) siftDown(ev *Event, i int) {
 			end = n
 		}
 		for j := first + 1; j < end; j++ {
-			if h[j].before(h[m]) {
+			if h[j].before(&h[m]) {
 				m = j
 			}
 		}
-		child := h[m]
-		if !child.before(ev) {
+		if !h[m].before(&s) {
 			break
 		}
-		h[i] = child
-		child.index = i
+		h[i] = h[m]
 		i = m
 	}
-	h[i] = ev
-	ev.index = i
+	h[i] = s
 }
 
 // compact rebuilds the heap without canceled events, reclaiming them
@@ -466,19 +473,16 @@ func (e *Engine) compact() {
 		return
 	}
 	live := e.heap[:0]
-	for _, ev := range e.heap {
-		if ev.canceled {
-			ev.index = -1
+	for _, s := range e.heap {
+		if s.ev.canceled {
+			s.ev.queued = false
 			e.liveCanceled--
-			e.release(ev)
+			e.release(s.ev)
 		} else {
-			ev.index = len(live)
-			live = append(live, ev)
+			live = append(live, s)
 		}
 	}
-	for i := len(live); i < len(e.heap); i++ {
-		e.heap[i] = nil
-	}
+	clear(e.heap[len(live):])
 	e.heap = live
 	// Bottom-up heapify restores (at, seq) order after the filter.
 	if n := len(live); n > 1 {
@@ -491,7 +495,7 @@ func (e *Engine) compact() {
 // peek returns the timestamp of the next non-canceled event, heap or
 // feed.
 func (e *Engine) peek() (Time, bool) {
-	for len(e.heap) > 0 && e.heap[0].canceled {
+	for len(e.heap) > 0 && e.heap[0].ev.canceled {
 		ev := e.pop()
 		e.liveCanceled--
 		e.release(ev)

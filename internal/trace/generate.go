@@ -275,6 +275,10 @@ func Generate(cfg GenConfig) (*Trace, error) {
 
 	meanDH := 1 / cfg.MuH
 	meanDC := 1 / (cfg.R * cfg.MuH)
+	// Location parameters of the two lognormal size laws: the −σ²/2
+	// offsets give each law the profile's mean size.
+	muCGI := math.Log(cfg.Profile.MeanCGISize) - 0.125
+	muHTML := math.Log(cfg.Profile.MeanHTMLSize) - 0.32
 	// Every request has a minimum protocol cost: parsing, connection
 	// handling, one buffer copy. Demands are floored at 12% of the class
 	// mean with the exponential shifted to preserve the mean — without
@@ -296,7 +300,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 		}
 	}
 
-	tr := &Trace{Name: cfg.Profile.Name}
+	tr := &Trace{Name: cfg.Profile.Name, Requests: make([]Request, 0, cfg.Requests)}
 	nextInterval := arrivalProcess(cfg, arrivalS)
 	now := 0.0
 	for i := 0; i < cfg.Requests; i++ {
@@ -306,7 +310,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 			req.Class = Dynamic
 			req.Script = 1 + scriptS.Intn(cfg.Profile.NumScripts)
 			req.CPUWeight = weights[req.Script-1]
-			req.Size = int64(sizeS.Lognormal(math.Log(cfg.Profile.MeanCGISize)-0.125, 0.5))
+			req.Size = int64(sizeS.Lognormal(muCGI, 0.5))
 			if req.Size < 64 {
 				req.Size = 64
 			}
@@ -319,7 +323,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 			req.Class = Static
 			// Draw a target size around the profile's HTML mean, then
 			// map to the closest SPECweb96 file as the paper does.
-			target := int64(sizeS.Lognormal(math.Log(cfg.Profile.MeanHTMLSize)-0.32, 0.8))
+			target := int64(sizeS.Lognormal(muHTML, 0.8))
 			f := fileset.Closest(target)
 			req.Size = f.Size
 			req.CPUWeight = 0.3 // statics: mostly I/O with protocol CPU

@@ -1,6 +1,6 @@
 package trace
 
-import "msweb/internal/rng"
+import "slices"
 
 // SPECweb96 fileset. The paper replaces every static fetch in its logs
 // with the closest-sized file from the 40 representative SPECweb96 files.
@@ -22,16 +22,19 @@ type SPECFile struct {
 	Size  int64 // bytes
 }
 
-// SPECWebFileSet is the 40-file SPECweb96-like fileset with its class
-// access weights.
+// SPECWebFileSet is the 40-file SPECweb96-like fileset.
 type SPECWebFileSet struct {
-	Files   []SPECFile
-	weights []float64 // per-class access probability
+	Files []SPECFile
+	// sizes lists the distinct file sizes in increasing order and
+	// first[k] the lowest Files index of a file of size sizes[k]: the
+	// search index Closest reads, built once by NewSPECWebFileSet.
+	sizes []int64
+	first []int
 }
 
 // NewSPECWebFileSet constructs the canonical 40-file set.
 func NewSPECWebFileSet() *SPECWebFileSet {
-	fs := &SPECWebFileSet{weights: []float64{0.35, 0.50, 0.14, 0.01}}
+	fs := &SPECWebFileSet{}
 	id := 0
 	for class := 0; class < 4; class++ {
 		base := int64(102) // 0.1 KB
@@ -47,56 +50,32 @@ func NewSPECWebFileSet() *SPECWebFileSet {
 		fs.Files = append(fs.Files, SPECFile{ID: id, Class: class, Size: base*4 + base/2})
 		id++
 	}
+	for i, f := range fs.Files {
+		if k, found := slices.BinarySearch(fs.sizes, f.Size); !found {
+			fs.sizes = slices.Insert(fs.sizes, k, f.Size)
+			fs.first = slices.Insert(fs.first, k, i)
+		}
+	}
 	return fs
 }
 
-// Pick draws a file according to SPECweb96 access weights: first a class
-// by weight, then a uniform file within the class.
-func (fs *SPECWebFileSet) Pick(s *rng.Stream) SPECFile {
-	class := s.WeightedChoice(fs.weights)
-	var inClass []SPECFile
-	for _, f := range fs.Files {
-		if f.Class == class {
-			inClass = append(inClass, f)
-		}
-	}
-	return inClass[s.Intn(len(inClass))]
-}
-
 // Closest returns the file whose size is nearest to want, the mapping the
-// paper applies to each logged static fetch.
+// paper applies to each logged static fetch. Of two equally near files
+// the one earlier in Files wins.
 func (fs *SPECWebFileSet) Closest(want int64) SPECFile {
-	best := fs.Files[0]
-	bestDiff := absInt64(best.Size - want)
-	for _, f := range fs.Files[1:] {
-		if d := absInt64(f.Size - want); d < bestDiff {
-			best, bestDiff = f, d
-		}
+	k, found := slices.BinarySearch(fs.sizes, want)
+	switch {
+	case found:
+		return fs.Files[fs.first[k]]
+	case k == 0:
+		return fs.Files[fs.first[0]]
+	case k == len(fs.sizes):
+		return fs.Files[fs.first[k-1]]
 	}
-	return best
-}
-
-// MeanSize returns the access-weighted mean file size in bytes.
-func (fs *SPECWebFileSet) MeanSize() float64 {
-	total := 0.0
-	for class := 0; class < 4; class++ {
-		var sum, n float64
-		for _, f := range fs.Files {
-			if f.Class == class {
-				sum += float64(f.Size)
-				n++
-			}
-		}
-		if n > 0 {
-			total += fs.weights[class] * sum / n
-		}
+	below, above := fs.first[k-1], fs.first[k]
+	dBelow, dAbove := want-fs.sizes[k-1], fs.sizes[k]-want
+	if dBelow < dAbove || dBelow == dAbove && below < above {
+		return fs.Files[below]
 	}
-	return total
-}
-
-func absInt64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return fs.Files[above]
 }

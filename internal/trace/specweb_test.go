@@ -1,9 +1,8 @@
 package trace
 
 import (
+	"slices"
 	"testing"
-
-	"msweb/internal/rng"
 )
 
 func TestFileSetHas40Files(t *testing.T) {
@@ -41,39 +40,59 @@ func TestFileSetSizeRanges(t *testing.T) {
 	}
 }
 
-func TestPickFollowsClassWeights(t *testing.T) {
-	fs := NewSPECWebFileSet()
-	s := rng.New(5)
-	counts := make([]int, 4)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[fs.Pick(s).Class]++
+// closestLinear is Closest's reference: a scan of Files in order that
+// keeps the first file at the least distance.
+func closestLinear(fs *SPECWebFileSet, want int64) SPECFile {
+	abs := func(x int64) int64 {
+		if x < 0 {
+			return -x
+		}
+		return x
 	}
-	want := []float64{0.35, 0.50, 0.14, 0.01}
-	for class, w := range want {
-		got := float64(counts[class]) / n
-		if got < w-0.02 || got > w+0.02 {
-			t.Fatalf("class %d picked with frequency %.3f, want %.2f", class, got, w)
+	best := fs.Files[0]
+	for _, f := range fs.Files[1:] {
+		if abs(f.Size-want) < abs(best.Size-want) {
+			best = f
 		}
 	}
+	return best
 }
 
+// Closest agrees with the linear scan on every size up to 1 MiB (every
+// file lies below it) and on every exact midpoint between adjacent
+// sizes, where two files tie and the one earlier in Files must win.
 func TestClosest(t *testing.T) {
 	fs := NewSPECWebFileSet()
-	cases := []struct {
-		want int64
-	}{
-		{1}, {102}, {500}, {5000}, {51200}, {800000}, {5 << 20},
-	}
-	for _, c := range cases {
-		f := fs.Closest(c.want)
-		// No other file may be strictly closer.
-		best := absInt64(f.Size - c.want)
-		for _, g := range fs.Files {
-			if absInt64(g.Size-c.want) < best {
-				t.Fatalf("Closest(%d) = %d but %d is closer", c.want, f.Size, g.Size)
-			}
+	for want := int64(-1); want <= 1<<20; want++ {
+		if got, ref := fs.Closest(want), closestLinear(fs, want); got != ref {
+			t.Fatalf("Closest(%d) = file %d (%d bytes), linear scan says file %d (%d bytes)", want, got.ID, got.Size, ref.ID, ref.Size)
 		}
+	}
+	sizes := make([]int64, 0, len(fs.Files))
+	for _, f := range fs.Files {
+		sizes = append(sizes, f.Size)
+	}
+	slices.Sort(sizes)
+	sizes = slices.Compact(sizes)
+	ties := 0
+	for k := 1; k < len(sizes); k++ {
+		sum := sizes[k-1] + sizes[k]
+		if sum%2 != 0 {
+			continue
+		}
+		ties++
+		mid := sum / 2
+		below, above := fs.Closest(sizes[k-1]), fs.Closest(sizes[k])
+		want := below
+		if above.ID < below.ID {
+			want = above
+		}
+		if got := fs.Closest(mid); got != want {
+			t.Fatalf("Closest(%d), midway between %d and %d bytes: file %d, want file %d", mid, sizes[k-1], sizes[k], got.ID, want.ID)
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no exact midpoint between adjacent sizes: the tie rule went untested")
 	}
 }
 
@@ -83,15 +102,5 @@ func TestClosestExactMatch(t *testing.T) {
 		if got := fs.Closest(f.Size); got.Size != f.Size {
 			t.Fatalf("Closest(%d) = %d", f.Size, got.Size)
 		}
-	}
-}
-
-func TestMeanSize(t *testing.T) {
-	fs := NewSPECWebFileSet()
-	m := fs.MeanSize()
-	// Class means: ~510B·0.35 + ~5.1KB·0.50 + ~51KB·0.14 + ~510KB·0.01
-	// ≈ 0.18 + 2.6 + 7.1 + 5.2 ≈ 15 KB.
-	if m < 8_000 || m > 25_000 {
-		t.Fatalf("MeanSize = %.0f bytes, want ~15KB", m)
 	}
 }
