@@ -137,24 +137,46 @@ func TestParallelAndProfileFlags(t *testing.T) {
 	}
 }
 
+// TestCSVEmission checks each CSV-producing experiment writes one file
+// with its header, and that the bytes do not depend on the worker pool
+// width: the simulator grids are deterministic at any -parallel.
 func TestCSVEmission(t *testing.T) {
-	dir := t.TempDir()
-	var out bytes.Buffer
-	if err := run([]string{"-experiment", "table2", "-quick", "-csv", dir}, &out, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || !strings.HasSuffix(entries[0].Name(), ".csv") {
-		t.Fatalf("csv dir contents: %v", entries)
-	}
-	data, err := os.ReadFile(dir + "/" + entries[0].Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(data), "trace,a,p,target_rho,inv_r,lambda_req_s") {
-		t.Fatalf("csv header wrong:\n%s", string(data)[:80])
+	for _, tc := range []struct {
+		args         []string
+		file, header string
+	}{
+		{[]string{"-experiment", "table2", "-quick"},
+			"table-2-workload-parameters.csv", "trace,a,p,target_rho,inv_r,lambda_req_s\n"},
+		{[]string{"-experiment", "tournament", "-quick", "-seeds", "1"},
+			"policy-tournament.csv", "profile,rho,policy,mean_ms,p99_ms,stretch,"},
+		{[]string{"-experiment", "autoscale", "-quick"},
+			"autoscale-vs-fixed-fleet.csv", "workload,scenario,stretch,slo_attainment,node_hours,"},
+	} {
+		t.Run(tc.args[1], func(t *testing.T) {
+			var csv [2][]byte
+			for i, width := range []string{"1", "4"} {
+				dir := t.TempDir()
+				args := append(append([]string{}, tc.args...), "-parallel", width, "-csv", dir)
+				if err := run(args, io.Discard, io.Discard); err != nil {
+					t.Fatal(err)
+				}
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(entries) != 1 || entries[0].Name() != tc.file {
+					t.Fatalf("csv dir contents: %v, want %s", entries, tc.file)
+				}
+				if csv[i], err = os.ReadFile(dir + "/" + tc.file); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.HasPrefix(csv[i], []byte(tc.header)) {
+					t.Fatalf("csv header wrong:\n%.80s", csv[i])
+				}
+			}
+			if !bytes.Equal(csv[0], csv[1]) {
+				t.Fatalf("%s differs between -parallel 1 and 4:\n%s\n---\n%s", tc.file, csv[0], csv[1])
+			}
+		})
 	}
 }

@@ -80,8 +80,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		printReport(stdout, res)
-		return nil
+		return report(stdout, res)
 	}
 	if *traceFile == "" {
 		return fmt.Errorf("-trace is required (or use -closed)")
@@ -106,15 +105,18 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	printReport(stdout, res)
-	return nil
+	return report(stdout, res)
 }
 
-// printReport renders the replay summary.
-func printReport(stdout io.Writer, res *replay.Result) {
+// report renders the replay summary and fails the run when too many
+// requests failed for the stretch factor to mean anything. A replay in
+// which no request succeeded prints no stretch factor at all.
+func report(stdout io.Writer, res *replay.Result) error {
 	s := res.Summary
 	fmt.Fprintf(stdout, "replayed %d requests in %.1fs (%d failed)\n", res.Sent, res.Duration.Seconds(), res.Failed)
+	if s.Count == 0 {
+		return res.Err()
+	}
 	fmt.Fprintf(stdout, "stretch factor:   %.3f\n", s.StretchFactor)
 	fmt.Fprintf(stdout, "mean response:    %.4f s\n", s.MeanResponse)
 	fmt.Fprintf(stdout, "p50/p95/p99 stretch: %.2f / %.2f / %.2f\n", s.P50Stretch, s.P95Stretch, s.P99Stretch)
@@ -123,4 +125,5 @@ func printReport(stdout io.Writer, res *replay.Result) {
 			fmt.Fprintf(stdout, "%-8s n=%-7d SF=%.3f meanResp=%.4fs\n", class, cs.Count, cs.StretchFactor, cs.MeanResponse)
 		}
 	}
+	return res.Err()
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,6 +80,23 @@ func TestMsloadErrors(t *testing.T) {
 	}
 	if err := run([]string{"-badflag"}, &out); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+
+	// A replay in which every request fails is an error, not a perfect
+	// stretch factor.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unused := "http://" + ln.Addr().String()
+	ln.Close()
+	out.Reset()
+	err = run([]string{"-masters", unused, "-trace", writeTrace(t, 20), "-timescale", "0.01", "-timeout", "2s"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "20/20 requests failed") {
+		t.Fatalf("all-failed replay: err %v, want 20/20 requests failed\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "stretch factor") {
+		t.Fatalf("stretch factor printed with no successful request:\n%s", out.String())
 	}
 }
 

@@ -216,8 +216,8 @@ func runLive(opts Table3Options, masters int, mk func(core.WTable, int64) core.P
 	if err != nil {
 		return 0, err
 	}
-	if res.Failed > res.Sent/10 {
-		return 0, fmt.Errorf("live replay: %d/%d requests failed", res.Failed, res.Sent)
+	if err := res.Err(); err != nil {
+		return 0, fmt.Errorf("live replay: %w", err)
 	}
 	return res.StretchFactor(), nil
 }

@@ -13,7 +13,7 @@ import (
 var edgeSeedHeads = []string{
 	// benchmark/live.go's raw client.
 	"GET /req?class=s&demand=0.00909091&w=0.3&script=0&size=1024 HTTP/1.1\r\nHost: 127.0.0.1:40001\r\n\r\n",
-	// A net/http client (cmd/loadgen, cmd/msload, internal/replay).
+	// A net/http client (cmd/msload, internal/replay).
 	"GET /req?class=d&demand=0.25&w=0.9&script=3 HTTP/1.1\r\nHost: 127.0.0.1:40001\r\nUser-Agent: Go-http-client/1.1\r\nAccept-Encoding: gzip\r\n\r\n",
 	"GET /req?class=d&demand=1&w=0.5&idem=0 HTTP/1.1\r\nHost: localhost\r\nUser-Agent: Go-http-client/1.1\r\nX-Msweb-Timeout-Ms: 50\r\nAccept-Encoding: gzip\r\n\r\n",
 	"GET /req?demand=1&w=0.5 HTTP/1.1\r\nHost: [::1]:8080\r\nUser-Agent: curl/8.5.0\r\nAccept: */*\r\n\r\n",

@@ -225,69 +225,79 @@ func TestSpillSkippedWithoutFreshSummary(t *testing.T) {
 	}
 }
 
-// Sharded smoke: a 4-master × 64-slave loopback cluster in fast mode
-// serves a mixed static/dynamic burst on every master with zero 5xx —
-// the CI gate for the sharded control plane under -race.
+// Sharded smoke: a 4-master loopback cluster in fast mode, partitioned
+// 4 ways, serves a mixed static/dynamic burst on every master with zero
+// 5xx — the CI gate for the sharded control plane under -race. The
+// second case scales to 128 slaves and dispatches over binary frames.
 func TestShardedClusterSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("68-server smoke cluster")
+		t.Skip("68- and 132-server smoke clusters")
 	}
-	c, err := Start(Config{
-		Nodes: 68, Masters: 4, Shards: 4,
-		TimeScale:    1e-6,
-		LoadRefresh:  20 * time.Millisecond,
-		PolicyTick:   50 * time.Millisecond,
-		GossipEvery:  40 * time.Millisecond,
-		Uncalibrated: true,
-		MakePolicy:   func(id int) core.Policy { return core.NewMS(nil, int64(id)+1) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	urls := c.MasterURLs()
-
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}, Timeout: 10 * time.Second}
-	const reqs = 400
-	var bad5xx, failed atomic.Int64
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 32)
-	for i := 0; i < reqs; i++ {
-		cls := "s"
-		if i%2 == 1 {
-			cls = "d"
-		}
-		url := fmt.Sprintf("%s/req?class=%s&demand=0.0001&w=0.5&script=%d", urls[i%len(urls)], cls, i%10)
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(url string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			resp, err := client.Get(url)
+	for _, tc := range []struct {
+		name   string
+		nodes  int
+		frames bool
+	}{{"68-http", 68, false}, {"132-frames", 132, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Start(Config{
+				Nodes: tc.nodes, Masters: 4, Shards: 4,
+				BinaryFraming: tc.frames,
+				TimeScale:     1e-6,
+				LoadRefresh:   20 * time.Millisecond,
+				PolicyTick:    50 * time.Millisecond,
+				GossipEvery:   40 * time.Millisecond,
+				Uncalibrated:  true,
+				MakePolicy:    func(id int) core.Policy { return core.NewMS(nil, int64(id)+1) },
+			})
 			if err != nil {
-				failed.Add(1)
-				return
+				t.Fatal(err)
 			}
-			resp.Body.Close()
-			if resp.StatusCode >= 500 {
-				bad5xx.Add(1)
-			}
-		}(url)
-	}
-	wg.Wait()
-	if n := failed.Load(); n != 0 {
-		t.Fatalf("%d transport failures", n)
-	}
-	if n := bad5xx.Load(); n != 0 {
-		t.Fatalf("%d responses ≥500, want zero under the sharded smoke", n)
-	}
+			defer c.Shutdown()
+			urls := c.MasterURLs()
 
-	// Every master stayed inside its shard: a healthy cluster never
-	// spills, and the outcome accounting closes on each master.
-	for _, m := range c.Masters {
-		if m.Accepted() != m.Served()+m.Shed()+m.Exhausted() {
-			t.Fatalf("master %d: accepted=%d served=%d shed=%d exhausted=%d",
-				m.ID, m.Accepted(), m.Served(), m.Shed(), m.Exhausted())
-		}
+			client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}, Timeout: 10 * time.Second}
+			const reqs = 400
+			var bad5xx, failed atomic.Int64
+			var wg sync.WaitGroup
+			sem := make(chan struct{}, 32)
+			for i := 0; i < reqs; i++ {
+				cls := "s"
+				if i%2 == 1 {
+					cls = "d"
+				}
+				url := fmt.Sprintf("%s/req?class=%s&demand=0.0001&w=0.5&script=%d", urls[i%len(urls)], cls, i%10)
+				wg.Add(1)
+				sem <- struct{}{}
+				go func(url string) {
+					defer wg.Done()
+					defer func() { <-sem }()
+					resp, err := client.Get(url)
+					if err != nil {
+						failed.Add(1)
+						return
+					}
+					resp.Body.Close()
+					if resp.StatusCode >= 500 {
+						bad5xx.Add(1)
+					}
+				}(url)
+			}
+			wg.Wait()
+			if n := failed.Load(); n != 0 {
+				t.Fatalf("%d transport failures", n)
+			}
+			if n := bad5xx.Load(); n != 0 {
+				t.Fatalf("%d responses ≥500, want zero under the sharded smoke", n)
+			}
+
+			// Every master stayed inside its shard: a healthy cluster never
+			// spills, and the outcome accounting closes on each master.
+			for _, m := range c.Masters {
+				if m.Accepted() != m.Served()+m.Shed()+m.Exhausted() {
+					t.Fatalf("master %d: accepted=%d served=%d shed=%d exhausted=%d",
+						m.ID, m.Accepted(), m.Served(), m.Shed(), m.Exhausted())
+				}
+			}
+		})
 	}
 }

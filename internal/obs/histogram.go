@@ -89,38 +89,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveCoordinated records v plus the synthetic samples a stalled
-// closed-loop measurement hides. A closed-loop client that takes v
-// seconds to get one response would, at its intended pacing of one
-// request per expectedInterval, have issued ⌊v/expectedInterval⌋
-// further requests during the stall — each of which would have seen the
-// tail of the same stall. Recording v, v-i, v-2i, … (HdrHistogram's
-// coordinated-omission correction) restores those phantom samples, so
-// tail quantiles reflect what an open arrival process would have
-// experienced rather than what the throttled client happened to see.
-//
-// A non-positive expectedInterval degrades to plain Observe. The
-// back-fill is capped so a single pathological sample (v ≫ interval)
-// cannot spin for millions of iterations; the cap truncates the
-// correction, never the real observation.
-func (h *Histogram) ObserveCoordinated(v, expectedInterval float64) {
-	h.Observe(v)
-	if expectedInterval <= 0 || math.IsNaN(expectedInterval) {
-		return
-	}
-	// Multiply rather than repeatedly subtract: accumulation error in
-	// v - i·interval would otherwise fabricate an extra sample whenever
-	// v is an exact multiple of the interval.
-	const maxBackfill = 100000
-	for i := 1; i <= maxBackfill; i++ {
-		u := v - float64(i)*expectedInterval
-		if u <= 0 {
-			break
-		}
-		h.Observe(u)
-	}
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
 

@@ -165,65 +165,6 @@ func TestHistogramOutOfRangeAndMerge(t *testing.T) {
 	}
 }
 
-func TestHistogramObserveCoordinated(t *testing.T) {
-	// A 1s stall at a 0.1s pacing interval hides 9 phantom requests; the
-	// correction records 1.0 plus 0.9, 0.8, …, 0.1.
-	h := NewHistogram()
-	h.ObserveCoordinated(1.0, 0.1)
-	if h.Count() != 10 {
-		t.Fatalf("count %d, want 10 (1 real + 9 back-filled)", h.Count())
-	}
-	wantSum := 0.0
-	for i := 1; i <= 10; i++ {
-		wantSum += float64(i) / 10
-	}
-	if math.Abs(h.Sum()-wantSum) > 1e-9 {
-		t.Fatalf("sum %v, want %v", h.Sum(), wantSum)
-	}
-	if h.Max() != 1.0 {
-		t.Fatalf("max %v, want 1.0", h.Max())
-	}
-
-	// Uncorrected vs corrected tails: 99 fast samples and one huge stall.
-	// Without correction the stall is 1% of mass and p50 stays tiny; with
-	// correction the phantom samples dominate and drag p50 up.
-	raw, corr := NewHistogram(), NewHistogram()
-	for i := 0; i < 99; i++ {
-		raw.Observe(0.001)
-		corr.ObserveCoordinated(0.001, 0.01)
-	}
-	raw.Observe(10)
-	corr.ObserveCoordinated(10, 0.01)
-	if raw.Quantile(0.5) > 0.01 {
-		t.Fatalf("raw p50 %v unexpectedly high", raw.Quantile(0.5))
-	}
-	if corr.Quantile(0.5) < 1 {
-		t.Fatalf("corrected p50 %v, want the stall visible (≥ 1)", corr.Quantile(0.5))
-	}
-
-	// Samples faster than the pacing interval and degenerate intervals
-	// add nothing beyond the plain observation.
-	h2 := NewHistogram()
-	h2.ObserveCoordinated(0.005, 0.01)
-	h2.ObserveCoordinated(0.005, 0)
-	h2.ObserveCoordinated(0.005, -1)
-	h2.ObserveCoordinated(0.005, math.NaN())
-	if h2.Count() != 4 {
-		t.Fatalf("count %d, want 4 (no back-fill)", h2.Count())
-	}
-
-	// The back-fill cap bounds pathological stalls without losing the
-	// real sample.
-	h3 := NewHistogram()
-	h3.ObserveCoordinated(1e6, 1e-6)
-	if h3.Count() != 100001 {
-		t.Fatalf("count %d, want 100001 (capped back-fill)", h3.Count())
-	}
-	if h3.Max() != 1e6 {
-		t.Fatalf("max %v, want the real sample kept", h3.Max())
-	}
-}
-
 func TestHistogramBucketBoundsMonotone(t *testing.T) {
 	prev := math.Inf(-1)
 	for i := 0; i < histBuckets; i++ {

@@ -11,8 +11,8 @@ import (
 // Flags is the unified policy flag surface. Every binary that places
 // requests registers the same five flags through Register, so
 // `-policy`, `-admission-policy`, `-routing-policy`, `-routing-scorers`
-// and `-scheduling-policy` mean the same thing in msbench, mscluster
-// and loadgen, and `-list-policies` prints the same catalog everywhere.
+// and `-scheduling-policy` mean the same thing in msbench and
+// mscluster, and `-list-policies` prints the same catalog everywhere.
 type Flags struct {
 	// Preset selects a registry preset (-policy).
 	Preset string

@@ -1,5 +1,5 @@
 // Package policy is the string-keyed registry behind the unified policy
-// flag surface: every front-end (msbench, mscluster, loadgen) resolves
+// flag surface: every front-end (msbench, mscluster) resolves
 // -policy presets and -admission-policy/-routing-policy/-routing-scorers
 // pipeline specs through the same tables, so a policy name means the
 // same thing everywhere and the tournament driver can enumerate the

@@ -92,8 +92,11 @@ func (p *framePool) do(master string, req trace.Request) (ok bool, err error) {
 		fc.Close()
 		return false, err
 	}
+	// sts aliases the client's buffer: read it before another goroutine
+	// can take the client from the pool.
+	ok = sts[0] == http.StatusOK
 	p.put(master, fc)
-	return sts[0] == http.StatusOK, nil
+	return ok, nil
 }
 
 // DefaultOptions replays in real time.
@@ -111,6 +114,16 @@ type Result struct {
 
 // StretchFactor is the headline metric.
 func (r *Result) StretchFactor() float64 { return r.Summary.StretchFactor }
+
+// Err reports a replay whose stretch factor is not a measurement: more
+// than a tenth of the requests failed, so the successes that remain are
+// a biased sample of the trace.
+func (r *Result) Err() error {
+	if r.Failed > r.Sent/10 {
+		return fmt.Errorf("%d/%d requests failed", r.Failed, r.Sent)
+	}
+	return nil
+}
 
 // Run replays tr against the given master URLs and blocks until every
 // request has completed or failed.

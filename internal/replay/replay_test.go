@@ -150,6 +150,16 @@ func TestReplayUnreachableClusterCountsFailures(t *testing.T) {
 	if res.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", res.Failed)
 	}
+	if res.Err() == nil {
+		t.Fatal("an all-failed replay reports no error")
+	}
+	// The rule is "more than a tenth": 1 of 10 passes, 2 of 10 do not.
+	if err := (&Result{Sent: 10, Failed: 1}).Err(); err != nil {
+		t.Fatalf("1/10 failed: %v, want nil", err)
+	}
+	if err := (&Result{Sent: 10, Failed: 2}).Err(); err == nil {
+		t.Fatal("2/10 failed: nil error")
+	}
 }
 
 func TestReplayConcurrencyGate(t *testing.T) {
