@@ -11,10 +11,12 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -123,6 +125,78 @@ func BenchmarkEdgeReq(b *testing.B) {
 	}
 }
 
+// BenchmarkLoopbackRoundTrip is the floor under every frame figure: a
+// raw Go TCP ping-pong of one frame-sized message each way (a one-entry
+// 'E' frame out, its 'R' reply back) on pairs concurrent loopback
+// connections, with no msweb code on either side. ns/op is wall time per
+// round trip over all pairs, so pairs=2 shows whether loopback messaging
+// gains from a second core. A static 'Q' request costs one such round
+// trip plus a residual, a dynamic one two (DESIGN.md §10).
+func BenchmarkLoopbackRoundTrip(b *testing.B) {
+	const reqSize, respSize = 33, 44 // one-entry 'E' frame; 'R' reply with its load report
+	for _, pairs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			go func() {
+				for {
+					c, err := l.Accept()
+					if err != nil {
+						return
+					}
+					go func() {
+						defer c.Close()
+						req, resp := make([]byte, reqSize), make([]byte, respSize)
+						for {
+							if _, err := io.ReadFull(c, req); err != nil {
+								return
+							}
+							if _, err := c.Write(resp); err != nil {
+								return
+							}
+						}
+					}()
+				}
+			}()
+			conns := make([]net.Conn, pairs)
+			for i := range conns {
+				if conns[i], err = net.Dial("tcp", l.Addr().String()); err != nil {
+					b.Fatal(err)
+				}
+				defer conns[i].Close()
+			}
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for i, c := range conns {
+				n := b.N / pairs
+				if i < b.N%pairs {
+					n++
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					req, resp := make([]byte, reqSize), make([]byte, respSize)
+					for j := 0; j < n; j++ {
+						if _, err := c.Write(req); err != nil {
+							b.Error(err)
+							return
+						}
+						if _, err := io.ReadFull(c, resp); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "roundtrips/s")
+		})
+	}
+}
+
 // discardReply consumes one 200 reply whose body is bodyLen bytes,
 // without allocating, so BenchmarkEdgeReq's allocs/op are the server's.
 func discardReply(br *bufio.Reader, bodyLen int) error {
@@ -163,7 +237,7 @@ func BenchmarkNodeExec(b *testing.B) {
 	}
 	defer n.Shutdown()
 	h := n.Handler()
-	req := httptest.NewRequest("GET", "/exec?demand=0&w=0.5&size=64", nil)
+	req := httptest.NewRequest("GET", "/exec?w=0.5&demand=0&size=64", nil)
 	rw := &discardRW{}
 	b.ReportAllocs()
 	b.ResetTimer()

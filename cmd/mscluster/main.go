@@ -4,7 +4,7 @@
 // Usage:
 //
 //	mscluster -nodes 6 -masters 3 -policy ms
-//	mscluster -nodes 6 -masters 2 -fast -frame -batch 200us
+//	mscluster -nodes 6 -masters 2 -fast
 //	mscluster -admission-policy open -routing-policy jsq2 -scheduling-policy fcfs
 //	mscluster -list-policies
 //
@@ -14,9 +14,8 @@
 // pipeline instead; -list-policies prints the catalog.
 //
 // -fast runs the slaves uncalibrated (virtual-time demand accounting,
-// no wall-clock sleeps); -frame dispatches master→slave over the
-// persistent binary frame transport; -batch adds a coalescing window
-// so concurrent requests for one slave share frames.
+// no wall-clock sleeps). Masters always dispatch to slaves over the
+// persistent binary frame transport.
 //
 // The process serves until interrupted.
 package main
@@ -109,8 +108,6 @@ func buildConfig(args []string) (httpcluster.Config, error) {
 	refresh := fs.Duration("refresh", 100*time.Millisecond, "load polling period")
 	seed := fs.Int64("seed", 1, "policy randomization seed")
 	fast := fs.Bool("fast", false, "run uncalibrated: virtual-time demand accounting, no wall-clock sleeps")
-	frame := fs.Bool("frame", false, "dispatch master→slave over the persistent binary frame transport")
-	batch := fs.Duration("batch", 0, "coalescing window for batched dispatch over frames (0: off; implies -frame)")
 	lshards := fs.Int("listener-shards", 0, "SO_REUSEPORT accept sockets per node (0/1: single listener)")
 	shards := fs.Int("shards", 0, "partition the slave tier across the masters (must equal -masters; 0/1 = global view)")
 	shardMap := fs.String("shard-map", "", "shard partitioning function: hash (default) or static")
@@ -137,8 +134,6 @@ func buildConfig(args []string) (httpcluster.Config, error) {
 	cfg.LoadRefresh = *refresh
 	cfg.Discipline = pf.Scheduling
 	cfg.Uncalibrated = *fast
-	cfg.BinaryFraming = *frame || *batch > 0
-	cfg.BatchWindow = *batch
 	cfg.ListenerShards = *lshards
 	cfg.Shards = *shards
 	cfg.ShardMapMode = *shardMap

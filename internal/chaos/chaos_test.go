@@ -132,159 +132,152 @@ func TestFromAvailability(t *testing.T) {
 // requesting. Every accepted request must reach exactly one terminal
 // outcome (2xx served, 503 shed, 502 exhausted), the non-shed error
 // rate must stay under an explicit budget, and the harness must not
-// leak goroutines or file descriptors. It runs once per master→slave
-// dispatch transport (HTTP /exec and persistent binary frames); the
-// proxies fault the same TCP link either way.
+// leak goroutines or file descriptors. The proxies fault the TCP link
+// that carries the masters' persistent 'E'-frame dispatch connections.
 func TestChaosInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run takes a few seconds")
 	}
-	for _, tc := range []struct {
-		name   string
-		frames bool
-	}{{"http", false}, {"frames", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			goroutinesBefore := runtime.NumGoroutine()
-			fdsBefore := countFDs(t)
+	t.Run("frames", func(t *testing.T) {
+		goroutinesBefore := runtime.NumGoroutine()
+		fdsBefore := countFDs(t)
 
-			cfg := httpcluster.Config{
-				Nodes:         6,
-				Masters:       2,
-				TimeScale:     1,
-				LoadRefresh:   25 * time.Millisecond,
-				PolicyTick:    100 * time.Millisecond,
-				MakePolicy:    func(id int) core.Policy { return core.NewMS(nil, int64(id)+1) },
-				BinaryFraming: tc.frames,
-				Resilience: httpcluster.Resilience{
-					Breaker:         httpcluster.BreakerConfig{OpenFor: 200 * time.Millisecond},
-					DispatchTimeout: 2 * time.Second,
-					RetryBudget:     3,
-					RetryBackoff:    2 * time.Millisecond,
-					MaxQueue:        256,
-				},
-			}
-			h, err := Launch(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+		cfg := httpcluster.Config{
+			Nodes:       6,
+			Masters:     2,
+			TimeScale:   1,
+			LoadRefresh: 25 * time.Millisecond,
+			PolicyTick:  100 * time.Millisecond,
+			MakePolicy:  func(id int) core.Policy { return core.NewMS(nil, int64(id)+1) },
+			Resilience: httpcluster.Resilience{
+				Breaker:         httpcluster.BreakerConfig{OpenFor: 200 * time.Millisecond},
+				DispatchTimeout: 2 * time.Second,
+				RetryBudget:     3,
+				RetryBackoff:    2 * time.Millisecond,
+				MaxQueue:        256,
+			},
+		}
+		h, err := Launch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			const seed = 42
-			sched := Random(seed, RandomConfig{
-				Nodes:  h.SlaveIDs(),
-				Length: 2500 * time.Millisecond,
-			})
-			faulted := map[int]bool{}
-			for _, e := range sched {
-				if e.Mode != ModeOK {
-					faulted[e.Node] = true
-				}
-			}
-			if len(faulted) < 2 {
-				t.Fatalf("schedule faults only %d nodes, want >= 2", len(faulted))
-			}
-
-			ctx, cancel := context.WithCancel(context.Background())
-			var schedDone sync.WaitGroup
-			schedDone.Add(1)
-			go func() {
-				defer schedDone.Done()
-				Run(ctx, time.Now(), sched, h.Proxies)
-			}()
-
-			// Closed-loop clients: each hammers one master with a static/dynamic
-			// mix until the schedule window closes, classifying every response
-			// into exactly one terminal bucket.
-			// Clients only ever ask for /req, so their connections stay on the
-			// masters' own HTTP edge: every reply must come from it (an edge reply
-			// carries no Date; net/http's adapter would stamp one).
-			var ok, shed, exhausted, unexpected, viaNetHTTP atomic.Int64
-			deadline := time.Now().Add(2500 * time.Millisecond)
-			urls := h.MasterURLs()
-			var clients sync.WaitGroup
-			for c := 0; c < 8; c++ {
-				clients.Add(1)
-				go func(c int) {
-					defer clients.Done()
-					client := &http.Client{Timeout: 5 * time.Second}
-					for i := 0; time.Now().Before(deadline); i++ {
-						url := urls[c%len(urls)] + "/req?class=d&demand=0.004&w=0.9&script=1"
-						if i%4 == 0 {
-							url = urls[c%len(urls)] + "/req?class=s&demand=0.001&w=0.3&script=0"
-						}
-						resp, err := client.Get(url)
-						if err != nil {
-							unexpected.Add(1)
-							continue
-						}
-						io.Copy(io.Discard, resp.Body) //nolint:errcheck
-						resp.Body.Close()              //nolint:errcheck
-						if resp.Header.Get("Date") != "" {
-							viaNetHTTP.Add(1)
-						}
-						switch {
-						case resp.StatusCode >= 200 && resp.StatusCode < 300:
-							ok.Add(1)
-						case resp.StatusCode == http.StatusServiceUnavailable:
-							shed.Add(1)
-						case resp.StatusCode == http.StatusBadGateway:
-							exhausted.Add(1)
-						default:
-							unexpected.Add(1)
-						}
-					}
-				}(c)
-			}
-			clients.Wait()
-			schedDone.Wait()
-			cancel()
-
-			var accepted, served, mShed, mExhausted, opens int64
-			for _, m := range h.Cluster.Masters {
-				accepted += m.Accepted()
-				served += m.Served()
-				mShed += m.Shed()
-				mExhausted += m.Exhausted()
-				for _, id := range h.SlaveIDs() {
-					opens += m.BreakerOpens(id)
-				}
-			}
-			total := ok.Load() + shed.Load() + exhausted.Load()
-			t.Logf("client: ok=%d shed=%d exhausted=%d unexpected=%d; server: accepted=%d served=%d shed=%d exhausted=%d breaker_opens=%d",
-				ok.Load(), shed.Load(), exhausted.Load(), unexpected.Load(), accepted, served, mShed, mExhausted, opens)
-
-			if n := unexpected.Load(); n != 0 {
-				t.Errorf("%d requests hit a non-terminal outcome (transport error or stray status)", n)
-			}
-			if ok.Load() == 0 {
-				t.Error("no request succeeded during the chaos run")
-			}
-			if n := viaNetHTTP.Load(); n != 0 {
-				t.Errorf("%d of %d replies came through net/http, want every /req served by the edge", n, total)
-			}
-			// Terminal-outcome invariant: everything a master admitted reached
-			// exactly one of served/shed/exhausted, and the clients saw the same
-			// totals the masters counted.
-			if accepted != served+mShed+mExhausted {
-				t.Errorf("terminal outcomes leak: accepted=%d != served=%d + shed=%d + exhausted=%d",
-					accepted, served, mShed, mExhausted)
-			}
-			if total != accepted {
-				t.Errorf("client terminal outcomes %d != master accepted %d", total, accepted)
-			}
-			if ok.Load() != served || shed.Load() != mShed || exhausted.Load() != mExhausted {
-				t.Errorf("client/server outcome mismatch: ok %d/%d shed %d/%d exhausted %d/%d",
-					ok.Load(), served, shed.Load(), mShed, exhausted.Load(), mExhausted)
-			}
-			// Non-shed error budget: with local fallback and retries across
-			// nodes, dropped dynamics must stay a small fraction of admissions.
-			if budget := float64(accepted) / 4; float64(mExhausted) > budget {
-				t.Errorf("exhausted %d exceeds error budget %g of accepted %d", mExhausted, budget, accepted)
-			}
-
-			h.Shutdown()
-			checkNoLeaks(t, goroutinesBefore, fdsBefore)
+		const seed = 42
+		sched := Random(seed, RandomConfig{
+			Nodes:  h.SlaveIDs(),
+			Length: 2500 * time.Millisecond,
 		})
-	}
+		faulted := map[int]bool{}
+		for _, e := range sched {
+			if e.Mode != ModeOK {
+				faulted[e.Node] = true
+			}
+		}
+		if len(faulted) < 2 {
+			t.Fatalf("schedule faults only %d nodes, want >= 2", len(faulted))
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		var schedDone sync.WaitGroup
+		schedDone.Add(1)
+		go func() {
+			defer schedDone.Done()
+			Run(ctx, time.Now(), sched, h.Proxies)
+		}()
+
+		// Closed-loop clients: each hammers one master with a static/dynamic
+		// mix until the schedule window closes, classifying every response
+		// into exactly one terminal bucket.
+		// Clients only ever ask for /req, so their connections stay on the
+		// masters' own HTTP edge: every reply must come from it (an edge reply
+		// carries no Date; net/http's adapter would stamp one).
+		var ok, shed, exhausted, unexpected, viaNetHTTP atomic.Int64
+		deadline := time.Now().Add(2500 * time.Millisecond)
+		urls := h.MasterURLs()
+		var clients sync.WaitGroup
+		for c := 0; c < 8; c++ {
+			clients.Add(1)
+			go func(c int) {
+				defer clients.Done()
+				client := &http.Client{Timeout: 5 * time.Second}
+				for i := 0; time.Now().Before(deadline); i++ {
+					url := urls[c%len(urls)] + "/req?class=d&demand=0.004&w=0.9&script=1"
+					if i%4 == 0 {
+						url = urls[c%len(urls)] + "/req?class=s&demand=0.001&w=0.3&script=0"
+					}
+					resp, err := client.Get(url)
+					if err != nil {
+						unexpected.Add(1)
+						continue
+					}
+					io.Copy(io.Discard, resp.Body) //nolint:errcheck
+					resp.Body.Close()              //nolint:errcheck
+					if resp.Header.Get("Date") != "" {
+						viaNetHTTP.Add(1)
+					}
+					switch {
+					case resp.StatusCode >= 200 && resp.StatusCode < 300:
+						ok.Add(1)
+					case resp.StatusCode == http.StatusServiceUnavailable:
+						shed.Add(1)
+					case resp.StatusCode == http.StatusBadGateway:
+						exhausted.Add(1)
+					default:
+						unexpected.Add(1)
+					}
+				}
+			}(c)
+		}
+		clients.Wait()
+		schedDone.Wait()
+		cancel()
+
+		var accepted, served, mShed, mExhausted, opens int64
+		for _, m := range h.Cluster.Masters {
+			accepted += m.Accepted()
+			served += m.Served()
+			mShed += m.Shed()
+			mExhausted += m.Exhausted()
+			for _, id := range h.SlaveIDs() {
+				opens += m.BreakerOpens(id)
+			}
+		}
+		total := ok.Load() + shed.Load() + exhausted.Load()
+		t.Logf("client: ok=%d shed=%d exhausted=%d unexpected=%d; server: accepted=%d served=%d shed=%d exhausted=%d breaker_opens=%d",
+			ok.Load(), shed.Load(), exhausted.Load(), unexpected.Load(), accepted, served, mShed, mExhausted, opens)
+
+		if n := unexpected.Load(); n != 0 {
+			t.Errorf("%d requests hit a non-terminal outcome (transport error or stray status)", n)
+		}
+		if ok.Load() == 0 {
+			t.Error("no request succeeded during the chaos run")
+		}
+		if n := viaNetHTTP.Load(); n != 0 {
+			t.Errorf("%d of %d replies came through net/http, want every /req served by the edge", n, total)
+		}
+		// Terminal-outcome invariant: everything a master admitted reached
+		// exactly one of served/shed/exhausted, and the clients saw the same
+		// totals the masters counted.
+		if accepted != served+mShed+mExhausted {
+			t.Errorf("terminal outcomes leak: accepted=%d != served=%d + shed=%d + exhausted=%d",
+				accepted, served, mShed, mExhausted)
+		}
+		if total != accepted {
+			t.Errorf("client terminal outcomes %d != master accepted %d", total, accepted)
+		}
+		if ok.Load() != served || shed.Load() != mShed || exhausted.Load() != mExhausted {
+			t.Errorf("client/server outcome mismatch: ok %d/%d shed %d/%d exhausted %d/%d",
+				ok.Load(), served, shed.Load(), mShed, exhausted.Load(), mExhausted)
+		}
+		// Non-shed error budget: with local fallback and retries across
+		// nodes, dropped dynamics must stay a small fraction of admissions.
+		if budget := float64(accepted) / 4; float64(mExhausted) > budget {
+			t.Errorf("exhausted %d exceeds error budget %g of accepted %d", mExhausted, budget, accepted)
+		}
+
+		h.Shutdown()
+		checkNoLeaks(t, goroutinesBefore, fdsBefore)
+	})
 }
 
 func countFDs(t *testing.T) int {

@@ -32,7 +32,7 @@ func Launch(cfg httpcluster.Config) (*Harness, error) {
 		}
 		h.Proxies[s.ID] = p
 		// Point every master's view of this slave at the proxy. Load
-		// polling and /exec dispatch both route through it, so a fault
+		// polling and frame dispatch both route through it, so a fault
 		// is visible to breakers on both paths.
 		for _, m := range c.Masters {
 			m.SetNodeURL(s.ID, p.URL)

@@ -40,16 +40,15 @@ func TestScaleEventInvariants(t *testing.T) {
 	fdsBefore := countFDs(t)
 
 	cfg := httpcluster.Config{
-		Nodes:         8,
-		Masters:       3,
-		Shards:        3,
-		TimeScale:     1,
-		Uncalibrated:  true,
-		LoadRefresh:   20 * time.Millisecond,
-		PolicyTick:    60 * time.Millisecond,
-		GossipEvery:   30 * time.Millisecond,
-		BinaryFraming: true,
-		MakePolicy:    func(id int) core.Policy { return core.NewMS(nil, int64(id)+1) },
+		Nodes:        8,
+		Masters:      3,
+		Shards:       3,
+		TimeScale:    1,
+		Uncalibrated: true,
+		LoadRefresh:  20 * time.Millisecond,
+		PolicyTick:   60 * time.Millisecond,
+		GossipEvery:  30 * time.Millisecond,
+		MakePolicy:   func(id int) core.Policy { return core.NewMS(nil, int64(id)+1) },
 		Resilience: httpcluster.Resilience{
 			Breaker:         httpcluster.BreakerConfig{OpenFor: 200 * time.Millisecond},
 			DispatchTimeout: 2 * time.Second,

@@ -80,7 +80,7 @@ func TestReqPathAllocPins(t *testing.T) {
 		{"master /req dynamic", m.Handler(), "/req?class=d&demand=0&w=0.9&script=1", 0.1},
 		{"sharded /req static", ms.Handler(), "/req?class=s&demand=0&w=0.5&script=0", 0.1},
 		{"sharded /req dynamic", ms.Handler(), "/req?class=d&demand=0&w=0.9&script=1", 0.1},
-		{"node /exec", n.Handler(), "/exec?demand=0&w=0.5&size=64", 0.1},
+		{"node /exec", n.Handler(), "/exec?w=0.5&demand=0&size=64", 0.1},
 	}
 	for _, c := range cases {
 		req := httptest.NewRequest("GET", c.target, nil)

@@ -41,14 +41,8 @@ type Config struct {
 	// Discipline selects every node's CPU scheduling discipline; see
 	// NodeOptions.Discipline. Empty means the default round-robin.
 	Discipline string
-	// BinaryFraming upgrades every master→slave hop to the persistent
-	// binary frame protocol (HTTP fallback kept per pair).
+	// Deprecated: ignored; frames are the only dispatch transport.
 	BinaryFraming bool
-	// BatchWindow > 0 coalesces same-slave dispatches within the window
-	// into one frame (implies BinaryFraming); BatchMax caps entries per
-	// frame (default 64).
-	BatchWindow time.Duration
-	BatchMax    int
 	// ListenerShards is how many SO_REUSEPORT accept sockets every node
 	// binds to its port (see NodeOptions.ListenerShards); 0/1 keeps the
 	// single listener.
@@ -182,9 +176,6 @@ func Start(cfg Config) (*Cluster, error) {
 			Uncalibrated:      cfg.Uncalibrated,
 			Discipline:        cfg.Discipline,
 			ListenerShards:    cfg.ListenerShards,
-			BinaryFraming:     cfg.BinaryFraming,
-			BatchWindow:       cfg.BatchWindow,
-			BatchMax:          cfg.BatchMax,
 			Shards:            cfg.Shards,
 			ShardMapMode:      cfg.ShardMapMode,
 			GossipEvery:       cfg.GossipEvery,

@@ -203,7 +203,7 @@ func TestEdgeHandsOff(t *testing.T) {
 		{"no Host", m.URL, "GET /req?class=s&demand=0&w=0.5 HTTP/1.1\r\n\r\n", 400, "HTTP/1.1"},
 		{"/frame without Upgrade", m.URL, "GET /frame HTTP/1.1\r\nHost: test\r\n\r\n", 404, "HTTP/1.1"},
 		{"/req on a slave", n.URL, "GET /req?class=s&demand=0&w=0.5 HTTP/1.1\r\nHost: test\r\n\r\n", 404, "HTTP/1.1"},
-		{"/exec on a slave", n.URL, "GET /exec?demand=0&w=0.5 HTTP/1.1\r\nHost: test\r\n\r\n", 200, "HTTP/1.1"},
+		{"/exec on a slave", n.URL, "GET /exec?w=0.5&demand=0 HTTP/1.1\r\nHost: test\r\n\r\n", 200, "HTTP/1.1"},
 	}
 	for _, c := range cases {
 		rc := dialRaw(t, c.base)

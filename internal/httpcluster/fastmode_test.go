@@ -44,7 +44,7 @@ func TestUncalibratedNodeFast(t *testing.T) {
 	defer n.Shutdown()
 
 	start := time.Now()
-	resp, body := getStatus(t, n.URL+"/exec?demand=3&w=0.5&fork=1", nil)
+	resp, body := getStatus(t, n.URL+"/exec?w=0.5&demand=3&fork=1", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}

@@ -11,25 +11,23 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"msweb/internal/core"
 	"msweb/internal/trace"
 )
 
-// Persistent binary framing for the master→slave /exec hop.
+// Persistent binary framing: the one master→slave dispatch transport.
 //
-// The HTTP path costs a request-line + header parse, a header map, and
-// a response writer per dispatch — fine at the paper's 110 req/s/node,
-// measurable at 100k. The framing option replaces it with long-lived
-// connections carrying length-prefixed binary frames: a master upgrades
-// a connection once per node-pair (HTTP/1.1 Upgrade on GET /frame, so
-// the negotiation rides the existing port and falls back cleanly when
-// the peer predates the protocol; the serving side is the edge loop in
-// edge.go), then exchanges fixed-layout exec batches on it. Frame
-// buffers are connection-owned and reused, so the steady-state exchange
-// allocates nothing on either side.
+// A master runs a dynamic request on a slave by writing one 'E' frame on
+// a long-lived connection and reading the 'R' frame back. Each
+// connection is upgraded once (HTTP/1.1 Upgrade on GET /frame, so the
+// protocol rides the node's one port; the serving side is the edge loop
+// in edge.go) and then pooled per target. A peer that refuses or drops
+// the upgrade is a dispatch failure like any other: it feeds the retry
+// and breaker taxonomy, and the request fails over. Frame buffers are
+// connection-owned and reused, so the steady-state exchange allocates
+// nothing on either side.
 //
 // Wire format (all integers little-endian):
 //
@@ -43,7 +41,8 @@ import (
 //	                         cpuQueue i32 | diskQueue i32 | speed f64 ]
 //	            [ hasSum u8 [ sumLen u16 | sumLen × byte ] ]
 //
-// 'E' frames carry master→slave exec dispatches; 'Q' frames carry
+// 'E' frames carry master→slave exec dispatches (masters send one entry
+// per frame; slaves accept up to maxFrameBatch); 'Q' frames carry
 // client→master requests (the /req analogue, so external load drivers
 // skip HTTP entirely — qentry flags: bit0 dynamic, bit1 idempotent).
 // Statuses reuse HTTP codes (200 OK, 400 bad entry, 502 exhausted, 503
@@ -352,8 +351,7 @@ func readFrame(br *bufio.Reader, buf []byte) (payload, nbuf []byte, err error) {
 	return buf, buf, nil
 }
 
-// statusToErr maps a frame status to the dispatch error taxonomy, the
-// same classification the HTTP forward path applies to response codes.
+// statusToErr maps a frame status to the dispatch error taxonomy.
 func statusToErr(st int) error {
 	switch st {
 	case http.StatusOK:
@@ -368,7 +366,7 @@ func statusToErr(st int) error {
 // slave side --------------------------------------------------------------
 
 // serveFrames is one connection's exchange loop, dispatching on the
-// payload kind: 'E' exec batches run on the node's resources, 'Q'
+// payload kind: 'E' entries run in order on the node's resources, 'Q'
 // client batches run through a master's full /req pipeline (refused
 // entry-wise with 501 on plain nodes). All scratch is connection-owned,
 // so a steady-state exchange allocates nothing. A malformed frame drops
@@ -410,7 +408,9 @@ func (n *Node) serveFrames(conn net.Conn, br *bufio.Reader) {
 			}
 			creqs = creqs[:0]
 		} else {
-			n.runFrameBatch(reqs, statuses)
+			for i := range reqs {
+				statuses[i] = n.execOne(reqs[i])
+			}
 		}
 		n.framesServed.Add(1)
 		var sum []byte
@@ -424,34 +424,10 @@ func (n *Node) serveFrames(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// runFrameBatch executes a batch's entries. Single entries (and fast
-// mode, where execution never sleeps) run inline; calibrated batches run
-// concurrently so one frame's entries share the virtual resources the
-// way separate HTTP dispatches would, instead of serializing sleeps.
-func (n *Node) runFrameBatch(reqs []frameExec, statuses []int) {
-	if len(reqs) == 1 || n.res.CPU.fast {
-		for i := range reqs {
-			statuses[i] = n.execOne(reqs[i])
-		}
-		return
-	}
-	done := make(chan int, len(reqs)-1)
-	for i := 1; i < len(reqs); i++ {
-		go func(i int) {
-			statuses[i] = n.execOne(reqs[i])
-			done <- i
-		}(i)
-	}
-	statuses[0] = n.execOne(reqs[0])
-	for i := 1; i < len(reqs); i++ {
-		<-done
-	}
-}
-
 // execOne runs one exec request through the node's admission checks and
-// virtual resources, returning an HTTP-style status. Shared by the HTTP
-// /exec handler and the frame loop so the two transports cannot drift
-// on shedding or deadline semantics.
+// virtual resources, returning an HTTP-style status. Shared by the frame
+// loop and the node's HTTP /exec handler so the two cannot drift on
+// shedding or deadline semantics.
 func (n *Node) execOne(r frameExec) int {
 	if r.demand < 0 || math.IsNaN(r.demand) || math.IsInf(r.demand, 0) || math.IsNaN(r.w) {
 		return http.StatusBadRequest
@@ -473,13 +449,6 @@ func (n *Node) execOne(r frameExec) int {
 
 // master side -------------------------------------------------------------
 
-// Negotiation states for one node-pair.
-const (
-	frameModeUnknown int32 = iota
-	frameModeBinary
-	frameModeHTTP
-)
-
 // frameIdleCap bounds the idle framed connections pooled per target.
 const frameIdleCap = 64
 
@@ -491,108 +460,114 @@ type frameConn struct {
 	buf []byte
 }
 
-// frameNodeState is a master's per-target framing state.
-type frameNodeState struct {
-	mode atomic.Int32
-	idle chan *frameConn
-	bat  atomic.Pointer[execBatcher]
-}
-
-// frameDialer is a master's framing client: per-target negotiation
-// state, pooled persistent connections, and (when configured) the batch
-// dispatchers.
+// frameDialer is a master's dispatch client: one pool of persistent,
+// upgraded connections per target.
 type frameDialer struct {
-	m      *Master
-	states []frameNodeState
+	m    *Master
+	idle []chan *frameConn
 }
 
 func newFrameDialer(m *Master, n int) *frameDialer {
-	f := &frameDialer{m: m, states: make([]frameNodeState, n)}
-	for i := range f.states {
-		f.states[i].idle = make(chan *frameConn, frameIdleCap)
+	f := &frameDialer{m: m, idle: make([]chan *frameConn, n)}
+	for i := range f.idle {
+		f.idle[i] = make(chan *frameConn, frameIdleCap)
 	}
 	return f
 }
 
 // close drains and closes every pooled connection.
 func (f *frameDialer) close() {
-	for i := range f.states {
+	for _, idle := range f.idle {
+	drain:
 		for {
 			select {
-			case fc := <-f.states[i].idle:
+			case fc := <-idle:
 				fc.c.Close()
 			default:
-				goto next
+				break drain
 			}
 		}
-	next:
 	}
 }
 
-var errMasterStopped = errors.New("frame: master shutting down")
+// notSentError marks a dispatch that failed before its 'E' frame was
+// written: no URL, the dial, or the /frame upgrade (its write, its
+// reply, or a refusal). The slave never saw the work, so retrying is
+// safe even for a non-idempotent request (see mayHaveExecuted).
+type notSentError struct{ err error }
+
+func (e notSentError) Error() string { return "dispatch not sent: " + e.err.Error() }
+func (e notSentError) Unwrap() error { return e.err }
 
 // acquire returns a framed connection to target, dialing and upgrading
-// when the pool is empty. handled=false means the peer negotiated down
-// to HTTP (permanently for this pair); the caller must take the HTTP
-// path.
-func (f *frameDialer) acquire(target int, deadline time.Time) (fc *frameConn, err error, handled bool) {
-	st := &f.states[target]
+// when the pool is empty. Every failure is a notSentError.
+func (f *frameDialer) acquire(target int, deadline time.Time) (*frameConn, error) {
 	select {
-	case fc := <-st.idle:
-		return fc, nil, true
+	case fc := <-f.idle[target]:
+		return fc, nil
 	default:
 	}
-	if st.mode.Load() == frameModeHTTP {
-		return nil, nil, false
+	fc, err := f.dial(target, deadline)
+	if err != nil {
+		return nil, notSentError{err}
 	}
+	f.m.frameDials.Add(1)
+	return fc, nil
+}
+
+// dial opens one connection to target and upgrades it to frames.
+func (f *frameDialer) dial(target int, deadline time.Time) (*frameConn, error) {
 	base := f.m.nodeURL(target)
 	if base == "" {
-		return nil, fmt.Errorf("no URL for node %d", target), true
+		return nil, fmt.Errorf("no URL for node %d", target)
 	}
 	addr := strings.TrimPrefix(base, "http://")
 	dialTO := time.Until(deadline)
 	if dialTO <= 0 {
-		return nil, errDeadline, true
+		return nil, errDeadline
 	}
 	if dialTO > 5*time.Second {
 		dialTO = 5 * time.Second
 	}
 	c, err := net.DialTimeout("tcp", addr, dialTO)
 	if err != nil {
-		return nil, err, true
+		return nil, err
 	}
 	c.SetDeadline(deadline) //nolint:errcheck
+	br, err := upgradeFrame(c, addr)
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	return &frameConn{c: c, br: br}, nil
+}
+
+// upgradeFrame sends the GET /frame upgrade on c and reads the peer's
+// answer; anything but 101 Switching Protocols is an error. Every later
+// read must go through the returned reader, which may already hold the
+// first frame's bytes.
+func upgradeFrame(c net.Conn, addr string) (*bufio.Reader, error) {
 	if _, err := io.WriteString(c, "GET /frame HTTP/1.1\r\nHost: "+addr+
 		"\r\nConnection: Upgrade\r\nUpgrade: "+frameProtocol+"\r\n\r\n"); err != nil {
-		c.Close()
-		return nil, err, true
+		return nil, err
 	}
 	br := bufio.NewReaderSize(c, 4<<10)
 	resp, err := http.ReadResponse(br, nil)
 	if err != nil {
-		c.Close()
-		return nil, err, true
-	}
-	if resp.StatusCode != http.StatusSwitchingProtocols {
-		// A well-formed refusal: the peer speaks HTTP but not frames.
-		// Remember that for the pair and fall back.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10)) //nolint:errcheck
-		resp.Body.Close()
-		c.Close()
-		st.mode.Store(frameModeHTTP)
-		return nil, nil, false
+		return nil, err
 	}
 	resp.Body.Close()
-	st.mode.Store(frameModeBinary)
-	f.m.frameDials.Add(1)
-	return &frameConn{c: c, br: br}, nil, true
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		return nil, fmt.Errorf("frame: peer refused upgrade (status %d)", resp.StatusCode)
+	}
+	return br, nil
 }
 
 // release returns a healthy connection to the pool (or closes it when
 // the pool is full).
 func (f *frameDialer) release(target int, fc *frameConn) {
 	select {
-	case f.states[target].idle <- fc:
+	case f.idle[target] <- fc:
 	default:
 		fc.c.Close()
 	}
@@ -602,22 +577,22 @@ func (f *frameDialer) release(target int, fc *frameConn) {
 // for every entry are appended to dst, and the response's piggybacked
 // load report is folded into the master's view. Any transport or
 // protocol error closes the connection (the next call dials fresh).
-func (f *frameDialer) exchange(target int, reqs []frameExec, dst []int, deadline time.Time) (statuses []int, err error, handled bool) {
-	fc, err, handled := f.acquire(target, deadline)
-	if !handled || err != nil {
-		return dst, err, handled
+func (f *frameDialer) exchange(target int, reqs []frameExec, dst []int, deadline time.Time) ([]int, error) {
+	fc, err := f.acquire(target, deadline)
+	if err != nil {
+		return dst, err
 	}
 	fc.c.SetDeadline(deadline) //nolint:errcheck
 	fc.buf = appendExecFrame(fc.buf[:0], reqs)
 	if _, err := fc.c.Write(fc.buf); err != nil {
 		fc.c.Close()
-		return dst, err, true
+		return dst, err
 	}
 	payload, nbuf, err := readFrame(fc.br, fc.buf)
 	fc.buf = nbuf
 	if err != nil {
 		fc.c.Close()
-		return dst, err, true
+		return dst, err
 	}
 	dst, load, hasLoad, sum, err := parseRespPayload(payload, dst)
 	if err != nil || len(dst) != len(reqs) {
@@ -625,7 +600,7 @@ func (f *frameDialer) exchange(target int, reqs []frameExec, dst []int, deadline
 		if err == nil {
 			err = errFrameCount
 		}
-		return dst, err, true
+		return dst, err
 	}
 	if hasLoad {
 		f.m.storePiggy(target, load)
@@ -636,35 +611,7 @@ func (f *frameDialer) exchange(target int, reqs []frameExec, dst []int, deadline
 		f.m.storeShardSummaryWire(sum)
 	}
 	f.release(target, fc)
-	return dst, nil, true
-}
-
-// forwardFrame executes one dynamic request over the binary transport,
-// batching when configured and the pair has negotiated frames. The
-// boolean reports whether the frame path handled the request; false
-// sends the caller to HTTP.
-func (m *Master) forwardFrame(target int, p reqParams, deadline time.Time) (error, bool) {
-	f := m.frames
-	req := frameExec{demand: p.demand, w: p.w, deadlineNs: deadline.UnixNano(), fork: true}
-	if m.batchWindow > 0 && f.states[target].mode.Load() == frameModeBinary {
-		return f.batchExec(target, req), true
-	}
-	call := execCallPool.Get().(*execCall)
-	defer execCallPool.Put(call)
-	call.reqs[0] = req
-	sts, err, handled := f.exchange(target, call.reqs[:], call.sts[:0], deadline)
-	if !handled || err != nil {
-		return err, handled
-	}
-	return statusToErr(sts[0]), true
-}
-
-// execCall carries one request through the frame path (and, when
-// batching, to its batcher) without allocating per dispatch.
-type execCall struct {
-	reqs [1]frameExec
-	sts  [1]int
-	done chan error
+	return dst, nil
 }
 
 // runFrameReqs serves a 'Q' batch through the master's /req pipeline —

@@ -5,42 +5,11 @@ import (
 	"bytes"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"msweb/internal/core"
 )
-
-// launchFrameMaster wires a master with binary framing (and optionally
-// batching) over the given slave URLs, polling disabled so only the
-// request path drives transport and breaker state.
-func launchFrameMaster(t *testing.T, rs Resilience, batch time.Duration, slaveURLs ...string) *Master {
-	t.Helper()
-	urls := append([]string{""}, slaveURLs...)
-	slaves := make([]int, len(slaveURLs))
-	for i := range slaves {
-		slaves[i] = i + 1
-	}
-	m, err := LaunchMaster(NodeOptions{
-		ID:            0,
-		TimeScale:     1e-6,
-		Masters:       []int{0},
-		Slaves:        slaves,
-		NodeURLs:      urls,
-		Policy:        firstSlave{},
-		LoadRefresh:   time.Hour,
-		PolicyTick:    time.Hour,
-		Resilience:    rs,
-		BinaryFraming: true,
-		BatchWindow:   batch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Shutdown)
-	return m
-}
 
 // The codec must round-trip exec batches and responses exactly.
 func TestFrameCodecRoundTrip(t *testing.T) {
@@ -145,7 +114,7 @@ func TestFrameTransportEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
-	m := launchFrameMaster(t, Resilience{DisableShedding: true}, 0, n.URL)
+	m := launchTestMaster(t, Resilience{DisableShedding: true}, n.URL)
 
 	for i := 0; i < 3; i++ {
 		resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil)
@@ -153,45 +122,17 @@ func TestFrameTransportEndToEnd(t *testing.T) {
 			t.Fatalf("request %d: status %d", i, resp.StatusCode)
 		}
 	}
-	if n.framesServed.Load() == 0 {
-		t.Fatal("slave served no binary frames; transport fell back to HTTP")
+	if n.framesServed.Load() != 3 {
+		t.Fatalf("slave served %d frames, want one per request", n.framesServed.Load())
 	}
-	if m.frameDials.Load() == 0 {
-		t.Fatal("master recorded no frame upgrades")
+	if m.frameDials.Load() != 1 {
+		t.Fatalf("master dialed %d frame connections, want one reused", m.frameDials.Load())
 	}
 	if m.piggyTotal.Load() == 0 {
 		t.Fatal("no piggybacked load report arrived over the frame transport")
 	}
 	if m.fresh.Stamp(1) == 0 {
 		t.Fatal("freshness stamp for the slave never touched")
-	}
-	if got := m.frames.states[1].mode.Load(); got != frameModeBinary {
-		t.Fatalf("negotiation state %d, want binary (%d)", got, frameModeBinary)
-	}
-}
-
-// A peer that speaks HTTP but refuses the upgrade negotiates the pair
-// down to HTTP permanently; requests still succeed over the fallback.
-func TestFrameNegotiationFallback(t *testing.T) {
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/frame" {
-			http.Error(w, "no such endpoint", http.StatusNotFound)
-			return
-		}
-		w.Write(okBody) //nolint:errcheck
-	}))
-	defer legacy.Close()
-
-	m := launchFrameMaster(t, Resilience{DisableShedding: true}, 0, legacy.URL)
-	resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200 over the HTTP fallback", resp.StatusCode)
-	}
-	if got := m.frames.states[1].mode.Load(); got != frameModeHTTP {
-		t.Fatalf("negotiation state %d, want http-only (%d)", got, frameModeHTTP)
-	}
-	if m.frameDials.Load() != 0 {
-		t.Fatal("fallback pair counted a frame upgrade")
 	}
 }
 
@@ -204,15 +145,15 @@ func TestFrameDeadlinePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
-	m := launchFrameMaster(t, Resilience{DisableShedding: true}, 0, n.URL)
+	m := launchTestMaster(t, Resilience{DisableShedding: true}, n.URL)
 
 	reqs := []frameExec{
 		{demand: 0, w: 0.5, deadlineNs: time.Now().Add(-time.Second).UnixNano(), fork: true},
 		{demand: 0, w: 0.5, deadlineNs: time.Now().Add(time.Minute).UnixNano(), fork: true},
 	}
-	sts, err, handled := m.frames.exchange(1, reqs, nil, time.Now().Add(5*time.Second))
-	if err != nil || !handled {
-		t.Fatalf("exchange: err=%v handled=%v", err, handled)
+	sts, err := m.frames.exchange(1, reqs, nil, time.Now().Add(5*time.Second))
+	if err != nil {
+		t.Fatalf("exchange: %v", err)
 	}
 	if sts[0] != http.StatusGatewayTimeout || sts[1] != http.StatusOK {
 		t.Fatalf("statuses %v, want [504 200]", sts)
@@ -225,8 +166,8 @@ func TestFrameDeadlinePropagation(t *testing.T) {
 	}
 }
 
-// A client deadline tighter than a slow slave's service turns into 502
-// over the frame transport too (mirror of TestClientDeadlineExhausts).
+// A client deadline tighter than a slow slave's service turns into a 502
+// (exhausted), not an unbounded wait.
 func TestFrameClientDeadlineExhausts(t *testing.T) {
 	// Calibrated slave: demand 0.3 really takes ~300 ms.
 	n, err := LaunchNode(NodeOptions{ID: 1})
@@ -234,7 +175,7 @@ func TestFrameClientDeadlineExhausts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
-	m := launchFrameMaster(t, Resilience{DisableShedding: true}, 0, n.URL)
+	m := launchTestMaster(t, Resilience{DisableShedding: true}, n.URL)
 
 	h := http.Header{}
 	h.Set(TimeoutHeader, "50")
@@ -250,42 +191,23 @@ func TestFrameClientDeadlineExhausts(t *testing.T) {
 	}
 }
 
-// frameKiller upgrades and immediately drops the connection, emulating
-// a slave that dies mid-exchange on the binary transport.
-func frameKiller() *httptest.Server {
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/frame" {
-			w.Write(okBody) //nolint:errcheck
-			return
-		}
-		conn, _, err := w.(http.Hijacker).Hijack()
-		if err != nil {
-			return
-		}
-		conn.Write([]byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + //nolint:errcheck
-			frameProtocol + "\r\n\r\n"))
-		conn.Close()
-	}))
-}
-
-// A frame transport failure fails over to a distinct node and feeds the
-// failing node's breaker, mirroring the HTTP-path retry semantics.
+// A slave that drops the connection mid-exchange fails the request over
+// to a distinct node and feeds the failing node's breaker.
 func TestFrameRetryFailoverAndBreaker(t *testing.T) {
-	bad := frameKiller()
-	defer bad.Close()
+	bad := newFakeFrameSlave(t, frameReply{drop: true})
 	good, err := LaunchNode(NodeOptions{ID: 2, TimeScale: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer good.Shutdown()
 
-	m := launchFrameMaster(t, Resilience{DisableShedding: true}, 0, bad.URL, good.URL)
+	m := launchTestMaster(t, Resilience{DisableShedding: true}, bad.URL, good.URL)
 	resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 after failover", resp.StatusCode)
 	}
-	if m.Failovers() == 0 {
-		t.Fatal("no failover recorded for the dead frame slave")
+	if m.Failovers() == 0 || bad.hits.Load() != 1 {
+		t.Fatalf("failovers=%d after %d frames read by the dead slave, want a failover after one", m.Failovers(), bad.hits.Load())
 	}
 	if good.framesServed.Load() == 0 {
 		t.Fatal("failover target did not serve over the frame transport")
@@ -296,53 +218,5 @@ func TestFrameRetryFailoverAndBreaker(t *testing.T) {
 	}
 	if m.BreakerState(2) != breakerClosed {
 		t.Fatalf("good slave breaker state %d, want closed (%d)", m.BreakerState(2), breakerClosed)
-	}
-}
-
-// With a batch window, concurrent dynamics to one slave coalesce into
-// shared frames and every caller still gets its own 200.
-func TestBatchedDispatch(t *testing.T) {
-	n, err := LaunchNode(NodeOptions{ID: 1, TimeScale: 1e-6, Uncalibrated: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Shutdown()
-	m := launchFrameMaster(t, Resilience{DisableShedding: true}, 2*time.Millisecond, n.URL)
-
-	// Warm the pair so negotiation completes and batching engages.
-	if resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warmup status %d", resp.StatusCode)
-	}
-
-	const clients = 16
-	errs := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		go func() {
-			resp, err := http.Get(m.URL + "/req?class=d&demand=0&w=0.5")
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					err = remoteStatusError(resp.StatusCode)
-				}
-			}
-			errs <- err
-		}()
-	}
-	for i := 0; i < clients; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
-	if m.batchesSent.Load() == 0 {
-		t.Fatal("no coalesced frames shipped")
-	}
-	if m.batchedReqs.Load() < clients {
-		t.Fatalf("batched %d requests, want at least %d", m.batchedReqs.Load(), clients)
-	}
-	if m.batchedReqs.Load() < m.batchesSent.Load() {
-		t.Fatal("more batches than batched requests")
-	}
-	if n.Executed() != clients+1 {
-		t.Fatalf("slave executed %d, want %d", n.Executed(), clients+1)
 	}
 }

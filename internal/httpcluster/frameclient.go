@@ -3,9 +3,7 @@ package httpcluster
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
 	"strings"
 	"sync"
 	"time"
@@ -41,8 +39,7 @@ type FrameRequest struct {
 // DialFrame connects to a master's base URL (e.g.
 // "http://127.0.0.1:40001"), negotiates the msweb-frame/1 upgrade on
 // GET /frame, and returns a persistent client. Peers that refuse the
-// upgrade (plain slaves, old builds) return an error — the caller falls
-// back to HTTP.
+// upgrade return an error — the caller falls back to HTTP.
 func DialFrame(base string, timeout time.Duration) (*FrameClient, error) {
 	addr := strings.TrimPrefix(base, "http://")
 	if timeout <= 0 {
@@ -53,24 +50,11 @@ func DialFrame(base string, timeout time.Duration) (*FrameClient, error) {
 		return nil, err
 	}
 	c.SetDeadline(time.Now().Add(timeout)) //nolint:errcheck
-	if _, err := io.WriteString(c, "GET /frame HTTP/1.1\r\nHost: "+addr+
-		"\r\nConnection: Upgrade\r\nUpgrade: "+frameProtocol+"\r\n\r\n"); err != nil {
-		c.Close()
-		return nil, err
-	}
-	br := bufio.NewReaderSize(c, 4<<10)
-	resp, err := http.ReadResponse(br, nil)
+	br, err := upgradeFrame(c, addr)
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusSwitchingProtocols {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10)) //nolint:errcheck
-		resp.Body.Close()
-		c.Close()
-		return nil, fmt.Errorf("frame: peer refused upgrade (status %d)", resp.StatusCode)
-	}
-	resp.Body.Close()
 	c.SetDeadline(time.Time{}) //nolint:errcheck
 	return &FrameClient{conn: c, br: br}, nil
 }

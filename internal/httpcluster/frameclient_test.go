@@ -18,7 +18,6 @@ func startFrameTestCluster(t *testing.T) *Cluster {
 		LoadRefresh: 50 * time.Millisecond, PolicyTick: 100 * time.Millisecond,
 		MakePolicy:     func(int) core.Policy { return core.NewMS(nil, 1) },
 		Uncalibrated:   true,
-		BinaryFraming:  true,
 		ListenerShards: 2,
 	})
 	if err != nil {

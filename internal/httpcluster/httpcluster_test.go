@@ -92,7 +92,7 @@ func TestNodeExecEndpoint(t *testing.T) {
 	defer n.Shutdown()
 
 	start := time.Now()
-	resp, err := http.Get(n.URL + "/exec?demand=0.03&w=0.5&fork=1")
+	resp, err := http.Get(n.URL + "/exec?w=0.5&demand=0.03&fork=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestResponseBodyCarriesRequestedSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
-	resp, err := http.Get(n.URL + "/exec?demand=0.001&w=0.5&size=65536")
+	resp, err := http.Get(n.URL + "/exec?w=0.5&demand=0.001&size=65536")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestResponseBodyFallsBackOnBadSize(t *testing.T) {
 	}
 	defer n.Shutdown()
 	for _, q := range []string{"", "&size=abc", "&size=-5", "&size=999999999999"} {
-		resp, err := http.Get(n.URL + "/exec?demand=0.001&w=0.5" + q)
+		resp, err := http.Get(n.URL + "/exec?w=0.5&demand=0.001" + q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
-	r, err := http.Get(n.URL + "/exec?demand=0.002&w=0.5&fork=1")
+	r, err := http.Get(n.URL + "/exec?w=0.5&demand=0.002&fork=1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestShardedNodeServesBothTransports(t *testing.T) {
 	// Enough sequential HTTP requests that, with 4 accept queues, more
 	// than one shard almost surely serves traffic.
 	for i := 0; i < 16; i++ {
-		resp, err := http.Get(n.URL + "/exec?demand=0.001&w=0.5")
+		resp, err := http.Get(n.URL + "/exec?w=0.5&demand=0.001")
 		if err != nil {
 			t.Fatal(err)
 		}

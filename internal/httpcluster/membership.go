@@ -73,7 +73,7 @@ type memState struct {
 // membership. A node absent from the master list (demoted, or never
 // promoted this epoch) keeps serving what reaches it but schedules only
 // onto itself — the live form of a demoted master re-registering as a
-// slave: peers poll its /load and dispatch /exec to it like any other
+// slave: peers poll its /load and dispatch 'E' frames to it like any other
 // shard member.
 func newMemState(self int, mb core.Membership, sm *core.ShardMap) *memState {
 	ms := &memState{

@@ -176,11 +176,9 @@ func TestSummaryNewestWinsAcrossEpochs(t *testing.T) {
 		t.Fatalf("slot holds epoch=%d nodes=%d after stale s1 replay, want the epoch-1 summary", epoch, nodes)
 	}
 
-	// The wire path enforces the same rule: a piggybacked s1 header
-	// (epoch 0 by construction) cannot clobber the held s2 state.
-	wire := staleS1.AppendWire(nil)
-	h := http.Header{ShardHeader: []string{string(wire[:len(wire)-1])}}
-	m.storeShardHeader(h)
+	// The wire path enforces the same rule: a piggybacked s1 line (epoch
+	// 0 by construction) cannot clobber the held s2 state.
+	m.storeShardSummaryWire(staleS1.AppendWire(nil))
 	slot.mu.Lock()
 	epoch = slot.sum.Epoch
 	slot.mu.Unlock()

@@ -146,10 +146,6 @@ func (m *Master) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	p.Value("msweb_master_poll_skipped_total", label, float64(m.pollSkipped.Load()))
 	p.Header("msweb_master_frame_dials_total", "Persistent binary-frame connections dialed and upgraded.", "counter")
 	p.Value("msweb_master_frame_dials_total", label, float64(m.frameDials.Load()))
-	p.Header("msweb_master_batches_total", "Coalesced exec frames shipped by the batch dispatchers.", "counter")
-	p.Value("msweb_master_batches_total", label, float64(m.batchesSent.Load()))
-	p.Header("msweb_master_batched_requests_total", "Dynamic requests carried inside coalesced exec frames.", "counter")
-	p.Value("msweb_master_batched_requests_total", label, float64(m.batchedReqs.Load()))
 	p.Header("msweb_master_view_staleness_seconds", "Age of this master's freshest load information per node (-1 = never updated).", "gauge")
 	nowNs := time.Now().UnixNano()
 	for id := range loads {

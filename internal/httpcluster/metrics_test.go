@@ -108,7 +108,7 @@ func TestMetricsReflectTraffic(t *testing.T) {
 	}
 	defer n.Shutdown()
 	for i := 0; i < 3; i++ {
-		resp, err := http.Get(n.URL + "/exec?demand=0.02&w=0.5&fork=1")
+		resp, err := http.Get(n.URL + "/exec?w=0.5&demand=0.02&fork=1")
 		if err != nil {
 			t.Fatal(err)
 		}

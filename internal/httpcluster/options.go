@@ -33,7 +33,7 @@ type Resilience struct {
 	Breaker BreakerConfig
 	// DispatchTimeout is the default per-request deadline when the
 	// client sends no X-Msweb-Timeout-Ms header, and the bound on every
-	// master→slave /exec round trip.
+	// master→slave frame exchange.
 	DispatchTimeout time.Duration
 	// RetryBudget is the maximum number of placement attempts for one
 	// dynamic request, across distinct nodes where possible.
@@ -52,7 +52,7 @@ type Resilience struct {
 	// MaxInflight bounds concurrently admitted /req requests; above it
 	// requests are shed with 503 + Retry-After. 0 = unbounded.
 	MaxInflight int
-	// MaxQueue sheds /exec work with 503 *before* it queues when the
+	// MaxQueue sheds exec work with 503 *before* it queues when the
 	// node's combined CPU+disk queue population is at least MaxQueue.
 	// 0 = unbounded.
 	MaxQueue int
@@ -101,7 +101,7 @@ type NodeOptions struct {
 	TimeScale float64
 	// Uncalibrated switches the node's virtual resources to fast mode:
 	// service demand is charged to a virtual clock instead of being slept
-	// off, so /exec completes at CPU speed while load reports (and thus
+	// off, so exec completes at CPU speed while load reports (and thus
 	// RSRC placement) still reflect the offered demand. This uncaps the
 	// data plane for throughput work; calibrated mode (the default)
 	// remains the paper-faithful configuration.
@@ -120,18 +120,6 @@ type NodeOptions struct {
 	// platforms without SO_REUSEPORT the option quietly degrades to 1
 	// (Node.ListenerShards reports the effective count).
 	ListenerShards int
-	// BinaryFraming lets a master upgrade its master→slave hop to the
-	// persistent length-prefixed binary protocol (see frame.go),
-	// negotiated per node-pair with transparent HTTP fallback. Nodes
-	// always serve the /frame upgrade endpoint; this knob only controls
-	// whether a master dials it.
-	BinaryFraming bool
-	// BatchWindow > 0 coalesces dynamic requests bound for the same slave
-	// within the window into one frame (implies BinaryFraming). Off by
-	// default: in calibrated mode the window adds artificial latency.
-	BatchWindow time.Duration
-	// BatchMax caps requests per frame when batching (default 64).
-	BatchMax int
 	// Resilience tunes deadlines, retries, breakers and shedding. Nodes
 	// consult only Resilience.MaxQueue; masters use all of it.
 	Resilience Resilience
@@ -197,8 +185,6 @@ func (o NodeOptions) Validate(master bool) error {
 		return fmt.Errorf("httpcluster: negative time scale %v", o.TimeScale)
 	case o.Resilience.MaxInflight < 0 || o.Resilience.MaxQueue < 0:
 		return fmt.Errorf("httpcluster: negative admission bounds %+v", o.Resilience)
-	case o.BatchWindow < 0 || o.BatchMax < 0:
-		return fmt.Errorf("httpcluster: negative batch options (window %v, max %d)", o.BatchWindow, o.BatchMax)
 	case o.ListenerShards < 0 || o.ListenerShards > 256:
 		return fmt.Errorf("httpcluster: listener shards %d outside [0, 256]", o.ListenerShards)
 	}
@@ -263,12 +249,6 @@ func (o NodeOptions) withDefaults() NodeOptions {
 	if o.PollDeadlineFloor <= 0 {
 		o.PollDeadlineFloor = DefaultPollDeadlineFloor
 	}
-	if o.BatchWindow > 0 {
-		o.BinaryFraming = true // batching rides the frame transport
-		if o.BatchMax == 0 {
-			o.BatchMax = DefaultBatchMax
-		}
-	}
 	o.Resilience = o.Resilience.withDefaults()
 	return o
 }
@@ -313,13 +293,11 @@ func LaunchMaster(o NodeOptions) (*Master, error) {
 	m := &Master{
 		Node:   n,
 		policy: o.Policy,
-		// No global client timeout: every outbound request (forward,
-		// poll fetch) carries its own context deadline, so a short
-		// dispatch timeout cannot starve the slower poll round or vice
-		// versa.
-		client: &http.Client{
-			Transport: &http.Transport{MaxIdleConnsPerHost: 128},
-		},
+		// The control plane's client: load polls, gossip pulls and
+		// membership announces. No global timeout — each call carries its
+		// own context deadline — and net/http's default pool sizes: these
+		// calls are a few per peer per period.
+		client:      &http.Client{Transport: &http.Transport{}},
 		stop:        make(chan struct{}),
 		self:        [1]int{o.ID},
 		rs:          o.Resilience,
@@ -334,12 +312,8 @@ func LaunchMaster(o NodeOptions) (*Master, error) {
 		piggy:          make([]piggySlot, len(o.NodeURLs)),
 		piggyAppliedAt: make([]int64, len(o.NodeURLs)),
 		fresh:          obs.NewFreshness(len(o.NodeURLs)),
-		batchWindow:    o.BatchWindow,
-		batchMax:       o.BatchMax,
 	}
-	if o.BinaryFraming {
-		m.frames = newFrameDialer(m, len(o.NodeURLs))
-	}
+	m.frames = newFrameDialer(m, len(o.NodeURLs))
 	for id, u := range o.NodeURLs {
 		if u != "" {
 			m.SetNodeURL(id, u)

@@ -9,15 +9,15 @@ import (
 )
 
 // Piggybacked load reports. A poll-only master's view of a node is on
-// average half a poll interval stale; every /exec round trip is a
+// average half a poll interval stale; every dispatch round trip is a
 // fresher sample the master already paid for. Nodes therefore attach
-// their compact l1 load line (the /load?fmt=c wire format, newline
-// stripped) to /exec and /req responses as the X-Msweb-Load header —
-// and to every binary frame response — and masters fold it into the
-// scheduling view on receipt. The poller stays as the slow-path
-// fallback that covers idle pairs (no responses → no piggybacks) and
-// skips nodes whose piggybacked report is younger than the poll
-// interval.
+// their load report to every frame response, and masters fold it into
+// the scheduling view on receipt. HTTP replies (/req and /exec) carry
+// the same report as the X-Msweb-Load header: the compact l1 load line
+// (the /load?fmt=c wire format, newline stripped). The poller stays as
+// the slow-path fallback that covers idle pairs (no responses → no
+// piggybacks) and skips nodes whose piggybacked report is younger than
+// the poll interval.
 //
 // Node side, the report is a cached stamp refreshed at most every
 // loadStampTTL: the hot path pays one atomic load and a header-map
@@ -121,24 +121,6 @@ func (m *Master) storePiggy(id int, l core.Load) {
 	m.fresh.Touch(id, now)
 	m.piggyVer.Add(1)
 	m.piggyTotal.Add(1)
-}
-
-// storePiggyHeader parses a response's X-Msweb-Load header, if any,
-// into node id's slot.
-func (m *Master) storePiggyHeader(id int, h http.Header) {
-	v := h[LoadHeader]
-	if len(v) == 0 {
-		return
-	}
-	buf := wireBufPool.Get().(*[]byte)
-	b := append((*buf)[:0], v[0]...)
-	l, err := core.ParseLoadWire(b)
-	*buf = b[:0]
-	wireBufPool.Put(buf)
-	if err != nil {
-		return
-	}
-	m.storePiggy(id, l)
 }
 
 // peekPiggy returns node id's latest piggybacked report and its

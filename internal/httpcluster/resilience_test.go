@@ -1,10 +1,13 @@
 package httpcluster
 
 import (
+	"bufio"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -74,32 +77,96 @@ func getStatus(t *testing.T, url string, header http.Header) (*http.Response, st
 	return resp, string(body)
 }
 
-// A client deadline tighter than a slow slave's service turns into a 502
-// (exhausted), not an unbounded wait.
-func TestClientDeadlineExhausts(t *testing.T) {
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(300 * time.Millisecond)
-		w.Write(okBody) //nolint:errcheck
-	}))
-	defer slow.Close()
+// fakeFrameSlave is a scripted slave on the real frame codec: it answers
+// the /frame upgrade, then reads 'E' frames and answers every entry with
+// reply. hits counts the exec frames it has read. Test cleanup closes
+// the listener and every accepted connection.
+type fakeFrameSlave struct {
+	URL  string
+	hits atomic.Int64
 
-	m := launchTestMaster(t, Resilience{DisableShedding: true}, slow.URL)
-	h := http.Header{}
-	h.Set(TimeoutHeader, "50")
-	resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", h)
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("status %d, want 502 for an expired deadline", resp.StatusCode)
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+// frameReply scripts a fakeFrameSlave: after delay, every entry gets
+// status — unless drop is set, which closes the connection as soon as
+// the frame is read (the work may have run; the master cannot know).
+type frameReply struct {
+	status int
+	delay  time.Duration
+	drop   bool
+}
+
+func newFakeFrameSlave(t *testing.T, r frameReply) *fakeFrameSlave {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Exhausted() != 1 || m.Served() != 0 {
-		t.Fatalf("exhausted=%d served=%d, want 1/0", m.Exhausted(), m.Served())
+	s := &fakeFrameSlave{URL: "http://" + l.Addr().String()}
+	t.Cleanup(func() {
+		l.Close()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, c := range s.conns {
+			c.Close()
+		}
+	})
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			s.mu.Lock()
+			s.conns = append(s.conns, c)
+			s.mu.Unlock()
+			go s.serve(c, r)
+		}
+	}()
+	return s
+}
+
+func (s *fakeFrameSlave) serve(c net.Conn, r frameReply) {
+	defer c.Close()
+	br := bufio.NewReader(c)
+	if req, err := http.ReadRequest(br); err != nil || req.URL.Path != "/frame" {
+		return
 	}
-	if m.Accepted() != m.Served()+m.Shed()+m.Exhausted() {
-		t.Fatal("terminal outcomes do not add up to accepted")
+	if _, err := io.WriteString(c, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+
+		frameProtocol+"\r\n\r\n"); err != nil {
+		return
+	}
+	var buf, out []byte
+	var reqs []frameExec
+	for {
+		payload, nbuf, err := readFrame(br, buf)
+		buf = nbuf
+		if err != nil {
+			return
+		}
+		if reqs, err = parseExecPayload(payload, reqs[:0]); err != nil {
+			return
+		}
+		s.hits.Add(1)
+		if r.drop {
+			return
+		}
+		time.Sleep(r.delay)
+		sts := make([]int, len(reqs))
+		for i := range sts {
+			sts[i] = r.status
+		}
+		out = appendRespFrame(out[:0], sts, core.Load{CPUIdle: 1, DiskAvail: 1, Speed: 1}, nil)
+		if _, err := c.Write(out); err != nil {
+			return
+		}
 	}
 }
 
-// hijackClose kills the TCP connection mid-exchange: the client sees a
-// transport error after the request was sent (so the work may have run).
+// hijackClose kills the TCP connection as soon as a request head
+// arrives: a master's /frame upgrade fails before any 'E' frame is sent.
 func hijackClose(w http.ResponseWriter, _ *http.Request) {
 	conn, _, err := w.(http.Hijacker).Hijack()
 	if err == nil {
@@ -111,31 +178,22 @@ func hijackClose(w http.ResponseWriter, _ *http.Request) {
 // falls back to local execution; a non-idempotent one must stop at the
 // first ambiguous failure with 502.
 func TestRetryDistinctNodesAndIdempotency(t *testing.T) {
-	var hits1, hits2 atomic.Int64
-	bad1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits1.Add(1)
-		hijackClose(w, r)
-	}))
-	defer bad1.Close()
-	bad2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits2.Add(1)
-		hijackClose(w, r)
-	}))
-	defer bad2.Close()
+	bad1 := newFakeFrameSlave(t, frameReply{drop: true})
+	bad2 := newFakeFrameSlave(t, frameReply{drop: true})
 
 	m := launchTestMaster(t, Resilience{DisableShedding: true}, bad1.URL, bad2.URL)
 	resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 via local fallback", resp.StatusCode)
 	}
-	if hits1.Load() != 1 || hits2.Load() != 1 {
-		t.Fatalf("slave hits %d/%d, want one each (distinct-node retries)", hits1.Load(), hits2.Load())
+	if bad1.hits.Load() != 1 || bad2.hits.Load() != 1 {
+		t.Fatalf("slave hits %d/%d, want one each (distinct-node retries)", bad1.hits.Load(), bad2.hits.Load())
 	}
 	if m.Failovers() != 2 {
 		t.Fatalf("failovers=%d, want 2", m.Failovers())
 	}
 
-	// Non-idempotent: the hijacked connection is ambiguous (the request
+	// Non-idempotent: the dropped connection is ambiguous (the frame
 	// reached the node), so no retry and no local rerun — a 502.
 	m2 := launchTestMaster(t, Resilience{DisableShedding: true}, bad1.URL, bad2.URL)
 	resp, _ = getStatus(t, m2.URL+"/req?class=d&demand=0&w=0.5&idem=0", nil)
@@ -145,20 +203,59 @@ func TestRetryDistinctNodesAndIdempotency(t *testing.T) {
 	if m2.Exhausted() != 1 {
 		t.Fatalf("exhausted=%d, want 1", m2.Exhausted())
 	}
+	if bad1.hits.Load() != 2 || bad2.hits.Load() != 1 {
+		t.Fatalf("slave hits %d/%d after the non-idempotent request, want 2/1 (no retry)", bad1.hits.Load(), bad2.hits.Load())
+	}
+}
+
+// A dispatch that fails before its 'E' frame is written cannot have run,
+// so even a non-idempotent request fails over to the next slave; one
+// whose frame reached the slave may have run, so it stops with 502 even
+// though a healthy slave is next in line.
+func TestPreSendFailureFailsOver(t *testing.T) {
+	good, err := LaunchNode(NodeOptions{ID: 2, TimeScale: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Shutdown()
+	closes := httptest.NewServer(http.HandlerFunc(hijackClose))
+	defer closes.Close()
+	refuses := httptest.NewServer(http.NotFoundHandler())
+	defer refuses.Close()
+
+	for _, tc := range []struct{ name, url string }{
+		{"closes before the 101", closes.URL},
+		{"refuses the upgrade", refuses.URL},
+	} {
+		executed := good.Executed()
+		m := launchTestMaster(t, Resilience{DisableShedding: true}, tc.url, good.URL)
+		resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5&idem=0", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200 from the failover slave", tc.name, resp.StatusCode)
+		}
+		if m.Exhausted() != 0 || m.Failovers() != 1 || good.Executed() != executed+1 {
+			t.Fatalf("%s: exhausted=%d failovers=%d good executed %d, want 0/1/%d",
+				tc.name, m.Exhausted(), m.Failovers(), good.Executed(), executed+1)
+		}
+	}
+
+	drops := newFakeFrameSlave(t, frameReply{drop: true})
+	m := launchTestMaster(t, Resilience{DisableShedding: true}, drops.URL, good.URL)
+	executed := good.Executed()
+	resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5&idem=0", nil)
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("post-send drop: status %d, want 502", resp.StatusCode)
+	}
+	if drops.hits.Load() != 1 || good.Executed() != executed {
+		t.Fatalf("post-send drop: frames read %d, good executed %d more, want 1/0", drops.hits.Load(), good.Executed()-executed)
+	}
 }
 
 // A hedged request completes at the fast secondary while the slow
 // primary is still sleeping.
 func TestHedgeWinsTailLatency(t *testing.T) {
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(400 * time.Millisecond)
-		w.Write(okBody) //nolint:errcheck
-	}))
-	defer slow.Close()
-	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(okBody) //nolint:errcheck
-	}))
-	defer fast.Close()
+	slow := newFakeFrameSlave(t, frameReply{status: http.StatusOK, delay: 400 * time.Millisecond})
+	fast := newFakeFrameSlave(t, frameReply{status: http.StatusOK})
 
 	m := launchTestMaster(t, Resilience{HedgeAfter: 30 * time.Millisecond, DisableShedding: true}, slow.URL, fast.URL)
 	start := time.Now()
@@ -169,20 +266,16 @@ func TestHedgeWinsTailLatency(t *testing.T) {
 	if d := time.Since(start); d > 300*time.Millisecond {
 		t.Fatalf("hedged request took %v; the hedge should beat the slow primary", d)
 	}
-	if m.Hedges() != 1 {
-		t.Fatalf("hedges=%d, want 1", m.Hedges())
+	if m.Hedges() != 1 || slow.hits.Load() != 1 || fast.hits.Load() != 1 {
+		t.Fatalf("hedges=%d, slave hits %d/%d, want 1 and one each", m.Hedges(), slow.hits.Load(), fast.hits.Load())
 	}
-	// Let the slow primary finish into the buffered channel before the
-	// server shuts down.
-	time.Sleep(450 * time.Millisecond)
 }
 
 // With every slave circuit-open and the θ₂ reservation denying master
 // admission, dynamics are shed with 503 + Retry-After instead of
 // silently overrunning the master tier.
 func TestShedsWhenAllSlavesOpen(t *testing.T) {
-	bad := httptest.NewServer(http.HandlerFunc(hijackClose))
-	defer bad.Close()
+	bad := newFakeFrameSlave(t, frameReply{status: http.StatusInternalServerError})
 
 	m, err := LaunchMaster(NodeOptions{
 		ID:          0,
@@ -204,8 +297,8 @@ func TestShedsWhenAllSlavesOpen(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 via fallback while the breaker is closed", resp.StatusCode)
 	}
-	if m.BreakerState(1) != breakerOpen {
-		t.Fatalf("breaker state %d, want open after the failed dispatch", m.BreakerState(1))
+	if m.BreakerState(1) != breakerOpen || bad.hits.Load() != 1 {
+		t.Fatalf("breaker state %d after %d refused frames, want open after one", m.BreakerState(1), bad.hits.Load())
 	}
 
 	// Now every slave is open. The fresh reservation admits no dynamics at
@@ -283,7 +376,7 @@ func TestNodeShedAndDeadline(t *testing.T) {
 	// Expired deadline → 504 without touching the resources.
 	h := http.Header{}
 	h.Set(DeadlineHeader, strconv.FormatInt(time.Now().Add(-time.Second).UnixNano(), 10))
-	resp, _ := getStatus(t, n.URL+"/exec?demand=0&w=0.5", h)
+	resp, _ := getStatus(t, n.URL+"/exec?w=0.5&demand=0", h)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 for an expired deadline", resp.StatusCode)
 	}
@@ -295,7 +388,7 @@ func TestNodeShedAndDeadline(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		getStatus(t, n.URL+"/exec?demand=500000&w=1", nil)
+		getStatus(t, n.URL+"/exec?w=1&demand=500000", nil)
 	}()
 	deadline := time.Now().Add(2 * time.Second)
 	for n.res.CPU.QueueLength() == 0 {
@@ -304,7 +397,7 @@ func TestNodeShedAndDeadline(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	resp, _ = getStatus(t, n.URL+"/exec?demand=0&w=1", nil)
+	resp, _ = getStatus(t, n.URL+"/exec?w=1&demand=0", nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 shed before queueing", resp.StatusCode)
 	}
@@ -321,10 +414,7 @@ func TestNodeShedAndDeadline(t *testing.T) {
 // than the budget allows, the request exhausts quickly instead of
 // sleeping past its deadline.
 func TestBackoffRespectsDeadline(t *testing.T) {
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "nope", http.StatusInternalServerError)
-	}))
-	defer bad.Close()
+	bad := newFakeFrameSlave(t, frameReply{status: http.StatusInternalServerError})
 
 	// A refusing (status-error) slave is always safe to retry, so the
 	// budget alone would retry three times with up-to-4 s sleeps; the
@@ -346,5 +436,8 @@ func TestBackoffRespectsDeadline(t *testing.T) {
 	}
 	if elapsed > time.Second {
 		t.Fatalf("request held for %v; backoff ignored the deadline", elapsed)
+	}
+	if bad.hits.Load() == 0 {
+		t.Fatal("the refusing slave never read a frame")
 	}
 }

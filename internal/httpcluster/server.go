@@ -20,15 +20,15 @@ import (
 )
 
 // Deadline-propagation headers. Clients hand the master a relative
-// budget; the master forwards the resolved absolute deadline so slaves
-// on the same clock (a loopback cluster) can refuse work that already
-// expired in their queue.
+// budget; the master forwards the resolved absolute deadline in each 'E'
+// frame entry so slaves on the same clock (a loopback cluster) can
+// refuse work that already expired in their queue.
 const (
 	// TimeoutHeader carries the client's relative deadline budget for a
 	// /req call, in milliseconds.
 	TimeoutHeader = "X-Msweb-Timeout-Ms"
-	// DeadlineHeader carries the absolute deadline (UnixNano) on
-	// master→slave /exec calls.
+	// DeadlineHeader carries the absolute deadline (UnixNano) on a call
+	// to a node's HTTP /exec endpoint: the 'E' entry's deadline field.
 	DeadlineHeader = "X-Msweb-Deadline-Ns"
 )
 
@@ -38,11 +38,12 @@ const (
 // is the same fields in wire form (see core.AppendWire).
 
 // Node is one cluster machine: virtual resources behind a real HTTP
-// server exposing /exec (run work), /load (report load) and /metrics
-// (Prometheus text exposition). Masters additionally expose /req (see
-// Master). The node's own edge loop (edge.go) accepts every connection
-// and serves GET /req and the /frame upgrade natively; every other
-// request reaches srv and mux through the hand-off listener.
+// server exposing /frame (run work over 'E' frames, the masters'
+// dispatch transport), /exec (its HTTP adapter), /load (report load)
+// and /metrics (Prometheus text exposition). Masters additionally
+// expose /req (see Master). The node's own edge loop (edge.go) accepts
+// every connection and serves GET /req and the /frame upgrade natively;
+// every other request reaches srv and mux through the hand-off listener.
 type Node struct {
 	ID        int
 	URL       string
@@ -50,7 +51,7 @@ type Node struct {
 	fork      time.Duration
 	timeScale float64
 	origin    time.Time
-	maxQueue  int // shed /exec before queueing at this population; 0 = off
+	maxQueue  int // shed exec work before queueing at this population; 0 = off
 	srv       *http.Server
 	// lis holds the node's listener shards: SO_REUSEPORT sockets sharing
 	// one port, each served by its own accept loop (see listener.go).
@@ -161,11 +162,11 @@ func (n *Node) Executed() int64 { return n.executed.Load() }
 // CGIServed returns how many forked (dynamic) requests the node ran.
 func (n *Node) CGIServed() int64 { return n.cgiServed.Load() }
 
-// ExecShed returns how many /exec requests the node refused before
+// ExecShed returns how many exec requests the node refused before
 // queueing because its queue population was at MaxQueue.
 func (n *Node) ExecShed() int64 { return n.execShed.Load() }
 
-// DeadlineExpired returns how many /exec requests arrived with their
+// DeadlineExpired returns how many exec requests arrived with their
 // propagated deadline already passed.
 func (n *Node) DeadlineExpired() int64 { return n.deadlineExpired.Load() }
 
@@ -216,8 +217,7 @@ func (n *Node) handleExec(rw http.ResponseWriter, req *http.Request) {
 		}
 	}
 	// execOne is the single admission+execution path shared with the
-	// binary frame loop (see frame.go), so the two transports cannot
-	// drift on shedding or deadline semantics.
+	// frame loop (see frame.go): this handler is its HTTP adapter.
 	switch n.execOne(frameExec{demand: p.demand, w: p.w, deadlineNs: dl, fork: p.fork}) {
 	case http.StatusBadRequest:
 		http.Error(rw, "bad demand", http.StatusBadRequest)
@@ -469,14 +469,9 @@ type Master struct {
 	spillView  core.View
 	spillCands []int
 
-	// frames is the binary-framing client (nil = transport disabled);
-	// batchWindow/batchMax configure batched dispatch over it.
+	// frames is the dispatch client: every remote run is an 'E' frame.
 	frames      *frameDialer
-	batchWindow time.Duration
-	batchMax    int
 	frameDials  atomic.Int64
-	batchesSent atomic.Int64
-	batchedReqs atomic.Int64
 	pollSkipped atomic.Int64
 
 	// Terminal-outcome accounting: every request counted in accepted is
@@ -1040,7 +1035,7 @@ var (
 	errDeadline    = errors.New("dispatch: request deadline exceeded")
 )
 
-// remoteStatusError is a non-200 /exec response: the node answered and
+// remoteStatusError is a non-200 exec status: the node answered and
 // refused, so the work did not run — always safe to retry.
 type remoteStatusError int
 
@@ -1051,8 +1046,8 @@ func (e remoteStatusError) Error() string {
 // mayHaveExecuted reports whether a failed dispatch could have run the
 // work remotely anyway — the conservative classification behind the
 // "never retry non-idempotent work that may have started" rule. Only
-// failures provably raised before the request reached the node (open
-// circuit, refused with a status, dial failure) are known-safe.
+// failures provably raised before the 'E' frame was written (open
+// circuit, notSentError) or refused with a status are known-safe.
 func mayHaveExecuted(err error) bool {
 	if errors.Is(err, errCircuitOpen) {
 		return false
@@ -1061,16 +1056,13 @@ func mayHaveExecuted(err error) bool {
 	if errors.As(err, &st) {
 		return false
 	}
-	var op *net.OpError
-	if errors.As(err, &op) && op.Op == "dial" {
-		return false
-	}
-	return true
+	var ns notSentError
+	return !errors.As(err, &ns)
 }
 
 // runDynamic places and executes one dynamic request under its deadline
 // and retry budget, failing over across distinct nodes (and ultimately
-// to local execution) when a remote /exec errs — the restart-on-another-
+// to local execution) when a remote exec errs — the restart-on-another-
 // node behavior the paper requires of masters when a slave fails, now
 // bounded instead of unconditional. Returns 0 on success or the HTTP
 // status for a terminal failure.
@@ -1208,63 +1200,18 @@ func (m *Master) forwardBreakered(target int, p reqParams, deadline time.Time) e
 	return err
 }
 
-// forward executes the CGI remotely — over the persistent binary frame
-// transport when enabled and the pair negotiated it, else via the
-// target's /exec endpoint (the paper's low-overhead remote execution
-// path), propagating the request deadline as both a context (cancels
-// the round trip) and a header (lets the slave refuse expired work
-// before queueing it).
+// forward executes the CGI remotely — the paper's low-overhead remote
+// execution path: one 'E' frame on a pooled connection to the target,
+// carrying the request deadline so the slave can refuse work that
+// expired in its queue.
 func (m *Master) forward(target int, p reqParams, deadline time.Time) error {
-	if m.frames != nil {
-		if err, handled := m.forwardFrame(target, p, deadline); handled {
-			return err
-		}
-	}
-	base := m.nodeURL(target)
-	if base == "" {
-		return fmt.Errorf("no URL for node %d", target)
-	}
-	buf := wireBufPool.Get().(*[]byte)
-	b := append((*buf)[:0], base...)
-	b = append(b, "/exec?demand="...)
-	b = strconv.AppendFloat(b, p.demand, 'g', -1, 64)
-	b = append(b, "&w="...)
-	b = strconv.AppendFloat(b, p.w, 'g', -1, 64)
-	b = append(b, "&fork=1"...)
-	url := string(b)
-	*buf = b[:0]
-	wireBufPool.Put(buf)
-
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	reqs := [1]frameExec{{demand: p.demand, w: p.w, deadlineNs: deadline.UnixNano(), fork: true}}
+	var sts [1]int
+	got, err := m.frames.exchange(target, reqs[:], sts[:0], deadline)
 	if err != nil {
 		return err
 	}
-	req.Header.Set(DeadlineHeader, strconv.FormatInt(deadline.UnixNano(), 10))
-	resp, err := m.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return errDeadline
-		}
-		return err
-	}
-	// Drain the (bounded) body before closing: a response closed with
-	// unread bytes discards its keep-alive connection, forcing a fresh
-	// TCP+handshake on the next dispatch to the same node.
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20)) //nolint:errcheck
-	resp.Body.Close()
-	m.storePiggyHeader(target, resp.Header)
-	m.storeShardHeader(resp.Header)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return nil
-	case http.StatusGatewayTimeout:
-		// The slave saw the propagated deadline expire; ours has too.
-		return errDeadline
-	default:
-		return remoteStatusError(resp.StatusCode)
-	}
+	return statusToErr(got[0])
 }
 
 // Shutdown stops the master's loops and server, then releases any
@@ -1277,8 +1224,6 @@ func (m *Master) Shutdown() {
 		close(m.stop)
 		m.wg.Wait()
 		m.Node.Shutdown()
-		if m.frames != nil {
-			m.frames.close()
-		}
+		m.frames.close()
 	})
 }

@@ -20,10 +20,10 @@ import (
 // own shard, so per-tick control work is O(shard), not O(cluster).
 // Cross-shard state travels as compact core.ShardSummary lines:
 //
-//   - piggybacked on every response a sharded master serves (/req,
-//     /exec, frame replies) as the X-Msweb-Shard header / frame summary
-//     block, so masters that already talk learn about each other's
-//     shards for free;
+//   - piggybacked on every frame reply a sharded master serves as the
+//     trailing summary block, so masters that already dispatch to each
+//     other learn about each other's shards for free (HTTP replies to
+//     /req and /exec carry the same line as the X-Msweb-Shard header);
 //   - pulled master↔master from /shard on a slow gossip tick, covering
 //     pairs that never exchange requests.
 //
@@ -97,29 +97,6 @@ func (m *Master) handleShard(rw http.ResponseWriter, _ *http.Request) {
 	}
 	rw.Header().Set("Content-Type", core.ShardWireContentType)
 	rw.Write(s.wire) //nolint:errcheck
-}
-
-// storeShardHeader folds a response's piggybacked shard summary, if
-// any, into the mailbox for that shard. Cheap no-op for unsharded
-// masters and header-less responses.
-func (m *Master) storeShardHeader(h http.Header) {
-	if !m.sharded {
-		return
-	}
-	v := h[ShardHeader]
-	if len(v) == 0 {
-		return
-	}
-	buf := wireBufPool.Get().(*[]byte)
-	b := append((*buf)[:0], v[0]...)
-	var sum core.ShardSummary
-	err := core.ParseShardSummary(b, &sum)
-	*buf = b[:0]
-	wireBufPool.Put(buf)
-	if err != nil {
-		return
-	}
-	m.storeShardSummary(&sum)
 }
 
 // storeShardSummaryWire parses an s1 summary line (e.g. a frame reply's

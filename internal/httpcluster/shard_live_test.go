@@ -227,8 +227,10 @@ func TestSpillSkippedWithoutFreshSummary(t *testing.T) {
 
 // Sharded smoke: a 4-master loopback cluster in fast mode, partitioned
 // 4 ways, serves a mixed static/dynamic burst on every master with zero
-// 5xx — the CI gate for the sharded control plane under -race. The
-// second case scales to 128 slaves and dispatches over binary frames.
+// 5xx — the CI gate for the sharded control plane under -race. Masters
+// dispatch to slaves over frames in both cases; the first sends client
+// requests as HTTP GET /req, the second scales to 128 slaves and sends
+// them as 'Q' frames.
 func TestShardedClusterSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("68- and 132-server smoke clusters")
@@ -241,13 +243,12 @@ func TestShardedClusterSmoke(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := Start(Config{
 				Nodes: tc.nodes, Masters: 4, Shards: 4,
-				BinaryFraming: tc.frames,
-				TimeScale:     1e-6,
-				LoadRefresh:   20 * time.Millisecond,
-				PolicyTick:    50 * time.Millisecond,
-				GossipEvery:   40 * time.Millisecond,
-				Uncalibrated:  true,
-				MakePolicy:    func(id int) core.Policy { return core.NewMS(nil, int64(id)+1) },
+				TimeScale:    1e-6,
+				LoadRefresh:  20 * time.Millisecond,
+				PolicyTick:   50 * time.Millisecond,
+				GossipEvery:  40 * time.Millisecond,
+				Uncalibrated: true,
+				MakePolicy:   func(id int) core.Policy { return core.NewMS(nil, int64(id)+1) },
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -256,31 +257,52 @@ func TestShardedClusterSmoke(t *testing.T) {
 			urls := c.MasterURLs()
 
 			client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}, Timeout: 10 * time.Second}
+			// send issues request i and returns its status.
+			send := func(i int) (int, error) {
+				base, dynamic := urls[i%len(urls)], i%2 == 1
+				if tc.frames {
+					fc, err := DialFrame(base, 10*time.Second)
+					if err != nil {
+						return 0, err
+					}
+					defer fc.Close()
+					sts, err := fc.Do([]FrameRequest{{Demand: 0.0001, W: 0.5, Script: i % 10, Dynamic: dynamic, Idem: true}},
+						time.Now().Add(10*time.Second))
+					if err != nil {
+						return 0, err
+					}
+					return sts[0], nil
+				}
+				cls := "s"
+				if dynamic {
+					cls = "d"
+				}
+				resp, err := client.Get(fmt.Sprintf("%s/req?class=%s&demand=0.0001&w=0.5&script=%d", base, cls, i%10))
+				if err != nil {
+					return 0, err
+				}
+				resp.Body.Close()
+				return resp.StatusCode, nil
+			}
 			const reqs = 400
 			var bad5xx, failed atomic.Int64
 			var wg sync.WaitGroup
 			sem := make(chan struct{}, 32)
 			for i := 0; i < reqs; i++ {
-				cls := "s"
-				if i%2 == 1 {
-					cls = "d"
-				}
-				url := fmt.Sprintf("%s/req?class=%s&demand=0.0001&w=0.5&script=%d", urls[i%len(urls)], cls, i%10)
 				wg.Add(1)
 				sem <- struct{}{}
-				go func(url string) {
+				go func(i int) {
 					defer wg.Done()
 					defer func() { <-sem }()
-					resp, err := client.Get(url)
+					status, err := send(i)
 					if err != nil {
 						failed.Add(1)
 						return
 					}
-					resp.Body.Close()
-					if resp.StatusCode >= 500 {
+					if status >= 500 {
 						bad5xx.Add(1)
 					}
-				}(url)
+				}(i)
 			}
 			wg.Wait()
 			if n := failed.Load(); n != 0 {

@@ -50,9 +50,8 @@ func TestDynamicFrameSyscallBudget(t *testing.T) {
 	c, err := Start(Config{
 		Nodes: 4, Masters: 1, TimeScale: 6.5e-5,
 		LoadRefresh: 50 * time.Millisecond, PolicyTick: 100 * time.Millisecond,
-		MakePolicy:    func(int) core.Policy { return core.NewMS(nil, 1) },
-		Uncalibrated:  true,
-		BinaryFraming: true,
+		MakePolicy:   func(int) core.Policy { return core.NewMS(nil, 1) },
+		Uncalibrated: true,
 	})
 	if err != nil {
 		t.Fatal(err)
