@@ -10,6 +10,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -177,15 +178,6 @@ func BenchmarkAblationStaleLoadInfo(b *testing.B) {
 
 // ---- Substrate microbenchmarks ---------------------------------------
 
-func BenchmarkEngineEventThroughput(b *testing.B) {
-	eng := sim.NewEngine()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.After(1, func() {})
-		eng.Step()
-	}
-}
-
 // BenchmarkEngineScheduleFire measures the schedule→fire hot path in
 // steady state. With the event free list this must run at 0 allocs/op:
 // every fired event is recycled into the next After call.
@@ -234,6 +226,63 @@ func BenchmarkEngineFeedFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng.Step()
 		eng.Step()
+	}
+}
+
+// BenchmarkEngineHold is the classic hold model of an event set: each
+// fired event schedules one successor at now plus a seeded random
+// increment, so the queue stays at a fixed number of pending events
+// (64, 600 — a sharded autoscaler cell's mean — and 4 096) and every op
+// is one pop and one push at that size. The other engine benchmarks keep
+// a single event pending, where no queue has work to do. Shapes: exp
+// (exponential increments, mean 1 ms), bimodal (90 % near at ~1 ms, 10 %
+// far at ~100 ms, like CPU bursts next to decay ticks) and burst (every
+// increment 1 ms, so the pending events share one timestamp and fire as
+// an equal-time burst in seq order).
+func BenchmarkEngineHold(b *testing.B) {
+	shapes := []struct {
+		name string
+		incr func(r *rand.Rand) float64
+	}{
+		{"exp", func(r *rand.Rand) float64 { return 1e-3 * r.ExpFloat64() }},
+		{"bimodal", func(r *rand.Rand) float64 {
+			if r.Float64() < 0.9 {
+				return 1e-3 * r.ExpFloat64()
+			}
+			return 0.1 * r.ExpFloat64()
+		}},
+		{"burst", func(*rand.Rand) float64 { return 1e-3 }},
+	}
+	for _, shape := range shapes {
+		for _, pending := range []int{64, 600, 4096} {
+			b.Run(fmt.Sprintf("%s/pending=%d", shape.name, pending), func(b *testing.B) {
+				// Increments are drawn up front so the RNG stays out of
+				// the timed loop.
+				r := rand.New(rand.NewSource(1))
+				incr := make([]float64, 1<<16)
+				for i := range incr {
+					incr[i] = shape.incr(r)
+				}
+				eng := sim.NewEngine()
+				next := 0
+				var hold sim.CallFunc
+				hold = func(any, float64) {
+					eng.AfterCall(incr[next&(len(incr)-1)], hold, nil, 0)
+					next++
+				}
+				for i := 0; i < pending; i++ {
+					hold(nil, 0)
+				}
+				for i := 0; i < 8*pending; i++ { // reach the steady state
+					eng.Step()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng.Step()
+				}
+			})
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package sim implements the discrete-event simulation engine underlying
 // the cluster simulator.
 //
-// The engine is a classic event-heap design: callbacks are scheduled at
+// The engine is a classic event-set design: callbacks are scheduled at
 // absolute virtual times and executed in non-decreasing time order. Events
 // scheduled for the same instant run in FIFO order of scheduling, which
 // keeps simulations deterministic. Virtual time is a float64 measured in
@@ -28,19 +28,20 @@
 // payload is owned by the engine only until the event fires; release
 // clears it so pooled Events never pin caller state.
 //
-// The timer queue is a hand-rolled 4-ary min-heap ordered by (at, seq).
-// Compared with container/heap's binary heap it needs no interface
-// boxing, no virtual Less/Swap calls, and ~half the levels: children of
-// node i live at 4i+1..4i+4. Each heap slot holds the event's (at, seq)
-// key next to its pointer, so a sift compares keys in the heap array
-// and never dereferences an Event. The (at, seq) key is a total order
-// (seq is unique), so pop order — and therefore simulation output — is
-// exactly the FIFO-at-equal-time order the binary heap produced.
+// The timer queue is a calendar queue (calendar.go): time is cut into
+// slots of one width, an event joins the bucket of its slot in a list
+// sorted by (at, seq), and a pop scans forward from the current slot, so
+// push and pop are O(1) on average. An event's slot is monotone in its
+// time, so slot order never contradicts time order and the pop order is
+// exactly (at, seq) — a total order (seq is unique), which makes pop
+// order, and therefore simulation output, independent of the queue's
+// shape. The bucket count follows the number of queued events and the
+// width follows their spacing; neither is a setting.
 //
 // A workload known in advance — a trace's arrivals — does not go through
-// the heap at all. Feed registers it as a time-sorted stream that Step
-// merges with the heap under the same (at, seq) order, so the heap holds
-// only the in-flight work the model schedules as it runs.
+// the queue at all. Feed registers it as a time-sorted stream that Step
+// merges with the queue under the same (at, seq) order, so the queue
+// holds only the in-flight work the model schedules as it runs.
 package sim
 
 import (
@@ -57,13 +58,13 @@ type Time = float64
 type CallFunc func(arg any, f64 float64)
 
 // Event is a scheduled callback. Cancel marks the event so the engine
-// skips it when its time arrives; the engine never reorders the heap on
+// skips it when its time arrives; the engine never touches the queue on
 // cancellation, so Cancel is O(1).
 type Event struct {
 	eng *Engine
 	at  Time
 	seq uint64
-	// queued is true from push until the event leaves the heap (fired
+	// queued is true from push until the event leaves the queue (fired
 	// or reclaimed after cancellation): what Cancel checks to ignore a
 	// handle whose event is gone.
 	queued   bool
@@ -99,35 +100,19 @@ func (e *Event) Cancel() {
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// slot is one heap entry: a queued event under its (at, seq) key.
-type slot struct {
-	at  Time
-	seq uint64
-	ev  *Event
-}
-
-// before reports whether s fires strictly before o: earlier time first,
-// FIFO scheduling order (seq) at equal times.
-func (s *slot) before(o *slot) bool {
-	if s.at != o.at {
-		return s.at < o.at
-	}
-	return s.seq < o.seq
-}
-
 // Engine drives a single simulation. It is not safe for concurrent use;
 // one simulation runs on one goroutine (separate experiment configurations
 // parallelize by running independent Engines, as internal/parallel does).
 type Engine struct {
 	now     Time
 	seq     uint64
-	heap    []slot // 4-ary min-heap ordered by (at, seq)
+	q       calendar // the timer queue, popped in (at, seq) order
 	fired   uint64
 	stopped bool
 	// free is the Event free list; fired and reclaimed-canceled events
 	// are recycled here so steady-state scheduling allocates nothing.
 	free []*Event
-	// liveCanceled counts canceled events still sitting in the heap, so
+	// liveCanceled counts canceled events still sitting in the queue, so
 	// Pending can report live events without scanning.
 	liveCanceled int
 	// probe, when non-nil, observes every fired event (see SetProbe).
@@ -157,11 +142,11 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of live (non-canceled) events still queued,
 // un-fired feed events included.
-func (e *Engine) Pending() int { return len(e.heap) - e.liveCanceled + e.feedN - e.feedNext }
+func (e *Engine) Pending() int { return e.q.n - e.liveCanceled + e.feedN - e.feedNext }
 
 // schedule pops a recycled Event (or allocates the pool's next one),
-// stamps it with (at, seq) and pushes it onto the timer heap. The caller
-// fills in the callback fields; the heap never reads them.
+// stamps it with (at, seq) and pushes it onto the timer queue. The
+// caller fills in the callback fields; the queue never reads them.
 func (e *Engine) schedule(at Time) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
@@ -179,7 +164,7 @@ func (e *Engine) schedule(at Time) *Event {
 	ev.canceled = false
 	ev.at, ev.seq = at, e.seq
 	e.seq++
-	e.push(ev)
+	e.q.push(ev)
 	return ev
 }
 
@@ -227,7 +212,7 @@ func (e *Engine) AfterCall(d float64, call CallFunc, arg any, f64 float64) *Even
 // calls made here would, so they keep that place in the FIFO order of
 // equal-time events: after everything scheduled before Feed, in index
 // order among themselves, before anything scheduled later. They never
-// enter the heap — Step merges the stream's head with the heap's top —
+// enter the queue — Step merges the stream's head with the queue's top —
 // and cannot be canceled. One feed at a time: registering while events
 // of a previous feed are still un-fired panics.
 func (e *Engine) Feed(n int, at func(i int) Time, call CallFunc, arg any) {
@@ -254,16 +239,17 @@ func (e *Engine) feedTime(i int, floor Time) Time {
 	return at
 }
 
-// feedFirst reports whether the feed's head fires before the heap's top
+// feedFirst reports whether the feed's head fires before the queue's top
 // (a canceled top still orders: it is reclaimed when its turn comes).
 func (e *Engine) feedFirst() bool {
 	if e.feedNext == e.feedN {
 		return false
 	}
-	if len(e.heap) == 0 {
+	i := e.q.top()
+	if i < 0 {
 		return true
 	}
-	top := &e.heap[0]
+	top := &e.q.ents[i]
 	if e.feedAt != top.at {
 		return e.feedAt < top.at
 	}
@@ -340,10 +326,10 @@ func (e *Engine) Step() bool {
 			e.fireFeed()
 			return true
 		}
-		if len(e.heap) == 0 {
+		if e.q.n == 0 {
 			return false
 		}
-		ev := e.pop()
+		ev := e.q.pop()
 		if ev.canceled {
 			e.liveCanceled--
 			e.release(ev)
@@ -394,117 +380,33 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.compact()
 }
 
-// ---- 4-ary timer heap ------------------------------------------------
-
-// heapArity is the heap branching factor. Four children per node halves
-// the tree depth of a binary heap; the extra comparisons per level read
-// four adjacent 24-byte slots, two or three cache lines.
-const heapArity = 4
-
-// push appends ev and sifts it up to its (at, seq) position.
-func (e *Engine) push(ev *Event) {
-	ev.queued = true
-	s := slot{at: ev.at, seq: ev.seq, ev: ev}
-	h := append(e.heap, s)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if !s.before(&h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = s
-	e.heap = h
-}
-
-// pop removes and returns the minimum event, re-sifting the displaced
-// last slot down.
-func (e *Engine) pop() *Event {
-	h := e.heap
-	top := h[0].ev
-	top.queued = false
-	n := len(h) - 1
-	last := h[n]
-	h[n] = slot{}
-	e.heap = h[:n]
-	if n > 0 {
-		e.siftDown(last, 0)
-	}
-	return top
-}
-
-// siftDown places s into the subtree rooted at i, moving smaller
-// children up as it descends. s is carried in registers and written
-// exactly once, instead of swapping at every level.
-func (e *Engine) siftDown(s slot, i int) {
-	h := e.heap
-	n := len(h)
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		m := first
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		for j := first + 1; j < end; j++ {
-			if h[j].before(&h[m]) {
-				m = j
-			}
-		}
-		if !h[m].before(&s) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = s
-}
-
-// compact rebuilds the heap without canceled events, reclaiming them
-// into the free list. O(n); called where laziness would otherwise strand
-// canceled events indefinitely.
+// compact reclaims canceled events from the queue into the free list.
+// O(n); RunUntil calls it on return, where laziness would otherwise
+// strand canceled events indefinitely.
 func (e *Engine) compact() {
 	if e.liveCanceled == 0 {
 		return
 	}
-	live := e.heap[:0]
-	for _, s := range e.heap {
-		if s.ev.canceled {
-			s.ev.queued = false
-			e.liveCanceled--
-			e.release(s.ev)
-		} else {
-			live = append(live, s)
-		}
-	}
-	clear(e.heap[len(live):])
-	e.heap = live
-	// Bottom-up heapify restores (at, seq) order after the filter.
-	if n := len(live); n > 1 {
-		for i := (n - 2) / heapArity; i >= 0; i-- {
-			e.siftDown(e.heap[i], i)
-		}
-	}
-}
-
-// peek returns the timestamp of the next non-canceled event, heap or
-// feed.
-func (e *Engine) peek() (Time, bool) {
-	for len(e.heap) > 0 && e.heap[0].ev.canceled {
-		ev := e.pop()
+	e.q.dropCanceled(func(ev *Event) {
 		e.liveCanceled--
 		e.release(ev)
+	})
+}
+
+// peek returns the timestamp of the next non-canceled event, queue or
+// feed.
+func (e *Engine) peek() (Time, bool) {
+	i := e.q.top()
+	for i >= 0 && e.q.ents[i].ev.canceled {
+		e.liveCanceled--
+		e.release(e.q.pop())
+		i = e.q.top()
 	}
 	if e.feedFirst() {
 		return e.feedAt, true
 	}
-	if len(e.heap) > 0 {
-		return e.heap[0].at, true
+	if i >= 0 {
+		return e.q.ents[i].at, true
 	}
 	return 0, false
 }

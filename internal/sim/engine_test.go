@@ -350,8 +350,8 @@ func TestRunUntilCompactsCanceled(t *testing.T) {
 	if got := e.Pending(); got != 5 {
 		t.Fatalf("Pending() = %d after early RunUntil, want 5", got)
 	}
-	if got := len(e.heap); got != 5 {
-		t.Fatalf("heap still holds %d entries after compaction, want 5", got)
+	if got := e.q.n; got != 5 {
+		t.Fatalf("queue still holds %d entries after compaction, want 5", got)
 	}
 	if e.liveCanceled != 0 {
 		t.Fatalf("liveCanceled = %d after compaction, want 0", e.liveCanceled)
@@ -413,7 +413,7 @@ func TestSeqNeverReused(t *testing.T) {
 	}
 }
 
-// ---- Typed-call events and the 4-ary heap ----------------------------
+// ---- Typed-call events and the queue order ----------------------------
 
 func TestScheduleCallDeliversPayload(t *testing.T) {
 	e := NewEngine()
@@ -511,13 +511,31 @@ func TestCancelScheduleCall(t *testing.T) {
 	}
 }
 
-// TestHeapStressOrder drives the 4-ary heap through a large interleaved
-// push/cancel/pop workload and checks the total (at, seq) pop order.
-func TestHeapStressOrder(t *testing.T) {
+// firedKey is a fired event's (at, seq) key.
+type firedKey struct {
+	at  Time
+	seq uint64
+}
+
+// inAtSeqOrder reports whether keys are strictly increasing in (at, seq).
+func inAtSeqOrder(keys []firedKey) bool {
+	for i := 1; i < len(keys); i++ {
+		a, b := keys[i-1], keys[i]
+		if a.at > b.at || a.at == b.at && a.seq >= b.seq {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStressFiresInAtSeqOrder drives the queue through a large
+// interleaved schedule/cancel/fire workload, many events sharing a
+// timestamp, and checks the total (at, seq) fire order.
+func TestStressFiresInAtSeqOrder(t *testing.T) {
 	e := NewEngine()
 	const n = 5000
-	var fired []float64
-	var handles []*Event
+	var fired []firedKey
+	handles := make([]*Event, n)
 	x := uint64(12345)
 	next := func() uint64 { // xorshift: deterministic pseudo-random times
 		x ^= x << 13
@@ -525,9 +543,9 @@ func TestHeapStressOrder(t *testing.T) {
 		x ^= x << 17
 		return x
 	}
-	for i := 0; i < n; i++ {
-		at := float64(next()%1000) / 10
-		handles = append(handles, e.Schedule(at, func() { fired = append(fired, at) }))
+	for i := range handles {
+		at, seq := float64(next()%1000)/10, e.seq
+		handles[i] = e.Schedule(at, func() { fired = append(fired, firedKey{at, seq}) })
 	}
 	canceled := 0
 	for i := 0; i < n; i += 7 {
@@ -540,21 +558,23 @@ func TestHeapStressOrder(t *testing.T) {
 	if len(fired) != n-canceled {
 		t.Fatalf("fired %d events, want %d", len(fired), n-canceled)
 	}
-	if !sort.Float64sAreSorted(fired) {
-		t.Fatal("heap stress: events fired out of order")
+	if !inAtSeqOrder(fired) {
+		t.Fatal("stress: events fired out of (at, seq) order")
 	}
 }
 
-// TestCompactPreservesOrderLarge pins the bottom-up heapify in compact:
-// after an early RunUntil reclaims interleaved cancellations, the
-// surviving events must still pop in exact (at, seq) order.
-func TestCompactPreservesOrderLarge(t *testing.T) {
+// TestCompactKeepsAtSeqOrder: after an early RunUntil reclaims
+// interleaved cancellations, the surviving events must still fire in
+// exact (at, seq) order.
+func TestCompactKeepsAtSeqOrder(t *testing.T) {
 	e := NewEngine()
 	const n = 1000
 	var handles []*Event
+	var fired []firedKey
 	for i := 0; i < n; i++ {
 		at := float64((i*37)%100) + 10
-		handles = append(handles, e.Schedule(at, func() {}))
+		seq := e.seq
+		handles = append(handles, e.Schedule(at, func() { fired = append(fired, firedKey{at, seq}) }))
 	}
 	for i := 0; i < n; i += 3 {
 		handles[i].Cancel()
@@ -563,11 +583,9 @@ func TestCompactPreservesOrderLarge(t *testing.T) {
 	if e.liveCanceled != 0 {
 		t.Fatalf("liveCanceled = %d after compact", e.liveCanceled)
 	}
-	var fired []float64
-	e.SetProbe(func(at Time) { fired = append(fired, at) })
 	e.Run()
-	if !sort.Float64sAreSorted(fired) {
-		t.Fatal("post-compaction pop order broken")
+	if !inAtSeqOrder(fired) {
+		t.Fatal("post-compaction fire order broken")
 	}
 	if want := n - (n+2)/3; len(fired) != want {
 		t.Fatalf("fired %d events after compaction, want %d", len(fired), want)
