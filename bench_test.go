@@ -403,6 +403,23 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleW is the off-line w sampling pass over 20 000 KSU
+// requests, the mix the benchmark's core.sample_w_ns_per_req probe reads.
+func BenchmarkSampleW(b *testing.B) {
+	tr, err := trace.Generate(trace.GenConfig{
+		Profile: trace.KSU, Lambda: 500, Requests: 20000, MuH: 1200, R: 1.0 / 40, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(core.SampleW(tr, 16)) == 0 {
+			b.Fatal("empty w table")
+		}
+	}
+}
+
 func BenchmarkClusterSimulation(b *testing.B) {
 	tr, err := trace.Generate(trace.GenConfig{
 		Profile: trace.KSU, Lambda: 700, Requests: 10000, MuH: 1200, R: 1.0 / 40, Seed: 1,

@@ -57,6 +57,30 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// A non-finite rate or ratio used to pass generation and write a trace of
+// NaN arrivals or demands that -inspect then refused to read. It is an
+// error now, and nothing reaches stdout.
+func TestRunRejectsNonFiniteFlags(t *testing.T) {
+	cases := [][]string{
+		{"-lambda", "NaN"},
+		{"-lambda", "Inf"},
+		{"-r", "NaN"},
+		{"-muh", "NaN"},
+		{"-muh", "+Inf"},
+		{"-arrival", "mmpp", "-lambda", "-Inf"},
+	}
+	for _, args := range cases {
+		var out bytes.Buffer
+		err := run(append(args, "-n", "3"), &out)
+		if err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Fatalf("args %v: error %v, want a non-finite parameter error", args, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("args %v: wrote %d bytes of trace", args, out.Len())
+		}
+	}
+}
+
 func TestArrivalModels(t *testing.T) {
 	for _, model := range []string{"poisson", "mmpp", "diurnal"} {
 		var out bytes.Buffer

@@ -220,21 +220,56 @@ func SampleW(tr *trace.Trace, maxPerScript int) WTable {
 	if maxPerScript <= 0 {
 		maxPerScript = 16
 	}
-	sums := map[int]float64{}
-	counts := map[int]int{}
-	for _, r := range tr.Requests {
+	// Scripts in [0, maxDenseScript) — every generated trace's 1..NumScripts
+	// and a converted access log's 1..997 — accumulate in slices indexed
+	// by script; any other script number a trace file may carry falls
+	// back to a map. Either way each script's weights are summed in trace
+	// order, so the table does not depend on which one held them.
+	const maxDenseScript = 1 << 12
+	type acc struct {
+		sum float64
+		n   int
+	}
+	dense := make([]acc, 0, 64) // on the stack unless a script ≥ 64 grows it
+	var sparse map[int]*acc
+	for i := range tr.Requests {
+		r := &tr.Requests[i]
 		if r.Class != trace.Dynamic {
 			continue
 		}
-		if counts[r.Script] >= maxPerScript {
+		var a *acc
+		if s := r.Script; s >= 0 && s < maxDenseScript {
+			if s >= len(dense) {
+				dense = append(dense, make([]acc, s+1-len(dense))...)
+			}
+			a = &dense[s]
+		} else {
+			// p, not a, goes into the map: a may point into dense, which
+			// would then escape to the heap.
+			p := sparse[s]
+			if p == nil {
+				if sparse == nil {
+					sparse = map[int]*acc{}
+				}
+				p = &acc{}
+				sparse[s] = p
+			}
+			a = p
+		}
+		if a.n >= maxPerScript {
 			continue
 		}
-		sums[r.Script] += r.CPUWeight
-		counts[r.Script]++
+		a.sum += r.CPUWeight
+		a.n++
 	}
-	t := make(WTable, len(sums))
-	for s, sum := range sums {
-		t[s] = sum / float64(counts[s])
+	t := WTable{}
+	for s, a := range dense {
+		if a.n > 0 {
+			t[s] = a.sum / float64(a.n)
+		}
+	}
+	for s, a := range sparse {
+		t[s] = a.sum / float64(a.n)
 	}
 	return t
 }

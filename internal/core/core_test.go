@@ -103,6 +103,79 @@ func TestSampleW(t *testing.T) {
 	}
 }
 
+// sampleWMap is SampleW as it was written with two maps keyed by script:
+// the reference the slice-indexed version must match exactly.
+func sampleWMap(tr *trace.Trace, maxPerScript int) WTable {
+	if maxPerScript <= 0 {
+		maxPerScript = 16
+	}
+	sums := map[int]float64{}
+	counts := map[int]int{}
+	for _, r := range tr.Requests {
+		if r.Class != trace.Dynamic {
+			continue
+		}
+		if counts[r.Script] >= maxPerScript {
+			continue
+		}
+		sums[r.Script] += r.CPUWeight
+		counts[r.Script]++
+	}
+	t := make(WTable, len(sums))
+	for s, sum := range sums {
+		t[s] = sum / float64(counts[s])
+	}
+	return t
+}
+
+func sameWTable(a, b WTable) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for s, w := range a {
+		if v, ok := b[s]; !ok || math.Float64bits(v) != math.Float64bits(w) {
+			return false
+		}
+	}
+	return true
+}
+
+// SampleW equals the map version bit for bit on every profile's traces
+// and on script numbers outside the slice-indexed range.
+func TestSampleWMatchesMapVersion(t *testing.T) {
+	for _, p := range []trace.Profile{trace.UCB, trace.KSU, trace.ADL, trace.DEC} {
+		for seed := int64(1); seed <= 3; seed++ {
+			tr, err := trace.Generate(trace.GenConfig{
+				Profile: p, Lambda: 500, Requests: 5000, MuH: 1200, R: 1.0 / 40, Seed: seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, limit := range []int{0, 1, 16, 1 << 20} {
+				if got, want := SampleW(tr, limit), sampleWMap(tr, limit); !sameWTable(got, want) {
+					t.Fatalf("%s seed %d limit %d: SampleW %v, map version %v", p.Name, seed, limit, got, want)
+				}
+			}
+		}
+	}
+	// A converted access log numbers scripts 1..997; a trace file may
+	// carry any int32.
+	var reqs []trace.Request
+	for i, s := range []int{0, 1, 997, 4095, 4096, -1, -7, 1 << 30, 4096, 3, -1, 1 << 30} {
+		for k := 0; k < 20; k++ {
+			w := float64((i*31+k*17)%100) / 100
+			reqs = append(reqs, trace.Request{Class: trace.Dynamic, Script: s, CPUWeight: w})
+			reqs = append(reqs, trace.Request{Class: trace.Static, Script: s + 1, CPUWeight: 0.3})
+		}
+	}
+	tr := &trace.Trace{Requests: reqs}
+	for _, limit := range []int{1, 16, 100} {
+		if got, want := SampleW(tr, limit), sampleWMap(tr, limit); !sameWTable(got, want) {
+			t.Fatalf("odd scripts, limit %d: SampleW %v, map version %v", limit, got, want)
+		}
+	}
+}
+
 func TestSampleWLimitsPerScript(t *testing.T) {
 	var reqs []trace.Request
 	// First 4 instances have w=0.2, later ones 0.9: only the off-line

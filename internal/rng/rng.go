@@ -31,14 +31,19 @@ func New(seed int64) *Stream {
 // Fork derives an independent substream. The derivation is deterministic:
 // forking the same stream in the same order yields the same children. The
 // label decorrelates substreams that are forked for different purposes.
-func (s *Stream) Fork(label int64) *Stream {
+func (s *Stream) Fork(label int64) *Stream { return New(s.ForkSeed(label)) }
+
+// ForkSeed advances s exactly as Fork does and returns the child's seed
+// instead of the child, so a caller can build several identical copies
+// of one substream with New.
+func (s *Stream) ForkSeed(label int64) int64 {
 	// SplitMix-style mix of a fresh draw with the label so sibling
 	// substreams do not overlap even for adjacent labels.
 	z := uint64(s.r.Int63()) ^ (uint64(label) * 0x9E3779B97F4A7C15)
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
 	z ^= z >> 27
-	return New(int64(z & (1<<63 - 1)))
+	return int64(z & (1<<63 - 1))
 }
 
 // Float64 returns a uniform variate in [0, 1).

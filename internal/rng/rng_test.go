@@ -26,6 +26,44 @@ func TestForkDeterminism(t *testing.T) {
 	}
 }
 
+// TestForkChildrenPinned pins the first two draws of Fork's children for
+// one seed. Every trace and simulated schedule descends from these
+// derivations, so a change here moves every golden at once.
+func TestForkChildrenPinned(t *testing.T) {
+	want := [][2]int64{
+		{2139450146634436220, 2769961279771748261},
+		{6988250790956245674, 4094105578875123008},
+		{7593637363364145829, 8712860080988326718},
+		{8322561745260480856, 2472410415047603071},
+		{3145967718905492506, 2084941735121072309},
+		{4877745212501522003, 2632149270378624630},
+	}
+	s := New(20261016)
+	for i, w := range want {
+		c := s.Fork(int64(i + 1))
+		if got := [2]int64{c.Int63(), c.Int63()}; got != w {
+			t.Errorf("Fork(%d) draws %v, want %v", i+1, got, w)
+		}
+	}
+}
+
+// ForkSeed advances the parent exactly as Fork does, and New of its
+// result is the stream Fork returns.
+func TestForkSeedMatchesFork(t *testing.T) {
+	a, b := New(3), New(3)
+	for label := int64(1); label <= 6; label++ {
+		fa, fb := a.Fork(label), New(b.ForkSeed(label))
+		for i := 0; i < 10; i++ {
+			if x, y := fa.Int63(), fb.Int63(); x != y {
+				t.Fatalf("label %d draw %d: Fork %d, New(ForkSeed) %d", label, i, x, y)
+			}
+		}
+	}
+	if a.Int63() != b.Int63() {
+		t.Fatal("ForkSeed left the parent in a different state than Fork")
+	}
+}
+
 func TestForkIndependence(t *testing.T) {
 	parent := New(7)
 	a := parent.Fork(1)

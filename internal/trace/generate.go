@@ -160,8 +160,27 @@ type GenConfig struct {
 	Seed int64
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every floating-point parameter
+// must be finite: a NaN passes each range check below and would become
+// NaN arrivals, demands or weights.
 func (c GenConfig) Validate() error {
+	p := c.Profile
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"arrival rate", c.Lambda}, {"static service rate", c.MuH}, {"service ratio", c.R},
+		{"burst factor", c.BurstFactor}, {"burst duration", c.BurstDuration},
+		{"normal duration", c.NormalDuration}, {"diurnal period", c.DiurnalPeriod},
+		{"dynamic fraction", p.DynamicFrac}, {"CPU weight", p.CPUWeight},
+		{"CPU weight spread", p.CPUWeightSD}, {"mean HTML size", p.MeanHTMLSize},
+		{"mean CGI size", p.MeanCGISize}, {"cacheable fraction", p.CacheableFrac},
+		{"parameter Zipf exponent", p.ParamZipfTheta},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("trace: %s %v is not finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Lambda <= 0:
 		return fmt.Errorf("trace: arrival rate %v must be positive", c.Lambda)
@@ -247,38 +266,57 @@ func arrivalProcess(cfg GenConfig, s *rng.Stream) func(now float64) float64 {
 // class mix and sizes from the profile, demands from the demand model,
 // and per-script CPU weights sampled once per script (the ground truth
 // that off-line w sampling estimates).
+//
+// Generation reads six independent substreams of the seed (arrival,
+// class, size, demand, script, param) and draws each record's fields on
+// two goroutines, each writing its own fields of the one record slice:
+// drawWork on a new goroutine and drawSizes on the caller's. Every
+// stream except the class stream is read by exactly one of them, in
+// record order; both need the class sequence, so each reads its own copy
+// of the class stream built from the same derived seed. Every draw is
+// therefore the one a single sequential loop makes, and the trace is the
+// same bit for bit on any number of cores.
 func Generate(cfg GenConfig) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// Seeding a stream costs about as much as drawing a hundred records,
+	// so each worker seeds its own streams; only the derivations, which
+	// must follow this order, run here.
 	s := rng.New(cfg.Seed)
-	arrivalS := s.Fork(1)
-	classS := s.Fork(2)
-	sizeS := s.Fork(3)
-	demandS := s.Fork(4)
-	scriptS := s.Fork(5)
+	arrivalSeed, classSeed, sizeSeed := s.ForkSeed(1), s.ForkSeed(2), s.ForkSeed(3)
+	demandSeed, scriptSeed, paramSeed := s.ForkSeed(4), s.ForkSeed(5), s.ForkSeed(6)
 
-	fileset := NewSPECWebFileSet()
-	pageSize := int64(8192)
-	paramS := s.Fork(6)
+	reqs := make([]Request, cfg.Requests)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		drawWork(cfg, reqs, rng.New(classSeed), rng.New(arrivalSeed),
+			rng.New(demandSeed), rng.New(scriptSeed), rng.New(paramSeed))
+	}()
+	drawSizes(cfg.Profile, reqs, rng.New(classSeed), rng.New(sizeSeed))
+	<-done
+	return &Trace{Name: cfg.Profile.Name, Requests: reqs}, nil
+}
+
+// drawWork fills in each record's ID, Arrival, Demand, Script, CPUWeight
+// and Param: everything drawn from the arrival, demand, script and param
+// streams. classS must replay the class stream drawSizes reads.
+func drawWork(cfg GenConfig, reqs []Request, classS, arrivalS, demandS, scriptS, paramS *rng.Stream) {
+	p := cfg.Profile
 	var paramZipf *rng.Zipf
-	if cfg.Profile.ParamCardinality > 0 {
-		paramZipf = paramS.NewZipf(cfg.Profile.ParamCardinality, cfg.Profile.ParamZipfTheta)
+	if p.ParamCardinality > 0 {
+		paramZipf = paramS.NewZipf(p.ParamCardinality, p.ParamZipfTheta)
 	}
 
 	// Ground-truth per-script CPU weights.
-	weights := make([]float64, cfg.Profile.NumScripts)
+	weights := make([]float64, p.NumScripts)
 	for i := range weights {
-		w := scriptS.Normal(cfg.Profile.CPUWeight, cfg.Profile.CPUWeightSD)
-		weights[i] = clamp01(w)
+		weights[i] = clamp01(scriptS.Normal(p.CPUWeight, p.CPUWeightSD))
 	}
 
 	meanDH := 1 / cfg.MuH
 	meanDC := 1 / (cfg.R * cfg.MuH)
-	// Location parameters of the two lognormal size laws: the −σ²/2
-	// offsets give each law the profile's mean size.
-	muCGI := math.Log(cfg.Profile.MeanCGISize) - 0.125
-	muHTML := math.Log(cfg.Profile.MeanHTMLSize) - 0.32
 	// Every request has a minimum protocol cost: parsing, connection
 	// handling, one buffer copy. Demands are floored at 12% of the class
 	// mean with the exponential shifted to preserve the mean — without
@@ -300,39 +338,50 @@ func Generate(cfg GenConfig) (*Trace, error) {
 		}
 	}
 
-	tr := &Trace{Name: cfg.Profile.Name, Requests: make([]Request, 0, cfg.Requests)}
 	nextInterval := arrivalProcess(cfg, arrivalS)
 	now := 0.0
-	for i := 0; i < cfg.Requests; i++ {
+	for i := range reqs {
+		r := &reqs[i]
 		now += nextInterval(now)
-		req := Request{ID: int64(i), Arrival: now}
-		if classS.Bernoulli(cfg.Profile.DynamicFrac) {
-			req.Class = Dynamic
-			req.Script = 1 + scriptS.Intn(cfg.Profile.NumScripts)
-			req.CPUWeight = weights[req.Script-1]
-			req.Size = int64(sizeS.Lognormal(muCGI, 0.5))
-			if req.Size < 64 {
-				req.Size = 64
-			}
-			req.Demand = drawDemand(meanDC)
-			req.MemPages = 1 + int(sizeS.Exp(float64(cfg.Profile.MemPagesMean)))
-			if paramZipf != nil && paramS.Bernoulli(cfg.Profile.CacheableFrac) {
-				req.Param = 1 + int64(paramZipf.Next())
+		r.ID, r.Arrival = int64(i), now
+		if classS.Bernoulli(p.DynamicFrac) {
+			r.Script = 1 + scriptS.Intn(p.NumScripts)
+			r.CPUWeight = weights[r.Script-1]
+			r.Demand = drawDemand(meanDC)
+			if paramZipf != nil && paramS.Bernoulli(p.CacheableFrac) {
+				r.Param = 1 + int64(paramZipf.Next())
 			}
 		} else {
-			req.Class = Static
+			r.CPUWeight = 0.3 // statics: mostly I/O with protocol CPU
+			r.Demand = drawDemand(meanDH)
+		}
+	}
+}
+
+// drawSizes fills in each record's Class, Size and MemPages: everything
+// drawn from the size stream. classS must replay the class stream
+// drawWork reads.
+func drawSizes(p Profile, reqs []Request, classS, sizeS *rng.Stream) {
+	const pageSize = 8192
+	fileset := NewSPECWebFileSet()
+	// Location parameters of the two lognormal size laws: the −σ²/2
+	// offsets give each law the profile's mean size.
+	muCGI := math.Log(p.MeanCGISize) - 0.125
+	muHTML := math.Log(p.MeanHTMLSize) - 0.32
+	for i := range reqs {
+		r := &reqs[i]
+		if classS.Bernoulli(p.DynamicFrac) {
+			r.Class = Dynamic
+			r.Size = max(int64(sizeS.Lognormal(muCGI, 0.5)), 64)
+			r.MemPages = 1 + int(sizeS.Exp(float64(p.MemPagesMean)))
+		} else {
 			// Draw a target size around the profile's HTML mean, then
 			// map to the closest SPECweb96 file as the paper does.
-			target := int64(sizeS.Lognormal(muHTML, 0.8))
-			f := fileset.Closest(target)
-			req.Size = f.Size
-			req.CPUWeight = 0.3 // statics: mostly I/O with protocol CPU
-			req.Demand = drawDemand(meanDH)
-			req.MemPages = int((f.Size + pageSize - 1) / pageSize)
+			f := fileset.Closest(int64(sizeS.Lognormal(muHTML, 0.8)))
+			r.Size = f.Size
+			r.MemPages = int((f.Size + pageSize - 1) / pageSize)
 		}
-		tr.Requests = append(tr.Requests, req)
 	}
-	return tr, nil
 }
 
 func clamp01(x float64) float64 {

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"testing"
 	"unsafe"
+
+	"msweb/internal/rng"
 )
 
 // traceDigest is a SHA-256 over the name and every field of every record.
@@ -89,6 +91,197 @@ func TestGenerateGolden(t *testing.T) {
 				}
 				if got := traceDigest(tr); got != want[name] {
 					t.Errorf("%s: digest %s, want %s", name, got, want[name])
+				}
+			}
+		}
+	}
+}
+
+// generateSequential is the single-loop generator Generate's two workers
+// replaced, kept as the reference they must match: one record at a time,
+// every field of a record drawn before the next record starts.
+func generateSequential(cfg GenConfig) (*Trace, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	s := rng.New(cfg.Seed)
+	arrivalS := s.Fork(1)
+	classS := s.Fork(2)
+	sizeS := s.Fork(3)
+	demandS := s.Fork(4)
+	scriptS := s.Fork(5)
+
+	fileset := NewSPECWebFileSet()
+	pageSize := int64(8192)
+	paramS := s.Fork(6)
+	var paramZipf *rng.Zipf
+	if cfg.Profile.ParamCardinality > 0 {
+		paramZipf = paramS.NewZipf(cfg.Profile.ParamCardinality, cfg.Profile.ParamZipfTheta)
+	}
+
+	weights := make([]float64, cfg.Profile.NumScripts)
+	for i := range weights {
+		w := scriptS.Normal(cfg.Profile.CPUWeight, cfg.Profile.CPUWeightSD)
+		weights[i] = clamp01(w)
+	}
+
+	meanDH := 1 / cfg.MuH
+	meanDC := 1 / (cfg.R * cfg.MuH)
+	muCGI := math.Log(cfg.Profile.MeanCGISize) - 0.125
+	muHTML := math.Log(cfg.Profile.MeanHTMLSize) - 0.32
+	drawDemand := func(mean float64) float64 {
+		switch cfg.Demand {
+		case ParetoDemand:
+			lo := mean / 2.866
+			return demandS.BoundedPareto(lo, 500*lo, 1.5)
+		case DeterministicDemand:
+			return mean
+		default:
+			floor := 0.12 * mean
+			return floor + demandS.Exp(mean-floor)
+		}
+	}
+
+	tr := &Trace{Name: cfg.Profile.Name, Requests: make([]Request, 0, cfg.Requests)}
+	nextInterval := arrivalProcess(cfg, arrivalS)
+	now := 0.0
+	for i := 0; i < cfg.Requests; i++ {
+		now += nextInterval(now)
+		req := Request{ID: int64(i), Arrival: now}
+		if classS.Bernoulli(cfg.Profile.DynamicFrac) {
+			req.Class = Dynamic
+			req.Script = 1 + scriptS.Intn(cfg.Profile.NumScripts)
+			req.CPUWeight = weights[req.Script-1]
+			req.Size = int64(sizeS.Lognormal(muCGI, 0.5))
+			if req.Size < 64 {
+				req.Size = 64
+			}
+			req.Demand = drawDemand(meanDC)
+			req.MemPages = 1 + int(sizeS.Exp(float64(cfg.Profile.MemPagesMean)))
+			if paramZipf != nil && paramS.Bernoulli(cfg.Profile.CacheableFrac) {
+				req.Param = 1 + int64(paramZipf.Next())
+			}
+		} else {
+			req.Class = Static
+			target := int64(sizeS.Lognormal(muHTML, 0.8))
+			f := fileset.Closest(target)
+			req.Size = f.Size
+			req.CPUWeight = 0.3
+			req.Demand = drawDemand(meanDH)
+			req.MemPages = int((f.Size + pageSize - 1) / pageSize)
+		}
+		tr.Requests = append(tr.Requests, req)
+	}
+	return tr, nil
+}
+
+// sameRecords reports the first record where two traces differ. Records
+// compare by the bits of their float fields, so a NaN matches itself and
+// -0 does not match +0.
+func sameRecords(a, b *Trace) (int, bool) {
+	if a.Name != b.Name || len(a.Requests) != len(b.Requests) {
+		return -1, false
+	}
+	for i := range a.Requests {
+		x, y := a.Requests[i], b.Requests[i]
+		if x.ID != y.ID || x.Class != y.Class || x.Size != y.Size ||
+			x.MemPages != y.MemPages || x.Script != y.Script || x.Param != y.Param ||
+			math.Float64bits(x.Arrival) != math.Float64bits(y.Arrival) ||
+			math.Float64bits(x.Demand) != math.Float64bits(y.Demand) ||
+			math.Float64bits(x.CPUWeight) != math.Float64bits(y.CPUWeight) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestGenerateMatchesSequential holds Generate's two workers to the
+// single-loop reference record for record: every profile (DEC included),
+// arrival model, demand model, the profile's own class mix plus the
+// all-static and all-dynamic mixes of the live benchmark workloads, and
+// trace lengths from one record up. The longest traces run at one seed;
+// the rest at several.
+func TestGenerateMatchesSequential(t *testing.T) {
+	type lengthSeeds struct {
+		n     int
+		seeds []int64
+	}
+	lengths := []lengthSeeds{{1, []int64{1, 2, 99}}, {2, []int64{1, 2, 99}}, {1000, []int64{1, 2, 99}}, {20000, []int64{5}}}
+	for _, p := range []Profile{UCB, KSU, ADL, DEC} {
+		for _, frac := range []float64{p.DynamicFrac, 0, 1} {
+			prof := p
+			prof.DynamicFrac = frac
+			for _, a := range []ArrivalModel{PoissonArrivals, DiurnalArrivals, MMPPArrivals} {
+				for _, d := range []DemandModel{ExponentialDemand, ParetoDemand, DeterministicDemand} {
+					for _, l := range lengths {
+						for _, seed := range l.seeds {
+							cfg := GenConfig{
+								Profile: prof, Lambda: 500, Requests: l.n, MuH: 1200, R: 1.0 / 40,
+								Arrival: a, Demand: d, Seed: seed,
+							}
+							got, err := Generate(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want, err := generateSequential(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if i, ok := sameRecords(got, want); !ok {
+								t.Fatalf("%s frac=%v arrival=%d demand=%d n=%d seed=%d: record %d differs",
+									p.Name, frac, a, d, l.n, seed, i)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateAcceptedTracesValidate: every configuration Generate
+// accepts yields a trace that passes (*Trace).Validate, and a non-finite
+// parameter is always refused. Each floating-point field is set in turn
+// to NaN, ±Inf, a negative, a zero and finite positive values, under
+// every arrival model.
+func TestGenerateAcceptedTracesValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	fields := []struct {
+		name string
+		set  func(*GenConfig, float64)
+	}{
+		{"Lambda", func(c *GenConfig, v float64) { c.Lambda = v }},
+		{"MuH", func(c *GenConfig, v float64) { c.MuH = v }},
+		{"R", func(c *GenConfig, v float64) { c.R = v }},
+		{"BurstFactor", func(c *GenConfig, v float64) { c.BurstFactor = v }},
+		{"BurstDuration", func(c *GenConfig, v float64) { c.BurstDuration = v }},
+		{"NormalDuration", func(c *GenConfig, v float64) { c.NormalDuration = v }},
+		{"DiurnalPeriod", func(c *GenConfig, v float64) { c.DiurnalPeriod = v }},
+		{"DynamicFrac", func(c *GenConfig, v float64) { c.Profile.DynamicFrac = v }},
+		{"CPUWeight", func(c *GenConfig, v float64) { c.Profile.CPUWeight = v }},
+		{"CPUWeightSD", func(c *GenConfig, v float64) { c.Profile.CPUWeightSD = v }},
+		{"MeanHTMLSize", func(c *GenConfig, v float64) { c.Profile.MeanHTMLSize = v }},
+		{"MeanCGISize", func(c *GenConfig, v float64) { c.Profile.MeanCGISize = v }},
+		{"CacheableFrac", func(c *GenConfig, v float64) { c.Profile.CacheableFrac = v }},
+		{"ParamZipfTheta", func(c *GenConfig, v float64) { c.Profile.ParamZipfTheta = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{nan, inf, -inf, -1, 0, 0.5, 1, 1e6} {
+			for _, a := range []ArrivalModel{PoissonArrivals, DiurnalArrivals, MMPPArrivals} {
+				cfg := GenConfig{Profile: KSU, Lambda: 500, Requests: 200, MuH: 1200, R: 1.0 / 40, Arrival: a, Seed: 3}
+				f.set(&cfg, v)
+				tr, err := Generate(cfg)
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					if err == nil {
+						t.Fatalf("%s=%v arrival=%d: non-finite parameter accepted", f.name, v, a)
+					}
+					continue
+				}
+				if err != nil {
+					continue // a finite value out of the field's range
+				}
+				if err := tr.Validate(); err != nil {
+					t.Fatalf("%s=%v arrival=%d: accepted config produced an invalid trace: %v", f.name, v, a, err)
 				}
 			}
 		}

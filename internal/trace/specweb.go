@@ -1,6 +1,9 @@
 package trace
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // SPECweb96 fileset. The paper replaces every static fetch in its logs
 // with the closest-sized file from the 40 representative SPECweb96 files.
@@ -25,11 +28,14 @@ type SPECFile struct {
 // SPECWebFileSet is the 40-file SPECweb96-like fileset.
 type SPECWebFileSet struct {
 	Files []SPECFile
-	// sizes lists the distinct file sizes in increasing order and
-	// first[k] the lowest Files index of a file of size sizes[k]: the
-	// search index Closest reads, built once by NewSPECWebFileSet.
-	sizes []int64
-	first []int
+	// The search index Closest reads, built once by NewSPECWebFileSet.
+	// With the distinct file sizes in increasing order, pick[k] is the
+	// Files index Closest returns for the k-th of them and top[k] the
+	// largest request size it maps to the k-th; the entries from the last
+	// size on are MaxInt64. The number of entries below a request size is
+	// the rank of its closest file size.
+	top  [64]int64
+	pick []int
 }
 
 // NewSPECWebFileSet constructs the canonical 40-file set.
@@ -50,32 +56,54 @@ func NewSPECWebFileSet() *SPECWebFileSet {
 		fs.Files = append(fs.Files, SPECFile{ID: id, Class: class, Size: base*4 + base/2})
 		id++
 	}
+	var sizes []int64
 	for i, f := range fs.Files {
-		if k, found := slices.BinarySearch(fs.sizes, f.Size); !found {
-			fs.sizes = slices.Insert(fs.sizes, k, f.Size)
-			fs.first = slices.Insert(fs.first, k, i)
+		if k, found := slices.BinarySearch(sizes, f.Size); !found {
+			sizes = slices.Insert(sizes, k, f.Size)
+			fs.pick = slices.Insert(fs.pick, k, i)
 		}
+	}
+	for k := range fs.top {
+		fs.top[k] = math.MaxInt64
+	}
+	for k := 0; k+1 < len(sizes); k++ {
+		// A request size maps to the larger of two neighbours when that
+		// is nearer, or equally near and earlier in Files.
+		lo, hi := sizes[k], sizes[k+1]
+		top := (lo + hi) / 2
+		if (lo+hi)%2 == 0 && fs.pick[k+1] < fs.pick[k] {
+			top--
+		}
+		fs.top[k] = top
 	}
 	return fs
 }
 
 // Closest returns the file whose size is nearest to want, the mapping the
 // paper applies to each logged static fetch. Of two equally near files
-// the one earlier in Files wins.
+// the one earlier in Files wins. The search is six fixed, unrolled
+// halvings of top: sizes drawn at random make the branches of a general
+// binary search, with its exact-match and end cases, hard to predict.
 func (fs *SPECWebFileSet) Closest(want int64) SPECFile {
-	k, found := slices.BinarySearch(fs.sizes, want)
-	switch {
-	case found:
-		return fs.Files[fs.first[k]]
-	case k == 0:
-		return fs.Files[fs.first[0]]
-	case k == len(fs.sizes):
-		return fs.Files[fs.first[k-1]]
+	t := &fs.top
+	n := 0
+	if t[n+31] < want {
+		n += 32
 	}
-	below, above := fs.first[k-1], fs.first[k]
-	dBelow, dAbove := want-fs.sizes[k-1], fs.sizes[k]-want
-	if dBelow < dAbove || dBelow == dAbove && below < above {
-		return fs.Files[below]
+	if t[n+15] < want {
+		n += 16
 	}
-	return fs.Files[above]
+	if t[n+7] < want {
+		n += 8
+	}
+	if t[n+3] < want {
+		n += 4
+	}
+	if t[n+1] < want {
+		n += 2
+	}
+	if t[n] < want {
+		n++
+	}
+	return fs.Files[fs.pick[n]]
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"slices"
 	"testing"
 )
@@ -93,6 +94,18 @@ func TestClosest(t *testing.T) {
 	}
 	if ties == 0 {
 		t.Fatal("no exact midpoint between adjacent sizes: the tie rule went untested")
+	}
+	// Sizes far outside the fileset map to its smallest and largest file.
+	first, last := fs.Closest(0), fs.Closest(1<<20)
+	for _, want := range []int64{math.MinInt64, math.MinInt64 + 1, -1 << 40} {
+		if got := fs.Closest(want); got != first {
+			t.Fatalf("Closest(%d) = file %d, want the smallest, file %d", want, got.ID, first.ID)
+		}
+	}
+	for _, want := range []int64{1 << 40, math.MaxInt64 - 1, math.MaxInt64} {
+		if got := fs.Closest(want); got != last {
+			t.Fatalf("Closest(%d) = file %d, want the largest, file %d", want, got.ID, last.ID)
+		}
 	}
 }
 
