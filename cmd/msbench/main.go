@@ -3,13 +3,19 @@
 // Usage:
 //
 //	msbench -experiment all                # everything (several minutes)
-//	msbench -experiment fig3a              # one artifact
+//	msbench -experiment fig3               # one artifact
 //	msbench -experiment fig4a -quick       # reduced fidelity
 //
-// Experiments: table1, table2, table3, fig3a, fig3b, fig4a, fig4b,
-// fig5 (the paper's artifacts); cachesweep, failover, flashcrowd,
-// autoscale, hetero (extension studies); wsense, staleness (ablations).
-// "all" runs everything.
+// Experiments, in the order "all" runs them: table1, table2, fig3,
+// fig4a, fig4b, fig5 (the paper's artifacts); cachesweep, failover,
+// flashcrowd, autoscale, hetero (extension studies); discipline,
+// openclosed (analysis and methodology); wsense, staleness (ablations);
+// tournament, sharded (policy and control-plane comparisons); table3
+// (the live loopback validation).
+//
+// Each experiment builds one report.Table: stdout gets its text
+// rendering, -csv DIR its CSV, and stderr the progress lines, so
+// "msbench -experiment x > results/x.txt" captures the table alone.
 //
 // Simulation grids run on a bounded worker pool (-parallel, default
 // GOMAXPROCS; -parallel 1 forces the sequential order — output is
@@ -33,6 +39,164 @@ import (
 	"msweb/internal/report"
 )
 
+// settings is what the experiment runners read from the command line.
+type settings struct {
+	quick bool
+	opts  experiments.Options
+	tourn experiments.TournamentConfig
+}
+
+// experiment is one selectable artifact: run computes its rows and
+// returns the table that is both printed and written as CSV.
+type experiment struct {
+	name string
+	run  func(s *settings) (*report.Table, error)
+}
+
+// experimentList is every experiment in "all" order; the -experiment
+// help and the package doc (TestDocListsEveryExperiment) follow it.
+var experimentList = []experiment{
+	{"table1", func(s *settings) (*report.Table, error) {
+		n := 20000
+		if s.quick {
+			n = 3000
+		}
+		rows, err := experiments.RunTable1(n, 1)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.Table1Table(rows), nil
+	}},
+	{"table2", func(s *settings) (*report.Table, error) {
+		return experiments.Table2Table(experiments.RunTable2(s.opts)), nil
+	}},
+	{"fig3", func(*settings) (*report.Table, error) {
+		return experiments.Fig3Table(experiments.RunFig3()), nil
+	}},
+	{"fig4a", func(s *settings) (*report.Table, error) {
+		rows, err := experiments.RunFig4(32, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.Fig4Table(32, rows), nil
+	}},
+	{"fig4b", func(s *settings) (*report.Table, error) {
+		rows, err := experiments.RunFig4(128, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.Fig4Table(128, rows), nil
+	}},
+	{"fig5", func(s *settings) (*report.Table, error) {
+		res, err := experiments.RunFig5(32, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.Fig5Table(res), nil
+	}},
+	{"cachesweep", func(s *settings) (*report.Table, error) {
+		rows, err := experiments.RunCacheSweep(16, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.CacheSweepTable(16, rows), nil
+	}},
+	{"failover", func(s *settings) (*report.Table, error) {
+		rows, err := experiments.RunFailoverStudy(16, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.FailoverTable(16, rows), nil
+	}},
+	{"flashcrowd", func(s *settings) (*report.Table, error) {
+		rows, err := experiments.RunFlashCrowd(16, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.FlashCrowdTable(16, rows), nil
+	}},
+	{"autoscale", func(s *settings) (*report.Table, error) {
+		rows, err := experiments.RunAutoscale(16, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.AutoscaleTable(16, rows), nil
+	}},
+	{"hetero", func(s *settings) (*report.Table, error) {
+		rows, err := experiments.RunHeteroStudy(16, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.HeteroTable(16, rows), nil
+	}},
+	{"discipline", func(s *settings) (*report.Table, error) {
+		rows, err := experiments.RunDiscipline(32, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.DisciplineTable(32, rows), nil
+	}},
+	{"openclosed", func(s *settings) (*report.Table, error) {
+		rows, err := experiments.RunOpenClosed(16, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.OpenClosedTable(16, rows), nil
+	}},
+	{"wsense", func(s *settings) (*report.Table, error) {
+		rows, err := experiments.RunWSensitivity(16, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.WSensitivityTable(16, rows), nil
+	}},
+	{"staleness", func(s *settings) (*report.Table, error) {
+		rows, err := experiments.RunStaleness(16, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.StalenessTable(16, rows), nil
+	}},
+	{"tournament", func(s *settings) (*report.Table, error) {
+		rows, err := experiments.RunTournament(16, s.opts, s.tourn)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.TournamentTable(16, rows), nil
+	}},
+	{"sharded", func(s *settings) (*report.Table, error) {
+		fleets := []int{1000, 4000, 10000}
+		if s.quick {
+			fleets = []int{256, 1024}
+		}
+		rows, err := experiments.RunShardScale(fleets, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.ShardScaleTable(rows), nil
+	}},
+	{"table3", func(s *settings) (*report.Table, error) {
+		t3 := experiments.DefaultTable3Options()
+		if s.quick {
+			t3 = experiments.QuickTable3Options()
+		}
+		rows, err := experiments.RunTable3(t3)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.Table3Table(rows), nil
+	}},
+}
+
+// experimentNames lists the experiments in "all" order.
+func experimentNames() []string {
+	names := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		names[i] = e.name
+	}
+	return names
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "msbench:", err)
@@ -45,7 +209,7 @@ func main() {
 // piped table output stays clean.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("msbench", flag.ContinueOnError)
-	exp := fs.String("experiment", "all", "which artifact to regenerate (table1|table2|table3|fig3a|fig3b|fig4a|fig4b|fig5|cachesweep|failover|flashcrowd|autoscale|hetero|tournament|sharded|all)")
+	exp := fs.String("experiment", "all", "which artifact to regenerate ("+strings.Join(experimentNames(), "|")+"|all)")
 	var pf policy.Flags
 	pf.Register(fs)
 	quick := fs.Bool("quick", false, "reduced fidelity: fewer seeds, shorter replays")
@@ -64,11 +228,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprint(stdout, policy.ListText())
 		return nil
 	}
+	set := settings{quick: *quick}
 	// The unified policy flags select the tournament field: -policy takes
 	// a comma-separated preset list here (it names one preset in the
 	// serving binaries), and the stage flags add one custom pipeline
 	// entrant on top.
-	var tournCfg experiments.TournamentConfig
 	policySet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "policy" {
@@ -78,7 +242,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if policySet {
 		for _, name := range strings.Split(pf.Preset, ",") {
 			if name = strings.TrimSpace(name); name != "" {
-				tournCfg.Policies = append(tournCfg.Policies, name)
+				set.tourn.Policies = append(set.tourn.Policies, name)
 			}
 		}
 	}
@@ -91,7 +255,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if name == "" {
 			name = "custom"
 		}
-		tournCfg.Extra = append(tournCfg.Extra, policy.Preset{Name: name, Build: build})
+		set.tourn.Extra = append(set.tourn.Extra, policy.Preset{Name: name, Build: build})
 	}
 
 	experiments.SetParallelism(*par)
@@ -136,238 +300,88 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err := t.WriteCSV(f); err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "wrote %s\n", path)
+			fmt.Fprintf(stderr, "wrote %s\n", path)
 			return nil
 		}
 	}
 
-	opts := experiments.Default()
+	set.opts = experiments.Default()
 	if *quick {
-		opts = experiments.Quick()
+		set.opts = experiments.Quick()
 	}
 	if *seeds > 0 {
-		opts.Seeds = opts.Seeds[:0]
+		set.opts.Seeds = set.opts.Seeds[:0]
 		for i := 1; i <= *seeds; i++ {
-			opts.Seeds = append(opts.Seeds, int64(i))
+			set.opts.Seeds = append(set.opts.Seeds, int64(i))
 		}
 	}
 	if *rho > 0 && *rho < 1 {
-		opts.TargetRho = *rho
+		set.opts.TargetRho = *rho
 	}
 	var traces *experiments.TraceCollector
 	if *traceOut != "" {
 		traces = experiments.NewTraceCollector(*traceMatch)
-		opts.Trace = traces
+		set.opts.Trace = traces
 	}
 
-	runners := map[string]func() error{
-		"table1": func() error {
-			n := 20000
-			if *quick {
-				n = 3000
-			}
-			rows, err := experiments.RunTable1(n, 1)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatTable1(rows))
-			return emit(experiments.Table1Table(rows))
-		},
-		"table2": func() error {
-			rows := experiments.RunTable2(opts)
-			fmt.Fprintln(stdout, experiments.FormatTable2(rows))
-			return emit(experiments.Table2Table(rows))
-		},
-		"fig3a": func() error {
-			curves := experiments.RunFig3()
-			fmt.Fprintln(stdout, experiments.FormatFig3a(curves))
-			return emit(experiments.Fig3Table(curves))
-		},
-		"fig3b": func() error {
-			curves := experiments.RunFig3()
-			fmt.Fprintln(stdout, experiments.FormatFig3b(curves))
-			return emit(experiments.Fig3Table(curves))
-		},
-		"fig4a": func() error {
-			rows, err := experiments.RunFig4(32, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatFig4(32, rows))
-			tbl := experiments.Fig4Table(32, rows)
-			tbl.Title += " p32"
-			return emit(tbl)
-		},
-		"fig4b": func() error {
-			rows, err := experiments.RunFig4(128, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatFig4(128, rows))
-			tbl := experiments.Fig4Table(128, rows)
-			tbl.Title += " p128"
-			return emit(tbl)
-		},
-		"fig5": func() error {
-			res, err := experiments.RunFig5(32, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatFig5(res))
-			return emit(experiments.Fig5Table(res))
-		},
-		"cachesweep": func() error {
-			rows, err := experiments.RunCacheSweep(16, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatCacheSweep(16, rows))
-			return emit(experiments.CacheSweepTable(rows))
-		},
-		"failover": func() error {
-			rows, err := experiments.RunFailoverStudy(16, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatFailoverStudy(16, rows))
-			return emit(experiments.FailoverTable(rows))
-		},
-		"flashcrowd": func() error {
-			rows, err := experiments.RunFlashCrowd(16, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatFlashCrowd(16, rows))
-			return emit(experiments.FlashCrowdTable(rows))
-		},
-		"autoscale": func() error {
-			rows, err := experiments.RunAutoscale(16, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatAutoscale(16, rows))
-			return emit(experiments.AutoscaleTable(rows))
-		},
-		"hetero": func() error {
-			rows, err := experiments.RunHeteroStudy(16, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatHeteroStudy(16, rows))
-			return emit(experiments.HeteroTable(rows))
-		},
-		"discipline": func() error {
-			rows, err := experiments.RunDiscipline(32, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatDiscipline(32, rows))
-			return emit(experiments.DisciplineTable(rows))
-		},
-		"openclosed": func() error {
-			rows, err := experiments.RunOpenClosed(16, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatOpenClosed(16, rows))
-			return emit(experiments.OpenClosedTable(rows))
-		},
-		"wsense": func() error {
-			rows, err := experiments.RunWSensitivity(16, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatWSensitivity(16, rows))
-			return emit(experiments.WSensitivityTable(rows))
-		},
-		"staleness": func() error {
-			rows, err := experiments.RunStaleness(16, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatStaleness(16, rows))
-			return emit(experiments.StalenessTable(rows))
-		},
-		"tournament": func() error {
-			rows, err := experiments.RunTournament(16, opts, tournCfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatTournament(16, rows))
-			return emit(experiments.TournamentTable(rows))
-		},
-		"sharded": func() error {
-			fleets := []int{1000, 4000, 10000}
-			if *quick {
-				fleets = []int{256, 1024}
-			}
-			rows, err := experiments.RunShardScale(fleets, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatShardScale(rows))
-			return emit(experiments.ShardScaleTable(rows))
-		},
-		"table3": func() error {
-			t3 := experiments.DefaultTable3Options()
-			if *quick {
-				t3 = experiments.QuickTable3Options()
-			}
-			rows, err := experiments.RunTable3(t3)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, experiments.FormatTable3(rows))
-			return emit(experiments.Table3Table(rows))
-		},
-	}
-
-	order := []string{"table1", "table2", "fig3a", "fig3b", "fig4a", "fig4b", "fig5", "cachesweep", "failover", "flashcrowd", "autoscale", "hetero", "discipline", "openclosed", "wsense", "staleness", "tournament", "sharded", "table3"}
 	// Experiments that never read the shared Options: table1 sizes
 	// itself, fig3 is closed-form, table3 has its own Table3Options.
-	ignoresOptions := map[string]bool{"table1": true, "fig3a": true, "fig3b": true, "table3": true}
-	var selected []string
-	if *exp == "all" {
-		selected = order
-	} else if _, ok := runners[*exp]; ok {
-		selected = []string{*exp}
-	} else {
-		return fmt.Errorf("unknown experiment %q; choose from %v or all", *exp, order)
+	ignoresOptions := map[string]bool{"table1": true, "fig3": true, "table3": true}
+	var selected []experiment
+	var names []string
+	for _, e := range experimentList {
+		if *exp == "all" || *exp == e.name {
+			selected = append(selected, e)
+			names = append(names, e.name)
+		}
+	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown experiment %q; choose from %s or all", *exp, strings.Join(experimentNames(), ", "))
 	}
 
 	if *seeds > 0 || *rho > 0 {
 		affected := false
-		for _, name := range selected {
+		for _, name := range names {
 			if !ignoresOptions[name] {
 				affected = true
 				break
 			}
 		}
 		if !affected {
-			fmt.Fprintf(stderr, "warning: -seeds/-rho have no effect on %v\n", selected)
+			fmt.Fprintf(stderr, "warning: -seeds/-rho have no effect on %v\n", names)
 		}
 	}
 	if traces != nil {
 		// Lifecycle tracing is wired through the Figure 4 grid.
 		traced := map[string]bool{"fig4a": true, "fig4b": true}
 		affected := false
-		for _, name := range selected {
+		for _, name := range names {
 			if traced[name] {
 				affected = true
 				break
 			}
 		}
 		if !affected {
-			fmt.Fprintf(stderr, "warning: -trace-out captures nothing for %v (tracing is wired into fig4a/fig4b)\n", selected)
+			fmt.Fprintf(stderr, "warning: -trace-out captures nothing for %v (tracing is wired into fig4a/fig4b)\n", names)
 		}
 	}
 
-	for _, name := range selected {
+	for i, e := range selected {
 		start := time.Now()
-		if err := runners[name](); err != nil {
-			return fmt.Errorf("%s failed: %w", name, err)
+		tbl, err := e.run(&set)
+		if err != nil {
+			return fmt.Errorf("%s failed: %w", e.name, err)
 		}
-		fmt.Fprintf(stdout, "[%s completed in %.1fs]\n\n", name, time.Since(start).Seconds())
+		if i > 0 {
+			fmt.Fprintln(stdout)
+		}
+		if err := tbl.WriteText(stdout); err != nil {
+			return err
+		}
+		if err := emit(tbl); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "[%s completed in %.1fs]\n", e.name, time.Since(start).Seconds())
 	}
 
 	if traces != nil {
@@ -380,7 +394,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "wrote %d trace bytes (%d cells) to %s\n", n, len(traces.Cells()), *traceOut)
+		fmt.Fprintf(stderr, "wrote %d trace bytes (%d cells) to %s\n", n, len(traces.Cells()), *traceOut)
 	}
 	return nil
 }

@@ -6,8 +6,7 @@ package experiments
 // booking correction counters).
 
 import (
-	"fmt"
-	"strings"
+	"sort"
 
 	"msweb/internal/cluster"
 	"msweb/internal/core"
@@ -88,12 +87,19 @@ func RunWSensitivity(p int, opts Options) ([]WSensitivityRow, error) {
 	return rows, nil
 }
 
-// noisyW corrupts each sampled weight with clamped Gaussian noise.
+// noisyW corrupts each sampled weight with clamped Gaussian noise. The
+// scripts draw from the one stream in ascending id order, so a seed
+// fixes the noise (ranging over the map would not).
 func noisyW(sigma float64) func(core.WTable, *rng.Stream) core.WTable {
 	return func(exact core.WTable, s *rng.Stream) core.WTable {
+		ids := make([]int, 0, len(exact))
+		for k := range exact {
+			ids = append(ids, k)
+		}
+		sort.Ints(ids)
 		out := make(core.WTable, len(exact))
-		for k, v := range exact {
-			w := s.Normal(v, sigma)
+		for _, k := range ids {
+			w := s.Normal(exact[k], sigma)
 			if w < 0.01 {
 				w = 0.01
 			}
@@ -104,26 +110,6 @@ func noisyW(sigma float64) func(core.WTable, *rng.Stream) core.WTable {
 		}
 		return out
 	}
-}
-
-// FormatWSensitivity renders the sampling-accuracy ablation.
-func FormatWSensitivity(p int, rows []WSensitivityRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: off-line w sampling accuracy, ADL workload, p=%d\n", p)
-	fmt.Fprintln(&b, "(note: when the dominant resource saturates, its idle ratio floors out and the")
-	fmt.Fprintln(&b, " OTHER resource — whose load correlates with CGI count — can be the better-")
-	fmt.Fprintln(&b, " conditioned signal, so even inverted weights may score well here)")
-	header := fmt.Sprintf("%-24s %-9s %-10s", "w table", "SF", "vs exact")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	base := 0.0
-	for i, r := range rows {
-		if i == 0 {
-			base = r.Stretch
-		}
-		fmt.Fprintf(&b, "%-24s %-9.2f %-10s\n", r.Label, r.Stretch, pct((r.Stretch/base-1)*100))
-	}
-	return b.String()
 }
 
 // StalenessRow reports one load-information refresh period.
@@ -198,18 +184,4 @@ func RunStaleness(p int, opts Options) ([]StalenessRow, error) {
 		rows = append(rows, StalenessRow{RefreshSeconds: refresh, WithBooking: with, NoBooking: without})
 	}
 	return rows, nil
-}
-
-// FormatStaleness renders the staleness ablation.
-func FormatStaleness(p int, rows []StalenessRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: load-information staleness and placement booking, ADL workload, p=%d\n", p)
-	header := fmt.Sprintf("%-12s %-14s %-13s %-12s", "refresh (s)", "SF w/ booking", "SF w/o", "herd cost")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12.2f %-14.2f %-13.2f %-12s\n",
-			r.RefreshSeconds, r.WithBooking, r.NoBooking, pct((r.NoBooking/r.WithBooking-1)*100))
-	}
-	return b.String()
 }

@@ -14,10 +14,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"msweb/internal/cluster"
 	"msweb/internal/core"
+	"msweb/internal/report"
 	"msweb/internal/trace"
 )
 
@@ -164,25 +164,14 @@ func RunAutoscale(p int, opts Options) ([]AutoscaleRow, error) {
 	return rows, nil
 }
 
-// FormatAutoscale renders the autoscaling study.
-func FormatAutoscale(p int, rows []AutoscaleRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: online autoscaler vs fixed fleet, sharded control plane, p=%d, SLO %.1fs\n", p, autoscaleSLO)
-	header := fmt.Sprintf("%-12s %-12s %-8s %-8s %-11s %-9s %-7s %-7s",
-		"workload", "scenario", "SF", "SLO", "node-hours", "saved%", "offs", "epochs")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %-12s %-8.2f %-8.3f %-11.4f %-9.1f %-7d %-7d\n",
-			r.Workload, r.Scenario, r.Stretch, r.SLO, r.NodeHours, r.SavedPct, r.SlaveOffs, r.Epochs)
+// AutoscaleTable converts the autoscaling study.
+func AutoscaleTable(p int, rows []AutoscaleRow) *report.Table {
+	t := &report.Table{
+		Title:   "Autoscale vs fixed fleet",
+		Columns: []string{"workload", "scenario", "stretch", "slo_attainment", "node_hours", "saved_pct", "slave_offs", "epochs"},
+		Notes: []string{fmt.Sprintf("Online Theorem-1 autoscaler vs a fixed peak-provisioned fleet, sharded control plane, KSU workload, p=%d, SLO %.1fs.",
+			p, autoscaleSLO)},
 	}
-	return b.String()
-}
-
-// AutoscaleTable converts the autoscaling study for the JSON report.
-func AutoscaleTable(rows []AutoscaleRow) *reportTable {
-	t := newReportTable("Autoscale vs fixed fleet",
-		[]string{"workload", "scenario", "stretch", "slo_attainment", "node_hours", "saved_pct", "slave_offs", "epochs"})
 	for _, r := range rows {
 		t.AddRow(r.Workload, r.Scenario, round4(r.Stretch), round4(r.SLO),
 			round4(r.NodeHours), round2(r.SavedPct), r.SlaveOffs, r.Epochs)

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"msweb/internal/queuemodel"
+	"msweb/internal/report"
 )
 
 // DisciplineRow compares service disciplines at one CGI intensity.
@@ -54,27 +54,17 @@ func RunDiscipline(p int, opts Options) ([]DisciplineRow, error) {
 	return rows, nil
 }
 
-// FormatDiscipline renders the comparison.
-func FormatDiscipline(p int, rows []DisciplineRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Analysis: separation gain under PS vs FCFS disciplines, a=3/7, p=%d, ρ=0.65\n", p)
-	header := fmt.Sprintf("%-6s %-9s %-9s %-10s %-10s %-10s %-11s",
-		"1/r", "PS flat", "PS M/S", "PS gain", "FCFS flat", "FCFS M/S", "FCFS gain")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6.0f %-9.2f %-9.2f %-10s %-10.1f %-10.2f %-11s\n",
-			r.InvR, r.PSFlat, r.PSMS, pct(r.PSGainPct), r.FCFSFlat, r.FCFSMS, pct(r.FCFSGainPct))
+// DisciplineTable converts the comparison.
+func DisciplineTable(p int, rows []DisciplineRow) *report.Table {
+	t := &report.Table{
+		Title:   "Analysis: PS vs FCFS separation gain",
+		Columns: []string{"inv_r", "ps_flat", "ps_ms", "ps_gain_pct", "fcfs_flat", "fcfs_ms", "fcfs_gain_pct", "fcfs_split_m"},
+		Notes: []string{
+			fmt.Sprintf("Separation gain under processor sharing vs FCFS, a=3/7, p=%d.", p),
+			"FCFS charges statics the residual of in-progress CGI bursts, so the",
+			"value of separating tiers is an order of magnitude larger than under PS.",
+		},
 	}
-	fmt.Fprintln(&b, "\nFCFS charges statics the residual of in-progress CGI bursts, so the")
-	fmt.Fprintln(&b, "value of separating tiers is an order of magnitude larger than under PS.")
-	return b.String()
-}
-
-// DisciplineTable converts the comparison for CSV emission.
-func DisciplineTable(rows []DisciplineRow) *reportTable {
-	t := newReportTable("Analysis: PS vs FCFS separation gain",
-		[]string{"inv_r", "ps_flat", "ps_ms", "ps_gain_pct", "fcfs_flat", "fcfs_ms", "fcfs_gain_pct", "fcfs_split_m"})
 	for _, r := range rows {
 		t.AddRow(r.InvR, round4(r.PSFlat), round4(r.PSMS), round2(r.PSGainPct),
 			round4(r.FCFSFlat), round4(r.FCFSMS), round2(r.FCFSGainPct), r.FCFSSplitM)

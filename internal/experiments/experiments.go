@@ -1,6 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation. Each experiment has a Run function returning typed rows
-// and a Format function rendering the same rows/series the paper reports.
+// and an XTable function rendering them as one report.Table, which is
+// both the text msbench prints and the CSV it writes.
 //
 // Load calibration note. The paper pairs each trace with absolute
 // arrival rates (Table 2) tuned to its testbed capacity so that "the
@@ -13,9 +14,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"msweb/internal/cluster"
 	"msweb/internal/core"
 	"msweb/internal/obs"
@@ -148,11 +146,3 @@ func simulateCell(p int, masters int, pol core.Policy, tr *trace.Trace, warmup f
 
 // newEngine builds a fresh simulation engine (indirection for tests).
 func newEngine() *sim.Engine { return sim.NewEngine() }
-
-// pct renders a percentage cell.
-func pct(v float64) string { return fmt.Sprintf("%+.1f%%", v) }
-
-// rule renders a horizontal rule sized to the header.
-func rule(header string) string {
-	return strings.Repeat("-", len(header))
-}

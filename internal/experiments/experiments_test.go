@@ -48,11 +48,17 @@ func TestRunTable1(t *testing.T) {
 			t.Fatalf("%s: measured %%CGI %.1f vs paper %.1f", r.PaperName, r.Measured.PctCGI, r.PaperPctCGI)
 		}
 	}
-	out := FormatTable1(rows)
-	for _, want := range []string{"Table 1", "DEC", "UCB", "KSU", "ADL"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("formatted table missing %q:\n%s", want, out)
+	tbl := Table1Table(rows)
+	if !strings.Contains(tbl.Title, "Table 1") {
+		t.Fatalf("title %q", tbl.Title)
+	}
+	for i, want := range []string{"DEC", "UCB", "KSU", "ADL"} {
+		if got := tbl.Rows[i][column(t, tbl, "trace")]; got != want {
+			t.Fatalf("row %d trace %q, want %q", i, got, want)
 		}
+	}
+	if !noteContains(tbl, "24.5M") {
+		t.Fatalf("paper request counts missing from notes: %q", tbl.Notes)
 	}
 }
 
@@ -61,13 +67,14 @@ func TestRunFig3(t *testing.T) {
 	if len(curves) != 3 {
 		t.Fatalf("%d curves", len(curves))
 	}
-	a := FormatFig3a(curves)
-	b := FormatFig3b(curves)
-	if !strings.Contains(a, "Figure 3(a)") || !strings.Contains(b, "Figure 3(b)") {
-		t.Fatal("figure titles missing")
+	tbl := Fig3Table(curves)
+	if !noteContains(tbl, "Figure 3(a) is over_flat_pct") || !noteContains(tbl, "Figure 3(b) is over_msprime_pct") {
+		t.Fatalf("subfigure notes missing: %q", tbl.Notes)
 	}
-	if !strings.Contains(a, "1/r") || !strings.Contains(a, "a=2/8") {
-		t.Fatalf("figure 3a table incomplete:\n%s", a)
+	column(t, tbl, "over_flat_pct")
+	column(t, tbl, "over_msprime_pct")
+	if tbl.Rows[0][column(t, tbl, "a_label")] != "a=2/8" || tbl.Rows[0][column(t, tbl, "inv_r")] != "10" {
+		t.Fatalf("figure 3 first row %q", tbl.Rows[0])
 	}
 }
 
@@ -88,9 +95,8 @@ func TestRunTable2(t *testing.T) {
 			}
 		}
 	}
-	out := FormatTable2(rows)
-	if !strings.Contains(out, "Table 2") {
-		t.Fatal("format missing title")
+	if tbl := Table2Table(rows); !strings.Contains(tbl.Title, "Table 2") {
+		t.Fatalf("title %q", tbl.Title)
 	}
 }
 
@@ -122,10 +128,11 @@ func TestRunFig4Quick(t *testing.T) {
 	if winsOver1 < 4 {
 		t.Fatalf("M/S lost to M/S-1 in %d/6 cells", 6-winsOver1)
 	}
-	out := FormatFig4(8, rows)
-	if !strings.Contains(out, "Figure 4") || !strings.Contains(out, "vs M/S-nr") {
-		t.Fatalf("format incomplete:\n%s", out)
+	tbl := Fig4Table(8, rows)
+	if tbl.Title != "Figure 4: scheduling ablations p8" || !noteContains(tbl, "M/S-nr") {
+		t.Fatalf("title %q notes %q", tbl.Title, tbl.Notes)
 	}
+	column(t, tbl, "over_nr_pct")
 }
 
 func TestRunFig5Quick(t *testing.T) {
@@ -149,10 +156,11 @@ func TestRunFig5Quick(t *testing.T) {
 			t.Fatalf("bad stretch factors: %+v", r)
 		}
 	}
-	out := FormatFig5(res)
-	if !strings.Contains(out, "Figure 5") || !strings.Contains(out, "degrade") {
-		t.Fatalf("format incomplete:\n%s", out)
+	tbl := Fig5Table(res)
+	if !strings.Contains(tbl.Title, "Figure 5") || !noteContains(tbl, "Mean degradation") {
+		t.Fatalf("title %q notes %q", tbl.Title, tbl.Notes)
 	}
+	column(t, tbl, "degrade_pct")
 }
 
 func TestRunTable3Quick(t *testing.T) {
@@ -171,9 +179,9 @@ func TestRunTable3Quick(t *testing.T) {
 			t.Fatalf("NaN cell: %+v", r)
 		}
 	}
-	out := FormatTable3(rows)
-	if !strings.Contains(out, "Table 3") {
-		t.Fatal("format missing title")
+	tbl := Table3Table(rows)
+	if !strings.Contains(tbl.Title, "Table 3") || !noteContains(tbl, "Average |actual − simulated|") {
+		t.Fatalf("title %q notes %q", tbl.Title, tbl.Notes)
 	}
 }
 

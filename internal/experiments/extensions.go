@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"msweb/internal/cluster"
 	"msweb/internal/core"
@@ -98,24 +97,6 @@ func RunCacheSweep(p int, opts Options) ([]CacheSweepRow, error) {
 	return rows, nil
 }
 
-// FormatCacheSweep renders the cache study.
-func FormatCacheSweep(p int, rows []CacheSweepRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: Swala-style dynamic-content cache, KSU workload, p=%d\n", p)
-	header := fmt.Sprintf("%-9s %-8s %-9s %-14s %-9s", "capacity", "TTL(s)", "SF", "dyn resp (s)", "hit rate")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	for _, r := range rows {
-		cap := "off"
-		if r.Capacity > 0 {
-			cap = fmt.Sprintf("%d", r.Capacity)
-		}
-		fmt.Fprintf(&b, "%-9s %-8.0f %-9.2f %-14.4f %6.1f%%\n",
-			cap, r.TTL, r.Stretch, r.DynMeanResp, 100*r.HitRatio)
-	}
-	return b.String()
-}
-
 // FailoverRow reports one availability scenario.
 type FailoverRow struct {
 	Scenario  string
@@ -200,19 +181,6 @@ func RunFailoverStudy(p int, opts Options) ([]FailoverRow, error) {
 		return nil, err
 	}
 	return rows, nil
-}
-
-// FormatFailoverStudy renders the availability study.
-func FormatFailoverStudy(p int, rows []FailoverRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: failover and dynamic recruitment, ADL workload, p=%d (2 non-dedicated)\n", p)
-	header := fmt.Sprintf("%-20s %-9s %-10s %-10s", "scenario", "SF", "failovers", "completed")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-20s %-9.2f %-10d %-10d\n", r.Scenario, r.Stretch, r.Failovers, r.Completed)
-	}
-	return b.String()
 }
 
 // HeteroRow compares flat vs the heterogeneous M/S plan on one speed mix.
@@ -362,21 +330,4 @@ func RunHeteroStudy(p int, opts Options) ([]HeteroRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// FormatHeteroStudy renders the heterogeneous study.
-func FormatHeteroStudy(p int, rows []HeteroRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: heterogeneous cluster (Theorem 1 extension), KSU workload, p=%d\n", p)
-	fmt.Fprintln(&b, "(simulated flat uses speed-blind uniform dispatch, as DNS rotation does —")
-	fmt.Fprintln(&b, " slow nodes saturate; the analytic flat column assumes speed-proportional routing)")
-	header := fmt.Sprintf("%-19s %-11s %-11s %-9s %-10s %-9s %-10s",
-		"speed mix", "model flat", "model M/S", "masters", "sim flat", "sim M/S", "improve")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-19s %-11.2f %-11.2f %-9d %-10.2f %-9.2f %-10s\n",
-			r.Mix, r.AnalyticFlat, r.AnalyticMS, len(r.Masters), r.SimFlat, r.SimMS, pct(r.SimImprovePct))
-	}
-	return b.String()
 }

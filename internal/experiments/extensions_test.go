@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"msweb/internal/core"
+	"msweb/internal/rng"
 )
 
 func TestRunCacheSweep(t *testing.T) {
@@ -30,9 +34,9 @@ func TestRunCacheSweep(t *testing.T) {
 	if last.Stretch >= rows[0].Stretch {
 		t.Fatalf("large cache (%v) did not beat baseline (%v)", last.Stretch, rows[0].Stretch)
 	}
-	out := FormatCacheSweep(8, rows)
-	if !strings.Contains(out, "cache") || !strings.Contains(out, "off") {
-		t.Fatalf("format incomplete:\n%s", out)
+	tbl := CacheSweepTable(8, rows)
+	if !strings.Contains(tbl.Title, "cache") || tbl.Rows[0][column(t, tbl, "capacity")] != "0" || !noteContains(tbl, "capacity 0 = cache off") {
+		t.Fatalf("title %q first row %q notes %q", tbl.Title, tbl.Rows[0], tbl.Notes)
 	}
 }
 
@@ -61,9 +65,9 @@ func TestRunFailoverStudy(t *testing.T) {
 	if recruited.Stretch >= crash.Stretch {
 		t.Fatalf("recruitment (%v) did not improve on the crash (%v)", recruited.Stretch, crash.Stretch)
 	}
-	out := FormatFailoverStudy(8, rows)
-	if !strings.Contains(out, "recruit") {
-		t.Fatalf("format incomplete:\n%s", out)
+	tbl := FailoverTable(8, rows)
+	if !strings.Contains(tbl.Title, "recruit") || !strings.Contains(tbl.Rows[2][column(t, tbl, "scenario")], "recruit") {
+		t.Fatalf("title %q rows %q", tbl.Title, tbl.Rows)
 	}
 }
 
@@ -96,9 +100,8 @@ func TestRunHeteroStudy(t *testing.T) {
 	if wins < 2 {
 		t.Fatalf("M/S won only %d/3 heterogeneous mixes", wins)
 	}
-	out := FormatHeteroStudy(8, rows)
-	if !strings.Contains(out, "heterogeneous") {
-		t.Fatalf("format incomplete:\n%s", out)
+	if tbl := HeteroTable(8, rows); !strings.Contains(tbl.Title, "heterogeneous") {
+		t.Fatalf("title %q", tbl.Title)
 	}
 }
 
@@ -122,9 +125,9 @@ func TestRunFlashCrowd(t *testing.T) {
 	if reactive.Stretch > dedicated.Stretch*1.05 {
 		t.Fatalf("reactive (%v) no better than dedicated-only (%v)", reactive.Stretch, dedicated.Stretch)
 	}
-	out := FormatFlashCrowd(8, rows)
-	if !strings.Contains(out, "flash-crowd") {
-		t.Fatalf("format incomplete:\n%s", out)
+	tbl := FlashCrowdTable(8, rows)
+	if !strings.Contains(tbl.Title, "flash-crowd") || !noteContains(tbl, "worst 1-second window") {
+		t.Fatalf("title %q notes %q", tbl.Title, tbl.Notes)
 	}
 }
 
@@ -147,9 +150,25 @@ func TestRunWSensitivity(t *testing.T) {
 	if rows[0].Label != "exact sampling" || rows[3].Label != "blind w=0.5 (M/S-ns)" {
 		t.Fatalf("row order changed: %+v", rows)
 	}
-	out := FormatWSensitivity(8, rows)
-	if !strings.Contains(out, "sampling") {
-		t.Fatalf("format incomplete:\n%s", out)
+	tbl := WSensitivityTable(8, rows)
+	if !strings.Contains(tbl.Title, "sampling") || !noteContains(tbl, "inverted weights vs exact:") {
+		t.Fatalf("title %q notes %q", tbl.Title, tbl.Notes)
+	}
+}
+
+// TestNoisyWDeterministic pins the sampling-error corruption to its
+// seed: two applications with same-seed streams must give identical
+// tables. Drawing in map-iteration order would not.
+func TestNoisyWDeterministic(t *testing.T) {
+	exact := core.WTable{}
+	for id := 0; id < 40; id++ {
+		exact[id] = float64(id+1) / 42
+	}
+	a := noisyW(0.1)(exact, rng.New(7))
+	for i := 0; i < 5; i++ {
+		if b := noisyW(0.1)(exact, rng.New(7)); !reflect.DeepEqual(a, b) {
+			t.Fatalf("same seed, different noise:\n%v\n%v", a, b)
+		}
 	}
 }
 
@@ -167,9 +186,9 @@ func TestRunStaleness(t *testing.T) {
 		t.Fatalf("at refresh=%vs booking hurt: %v vs %v",
 			last.RefreshSeconds, last.WithBooking, last.NoBooking)
 	}
-	out := FormatStaleness(8, rows)
-	if !strings.Contains(out, "staleness") {
-		t.Fatalf("format incomplete:\n%s", out)
+	tbl := StalenessTable(8, rows)
+	if !strings.Contains(tbl.Title, "staleness") || !noteContains(tbl, "Herd cost at refresh 5s") {
+		t.Fatalf("title %q notes %q", tbl.Title, tbl.Notes)
 	}
 }
 
@@ -192,10 +211,11 @@ func TestRunOpenClosed(t *testing.T) {
 			t.Fatalf("open-loop stretch fell with load: %+v", rows)
 		}
 	}
-	out := FormatOpenClosed(8, rows)
-	if !strings.Contains(out, "closed") {
-		t.Fatalf("format incomplete:\n%s", out)
+	tbl := OpenClosedTable(8, rows)
+	if !strings.Contains(tbl.Title, "closed") {
+		t.Fatalf("title %q", tbl.Title)
 	}
+	column(t, tbl, "closed_sf")
 }
 
 func TestRunDiscipline(t *testing.T) {
@@ -214,11 +234,10 @@ func TestRunDiscipline(t *testing.T) {
 			t.Fatalf("1/r=%v: FCFS flat %v not above PS flat %v", r.InvR, r.FCFSFlat, r.PSFlat)
 		}
 	}
-	out := FormatDiscipline(32, rows)
-	if !strings.Contains(out, "FCFS") {
-		t.Fatalf("format incomplete:\n%s", out)
+	tbl := DisciplineTable(32, rows)
+	if !strings.Contains(tbl.Title, "FCFS") || !noteContains(tbl, "FCFS charges statics") {
+		t.Fatalf("title %q notes %q", tbl.Title, tbl.Notes)
 	}
-	tbl := DisciplineTable(rows)
 	if err := tbl.Validate(); err != nil {
 		t.Fatal(err)
 	}

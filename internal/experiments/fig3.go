@@ -1,108 +1,9 @@
 package experiments
 
-import (
-	"fmt"
-	"strings"
-
-	"msweb/internal/queuemodel"
-)
+import "msweb/internal/queuemodel"
 
 // RunFig3 computes the analytic Figure 3 curves with the paper's
 // parameters (λ=1000, p=32, μ_h=1200, a ∈ {2/8, 3/7, 4/6}).
 func RunFig3() []queuemodel.Fig3Curve {
 	return queuemodel.Figure3(queuemodel.DefaultFig3Config())
-}
-
-// FormatFig3a renders Figure 3(a): improvement of M/S over flat.
-func FormatFig3a(curves []queuemodel.Fig3Curve) string {
-	return formatFig3(curves, "Figure 3(a): analytic improvement of M/S over the flat model (%)",
-		func(p queuemodel.Fig3Point) float64 { return p.OverFlatPct })
-}
-
-// FormatFig3b renders Figure 3(b): improvement of M/S over M/S'.
-func FormatFig3b(curves []queuemodel.Fig3Curve) string {
-	return formatFig3(curves, "Figure 3(b): analytic improvement of M/S over the fixed M/S' split (%)",
-		func(p queuemodel.Fig3Point) float64 { return p.OverMSPrimePct })
-}
-
-func formatFig3(curves []queuemodel.Fig3Curve, title string, pick func(queuemodel.Fig3Point) float64) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, title)
-	fmt.Fprintln(&b, "λ=1000 req/s, p=32, μ_h=1200 req/s")
-	header := fmt.Sprintf("%-6s", "1/r")
-	for _, c := range curves {
-		header += fmt.Sprintf(" %10s", c.Label)
-	}
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	if len(curves) == 0 {
-		return b.String()
-	}
-	for i, pt := range curves[0].Points {
-		row := fmt.Sprintf("%-6.0f", pt.InvR)
-		for _, c := range curves {
-			if i < len(c.Points) {
-				row += fmt.Sprintf(" %9.1f%%", pick(c.Points[i]))
-			} else {
-				row += fmt.Sprintf(" %10s", "-")
-			}
-		}
-		fmt.Fprintln(&b, row)
-	}
-	fmt.Fprintln(&b)
-	fmt.Fprint(&b, asciiChart(curves, pick))
-	return b.String()
-}
-
-// asciiChart draws the curves as a rough terminal plot, one glyph per
-// curve, so the monotone-growth shape of Figure 3 is visible at a glance.
-func asciiChart(curves []queuemodel.Fig3Curve, pick func(queuemodel.Fig3Point) float64) string {
-	const height = 12
-	glyphs := []byte{'*', 'o', '+'}
-	maxV := 1.0
-	for _, c := range curves {
-		for _, p := range c.Points {
-			if v := pick(p); v > maxV {
-				maxV = v
-			}
-		}
-	}
-	cols := 0
-	for _, c := range curves {
-		if len(c.Points) > cols {
-			cols = len(c.Points)
-		}
-	}
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", cols*3))
-	}
-	for ci, c := range curves {
-		for pi, p := range c.Points {
-			row := height - 1 - int(pick(p)/maxV*float64(height-1))
-			if row < 0 {
-				row = 0
-			}
-			col := pi*3 + 1
-			if col < len(grid[row]) {
-				grid[row][col] = glyphs[ci%len(glyphs)]
-			}
-		}
-	}
-	var b strings.Builder
-	for i, line := range grid {
-		label := "      "
-		if i == 0 {
-			label = fmt.Sprintf("%5.0f%%", maxV)
-		}
-		if i == height-1 {
-			label = "    0%"
-		}
-		fmt.Fprintf(&b, "%s |%s\n", label, string(line))
-	}
-	fmt.Fprintf(&b, "       +%s> 1/r\n", strings.Repeat("-", cols*3))
-	for i, c := range curves {
-		fmt.Fprintf(&b, "       %c = %s\n", glyphs[i%len(glyphs)], c.Label)
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"msweb/internal/core"
 	"msweb/internal/obs"
@@ -142,25 +141,4 @@ func RunFig4(p int, opts Options) ([]Fig4Row, error) {
 		})
 	}
 	return rows, nil
-}
-
-// FormatFig4 renders the improvement table for one cluster size.
-func FormatFig4(p int, rows []Fig4Row) string {
-	var b strings.Builder
-	sub := "(a)"
-	if p != 32 {
-		sub = "(b)"
-	}
-	fmt.Fprintf(&b, "Figure 4%s: %% improvement of M/S over ablated variants, p=%d\n", sub, p)
-	fmt.Fprintln(&b, "(columns: benefit of demand sampling / master reservation / static-CGI separation)")
-	header := fmt.Sprintf("%-6s %-6s %-9s %-3s %-9s %-12s %-12s %-12s",
-		"Trace", "1/r", "λ(req/s)", "m", "SF(M/S)", "vs M/S-ns", "vs M/S-nr", "vs M/S-1")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6s %-6.0f %-9.0f %-3d %-9.2f %-12s %-12s %-12s\n",
-			r.Trace, r.InvR, r.Lambda, r.Masters, r.MSStretch,
-			pct(r.OverNS), pct(r.OverNR), pct(r.Over1))
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"msweb/internal/cluster"
 	"msweb/internal/core"
@@ -160,21 +159,4 @@ func (r *Fig5Result) MeanDegradation() float64 {
 		}
 	}
 	return sum / float64(len(r.Rows))
-}
-
-// FormatFig5 renders the sensitivity table.
-func FormatFig5(res *Fig5Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 5: degradation of fixed m=%d vs per-workload re-planned m, p=%d\n", res.NominalM, res.P)
-	fmt.Fprintln(&b, "(nominal plan from r=1/60, a=0.44; paper: ≤9% degradation, 4% average)")
-	header := fmt.Sprintf("%-6s %-6s %-6s %-9s %-8s %-8s %-9s %-9s %-10s",
-		"Trace", "1/r", "ρ_F", "λ(req/s)", "fixed m", "adapt m", "SF fixed", "SF adapt", "degrade")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	for _, r := range res.Rows {
-		fmt.Fprintf(&b, "%-6s %-6.0f %-6.2f %-9.0f %-8d %-8d %-9.2f %-9.2f %-10s\n",
-			r.Trace, r.InvR, r.Rho, r.Lambda, r.FixedM, r.AdaptedM, r.FixedSF, r.AdaptSF, pct(r.DegradPct))
-	}
-	fmt.Fprintf(&b, "\nmean degradation (positive rows): %.1f%%\n", res.MeanDegradation())
-	return b.String()
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"msweb/internal/cluster"
 	"msweb/internal/core"
@@ -103,18 +102,4 @@ func RunFlashCrowd(p int, opts Options) ([]FlashCrowdRow, error) {
 		return nil, err
 	}
 	return rows, nil
-}
-
-// FormatFlashCrowd renders the flash-crowd study.
-func FormatFlashCrowd(p int, rows []FlashCrowdRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: flash-crowd recruitment, bursty KSU workload (MMPP 3x), p=%d\n", p)
-	header := fmt.Sprintf("%-19s %-9s %-11s %-9s %-9s", "scenario", "SF", "peak SF", "recruits", "releases")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-19s %-9.2f %-11.2f %-9d %-9d\n",
-			r.Scenario, r.Stretch, r.PeakStretch, r.Recruitments, r.Releases)
-	}
-	return b.String()
 }

@@ -38,8 +38,8 @@ func TestParallelMatchesSequentialFig4(t *testing.T) {
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallel fig4 rows diverge from sequential:\nseq: %+v\npar: %+v", seq, par)
 	}
-	if a, b := FormatFig4(32, seq), FormatFig4(32, par); a != b {
-		t.Fatalf("formatted fig4 output diverges:\n--- sequential ---\n%s--- parallel ---\n%s", a, b)
+	if a, b := Fig4Table(32, seq), Fig4Table(32, par); !reflect.DeepEqual(a, b) {
+		t.Fatalf("fig4 tables diverge:\n--- sequential ---\n%+v\n--- parallel ---\n%+v", a, b)
 	}
 }
 

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"msweb/internal/cluster"
 	"msweb/internal/core"
 	"msweb/internal/queuemodel"
@@ -111,20 +108,4 @@ func RunOpenClosed(p int, opts Options) ([]OpenClosedRow, error) {
 func newSimCluster(p, masters int, wt core.WTable, opts Options) (*cluster.Cluster, error) {
 	cfg := cluster.DefaultConfig(p, masters)
 	return cluster.New(newEngine(), cfg, core.NewMS(wt, opts.Seeds[0]))
-}
-
-// FormatOpenClosed renders the methodology comparison.
-func FormatOpenClosed(p int, rows []OpenClosedRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Methodology: open-loop replay vs closed-loop sessions, KSU workload, p=%d\n", p)
-	fmt.Fprintln(&b, "(load factor is the offered rate relative to cluster capacity)")
-	header := fmt.Sprintf("%-12s %-10s %-10s", "load", "open SF", "closed SF")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12.2f %-10.2f %-10.2f\n", r.LoadFactor, r.OpenSF, r.ClosedSF)
-	}
-	fmt.Fprintln(&b, "\npast saturation (load > 1) the open-loop stretch diverges with trace length,")
-	fmt.Fprintln(&b, "while closed-loop users self-throttle to the service capacity.")
-	return b.String()
 }

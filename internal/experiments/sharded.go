@@ -11,11 +11,9 @@ package experiments
 // identical traces.
 
 import (
-	"fmt"
-	"strings"
-
 	"msweb/internal/cluster"
 	"msweb/internal/core"
+	"msweb/internal/report"
 	"msweb/internal/trace"
 )
 
@@ -140,29 +138,18 @@ func RunShardScale(fleets []int, opts Options) ([]ShardScaleRow, error) {
 	return rows, nil
 }
 
-// FormatShardScale renders the comparison.
-func FormatShardScale(rows []ShardScaleRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Extension: sharded vs global control plane (identical traces, fixed workload)")
-	header := fmt.Sprintf("%-7s %-8s %-12s %-12s %-9s %-10s %-10s %-9s %-8s",
-		"nodes", "masters", "polled/tick", "polled (gl)", "maxshard", "SF shard", "SF global", "sum age", "spilled")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7d %-8d %-12.1f %-12.0f %-9d %-10.3f %-10.3f %-9.3f %-8d\n",
-			r.Nodes, r.Masters, r.ShardPolled, r.GlobalPolled, r.MaxShard,
-			r.ShardSF, r.GlobalSF, r.SummaryAge, r.Spilled)
+// ShardScaleTable converts the comparison.
+func ShardScaleTable(rows []ShardScaleRow) *report.Table {
+	t := &report.Table{
+		Title: "Extension: sharded control plane scaling",
+		Columns: []string{"nodes", "masters", "shard_polled_per_tick", "global_polled_per_tick",
+			"max_shard", "sf_sharded", "sf_global", "summary_age_s", "spilled", "spill_shed"},
+		Notes: []string{
+			"Sharded vs global control plane on identical KSU traces at a fixed workload.",
+			"Per-master per-tick poll work stays flat under sharding while the global",
+			"view's grows with the fleet; the stretch columns price the partitioned view.",
+		},
 	}
-	fmt.Fprintln(&b, "\nPer-master per-tick poll work stays flat under sharding while the global")
-	fmt.Fprintln(&b, "view's grows with the fleet; the stretch columns price the partitioned view.")
-	return b.String()
-}
-
-// ShardScaleTable converts the comparison for CSV emission.
-func ShardScaleTable(rows []ShardScaleRow) *reportTable {
-	t := newReportTable("Extension: sharded control plane scaling",
-		[]string{"nodes", "masters", "shard_polled_per_tick", "global_polled_per_tick",
-			"max_shard", "sf_sharded", "sf_global", "summary_age_s", "spilled", "spill_shed"})
 	for _, r := range rows {
 		t.AddRow(r.Nodes, r.Masters, round2(r.ShardPolled), r.GlobalPolled,
 			r.MaxShard, round4(r.ShardSF), round4(r.GlobalSF), round4(r.SummaryAge),

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"msweb/internal/trace"
 )
 
@@ -62,25 +59,4 @@ func RunTable1(n int, seed int64) ([]Table1Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-// FormatTable1 renders the comparison in the paper's column order.
-func FormatTable1(rows []Table1Row) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Table 1: Characteristics of four Web traces (paper value / regenerated)")
-	header := fmt.Sprintf("%-5s %-5s %-10s %-17s %-19s %-17s %-17s",
-		"Web", "year", "No. req", "% CGI", "Avg interval (s)", "HTML size", "CGI size")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-5s %-5d %-10s %6.1f / %-8.1f %8.3f / %-8.3f %7.0f / %-7.0f %7.0f / %-7.0f\n",
-			r.PaperName, r.PaperYear, r.PaperRequests,
-			r.PaperPctCGI, r.Measured.PctCGI,
-			r.PaperInterval, r.Measured.MeanInterval,
-			r.PaperHTML, r.Measured.MeanHTMLSize,
-			r.PaperCGI, r.Measured.MeanCGISize)
-	}
-	fmt.Fprintln(&b, "\nNote: HTML sizes are regenerated through the SPECweb96 40-file mapping,")
-	fmt.Fprintln(&b, "as the paper replaces every logged fetch with the closest SPECweb96 file.")
-	return b.String()
 }

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"msweb/internal/trace"
 )
 
@@ -50,22 +47,4 @@ func RunTable2(opts Options) []Table2Row {
 		return row, nil
 	})
 	return rows
-}
-
-// FormatTable2 renders the workload parameters in the paper's layout.
-func FormatTable2(rows []Table2Row) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Table 2: Workload parameters examined")
-	fmt.Fprintf(&b, "r ∈ {1/20, 1/40, 1/80, 1/160}; arrival rates below target flat utilization ρ_F\n\n")
-	header := fmt.Sprintf("%-6s %-6s %-5s %-6s %s", "Trace", "a", "p", "ρ_F", "λ per 1/r (req/s)")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	for _, r := range rows {
-		var ls []string
-		for i, l := range r.Lambdas {
-			ls = append(ls, fmt.Sprintf("1/%.0f:%.0f", r.InvRs[i], l))
-		}
-		fmt.Fprintf(&b, "%-6s %-6.3f %-5d %-6.2f %s\n", r.Trace, r.A, r.P, r.TargetRho, strings.Join(ls, "  "))
-	}
-	return b.String()
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"msweb/internal/cluster"
@@ -233,24 +232,4 @@ func runSimTable3(opts Table3Options, masters int, pol core.Policy, tr *trace.Tr
 		return 0, err
 	}
 	return res.StretchFactor, nil
-}
-
-// FormatTable3 renders the validation table.
-func FormatTable3(rows []Table3Row) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Table 3: improvement of M/S over alternatives — live loopback cluster vs simulation")
-	fmt.Fprintln(&b, "(paper: measured on 6 Sun Ultra-1 nodes; average |actual−simulated| ≈ 3 points)")
-	header := fmt.Sprintf("%-6s %-9s %-8s %-12s %-12s %-8s", "Trace", "λ(req/s)", "vs", "actual", "simulated", "|diff|")
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, rule(header))
-	sum := 0.0
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6s %-9.0f %-8s %-12s %-12s %5.1f\n",
-			r.Trace, r.Lambda, r.Versus, pct(r.ActualPct), pct(r.SimPct), r.Diff())
-		sum += r.Diff()
-	}
-	if len(rows) > 0 {
-		fmt.Fprintf(&b, "\naverage |actual − simulated| = %.1f points\n", sum/float64(len(rows)))
-	}
-	return b.String()
 }

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"msweb/internal/cluster"
 	"msweb/internal/policy"
@@ -176,48 +175,26 @@ func RunTournament(p int, opts Options, tc TournamentConfig) ([]TournamentRow, e
 	return rows, nil
 }
 
-// FormatTournament renders the tournament grouped by (profile, load),
-// with the best mean latency in each block marked.
-func FormatTournament(p int, rows []TournamentRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Policy tournament, p=%d (identical traces per block; lower is better)\n", p)
-	header := fmt.Sprintf("%-14s %-10s %-10s %-8s %-7s %-8s", "policy", "mean ms", "p99 ms", "SF", "util", "shed")
-	blockKey := ""
-	best := map[string]float64{}
-	for _, r := range rows {
-		k := fmt.Sprintf("%s@%.2f", r.Profile, r.Rho)
-		if cur, ok := best[k]; !ok || r.MeanMs < cur {
-			best[k] = r.MeanMs
-		}
-	}
-	for _, r := range rows {
-		k := fmt.Sprintf("%s@%.2f", r.Profile, r.Rho)
-		if k != blockKey {
-			blockKey = k
-			fmt.Fprintf(&b, "\n%s trace, rho=%.2f\n", r.Profile, r.Rho)
-			fmt.Fprintln(&b, header)
-			fmt.Fprintln(&b, rule(header))
-		}
-		mark := ""
-		if r.MeanMs == best[k] {
-			mark = " *"
-		}
-		fmt.Fprintf(&b, "%-14s %-10.1f %-10.1f %-8.2f %-7.2f %-8s%s\n",
-			r.Policy, r.MeanMs, r.P99Ms, r.Stretch, r.CPUUtil,
-			fmt.Sprintf("%.1f%%", r.ShedRate*100), mark)
-	}
-	return b.String()
-}
-
-// TournamentTable converts tournament rows for CSV emission.
-func TournamentTable(rows []TournamentRow) *report.Table {
+// TournamentTable converts tournament rows; one note per (profile, load)
+// block names the policy with the best mean response time.
+func TournamentTable(p int, rows []TournamentRow) *report.Table {
 	t := &report.Table{
 		Title:   "Policy tournament",
 		Columns: []string{"profile", "rho", "policy", "mean_ms", "p99_ms", "stretch", "cpu_util", "shed_rate"},
+		Notes:   []string{fmt.Sprintf("p=%d; every policy in a (profile, rho) block replays identical traces; lower is better.", p)},
 	}
-	for _, r := range rows {
+	var best *TournamentRow
+	for i, r := range rows {
 		t.AddRow(r.Profile, r.Rho, r.Policy, round2(r.MeanMs), round2(r.P99Ms),
 			round4(r.Stretch), round4(r.CPUUtil), round4(r.ShedRate))
+		if best == nil || r.MeanMs < best.MeanMs {
+			best = &rows[i]
+		}
+		if i+1 == len(rows) || rows[i+1].Profile != r.Profile || rows[i+1].Rho != r.Rho {
+			t.Notes = append(t.Notes, fmt.Sprintf("Best mean at %s rho=%g: %s (%.1f ms).",
+				r.Profile, r.Rho, best.Policy, best.MeanMs))
+			best = nil
+		}
 	}
 	return t
 }

@@ -1,9 +1,10 @@
-// Package report renders experiment results as machine-readable tables.
-// Every experiment in internal/experiments has a text formatter for the
-// terminal; this package adds a uniform tabular form with CSV emission
-// so results can be loaded into plotting tools and spreadsheets (the
-// figures of the paper were plots; regeneration pipelines want data, not
-// prose).
+// Package report renders experiment results. Every experiment in
+// internal/experiments builds one Table; the same value prints as
+// aligned text for the terminal (WriteText) and as CSV for plotting
+// tools and spreadsheets (WriteCSV), so the two renderings cannot
+// disagree. Cells are stored as strings: callers round floats before
+// AddRow, and Cell prints the shortest representation of what it is
+// given.
 package report
 
 import (
@@ -13,13 +14,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
-// Table is a titled grid of cells.
+// Table is a titled grid of cells. Notes are footnote lines: WriteText
+// prints them after the rows, WriteCSV leaves them out.
 type Table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
+	Notes   []string
 }
 
 // Validate checks that every row matches the column count.
@@ -45,8 +49,9 @@ func (t *Table) AddRow(cells ...any) {
 	t.Rows = append(t.Rows, row)
 }
 
-// Cell stringifies one value with stable formatting: floats use up to 4
-// significant decimals without trailing zeros, everything else uses fmt.
+// Cell stringifies one value with stable formatting: floats print the
+// shortest representation that round-trips (no trailing zeros, no
+// exponent), everything else uses fmt.
 func Cell(v any) string {
 	switch x := v.(type) {
 	case float64:
@@ -78,22 +83,19 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteText emits a fixed-width text rendering (columns padded to their
-// widest cell), a generic fallback for tables without a bespoke
-// formatter.
+// WriteText emits a fixed-width text rendering: the title, the columns
+// padded to their widest cell, then a blank line and the notes.
 func (t *Table) WriteText(w io.Writer) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+			widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 		}
 	}
 	if t.Title != "" {
@@ -124,14 +126,17 @@ func (t *Table) WriteText(w io.Writer) error {
 			return err
 		}
 	}
+	if len(t.Notes) > 0 {
+		if _, err := fmt.Fprintf(w, "\n%s\n", strings.Join(t.Notes, "\n")); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
+// pad right-fills s to w characters (runes, so "±" or "ρ" count once).
 func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
-	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s + strings.Repeat(" ", max(0, w-utf8.RuneCountInString(s)))
 }
 
 // Slug converts a title into a filesystem-friendly name for CSV files.

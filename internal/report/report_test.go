@@ -14,14 +14,19 @@ func demoTable() *Table {
 	return t
 }
 
+// TestWriteCSV also shows that notes stay out of the CSV.
 func TestWriteCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := demoTable().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "trace,1/r,sf\nUCB,20,9.285\nADL,160,2.3\n"
-	if buf.String() != want {
-		t.Fatalf("CSV = %q, want %q", buf.String(), want)
+	for _, notes := range [][]string{nil, {"a footnote"}} {
+		tbl := demoTable()
+		tbl.Notes = notes
+		var buf bytes.Buffer
+		if err := tbl.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		want := "trace,1/r,sf\nUCB,20,9.285\nADL,160,2.3\n"
+		if buf.String() != want {
+			t.Fatalf("notes %q: CSV = %q, want %q", notes, buf.String(), want)
+		}
 	}
 }
 
@@ -38,20 +43,42 @@ func TestWriteCSVEscaping(t *testing.T) {
 }
 
 func TestWriteText(t *testing.T) {
-	var buf bytes.Buffer
-	if err := demoTable().WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Demo", "trace", "UCB", "2.3"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("text output missing %q:\n%s", want, out)
+	withNotes := demoTable()
+	withNotes.Notes = []string{"first note", "second note"}
+	runes := &Table{Columns: []string{"w", "sf"}}
+	runes.AddRow("error ±0.1", 3.3)
+	runes.AddRow("exact", 3.7)
+	for _, tc := range []struct {
+		name string
+		tbl  *Table
+		want string
+	}{
+		{"plain", demoTable(), "Demo\n" +
+			"trace  1/r  sf\n" +
+			"-----------------\n" +
+			"UCB    20   9.285\n" +
+			"ADL    160  2.3\n"},
+		{"notes after a blank line", withNotes, "Demo\n" +
+			"trace  1/r  sf\n" +
+			"-----------------\n" +
+			"UCB    20   9.285\n" +
+			"ADL    160  2.3\n" +
+			"\n" +
+			"first note\n" +
+			"second note\n"},
+		// Widths count runes, so "±" pads like any other character.
+		{"multi-byte cells", runes, "w           sf\n" +
+			"---------------\n" +
+			"error ±0.1  3.3\n" +
+			"exact       3.7\n"},
+	} {
+		var buf bytes.Buffer
+		if err := tc.tbl.WriteText(&buf); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Header columns align: every line has the sf column at the same offset.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 5 { // title, header, rule, 2 rows
-		t.Fatalf("line count %d:\n%s", len(lines), out)
+		if buf.String() != tc.want {
+			t.Fatalf("%s: text = %q, want %q", tc.name, buf.String(), tc.want)
+		}
 	}
 }
 
