@@ -79,7 +79,7 @@ func TestSlowLorisHeadIsDropped(t *testing.T) {
 	}
 	victims := []*victim{
 		{name: "edge", head: "GET /req?class=s&demand=0&w=0.5&script=0&size=64 HTTP/1.1\r\nHost: test\r\n\r\n"},
-		{name: "net/http", head: "GET /stats HTTP/1.1\r\nHost: test\r\nX-Pad: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n\r\n"},
+		{name: "net/http", head: "GET /load HTTP/1.1\r\nHost: test\r\nX-Pad: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n\r\n"},
 	}
 	for _, v := range victims {
 		p, err := NewProxy(m.URL)
@@ -150,7 +150,7 @@ func TestShutdownClosesEdgeConns(t *testing.T) {
 	working, workingBr := dialEdge(t, m.URL, 5*time.Second)
 	io.WriteString(working, "GET /req?class=s&demand=30&w=0.5 HTTP/1.1\r\nHost: test\r\n\r\n") //nolint:errcheck
 	handed, handedBr := dialEdge(t, m.URL, 5*time.Second)
-	mustGet(t, handed, handedBr, "/stats")
+	mustGet(t, handed, handedBr, "/load")
 	fc, err := httpcluster.DialFrame(m.URL, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -55,36 +56,26 @@ func TestShardMapRebalancedEpochAndStability(t *testing.T) {
 func TestShardSummaryWireEpochFraming(t *testing.T) {
 	s := ShardSummary{Shard: 4, AtNs: 77, Nodes: 3, CPUIdle: 0.5, DiskAvail: 0.5}
 
-	// Epoch 0 emits the v1 framing byte-identically to pre-epoch builds.
-	v1 := s.AppendWire(nil)
-	if !bytes.HasPrefix(v1, []byte("s1 4 77 ")) {
-		t.Fatalf("epoch-0 summary not in v1 framing: %q", v1)
+	// Every epoch, 0 included, is written in the one s2 framing.
+	for _, epoch := range []uint64{0, 9} {
+		s.Epoch = epoch
+		wire := s.AppendWire(nil)
+		if want := fmt.Sprintf("s2 4 %d 77 ", epoch); !bytes.HasPrefix(wire, []byte(want)) {
+			t.Fatalf("epoch-%d summary %q, want prefix %q", epoch, wire, want)
+		}
+		out := ShardSummary{Epoch: 123} // dirty dst must be overwritten
+		if err := ParseShardSummary(wire, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Epoch != epoch || out.Shard != 4 || out.AtNs != 77 {
+			t.Fatalf("epoch-%d round trip drift: %+v", epoch, out)
+		}
 	}
+
+	// The retired epoch-less s1 framing is rejected.
 	var out ShardSummary
-	if err := ParseShardSummary(v1, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Epoch != 0 {
-		t.Fatalf("v1 decode epoch %d, want 0", out.Epoch)
-	}
-
-	// Epoch > 0 switches to v2 and round-trips the epoch.
-	s.Epoch = 9
-	v2 := s.AppendWire(nil)
-	if !bytes.HasPrefix(v2, []byte("s2 4 9 77 ")) {
-		t.Fatalf("epoch-9 summary not in v2 framing: %q", v2)
-	}
-	out = ShardSummary{Epoch: 123} // dirty dst must be overwritten
-	if err := ParseShardSummary(v2, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Epoch != 9 || out.Shard != 4 || out.AtNs != 77 {
-		t.Fatalf("v2 round trip drift: %+v", out)
-	}
-
-	// v2 with a zero epoch is malformed (it would re-encode as v1).
-	if err := ParseShardSummary([]byte("s2 4 0 77 3 0.5 0.5 0 0 0 0\n"), &out); err == nil {
-		t.Error("v2 line with zero epoch accepted")
+	if err := ParseShardSummary([]byte("s1 4 77 3 0.5 0.5 0 0 0 0\n"), &out); err == nil {
+		t.Error("s1 line accepted")
 	}
 }
 

@@ -1,22 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 )
 
-// Compact load wire encoding. JSON round-tripping every rstat()-style
-// load poll costs an encoder allocation and reflection walk on the node
-// plus a decoder on the master, several times per second per node. The
-// v1 fast path is a fixed-field single line,
+// Compact load wire encoding: the one format a node's load report
+// travels in, whether pulled from /load or carried in a frame reply's
+// trailer. It is a fixed-field single line,
 //
 //	l1 <cpu_idle> <disk_avail> <cpu_queue> <disk_queue> <speed>\n
 //
 // appended and parsed with strconv only — no maps, no reflection, no
-// intermediate strings. JSON remains the fallback (and the default on
-// the /load endpoint), so old masters can poll new nodes and vice versa;
-// the master negotiates the fast path with the fmt=c query parameter and
-// detects it by content type or the "l1 " prefix.
+// intermediate strings.
 
 // LoadWireContentType is the MIME type of the compact encoding.
 const LoadWireContentType = "text/x-msweb-load"
@@ -41,17 +39,11 @@ func (l Load) AppendWire(b []byte) []byte {
 	return b
 }
 
-// IsLoadWire reports whether b starts a compact load line (the sniff the
-// master uses when a peer omits the content type).
-func IsLoadWire(b []byte) bool {
-	return len(b) >= len(loadWirePrefix) && string(b[:len(loadWirePrefix)]) == loadWirePrefix
-}
-
 // ParseLoadWire decodes a compact v1 load line (with or without the
-// trailing newline).
+// trailing newline). A line that parses but fails Validate is rejected.
 func ParseLoadWire(b []byte) (Load, error) {
 	var l Load
-	if !IsLoadWire(b) {
+	if !bytes.HasPrefix(b, []byte(loadWirePrefix)) {
 		return l, fmt.Errorf("core: load wire: missing %q prefix", loadWirePrefix)
 	}
 	rest := b[len(loadWirePrefix):]
@@ -92,14 +84,38 @@ func ParseLoadWire(b []byte) (Load, error) {
 	if len(rest) != 0 {
 		return Load{}, fmt.Errorf("core: load wire: trailing garbage %q", rest)
 	}
+	if err := l.Validate(); err != nil {
+		return Load{}, err
+	}
 	return l, nil
+}
+
+// Validate accepts exactly the loads a node's resources can report:
+// CPUIdle and DiskAvail in [0, 1] (the range of both IdleRatio paths),
+// queue populations ≥ 0, and a finite Speed ≥ 0 (0 keeps the
+// configured speed). Every decoder of network input applies it, so one
+// corrupt report can neither price a node at ~0 (an idle ratio of
+// 1e300 passes RSRC's low-end floor) nor hide it from every argmin
+// (NaN).
+func (l Load) Validate() error {
+	switch {
+	case !(l.CPUIdle >= 0 && l.CPUIdle <= 1):
+		return fmt.Errorf("core: load: cpu idle %v outside [0, 1]", l.CPUIdle)
+	case !(l.DiskAvail >= 0 && l.DiskAvail <= 1):
+		return fmt.Errorf("core: load: disk avail %v outside [0, 1]", l.DiskAvail)
+	case l.CPUQueue < 0 || l.DiskQueue < 0:
+		return fmt.Errorf("core: load: negative queue (%d, %d)", l.CPUQueue, l.DiskQueue)
+	case !(l.Speed >= 0 && l.Speed <= math.MaxFloat64):
+		return fmt.Errorf("core: load: speed %v not finite and non-negative", l.Speed)
+	}
+	return nil
 }
 
 // ApplyReport merges a freshly reported load into the view's slot for
 // node id, preserving the previously known Speed when the report omits
 // it (Speed <= 0). This is the single merge rule for every report
-// source — the master's /load poller and the piggybacked reports that
-// ride on /exec and /req responses — so the two paths cannot drift.
+// source — the master's /load poller and the load trailer of every
+// frame reply — so the two paths cannot drift.
 func (v *View) ApplyReport(id int, l Load) {
 	if id < 0 || id >= len(v.Load) {
 		return

@@ -5,19 +5,15 @@ import (
 	"testing"
 )
 
-// sameF64 treats NaN as equal to itself so round-trip checks work on
-// the full float domain.
-func sameF64(a, b float64) bool {
-	return a == b || (math.IsNaN(a) && math.IsNaN(b))
-}
-
 // FuzzParseLoadWire pins the compact l1 parser's safety contract:
-// arbitrary input never panics or over-reads, and any input it accepts
-// re-encodes to a line that parses back to the same load.
+// arbitrary input never panics or over-reads, any input it accepts is a
+// load Validate allows, and it re-encodes to a line that parses back to
+// the same load.
 func FuzzParseLoadWire(f *testing.F) {
 	for _, seed := range [][]byte{
 		Load{CPUIdle: 1, DiskAvail: 1, Speed: 1}.AppendWire(nil),
 		Load{CPUIdle: 0.5, DiskAvail: 0.25, CPUQueue: 3, DiskQueue: 9, Speed: 2}.AppendWire(nil),
+		// Out of range: rejected by Validate.
 		Load{CPUIdle: math.Inf(1), DiskAvail: math.Inf(-1), Speed: math.NaN()}.AppendWire(nil),
 		[]byte("l1 "),
 		[]byte("l1 1 1 0 0"),
@@ -33,13 +29,15 @@ func FuzzParseLoadWire(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if err := l.Validate(); err != nil {
+			t.Fatalf("accepted %q fails Validate: %v", b, err)
+		}
 		re := l.AppendWire(nil)
 		l2, err := ParseLoadWire(re)
 		if err != nil {
 			t.Fatalf("re-encoded %q does not parse: %v", re, err)
 		}
-		if !sameF64(l.CPUIdle, l2.CPUIdle) || !sameF64(l.DiskAvail, l2.DiskAvail) ||
-			l.CPUQueue != l2.CPUQueue || l.DiskQueue != l2.DiskQueue || !sameF64(l.Speed, l2.Speed) {
+		if l != l2 {
 			t.Fatalf("round trip drift: %+v -> %q -> %+v", l, re, l2)
 		}
 	})

@@ -13,7 +13,7 @@ import (
 // shipping this small struct (not the map) is enough to converge the
 // whole tier — newest epoch wins, exactly like shard summaries.
 //
-// The compact wire encoding is one line in the l1/s1 idiom:
+// The compact wire encoding is one line in the l1/s2 idiom:
 //
 //	m1 <epoch> <mode> <nm> <master>*nm <ns> <slave>*ns \n
 //

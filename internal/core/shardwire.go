@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 )
@@ -10,38 +11,26 @@ import (
 // back on every tick. Instead it publishes a ShardSummary: the shard's
 // aggregate load plus the top-k least-loaded node digests, enough for a
 // remote master to (a) rank shards as spill targets and (b) hand a
-// handful of concrete candidate nodes to the routing stage. The v1
+// handful of concrete candidate nodes to the routing stage. The
 // encoding is a fixed-prefix single line in the l1 idiom (strconv only,
 // no maps, no reflection):
 //
-//	s1 <shard> <at_ns> <nodes> <cpu_idle> <disk_avail> <cpu_q> <disk_q> <idle> <k>
+//	s2 <shard> <epoch> <at_ns> <nodes> <cpu_idle> <disk_avail> <cpu_q> <disk_q> <idle> <k>
 //	   {<node> <cpu_idle> <disk_avail> <cpu_q> <disk_q> <speed>}*k \n
 //
-// (one line; the digest groups repeat space-separated). <at_ns> is the
-// owner's sample timestamp so receivers can age summaries without
-// trusting clock skew on the transport. Aggregate idle/avail are means
-// over the shard; queues are totals; <idle> counts nodes with both
-// queues empty.
-
-// The v2 encoding (prefix "s2") carries the sender's shard-map epoch as
-// an extra field between <shard> and <at_ns>, so gossip transports map
-// versions and receivers can converge newest-wins across membership
-// changes:
-//
-//	s2 <shard> <epoch> <at_ns> ... (rest identical to s1)
-//
-// Encoders emit s1 while the epoch is 0 (a static run never rebalances,
-// keeping its wire bytes identical to pre-epoch builds) and s2 once the
-// map has moved; decoders accept both.
+// (one line; the digest groups repeat space-separated). <epoch> is the
+// sender's shard-map epoch (0 until the map first moves), so gossip
+// transports map versions and receivers converge newest-wins across
+// membership changes. <at_ns> is the owner's sample timestamp so
+// receivers can age summaries without trusting clock skew on the
+// transport. Aggregate idle/avail are means over the shard; queues are
+// totals; <idle> counts nodes with both queues empty.
 
 // ShardWireContentType is the MIME type of the compact summary encoding.
 const ShardWireContentType = "text/x-msweb-shard"
 
 // shardWirePrefix introduces (and versions) a compact summary line.
-const shardWirePrefix = "s1 "
-
-// shardWirePrefixV2 introduces an epoch-carrying summary line.
-const shardWirePrefixV2 = "s2 "
+const shardWirePrefix = "s2 "
 
 // MaxShardDigests caps the digest count a summary may carry (and a
 // parser will accept) so a hostile or corrupt line cannot force an
@@ -58,7 +47,7 @@ type ShardDigest struct {
 // publishes about its own shard.
 type ShardSummary struct {
 	Shard     int
-	Epoch     uint64 // sender's shard-map epoch (0 on s1 lines)
+	Epoch     uint64 // sender's shard-map epoch
 	AtNs      int64  // owner's sample time, UnixNano
 	Nodes     int    // shard population behind the aggregates
 	CPUIdle   float64
@@ -139,21 +128,13 @@ func BuildShardSummary(dst *ShardSummary, shard int, atNs int64, ids []int, load
 }
 
 // AppendWire appends the compact encoding of s to b and returns the
-// extended slice: v1 while Epoch is 0 (bytes identical to pre-epoch
-// builds), v2 with the epoch field once the map has moved. It never
-// allocates when b has capacity.
+// extended slice. It never allocates when b has capacity.
 func (s *ShardSummary) AppendWire(b []byte) []byte {
-	if s.Epoch == 0 {
-		b = append(b, shardWirePrefix...)
-	} else {
-		b = append(b, shardWirePrefixV2...)
-	}
+	b = append(b, shardWirePrefix...)
 	b = strconv.AppendInt(b, int64(s.Shard), 10)
 	b = append(b, ' ')
-	if s.Epoch != 0 {
-		b = strconv.AppendUint(b, s.Epoch, 10)
-		b = append(b, ' ')
-	}
+	b = strconv.AppendUint(b, s.Epoch, 10)
+	b = append(b, ' ')
 	b = strconv.AppendInt(b, s.AtNs, 10)
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, int64(s.Nodes), 10)
@@ -185,16 +166,6 @@ func (s *ShardSummary) AppendWire(b []byte) []byte {
 	}
 	b = append(b, '\n')
 	return b
-}
-
-// IsShardWire reports whether b starts a compact summary line (either
-// version).
-func IsShardWire(b []byte) bool {
-	if len(b) < len(shardWirePrefix) {
-		return false
-	}
-	p := string(b[:len(shardWirePrefix)])
-	return p == shardWirePrefix || p == shardWirePrefixV2
 }
 
 // shardFields walks the space-delimited fields of a summary line.
@@ -268,16 +239,15 @@ func (f *shardFields) float() (float64, error) {
 	return v, nil
 }
 
-// ParseShardSummary decodes a compact summary line (v1 or v2, with or
-// without the trailing newline) into dst, reusing dst.Top. dst is
-// untouched on error paths before the header parses; on a digest error
-// it may hold a partially filled Top — callers treat any error as
-// "discard". v1 lines decode with Epoch 0.
+// ParseShardSummary decodes a compact summary line (with or without
+// the trailing newline) into dst, reusing dst.Top. dst is untouched on
+// error paths before the header parses; on a later error it may hold a
+// partially filled Top — callers treat any error as "discard". The
+// aggregate and every digest must pass Load.Validate.
 func ParseShardSummary(b []byte, dst *ShardSummary) error {
-	if !IsShardWire(b) {
-		return fmt.Errorf("core: shard wire: missing %q or %q prefix", shardWirePrefix, shardWirePrefixV2)
+	if !bytes.HasPrefix(b, []byte(shardWirePrefix)) {
+		return fmt.Errorf("core: shard wire: missing %q prefix", shardWirePrefix)
 	}
-	v2 := b[1] == '2'
 	rest := b[len(shardWirePrefix):]
 	if n := len(rest); n > 0 && rest[n-1] == '\n' {
 		rest = rest[:n-1]
@@ -287,14 +257,8 @@ func ParseShardSummary(b []byte, dst *ShardSummary) error {
 	if dst.Shard, err = f.int(); err != nil {
 		return err
 	}
-	dst.Epoch = 0
-	if v2 {
-		if dst.Epoch, err = f.uint64(); err != nil {
-			return err
-		}
-		if dst.Epoch == 0 {
-			return fmt.Errorf("core: shard wire: v2 line with zero epoch")
-		}
+	if dst.Epoch, err = f.uint64(); err != nil {
+		return err
 	}
 	if dst.AtNs, err = f.int64(); err != nil {
 		return err
@@ -321,6 +285,10 @@ func ParseShardSummary(b []byte, dst *ShardSummary) error {
 	if err != nil {
 		return err
 	}
+	agg := Load{CPUIdle: dst.CPUIdle, DiskAvail: dst.DiskAvail, CPUQueue: dst.CPUQueue, DiskQueue: dst.DiskQueue}
+	if err := agg.Validate(); err != nil {
+		return err
+	}
 	if k < 0 || k > MaxShardDigests {
 		return fmt.Errorf("core: shard wire: digest count %d out of range [0,%d]", k, MaxShardDigests)
 	}
@@ -343,6 +311,9 @@ func ParseShardSummary(b []byte, dst *ShardSummary) error {
 			return err
 		}
 		if d.Load.Speed, err = f.float(); err != nil {
+			return err
+		}
+		if err := d.Load.Validate(); err != nil {
 			return err
 		}
 		dst.Top = append(dst.Top, d)

@@ -8,20 +8,17 @@ import (
 // Per-node circuit breakers for the master's dispatch path, replacing
 // the fixed failHoldDown constant. The breaker serves the same purpose
 // the paper's sub-second switch failure detection does — keep placement
-// away from a node that stopped answering — but with the three-state
+// away from a node that stopped answering — with the three-state
 // protocol production load balancers use:
 //
-//	closed ──(FailureThreshold consecutive failures, or the windowed
-//	          error rate crossing ErrorRateThreshold)──▶ open
+//	closed ──(one failed dispatch or poll)──▶ open
 //	open ──(OpenFor elapsed)──▶ half-open
-//	half-open ──(SuccessesToClose probe successes)──▶ closed
-//	half-open ──(any probe failure)──▶ open (hold-down restarts)
+//	half-open ──(the one probe succeeds, or a poll does)──▶ closed
+//	half-open ──(the probe or a poll fails)──▶ open (hold-down restarts)
 //
 // Everything is per-slot atomics — the request path's Allow/Acquire
 // reads are lock-free and allocation-free, preserving the /req fast
-// path's 0-alloc contract. The accounting tolerates benign races (an
-// extra half-open probe slipping through under contention) in exchange
-// for never blocking a request behind a mutex.
+// path's 0-alloc contract.
 
 // Breaker states.
 const (
@@ -30,30 +27,12 @@ const (
 	breakerOpen
 )
 
-// BreakerConfig tunes the per-node circuit breakers. The zero value is
-// replaced by defaults reproducing the old fixed hold-down behavior:
-// one failed request or poll opens the circuit for DefaultOpenFor, and
-// a single successful probe (or load poll) closes it.
+// BreakerConfig tunes the per-node circuit breakers.
 type BreakerConfig struct {
-	// FailureThreshold is the number of consecutive request failures
-	// that opens the circuit (default 1, the old one-strike hold-down).
-	FailureThreshold int
-	// ErrorRateThreshold additionally opens the circuit when the
-	// failure fraction over the trailing rate window reaches it, once
-	// MinRateSamples outcomes have been seen. 0 disables rate tripping.
-	ErrorRateThreshold float64
-	// MinRateSamples gates ErrorRateThreshold (default 20).
-	MinRateSamples int
 	// OpenFor is how long an open circuit excludes its node from
-	// placement before half-open probes begin (default DefaultOpenFor —
-	// the old failHoldDown constant).
+	// placement before the half-open probe is allowed (default
+	// DefaultOpenFor — the old failHoldDown constant).
 	OpenFor time.Duration
-	// HalfOpenProbes caps concurrently in-flight probe requests while
-	// half-open (default 1).
-	HalfOpenProbes int
-	// SuccessesToClose is the number of consecutive probe successes
-	// that closes a half-open circuit (default 1).
-	SuccessesToClose int
 }
 
 // DefaultOpenFor is the default open-state hold-down, the value of the
@@ -62,20 +41,8 @@ const DefaultOpenFor = 2 * time.Second
 
 // withDefaults fills zero fields.
 func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 1
-	}
-	if c.MinRateSamples <= 0 {
-		c.MinRateSamples = 20
-	}
 	if c.OpenFor <= 0 {
 		c.OpenFor = DefaultOpenFor
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
-	if c.SuccessesToClose <= 0 {
-		c.SuccessesToClose = 1
 	}
 	return c
 }
@@ -84,18 +51,10 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // slot is embedded by value in the set's slice so per-node state costs
 // no pointer chase.
 type breakerSlot struct {
-	state       atomic.Int32
-	consecFails atomic.Int32
-	openedAt    atomic.Int64 // UnixNano of the last closed/half-open→open transition
-	probes      atomic.Int32 // in-flight half-open probes
-	successes   atomic.Int32 // consecutive half-open probe successes
-	opens       atomic.Int64 // cumulative open transitions (metrics)
-	// Trailing error-rate window: a coarse two-generation scheme. The
-	// current generation accumulates; rotate() (called by the master's
-	// poll loop, a single writer) shifts it into prev. Rates read
-	// cur+prev, covering one to two poll periods.
-	curFails, curTotal   atomic.Int64
-	prevFails, prevTotal atomic.Int64
+	state    atomic.Int32
+	openedAt atomic.Int64 // UnixNano of the last closed/half-open→open transition
+	probes   atomic.Int32 // in-flight half-open probes (0 or 1)
+	opens    atomic.Int64 // cumulative open transitions (metrics)
 }
 
 // breakerSet is the per-node breaker array for one master.
@@ -120,16 +79,12 @@ func (s *breakerSet) open(b *breakerSlot, now int64) {
 	if b.state.Swap(breakerOpen) != breakerOpen {
 		b.opens.Add(1)
 	}
-	b.consecFails.Store(0)
-	b.successes.Store(0)
 }
 
 // close resets a slot to closed.
 func (s *breakerSet) close(b *breakerSlot) {
 	b.state.Store(breakerClosed)
-	b.consecFails.Store(0)
 	b.probes.Store(0)
-	b.successes.Store(0)
 }
 
 // maybeHalfOpen transitions an expired open circuit to half-open and
@@ -144,15 +99,14 @@ func (s *breakerSet) maybeHalfOpen(b *breakerSlot, now int64) int32 {
 	}
 	if b.state.CompareAndSwap(breakerOpen, breakerHalfOpen) {
 		b.probes.Store(0)
-		b.successes.Store(0)
 	}
 	return b.state.Load()
 }
 
 // Allow reports whether node id may be offered to the policy as a
 // placement candidate at wall time now (UnixNano): closed circuits
-// always, open circuits never, half-open circuits only while probe
-// slots remain. Read-only apart from the open→half-open transition.
+// always, open circuits never, half-open circuits only while the probe
+// slot is free. Read-only apart from the open→half-open transition.
 func (s *breakerSet) Allow(id int, now int64) bool {
 	b := &s.slots[id]
 	switch s.maybeHalfOpen(b, now) {
@@ -161,14 +115,14 @@ func (s *breakerSet) Allow(id int, now int64) bool {
 	case breakerOpen:
 		return false
 	default:
-		return b.probes.Load() < int32(s.cfg.HalfOpenProbes)
+		return b.probes.Load() == 0
 	}
 }
 
-// Acquire begins one dispatch to node id, claiming a probe slot when the
-// circuit is half-open. A false return means the node must not be used
-// (open, or no probe slot free); a true return must be paired with
-// exactly one Release.
+// Acquire begins one dispatch to node id, claiming the probe slot when
+// the circuit is half-open. A false return means the node must not be
+// used (open, or the probe already in flight); a true return must be
+// paired with exactly one Release.
 func (s *breakerSet) Acquire(id int, now int64) bool {
 	b := &s.slots[id]
 	switch s.maybeHalfOpen(b, now) {
@@ -177,54 +131,25 @@ func (s *breakerSet) Acquire(id int, now int64) bool {
 	case breakerOpen:
 		return false
 	default:
-		if b.probes.Add(1) > int32(s.cfg.HalfOpenProbes) {
-			b.probes.Add(-1)
-			return false
-		}
-		return true
+		return b.probes.CompareAndSwap(0, 1)
 	}
 }
 
-// Release reports the outcome of an Acquired dispatch at wall time now.
+// Release reports the outcome of an Acquired dispatch at wall time now:
+// a failure opens (or, for a probe, reopens) the circuit; a successful
+// probe closes it.
 func (s *breakerSet) Release(id int, ok bool, now int64) {
 	b := &s.slots[id]
-	b.curTotal.Add(1)
-	if !ok {
-		b.curFails.Add(1)
-	}
-	st := b.state.Load()
-	if st == breakerHalfOpen {
-		b.probes.Add(-1)
-		if !ok {
-			s.open(b, now) // a failed probe restarts the hold-down
+	if b.state.Load() == breakerHalfOpen {
+		b.probes.Store(0)
+		if ok {
+			s.close(b)
 			return
 		}
-		if b.successes.Add(1) >= int32(s.cfg.SuccessesToClose) {
-			s.close(b)
-		}
-		return
 	}
-	if ok {
-		b.consecFails.Store(0)
-		return
-	}
-	if int(b.consecFails.Add(1)) >= s.cfg.FailureThreshold || s.rateTripped(b) {
+	if !ok {
 		s.open(b, now)
 	}
-}
-
-// rateTripped reports whether the windowed error rate crossed the
-// configured threshold.
-func (s *breakerSet) rateTripped(b *breakerSlot) bool {
-	if s.cfg.ErrorRateThreshold <= 0 {
-		return false
-	}
-	total := b.curTotal.Load() + b.prevTotal.Load()
-	if total < int64(s.cfg.MinRateSamples) {
-		return false
-	}
-	fails := b.curFails.Load() + b.prevFails.Load()
-	return float64(fails)/float64(total) >= s.cfg.ErrorRateThreshold
 }
 
 // PollSuccess records a successful /load fetch: strong evidence the node
@@ -234,30 +159,9 @@ func (s *breakerSet) PollSuccess(id int) {
 	s.close(&s.slots[id])
 }
 
-// PollFailure records a failed /load fetch at wall time now. Poll
-// outcomes feed the consecutive-failure count but never touch half-open
-// probe accounting (they were not Acquired).
+// PollFailure records a failed /load fetch at wall time now: it opens
+// the circuit (restarting the hold-down of a half-open one) without
+// touching the probe slot, which the poll never Acquired.
 func (s *breakerSet) PollFailure(id int, now int64) {
-	b := &s.slots[id]
-	b.curTotal.Add(1)
-	b.curFails.Add(1)
-	if b.state.Load() == breakerHalfOpen {
-		s.open(b, now)
-		return
-	}
-	if int(b.consecFails.Add(1)) >= s.cfg.FailureThreshold || s.rateTripped(b) {
-		s.open(b, now)
-	}
-}
-
-// rotate shifts every slot's error-rate window by one generation. Called
-// from the master's poll loop — a single writer, so plain stores suffice
-// for the generation swap; concurrent Adds racing the rotation land in
-// either generation, which the one-to-two-period window tolerates.
-func (s *breakerSet) rotate() {
-	for i := range s.slots {
-		b := &s.slots[i]
-		b.prevFails.Store(b.curFails.Swap(0))
-		b.prevTotal.Store(b.curTotal.Swap(0))
-	}
+	s.open(&s.slots[id], now)
 }

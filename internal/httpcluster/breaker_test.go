@@ -25,7 +25,7 @@ func TestBreakerTransitions(t *testing.T) {
 	}{
 		{
 			name: "one strike opens, hold-down, probe closes",
-			cfg:  BreakerConfig{FailureThreshold: 1, OpenFor: 2 * time.Second},
+			cfg:  BreakerConfig{OpenFor: 2 * time.Second},
 			steps: []step{
 				{at: 0, op: "allow", want: true, state: breakerClosed, comment: "fresh slot is closed"},
 				{at: 0, op: "acquire", want: true, state: breakerClosed},
@@ -40,7 +40,7 @@ func TestBreakerTransitions(t *testing.T) {
 		},
 		{
 			name: "failed probe restarts the hold-down",
-			cfg:  BreakerConfig{FailureThreshold: 1, OpenFor: time.Second},
+			cfg:  BreakerConfig{OpenFor: time.Second},
 			steps: []step{
 				{at: 0, op: "release", ok: false, state: breakerOpen},
 				{at: 1 * sec, op: "acquire", want: true, state: breakerHalfOpen},
@@ -50,46 +50,13 @@ func TestBreakerTransitions(t *testing.T) {
 			},
 		},
 		{
-			name: "consecutive-failure threshold",
-			cfg:  BreakerConfig{FailureThreshold: 3, OpenFor: time.Second},
-			steps: []step{
-				{at: 0, op: "release", ok: false, state: breakerClosed, comment: "1 of 3"},
-				{at: 0, op: "release", ok: false, state: breakerClosed, comment: "2 of 3"},
-				{at: 0, op: "release", ok: true, state: breakerClosed, comment: "success resets the streak"},
-				{at: 0, op: "release", ok: false, state: breakerClosed},
-				{at: 0, op: "release", ok: false, state: breakerClosed},
-				{at: 0, op: "release", ok: false, state: breakerOpen, comment: "3 consecutive → open"},
-			},
-		},
-		{
-			name: "multiple successes to close",
-			cfg:  BreakerConfig{FailureThreshold: 1, OpenFor: time.Second, HalfOpenProbes: 2, SuccessesToClose: 2},
-			steps: []step{
-				{at: 0, op: "release", ok: false, state: breakerOpen},
-				{at: 1 * sec, op: "acquire", want: true, state: breakerHalfOpen},
-				{at: 1 * sec, op: "release", ok: true, state: breakerHalfOpen, comment: "1 of 2 successes"},
-				{at: 1 * sec, op: "acquire", want: true, state: breakerHalfOpen},
-				{at: 1 * sec, op: "release", ok: true, state: breakerClosed, comment: "2 of 2 → closed"},
-			},
-		},
-		{
 			name: "poll success closes outright",
-			cfg:  BreakerConfig{FailureThreshold: 1, OpenFor: time.Hour},
+			cfg:  BreakerConfig{OpenFor: time.Hour},
 			steps: []step{
 				{at: 0, op: "pollfail", state: breakerOpen, comment: "failed poll opens like the old markFailed"},
 				{at: 1 * sec, op: "allow", want: false, state: breakerOpen},
 				{at: 2 * sec, op: "pollok", state: breakerClosed, comment: "answering /load rehabilitates immediately"},
 				{at: 2 * sec, op: "allow", want: true, state: breakerClosed},
-			},
-		},
-		{
-			name: "error-rate trip",
-			cfg:  BreakerConfig{FailureThreshold: 100, ErrorRateThreshold: 0.5, MinRateSamples: 4, OpenFor: time.Second},
-			steps: []step{
-				{at: 0, op: "release", ok: true, state: breakerClosed},
-				{at: 0, op: "release", ok: false, state: breakerClosed, comment: "1/2 failed but under MinRateSamples"},
-				{at: 0, op: "release", ok: true, state: breakerClosed},
-				{at: 0, op: "release", ok: false, state: breakerOpen, comment: "2/4 ≥ 50% with enough samples"},
 			},
 		},
 	}
@@ -126,34 +93,10 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 }
 
-// The error-rate window rotates generations: samples age out after two
-// rotations, so an old burst of failures cannot trip a now-healthy node.
-func TestBreakerRateWindowRotation(t *testing.T) {
-	s := newBreakerSet(1, BreakerConfig{
-		FailureThreshold: 100, ErrorRateThreshold: 0.5, MinRateSamples: 4, OpenFor: time.Second,
-	})
-	// Three failures and a success, then heal the window via rotation.
-	s.Release(0, false, 0)
-	s.Release(0, false, 0)
-	s.Release(0, true, 0)
-	s.rotate()
-	s.rotate() // the failures aged out entirely
-	for i := 0; i < 6; i++ {
-		s.Release(0, true, 0)
-	}
-	s.Release(0, false, 0)
-	if s.State(0) != breakerClosed {
-		t.Fatal("aged-out failures still tripped the rate breaker")
-	}
-	if s.Opens(0) != 0 {
-		t.Fatalf("opens = %d, want 0", s.Opens(0))
-	}
-}
-
 // Concurrent Acquire/Release hammering must keep the probe count sane
 // (run under -race in CI).
 func TestBreakerConcurrentProbes(t *testing.T) {
-	s := newBreakerSet(1, BreakerConfig{FailureThreshold: 1, OpenFor: time.Nanosecond, HalfOpenProbes: 2})
+	s := newBreakerSet(1, BreakerConfig{OpenFor: time.Nanosecond})
 	s.Release(0, false, 0) // open; every later now is past the hold-down
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -169,7 +112,7 @@ func TestBreakerConcurrentProbes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if p := s.slots[0].probes.Load(); p < 0 || p > 2 {
+	if p := s.slots[0].probes.Load(); p < 0 || p > 1 {
 		t.Fatalf("probe count %d out of range after concurrent churn", p)
 	}
 }

@@ -31,9 +31,6 @@ type Config struct {
 	// Tracer receives request lifecycle events from every master (must be
 	// safe for concurrent use); nil disables tracing.
 	Tracer obs.Tracer
-	// PollDeadlineFloor floors each master's /load fan-out deadline
-	// (default 100 ms).
-	PollDeadlineFloor time.Duration
 	// Uncalibrated runs every node's virtual resources in fast mode
 	// (virtual-time accounting, no wall-clock sleeps) — the uncapped
 	// configuration for throughput work. See NodeOptions.Uncalibrated.
@@ -63,9 +60,6 @@ type Config struct {
 	// tier size from measured load and announces promote/demote
 	// membership epochs (see NodeOptions.AutoscaleMasters).
 	AutoscaleMasters time.Duration
-	// MasterCapable lists node ids the autoscaler may promote (defaults
-	// to the initial master set).
-	MasterCapable []int
 }
 
 // DefaultConfig mirrors the Table 3 setup: 6 nodes, the given master
@@ -172,15 +166,13 @@ func Start(cfg Config) (*Cluster, error) {
 			Policy:      cfg.MakePolicy(id),
 			LoadRefresh: cfg.LoadRefresh, PolicyTick: cfg.PolicyTick,
 			Resilience: cfg.Resilience, Tracer: cfg.Tracer,
-			PollDeadlineFloor: cfg.PollDeadlineFloor,
-			Uncalibrated:      cfg.Uncalibrated,
-			Discipline:        cfg.Discipline,
-			ListenerShards:    cfg.ListenerShards,
-			Shards:            cfg.Shards,
-			ShardMapMode:      cfg.ShardMapMode,
-			GossipEvery:       cfg.GossipEvery,
-			AutoscaleMasters:  cfg.AutoscaleMasters,
-			MasterCapable:     cfg.MasterCapable,
+			Uncalibrated:     cfg.Uncalibrated,
+			Discipline:       cfg.Discipline,
+			ListenerShards:   cfg.ListenerShards,
+			Shards:           cfg.Shards,
+			ShardMapMode:     cfg.ShardMapMode,
+			GossipEvery:      cfg.GossipEvery,
+			AutoscaleMasters: cfg.AutoscaleMasters,
 		})
 		if err != nil {
 			c.Shutdown()

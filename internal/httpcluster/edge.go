@@ -498,8 +498,8 @@ func (ec *edgeConn) serveReq(p reqParams, timeoutMs int64, closeAfter bool) erro
 	}
 }
 
-// replyOK sends a 200 with the load stamps and a body under writeBody's
-// size rule, head and body in one writev.
+// replyOK sends a 200 with a body under writeBody's size rule, head and
+// body in one writev.
 func (ec *edgeConn) replyOK(size int64, closeAfter bool) error {
 	size = bodySize(size)
 	length := size
@@ -509,7 +509,6 @@ func (ec *edgeConn) replyOK(size int64, closeAfter bool) error {
 	b := append(ec.out[:0], "HTTP/1.1 200 OK\r\nContent-Length: "...)
 	b = strconv.AppendInt(b, length, 10)
 	b = append(b, "\r\n"...)
-	b = ec.n.appendLoadHeaders(b)
 	b = appendReplyEnd(b, closeAfter)
 	ec.out = b
 	ec.vec = append(ec.vec[:0], b)

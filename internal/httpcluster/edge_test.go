@@ -139,9 +139,8 @@ func TestEdgeHandoffMidConnection(t *testing.T) {
 	if later.StatusCode != http.StatusOK || len(body) != 100 || fromEdge(later) {
 		t.Fatalf("later /req: status %d, %d bytes, fromEdge=%v", later.StatusCode, len(body), fromEdge(later))
 	}
-	if later.ContentLength != first.ContentLength || later.Header.Get(LoadHeader) == "" || first.Header.Get(LoadHeader) == "" {
-		t.Fatalf("adapters disagree: Content-Length %d vs %d, load %q vs %q",
-			first.ContentLength, later.ContentLength, first.Header.Get(LoadHeader), later.Header.Get(LoadHeader))
+	if later.ContentLength != first.ContentLength {
+		t.Fatalf("adapters disagree: Content-Length %d vs %d", first.ContentLength, later.ContentLength)
 	}
 	if m.Served() != 2 || m.EdgeConns() != 0 {
 		t.Fatalf("served=%d EdgeConns=%d, want 2 and 0", m.Served(), m.EdgeConns())
@@ -158,7 +157,7 @@ func TestEdgePipelined(t *testing.T) {
 	for _, size := range sizes {
 		fmt.Fprintf(&batch, "GET /req?class=s&demand=0&w=0.5&size=%d HTTP/1.1\r\nHost: test\r\n\r\n", size)
 	}
-	batch.WriteString("GET /stats HTTP/1.1\r\nHost: test\r\n\r\n")
+	batch.WriteString("GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n")
 	rc.send(batch.String())
 	for i, size := range sizes {
 		resp, body := rc.reply()
@@ -166,8 +165,8 @@ func TestEdgePipelined(t *testing.T) {
 			t.Fatalf("reply %d: status %d, %d bytes (want %d), fromEdge=%v", i, resp.StatusCode, len(body), size, fromEdge(resp))
 		}
 	}
-	if resp, body := rc.reply(); resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"executed":3`) {
-		t.Fatalf("/stats behind the pipeline: status %d body %q", resp.StatusCode, body)
+	if resp, body := rc.reply(); resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `msweb_node_executed_total{node="0"} 3`) {
+		t.Fatalf("/metrics behind the pipeline: status %d body %q", resp.StatusCode, body)
 	}
 }
 
@@ -302,10 +301,11 @@ func TestEdgeReplyMatchesHandler(t *testing.T) {
 		if r.status != 200 && string(edgeBody) != rec.Body.String() {
 			t.Errorf("%s: error body edge %q, handler %q", r.name, edgeBody, rec.Body.String())
 		}
-		for _, name := range []string{LoadHeader, ShardHeader} {
-			e, a := edge.Header.Get(name) != "", adapter.Header.Get(name) != ""
-			if e != a || e != (r.status == 200 && (name == LoadHeader || r.m == sharded)) {
-				t.Errorf("%s: %s present on edge %v, on handler %v", r.name, name, e, a)
+		for _, h := range []http.Header{edge.Header, adapter.Header} {
+			for name := range h {
+				if strings.HasPrefix(name, "X-Msweb-") {
+					t.Errorf("%s: reply carries %s", r.name, name)
+				}
 			}
 		}
 		if e, a := edge.Header.Get("Retry-After"), adapter.Header.Get("Retry-After"); e != a || (e != "") != (r.status == 503) {

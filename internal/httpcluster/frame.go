@@ -49,9 +49,11 @@ import (
 // shed, 504 deadline expired) so the master's retry/breaker
 // classification is transport-independent. Every response carries the
 // node's piggybacked load report, replacing a /load poll round trip;
-// sharded masters append their own-shard summary (an s1 line) as the
+// sharded masters append their own-shard summary (an s2 line) as the
 // optional trailing block, which old readers simply never see (the
-// block is absent, not truncated, when the server predates it).
+// block is absent, not truncated, when the server predates it). A load
+// trailer that fails core.Load.Validate makes the whole reply malformed,
+// like a short one; a summary that fails to parse is dropped.
 
 const (
 	// frameProtocol is the Upgrade token negotiated on GET /frame.
@@ -288,6 +290,9 @@ func parseRespPayload(payload []byte, dst []int) ([]int, core.Load, bool, []byte
 		load.CPUQueue = int(int32(binary.LittleEndian.Uint32(body[16:])))
 		load.DiskQueue = int(int32(binary.LittleEndian.Uint32(body[20:])))
 		load.Speed = math.Float64frombits(binary.LittleEndian.Uint64(body[24:]))
+		if err := load.Validate(); err != nil {
+			return dst, core.Load{}, false, nil, err
+		}
 		body = body[frameLoadSize:]
 	}
 	sum, err := parseRespSummary(body)

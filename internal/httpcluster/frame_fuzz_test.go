@@ -84,6 +84,9 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 		}
 		if sts, load, hasLoad, sum, err := parseRespPayload(b, nil); err == nil && hasLoad {
+			if err := load.Validate(); err != nil {
+				t.Fatalf("accepted resp payload carries an invalid load: %v", err)
+			}
 			re := appendRespFrame(nil, sts, load, sum)
 			sts2, load2, hasLoad2, sum2, err := parseRespPayload(re[4:], nil)
 			if err != nil || !hasLoad2 {

@@ -212,11 +212,38 @@ func TestFrameRetryFailoverAndBreaker(t *testing.T) {
 	if good.framesServed.Load() == 0 {
 		t.Fatal("failover target did not serve over the frame transport")
 	}
-	// FailureThreshold defaults to 1: the dead pair's breaker must be open.
+	// One failure opens a breaker: the dead pair's must be open.
 	if m.BreakerState(1) != breakerOpen {
 		t.Fatalf("bad slave breaker state %d, want open (%d)", m.BreakerState(1), breakerOpen)
 	}
 	if m.BreakerState(2) != breakerClosed {
 		t.Fatalf("good slave breaker state %d, want closed (%d)", m.BreakerState(2), breakerClosed)
+	}
+}
+
+// A reply whose load trailer decodes but fails core.Load.Validate is
+// malformed, like a truncated one: the master never folds it into its
+// view.
+func TestRespPayloadRangeCheck(t *testing.T) {
+	for _, c := range []struct {
+		load core.Load
+		ok   bool
+	}{
+		{core.Load{CPUIdle: 1, DiskAvail: 1, Speed: 1}, true},
+		{core.Load{}, true},
+		{core.Load{CPUIdle: 1e300, DiskAvail: 1e300, Speed: 1}, false},
+		{core.Load{CPUIdle: math.NaN(), DiskAvail: 1, Speed: 1}, false},
+		{core.Load{CPUIdle: 1, DiskAvail: math.Inf(1), Speed: 1}, false},
+		{core.Load{CPUIdle: -0.5, DiskAvail: 1, Speed: 1}, false},
+		{core.Load{CPUIdle: 1, DiskAvail: 1, CPUQueue: -1, Speed: 1}, false},
+		{core.Load{CPUIdle: 1, DiskAvail: 1, DiskQueue: -1, Speed: 1}, false},
+		{core.Load{CPUIdle: 1, DiskAvail: 1, Speed: -1}, false},
+		{core.Load{CPUIdle: 1, DiskAvail: 1, Speed: math.Inf(1)}, false},
+	} {
+		frame := appendRespFrame(nil, []int{200}, c.load, nil)
+		_, _, _, _, err := parseRespPayload(frame[4:], nil)
+		if (err == nil) != c.ok {
+			t.Errorf("load %+v: err %v, want accepted=%v", c.load, err, c.ok)
+		}
 	}
 }

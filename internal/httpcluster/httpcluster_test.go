@@ -1,8 +1,9 @@
 package httpcluster
 
 import (
-	"encoding/json"
+	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -138,12 +139,16 @@ func TestNodeLoadEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rep core.Load
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+	if ct := resp.Header.Get("Content-Type"); ct != core.LoadWireContentType {
+		t.Fatalf("Content-Type %q, want %q", ct, core.LoadWireContentType)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.CPUIdle < 0 || rep.CPUIdle > 1 || rep.DiskAvail < 0 || rep.DiskAvail > 1 {
-		t.Fatalf("implausible load report: %+v", rep)
+	// ParseLoadWire validates: idle ratios in [0, 1], queues ≥ 0.
+	if _, err := core.ParseLoadWire(body); err != nil {
+		t.Fatalf("/load body %q: %v", body, err)
 	}
 }
 
@@ -312,6 +317,8 @@ func TestResponseBodyFallsBackOnBadSize(t *testing.T) {
 	}
 }
 
+// A node's request counters — executed and forked — are exposed through
+// its accessors and its /metrics families, labelled with the node id.
 func TestStatsEndpoint(t *testing.T) {
 	n, err := LaunchNode(NodeOptions{ID: 2, TimeScale: 0.25})
 	if err != nil {
@@ -323,17 +330,25 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Body.Close()
+	if n.Executed() != 1 || n.CGIServed() != 1 {
+		t.Fatalf("executed %d, cgi served %d; want 1 and 1", n.Executed(), n.CGIServed())
+	}
 
-	resp, err := http.Get(n.URL + "/stats")
+	resp, err := http.Get(n.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rep StatsReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+	page, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Node != 2 || rep.Executed != 1 || rep.CGIServed != 1 || rep.UptimeS <= 0 {
-		t.Fatalf("stats: %+v", rep)
+	for _, want := range []string{
+		`msweb_node_executed_total{node="2"} 1`,
+		`msweb_node_cgi_served_total{node="2"} 1`,
+	} {
+		if !strings.Contains(string(page), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 }

@@ -227,7 +227,7 @@ func (m *Master) postMembership(id int, wire []byte) {
 	if base == "" {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), m.pollFloor)
+	ctx, cancel := context.WithTimeout(context.Background(), pollDeadlineFloor)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+MembershipPath, newByteReader(wire))
 	if err != nil {
@@ -349,7 +349,7 @@ func (m *Master) confirmDead(id int) bool {
 	if base == "" {
 		return true
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*m.pollFloor)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*pollDeadlineFloor)
 	defer cancel()
 	var mb core.Membership
 	if err := m.fetchMembership(ctx, base, &mb); err != nil {

@@ -150,8 +150,8 @@ func TestApplyMembershipRebalanceAndDemotion(t *testing.T) {
 // a pre-rebalance summary — however fresh its owner clock stamp — must
 // never overwrite a post-rebalance one, and anything two epochs behind
 // the local map is dropped outright. This pins the stale-wire hazard
-// the epoch field exists for: an s1 line (epoch 0) re-delivered after
-// the tier moved on.
+// the epoch field exists for: an epoch-0 line re-delivered after the
+// tier moved on.
 func TestSummaryNewestWinsAcrossEpochs(t *testing.T) {
 	m := launchShardedTestMaster(t, Resilience{DisableShedding: true},
 		"http://192.0.2.1:1", "http://192.0.2.1:2")
@@ -163,27 +163,27 @@ func TestSummaryNewestWinsAcrossEpochs(t *testing.T) {
 	})
 
 	// An epoch-0 copy stamped *later* loses: epoch dominates AtNs.
-	staleS1 := core.ShardSummary{
+	stale0 := core.ShardSummary{
 		Shard: 1, Epoch: 0, AtNs: now + int64(time.Hour), Nodes: 9,
 		Top: []core.ShardDigest{{Node: 2, Load: core.Load{CPUIdle: 1, DiskAvail: 1, Speed: 1}}},
 	}
-	m.storeShardSummary(&staleS1)
+	m.storeShardSummary(&stale0)
 	slot := &m.shardSums[1]
 	slot.mu.Lock()
 	epoch, nodes := slot.sum.Epoch, slot.sum.Nodes
 	slot.mu.Unlock()
 	if epoch != 1 || nodes != 1 {
-		t.Fatalf("slot holds epoch=%d nodes=%d after stale s1 replay, want the epoch-1 summary", epoch, nodes)
+		t.Fatalf("slot holds epoch=%d nodes=%d after stale epoch-0 replay, want the epoch-1 summary", epoch, nodes)
 	}
 
-	// The wire path enforces the same rule: a piggybacked s1 line (epoch
-	// 0 by construction) cannot clobber the held s2 state.
-	m.storeShardSummaryWire(staleS1.AppendWire(nil))
+	// The wire path enforces the same rule: a piggybacked epoch-0 line
+	// cannot clobber the held epoch-1 state.
+	m.storeShardSummaryWire(stale0.AppendWire(nil))
 	slot.mu.Lock()
 	epoch = slot.sum.Epoch
 	slot.mu.Unlock()
 	if epoch != 1 {
-		t.Fatalf("piggybacked stale s1 overwrote the epoch-1 summary (epoch now %d)", epoch)
+		t.Fatalf("piggybacked stale epoch-0 line overwrote the epoch-1 summary (epoch now %d)", epoch)
 	}
 
 	// Two epochs behind the local map: dropped before the slot is even
@@ -194,7 +194,7 @@ func TestSummaryNewestWinsAcrossEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rxBefore := m.gossipRx.Load()
-	m.storeShardSummary(&staleS1) // epoch 0 vs local epoch 2
+	m.storeShardSummary(&stale0) // epoch 0 vs local epoch 2
 	if rx := m.gossipRx.Load(); rx != rxBefore {
 		t.Fatalf("summary two epochs behind was folded in (rx %d→%d), want dropped", rxBefore, rx)
 	}

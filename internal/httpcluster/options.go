@@ -12,13 +12,21 @@ import (
 
 // Default resilience values. They reproduce the pre-resilience
 // constants: a 120 s dispatch bound (the old fixed http.Client timeout),
-// three placement attempts (the old failover loop), immediate retries,
-// and the 100 ms poll-deadline floor.
+// three placement attempts (the old failover loop) and immediate
+// retries.
 const (
-	DefaultDispatchTimeout   = 120 * time.Second
-	DefaultRetryBudget       = 3
-	DefaultPollDeadlineFloor = 100 * time.Millisecond
+	DefaultDispatchTimeout = 120 * time.Second
+	DefaultRetryBudget     = 3
 )
+
+// pollDeadlineFloor floors the shared /load fan-out deadline (and the
+// control plane's other per-round deadlines) so very fast polling
+// periods do not misclassify briefly-slow nodes as failed.
+const pollDeadlineFloor = 100 * time.Millisecond
+
+// retryBackoffCap bounds the retry backoff at this multiple of
+// Resilience.RetryBackoff.
+const retryBackoffCap = 16
 
 // Resilience bundles the live data plane's failure-handling knobs:
 // request deadlines, the retry budget with backoff, tail hedging,
@@ -40,11 +48,9 @@ type Resilience struct {
 	RetryBudget int
 	// RetryBackoff is the base of the capped-exponential-full-jitter
 	// backoff between attempts: attempt k sleeps uniform[0, min(
-	// RetryBackoff·2^(k−1), RetryBackoffMax)]. 0 retries immediately
+	// RetryBackoff·2^(k−1), 16·RetryBackoff)]. 0 retries immediately
 	// (the old behavior).
 	RetryBackoff time.Duration
-	// RetryBackoffMax caps the backoff; defaults to 16×RetryBackoff.
-	RetryBackoffMax time.Duration
 	// HedgeAfter launches a second attempt for an idempotent dynamic
 	// request whose first dispatch is still in flight after this long;
 	// the first success wins. 0 disables hedging.
@@ -79,9 +85,6 @@ func (r Resilience) withDefaults() Resilience {
 	}
 	if r.RetryBudget <= 0 {
 		r.RetryBudget = DefaultRetryBudget
-	}
-	if r.RetryBackoffMax <= 0 && r.RetryBackoff > 0 {
-		r.RetryBackoffMax = 16 * r.RetryBackoff
 	}
 	return r
 }
@@ -143,10 +146,6 @@ type NodeOptions struct {
 	// LoadRefresh is the /load polling period; PolicyTick the policy
 	// adaptation period.
 	LoadRefresh, PolicyTick time.Duration
-	// PollDeadlineFloor floors the shared /load fan-out deadline so very
-	// fast polling periods do not misclassify briefly-slow nodes as
-	// failed (default 100 ms, the old hard-coded minimum).
-	PollDeadlineFloor time.Duration
 	// Shards partitions the slave fleet across the master tier: master i
 	// of Masters owns shard i, polls only its members, and spills shed
 	// dynamics to remote shards via gossiped summaries (see shard.go).
@@ -165,14 +164,10 @@ type NodeOptions struct {
 	// sharded masters: every period, the lowest-id master re-runs the
 	// Theorem 1 optimal-m computation against its measured per-class
 	// load and announces promote/demote membership changes (see
-	// membership.go). 0 keeps the tier fixed.
+	// membership.go). Only the initial Masters can be promoted — a plain
+	// LaunchNode slave has no /req pipeline — so promotions re-admit
+	// previously demoted masters. 0 keeps the tier fixed.
 	AutoscaleMasters time.Duration
-	// MasterCapable lists the node ids the autoscaler may promote into
-	// the master tier; they must have been launched via LaunchMaster
-	// (a plain LaunchNode slave has no /req pipeline to promote).
-	// Defaults to the initial Masters — i.e. no promotions beyond
-	// re-admitting previously demoted masters.
-	MasterCapable []int
 }
 
 // Validate reports option errors. Master-only fields are checked only
@@ -230,11 +225,6 @@ func (o NodeOptions) Validate(master bool) error {
 	if o.AutoscaleMasters > 0 && o.Shards <= 1 {
 		return fmt.Errorf("httpcluster: master autoscaling requires a sharded master tier (Shards > 1)")
 	}
-	for _, id := range o.MasterCapable {
-		if id < 0 || id >= len(o.NodeURLs) {
-			return fmt.Errorf("httpcluster: master-capable node %d outside NodeURLs (len %d)", id, len(o.NodeURLs))
-		}
-	}
 	return nil
 }
 
@@ -245,9 +235,6 @@ func (o NodeOptions) withDefaults() NodeOptions {
 	}
 	if o.TimeScale == 0 {
 		o.TimeScale = 1
-	}
-	if o.PollDeadlineFloor <= 0 {
-		o.PollDeadlineFloor = DefaultPollDeadlineFloor
 	}
 	o.Resilience = o.Resilience.withDefaults()
 	return o
@@ -268,7 +255,6 @@ func LaunchNode(o NodeOptions) (*Node, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/exec", n.handleExec)
 	mux.HandleFunc("/load", n.handleLoad)
-	mux.HandleFunc("/stats", n.handleStats)
 	mux.HandleFunc("/metrics", n.handleMetrics)
 	n.serve(mux)
 	return n, nil
@@ -301,14 +287,13 @@ func LaunchMaster(o NodeOptions) (*Master, error) {
 		stop:        make(chan struct{}),
 		self:        [1]int{o.ID},
 		rs:          o.Resilience,
-		pollFloor:   o.PollDeadlineFloor,
 		tracer:      o.Tracer,
 		urls:        make([]atomic.Pointer[string], len(o.NodeURLs)),
 		brk:         newBreakerSet(len(o.NodeURLs), o.Resilience.Breaker),
 		respHist:    obs.NewHistogram(),
 		backoffHist: obs.NewHistogram(),
-		// Piggybacked load reports are always on (nodes that never attach
-		// the header simply never fill their slot).
+		// Piggybacked load reports are always on (nodes that never answer
+		// a frame simply never fill their slot).
 		piggy:          make([]piggySlot, len(o.NodeURLs)),
 		piggyAppliedAt: make([]int64, len(o.NodeURLs)),
 		fresh:          obs.NewFreshness(len(o.NodeURLs)),
@@ -354,11 +339,7 @@ func LaunchMaster(o NodeOptions) (*Master, error) {
 		m.gossipMiss = make([]int, len(o.NodeURLs))
 		m.asEvery = o.AutoscaleMasters
 		m.masterCapable = make([]bool, len(o.NodeURLs))
-		capable := o.MasterCapable
-		if capable == nil {
-			capable = o.Masters
-		}
-		for _, id := range capable {
+		for _, id := range o.Masters {
 			m.masterCapable[id] = true
 		}
 	} else {
@@ -405,7 +386,6 @@ func LaunchMaster(o NodeOptions) (*Master, error) {
 	mux.HandleFunc("/load", m.handleLoad)
 	mux.HandleFunc("/shard", m.handleShard)
 	mux.HandleFunc(MembershipPath, m.handleMembership)
-	mux.HandleFunc("/stats", m.handleStats)
 	mux.HandleFunc("/metrics", m.handleMetrics)
 	m.serve(mux)
 

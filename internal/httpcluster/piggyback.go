@@ -1,7 +1,6 @@
 package httpcluster
 
 import (
-	"net/http"
 	"sync"
 	"time"
 
@@ -11,26 +10,19 @@ import (
 // Piggybacked load reports. A poll-only master's view of a node is on
 // average half a poll interval stale; every dispatch round trip is a
 // fresher sample the master already paid for. Nodes therefore attach
-// their load report to every frame response, and masters fold it into
-// the scheduling view on receipt. HTTP replies (/req and /exec) carry
-// the same report as the X-Msweb-Load header: the compact l1 load line
-// (the /load?fmt=c wire format, newline stripped). The poller stays as
-// the slow-path fallback that covers idle pairs (no responses → no
-// piggybacks) and skips nodes whose piggybacked report is younger than
-// the poll interval.
+// their load report to every frame reply (the 'R' frame's load
+// trailer), and masters fold it into the scheduling view on receipt.
+// The /load poller stays as the slow-path fallback that covers idle
+// pairs (no replies → no piggybacks) and skips nodes whose piggybacked
+// report is younger than the poll interval.
 //
 // Node side, the report is a cached stamp refreshed at most every
-// loadStampTTL: the hot path pays one atomic load and a header-map
-// assignment of a prebuilt []string — nothing per response is
-// allocated or sampled, which keeps the 0 allocs/op pins and stops
+// loadStampTTL: the hot path pays one atomic load — nothing per reply
+// is allocated or sampled, which keeps the 0 allocs/op pins and stops
 // piggybacking from hammering the rstat windows. Master side, reports
 // land in per-node slots guarded by tiny mutexes and are overlaid onto
 // the policy's working view only when the version counter moved — the
 // placement path's steady-state cost is one atomic load.
-
-// LoadHeader carries a node's compact load report on /exec and /req
-// responses.
-const LoadHeader = "X-Msweb-Load"
 
 // loadStampTTL bounds how stale a node's cached piggyback report may
 // be. Well under the default 100 ms poll period, so piggybacked views
@@ -41,62 +33,30 @@ const loadStampTTL = 5 * time.Millisecond
 type loadStamp struct {
 	at   int64 // unixnano when sampled
 	load core.Load
-	hdr  []string // prebuilt header value: one l1 line, newline stripped
 }
 
 // currentLoad returns the node's freshest self-report, resampling when
-// the cached stamp aged out.
+// the cached stamp aged out. Concurrent refreshes race benignly: both
+// stamps are valid samples.
 func (n *Node) currentLoad() *loadStamp {
 	if s := n.stamp.Load(); s != nil && time.Now().UnixNano()-s.at < int64(loadStampTTL) {
 		return s
 	}
-	return n.refreshLoadStamp()
+	s := &loadStamp{at: time.Now().UnixNano(), load: n.sampleLoad()}
+	n.stamp.Store(s)
+	return s
 }
 
-// refreshLoadStamp samples the resources and publishes a new stamp.
-// Concurrent refreshes race benignly: both stamps are valid samples.
-func (n *Node) refreshLoadStamp() *loadStamp {
-	l := core.Load{
+// sampleLoad reads the node's resources into a load report — the live
+// analogue of rstat(), served by /load and carried by frame replies.
+func (n *Node) sampleLoad() core.Load {
+	return core.Load{
 		CPUIdle:   n.res.CPU.IdleRatio(),
 		DiskAvail: n.res.Disk.IdleRatio(),
 		CPUQueue:  n.res.CPU.QueueLength(),
 		DiskQueue: n.res.Disk.QueueLength(),
 		Speed:     1,
 	}
-	b := l.AppendWire(make([]byte, 0, 64))
-	s := &loadStamp{
-		at:   time.Now().UnixNano(),
-		load: l,
-		hdr:  []string{string(b[: len(b)-1 : len(b)-1])}, // header values cannot carry the trailing \n
-	}
-	n.stamp.Store(s)
-	return s
-}
-
-// attachLoadHeader piggybacks the node's load report onto a response.
-// Direct map assignment of the cached slice: no []string allocation,
-// unlike Header().Set. Sharded masters additionally attach their
-// own-shard summary stamp (nil pointer everywhere else — one atomic
-// load and a branch).
-func (n *Node) attachLoadHeader(h http.Header) {
-	h[LoadHeader] = n.currentLoad().hdr
-	if s := n.shardWire.Load(); s != nil {
-		h[ShardHeader] = s.hdr
-	}
-}
-
-// appendLoadHeaders is attachLoadHeader for a reply assembled as bytes
-// (the edge, edge.go): the same two stamps as complete header lines.
-func (n *Node) appendLoadHeaders(b []byte) []byte {
-	b = append(b, LoadHeader+": "...)
-	b = append(b, n.currentLoad().hdr[0]...)
-	b = append(b, "\r\n"...)
-	if s := n.shardWire.Load(); s != nil {
-		b = append(b, ShardHeader+": "...)
-		b = append(b, s.hdr[0]...)
-		b = append(b, "\r\n"...)
-	}
-	return b
 }
 
 // piggySlot is a master's mailbox for one node's piggybacked reports.
@@ -143,9 +103,6 @@ func (m *Master) peekPiggy(id int) (core.Load, int64) {
 // re-applied (the copy wiped them); older ones are not (the poll is
 // fresher). Steady state with no new reports is one atomic load.
 func (m *Master) applyPiggy(epochMoved bool, s *loadSnapshot) {
-	if len(m.piggy) == 0 {
-		return
-	}
 	v := m.piggyVer.Load()
 	if !epochMoved && v == m.piggyApplied {
 		return

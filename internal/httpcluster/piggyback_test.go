@@ -1,7 +1,9 @@
 package httpcluster
 
 import (
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -9,7 +11,7 @@ import (
 )
 
 // With polling disabled, the master's view of a slave still refreshes:
-// the /exec response's piggybacked report lands in the working view,
+// the frame reply's piggybacked report lands in the working view,
 // and the staleness stamp moves — strictly fresher than the poll-only
 // baseline, which would never update at all here.
 func TestPiggybackRefreshesView(t *testing.T) {
@@ -29,7 +31,7 @@ func TestPiggybackRefreshesView(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	if m.piggyTotal.Load() == 0 {
-		t.Fatal("no piggybacked report received over HTTP")
+		t.Fatal("no piggybacked report received")
 	}
 	if s := m.fresh.Stamp(1); s < before {
 		t.Fatalf("freshness stamp %d not advanced past %d", s, before)
@@ -45,24 +47,6 @@ func TestPiggybackRefreshesView(t *testing.T) {
 	m.placeMu.Unlock()
 	if got != l {
 		t.Fatalf("working view load %+v, want piggybacked %+v", got, l)
-	}
-}
-
-// The /req response itself piggybacks the master's own load line, so
-// external clients (and future master-to-master traffic) get the same
-// freshness for free.
-func TestReqResponseCarriesLoadHeader(t *testing.T) {
-	m := launchTestMaster(t, Resilience{DisableShedding: true})
-	resp, _ := getStatus(t, m.URL+"/req?class=s&demand=0&w=0.5", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	v := resp.Header.Get(LoadHeader)
-	if v == "" {
-		t.Fatalf("no %s header on /req response", LoadHeader)
-	}
-	if _, err := core.ParseLoadWire([]byte(v)); err != nil {
-		t.Fatalf("header %q does not parse as a load line: %v", v, err)
 	}
 }
 
@@ -103,5 +87,29 @@ func TestPollSkipsFreshPiggyback(t *testing.T) {
 	m.pollOnce(time.Millisecond, reports, fetched, fetchedAt)
 	if m.pollSkipped.Load() != 1 {
 		t.Fatalf("stale slot still skipped (poll_skipped=%d)", m.pollSkipped.Load())
+	}
+}
+
+// A /load reply that parses but reports a load no node can have is a
+// failed poll: the node's breaker opens and its view column keeps the
+// last valid report instead of pricing the node at ~0 RSRC.
+func TestPollRejectsOutOfRangeLoad(t *testing.T) {
+	bad := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		rw.Header().Set("Content-Type", core.LoadWireContentType)
+		io.WriteString(rw, "l1 1e300 1e300 0 0 1\n") //nolint:errcheck
+	}))
+	defer bad.Close()
+	m := launchTestMaster(t, Resilience{DisableShedding: true}, bad.URL)
+	before := m.snap.Load().view.Load[1]
+
+	reports := make([]core.Load, len(m.urls))
+	fetched := make([]bool, len(m.urls))
+	fetchedAt := make([]int64, len(m.urls))
+	m.pollOnce(time.Hour, reports, fetched, fetchedAt)
+	if fetched[1] || m.BreakerState(1) != breakerOpen {
+		t.Fatalf("out-of-range report accepted: fetched=%v breaker state %d", fetched[1], m.BreakerState(1))
+	}
+	if got := m.snap.Load().view.Load[1]; got != before {
+		t.Fatalf("view column %+v after the rejected poll, want %+v", got, before)
 	}
 }

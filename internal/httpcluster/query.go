@@ -143,21 +143,3 @@ func parseReqQuery(raw string) reqParams {
 	}
 	return p
 }
-
-// queryHasValue reports whether RawQuery contains key=want (first
-// occurrence of key wins), without allocating. Used by the /load
-// endpoint's fmt=c negotiation.
-func queryHasValue(raw, key, want string) bool {
-	for len(raw) > 0 {
-		var pair string
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			pair, raw = raw[:i], raw[i+1:]
-		} else {
-			pair, raw = raw, ""
-		}
-		if i := strings.IndexByte(pair, '='); i >= 0 && pair[:i] == key {
-			return pair[i+1:] == want
-		}
-	}
-	return false
-}

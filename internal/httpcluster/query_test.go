@@ -90,24 +90,3 @@ func TestParseReqQueryZeroAlloc(t *testing.T) {
 		t.Fatalf("parseReqQuery allocates %.1f times on the escape-free path", allocs)
 	}
 }
-
-func TestQueryHasValue(t *testing.T) {
-	cases := []struct {
-		raw, key, want string
-		ok             bool
-	}{
-		{"fmt=c", "fmt", "c", true},
-		{"", "fmt", "c", false},
-		{"fmt=j", "fmt", "c", false},
-		{"a=1&fmt=c", "fmt", "c", true},
-		{"fmt=c&fmt=j", "fmt", "c", true},
-		{"fmt=j&fmt=c", "fmt", "c", false}, // first occurrence wins
-		{"format=c", "fmt", "c", false},
-		{"fmt", "fmt", "c", false},
-	}
-	for _, c := range cases {
-		if got := queryHasValue(c.raw, c.key, c.want); got != c.ok {
-			t.Fatalf("queryHasValue(%q, %q, %q) = %v, want %v", c.raw, c.key, c.want, got, c.ok)
-		}
-	}
-}

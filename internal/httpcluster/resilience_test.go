@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"msweb/internal/core"
+	"msweb/internal/obs"
 	"msweb/internal/trace"
 )
 
@@ -439,5 +440,112 @@ func TestBackoffRespectsDeadline(t *testing.T) {
 	}
 	if bad.hits.Load() == 0 {
 		t.Fatal("the refusing slave never read a frame")
+	}
+}
+
+// recordingTracer keeps every lifecycle event a master emits; masters
+// emit from concurrent handlers, so Emit locks.
+type recordingTracer struct {
+	mu     sync.Mutex
+	events []obs.Event
+}
+
+func (r *recordingTracer) Emit(ev obs.Event) {
+	r.mu.Lock()
+	r.events = append(r.events, ev)
+	r.mu.Unlock()
+}
+
+// A traced master emits each request's lifecycle in order — arrival,
+// one retry per failed attempt, then exactly one terminal event — and
+// the terminal events add up to the outcome counters. The four requests
+// reuse the retry and shedding setups above: two slaves that drop every
+// frame, and an RSRC shed ceiling the idle master already exceeds once
+// both slaves' breakers are open.
+func TestMasterTracerLifecycle(t *testing.T) {
+	bad1 := newFakeFrameSlave(t, frameReply{drop: true})
+	bad2 := newFakeFrameSlave(t, frameReply{drop: true})
+	tr := &recordingTracer{}
+	m, err := LaunchMaster(NodeOptions{
+		ID:          0,
+		TimeScale:   1e-6,
+		Masters:     []int{0},
+		Slaves:      []int{1, 2},
+		NodeURLs:    []string{"", bad1.URL, bad2.URL},
+		Policy:      firstSlave{},
+		LoadRefresh: time.Hour,
+		PolicyTick:  time.Hour,
+		Resilience:  Resilience{ShedRSRC: 0.5},
+		Tracer:      tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+
+	type ev struct {
+		kind  obs.EventKind
+		node  int
+		value float64 // checked for retries: the attempt number
+	}
+	for i, c := range []struct {
+		name   string
+		query  string
+		status int
+		want   []ev
+	}{
+		// Slave 1 drops the frame after reading it: the work may have
+		// run, so a non-idempotent request stops there (and slave 1's
+		// breaker opens).
+		{"exhausted", "class=d&demand=0&w=0.5&idem=0", http.StatusBadGateway,
+			[]ev{{obs.KindArrival, 0, 0}, {obs.KindRetry, 1, 1}, {obs.KindExhausted, 0, 0}}},
+		// Slave 2 drops it too; with both breakers open the second
+		// attempt runs locally.
+		{"retried then served", "class=d&demand=0&w=0.5", http.StatusOK,
+			[]ev{{obs.KindArrival, 0, 0}, {obs.KindRetry, 2, 1}, {obs.KindComplete, 0, 0}}},
+		{"shed", "class=d&demand=0&w=0.5", http.StatusServiceUnavailable,
+			[]ev{{obs.KindArrival, 0, 0}, {obs.KindShed, 0, 0}}},
+		{"served", "class=s&demand=0&w=0.5", http.StatusOK,
+			[]ev{{obs.KindArrival, 0, 0}, {obs.KindComplete, 0, 0}}},
+	} {
+		if resp, _ := getStatus(t, m.URL+"/req?"+c.query, nil); resp.StatusCode != c.status {
+			t.Fatalf("%s: status %d, want %d", c.name, resp.StatusCode, c.status)
+		}
+		req := int64(i + 1)
+		tr.mu.Lock()
+		var got []obs.Event
+		for _, e := range tr.events {
+			if e.Req == req {
+				got = append(got, e)
+			}
+		}
+		tr.mu.Unlock()
+		if len(got) != len(c.want) {
+			t.Fatalf("%s: request %d emitted %v, want %d events", c.name, req, got, len(c.want))
+		}
+		for j, w := range c.want {
+			e := got[j]
+			if e.Kind != w.kind || e.Node != w.node || (w.kind == obs.KindRetry && e.Value != w.value) {
+				t.Errorf("%s: event %d is %v on node %d (value %v), want %v on node %d",
+					c.name, j, e.Kind, e.Node, e.Value, w.kind, w.node)
+			}
+		}
+	}
+
+	counts := map[obs.EventKind]int64{}
+	tr.mu.Lock()
+	for _, e := range tr.events {
+		counts[e.Kind]++
+	}
+	tr.mu.Unlock()
+	if m.Accepted() != m.Served()+m.Shed()+m.Exhausted() {
+		t.Fatalf("accepted=%d served=%d shed=%d exhausted=%d: outcomes do not add up",
+			m.Accepted(), m.Served(), m.Shed(), m.Exhausted())
+	}
+	if counts[obs.KindArrival] != m.Accepted() || counts[obs.KindComplete] != m.Served() ||
+		counts[obs.KindShed] != m.Shed() || counts[obs.KindExhausted] != m.Exhausted() ||
+		counts[obs.KindRetry] != m.Failovers() {
+		t.Fatalf("event counts %v disagree with accepted=%d served=%d shed=%d exhausted=%d failovers=%d",
+			counts, m.Accepted(), m.Served(), m.Shed(), m.Exhausted(), m.Failovers())
 	}
 }

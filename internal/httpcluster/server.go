@@ -2,7 +2,6 @@ package httpcluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -31,11 +30,6 @@ const (
 	// to a node's HTTP /exec endpoint: the 'E' entry's deadline field.
 	DeadlineHeader = "X-Msweb-Deadline-Ns"
 )
-
-// A node's /load endpoint serves core.Load directly — the live analogue
-// of rstat(). core.Load carries the JSON tags, so the wire format and
-// the scheduler input cannot drift apart. The compact fmt=c fast path
-// is the same fields in wire form (see core.AppendWire).
 
 // Node is one cluster machine: virtual resources behind a real HTTP
 // server exposing /frame (run work over 'E' frames, the masters'
@@ -227,7 +221,6 @@ func (n *Node) handleExec(rw http.ResponseWriter, req *http.Request) {
 	case http.StatusGatewayTimeout:
 		http.Error(rw, "deadline expired before execution", http.StatusGatewayTimeout)
 	default:
-		n.attachLoadHeader(rw.Header())
 		writeBody(rw, p.size)
 	}
 }
@@ -278,53 +271,22 @@ func writeBody(rw http.ResponseWriter, size int64) {
 // bodyChunk is the reusable payload buffer for response bodies.
 var bodyChunk = make([]byte, 32<<10)
 
-// StatsReport is the JSON body of a node's /stats endpoint.
-type StatsReport struct {
-	Node      int     `json:"node"`
-	Executed  int64   `json:"executed"`
-	CGIServed int64   `json:"cgi_served"`
-	UptimeS   float64 `json:"uptime_s"`
-}
-
-func (n *Node) handleStats(rw http.ResponseWriter, _ *http.Request) {
-	rep := StatsReport{
-		Node:      n.ID,
-		Executed:  n.executed.Load(),
-		CGIServed: n.cgiServed.Load(),
-		UptimeS:   time.Since(n.origin).Seconds(),
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(rep) //nolint:errcheck
-}
-
-// wireBufPool holds scratch buffers for compact load encoding and
+// wireBufPool holds scratch buffers for load-line encoding and
 // poll-response reads.
 var wireBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 256)
 	return &b
 }}
 
-func (n *Node) handleLoad(rw http.ResponseWriter, req *http.Request) {
-	rep := core.Load{
-		CPUIdle:   n.res.CPU.IdleRatio(),
-		DiskAvail: n.res.Disk.IdleRatio(),
-		CPUQueue:  n.res.CPU.QueueLength(),
-		DiskQueue: n.res.Disk.QueueLength(),
-		Speed:     1,
-	}
-	if queryHasValue(req.URL.RawQuery, "fmt", "c") {
-		// Compact fast path: one pooled buffer, strconv appends, no
-		// reflection. This is what the master's poller asks for.
-		buf := wireBufPool.Get().(*[]byte)
-		b := rep.AppendWire((*buf)[:0])
-		rw.Header().Set("Content-Type", core.LoadWireContentType)
-		rw.Write(b) //nolint:errcheck
-		*buf = b
-		wireBufPool.Put(buf)
-		return
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(rep) //nolint:errcheck
+// handleLoad serves the node's load report as one l1 line — the live
+// analogue of rstat() and the poller's fallback to the frame trailer.
+func (n *Node) handleLoad(rw http.ResponseWriter, _ *http.Request) {
+	buf := wireBufPool.Get().(*[]byte)
+	b := n.sampleLoad().AppendWire((*buf)[:0])
+	rw.Header().Set("Content-Type", core.LoadWireContentType)
+	rw.Write(b) //nolint:errcheck
+	*buf = b
+	wireBufPool.Put(buf)
 }
 
 // Shutdown stops accepting, stops the server and unblocks in-flight
@@ -382,15 +344,14 @@ type loadSnapshot struct {
 // one of served (2xx), shed (503 + Retry-After) or exhausted (502).
 type Master struct {
 	*Node
-	policy    core.Policy
-	client    *http.Client
-	stop      chan struct{}
-	stopOnce  sync.Once
-	wg        sync.WaitGroup
-	rs        Resilience
-	pollFloor time.Duration
-	tracer    obs.Tracer
-	self      [1]int // masterless-view fallback: this master's own id
+	policy   core.Policy
+	client   *http.Client
+	stop     chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+	rs       Resilience
+	tracer   obs.Tracer
+	self     [1]int // masterless-view fallback: this master's own id
 
 	// snap is the current load view generation (never nil after launch).
 	snap atomic.Pointer[loadSnapshot]
@@ -453,8 +414,9 @@ type Master struct {
 	memberApplies  atomic.Int64
 	// Live master-tier autoscaler (see membership.go): asEvery is the
 	// control period (0 = disabled), masterCapable the promotion
-	// candidate set, asHold/asHoldUntil the exponential hold epoch that
-	// gates demotions. The win* measurement window is guarded by placeMu.
+	// candidate set (the initial masters), asHold/asHoldUntil the
+	// exponential hold epoch that gates demotions. The win* measurement
+	// window is guarded by placeMu.
 	asEvery       time.Duration
 	masterCapable []bool
 	asHold        atomic.Int64
@@ -679,14 +641,11 @@ func (m *Master) pollLoop(every time.Duration) {
 // actual sample time (piggyback receipt or fetch completion), which
 // becomes the snapshot's per-node atNode stamp.
 func (m *Master) pollOnce(period time.Duration, reports []core.Load, fetched []bool, fetchedAt []int64) {
-	deadline := period
-	if deadline < m.pollFloor {
-		// Floor the shared fetch deadline: with very fast polling periods
-		// a deadline equal to the period misclassifies every node as
-		// failed the moment the host is briefly loaded. Rounds longer than
-		// the period simply make the ticker skip beats.
-		deadline = m.pollFloor
-	}
+	// Floor the shared fetch deadline: with very fast polling periods a
+	// deadline equal to the period misclassifies every node as failed the
+	// moment the host is briefly loaded. Rounds longer than the period
+	// simply make the ticker skip beats.
+	deadline := max(period, pollDeadlineFloor)
 	prev := m.snap.Load()
 	ms := m.mem.Load()
 	now := time.Now().UnixNano()
@@ -699,20 +658,18 @@ func (m *Master) pollOnce(period time.Duration, reports []core.Load, fetched []b
 		if base == "" {
 			continue
 		}
-		if len(m.piggy) > 0 {
-			if l, at := m.peekPiggy(id); at > 0 && now-at < int64(period) {
-				reports[id] = l
-				fetched[id] = true
-				fetchedAt[id] = at
-				m.pollSkipped.Add(1)
-				continue
-			}
+		if l, at := m.peekPiggy(id); at > 0 && now-at < int64(period) {
+			reports[id] = l
+			fetched[id] = true
+			fetchedAt[id] = at
+			m.pollSkipped.Add(1)
+			continue
 		}
 		wg.Add(1)
 		go func(id int, base string) {
 			defer wg.Done()
 			rep, err := m.fetchLoad(ctx, base)
-			if err != nil {
+			if err != nil { // unreachable, or a report that fails Validate
 				m.brk.PollFailure(id, time.Now().UnixNano())
 				return
 			}
@@ -724,8 +681,6 @@ func (m *Master) pollOnce(period time.Duration, reports []core.Load, fetched []b
 		}(id, base)
 	}
 	wg.Wait()
-	// One rate-window generation per poll round (single writer).
-	m.brk.rotate()
 
 	// Re-load the memState: a membership applied mid-round must not have
 	// its tier lists overwritten by a snapshot built from the old one.
@@ -748,13 +703,7 @@ func (m *Master) pollOnce(period time.Duration, reports []core.Load, fetched []b
 		if !fetched[id] {
 			continue
 		}
-		rep := reports[id]
-		if rep.Speed <= 0 {
-			// A report without a speed field keeps the configured value
-			// rather than zeroing it.
-			rep.Speed = next.view.Load[id].Speed
-		}
-		next.view.Load[id] = rep
+		next.view.ApplyReport(id, reports[id])
 		next.atNode[id] = fetchedAt[id]
 		m.brk.PollSuccess(id) // node answers again
 	}
@@ -766,34 +715,28 @@ func (m *Master) pollOnce(period time.Duration, reports []core.Load, fetched []b
 	}
 }
 
-// fetchLoad polls one node, preferring the compact wire format and
-// falling back to JSON for peers that predate it.
+// fetchLoad polls one node's /load line.
 func (m *Master) fetchLoad(ctx context.Context, base string) (core.Load, error) {
-	var rep core.Load
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/load?fmt=c", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/load", nil)
 	if err != nil {
-		return rep, err
+		return core.Load{}, err
 	}
 	resp, err := m.client.Do(req)
 	if err != nil {
-		return rep, err
+		return core.Load{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return rep, fmt.Errorf("load: status %d", resp.StatusCode)
+		return core.Load{}, fmt.Errorf("load: status %d", resp.StatusCode)
 	}
 	buf := wireBufPool.Get().(*[]byte)
 	defer wireBufPool.Put(buf)
 	b, err := readAllInto((*buf)[:0], io.LimitReader(resp.Body, 1<<20))
 	*buf = b[:0]
 	if err != nil {
-		return rep, err
+		return core.Load{}, err
 	}
-	if core.IsLoadWire(b) {
-		return core.ParseLoadWire(b)
-	}
-	err = json.Unmarshal(b, &rep)
-	return rep, err
+	return core.ParseLoadWire(b)
 }
 
 // readAllInto is io.ReadAll into a caller-provided buffer.
@@ -882,7 +825,6 @@ func (m *Master) handleRequest(rw http.ResponseWriter, req *http.Request) {
 	status, retryAfter := m.serveReq(p, time.Now(), parseTimeoutMs(req.Header.Get(TimeoutHeader)))
 	switch status {
 	case 0:
-		m.attachLoadHeader(rw.Header())
 		writeBody(rw, p.size)
 	case http.StatusServiceUnavailable:
 		rw.Header().Set("Retry-After", strconv.Itoa(retryAfter))
@@ -1082,10 +1024,7 @@ func (m *Master) runDynamic(p reqParams, reqID int64, deadline time.Time) int {
 				m.placeMu.Lock()
 				m.backoffHist.Observe(d.Seconds())
 				m.placeMu.Unlock()
-				backoff *= 2
-				if backoff > m.rs.RetryBackoffMax {
-					backoff = m.rs.RetryBackoffMax
-				}
+				backoff = min(2*backoff, retryBackoffCap*m.rs.RetryBackoff)
 			}
 		}
 		if !time.Now().Before(deadline) {

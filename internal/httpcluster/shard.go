@@ -22,8 +22,7 @@ import (
 //
 //   - piggybacked on every frame reply a sharded master serves as the
 //     trailing summary block, so masters that already dispatch to each
-//     other learn about each other's shards for free (HTTP replies to
-//     /req and /exec carry the same line as the X-Msweb-Shard header);
+//     other learn about each other's shards for free;
 //   - pulled master↔master from /shard on a slow gossip tick, covering
 //     pairs that never exchange requests.
 //
@@ -34,21 +33,15 @@ import (
 // pick a concrete node, dispatched over the existing transport with the
 // existing breaker/retry taxonomy.
 
-// ShardHeader carries a sharded master's compact own-shard summary on
-// its responses (an s1 line, newline stripped).
-const ShardHeader = "X-Msweb-Shard"
-
 // shardTopK is how many least-loaded node digests the own-shard summary
 // carries — enough spill candidates for routing to rank, small enough
-// that the header stays around 200 bytes.
+// that the line stays around 200 bytes.
 const shardTopK = 8
 
 // shardStamp is one immutable generation of a master's own-shard
-// summary: the wire line (served by /shard and embedded in frame
-// replies) and the prebuilt header value.
+// summary: the wire line served by /shard and embedded in frame replies.
 type shardStamp struct {
 	wire []byte
-	hdr  []string
 }
 
 // shardSumSlot is a master's mailbox for one remote shard's summary.
@@ -64,8 +57,7 @@ type shardSumSlot struct {
 // allocations here are irrelevant; ownMu covers the shared build
 // scratch against exactly that pair of writers. The summary is stamped
 // with the memState's epoch, so receivers can order generations across
-// membership changes (epoch 0 — a never-rebalanced map — still emits
-// the byte-identical s1 form).
+// membership changes.
 func (m *Master) rebuildShardStamp(ms *memState, snap *loadSnapshot) {
 	m.ownMu.Lock()
 	defer m.ownMu.Unlock()
@@ -80,10 +72,7 @@ func (m *Master) rebuildShardStamp(ms *memState, snap *loadSnapshot) {
 	core.BuildShardSummary(&m.ownSum, ms.shard, snap.at, members, snap.view.Load, shardTopK)
 	m.ownSum.Epoch = ms.sm.Epoch()
 	wire := m.ownSum.AppendWire(make([]byte, 0, 80+48*len(m.ownSum.Top)))
-	m.shardWire.Store(&shardStamp{
-		wire: wire,
-		hdr:  []string{string(wire[: len(wire)-1 : len(wire)-1])}, // header values cannot carry the trailing \n
-	})
+	m.shardWire.Store(&shardStamp{wire: wire})
 }
 
 // handleShard serves the master's own-shard summary — the gossip pull
@@ -99,7 +88,7 @@ func (m *Master) handleShard(rw http.ResponseWriter, _ *http.Request) {
 	rw.Write(s.wire) //nolint:errcheck
 }
 
-// storeShardSummaryWire parses an s1 summary line (e.g. a frame reply's
+// storeShardSummaryWire parses an s2 summary line (e.g. a frame reply's
 // trailing block) and folds it in. No-op for unsharded masters.
 func (m *Master) storeShardSummaryWire(b []byte) {
 	if !m.sharded {
@@ -175,10 +164,7 @@ func (m *Master) gossipLoop(every time.Duration) {
 // a master can lag an epoch move to one round), then let the failure
 // detector act on the accumulated silence.
 func (m *Master) gossipOnce(period time.Duration) {
-	deadline := period
-	if deadline < m.pollFloor {
-		deadline = m.pollFloor
-	}
+	deadline := max(period, pollDeadlineFloor)
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	ms := m.mem.Load()
