@@ -229,10 +229,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 	set := settings{quick: *quick}
-	// The unified policy flags select the tournament field: -policy takes
-	// a comma-separated preset list here (it names one preset in the
-	// serving binaries), and the stage flags add one custom pipeline
-	// entrant on top.
+	// -policy selects the tournament field: a comma-separated preset list
+	// here (it names one preset in mscluster).
 	policySet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "policy" {
@@ -245,17 +243,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				set.tourn.Policies = append(set.tourn.Policies, name)
 			}
 		}
-	}
-	if pf.Custom() {
-		build, err := pf.Resolve()
-		if err != nil {
-			return err
-		}
-		name := pf.Spec().Name
-		if name == "" {
-			name = "custom"
-		}
-		set.tourn.Extra = append(set.tourn.Extra, policy.Preset{Name: name, Build: build})
 	}
 
 	experiments.SetParallelism(*par)

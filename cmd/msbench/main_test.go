@@ -61,6 +61,15 @@ func TestRunSimulatedExperimentQuick(t *testing.T) {
 	}
 }
 
+// msbench has no per-node discipline to set: -scheduling-policy is not
+// one of its flags.
+func TestRunRejectsSchedulingPolicy(t *testing.T) {
+	err := run([]string{"-experiment", "table1", "-scheduling-policy", "edf"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -scheduling-policy") {
+		t.Fatalf("want a flag parse error, got %v", err)
+	}
+}
+
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-experiment", "nope"}, &out, io.Discard); err == nil {

@@ -27,6 +27,7 @@ func TestBuildConfigErrors(t *testing.T) {
 		{"-nodes", "0"},
 		{"-masters", "9", "-nodes", "2"},
 		{"-badflag"},
+		{"-scheduling-policy", "edf"},
 	}
 	for _, args := range cases {
 		if _, err := buildConfig(args); err == nil {
@@ -50,20 +51,15 @@ func TestAllPoliciesConstruct(t *testing.T) {
 }
 
 func TestCustomPipelineFlags(t *testing.T) {
-	cfg, err := buildConfig([]string{
-		"-admission-policy", "open",
-		"-routing-policy", "scorers",
-		"-routing-scorers", "rsrc:1,qlen:0.25",
-		"-scheduling-policy", "fcfs",
-	})
+	cfg, err := buildConfig([]string{"-policy", "ms", "-scheduling-policy", "fcfs"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Discipline != "fcfs" {
 		t.Fatalf("discipline %q not forwarded", cfg.Discipline)
 	}
-	if p := cfg.MakePolicy(0); p == nil || p.Name() == "" {
-		t.Fatal("custom pipeline did not construct")
+	if p := cfg.MakePolicy(0); p == nil || p.Name() != "M/S" {
+		t.Fatal("the ms preset did not construct")
 	}
 }
 

@@ -74,7 +74,7 @@ type Config struct {
 	Discipline string
 	// EnableShedding lets the cluster shed requests the way the live
 	// master does: when no slaves are in view and the policy's
-	// absorption gate denies local execution, the request completes
+	// MasterAdmission denies local execution, the request completes
 	// immediately as shed instead of queueing. Off by default — the
 	// paper's replays run open-loop without shedding.
 	EnableShedding bool
@@ -255,7 +255,7 @@ type Result struct {
 	MasterHistory []int
 	// Failovers counts requests restarted after a node failure.
 	Failovers int64
-	// Shed counts requests refused by the admission gate (only with
+	// Shed counts requests refused by MasterAdmission (only with
 	// Config.EnableShedding).
 	Shed int64
 	// CacheStats reports dynamic-content cache activity (zero value
@@ -355,9 +355,9 @@ type Cluster struct {
 	// explainer is the policy's PlacementExplainer side, resolved once
 	// at construction so tracing skips the per-request type assertion.
 	explainer core.PlacementExplainer
-	// gate is the policy's absorption-gate side (pipeline policies),
-	// consulted by the optional shedding path.
-	gate core.AbsorptionGate
+	// admission is the policy's MasterAdmission side (pipeline
+	// policies), consulted by the optional shedding path.
+	admission core.MasterAdmission
 
 	cache          *dyncache.Cache
 	cacheHitDemand float64
@@ -406,7 +406,7 @@ func New(eng *sim.Engine, cfg Config, policy core.Policy) (*Cluster, error) {
 		nextReqID: 1, // 0 means "untraced" to the node OS
 	}
 	c.explainer, _ = policy.(core.PlacementExplainer)
-	c.gate, _ = policy.(core.AbsorptionGate)
+	c.admission, _ = policy.(core.MasterAdmission)
 	c.arrivalC = c.arrival
 	c.submitC = c.submitCall
 	c.completeC = c.complete
@@ -580,13 +580,13 @@ func (c *Cluster) dispatchFull(req trace.Request, countSample bool, arrival floa
 	}
 
 	// Optional live-parity shedding: with no slaves in view and the
-	// policy's absorption gate refusing local execution, the master
+	// policy's reservation refusing local execution, the master
 	// refuses the request outright (the sim analogue of the 503 path).
 	// A sharded master first tries to spill onto the least-loaded fresh
 	// remote digest, the way the live master does after shouldShed.
 	spillTarget := -1
-	if c.cfg.EnableShedding && c.gate != nil && len(view.Slaves) == 0 &&
-		c.gate.DeniesMasterAbsorption(master, view) {
+	if c.cfg.EnableShedding && c.admission != nil && len(view.Slaves) == 0 &&
+		!c.admission.AdmitsAtMaster() {
 		if shard >= 0 {
 			spillTarget = c.pickSimSpill(shard)
 		}

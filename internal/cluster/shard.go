@@ -7,8 +7,8 @@ package cluster
 // holds only its own shard, its per-tick refresh work is the shard size
 // rather than the fleet size, and cross-shard state travels as
 // core.ShardSummary values exchanged on a slow gossip tick. When a
-// sharded master would shed (absorption gate denies and its shard
-// offers no slave), it first tries to spill onto the least-loaded
+// sharded master would shed (its reservation denies absorption and its
+// shard offers no slave), it first tries to spill onto the least-loaded
 // digest of a fresh remote summary, paying a second dispatch hop.
 //
 // The map is epoch-versioned: every topology change — a node crash or

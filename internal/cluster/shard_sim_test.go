@@ -102,7 +102,7 @@ func TestShardedPollWorkIsShardSized(t *testing.T) {
 func TestShardedSpillFromEmptyShard(t *testing.T) {
 	// 6 nodes, 4 masters, static map over 2 slaves: shards 2 and 3 are
 	// empty, so their masters must go cross-shard for every dynamic the
-	// absorption gate refuses.
+	// reservation refuses at the master.
 	tr := genTrace(t, trace.KSU, 400, 3000, 1.0/40, 9)
 	cfg := DefaultConfig(6, 4)
 	cfg.Shards = 4
@@ -126,5 +126,32 @@ func TestShardedSpillFromEmptyShard(t *testing.T) {
 	}
 	if res.Summary.Count == 0 {
 		t.Fatal("no samples survived — the spilled requests never completed")
+	}
+}
+
+// With no slave in view, a shedding cluster asks the policy's
+// MasterAdmission: the enforcing θ₂ reservation sheds, the observe-only
+// one (M/S-nr) and flat, which has no MasterAdmission, shed nothing.
+func TestShedAsksMasterAdmission(t *testing.T) {
+	tr := genTrace(t, trace.KSU, 100, 2000, 1.0/40, 5)
+	cfg := DefaultConfig(2, 1)
+	cfg.EnableShedding = true
+	cfg.Events = []AvailabilityEvent{{Node: 1, At: 0, Available: false}}
+	for _, c := range []struct {
+		name string
+		pol  core.Policy
+		shed bool
+	}{
+		{"ms", core.NewMS(nil, 1), true},
+		{"ms-nr", core.NewMS(nil, 1, core.WithoutReservation()), false},
+		{"flat", core.NewFlat(), false},
+	} {
+		res, err := Simulate(cfg, c.pol, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Shed > 0; got != c.shed {
+			t.Errorf("%s: shed %d requests, want shedding %v", c.name, res.Shed, c.shed)
+		}
 	}
 }

@@ -3,15 +3,13 @@ package core
 import "msweb/internal/trace"
 
 // Admission-stage implementations. The θ₂ reservation is the paper's
-// mechanism; Open and SlavesOnly bound the spectrum for the competitor
-// policies (no cap at all / strict static-dynamic separation).
+// mechanism; Open is the no-cap stage the competitor policies assume.
 
 // Registered admission-stage names.
 const (
 	AdmissionTheta2        = "theta2"
 	AdmissionTheta2Observe = "theta2-observe"
 	AdmissionOpen          = "open"
-	AdmissionSlavesOnly    = "slaves-only"
 )
 
 // Theta2Admission is the reservation-for-static-processing admission
@@ -104,30 +102,3 @@ func (OpenAdmission) ObserveCompletion(trace.Class, float64, float64) {}
 
 // Tick implements AdmissionPolicy.
 func (OpenAdmission) Tick(int, int) {}
-
-// SlavesOnlyAdmission never admits dynamics at masters (the pipeline
-// still falls back to masters when no slave exists at all) — the strict
-// static/dynamic separation of the fixed M/S′ split, usable with any
-// routing stage.
-type SlavesOnlyAdmission struct{}
-
-// NewSlavesOnlyAdmission constructs the strict-separation stage.
-func NewSlavesOnlyAdmission() SlavesOnlyAdmission { return SlavesOnlyAdmission{} }
-
-// Name implements AdmissionPolicy.
-func (SlavesOnlyAdmission) Name() string { return AdmissionSlavesOnly }
-
-// ObserveArrival implements AdmissionPolicy.
-func (SlavesOnlyAdmission) ObserveArrival(trace.Class) {}
-
-// AdmitAtMaster implements AdmissionPolicy.
-func (SlavesOnlyAdmission) AdmitAtMaster() bool { return false }
-
-// CountPlacement implements AdmissionPolicy.
-func (SlavesOnlyAdmission) CountPlacement(bool) {}
-
-// ObserveCompletion implements AdmissionPolicy.
-func (SlavesOnlyAdmission) ObserveCompletion(trace.Class, float64, float64) {}
-
-// Tick implements AdmissionPolicy.
-func (SlavesOnlyAdmission) Tick(int, int) {}

@@ -26,8 +26,8 @@
 // The ablated variants the paper evaluates are configurations of the same
 // scheduler: M/S-ns disables w sampling (w ≡ 0.5), M/S-nr disables the
 // reservation cap, and M/S-1 makes every node a master. The flat
-// architecture (uniform random dispatch, no redirection) and the fixed
-// M/S′ split are provided as baselines.
+// architecture (uniform random dispatch, no redirection) is the one
+// baseline outside the pipeline.
 package core
 
 import (
@@ -49,7 +49,7 @@ type Load struct {
 	// last window, in [0, 1].
 	DiskAvail float64 `json:"disk_avail"`
 	// CPUQueue and DiskQueue are instantaneous queue populations,
-	// consumed by the least-loaded baseline.
+	// consumed by the queue-aware routing stages (JSQ(d), MaxWeight…).
 	CPUQueue  int `json:"cpu_queue"`
 	DiskQueue int `json:"disk_queue"`
 	// Speed is the node's relative CPU speed (heterogeneous extension).
@@ -133,9 +133,10 @@ type PlacementExplainer interface {
 
 // MasterAdmission is implemented by reservation-based policies that can
 // report whether the θ₂ cap currently admits another dynamic request at
-// a master. The live cluster's load shedder consults it when every
-// slave is circuit-open: if the reservation says masters are already at
-// their dynamic cap, admitting more would starve static traffic, so the
+// a master. Both planes' shedders consult it when no slave is routable
+// (the live master: every slave circuit-open; the simulator: no slave
+// in view): if the reservation says masters are already at their
+// dynamic cap, admitting more would starve static traffic, so the
 // request is shed instead — the same feedback loop that drives
 // placement, extended to admission control.
 type MasterAdmission interface {
@@ -192,6 +193,23 @@ func RSRC(w, cpuIdle, diskAvail float64) float64 {
 		diskAvail = MinIdleFloor
 	}
 	return w/cpuIdle + (1-w)/diskAvail
+}
+
+// NodeRSRC is the per-node placement cost including the heterogeneous
+// speed adjustment — exported so spill ranking over shard digests uses
+// the same definition the digests were ordered by.
+func NodeRSRC(w float64, l Load) float64 { return nodeRSRC(w, l) }
+
+// nodeRSRC is the per-node cost used by pickMinRSRC and shard summaries.
+func nodeRSRC(w float64, l Load) float64 {
+	if sp := l.Speed; sp > 0 && sp != 1 {
+		// Heterogeneous extension: a faster CPU cuts the CPU share of
+		// the cost (paper §4 defers to the authors' prior work;
+		// normalizing the CPU term by relative speed is the adaptation
+		// used there).
+		return (w/sp)/maxf(l.CPUIdle, MinIdleFloor) + (1-w)/maxf(l.DiskAvail, MinIdleFloor)
+	}
+	return RSRC(w, l.CPUIdle, l.DiskAvail)
 }
 
 // WTable is the off-line sampling result: the measured CPU share of each
@@ -344,8 +362,8 @@ const DefaultPlacementImpact = 0.15
 
 // NewMS constructs the full M/S policy — the default pipeline — with
 // options for the paper's ablations. Other placement knobs (booking
-// impact, reservation tuning, affinity mode) are PipelineConfig fields;
-// build those variants with NewPipeline.
+// impact, the stages themselves) are PipelineConfig fields; build those
+// variants with NewPipeline.
 func NewMS(wtable WTable, seed int64, opts ...MSOption) *MS {
 	c := msConfig{name: "M/S", sampling: true, reservation: true}
 	for _, o := range opts {
@@ -403,104 +421,3 @@ func (*Flat) ObserveCompletion(trace.Class, float64, float64) {}
 
 // Tick implements Policy.
 func (*Flat) Tick(float64, *View) {}
-
-// MSPrime is the fixed-split alternative of Section 3: statics at the
-// receiving master, dynamics assigned uniformly at random to the slave
-// tier with no load awareness and no master admission.
-type MSPrime struct {
-	rng *rng.Stream
-}
-
-// NewMSPrime constructs the M/S′ policy.
-func NewMSPrime(seed int64) *MSPrime { return &MSPrime{rng: rng.New(seed)} }
-
-// Name implements Policy.
-func (*MSPrime) Name() string { return "M/S'" }
-
-// Place implements Policy.
-func (p *MSPrime) Place(req Request, master int, v *View) int {
-	if req.Class == trace.Static || len(v.Slaves) == 0 {
-		return master
-	}
-	return v.Slaves[p.rng.Intn(len(v.Slaves))]
-}
-
-// ObserveCompletion implements Policy.
-func (*MSPrime) ObserveCompletion(trace.Class, float64, float64) {}
-
-// Tick implements Policy.
-func (*MSPrime) Tick(float64, *View) {}
-
-// RoundRobin cycles dynamics over slaves (or all nodes without a slave
-// tier) and keeps statics local — a baseline for the ablation benches.
-type RoundRobin struct {
-	next int
-}
-
-// NewRoundRobin constructs the round-robin policy.
-func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
-
-// Name implements Policy.
-func (*RoundRobin) Name() string { return "RoundRobin" }
-
-// Place implements Policy.
-func (rr *RoundRobin) Place(req Request, master int, v *View) int {
-	if req.Class == trace.Static {
-		return master
-	}
-	pool := v.Slaves
-	if len(pool) == 0 {
-		pool = v.Masters
-	}
-	rr.next++
-	return pool[rr.next%len(pool)]
-}
-
-// ObserveCompletion implements Policy.
-func (*RoundRobin) ObserveCompletion(trace.Class, float64, float64) {}
-
-// Tick implements Policy.
-func (*RoundRobin) Tick(float64, *View) {}
-
-// LeastLoaded sends dynamics to the node with the shortest combined
-// queue — the classic single-index load-balancing baseline the related
-// work section contrasts with multi-index RSRC.
-type LeastLoaded struct {
-	rng *rng.Stream
-}
-
-// NewLeastLoaded constructs the least-loaded policy.
-func NewLeastLoaded(seed int64) *LeastLoaded { return &LeastLoaded{rng: rng.New(seed)} }
-
-// Name implements Policy.
-func (*LeastLoaded) Name() string { return "LeastLoaded" }
-
-// Place implements Policy.
-func (ll *LeastLoaded) Place(req Request, master int, v *View) int {
-	if req.Class == trace.Static {
-		return master
-	}
-	pool := v.Slaves
-	if len(pool) == 0 {
-		pool = v.Masters
-	}
-	best := math.MaxInt
-	var bestNodes []int
-	for _, id := range pool {
-		q := v.Load[id].CPUQueue + v.Load[id].DiskQueue
-		switch {
-		case q < best:
-			best = q
-			bestNodes = append(bestNodes[:0], id)
-		case q == best:
-			bestNodes = append(bestNodes, id)
-		}
-	}
-	return bestNodes[ll.rng.Intn(len(bestNodes))]
-}
-
-// ObserveCompletion implements Policy.
-func (*LeastLoaded) ObserveCompletion(trace.Class, float64, float64) {}
-
-// Tick implements Policy.
-func (*LeastLoaded) Tick(float64, *View) {}

@@ -341,65 +341,11 @@ func TestFlatPolicy(t *testing.T) {
 	f.Tick(0, v)
 }
 
-func TestMSPrimePolicy(t *testing.T) {
-	v := testView([]int{0, 1}, []int{2, 3})
-	p := NewMSPrime(3)
-	if got := p.Place(Request{Class: trace.Static}, 1, v); got != 1 {
-		t.Fatalf("M/S' static at %d, want 1", got)
-	}
-	counts := map[int]int{}
-	for i := 0; i < 200; i++ {
-		counts[p.Place(Request{Class: trace.Dynamic}, 0, v)]++
-	}
-	if counts[0] > 0 || counts[1] > 0 {
-		t.Fatalf("M/S' sent dynamics to masters: %v", counts)
-	}
-	if counts[2] == 0 || counts[3] == 0 {
-		t.Fatalf("M/S' did not spread dynamics over slaves: %v", counts)
-	}
-	// Degenerate: no slaves → stay at master.
-	v2 := testView([]int{0}, nil)
-	if got := p.Place(Request{Class: trace.Dynamic}, 0, v2); got != 0 {
-		t.Fatalf("M/S' without slaves placed at %d", got)
-	}
-}
-
-func TestRoundRobinPolicy(t *testing.T) {
-	v := testView([]int{0}, []int{1, 2, 3})
-	rr := NewRoundRobin()
-	seen := map[int]int{}
-	for i := 0; i < 9; i++ {
-		seen[rr.Place(Request{Class: trace.Dynamic}, 0, v)]++
-	}
-	for _, id := range v.Slaves {
-		if seen[id] != 3 {
-			t.Fatalf("round robin uneven: %v", seen)
-		}
-	}
-	if got := rr.Place(Request{Class: trace.Static}, 0, v); got != 0 {
-		t.Fatalf("round robin moved a static to %d", got)
-	}
-}
-
-func TestLeastLoadedPolicy(t *testing.T) {
-	v := testView([]int{0}, []int{1, 2})
-	v.Load[1].CPUQueue = 5
-	v.Load[2].CPUQueue = 1
-	ll := NewLeastLoaded(1)
-	if got := ll.Place(Request{Class: trace.Dynamic}, 0, v); got != 2 {
-		t.Fatalf("least-loaded placed at %d, want 2", got)
-	}
-	if got := ll.Place(Request{Class: trace.Static}, 0, v); got != 0 {
-		t.Fatalf("least-loaded moved a static to %d", got)
-	}
-}
-
 // Property: every policy always returns a valid node id.
 func TestPoliciesReturnValidNodesProperty(t *testing.T) {
 	policies := []Policy{
 		NewMS(nil, 1), NewMS(nil, 2, WithoutReservation()),
-		NewMS(nil, 3, WithoutSampling()), NewFlat(), NewMSPrime(4),
-		NewRoundRobin(), NewLeastLoaded(5),
+		NewMS(nil, 3, WithoutSampling()), NewFlat(),
 	}
 	f := func(masterRaw uint8, dyn bool, idleRaw []uint8) bool {
 		v := testView([]int{0, 1}, []int{2, 3, 4})

@@ -2,21 +2,19 @@ package core
 
 import "msweb/internal/trace"
 
-// This file defines the three-stage placement pipeline that replaced the
-// monolithic M/S scheduler:
+// This file defines the placement pipeline:
 //
-//	admission → routing → (per-node) scheduling
+//	admission → routing
 //
 // AdmissionPolicy decides whether an arriving dynamic request may be
-// absorbed at the master tier — or must be shed outright in the degraded
-// regime — absorbing the θ₂ reservation and the ShedRSRC rule that used
-// to be hard-wired into MS.Place and the live shedder. RoutingPolicy
+// absorbed at the master tier (the θ₂ reservation); in the degraded
+// regime where no slave is routable, both planes ask the same verdict
+// through MasterAdmission to decide whether to shed. RoutingPolicy
 // picks the executing node among the admission-eligible candidates
-// (min-RSRC by default; see routing.go for the competitor set and
-// scorers.go for weighted-scorer composition). The scheduling stage is a
-// named per-node queueing discipline (Discipline) that the execution
-// planes — simos in simulation, Resource on live nodes — enact; the
-// pipeline carries the name so one policy spec configures both planes.
+// (min-RSRC by default; see routing.go for the competitor set). The
+// per-node queueing discipline (Discipline) is not part of a policy:
+// each plane's node configuration names it and the node enacts it —
+// simos in simulation, Resource on live nodes.
 //
 // Pipeline implements Policy, so both internal/cluster (sim) and
 // internal/httpcluster (live) consume a pipeline exactly as they
@@ -64,10 +62,11 @@ type RoutingPolicy interface {
 	Route(req Request, w float64, candidates []int, v *View) (node int, cost float64)
 }
 
-// Discipline names the per-node queue-ordering policy of the third
-// pipeline stage. The pipeline only carries the name; the execution
+// Discipline names the per-node queue-ordering policy. The execution
 // planes enact it — simos.Config.WithDiscipline in simulation, the
-// Resource quantum configuration on live nodes.
+// Resource quantum configuration on live nodes — from their own node
+// configuration (cluster.Config.Discipline, httpcluster
+// NodeOptions.Discipline).
 const (
 	// DisciplineMLFQ is the default multi-level feedback queue (BSD-style
 	// decay-usage priorities in simos; round-robin time sharing live).
@@ -82,19 +81,6 @@ const (
 // Disciplines lists the registered per-node scheduling disciplines.
 func Disciplines() []string { return []string{DisciplineMLFQ, DisciplineRR, DisciplineFCFS} }
 
-// AffinityMode selects how a pipeline applies View.Affinity constraints.
-type AffinityMode int
-
-const (
-	// AffinityHard filters the candidate set to a pinned script's
-	// replica nodes, overriding the admission stage when the data
-	// constraint leaves no other choice (the historical MS behavior).
-	AffinityHard AffinityMode = iota
-	// AffinityOff ignores View.Affinity entirely. Soft preferences are
-	// expressed through the "affinity" scorer instead (scorers.go).
-	AffinityOff
-)
-
 // PipelineConfig assembles a Pipeline. The zero value of every field
 // selects the default-M/S behavior for that aspect.
 type PipelineConfig struct {
@@ -106,9 +92,6 @@ type PipelineConfig struct {
 	// Routing is the second stage; nil selects min-RSRC routing seeded
 	// with Seed.
 	Routing RoutingPolicy
-	// Scheduling names the per-node discipline ("mlfq" when empty). The
-	// pipeline does not interpret it; planes read it via Scheduling().
-	Scheduling string
 	// Seed seeds the default routing stage when Routing is nil.
 	Seed int64
 	// WTable is the off-line sampling result consulted for dynamic
@@ -120,32 +103,23 @@ type PipelineConfig struct {
 	// per placement (see DefaultPlacementImpact). 0 selects the default;
 	// NoPlacementImpact (any negative value) disables booking.
 	PlacementImpact float64
-	// ShedRSRC is the master-absorption RSRC ceiling consulted by
-	// DeniesMasterAbsorption in the degraded no-routable-slave regime;
-	// 0 disables the RSRC rule (the admission cap still applies).
-	ShedRSRC float64
-	// Affinity selects hard candidate filtering (default) or none.
-	Affinity AffinityMode
 }
 
 // NoPlacementImpact disables the in-view booking charge when assigned to
 // PipelineConfig.PlacementImpact (which treats 0 as "use the default").
 const NoPlacementImpact = -1
 
-// Pipeline is an admission → routing → scheduling placement policy. It
-// implements Policy, PlacementExplainer, MasterAdmission and
-// AdaptiveStats, so both execution planes consume it exactly as they
-// consumed the monolithic scheduler.
+// Pipeline is an admission → routing placement policy. It implements
+// Policy, PlacementExplainer, MasterAdmission and AdaptiveStats, so both
+// execution planes consume it exactly as they consumed the monolithic
+// scheduler.
 type Pipeline struct {
 	name     string
 	adm      AdmissionPolicy
 	route    RoutingPolicy
-	sched    string
 	wtable   WTable
 	sampling bool
 	impact   float64
-	shedCost float64
-	affinity AffinityMode
 	// last is the most recent Place decision, recorded unconditionally
 	// (plain field stores) so the tracing layer can annotate dispatches
 	// without the policy knowing whether anyone is listening.
@@ -164,9 +138,6 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 	if cfg.Routing == nil {
 		cfg.Routing = NewRSRCRouting(cfg.Seed)
 	}
-	if cfg.Scheduling == "" {
-		cfg.Scheduling = DisciplineMLFQ
-	}
 	if cfg.Name == "" {
 		cfg.Name = cfg.Admission.Name() + "+" + cfg.Routing.Name()
 	}
@@ -181,12 +152,9 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 		name:     cfg.Name,
 		adm:      cfg.Admission,
 		route:    cfg.Routing,
-		sched:    cfg.Scheduling,
 		wtable:   cfg.WTable,
 		sampling: !cfg.DisableSampling,
 		impact:   impact,
-		shedCost: cfg.ShedRSRC,
-		affinity: cfg.Affinity,
 	}
 }
 
@@ -198,9 +166,6 @@ func (p *Pipeline) AdmissionName() string { return p.adm.Name() }
 
 // RoutingName reports the second stage's registry name (metric labels).
 func (p *Pipeline) RoutingName() string { return p.route.Name() }
-
-// Scheduling reports the per-node discipline the planes should enact.
-func (p *Pipeline) Scheduling() string { return p.sched }
 
 // Place implements Policy: statics stay at the receiving master;
 // dynamics go to the routing stage's choice among the slaves plus —
@@ -227,20 +192,18 @@ func (p *Pipeline) Place(req Request, master int, v *View) int {
 		p.candScratch = append(append(p.candScratch[:0], candidates...), v.Masters...)
 		candidates = p.candScratch
 	}
-	if p.affinity == AffinityHard {
-		if allowed := v.Affinity.Allowed(req.Script); allowed != nil {
-			// Partial replication: the script's data lives on a subset of
-			// nodes. Prefer allowed nodes within the admission-eligible
-			// candidates; if none qualify, the data constraint overrides
-			// the admission stage (the script cannot run elsewhere).
-			if c := intersect(candidates, allowed); len(c) > 0 {
-				candidates = c
-			} else if c := intersect(append(append([]int(nil), v.Slaves...), v.Masters...), allowed); len(c) > 0 {
-				candidates = c
-			}
-			// An allowed set with no live node degrades to the
-			// unconstrained candidates so the request still completes.
+	if allowed := v.Affinity.Allowed(req.Script); allowed != nil {
+		// Partial replication: the script's data lives on a subset of
+		// nodes. Prefer allowed nodes within the admission-eligible
+		// candidates; if none qualify, the data constraint overrides
+		// the admission stage (the script cannot run elsewhere).
+		if c := intersect(candidates, allowed); len(c) > 0 {
+			candidates = c
+		} else if c := intersect(append(append([]int(nil), v.Slaves...), v.Masters...), allowed); len(c) > 0 {
+			candidates = c
 		}
+		// An allowed set with no live node degrades to the
+		// unconstrained candidates so the request still completes.
 	}
 	target, cost := p.route.Route(req, w, candidates, v)
 	p.last = Placement{Node: target, RSRC: cost, W: w, MasterAdmitted: mastersEligible}
@@ -258,7 +221,7 @@ func (p *Pipeline) Place(req Request, master int, v *View) int {
 // PlaceRemote runs only the routing stage over v.Slaves and returns the
 // chosen node and routing cost, or (-1, 0) when the view offers no
 // candidate. It is the spill path of a sharded master: admission
-// already ruled (the local AbsorptionGate shed), the candidates are
+// already ruled (the local master would shed), the candidates are
 // remote digests the caller synthesized from peer summaries, and
 // booking against a view rebuilt per call would be meaningless — so no
 // arrival/placement counting and no booking happen here. Routing-stage
@@ -293,28 +256,6 @@ func (p *Pipeline) LastPlacement() Placement { return p.last }
 // would let the next dynamic request run at a master.
 func (p *Pipeline) AdmitsAtMaster() bool { return p.adm.AdmitAtMaster() }
 
-// SetShedRSRC installs the master-absorption RSRC ceiling after
-// construction; the live plane forwards its Resilience.ShedRSRC knob
-// here so the rule lives with the admission decision it belongs to.
-func (p *Pipeline) SetShedRSRC(limit float64) { p.shedCost = limit }
-
-// DeniesMasterAbsorption reports whether, in the degraded regime where
-// no slave is routable, an arriving dynamic should be shed rather than
-// absorbed at the local master: the configured ShedRSRC ceiling says the
-// master's own resources are too busy, or the admission stage's cap is
-// closed. The caller decides when the regime applies (the live plane
-// checks its circuit breakers; the simulator checks node availability) —
-// the verdict itself is plane-independent.
-func (p *Pipeline) DeniesMasterAbsorption(local int, v *View) bool {
-	if p.shedCost > 0 && local >= 0 && local < len(v.Load) {
-		l := v.Load[local]
-		if RSRC(DefaultW, l.CPUIdle, l.DiskAvail) >= p.shedCost {
-			return true
-		}
-	}
-	return !p.adm.AdmitAtMaster()
-}
-
 // ThetaLimit implements AdaptiveStats, delegating to the admission stage
 // (1 — no cap — when the stage is not adaptive).
 func (p *Pipeline) ThetaLimit() float64 {
@@ -338,12 +279,4 @@ func (p *Pipeline) ServiceRatio() float64 {
 		return s.ServiceRatio()
 	}
 	return 0
-}
-
-// AbsorptionGate is implemented by policies that can rule on shedding in
-// the degraded no-routable-slave regime (see DeniesMasterAbsorption).
-// The live load shedder prefers it over the legacy MasterAdmission path
-// because it folds the ShedRSRC rule into the same verdict.
-type AbsorptionGate interface {
-	DeniesMasterAbsorption(local int, v *View) bool
 }

@@ -45,19 +45,15 @@ func TestPipelineStageNames(t *testing.T) {
 	if p.AdmissionName() != AdmissionTheta2 || p.RoutingName() != RoutingRSRC {
 		t.Fatalf("default stages = %q+%q", p.AdmissionName(), p.RoutingName())
 	}
-	if p.Scheduling() != DisciplineMLFQ {
-		t.Fatalf("default discipline = %q", p.Scheduling())
-	}
 	if p.Name() != AdmissionTheta2+"+"+RoutingRSRC {
 		t.Fatalf("derived name = %q", p.Name())
 	}
 	q := NewPipeline(PipelineConfig{
-		Admission:  NewOpenAdmission(),
-		Routing:    NewJSQRouting(2, 1),
-		Scheduling: DisciplineFCFS,
+		Admission: NewOpenAdmission(),
+		Routing:   NewJSQRouting(2, 1),
 	})
-	if q.Name() != "open+jsq2" || q.Scheduling() != DisciplineFCFS {
-		t.Fatalf("composed name/discipline = %q/%q", q.Name(), q.Scheduling())
+	if q.Name() != "open+jsq2" {
+		t.Fatalf("composed name = %q", q.Name())
 	}
 }
 
@@ -80,14 +76,14 @@ func TestJSQRoutingPrefersShortQueues(t *testing.T) {
 	// JSQ(2) samples: over many placements the short queue must dominate
 	// and every placement must stay in the candidate set.
 	p2 := NewPipeline(PipelineConfig{
-		Admission: NewSlavesOnlyAdmission(), Routing: NewJSQRouting(2, 7),
+		Admission: closedCap(), Routing: NewJSQRouting(2, 7),
 		PlacementImpact: NoPlacementImpact,
 	})
 	counts := map[int]int{}
 	for i := 0; i < 300; i++ {
 		got := p2.Place(Request{Class: trace.Dynamic}, 0, v)
 		if got == 0 {
-			t.Fatal("slaves-only admission placed at the master")
+			t.Fatal("a closed cap placed at the master")
 		}
 		counts[got]++
 	}
@@ -103,7 +99,7 @@ func TestMaxWeightRoutingDrainTime(t *testing.T) {
 	v.Load[1] = Load{CPUQueue: 6, Speed: 1, CPUIdle: 0.5, DiskAvail: 0.5}
 	v.Load[2] = Load{CPUQueue: 8, Speed: 4, CPUIdle: 0.5, DiskAvail: 0.5}
 	p := NewPipeline(PipelineConfig{
-		Admission: NewSlavesOnlyAdmission(), Routing: NewMaxWeightRouting(1),
+		Admission: closedCap(), Routing: NewMaxWeightRouting(1),
 		WTable: WTable{1: 1}, PlacementImpact: NoPlacementImpact,
 	})
 	if got := p.Place(Request{Class: trace.Dynamic, Script: 1}, 0, v); got != 2 {
@@ -116,7 +112,7 @@ func TestCMuRoutingPrefersEffectiveCapacity(t *testing.T) {
 	v.Load[1] = Load{CPUIdle: 0.9, DiskAvail: 0.9, Speed: 1}
 	v.Load[2] = Load{CPUIdle: 0.5, DiskAvail: 0.5, Speed: 4}
 	p := NewPipeline(PipelineConfig{
-		Admission: NewSlavesOnlyAdmission(), Routing: NewCMuRouting(1),
+		Admission: closedCap(), Routing: NewCMuRouting(1),
 		PlacementImpact: NoPlacementImpact,
 	})
 	// 4×0.5 = 2 effective capacity beats 1×0.9.
@@ -128,7 +124,7 @@ func TestCMuRoutingPrefersEffectiveCapacity(t *testing.T) {
 func TestRandomRoutingSpreads(t *testing.T) {
 	v := testView([]int{0}, []int{1, 2, 3})
 	p := NewPipeline(PipelineConfig{
-		Admission: NewSlavesOnlyAdmission(), Routing: NewRandomRouting(1),
+		Admission: closedCap(), Routing: NewRandomRouting(1),
 		PlacementImpact: NoPlacementImpact,
 	})
 	counts := map[int]int{}
@@ -141,88 +137,40 @@ func TestRandomRoutingSpreads(t *testing.T) {
 		}
 	}
 	if counts[0] > 0 {
-		t.Fatalf("random routing used the master under slaves-only admission: %v", counts)
+		t.Fatalf("random routing used the master under a closed cap: %v", counts)
 	}
 }
 
-func TestScorerRoutingComposition(t *testing.T) {
-	v := testView([]int{0}, []int{1, 2})
-	v.Load[1] = Load{CPUIdle: 0.9, DiskAvail: 0.9, CPUQueue: 10, Speed: 1}
-	v.Load[2] = Load{CPUIdle: 0.3, DiskAvail: 0.3, CPUQueue: 0, Speed: 1}
-	// Pure RSRC prefers node 1 (idle); adding a strong queue-length term
-	// flips the choice to node 2 (empty queue).
-	rsrcOnly := NewPipeline(PipelineConfig{
-		Admission:       NewSlavesOnlyAdmission(),
-		Routing:         NewScorerRouting(1, WeightedScorer{RSRCScorer{}, 1}),
-		PlacementImpact: NoPlacementImpact,
-	})
-	if got := rsrcOnly.Place(Request{Class: trace.Dynamic}, 0, v); got != 1 {
-		t.Fatalf("rsrc scorer placed at %d, want 1", got)
-	}
-	mixed := NewPipeline(PipelineConfig{
-		Admission: NewSlavesOnlyAdmission(),
-		Routing: NewScorerRouting(1,
-			WeightedScorer{RSRCScorer{}, 1},
-			WeightedScorer{QueueLenScorer{}, 10},
-		),
-		PlacementImpact: NoPlacementImpact,
-	})
-	if got := mixed.Place(Request{Class: trace.Dynamic}, 0, v); got != 2 {
-		t.Fatalf("rsrc+qlen scorer placed at %d, want 2", got)
-	}
-}
-
-func TestAffinityScorerSoftPreference(t *testing.T) {
-	v := testView([]int{0}, []int{1, 2})
-	v.Affinity = ScriptAffinity{7: {2}}
-	s := AffinityScorer{}
-	if got := s.Score(Request{Script: 7}, 0.5, 2, v); got != 1 {
-		t.Fatalf("replica node scored %v, want 1", got)
-	}
-	if got := s.Score(Request{Script: 7}, 0.5, 1, v); got != -1 {
-		t.Fatalf("non-replica node scored %v, want -1", got)
-	}
-	if got := s.Score(Request{Script: 8}, 0.5, 1, v); got != 0 {
-		t.Fatalf("unconstrained script scored %v, want 0", got)
-	}
-}
-
-func TestAffinityOffIgnoresPins(t *testing.T) {
-	v := testView([]int{0}, []int{1, 2})
-	v.Affinity = ScriptAffinity{7: {2}}
-	v.Load[1] = Load{CPUIdle: 1, DiskAvail: 1, Speed: 1}
-	v.Load[2] = Load{CPUIdle: 0.05, DiskAvail: 0.05, Speed: 1}
-	p := NewPipeline(PipelineConfig{
-		Admission: NewSlavesOnlyAdmission(), Seed: 1,
-		Affinity: AffinityOff, PlacementImpact: NoPlacementImpact,
-	})
-	if got := p.Place(Request{Class: trace.Dynamic, Script: 7}, 0, v); got != 1 {
-		t.Fatalf("AffinityOff still honored the pin: placed at %d", got)
-	}
-}
-
+// TestDeniesMasterAbsorption pins the verdict both planes' shedders
+// read through MasterAdmission in the no-routable-slave regime.
 func TestDeniesMasterAbsorption(t *testing.T) {
-	v := testView([]int{0}, []int{1})
-	// Closed cap: absorption denied regardless of load.
-	closed := NewPipeline(PipelineConfig{
-		Admission: NewTheta2Admission(ReservationConfig{InitialTheta: 0, Alpha: 0.3, Decay: 0.5}),
-		Seed:      1,
-	})
-	if !closed.DeniesMasterAbsorption(0, v) {
-		t.Fatal("closed cap did not deny absorption")
+	for _, c := range []struct {
+		name  string
+		p     *Pipeline
+		admit bool
+	}{
+		{"closed cap", NewPipeline(PipelineConfig{Admission: closedCap(), Seed: 1}), false},
+		{"fresh theta2", NewMS(nil, 1), false},
+		{"observe-only theta2", NewMS(nil, 1, WithoutReservation()), true},
+		{"open", NewPipeline(PipelineConfig{Admission: NewOpenAdmission(), Seed: 1}), true},
+	} {
+		var adm MasterAdmission = c.p
+		if got := adm.AdmitsAtMaster(); got != c.admit {
+			t.Errorf("%s: AdmitsAtMaster = %v, want %v", c.name, got, c.admit)
+		}
 	}
-	// Open admission, idle master: absorb.
-	open := NewPipeline(PipelineConfig{Admission: NewOpenAdmission(), Seed: 1})
-	if open.DeniesMasterAbsorption(0, v) {
-		t.Fatal("open admission denied absorption at an idle master")
+	// Ticked on an all-master view, θ₂ = 1: the cap opens.
+	ms := NewMS(nil, 1)
+	ms.Tick(0, testView([]int{0}, nil))
+	if !ms.AdmitsAtMaster() {
+		t.Error("theta2 at m = p still denies master absorption")
 	}
-	// ShedRSRC rule: a busy master crosses the ceiling even when the
-	// admission stage is open.
-	open.SetShedRSRC(3)
-	v.Load[0] = Load{CPUIdle: 0.1, DiskAvail: 0.1, Speed: 1}
-	if !open.DeniesMasterAbsorption(0, v) {
-		t.Fatal("ShedRSRC ceiling not enforced")
-	}
+}
+
+// closedCap is a θ₂ admission stage whose cap starts at 0, so until a
+// Tick recomputes it no dynamic request is admitted at a master.
+func closedCap() *Theta2Admission {
+	return NewTheta2Admission(ReservationConfig{InitialTheta: 0})
 }
 
 func TestPipelinePlaceDoesNotAllocate(t *testing.T) {
@@ -232,9 +180,6 @@ func TestPipelinePlaceDoesNotAllocate(t *testing.T) {
 		"maxweight": func() RoutingPolicy { return NewMaxWeightRouting(1) },
 		"cmu":       func() RoutingPolicy { return NewCMuRouting(1) },
 		"random":    func() RoutingPolicy { return NewRandomRouting(1) },
-		"scorers": func() RoutingPolicy {
-			return NewScorerRouting(1, WeightedScorer{RSRCScorer{}, 1}, WeightedScorer{QueueLenScorer{}, 0.5})
-		},
 	}
 	for name, mk := range routings {
 		p := NewPipeline(PipelineConfig{Routing: mk(), Seed: 1})
@@ -261,7 +206,7 @@ func TestPoliciesReturnValidNodesPipeline(t *testing.T) {
 			return NewPipeline(PipelineConfig{Admission: NewOpenAdmission(), Routing: NewMaxWeightRouting(2)})
 		},
 		func() Policy {
-			return NewPipeline(PipelineConfig{Admission: NewSlavesOnlyAdmission(), Routing: NewCMuRouting(3)})
+			return NewPipeline(PipelineConfig{Admission: closedCap(), Routing: NewCMuRouting(3)})
 		},
 		func() Policy {
 			return NewPipeline(PipelineConfig{Admission: NewOpenAdmission(), Routing: NewRandomRouting(4)})

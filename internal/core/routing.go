@@ -11,10 +11,10 @@ import (
 // (power-of-d-choices), MaxWeight-style weighted-backlog routing, the
 // c/μ-rule, and uniform random — all consuming the same View and
 // tie-breaking through the same seeded RNG discipline so experiment runs
-// stay deterministic. Weighted scorer composition lives in scorers.go.
+// stay deterministic.
 
-// Registered routing-stage names. JSQ(d) registers as "jsq2"/"jsq3"…
-// through the policy registry; RoutingJSQPrefix is the common stem.
+// Registered routing-stage names (metric labels). JSQ(d) reports
+// "jsq<d>"; RoutingJSQPrefix is the common stem.
 const (
 	RoutingRSRC      = "rsrc"
 	RoutingJSQPrefix = "jsq"
@@ -23,7 +23,6 @@ const (
 	RoutingBalanced  = "balanced"
 	RoutingMSR       = "msr"
 	RoutingRandom    = "random"
-	RoutingScorers   = "scorers"
 )
 
 // RSRCRouting picks the candidate minimizing the paper's RSRC cost

@@ -26,9 +26,6 @@ type TournamentConfig struct {
 	// Rhos are the target flat-utilization load levels; empty means
 	// moderate and heavy load (0.5, 0.8).
 	Rhos []float64
-	// Extra adds ad-hoc entrants (e.g. a custom pipeline assembled from
-	// stage flags) on top of the named presets.
-	Extra []policy.Preset
 }
 
 func (tc TournamentConfig) withDefaults() TournamentConfig {
@@ -74,7 +71,7 @@ func RunTournament(p int, opts Options, tc TournamentConfig) ([]TournamentRow, e
 	tc = tc.withDefaults()
 	const r = 1.0 / 40
 
-	presets := make([]policy.Preset, 0, len(tc.Policies)+len(tc.Extra))
+	presets := make([]policy.Preset, 0, len(tc.Policies))
 	for _, name := range tc.Policies {
 		pr, err := policy.Lookup(name)
 		if err != nil {
@@ -82,7 +79,6 @@ func RunTournament(p int, opts Options, tc TournamentConfig) ([]TournamentRow, e
 		}
 		presets = append(presets, pr)
 	}
-	presets = append(presets, tc.Extra...)
 	profiles := make([]trace.Profile, len(tc.Profiles))
 	for i, name := range tc.Profiles {
 		prof, ok := trace.ProfileByName(name)

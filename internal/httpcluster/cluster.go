@@ -93,7 +93,7 @@ func (c Config) Validate() error {
 	case c.AutoscaleMasters > 0 && c.Shards <= 1:
 		return fmt.Errorf("httpcluster: the master-tier autoscaler needs a sharded cluster (shards > 1)")
 	}
-	return nil
+	return validDiscipline(c.Discipline)
 }
 
 // Cluster is a running set of master and slave HTTP servers.

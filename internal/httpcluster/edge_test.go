@@ -230,7 +230,7 @@ func TestEdgeReplyMatchesHandler(t *testing.T) {
 		Resilience: Resilience{DisableShedding: true},
 	})
 	// One slave that kills every connection: the first dynamic opens its
-	// breaker, and with firstSlave (no admission gate of its own) the RSRC
+	// breaker, and with firstSlave (no MasterAdmission of its own) the RSRC
 	// ceiling then sheds every dynamic.
 	dead := httptest.NewServer(http.HandlerFunc(hijackClose))
 	defer dead.Close()

@@ -94,7 +94,7 @@ func (m *Master) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	p.Header("msweb_scheduler_policy_info", "Scheduling policy identity: constant 1, labeled with the pipeline's stage names.", "gauge")
 	if pl, ok := m.policy.(*core.Pipeline); ok {
 		p.Value("msweb_scheduler_policy_info",
-			label+`,policy="`+pl.Name()+`",admission="`+pl.AdmissionName()+`",routing="`+pl.RoutingName()+`",scheduling="`+pl.Scheduling()+`"`, 1)
+			label+`,policy="`+pl.Name()+`",admission="`+pl.AdmissionName()+`",routing="`+pl.RoutingName()+`",scheduling="`+m.discipline+`"`, 1)
 	} else {
 		p.Value("msweb_scheduler_policy_info", label+`,policy="`+m.policy.Name()+`"`, 1)
 	}

@@ -100,6 +100,31 @@ func TestMasterMetricsGolden(t *testing.T) {
 	}
 }
 
+// The policy-info family's scheduling label is the discipline the
+// master's node runs, not a property of the policy.
+func TestPolicyInfoReportsNodeDiscipline(t *testing.T) {
+	for _, d := range core.Disciplines() {
+		m, err := LaunchMaster(NodeOptions{
+			ID:          0,
+			Masters:     []int{0},
+			Slaves:      []int{1},
+			NodeURLs:    []string{"", "http://unused.invalid"},
+			Policy:      core.NewMS(nil, 1),
+			Discipline:  d,
+			LoadRefresh: time.Hour, PolicyTick: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := scrape(t, m.URL)
+		m.Shutdown()
+		want := `msweb_scheduler_policy_info{node="0",policy="M/S",admission="theta2",routing="rsrc",scheduling="` + d + `"} 1`
+		if !strings.Contains(got, want) {
+			t.Errorf("discipline %q: missing %q in:\n%s", d, want, got)
+		}
+	}
+}
+
 // After real traffic the histogram families must carry the samples.
 func TestMetricsReflectTraffic(t *testing.T) {
 	n, err := LaunchNode(NodeOptions{ID: 1, TimeScale: 0.05})

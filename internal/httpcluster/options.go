@@ -183,10 +183,8 @@ func (o NodeOptions) Validate(master bool) error {
 	case o.ListenerShards < 0 || o.ListenerShards > 256:
 		return fmt.Errorf("httpcluster: listener shards %d outside [0, 256]", o.ListenerShards)
 	}
-	switch o.Discipline {
-	case "", core.DisciplineMLFQ, core.DisciplineRR, core.DisciplineFCFS:
-	default:
-		return fmt.Errorf("httpcluster: unknown scheduling discipline %q", o.Discipline)
+	if err := validDiscipline(o.Discipline); err != nil {
+		return err
 	}
 	if !master {
 		return nil
@@ -228,6 +226,16 @@ func (o NodeOptions) Validate(master bool) error {
 	return nil
 }
 
+// validDiscipline rejects an unknown CPU scheduling discipline name; ""
+// selects the default.
+func validDiscipline(name string) error {
+	switch name {
+	case "", core.DisciplineMLFQ, core.DisciplineRR, core.DisciplineFCFS:
+		return nil
+	}
+	return fmt.Errorf("httpcluster: unknown scheduling discipline %q", name)
+}
+
 // withDefaults fills the zero values.
 func (o NodeOptions) withDefaults() NodeOptions {
 	if o.Origin.IsZero() {
@@ -235,6 +243,9 @@ func (o NodeOptions) withDefaults() NodeOptions {
 	}
 	if o.TimeScale == 0 {
 		o.TimeScale = 1
+	}
+	if o.Discipline == "" {
+		o.Discipline = core.DisciplineMLFQ
 	}
 	o.Resilience = o.Resilience.withDefaults()
 	return o
@@ -270,12 +281,6 @@ func LaunchMaster(o NodeOptions) (*Master, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A pipeline policy owns the whole master-absorption decision: hand
-	// it the RSRC shed ceiling so its gate and the legacy inline rule
-	// cannot disagree.
-	if pl, ok := o.Policy.(*core.Pipeline); ok {
-		pl.SetShedRSRC(o.Resilience.ShedRSRC)
-	}
 	m := &Master{
 		Node:   n,
 		policy: o.Policy,
@@ -288,6 +293,7 @@ func LaunchMaster(o NodeOptions) (*Master, error) {
 		self:        [1]int{o.ID},
 		rs:          o.Resilience,
 		tracer:      o.Tracer,
+		discipline:  o.Discipline,
 		urls:        make([]atomic.Pointer[string], len(o.NodeURLs)),
 		brk:         newBreakerSet(len(o.NodeURLs), o.Resilience.Breaker),
 		respHist:    obs.NewHistogram(),

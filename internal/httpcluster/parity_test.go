@@ -125,63 +125,6 @@ func TestSimLivePolicyParity(t *testing.T) {
 	}
 }
 
-// TestLiveAbsorptionGateMatchesLegacyRules verifies the pipeline's
-// absorption gate agrees with the legacy inline shedding rules the
-// master used before the gate existed: the RSRC ceiling and the θ₂
-// admission cap.
-func TestLiveAbsorptionGateMatchesLegacyRules(t *testing.T) {
-	for _, shedRSRC := range []float64{0, 2.5} {
-		for _, idle := range []float64{0.05, 0.9} {
-			pl := core.NewPipeline(core.PipelineConfig{Seed: 1, ShedRSRC: shedRSRC})
-			v := parityView()
-			v.Load[0].CPUIdle = idle
-			v.Load[0].DiskAvail = idle
-
-			legacy := false
-			if shedRSRC > 0 && core.RSRC(core.DefaultW, idle, idle) >= shedRSRC {
-				legacy = true
-			} else if !pl.AdmitsAtMaster() {
-				legacy = true
-			}
-			if got := pl.DeniesMasterAbsorption(0, &v); got != legacy {
-				t.Fatalf("shedRSRC=%v idle=%v: gate says %v, legacy rules say %v",
-					shedRSRC, idle, got, legacy)
-			}
-		}
-	}
-}
-
-// TestLaunchMasterForwardsShedRSRC checks the wiring: Resilience.ShedRSRC
-// reaches a pipeline policy's gate, so an overloaded lone master sheds
-// by the same rule the options documented.
-func TestLaunchMasterForwardsShedRSRC(t *testing.T) {
-	pl := core.NewPipeline(core.PipelineConfig{Seed: 1})
-	m, err := LaunchMaster(NodeOptions{
-		ID:          0,
-		Policy:      pl,
-		Masters:     []int{0},
-		Slaves:      nil,
-		NodeURLs:    []string{""},
-		LoadRefresh: time.Hour,
-		PolicyTick:  time.Hour,
-		Resilience:  Resilience{ShedRSRC: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Shutdown()
-
-	v := core.View{Masters: []int{0}, Load: []core.Load{{CPUIdle: 0.01, DiskAvail: 0.01}}}
-	if !pl.DeniesMasterAbsorption(0, &v) {
-		t.Fatalf("RSRC %.1f at ceiling 3: gate must deny absorption",
-			core.RSRC(core.DefaultW, 0.01, 0.01))
-	}
-	relaxed := core.View{Masters: []int{0}, Load: []core.Load{{CPUIdle: 1, DiskAvail: 1}}}
-	if pl.DeniesMasterAbsorption(0, &relaxed) && pl.AdmitsAtMaster() {
-		t.Fatal("idle master under the ceiling must absorb")
-	}
-}
-
 // TestDisciplineValidation exercises the unified discipline surface on
 // the live plane: every registered name launches, anything else fails.
 func TestDisciplineValidation(t *testing.T) {

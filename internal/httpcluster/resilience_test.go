@@ -14,6 +14,7 @@ import (
 
 	"msweb/internal/core"
 	"msweb/internal/obs"
+	"msweb/internal/policy"
 	"msweb/internal/trace"
 )
 
@@ -330,6 +331,70 @@ func TestShedsWhenAllSlavesOpen(t *testing.T) {
 	resp, _ = getStatus(t, m.URL+"/req?class=s&demand=0&w=0.5", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("static got %d during degradation, want 200", resp.StatusCode)
+	}
+}
+
+// A master forwards Resilience.ShedRSRC into the one shed rule every
+// policy shares, pipelines included: an ms-preset master whose only
+// slave's breaker is open checks the ceiling first, then the θ₂
+// reservation. Two dynamics served by the slave bring the reservation's
+// master share under θ₂, so it admits the third; with a 0.5 ceiling
+// (below any RSRC) that dynamic still gets 503 + Retry-After, with none
+// it runs at the master.
+func TestLaunchMasterForwardsShedRSRC(t *testing.T) {
+	preset, err := policy.Lookup("ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		shedRSRC float64
+		status   int
+		executed int64
+	}{
+		{0.5, http.StatusServiceUnavailable, 0},
+		{0, http.StatusOK, 1},
+	} {
+		slave := newFakeFrameSlave(t, frameReply{status: http.StatusOK})
+		m, err := LaunchMaster(NodeOptions{
+			ID:          0,
+			TimeScale:   1e-6,
+			Masters:     []int{0},
+			Slaves:      []int{1},
+			NodeURLs:    []string{"", slave.URL},
+			Policy:      preset.Build(nil, 1),
+			LoadRefresh: time.Hour,
+			PolicyTick:  time.Hour,
+			Resilience:  Resilience{ShedRSRC: c.shedRSRC},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Shutdown()
+
+		for i := 0; i < 2; i++ {
+			if resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("ShedRSRC %v: dynamic %d got %d with a healthy slave", c.shedRSRC, i, resp.StatusCode)
+			}
+		}
+		m.placeMu.Lock()
+		admits := m.policy.(core.MasterAdmission).AdmitsAtMaster()
+		m.placeMu.Unlock()
+		if slave.hits.Load() != 2 || !admits {
+			t.Fatalf("ShedRSRC %v: slave read %d frames, θ₂ admits %v; want 2 and true", c.shedRSRC, slave.hits.Load(), admits)
+		}
+		m.brk.open(&m.brk.slots[1], time.Now().UnixNano())
+
+		resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil)
+		if resp.StatusCode != c.status {
+			t.Fatalf("ShedRSRC %v: status %d, want %d", c.shedRSRC, resp.StatusCode, c.status)
+		}
+		if c.status == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("ShedRSRC %v: shed response missing Retry-After", c.shedRSRC)
+		}
+		if m.Executed() != c.executed || slave.hits.Load() != 2 {
+			t.Fatalf("ShedRSRC %v: master executed %d, slave read %d frames; want %d and 2",
+				c.shedRSRC, m.Executed(), slave.hits.Load(), c.executed)
+		}
 	}
 }
 

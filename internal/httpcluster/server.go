@@ -352,6 +352,9 @@ type Master struct {
 	rs       Resilience
 	tracer   obs.Tracer
 	self     [1]int // masterless-view fallback: this master's own id
+	// discipline is the node's CPU scheduling discipline, reported on
+	// /metrics.
+	discipline string
 
 	// snap is the current load view generation (never nil after launch).
 	snap atomic.Pointer[loadSnapshot]
@@ -917,7 +920,8 @@ func (m *Master) serveReq(p reqParams, start time.Time, timeoutMs int64) (status
 // CGI work — and then defers to the paper's control signals: the θ₂
 // reservation (masters keep serving the dynamic share the reservation
 // grants, shedding the excess) and, when configured, the master's own
-// measured RSRC cost.
+// measured RSRC cost. Both checks apply to every policy: the RSRC
+// ceiling first, then core.MasterAdmission when the policy has one.
 func (m *Master) shouldShed() (retryAfter int, shed bool) {
 	if m.rs.DisableShedding {
 		return 0, false
@@ -940,18 +944,6 @@ func (m *Master) shouldShed() (retryAfter int, shed bool) {
 	retryAfter = int((m.brk.cfg.OpenFor + time.Second - 1) / time.Second)
 	if retryAfter < 1 {
 		retryAfter = 1
-	}
-	// Pipeline policies own the whole absorption decision (ShedRSRC
-	// ceiling plus admission cap) behind one gate; the inline checks
-	// below reproduce the same rules for non-pipeline policies.
-	if gate, ok := m.policy.(core.AbsorptionGate); ok {
-		m.placeMu.Lock()
-		denied := gate.DeniesMasterAbsorption(m.ID, &s.view)
-		m.placeMu.Unlock()
-		if denied {
-			return retryAfter, true
-		}
-		return 0, false
 	}
 	if t := m.rs.ShedRSRC; t > 0 {
 		l := s.view.Load[m.ID]

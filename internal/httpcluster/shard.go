@@ -27,10 +27,10 @@ import (
 //     pairs that never exchange requests.
 //
 // Placement stays local-first: the pipeline places within the own-shard
-// view exactly as an unsharded master would. Only when the local
-// AbsorptionGate sheds does the master spill — synthesize a view from
-// the freshest remote summaries' digests and let the same routing stage
-// pick a concrete node, dispatched over the existing transport with the
+// view exactly as an unsharded master would. Only when shouldShed sheds
+// locally does the master spill — synthesize a view from the freshest
+// remote summaries' digests and let the same routing stage pick a
+// concrete node, dispatched over the existing transport with the
 // existing breaker/retry taxonomy.
 
 // shardTopK is how many least-loaded node digests the own-shard summary

@@ -153,7 +153,7 @@ func TestSpillBreakerTaxonomyOverFrames(t *testing.T) {
 		}
 		switch sts[0] {
 		case http.StatusOK:
-			// The gate admitted this one at the master; keep driving.
+			// The reservation admitted this one at the master; keep driving.
 		case http.StatusServiceUnavailable:
 			sawShed = true
 		default:

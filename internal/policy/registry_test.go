@@ -2,6 +2,8 @@ package policy
 
 import (
 	"flag"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -67,61 +69,11 @@ func TestTournamentNamesAreCompetitors(t *testing.T) {
 	}
 }
 
-// TestSpecRoundTrip drives every stage name through flag parsing and a
-// build, covering the registry's whole custom surface.
-func TestSpecRoundTrip(t *testing.T) {
-	cases := []struct {
-		args []string
-		name string // expected substring of the policy name ("" = any)
-	}{
-		{[]string{"-admission-policy", "theta2"}, ""},
-		{[]string{"-admission-policy", "theta2-observe"}, ""},
-		{[]string{"-admission-policy", "open"}, ""},
-		{[]string{"-admission-policy", "slaves-only"}, ""},
-		{[]string{"-routing-policy", "rsrc"}, "rsrc"},
-		{[]string{"-routing-policy", "jsq2"}, "jsq2"},
-		{[]string{"-routing-policy", "jsq5"}, "jsq5"},
-		{[]string{"-routing-policy", "maxweight"}, "maxweight"},
-		{[]string{"-routing-policy", "cmu"}, "cmu"},
-		{[]string{"-routing-policy", "random"}, "random"},
-		{[]string{"-routing-policy", "scorers", "-routing-scorers", "rsrc:1,qlen:0.5"}, "scorers"},
-		{[]string{"-routing-policy", "scorers", "-routing-scorers", "idle, speed:2, affinity:0.1"}, "scorers"},
-		{[]string{"-admission-policy", "open", "-routing-policy", "jsq3", "-scheduling-policy", "fcfs"}, "jsq3"},
-		{[]string{"-policy", "maxweight", "-scheduling-policy", "rr"}, "MaxWeight"},
-	}
-	for _, tc := range cases {
-		var f Flags
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		f.Register(fs)
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatalf("parse %v: %v", tc.args, err)
-		}
-		build, err := f.Resolve()
-		if err != nil {
-			t.Fatalf("resolve %v: %v", tc.args, err)
-		}
-		pol := build(nil, 7)
-		if tc.name != "" && !strings.Contains(strings.ToLower(pol.Name()), strings.ToLower(tc.name)) {
-			t.Fatalf("args %v built policy %q, want name containing %q", tc.args, pol.Name(), tc.name)
-		}
-		v := view()
-		if target := pol.Place(core.Request{Class: trace.Dynamic}, 0, v); target < 0 || target >= len(v.Load) {
-			t.Fatalf("args %v placed at %d, outside the view", tc.args, target)
-		}
-	}
-}
-
 func TestResolveRejectsBadNames(t *testing.T) {
 	bad := [][]string{
 		{"-policy", "nope"},
-		{"-admission-policy", "closed-door"},
-		{"-routing-policy", "dijkstra"},
-		{"-routing-policy", "jsq0"},
-		{"-routing-policy", "jsqx"},
-		{"-routing-policy", "scorers"}, // missing -routing-scorers
-		{"-routing-policy", "scorers", "-routing-scorers", "karma:1"},
-		{"-routing-policy", "scorers", "-routing-scorers", "rsrc:abc"},
-		{"-scheduling-policy", "edf"},
+		{"-policy", ""},
+		{"-policy", "ms,flat"}, // a list is msbench's tournament syntax
 	}
 	for _, args := range bad {
 		var f Flags
@@ -138,24 +90,9 @@ func TestResolveRejectsBadNames(t *testing.T) {
 
 func TestListTextMentionsEverything(t *testing.T) {
 	txt := ListText()
-	for _, name := range Names() {
-		if !strings.Contains(txt, name) {
-			t.Fatalf("ListText missing preset %q:\n%s", name, txt)
-		}
-	}
-	for _, name := range Admissions() {
-		if !strings.Contains(txt, name) {
-			t.Fatalf("ListText missing admission %q", name)
-		}
-	}
-	for _, name := range core.Disciplines() {
-		if !strings.Contains(txt, name) {
-			t.Fatalf("ListText missing discipline %q", name)
-		}
-	}
-	for _, name := range ScorerNames() {
-		if !strings.Contains(txt, name) {
-			t.Fatalf("ListText missing scorer %q", name)
+	for _, p := range Presets() {
+		if !strings.Contains(txt, p.Name) || !strings.Contains(txt, p.Desc) {
+			t.Fatalf("ListText missing preset %q:\n%s", p.Name, txt)
 		}
 	}
 }
@@ -171,6 +108,38 @@ func TestSeedDeterminism(t *testing.T) {
 			if got, want := a.Place(req, 0, v1), b.Place(req, 0, v2); got != want {
 				t.Fatalf("preset %q diverged at request %d: %d vs %d", p.Name, i, got, want)
 			}
+		}
+	}
+}
+
+// TestDesignListsEveryPreset keeps DESIGN.md §8 in step with the
+// registry: its preset table names exactly Names(), in order, and the
+// section mentions none of the removed custom-pipeline surface.
+func TestDesignListsEveryPreset(t *testing.T) {
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	start := strings.Index(doc, "\n## 8. ")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no §8")
+	}
+	sec := doc[start+1:]
+	if end := strings.Index(sec, "\n## "); end >= 0 {
+		sec = sec[:end]
+	}
+	row := regexp.MustCompile("(?m)^\\| `([a-z0-9-]+)` \\|")
+	var listed []string
+	for _, m := range row.FindAllStringSubmatch(sec, -1) {
+		listed = append(listed, m[1])
+	}
+	if want := Names(); strings.Join(listed, " ") != strings.Join(want, " ") {
+		t.Errorf("DESIGN.md §8 lists presets %v, registry has %v", listed, want)
+	}
+	for _, gone := range []string{"-admission-policy", "-routing-policy", "-routing-scorers", "policy.Spec", "AbsorptionGate", "scorer", "all three binaries"} {
+		if strings.Contains(sec, gone) {
+			t.Errorf("DESIGN.md §8 still mentions %q", gone)
 		}
 	}
 }
