@@ -22,8 +22,9 @@ help:
 	@echo "              diurnal and flash-crowd load (byte-deterministic"
 	@echo "              sharded simulator; CSV in results/csv)"
 	@echo "  experiments print every table and figure, the live table3 replay included"
-	@echo "  results     rewrite results/<name>.txt and results/csv for every"
-	@echo "              deterministic experiment (all but table3; CI diffs it)"
+	@echo "  results     rewrite results/<name>.txt, results/csv and the tier-1"
+	@echo "              digests (cmd/msbench/testdata/digests.txt) for every"
+	@echo "              deterministic experiment (all but table3; CI diffs them)"
 	@echo "  clean       go clean ./..."
 	@echo "Performance claims: bench/pairs.sh BASE PAIRS [WORKLOAD] [SEED]"
 
@@ -84,14 +85,16 @@ experiments:
 RESULTS = table1 table2 fig3 fig4a fig4b fig5 cachesweep failover flashcrowd autoscale hetero discipline openclosed wsense staleness tournament sharded
 
 # Regenerate results/<name>.txt (the table msbench prints) and
-# results/csv for every deterministic experiment. CI runs this and
-# fails when the checked-in files differ.
+# results/csv for every deterministic experiment, and the per-experiment
+# -quick CSV digests in cmd/msbench/testdata/digests.txt that tier-1
+# checks. CI runs this and fails when the checked-in files differ.
 results:
 	@mkdir -p results/csv .bench_build
 	$(GO) build -o .bench_build/msbench ./cmd/msbench
 	@for e in $(RESULTS); do \
 		.bench_build/msbench -experiment $$e -csv results/csv > results/$$e.txt || exit 1; \
 	done
+	$(GO) test -count=1 ./cmd/msbench -run TestCSVEmission -update-golden
 
 clean:
 	$(GO) clean ./...
