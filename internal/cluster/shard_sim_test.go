@@ -131,22 +131,29 @@ func TestShardedSpillFromEmptyShard(t *testing.T) {
 
 // With no slave in view, a shedding cluster asks the policy's
 // MasterAdmission: the enforcing θ₂ reservation sheds, the observe-only
-// one (M/S-nr) and flat, which has no MasterAdmission, shed nothing.
+// one (M/S-nr) and flat, which has no MasterAdmission, shed nothing. The
+// reservation caps dynamic work only, so, as on the live master, a
+// static is never shed.
 func TestShedAsksMasterAdmission(t *testing.T) {
-	tr := genTrace(t, trace.KSU, 100, 2000, 1.0/40, 5)
+	mixed := genTrace(t, trace.KSU, 100, 2000, 1.0/40, 5)
+	staticOnly := trace.KSU
+	staticOnly.DynamicFrac = 0
+	statics := genTrace(t, staticOnly, 100, 2000, 1.0/40, 5)
 	cfg := DefaultConfig(2, 1)
 	cfg.EnableShedding = true
 	cfg.Events = []AvailabilityEvent{{Node: 1, At: 0, Available: false}}
 	for _, c := range []struct {
 		name string
 		pol  core.Policy
+		tr   *trace.Trace
 		shed bool
 	}{
-		{"ms", core.NewMS(nil, 1), true},
-		{"ms-nr", core.NewMS(nil, 1, core.WithoutReservation()), false},
-		{"flat", core.NewFlat(), false},
+		{"ms", core.NewMS(nil, 1), mixed, true},
+		{"ms statics", core.NewMS(nil, 1), statics, false},
+		{"ms-nr", core.NewMS(nil, 1, core.WithoutReservation()), mixed, false},
+		{"flat", core.NewFlat(), mixed, false},
 	} {
-		res, err := Simulate(cfg, c.pol, tr)
+		res, err := Simulate(cfg, c.pol, c.tr)
 		if err != nil {
 			t.Fatal(err)
 		}
