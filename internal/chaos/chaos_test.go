@@ -149,13 +149,6 @@ func TestChaosInvariants(t *testing.T) {
 			LoadRefresh: 25 * time.Millisecond,
 			PolicyTick:  100 * time.Millisecond,
 			MakePolicy:  func(id int) core.Policy { return core.NewMS(nil, int64(id)+1) },
-			Resilience: httpcluster.Resilience{
-				Breaker:         httpcluster.BreakerConfig{OpenFor: 200 * time.Millisecond},
-				DispatchTimeout: 2 * time.Second,
-				RetryBudget:     3,
-				RetryBackoff:    2 * time.Millisecond,
-				MaxQueue:        256,
-			},
 		}
 		h, err := Launch(cfg)
 		if err != nil {
@@ -187,7 +180,8 @@ func TestChaosInvariants(t *testing.T) {
 
 		// Closed-loop clients: each hammers one master with a static/dynamic
 		// mix until the schedule window closes, classifying every response
-		// into exactly one terminal bucket.
+		// into exactly one terminal bucket. Every request carries a 2 s
+		// budget, so a dispatch into a faulted link ends within it.
 		// Clients only ever ask for /req, so their connections stay on the
 		// masters' own HTTP edge: every reply must come from it (an edge reply
 		// carries no Date; net/http's adapter would stamp one).
@@ -205,7 +199,7 @@ func TestChaosInvariants(t *testing.T) {
 					if i%4 == 0 {
 						url = urls[c%len(urls)] + "/req?class=s&demand=0.001&w=0.3&script=0"
 					}
-					resp, err := client.Get(url)
+					resp, err := getWithBudget(client, url)
 					if err != nil {
 						unexpected.Add(1)
 						continue
@@ -280,6 +274,17 @@ func TestChaosInvariants(t *testing.T) {
 	})
 }
 
+// getWithBudget GETs url with the 2 s deadline budget the chaos clients
+// give every request.
+func getWithBudget(client *http.Client, url string) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set(httpcluster.TimeoutHeader, "2000")
+	return client.Do(req)
+}
+
 func countFDs(t *testing.T) int {
 	t.Helper()
 	ents, err := os.ReadDir("/proc/self/fd")
@@ -318,9 +323,6 @@ func TestScheduleRunScripted(t *testing.T) {
 		LoadRefresh: 20 * time.Millisecond,
 		PolicyTick:  100 * time.Millisecond,
 		MakePolicy:  func(id int) core.Policy { return core.NewMS(nil, 1) },
-		Resilience: httpcluster.Resilience{
-			Breaker: httpcluster.BreakerConfig{OpenFor: 150 * time.Millisecond},
-		},
 	}
 	h, err := Launch(cfg)
 	if err != nil {

@@ -49,13 +49,6 @@ func TestScaleEventInvariants(t *testing.T) {
 		PolicyTick:   60 * time.Millisecond,
 		GossipEvery:  30 * time.Millisecond,
 		MakePolicy:   func(id int) core.Policy { return core.NewMS(nil, int64(id)+1) },
-		Resilience: httpcluster.Resilience{
-			Breaker:         httpcluster.BreakerConfig{OpenFor: 200 * time.Millisecond},
-			DispatchTimeout: 2 * time.Second,
-			RetryBudget:     3,
-			RetryBackoff:    2 * time.Millisecond,
-			MaxQueue:        256,
-		},
 	}
 	c, err := httpcluster.Start(cfg)
 	if err != nil {
@@ -113,7 +106,7 @@ func TestScaleEventInvariants(t *testing.T) {
 				if i%4 == 0 {
 					url = targets[cl%len(targets)] + "/req?class=s&demand=0.001&w=0.3&script=0"
 				}
-				resp, err := client.Get(url)
+				resp, err := getWithBudget(client, url)
 				if err != nil {
 					unexpected.Add(1)
 					continue

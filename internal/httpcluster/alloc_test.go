@@ -59,11 +59,10 @@ func TestReqPathAllocPins(t *testing.T) {
 	// pipeline plus the shard-stamp header attach must stay pinned too.
 	ms, err := LaunchMaster(NodeOptions{
 		ID: 0, Masters: []int{0, 1}, NodeURLs: []string{"", ""},
-		Policy:      core.NewMS(nil, 1),
+		Policy:      core.NewMS(nil, 1, core.WithoutReservation()),
 		TimeScale:   1e-6,
 		LoadRefresh: time.Hour, PolicyTick: time.Hour,
-		Shards:     2,
-		Resilience: Resilience{DisableShedding: true},
+		Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

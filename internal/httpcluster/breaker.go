@@ -12,7 +12,7 @@ import (
 // protocol production load balancers use:
 //
 //	closed ──(one failed dispatch or poll)──▶ open
-//	open ──(OpenFor elapsed)──▶ half-open
+//	open ──(openFor elapsed)──▶ half-open
 //	half-open ──(the one probe succeeds, or a poll does)──▶ closed
 //	half-open ──(the probe or a poll fails)──▶ open (hold-down restarts)
 //
@@ -27,26 +27,6 @@ const (
 	breakerOpen
 )
 
-// BreakerConfig tunes the per-node circuit breakers.
-type BreakerConfig struct {
-	// OpenFor is how long an open circuit excludes its node from
-	// placement before the half-open probe is allowed (default
-	// DefaultOpenFor — the old failHoldDown constant).
-	OpenFor time.Duration
-}
-
-// DefaultOpenFor is the default open-state hold-down, the value of the
-// fixed failHoldDown constant it replaces.
-const DefaultOpenFor = 2 * time.Second
-
-// withDefaults fills zero fields.
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.OpenFor <= 0 {
-		c.OpenFor = DefaultOpenFor
-	}
-	return c
-}
-
 // breakerSlot is one node's breaker state. All fields are atomics; the
 // slot is embedded by value in the set's slice so per-node state costs
 // no pointer chase.
@@ -57,14 +37,17 @@ type breakerSlot struct {
 	opens    atomic.Int64 // cumulative open transitions (metrics)
 }
 
-// breakerSet is the per-node breaker array for one master.
+// breakerSet is the per-node breaker array for one master. openFor is
+// how long an open circuit excludes its node from placement before the
+// half-open probe is allowed; a master holds it at breakerPolls poll
+// periods.
 type breakerSet struct {
-	cfg   BreakerConfig
-	slots []breakerSlot
+	openFor time.Duration
+	slots   []breakerSlot
 }
 
-func newBreakerSet(n int, cfg BreakerConfig) *breakerSet {
-	return &breakerSet{cfg: cfg.withDefaults(), slots: make([]breakerSlot, n)}
+func newBreakerSet(n int, openFor time.Duration) *breakerSet {
+	return &breakerSet{openFor: openFor, slots: make([]breakerSlot, n)}
 }
 
 // State returns node id's current breaker state (for metrics/tests).
@@ -94,7 +77,7 @@ func (s *breakerSet) maybeHalfOpen(b *breakerSlot, now int64) int32 {
 	if st != breakerOpen {
 		return st
 	}
-	if now-b.openedAt.Load() < int64(s.cfg.OpenFor) {
+	if now-b.openedAt.Load() < int64(s.openFor) {
 		return breakerOpen
 	}
 	if b.state.CompareAndSwap(breakerOpen, breakerHalfOpen) {

@@ -19,13 +19,13 @@ func TestBreakerTransitions(t *testing.T) {
 		comment string
 	}
 	cases := []struct {
-		name  string
-		cfg   BreakerConfig
-		steps []step
+		name    string
+		openFor time.Duration
+		steps   []step
 	}{
 		{
-			name: "one strike opens, hold-down, probe closes",
-			cfg:  BreakerConfig{OpenFor: 2 * time.Second},
+			name:    "one strike opens, hold-down, probe closes",
+			openFor: 2 * time.Second,
 			steps: []step{
 				{at: 0, op: "allow", want: true, state: breakerClosed, comment: "fresh slot is closed"},
 				{at: 0, op: "acquire", want: true, state: breakerClosed},
@@ -39,8 +39,8 @@ func TestBreakerTransitions(t *testing.T) {
 			},
 		},
 		{
-			name: "failed probe restarts the hold-down",
-			cfg:  BreakerConfig{OpenFor: time.Second},
+			name:    "failed probe restarts the hold-down",
+			openFor: time.Second,
 			steps: []step{
 				{at: 0, op: "release", ok: false, state: breakerOpen},
 				{at: 1 * sec, op: "acquire", want: true, state: breakerHalfOpen},
@@ -50,8 +50,8 @@ func TestBreakerTransitions(t *testing.T) {
 			},
 		},
 		{
-			name: "poll success closes outright",
-			cfg:  BreakerConfig{OpenFor: time.Hour},
+			name:    "poll success closes outright",
+			openFor: time.Hour,
 			steps: []step{
 				{at: 0, op: "pollfail", state: breakerOpen, comment: "failed poll opens like the old markFailed"},
 				{at: 1 * sec, op: "allow", want: false, state: breakerOpen},
@@ -63,7 +63,7 @@ func TestBreakerTransitions(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newBreakerSet(1, tc.cfg)
+			s := newBreakerSet(1, tc.openFor)
 			for i, st := range tc.steps {
 				var got bool
 				switch st.op {
@@ -96,7 +96,7 @@ func TestBreakerTransitions(t *testing.T) {
 // Concurrent Acquire/Release hammering must keep the probe count sane
 // (run under -race in CI).
 func TestBreakerConcurrentProbes(t *testing.T) {
-	s := newBreakerSet(1, BreakerConfig{OpenFor: time.Nanosecond})
+	s := newBreakerSet(1, time.Nanosecond)
 	s.Release(0, false, 0) // open; every later now is past the hold-down
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -25,9 +25,6 @@ type Config struct {
 	// MakePolicy builds one scheduling policy per master (each master
 	// runs its own load manager, as in the paper's prototype).
 	MakePolicy func(masterID int) core.Policy
-	// Resilience configures deadlines, retries, circuit breakers and
-	// shedding on every node; the zero value keeps the defaults.
-	Resilience Resilience
 	// Tracer receives request lifecycle events from every master (must be
 	// safe for concurrent use); nil disables tracing.
 	Tracer obs.Tracer
@@ -147,7 +144,6 @@ func Start(cfg Config) (*Cluster, error) {
 	for _, id := range slaves {
 		n, err := LaunchNode(NodeOptions{
 			ID: id, Origin: origin, TimeScale: cfg.TimeScale,
-			Resilience:     cfg.Resilience,
 			Uncalibrated:   cfg.Uncalibrated,
 			Discipline:     cfg.Discipline,
 			ListenerShards: cfg.ListenerShards,
@@ -165,7 +161,7 @@ func Start(cfg Config) (*Cluster, error) {
 			Masters: masters, Slaves: slaves, NodeURLs: nodeURLs,
 			Policy:      cfg.MakePolicy(id),
 			LoadRefresh: cfg.LoadRefresh, PolicyTick: cfg.PolicyTick,
-			Resilience: cfg.Resilience, Tracer: cfg.Tracer,
+			Tracer:           cfg.Tracer,
 			Uncalibrated:     cfg.Uncalibrated,
 			Discipline:       cfg.Discipline,
 			ListenerShards:   cfg.ListenerShards,

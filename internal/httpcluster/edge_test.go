@@ -227,17 +227,15 @@ func TestEdgeReplyMatchesHandler(t *testing.T) {
 	plain := launchEdgeMaster(t, NodeOptions{})
 	sharded := launchEdgeMaster(t, NodeOptions{
 		Masters: []int{0, 1}, NodeURLs: []string{"", ""}, Shards: 2,
-		Resilience: Resilience{DisableShedding: true},
+		Policy: core.NewMS(nil, 1, core.WithoutReservation()),
 	})
-	// One slave that kills every connection: the first dynamic opens its
-	// breaker, and with firstSlave (no MasterAdmission of its own) the RSRC
-	// ceiling then sheds every dynamic.
-	dead := httptest.NewServer(http.HandlerFunc(hijackClose))
-	defer dead.Close()
+	// One slave that refuses every frame: the first dynamic opens its
+	// breaker and runs at the master, which puts the master's dynamic
+	// share (1 of 2) over θ₂ (0.475), so the reservation then sheds every
+	// dynamic.
+	refusing := newFakeFrameSlave(t, frameReply{status: http.StatusInternalServerError})
 	shedding := launchEdgeMaster(t, NodeOptions{
-		Masters: []int{0}, Slaves: []int{1}, NodeURLs: []string{"", dead.URL},
-		Policy:     firstSlave{},
-		Resilience: Resilience{ShedRSRC: 0.5},
+		Masters: []int{0}, Slaves: []int{1}, NodeURLs: []string{"", refusing.URL},
 	})
 	if resp, _ := dialRaw(t, shedding.URL).get("/req?class=d&demand=0&w=0.5"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("breaker-opening dynamic: status %d", resp.StatusCode)
@@ -319,6 +317,17 @@ func TestEdgeReplyMatchesHandler(t *testing.T) {
 		if m.edgeHandoffs.Load() != 0 {
 			t.Errorf("%d hand-offs in a table of native requests", m.edgeHandoffs.Load())
 		}
+	}
+}
+
+// A dynamic /req whose X-Msweb-Timeout-Ms budget overflows a Duration
+// is served under the dispatch timeout, not refused as already expired.
+func TestEdgeLongTimeoutBudgetServes(t *testing.T) {
+	m := launchEdgeMaster(t, NodeOptions{})
+	rc := dialRaw(t, m.URL)
+	rc.send("GET /req?class=d&demand=0&w=0.5 HTTP/1.1\r\nHost: test\r\n" + TimeoutHeader + ": 9223372036855\r\n\r\n")
+	if resp, body := rc.reply(); resp.StatusCode != http.StatusOK || !fromEdge(resp) {
+		t.Fatalf("status %d (fromEdge=%v, body %q), want 200 from the edge", resp.StatusCode, fromEdge(resp), body)
 	}
 }
 

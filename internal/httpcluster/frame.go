@@ -429,20 +429,13 @@ func (n *Node) serveFrames(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// execOne runs one exec request through the node's admission checks and
+// execOne runs one exec request through the node's deadline check and
 // virtual resources, returning an HTTP-style status. Shared by the frame
 // loop and the node's HTTP /exec handler so the two cannot drift on
-// shedding or deadline semantics.
+// deadline semantics.
 func (n *Node) execOne(r frameExec) int {
 	if r.demand < 0 || math.IsNaN(r.demand) || math.IsInf(r.demand, 0) || math.IsNaN(r.w) {
 		return http.StatusBadRequest
-	}
-	if n.maxQueue > 0 && n.res.CPU.QueueLength()+n.res.Disk.QueueLength() >= n.maxQueue {
-		// Shed before queueing: refusing now costs the master one cheap
-		// retry, while queueing would tax every later request with the
-		// backlog this one joins.
-		n.execShed.Add(1)
-		return http.StatusServiceUnavailable
 	}
 	if r.deadlineNs > 0 && time.Now().UnixNano() >= r.deadlineNs {
 		n.deadlineExpired.Add(1)

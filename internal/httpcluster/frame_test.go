@@ -114,7 +114,7 @@ func TestFrameTransportEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
-	m := launchTestMaster(t, Resilience{DisableShedding: true}, n.URL)
+	m := launchTestMaster(t, n.URL)
 
 	for i := 0; i < 3; i++ {
 		resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil)
@@ -145,7 +145,7 @@ func TestFrameDeadlinePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
-	m := launchTestMaster(t, Resilience{DisableShedding: true}, n.URL)
+	m := launchTestMaster(t, n.URL)
 
 	reqs := []frameExec{
 		{demand: 0, w: 0.5, deadlineNs: time.Now().Add(-time.Second).UnixNano(), fork: true},
@@ -175,7 +175,7 @@ func TestFrameClientDeadlineExhausts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
-	m := launchTestMaster(t, Resilience{DisableShedding: true}, n.URL)
+	m := launchTestMaster(t, n.URL)
 
 	h := http.Header{}
 	h.Set(TimeoutHeader, "50")
@@ -201,7 +201,7 @@ func TestFrameRetryFailoverAndBreaker(t *testing.T) {
 	}
 	defer good.Shutdown()
 
-	m := launchTestMaster(t, Resilience{DisableShedding: true}, bad.URL, good.URL)
+	m := launchTestMaster(t, bad.URL, good.URL)
 	resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 after failover", resp.StatusCode)

@@ -1,6 +1,7 @@
 package httpcluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -229,7 +230,7 @@ func (m *Master) postMembership(id int, wire []byte) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), pollDeadlineFloor)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+MembershipPath, newByteReader(wire))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+MembershipPath, bytes.NewReader(wire))
 	if err != nil {
 		return
 	}
@@ -549,19 +550,4 @@ func (m *Master) nextTierPlan(ms *memState, target int) *core.Membership {
 	mb.Normalize()
 	mb.Epoch++
 	return &mb
-}
-
-// byteReader is a zero-dependency bytes.Reader stand-in for POST
-// bodies (keeps this file's imports to the packages already used).
-type byteReader struct{ b []byte }
-
-func newByteReader(b []byte) *byteReader { return &byteReader{b: b} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }

@@ -30,7 +30,7 @@ func postMembershipLine(t *testing.T, m *Master, mb core.Membership) *http.Respo
 // adoption, 200 + the newer current line otherwise), and unsharded
 // masters answer 404 like /shard.
 func TestMembershipEndpoint(t *testing.T) {
-	m := launchShardedTestMaster(t, Resilience{DisableShedding: true},
+	m := launchShardedTestMaster(t, core.NewMS(nil, 1),
 		"http://192.0.2.1:1", "http://192.0.2.1:2")
 
 	resp, body := getStatus(t, m.URL+MembershipPath, nil)
@@ -77,7 +77,7 @@ func TestMembershipEndpoint(t *testing.T) {
 	}
 
 	// Unsharded masters have no membership to exchange.
-	um := launchTestMaster(t, Resilience{DisableShedding: true}, "http://192.0.2.1:1")
+	um := launchTestMaster(t, "http://192.0.2.1:1")
 	if resp, _ := getStatus(t, um.URL+MembershipPath, nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unsharded GET /membership: status %d, want 404", resp.StatusCode)
 	}
@@ -89,7 +89,7 @@ func TestMembershipEndpoint(t *testing.T) {
 // master dropped from the tier demotes cleanly: it stops advertising a
 // shard (404 on /shard) and schedules only onto itself.
 func TestApplyMembershipRebalanceAndDemotion(t *testing.T) {
-	m := launchShardedTestMaster(t, Resilience{DisableShedding: true},
+	m := launchShardedTestMaster(t, core.NewMS(nil, 1, core.WithoutReservation()),
 		"http://192.0.2.1:1", "http://192.0.2.1:2")
 
 	// Peer master 1 leaves: master 0 absorbs every slave.
@@ -153,7 +153,7 @@ func TestApplyMembershipRebalanceAndDemotion(t *testing.T) {
 // the epoch field exists for: an epoch-0 line re-delivered after the
 // tier moved on.
 func TestSummaryNewestWinsAcrossEpochs(t *testing.T) {
-	m := launchShardedTestMaster(t, Resilience{DisableShedding: true},
+	m := launchShardedTestMaster(t, core.NewMS(nil, 1),
 		"http://192.0.2.1:1", "http://192.0.2.1:2")
 
 	now := time.Now().UnixNano()
@@ -205,7 +205,7 @@ func TestSummaryNewestWinsAcrossEpochs(t *testing.T) {
 // Retry-After hint derives from the window's remainder, and /metrics
 // splits the shed family by reason.
 func TestRebalancingShedReason(t *testing.T) {
-	m := launchShardedTestMaster(t, Resilience{}, "http://192.0.2.1:1", "http://192.0.2.1:2")
+	m := launchShardedTestMaster(t, core.NewMS(nil, 1), "http://192.0.2.1:1", "http://192.0.2.1:2")
 	// Saturate the local shard so dynamics shed (no fresh remote summary
 	// → no spill either), then open a handoff window.
 	m.brk.open(&m.brk.slots[2], time.Now().UnixNano())
@@ -267,7 +267,7 @@ func TestDetectDeadMasterAdoptsShard(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close()
 
-	m := launchShardedTestMaster(t, Resilience{DisableShedding: true},
+	m := launchShardedTestMaster(t, core.NewMS(nil, 1),
 		"http://192.0.2.1:1", "http://192.0.2.1:2")
 	m.SetNodeURL(1, deadURL)
 
@@ -294,7 +294,7 @@ func TestDetectDeadMasterAdoptsShard(t *testing.T) {
 // slaves, demotions return the highest masters to the slave tier, and
 // illegal moves (no capable slave, last master) degrade to no-ops.
 func TestNextTierPlan(t *testing.T) {
-	m := launchShardedTestMaster(t, Resilience{DisableShedding: true},
+	m := launchShardedTestMaster(t, core.NewMS(nil, 1),
 		"http://192.0.2.1:1", "http://192.0.2.1:2")
 	m.masterCapable[2] = true // slave 2 was launched master-capable
 	ms := m.mem.Load()

@@ -56,8 +56,6 @@ func (n *Node) writeMetrics(w io.Writer) {
 	p.Value("msweb_node_disk_busy_fraction", label, n.res.Disk.BusyFraction())
 	p.Header("msweb_node_request_rate", "Executed requests per second over the trailing 10s window.", "gauge")
 	p.Value("msweb_node_request_rate", label, rate)
-	p.Header("msweb_node_shed_total", "Work refused with 503 before queueing (MaxQueue admission).", "counter")
-	p.Value("msweb_node_shed_total", label, float64(n.execShed.Load()))
 	p.Header("msweb_node_deadline_expired_total", "Work refused with 504: its propagated deadline had already passed.", "counter")
 	p.Value("msweb_node_deadline_expired_total", label, float64(n.deadlineExpired.Load()))
 	p.Header("msweb_node_frames_served_total", "Binary exec frames answered over persistent connections.", "counter")
@@ -82,7 +80,6 @@ func (m *Master) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	failovers := m.failovers.Load()
 	m.placeMu.Lock()
 	hist := *m.respHist
-	backoffs := *m.backoffHist
 	var theta, a, r float64
 	stats, hasStats := m.policy.(core.AdaptiveStats)
 	if hasStats {
@@ -130,8 +127,6 @@ func (m *Master) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	p.Value("msweb_master_exhausted_total", label, float64(m.exhausted.Load()))
 	p.Header("msweb_master_retries_total", "Placement attempts beyond each request's first.", "counter")
 	p.Value("msweb_master_retries_total", label, float64(m.retryCount.Load()))
-	p.Header("msweb_master_hedges_total", "Tail-hedge dispatches launched.", "counter")
-	p.Value("msweb_master_hedges_total", label, float64(m.hedgeCount.Load()))
 	p.Header("msweb_master_breaker_state", "Per-node circuit state seen by this master (0 closed, 1 half-open, 2 open).", "gauge")
 	for id := range loads {
 		p.Value("msweb_master_breaker_state", `node="`+strconv.Itoa(id)+`"`, float64(m.brk.State(id)))
@@ -151,7 +146,6 @@ func (m *Master) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	for id := range loads {
 		p.Value("msweb_master_view_staleness_seconds", `node="`+strconv.Itoa(id)+`"`, m.fresh.AgeSeconds(id, nowNs))
 	}
-	p.Histogram("msweb_master_retry_backoff_seconds", "Retry backoff sleeps actually taken before re-placement.", label, &backoffs)
 	p.Histogram("msweb_master_response_seconds", "Client-visible /req response time at this master (unscaled seconds).", label, &hist)
 
 	if m.sharded {

@@ -10,84 +10,24 @@ import (
 	"msweb/internal/obs"
 )
 
-// Default resilience values. They reproduce the pre-resilience
-// constants: a 120 s dispatch bound (the old fixed http.Client timeout),
-// three placement attempts (the old failover loop) and immediate
-// retries.
+// The live data plane's failure handling has no knobs; these constants
+// are its whole configuration. A request's deadline is the client's
+// budget (TimeoutHeader, or a 'Q' entry's timeoutMs) capped at
+// dispatchTimeout. A dynamic gets
+// retryBudget placement attempts, each re-placed at once on a node not
+// yet tried, then runs locally while the deadline stands. A breaker
+// that opened re-admits its node for one probe after breakerPolls poll
+// periods.
 const (
-	DefaultDispatchTimeout = 120 * time.Second
-	DefaultRetryBudget     = 3
+	dispatchTimeout = 120 * time.Second
+	retryBudget     = 3
+	breakerPolls    = 20
 )
 
 // pollDeadlineFloor floors the shared /load fan-out deadline (and the
 // control plane's other per-round deadlines) so very fast polling
 // periods do not misclassify briefly-slow nodes as failed.
 const pollDeadlineFloor = 100 * time.Millisecond
-
-// retryBackoffCap bounds the retry backoff at this multiple of
-// Resilience.RetryBackoff.
-const retryBackoffCap = 16
-
-// Resilience bundles the live data plane's failure-handling knobs:
-// request deadlines, the retry budget with backoff, tail hedging,
-// per-node circuit breakers, and overload shedding. The zero value
-// resolves to defaults matching the old hard-coded behavior (plus
-// reservation-gated shedding when every slave is circuit-open — see
-// DisableShedding).
-type Resilience struct {
-	// Breaker tunes the per-node circuit breakers that replace the old
-	// fixed failHoldDown (see BreakerConfig; Breaker.OpenFor is the
-	// configurable successor of that constant).
-	Breaker BreakerConfig
-	// DispatchTimeout is the default per-request deadline when the
-	// client sends no X-Msweb-Timeout-Ms header, and the bound on every
-	// master→slave frame exchange.
-	DispatchTimeout time.Duration
-	// RetryBudget is the maximum number of placement attempts for one
-	// dynamic request, across distinct nodes where possible.
-	RetryBudget int
-	// RetryBackoff is the base of the capped-exponential-full-jitter
-	// backoff between attempts: attempt k sleeps uniform[0, min(
-	// RetryBackoff·2^(k−1), 16·RetryBackoff)]. 0 retries immediately
-	// (the old behavior).
-	RetryBackoff time.Duration
-	// HedgeAfter launches a second attempt for an idempotent dynamic
-	// request whose first dispatch is still in flight after this long;
-	// the first success wins. 0 disables hedging.
-	HedgeAfter time.Duration
-	// MaxInflight bounds concurrently admitted /req requests; above it
-	// requests are shed with 503 + Retry-After. 0 = unbounded.
-	MaxInflight int
-	// MaxQueue sheds exec work with 503 *before* it queues when the
-	// node's combined CPU+disk queue population is at least MaxQueue.
-	// 0 = unbounded.
-	MaxQueue int
-	// ShedRSRC additionally sheds dynamics when every slave is
-	// circuit-open and this master's own RSRC cost is at least ShedRSRC
-	// (its resources are too busy to absorb CGI work without starving
-	// statics). 0 disables the RSRC rule; the reservation rule below
-	// still applies.
-	ShedRSRC float64
-	// DisableShedding turns off dynamic-request shedding entirely,
-	// restoring the old unconditional local-fallback behavior. With
-	// shedding on (the default), a dynamic request is shed with 503 +
-	// Retry-After when every slave is circuit-open AND the θ₂
-	// reservation denies master admission — the paper's reservation
-	// feedback loop extended into admission control.
-	DisableShedding bool
-}
-
-// withDefaults fills zero fields.
-func (r Resilience) withDefaults() Resilience {
-	r.Breaker = r.Breaker.withDefaults()
-	if r.DispatchTimeout <= 0 {
-		r.DispatchTimeout = DefaultDispatchTimeout
-	}
-	if r.RetryBudget <= 0 {
-		r.RetryBudget = DefaultRetryBudget
-	}
-	return r
-}
 
 // NodeOptions configures one live node or master. It replaces the
 // positional-argument Start* constructors: the redesigned entry points
@@ -123,9 +63,6 @@ type NodeOptions struct {
 	// platforms without SO_REUSEPORT the option quietly degrades to 1
 	// (Node.ListenerShards reports the effective count).
 	ListenerShards int
-	// Resilience tunes deadlines, retries, breakers and shedding. Nodes
-	// consult only Resilience.MaxQueue; masters use all of it.
-	Resilience Resilience
 	// Tracer receives request lifecycle events (arrival, retry, shed,
 	// exhausted, complete) from a master's /req path. nil disables
 	// tracing. A live master emits from concurrent handlers, so the
@@ -178,8 +115,6 @@ func (o NodeOptions) Validate(master bool) error {
 		return fmt.Errorf("httpcluster: negative node id %d", o.ID)
 	case o.TimeScale < 0:
 		return fmt.Errorf("httpcluster: negative time scale %v", o.TimeScale)
-	case o.Resilience.MaxInflight < 0 || o.Resilience.MaxQueue < 0:
-		return fmt.Errorf("httpcluster: negative admission bounds %+v", o.Resilience)
 	case o.ListenerShards < 0 || o.ListenerShards > 256:
 		return fmt.Errorf("httpcluster: listener shards %d outside [0, 256]", o.ListenerShards)
 	}
@@ -247,13 +182,12 @@ func (o NodeOptions) withDefaults() NodeOptions {
 	if o.Discipline == "" {
 		o.Discipline = core.DisciplineMLFQ
 	}
-	o.Resilience = o.Resilience.withDefaults()
 	return o
 }
 
 // LaunchNode starts a slave node server on a loopback ephemeral port.
-// Only ID, Origin, TimeScale, ListenerShards, Uncalibrated, Discipline
-// and Resilience.MaxQueue are consulted.
+// Only ID, Origin, TimeScale, ListenerShards, Uncalibrated and
+// Discipline are consulted.
 func LaunchNode(o NodeOptions) (*Node, error) {
 	if err := o.Validate(false); err != nil {
 		return nil, err
@@ -288,16 +222,14 @@ func LaunchMaster(o NodeOptions) (*Master, error) {
 		// membership announces. No global timeout — each call carries its
 		// own context deadline — and net/http's default pool sizes: these
 		// calls are a few per peer per period.
-		client:      &http.Client{Transport: &http.Transport{}},
-		stop:        make(chan struct{}),
-		self:        [1]int{o.ID},
-		rs:          o.Resilience,
-		tracer:      o.Tracer,
-		discipline:  o.Discipline,
-		urls:        make([]atomic.Pointer[string], len(o.NodeURLs)),
-		brk:         newBreakerSet(len(o.NodeURLs), o.Resilience.Breaker),
-		respHist:    obs.NewHistogram(),
-		backoffHist: obs.NewHistogram(),
+		client:     &http.Client{Transport: &http.Transport{}},
+		stop:       make(chan struct{}),
+		self:       [1]int{o.ID},
+		tracer:     o.Tracer,
+		discipline: o.Discipline,
+		urls:       make([]atomic.Pointer[string], len(o.NodeURLs)),
+		brk:        newBreakerSet(len(o.NodeURLs), breakerPolls*o.LoadRefresh),
+		respHist:   obs.NewHistogram(),
 		// Piggybacked load reports are always on (nodes that never answer
 		// a frame simply never fill their slot).
 		piggy:          make([]piggySlot, len(o.NodeURLs)),

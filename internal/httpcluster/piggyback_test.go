@@ -20,7 +20,7 @@ func TestPiggybackRefreshesView(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
-	m := launchTestMaster(t, Resilience{DisableShedding: true}, n.URL)
+	m := launchTestMaster(t, n.URL)
 
 	if m.fresh.Stamp(1) != 0 {
 		t.Fatal("freshness stamp set before any traffic or poll")
@@ -58,7 +58,7 @@ func TestPollSkipsFreshPiggyback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
-	m := launchTestMaster(t, Resilience{DisableShedding: true}, n.URL)
+	m := launchTestMaster(t, n.URL)
 
 	// Seed the slot via real traffic, then run one poll round by hand
 	// (the configured hour-long ticker never fires during the test).
@@ -99,7 +99,7 @@ func TestPollRejectsOutOfRangeLoad(t *testing.T) {
 		io.WriteString(rw, "l1 1e300 1e300 0 0 1\n") //nolint:errcheck
 	}))
 	defer bad.Close()
-	m := launchTestMaster(t, Resilience{DisableShedding: true}, bad.URL)
+	m := launchTestMaster(t, bad.URL)
 	before := m.snap.Load().view.Load[1]
 
 	reports := make([]core.Load, len(m.urls))

@@ -3,10 +3,14 @@ package httpcluster
 import (
 	"bufio"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,10 +37,16 @@ func (firstSlave) Place(_ core.Request, master int, v *core.View) int {
 func (firstSlave) ObserveCompletion(trace.Class, float64, float64) {}
 func (firstSlave) Tick(float64, *core.View)                        {}
 
+// denyingMaster is firstSlave with a θ₂ reservation that never admits a
+// dynamic at the master, so it sheds whenever every slave is open.
+type denyingMaster struct{ firstSlave }
+
+func (denyingMaster) AdmitsAtMaster() bool { return false }
+
 // launchTestMaster wires a master over the given fake-slave URLs with
 // polling effectively disabled, so only the request path drives breaker
 // state.
-func launchTestMaster(t *testing.T, rs Resilience, slaveURLs ...string) *Master {
+func launchTestMaster(t *testing.T, slaveURLs ...string) *Master {
 	t.Helper()
 	urls := append([]string{""}, slaveURLs...)
 	slaves := make([]int, len(slaveURLs))
@@ -52,7 +62,6 @@ func launchTestMaster(t *testing.T, rs Resilience, slaveURLs ...string) *Master 
 		Policy:      firstSlave{},
 		LoadRefresh: time.Hour,
 		PolicyTick:  time.Hour,
-		Resilience:  rs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +192,7 @@ func TestRetryDistinctNodesAndIdempotency(t *testing.T) {
 	bad1 := newFakeFrameSlave(t, frameReply{drop: true})
 	bad2 := newFakeFrameSlave(t, frameReply{drop: true})
 
-	m := launchTestMaster(t, Resilience{DisableShedding: true}, bad1.URL, bad2.URL)
+	m := launchTestMaster(t, bad1.URL, bad2.URL)
 	resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 via local fallback", resp.StatusCode)
@@ -197,7 +206,7 @@ func TestRetryDistinctNodesAndIdempotency(t *testing.T) {
 
 	// Non-idempotent: the dropped connection is ambiguous (the frame
 	// reached the node), so no retry and no local rerun — a 502.
-	m2 := launchTestMaster(t, Resilience{DisableShedding: true}, bad1.URL, bad2.URL)
+	m2 := launchTestMaster(t, bad1.URL, bad2.URL)
 	resp, _ = getStatus(t, m2.URL+"/req?class=d&demand=0&w=0.5&idem=0", nil)
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("status %d, want 502 for ambiguous non-idempotent failure", resp.StatusCode)
@@ -230,7 +239,7 @@ func TestPreSendFailureFailsOver(t *testing.T) {
 		{"refuses the upgrade", refuses.URL},
 	} {
 		executed := good.Executed()
-		m := launchTestMaster(t, Resilience{DisableShedding: true}, tc.url, good.URL)
+		m := launchTestMaster(t, tc.url, good.URL)
 		resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5&idem=0", nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d, want 200 from the failover slave", tc.name, resp.StatusCode)
@@ -242,7 +251,7 @@ func TestPreSendFailureFailsOver(t *testing.T) {
 	}
 
 	drops := newFakeFrameSlave(t, frameReply{drop: true})
-	m := launchTestMaster(t, Resilience{DisableShedding: true}, drops.URL, good.URL)
+	m := launchTestMaster(t, drops.URL, good.URL)
 	executed := good.Executed()
 	resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5&idem=0", nil)
 	if resp.StatusCode != http.StatusBadGateway {
@@ -250,26 +259,6 @@ func TestPreSendFailureFailsOver(t *testing.T) {
 	}
 	if drops.hits.Load() != 1 || good.Executed() != executed {
 		t.Fatalf("post-send drop: frames read %d, good executed %d more, want 1/0", drops.hits.Load(), good.Executed()-executed)
-	}
-}
-
-// A hedged request completes at the fast secondary while the slow
-// primary is still sleeping.
-func TestHedgeWinsTailLatency(t *testing.T) {
-	slow := newFakeFrameSlave(t, frameReply{status: http.StatusOK, delay: 400 * time.Millisecond})
-	fast := newFakeFrameSlave(t, frameReply{status: http.StatusOK})
-
-	m := launchTestMaster(t, Resilience{HedgeAfter: 30 * time.Millisecond, DisableShedding: true}, slow.URL, fast.URL)
-	start := time.Now()
-	resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
-	}
-	if d := time.Since(start); d > 300*time.Millisecond {
-		t.Fatalf("hedged request took %v; the hedge should beat the slow primary", d)
-	}
-	if m.Hedges() != 1 || slow.hits.Load() != 1 || fast.hits.Load() != 1 {
-		t.Fatalf("hedges=%d, slave hits %d/%d, want 1 and one each", m.Hedges(), slow.hits.Load(), fast.hits.Load())
 	}
 }
 
@@ -334,106 +323,56 @@ func TestShedsWhenAllSlavesOpen(t *testing.T) {
 	}
 }
 
-// A master forwards Resilience.ShedRSRC into the one shed rule every
-// policy shares, pipelines included: an ms-preset master whose only
-// slave's breaker is open checks the ceiling first, then the θ₂
-// reservation. Two dynamics served by the slave bring the reservation's
-// master share under θ₂, so it admits the third; with a 0.5 ceiling
-// (below any RSRC) that dynamic still gets 503 + Retry-After, with none
-// it runs at the master.
+// With every slave's breaker open, a dynamic the θ₂ reservation admits
+// at the master runs there instead of being shed. Two dynamics served by
+// the slave bring the ms preset's master share under θ₂, so it admits
+// the third.
 func TestLaunchMasterForwardsShedRSRC(t *testing.T) {
 	preset, err := policy.Lookup("ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		shedRSRC float64
-		status   int
-		executed int64
-	}{
-		{0.5, http.StatusServiceUnavailable, 0},
-		{0, http.StatusOK, 1},
-	} {
-		slave := newFakeFrameSlave(t, frameReply{status: http.StatusOK})
-		m, err := LaunchMaster(NodeOptions{
-			ID:          0,
-			TimeScale:   1e-6,
-			Masters:     []int{0},
-			Slaves:      []int{1},
-			NodeURLs:    []string{"", slave.URL},
-			Policy:      preset.Build(nil, 1),
-			LoadRefresh: time.Hour,
-			PolicyTick:  time.Hour,
-			Resilience:  Resilience{ShedRSRC: c.shedRSRC},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Shutdown()
+	slave := newFakeFrameSlave(t, frameReply{status: http.StatusOK})
+	m, err := LaunchMaster(NodeOptions{
+		ID:          0,
+		TimeScale:   1e-6,
+		Masters:     []int{0},
+		Slaves:      []int{1},
+		NodeURLs:    []string{"", slave.URL},
+		Policy:      preset.Build(nil, 1),
+		LoadRefresh: time.Hour,
+		PolicyTick:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
 
-		for i := 0; i < 2; i++ {
-			if resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil); resp.StatusCode != http.StatusOK {
-				t.Fatalf("ShedRSRC %v: dynamic %d got %d with a healthy slave", c.shedRSRC, i, resp.StatusCode)
-			}
+	for i := 0; i < 2; i++ {
+		if resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("dynamic %d got %d with a healthy slave", i, resp.StatusCode)
 		}
-		m.placeMu.Lock()
-		admits := m.policy.(core.MasterAdmission).AdmitsAtMaster()
-		m.placeMu.Unlock()
-		if slave.hits.Load() != 2 || !admits {
-			t.Fatalf("ShedRSRC %v: slave read %d frames, θ₂ admits %v; want 2 and true", c.shedRSRC, slave.hits.Load(), admits)
-		}
-		m.brk.open(&m.brk.slots[1], time.Now().UnixNano())
+	}
+	m.placeMu.Lock()
+	admits := m.policy.(core.MasterAdmission).AdmitsAtMaster()
+	m.placeMu.Unlock()
+	if slave.hits.Load() != 2 || !admits {
+		t.Fatalf("slave read %d frames, θ₂ admits %v; want 2 and true", slave.hits.Load(), admits)
+	}
+	m.brk.open(&m.brk.slots[1], time.Now().UnixNano())
 
-		resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil)
-		if resp.StatusCode != c.status {
-			t.Fatalf("ShedRSRC %v: status %d, want %d", c.shedRSRC, resp.StatusCode, c.status)
-		}
-		if c.status == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") == "" {
-			t.Fatalf("ShedRSRC %v: shed response missing Retry-After", c.shedRSRC)
-		}
-		if m.Executed() != c.executed || slave.hits.Load() != 2 {
-			t.Fatalf("ShedRSRC %v: master executed %d, slave read %d frames; want %d and 2",
-				c.shedRSRC, m.Executed(), slave.hits.Load(), c.executed)
-		}
+	resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200 from the master", resp.StatusCode)
+	}
+	if m.Executed() != 1 || slave.hits.Load() != 2 {
+		t.Fatalf("master executed %d, slave read %d frames; want 1 and 2", m.Executed(), slave.hits.Load())
 	}
 }
 
-// MaxInflight bounds admission: with one token held by a slow static,
-// a concurrent request is shed.
-func TestMaxInflightSheds(t *testing.T) {
-	m := launchTestMaster(t, Resilience{MaxInflight: 1, DisableShedding: true})
-	// TimeScale is 1e-6, so a demand of 500_000 unscaled seconds holds the
-	// inflight token for ~0.5 s of wall time — comfortably longer than a
-	// loopback round trip even on a loaded host.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp, _ := getStatus(t, m.URL+"/req?class=s&demand=500000&w=1", nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("long request got %d", resp.StatusCode)
-		}
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for m.inflight.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("long request never became inflight")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	resp, _ := getStatus(t, m.URL+"/req?class=s&demand=0&w=0.5", nil)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503 above MaxInflight", resp.StatusCode)
-	}
-	<-done
-	if m.Shed() != 1 || m.Served() != 1 {
-		t.Fatalf("shed=%d served=%d, want 1/1", m.Shed(), m.Served())
-	}
-}
-
-// Slaves shed before queueing at MaxQueue and refuse work whose
-// propagated deadline already expired.
+// Slaves refuse work whose propagated deadline already expired.
 func TestNodeShedAndDeadline(t *testing.T) {
-	n, err := LaunchNode(NodeOptions{ID: 1, TimeScale: 1e-6, Resilience: Resilience{MaxQueue: 1}})
+	n, err := LaunchNode(NodeOptions{ID: 1, TimeScale: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,62 +388,58 @@ func TestNodeShedAndDeadline(t *testing.T) {
 	if n.DeadlineExpired() != 1 {
 		t.Fatalf("deadlineExpired=%d, want 1", n.DeadlineExpired())
 	}
-
-	// Fill the queue with one long job, then a second /exec must shed.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		getStatus(t, n.URL+"/exec?w=1&demand=500000", nil)
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for n.res.CPU.QueueLength() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("long job never occupied the CPU")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	resp, _ = getStatus(t, n.URL+"/exec?w=1&demand=0", nil)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503 shed before queueing", resp.StatusCode)
-	}
-	if n.ExecShed() != 1 {
-		t.Fatalf("execShed=%d, want 1", n.ExecShed())
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("node shed missing Retry-After")
-	}
-	<-done
 }
 
-// Retry backoff is bounded by the deadline: with a backoff window wider
-// than the budget allows, the request exhausts quickly instead of
-// sleeping past its deadline.
+// Retries stop at the client's deadline: the first slave refuses after
+// 20 ms, the retry on the second (which would answer after 1 s) is cut
+// off at the 150 ms budget, and neither a third attempt nor the local
+// fallback runs after it.
 func TestBackoffRespectsDeadline(t *testing.T) {
-	bad := newFakeFrameSlave(t, frameReply{status: http.StatusInternalServerError})
-
-	// A refusing (status-error) slave is always safe to retry, so the
-	// budget alone would retry three times with up-to-4 s sleeps; the
-	// 80 ms deadline must cut that short.
-	m := launchTestMaster(t, Resilience{
-		DisableShedding: true,
-		RetryBackoff:    2 * time.Second,
-		RetryBudget:     3,
-	}, bad.URL)
+	fast := newFakeFrameSlave(t, frameReply{status: http.StatusInternalServerError, delay: 20 * time.Millisecond})
+	slow := newFakeFrameSlave(t, frameReply{status: http.StatusInternalServerError, delay: time.Second})
+	m := launchTestMaster(t, fast.URL, slow.URL)
 	h := http.Header{}
-	h.Set(TimeoutHeader, "80")
+	h.Set(TimeoutHeader, "150")
 	start := time.Now()
 	resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", h)
 	elapsed := time.Since(start)
-	// Full jitter may land under 80 ms and permit a local fallback run —
-	// either terminal is legal, but the deadline must hold.
-	if resp.StatusCode != http.StatusBadGateway && resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 502 or 200", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("status %d, want 502 once the budget ran out", resp.StatusCode)
 	}
-	if elapsed > time.Second {
-		t.Fatalf("request held for %v; backoff ignored the deadline", elapsed)
+	if elapsed < 150*time.Millisecond || elapsed >= time.Second {
+		t.Fatalf("request held for %v, want it to end at its 150 ms deadline", elapsed)
 	}
-	if bad.hits.Load() == 0 {
-		t.Fatal("the refusing slave never read a frame")
+	if fast.hits.Load() != 1 || slow.hits.Load() != 1 || m.Executed() != 0 {
+		t.Fatalf("slave frames %d/%d, master executed %d; want 1/1 and 0",
+			fast.hits.Load(), slow.hits.Load(), m.Executed())
+	}
+	if m.Exhausted() != 1 {
+		t.Fatalf("exhausted=%d, want 1", m.Exhausted())
+	}
+}
+
+// A client budget at or above dispatchTimeout resolves to
+// dispatchTimeout, however large: converting it to a Duration first
+// would overflow from 9 223 372 036 855 ms on and yield an already
+// expired (or, further up, a sub-millisecond) deadline.
+func TestReqDeadlineCapsLongBudgets(t *testing.T) {
+	start := time.Now()
+	for _, c := range []struct {
+		timeoutMs int64
+		want      time.Duration
+	}{
+		{0, dispatchTimeout},
+		{80, 80 * time.Millisecond},
+		{dispatchTimeout.Milliseconds() - 1, dispatchTimeout - time.Millisecond},
+		{dispatchTimeout.Milliseconds(), dispatchTimeout},
+		{9223372036854, dispatchTimeout},  // the last budget that fits a Duration
+		{9223372036855, dispatchTimeout},  // the first that wraps negative
+		{18446744073710, dispatchTimeout}, // wraps to about 448 µs
+		{math.MaxInt64, dispatchTimeout},
+	} {
+		if got := reqDeadline(start, c.timeoutMs).Sub(start); got != c.want {
+			t.Errorf("budget %d ms: deadline in %v, want %v", c.timeoutMs, got, c.want)
+		}
 	}
 }
 
@@ -525,7 +460,7 @@ func (r *recordingTracer) Emit(ev obs.Event) {
 // one retry per failed attempt, then exactly one terminal event — and
 // the terminal events add up to the outcome counters. The four requests
 // reuse the retry and shedding setups above: two slaves that drop every
-// frame, and an RSRC shed ceiling the idle master already exceeds once
+// frame, and a reservation that denies the master every dynamic once
 // both slaves' breakers are open.
 func TestMasterTracerLifecycle(t *testing.T) {
 	bad1 := newFakeFrameSlave(t, frameReply{drop: true})
@@ -537,10 +472,9 @@ func TestMasterTracerLifecycle(t *testing.T) {
 		Masters:     []int{0},
 		Slaves:      []int{1, 2},
 		NodeURLs:    []string{"", bad1.URL, bad2.URL},
-		Policy:      firstSlave{},
+		Policy:      denyingMaster{},
 		LoadRefresh: time.Hour,
 		PolicyTick:  time.Hour,
-		Resilience:  Resilience{ShedRSRC: 0.5},
 		Tracer:      tr,
 	})
 	if err != nil {
@@ -612,5 +546,23 @@ func TestMasterTracerLifecycle(t *testing.T) {
 		counts[obs.KindRetry] != m.Failovers() {
 		t.Fatalf("event counts %v disagree with accepted=%d served=%d shed=%d exhausted=%d failovers=%d",
 			counts, m.Accepted(), m.Served(), m.Shed(), m.Exhausted(), m.Failovers())
+	}
+}
+
+// The user-facing documents name none of the resilience settings that
+// became constants.
+func TestDocsNameNoRemovedResilienceKnob(t *testing.T) {
+	removed := []string{"httpcluster.Resilience", "Resilience{", "BreakerConfig", "HedgeAfter", "RetryBackoff",
+		"MaxInflight", "MaxQueue", "ShedRSRC", "DisableShedding", "DefaultOpenFor"}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		raw, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range removed {
+			if strings.Contains(string(raw), name) {
+				t.Errorf("%s still names %s", doc, name)
+			}
+		}
 	}
 }

@@ -226,9 +226,8 @@ func (r *Resource) useFast(d time.Duration) {
 // QueueLength returns the number of queued (not yet finished) jobs. In
 // fast mode the count is inferred from the virtual backlog in units of
 // the slicing quantum (the calibrated resource's notion of "one job's
-// worth of outstanding service"), so MaxQueue shedding and the
-// least-loaded baseline keep a meaningful signal without wall-clock
-// queues to count.
+// worth of outstanding service"), so load reports and the queue gauges
+// keep a meaningful signal without wall-clock queues to count.
 func (r *Resource) QueueLength() int {
 	if r.fast {
 		backlog := r.vhorizon.Load() - time.Now().UnixNano()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"strconv"
@@ -45,7 +44,6 @@ type Node struct {
 	fork      time.Duration
 	timeScale float64
 	origin    time.Time
-	maxQueue  int // shed exec work before queueing at this population; 0 = off
 	srv       *http.Server
 	// lis holds the node's listener shards: SO_REUSEPORT sockets sharing
 	// one port, each served by its own accept loop (see listener.go).
@@ -60,7 +58,6 @@ type Node struct {
 	// uncontended atomic adds instead of a mutex round trip.
 	executed        atomic.Int64
 	cgiServed       atomic.Int64
-	execShed        atomic.Int64
 	deadlineExpired atomic.Int64
 	framesServed    atomic.Int64
 
@@ -115,7 +112,6 @@ func newNode(o NodeOptions) (*Node, error) {
 		fork:      time.Duration(float64(3*time.Millisecond) * o.TimeScale),
 		timeScale: o.TimeScale,
 		origin:    o.Origin,
-		maxQueue:  o.Resilience.MaxQueue,
 		lis:       lis,
 		edgeReg:   make([]edgeConnShard, len(lis)),
 		svcHist:   obs.NewHistogram(),
@@ -155,10 +151,6 @@ func (n *Node) Executed() int64 { return n.executed.Load() }
 
 // CGIServed returns how many forked (dynamic) requests the node ran.
 func (n *Node) CGIServed() int64 { return n.cgiServed.Load() }
-
-// ExecShed returns how many exec requests the node refused before
-// queueing because its queue population was at MaxQueue.
-func (n *Node) ExecShed() int64 { return n.execShed.Load() }
 
 // DeadlineExpired returns how many exec requests arrived with their
 // propagated deadline already passed.
@@ -215,9 +207,6 @@ func (n *Node) handleExec(rw http.ResponseWriter, req *http.Request) {
 	switch n.execOne(frameExec{demand: p.demand, w: p.w, deadlineNs: dl, fork: p.fork}) {
 	case http.StatusBadRequest:
 		http.Error(rw, "bad demand", http.StatusBadRequest)
-	case http.StatusServiceUnavailable:
-		rw.Header().Set("Retry-After", "1")
-		http.Error(rw, "node overloaded: shed before queueing", http.StatusServiceUnavailable)
 	case http.StatusGatewayTimeout:
 		http.Error(rw, "deadline expired before execution", http.StatusGatewayTimeout)
 	default:
@@ -337,11 +326,13 @@ type loadSnapshot struct {
 // (estimators, booking charges, tie-break RNG) and the response
 // histograms; nothing under it blocks or does I/O.
 //
-// Resilience: every /req carries a deadline (client budget capped by
-// DispatchTimeout) that propagates to slaves; dynamics get a retry
-// budget with capped-exponential full-jitter backoff across distinct
-// nodes, optional tail hedging, and terminal outcomes that are always
-// one of served (2xx), shed (503 + Retry-After) or exhausted (502).
+// Resilience has no knobs (see the constants in options.go): every /req
+// carries a deadline (the client's budget, capped at 120 s) that
+// propagates to slaves; a dynamic gets three placement attempts, each
+// retried at once on a node not yet tried; a dynamic is shed only when
+// every slave's breaker is open and the θ₂ reservation denies it a
+// master. Every outcome is one of served (2xx), shed (503 + Retry-After)
+// or exhausted (502).
 type Master struct {
 	*Node
 	policy   core.Policy
@@ -349,7 +340,6 @@ type Master struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-	rs       Resilience
 	tracer   obs.Tracer
 	self     [1]int // masterless-view fallback: this master's own id
 	// discipline is the node's CPU scheduling discipline, reported on
@@ -448,8 +438,6 @@ type Master struct {
 	exhausted  atomic.Int64
 	failovers  atomic.Int64
 	retryCount atomic.Int64
-	hedgeCount atomic.Int64
-	inflight   atomic.Int64
 	reqSeq     atomic.Int64
 
 	// placeMu is the policy shard lock; see the type comment. The working
@@ -462,10 +450,8 @@ type Master struct {
 	aliveBuf  []int // masters+slaves filter scratch, reused per request
 
 	// respHist aggregates client-visible /req response times (unscaled
-	// seconds); backoffHist the retry backoff sleeps actually taken (s).
-	// Both guarded by placeMu.
-	respHist    *obs.Histogram
-	backoffHist *obs.Histogram
+	// seconds). Guarded by placeMu.
+	respHist *obs.Histogram
 }
 
 // Failovers reports how many dynamic dispatches failed remotely and were
@@ -489,8 +475,9 @@ func (m *Master) Exhausted() int64 { return m.exhausted.Load() }
 // first were started.
 func (m *Master) Retries() int64 { return m.retryCount.Load() }
 
-// Hedges returns how many tail-hedge dispatches were launched.
-func (m *Master) Hedges() int64 { return m.hedgeCount.Load() }
+// Hedges returns 0: the master does not hedge. It stays for callers
+// that report it.
+func (m *Master) Hedges() int64 { return 0 }
 
 // BreakerState returns node id's circuit state (0 closed, 1 half-open,
 // 2 open).
@@ -791,16 +778,14 @@ func parseTimeoutMs(h string) int64 {
 
 // reqDeadline derives a request's absolute deadline: the client's
 // budget (TimeoutHeader, or a 'Q' entry's timeoutMs) when present and
-// tighter than the configured dispatch timeout, else the dispatch
-// timeout itself.
-func (m *Master) reqDeadline(start time.Time, timeoutMs int64) time.Time {
-	deadline := start.Add(m.rs.DispatchTimeout)
-	if timeoutMs > 0 {
-		if d := start.Add(time.Duration(timeoutMs) * time.Millisecond); d.Before(deadline) {
-			deadline = d
-		}
+// tighter than dispatchTimeout, else dispatchTimeout. The budget is
+// compared in milliseconds before it becomes a Duration, which would
+// overflow for budgets of about 292 years.
+func reqDeadline(start time.Time, timeoutMs int64) time.Time {
+	if timeoutMs <= 0 || timeoutMs >= dispatchTimeout.Milliseconds() {
+		return start.Add(dispatchTimeout)
 	}
-	return deadline
+	return start.Add(time.Duration(timeoutMs) * time.Millisecond)
 }
 
 // The 503 and 502 bodies of /req, shared by its two adapters.
@@ -844,7 +829,7 @@ func (m *Master) handleRequest(rw http.ResponseWriter, req *http.Request) {
 // status 0 (served), 503 with a Retry-After hint (shed), or 502
 // (exhausted).
 func (m *Master) serveReq(p reqParams, start time.Time, timeoutMs int64) (status, retryAfter int) {
-	deadline := m.reqDeadline(start, timeoutMs)
+	deadline := reqDeadline(start, timeoutMs)
 	m.accepted.Add(1)
 	var reqID int64
 	if m.tracer != nil {
@@ -857,16 +842,6 @@ func (m *Master) serveReq(p reqParams, start time.Time, timeoutMs int64) (status
 			Node:  m.ID,
 			Value: p.demand,
 		})
-	}
-	if limit := m.rs.MaxInflight; limit > 0 {
-		if m.inflight.Add(1) > int64(limit) {
-			m.inflight.Add(-1)
-			m.shedCount.Add(1)
-			ra := m.shedRetryAfter(1)
-			m.emit(obs.KindShed, reqID, m.ID, float64(ra))
-			return http.StatusServiceUnavailable, ra
-		}
-		defer m.inflight.Add(-1)
 	}
 
 	if p.class == trace.Static {
@@ -888,13 +863,13 @@ func (m *Master) serveReq(p reqParams, start time.Time, timeoutMs int64) (status
 		}
 		if st != 0 {
 			m.exhausted.Add(1)
-			m.emit(obs.KindExhausted, reqID, m.ID, float64(m.rs.RetryBudget))
+			m.emit(obs.KindExhausted, reqID, m.ID, float64(retryBudget))
 			return st, 0
 		}
 	} else {
 		if st := m.runDynamic(p, reqID, deadline); st != 0 {
 			m.exhausted.Add(1)
-			m.emit(obs.KindExhausted, reqID, m.ID, float64(m.rs.RetryBudget))
+			m.emit(obs.KindExhausted, reqID, m.ID, float64(retryBudget))
 			return st, 0
 		}
 		m.quality.Local.Add(1)
@@ -917,15 +892,10 @@ func (m *Master) serveReq(p reqParams, start time.Time, timeoutMs int64) (status
 // shouldShed decides whether a dynamic request must be shed instead of
 // dispatched. Shedding engages only in the degraded regime where every
 // slave's circuit is open — the master tier would silently absorb all
-// CGI work — and then defers to the paper's control signals: the θ₂
-// reservation (masters keep serving the dynamic share the reservation
-// grants, shedding the excess) and, when configured, the master's own
-// measured RSRC cost. Both checks apply to every policy: the RSRC
-// ceiling first, then core.MasterAdmission when the policy has one.
+// CGI work — and then defers to the paper's θ₂ reservation: masters
+// keep serving the dynamic share it grants and shed the excess. A
+// policy without core.MasterAdmission never sheds.
 func (m *Master) shouldShed() (retryAfter int, shed bool) {
-	if m.rs.DisableShedding {
-		return 0, false
-	}
 	s := m.snap.Load()
 	if len(s.view.Slaves) == 0 && !m.sharded {
 		// Single-tier (M/S-1-style) deployments have no degraded regime
@@ -941,16 +911,7 @@ func (m *Master) shouldShed() (retryAfter int, shed bool) {
 		}
 	}
 	// Hint clients to return once the breaker hold-down can have elapsed.
-	retryAfter = int((m.brk.cfg.OpenFor + time.Second - 1) / time.Second)
-	if retryAfter < 1 {
-		retryAfter = 1
-	}
-	if t := m.rs.ShedRSRC; t > 0 {
-		l := s.view.Load[m.ID]
-		if core.RSRC(core.DefaultW, l.CPUIdle, l.DiskAvail) >= t {
-			return retryAfter, true
-		}
-	}
+	retryAfter = max(1, int((m.brk.openFor+time.Second-1)/time.Second))
 	if adm, ok := m.policy.(core.MasterAdmission); ok {
 		m.placeMu.Lock()
 		denied := !adm.AdmitsAtMaster()
@@ -995,29 +956,16 @@ func mayHaveExecuted(err error) bool {
 }
 
 // runDynamic places and executes one dynamic request under its deadline
-// and retry budget, failing over across distinct nodes (and ultimately
-// to local execution) when a remote exec errs — the restart-on-another-
-// node behavior the paper requires of masters when a slave fails, now
-// bounded instead of unconditional. Returns 0 on success or the HTTP
-// status for a terminal failure.
+// and retry budget, failing over at once to a node not yet tried (and
+// ultimately to local execution) when a remote exec errs — the restart-
+// on-another-node behavior the paper requires of masters when a slave
+// fails, bounded instead of unconditional. Returns 0 on success or the
+// HTTP status for a terminal failure.
 func (m *Master) runDynamic(p reqParams, reqID int64, deadline time.Time) int {
 	var tried uint64
-	backoff := m.rs.RetryBackoff
-	for attempt := 0; attempt < m.rs.RetryBudget; attempt++ {
+	for attempt := 0; attempt < retryBudget; attempt++ {
 		if attempt > 0 {
 			m.retryCount.Add(1)
-			if backoff > 0 {
-				// Full jitter: uniform over [0, current cap].
-				d := time.Duration(rand.Int63n(int64(backoff) + 1))
-				if time.Now().Add(d).After(deadline) {
-					return http.StatusBadGateway
-				}
-				time.Sleep(d)
-				m.placeMu.Lock()
-				m.backoffHist.Observe(d.Seconds())
-				m.placeMu.Unlock()
-				backoff = min(2*backoff, retryBackoffCap*m.rs.RetryBackoff)
-			}
 		}
 		if !time.Now().Before(deadline) {
 			return http.StatusBadGateway
@@ -1031,7 +979,7 @@ func (m *Master) runDynamic(p reqParams, reqID int64, deadline time.Time) int {
 			m.runWork(p.demand, p.w, true)
 			return 0
 		}
-		err := m.dispatch(target, p, deadline, tried)
+		err := m.dispatch(target, p, deadline)
 		if err == nil {
 			return 0
 		}
@@ -1056,70 +1004,10 @@ func (m *Master) runDynamic(p reqParams, reqID int64, deadline time.Time) int {
 	return http.StatusBadGateway
 }
 
-// dispatch runs one placement attempt, hedging idempotent requests with
-// a second distinct dispatch when the first is still in flight after
-// HedgeAfter. The first success wins; a loser completes into the
-// buffered channel without leaking its goroutine.
-func (m *Master) dispatch(target int, p reqParams, deadline time.Time, tried uint64) error {
-	if m.rs.HedgeAfter <= 0 || !p.idem {
-		return m.forwardBreakered(target, p, deadline)
-	}
-	results := make(chan error, 2)
-	go func() { results <- m.forwardBreakered(target, p, deadline) }()
-	timer := time.NewTimer(m.rs.HedgeAfter)
-	defer timer.Stop()
-	outstanding := 1
-	var firstErr error
-	for outstanding > 0 {
-		select {
-		case err := <-results:
-			outstanding--
-			if err == nil {
-				return nil
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		case <-timer.C: // fires at most once
-			h := m.pickHedge(target, tried)
-			if h < 0 {
-				continue
-			}
-			m.hedgeCount.Add(1)
-			outstanding++
-			go func() {
-				if h == m.ID {
-					m.runWork(p.demand, p.w, true)
-					results <- nil
-					return
-				}
-				results <- m.forwardBreakered(h, p, deadline)
-			}()
-		}
-	}
-	return firstErr
-}
-
-// pickHedge places a second, distinct target for a tail hedge, or -1
-// when no distinct candidate exists. The extra Place call double-counts
-// the request in the reservation estimators; hedges are rare tail
-// events, so the skew is negligible.
-func (m *Master) pickHedge(primary int, tried uint64) int {
-	m.placeMu.Lock()
-	defer m.placeMu.Unlock()
-	m.refreshWorkView()
-	m.dropTried(tried | bitOf(primary))
-	t := m.policy.Place(core.Request{Class: trace.Dynamic}, m.ID, &m.workView)
-	if t == primary {
-		return -1
-	}
-	return t
-}
-
-// forwardBreakered wraps forward with circuit-breaker accounting: the
-// breaker must admit the dispatch, and its outcome feeds the breaker's
-// failure detection.
-func (m *Master) forwardBreakered(target int, p reqParams, deadline time.Time) error {
+// dispatch runs one placement attempt under circuit-breaker
+// accounting: the breaker must admit the dispatch, and its outcome feeds
+// the breaker's failure detection.
+func (m *Master) dispatch(target int, p reqParams, deadline time.Time) error {
 	if !time.Now().Before(deadline) {
 		return errDeadline
 	}

@@ -234,7 +234,7 @@ func (m *Master) fetchShard(ctx context.Context, base string, dst *core.ShardSum
 // otherwise status 0 on success or 502 when the spill exhausted its
 // budget / deadline — the same terminal taxonomy as local dispatch,
 // because every attempt goes through the same m.dispatch path
-// (breakers, hedging, deadline propagation and all).
+// (breakers and deadline propagation).
 func (m *Master) spillRemote(p reqParams, reqID int64, deadline time.Time) (status int, attempted bool) {
 	if !m.sharded {
 		return 0, false
@@ -244,7 +244,7 @@ func (m *Master) spillRemote(p reqParams, reqID int64, deadline time.Time) (stat
 		return 0, false
 	}
 	var tried uint64
-	for attempt := 0; attempt < m.rs.RetryBudget; attempt++ {
+	for attempt := 0; attempt < retryBudget; attempt++ {
 		if !time.Now().Before(deadline) {
 			break
 		}
@@ -252,7 +252,7 @@ func (m *Master) spillRemote(p reqParams, reqID int64, deadline time.Time) (stat
 		if target < 0 {
 			break
 		}
-		err := m.dispatch(target, p, deadline, tried)
+		err := m.dispatch(target, p, deadline)
 		if err == nil {
 			m.quality.Spilled.Add(1)
 			return 0, true

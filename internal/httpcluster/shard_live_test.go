@@ -18,7 +18,7 @@ import (
 // time (the reordered-report race this regression pins) would silently
 // drop such a report on every round.
 func TestPiggybackSurvivesEpochMove(t *testing.T) {
-	m := launchTestMaster(t, Resilience{DisableShedding: true}, "http://192.0.2.1:1")
+	m := launchTestMaster(t, "http://192.0.2.1:1")
 
 	piggyLoad := core.Load{CPUIdle: 0.25, DiskAvail: 0.5, CPUQueue: 3, Speed: 1}
 	m.storePiggy(1, piggyLoad)
@@ -67,7 +67,7 @@ func TestPiggybackSurvivesEpochMove(t *testing.T) {
 // the age of the last one — so delayed reports surface as growing age,
 // not as a silently frozen view.
 func TestStalenessGaugeUnderDelayedReports(t *testing.T) {
-	m := launchTestMaster(t, Resilience{DisableShedding: true}, "http://192.0.2.1:1")
+	m := launchTestMaster(t, "http://192.0.2.1:1")
 
 	now := time.Now().UnixNano()
 	if age := m.fresh.AgeSeconds(1, now); age != -1 {
@@ -91,7 +91,7 @@ func TestStalenessGaugeUnderDelayedReports(t *testing.T) {
 // (its own) holds slave 2, shard 1 holds slave 3, partitioned statically
 // so the test controls who owns what. Master 1 is a placeholder peer
 // (never launched).
-func launchShardedTestMaster(t *testing.T, rs Resilience, slave2URL, slave3URL string) *Master {
+func launchShardedTestMaster(t *testing.T, pol core.Policy, slave2URL, slave3URL string) *Master {
 	t.Helper()
 	m, err := LaunchMaster(NodeOptions{
 		ID:           0,
@@ -99,12 +99,11 @@ func launchShardedTestMaster(t *testing.T, rs Resilience, slave2URL, slave3URL s
 		Masters:      []int{0, 1},
 		Slaves:       []int{2, 3},
 		NodeURLs:     []string{"", "", slave2URL, slave3URL},
-		Policy:       core.NewMS(nil, 1),
+		Policy:       pol,
 		LoadRefresh:  time.Hour,
 		PolicyTick:   time.Hour,
 		Shards:       2,
 		ShardMapMode: core.ShardStatic,
-		Resilience:   rs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +130,7 @@ func TestSpillBreakerTaxonomyOverFrames(t *testing.T) {
 	bad := httptest.NewServer(http.HandlerFunc(hijackClose))
 	defer bad.Close()
 	// Own shard's slave 2 and remote shard's slave 3 both refuse.
-	m := launchShardedTestMaster(t, Resilience{}, bad.URL, bad.URL)
+	m := launchShardedTestMaster(t, core.NewMS(nil, 1), bad.URL, bad.URL)
 
 	// The local shard is saturated: its only slave's circuit is open.
 	now := time.Now().UnixNano()
@@ -204,7 +203,7 @@ func TestSpillBreakerTaxonomyOverFrames(t *testing.T) {
 func TestSpillSkippedWithoutFreshSummary(t *testing.T) {
 	bad := httptest.NewServer(http.HandlerFunc(hijackClose))
 	defer bad.Close()
-	m := launchShardedTestMaster(t, Resilience{}, bad.URL, bad.URL)
+	m := launchShardedTestMaster(t, core.NewMS(nil, 1), bad.URL, bad.URL)
 	m.brk.open(&m.brk.slots[2], time.Now().UnixNano())
 
 	sawShed := false
