@@ -504,7 +504,7 @@ func BenchmarkShardMapRebalance(b *testing.B) {
 		for id := shards; id < p; id++ {
 			slaves = append(slaves, id)
 		}
-		base, err := core.NewShardMap(core.ShardHash, shards, slaves)
+		base, err := core.NewShardMap(shards, slaves)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -224,6 +224,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case !(*rho == 0 || *rho > 0 && *rho < 1):
+		return fmt.Errorf("-rho %v out of range: want 0 (the default) or a value in (0, 1)", *rho)
+	case *seeds < 0:
+		return fmt.Errorf("-seeds %d out of range: want ≥ 0 (0 = the experiment's default)", *seeds)
+	case *par < 0:
+		return fmt.Errorf("-parallel %d out of range: want ≥ 0 (0 = GOMAXPROCS)", *par)
+	}
 	if pf.List {
 		fmt.Fprint(stdout, policy.ListText())
 		return nil
@@ -302,7 +310,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			set.opts.Seeds = append(set.opts.Seeds, int64(i))
 		}
 	}
-	if *rho > 0 && *rho < 1 {
+	if *rho > 0 {
 		set.opts.TargetRho = *rho
 	}
 	var traces *experiments.TraceCollector

@@ -125,6 +125,32 @@ func TestSeedAndRhoOverrides(t *testing.T) {
 	}
 }
 
+// Out-of-range -rho, -seeds and -parallel are errors naming the flag and
+// its range, not silent fallbacks to the defaults.
+func TestOutOfRangeFlagsRejected(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-rho", "1.5"},
+		{"-rho", "1"},
+		{"-rho", "-0.2"},
+		{"-rho", "NaN"},
+		{"-seeds", "-2"},
+		{"-parallel", "-3"},
+	} {
+		var out bytes.Buffer
+		err := run([]string{"-experiment", "table2", "-quick", tc.flag, tc.value}, &out, io.Discard)
+		if err == nil {
+			t.Errorf("%s %s accepted", tc.flag, tc.value)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.flag+" ") || !strings.Contains(err.Error(), "want") {
+			t.Errorf("%s %s: error %q does not name the flag and its range", tc.flag, tc.value, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s %s: rejected run still printed a table", tc.flag, tc.value)
+		}
+	}
+}
+
 func TestSeedsRhoWarningForNoOptionsExperiments(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	if err := run([]string{"-experiment", "fig3", "-seeds", "3"}, &out, &errBuf); err != nil {

@@ -109,7 +109,6 @@ func buildConfig(args []string) (httpcluster.Config, error) {
 	fast := fs.Bool("fast", false, "run uncalibrated: virtual-time demand accounting, no wall-clock sleeps")
 	lshards := fs.Int("listener-shards", 0, "SO_REUSEPORT accept sockets per node (0/1: single listener)")
 	shards := fs.Int("shards", 0, "partition the slave tier across the masters (must equal -masters; 0/1 = global view)")
-	shardMap := fs.String("shard-map", "", "shard partitioning function: hash (default) or static")
 	gossip := fs.Duration("gossip", 0, "master↔master shard-summary pull period (0 = 4×refresh)")
 	autoscale := fs.Duration("autoscale-masters", 0, "live master-tier autoscaler period (0: off; needs -shards)")
 	fs.StringVar(&profileFlags.mutex, "mutexprofile", "", "write a mutex-contention profile to this file at shutdown")
@@ -135,7 +134,6 @@ func buildConfig(args []string) (httpcluster.Config, error) {
 	cfg.Uncalibrated = *fast
 	cfg.ListenerShards = *lshards
 	cfg.Shards = *shards
-	cfg.ShardMapMode = *shardMap
 	cfg.GossipEvery = *gossip
 	cfg.AutoscaleMasters = *autoscale
 	return cfg, cfg.Validate()

@@ -1,13 +1,12 @@
 package cluster
 
-// Online autoscaler. The adaptive controller (AdaptiveMasters) re-plans
-// only the master/slave split over a fixed fleet; the autoscaler closes
-// the remaining loop the paper leaves open: it sizes the fleet itself.
-// Every Period it re-estimates the offered load from the completed
-// window, chooses how many nodes are worth powering at all (offered
-// erlangs over a target utilization), re-runs Theorem 1's numeric
-// minimization for the master count on that fleet, and powers slaves on
-// and off to match.
+// Online autoscaler, the simulator's one online Theorem 1 re-planner. It
+// closes the loop the paper leaves open: besides re-planning the
+// master/slave split it sizes the fleet itself. Every Period it
+// re-estimates the offered load from the completed window, chooses how
+// many nodes are worth powering at all (offered erlangs over a target
+// utilization), re-runs Theorem 1's numeric minimization for the master
+// count on that fleet, and powers slaves on and off to match.
 //
 // Two classic ingredients keep it stable. Scale-down follows the c/μ
 // rule: the slowest slaves (lowest speed factor) are switched off
@@ -16,10 +15,10 @@ package cluster
 // decision is deterministic. And shrinking is rate-limited by
 // exponential hold epochs in the MSR dynamic-provisioning style: after
 // any action the controller holds scale-downs for asHold seconds and
-// doubles the hold (up to HoldMax); quiet ticks decay it back toward
-// HoldInitial. Scale-up is never held — a flash crowd is answered
-// within a control period, while a noisy λ estimate cannot make the
-// fleet flap off.
+// doubles the hold (up to 16× the initial hold of two periods); quiet
+// ticks decay it back toward the initial hold. Scale-up is never held —
+// a flash crowd is answered within a control period, while a noisy λ
+// estimate cannot make the fleet flap off.
 //
 // Powering off is graceful, unlike a crash: the node leaves every
 // placement view (and the shard map, on a new epoch) so nothing new
@@ -38,45 +37,22 @@ type Autoscale struct {
 	Period float64
 	// MinM/MaxM clamp the planned master count (defaults 1 and p−1).
 	MinM, MaxM int
-	// MinSlaves is the floor on powered slave-role nodes (default 1), so
-	// the cluster always has somewhere to dispatch.
-	MinSlaves int
-	// TargetRho is the per-node utilization the powered fleet is sized
-	// for (default 0.6): powered ≈ offered-erlangs / TargetRho.
-	TargetRho float64
-	// HoldInitial is the first hold-epoch length after an action
-	// (default 2×Period); HoldMax caps the exponential growth (default
-	// 16×HoldInitial).
-	HoldInitial, HoldMax float64
 }
 
-func (a *Autoscale) holdInitial() float64 {
-	if a.HoldInitial > 0 {
-		return a.HoldInitial
-	}
-	return 2 * a.Period
-}
-
-func (a *Autoscale) holdMax() float64 {
-	if a.HoldMax > 0 {
-		return a.HoldMax
-	}
-	return 16 * a.holdInitial()
-}
-
-func (a *Autoscale) targetRho() float64 {
-	if a.TargetRho > 0 {
-		return a.TargetRho
-	}
-	return 0.6
-}
-
-func (a *Autoscale) minSlaves() int {
-	if a.MinSlaves > 0 {
-		return a.MinSlaves
-	}
-	return 1
-}
+// The autoscaler's fixed settings.
+const (
+	// asSlaveFloor is the floor on powered slave-role nodes, so the
+	// cluster always has somewhere to dispatch.
+	asSlaveFloor = 1
+	// asTargetRho is the per-node utilization the powered fleet is sized
+	// for: powered ≈ offered-erlangs / asTargetRho.
+	asTargetRho = 0.6
+	// asHoldPeriods is the first hold-epoch length after an action, in
+	// control periods; asHoldCap caps the exponential growth as a
+	// multiple of that first hold.
+	asHoldPeriods = 2
+	asHoldCap     = 16
+)
 
 // AutoscaleStats reports one run's autoscaler activity.
 type AutoscaleStats struct {
@@ -143,8 +119,7 @@ func (c *Cluster) autoscaleTick() {
 	as := c.cfg.Autoscale
 	now := c.eng.Now()
 
-	// Harvest and reset the measurement window (the same estimators the
-	// adaptive controller uses; the two are mutually exclusive).
+	// Harvest and reset the measurement window.
 	stat, dyn := c.winStatic, c.winDynamic
 	doneH, doneC := c.winDoneH, c.winDoneC
 	demH, demC := c.winDemandH, c.winDemandC
@@ -173,11 +148,11 @@ func (c *Cluster) autoscaleTick() {
 		}
 		offered *= pressure
 	}
-	minPowered := as.MinM + as.minSlaves()
-	if min := 1 + as.minSlaves(); minPowered < min {
+	minPowered := as.MinM + asSlaveFloor
+	if min := 1 + asSlaveFloor; minPowered < min {
 		minPowered = min
 	}
-	target := int(offered/as.targetRho()) + 1
+	target := int(offered/asTargetRho) + 1
 	if target < minPowered {
 		target = minPowered
 	}
@@ -203,8 +178,8 @@ func (c *Cluster) autoscaleTick() {
 	if m > max {
 		m = max
 	}
-	if m > target-as.minSlaves() {
-		m = target - as.minSlaves()
+	if m > target-asSlaveFloor {
+		m = target - asSlaveFloor
 	}
 	if m < 1 {
 		m = 1
@@ -265,15 +240,16 @@ func (c *Cluster) autoscaleTick() {
 
 	// Hold-epoch hysteresis: an action opens a hold that doubles with
 	// each acting tick; quiet ticks decay it back.
+	holdMin := asHoldPeriods * as.Period
 	if acted {
 		c.asHoldUntil = now + c.asHold
-		if c.asHold = 2 * c.asHold; c.asHold > as.holdMax() {
-			c.asHold = as.holdMax()
+		if c.asHold = 2 * c.asHold; c.asHold > asHoldCap*holdMin {
+			c.asHold = asHoldCap * holdMin
 		}
-	} else if c.asHold > as.holdInitial() {
+	} else if c.asHold > holdMin {
 		c.asHold = c.asHold / 2
-		if c.asHold < as.holdInitial() {
-			c.asHold = as.holdInitial()
+		if c.asHold < holdMin {
+			c.asHold = holdMin
 		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"msweb/internal/dyncache"
 	"msweb/internal/metrics"
 	"msweb/internal/obs"
-	"msweb/internal/queuemodel"
 	"msweb/internal/rng"
 	"msweb/internal/sim"
 	"msweb/internal/simos"
@@ -47,17 +46,6 @@ type AutoRecruit struct {
 	LowRate  float64
 }
 
-// AdaptiveMasters reconfigures the master-tier size on-line: every
-// Period the cluster re-estimates λ, a, μ_h and μ_c from the completed
-// window and applies Theorem 1's numeric minimization. Figure 5
-// compares this against a fixed configuration.
-type AdaptiveMasters struct {
-	// Period between reconfigurations in seconds.
-	Period float64
-	// MinM/MaxM clamp the chosen master count (defaults 1 and p−1).
-	MinM, MaxM int
-}
-
 // Config describes one simulated cluster.
 type Config struct {
 	// Nodes is the cluster size p.
@@ -84,29 +72,19 @@ type Config struct {
 	Speeds []float64
 	// LoadRefresh is the load-information period (rstat polling).
 	LoadRefresh float64
-	// PolicyTick is the reservation-recompute period.
-	PolicyTick float64
-	// RemoteLatency is the remote CGI dispatch latency (paper: 1 ms,
-	// the TCP connection time; fork is charged separately by the node).
-	RemoteLatency float64
 	// WarmupFraction drops samples of requests arriving in the first
 	// fraction of the trace span from the reported statistics, so
 	// steady-state stretch is not diluted by the empty-system start.
 	WarmupFraction float64
-	// Affinity pins CGI scripts to node subsets (partial replication).
-	Affinity core.ScriptAffinity
 	// Cache enables the Swala-style dynamic-content cache at the
 	// master tier: repeat invocations of a cacheable script (same
 	// script, same parameters) are answered without content generation
 	// while the cached response is fresh.
 	Cache *CacheConfig
-	// Adaptive enables on-line master-count adaptation.
-	Adaptive *AdaptiveMasters
-	// Autoscale enables the full online autoscaler: Theorem 1 re-planning
-	// of m plus powering slaves on and off against the measured load,
-	// with c/μ-rule scale-down ordering and exponential hold-epoch
-	// hysteresis (see Autoscale). Mutually exclusive with Adaptive (the
-	// autoscaler subsumes it) and AutoRecruit.
+	// Autoscale enables the online autoscaler: Theorem 1 re-planning of
+	// m plus powering slaves on and off against the measured load, with
+	// c/μ-rule scale-down ordering and exponential hold-epoch hysteresis
+	// (see Autoscale). Mutually exclusive with AutoRecruit.
 	Autoscale *Autoscale
 	// SLOResponse, when positive, counts every sampled request against a
 	// response-time SLO: Result.SLOAttainment reports the fraction of
@@ -124,10 +102,6 @@ type Config struct {
 	// InitiallyDown lists nodes that start outside the cluster
 	// (non-dedicated machines recruited later by an Up event).
 	InitiallyDown []int
-	// RetryDelay is the failover-detection delay before requests lost
-	// to a node failure are restarted elsewhere (paper: switches give
-	// "sub-second failure detection").
-	RetryDelay float64
 	// Tracer, when non-nil, receives the lifecycle events of every
 	// request: arrival, placement decision (with RSRC annotation when
 	// the policy explains itself), dispatch, per-burst CPU/disk phases
@@ -140,30 +114,37 @@ type Config struct {
 	// master's policy sees and books against only its own shard,
 	// refreshed at O(shard) per tick, with shed requests spilling
 	// cross-shard via gossiped summaries. The shard map is
-	// epoch-versioned: availability events, adaptation, recruitment and
-	// the autoscaler rebalance it live (consistent-hash ring, so only
-	// ~1/m of the slaves move per master change). 0 or 1 keeps the
-	// global shared view.
+	// epoch-versioned: availability events, recruitment and the
+	// autoscaler rebalance it live (consistent-hash ring, so only ~1/m of
+	// the slaves move per master change). 0 or 1 keeps the global shared
+	// view.
 	Shards int
-	// ShardMapMode selects the partitioning function: "hash"
-	// (consistent ring, the default) or "static" (position modulo).
-	ShardMapMode string
 	// GossipEvery is the cross-shard summary exchange period in seconds
 	// (default 4×LoadRefresh).
 	GossipEvery float64
 }
 
+// Fixed timings, the paper's where it gives one.
+const (
+	// policyTick is the reservation-recompute period.
+	policyTick = 0.500
+	// remoteLatency is the remote CGI dispatch latency (paper: 1 ms, the
+	// TCP connection time; fork is charged separately by the node).
+	remoteLatency = 0.001
+	// retryDelay is the failover-detection delay before requests lost to
+	// a node failure are restarted elsewhere (paper: switches give
+	// "sub-second failure detection").
+	retryDelay = 0.100
+)
+
 // DefaultConfig returns a cluster configured with the paper's constants.
 func DefaultConfig(nodes, masters int) Config {
 	return Config{
-		Nodes:         nodes,
-		Masters:       masters,
-		OS:            simos.DefaultConfig(),
-		LoadRefresh:   0.200,
-		PolicyTick:    0.500,
-		RemoteLatency: 0.001,
-		RetryDelay:    0.100,
-		Seed:          1,
+		Nodes:       nodes,
+		Masters:     masters,
+		OS:          simos.DefaultConfig(),
+		LoadRefresh: 0.200,
+		Seed:        1,
 	}
 }
 
@@ -176,21 +157,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: masters %d outside [1, %d]", c.Masters, c.Nodes)
 	case c.LoadRefresh <= 0:
 		return fmt.Errorf("cluster: load refresh period must be positive")
-	case c.PolicyTick <= 0:
-		return fmt.Errorf("cluster: policy tick period must be positive")
-	case c.RemoteLatency < 0:
-		return fmt.Errorf("cluster: negative remote latency")
 	case c.WarmupFraction < 0 || c.WarmupFraction >= 1:
 		return fmt.Errorf("cluster: warmup fraction %v outside [0, 1)", c.WarmupFraction)
 	case c.Speeds != nil && len(c.Speeds) != c.Nodes:
 		return fmt.Errorf("cluster: %d speeds for %d nodes", len(c.Speeds), c.Nodes)
-	case c.Adaptive != nil && c.Adaptive.Period <= 0:
-		return fmt.Errorf("cluster: adaptive period must be positive")
 	case c.AutoRecruit != nil && (c.AutoRecruit.Period <= 0 || c.AutoRecruit.HighRate <= 0 ||
 		c.AutoRecruit.LowRate < 0 || c.AutoRecruit.LowRate >= c.AutoRecruit.HighRate):
 		return fmt.Errorf("cluster: auto-recruit needs positive period and LowRate < HighRate")
-	case c.RetryDelay < 0:
-		return fmt.Errorf("cluster: negative retry delay")
 	case c.Shards > 1 && c.Shards != c.Masters:
 		return fmt.Errorf("cluster: shards %d must equal masters %d", c.Shards, c.Masters)
 	case c.GossipEvery < 0:
@@ -199,8 +172,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: negative SLO response bound")
 	case c.Autoscale != nil && c.Autoscale.Period <= 0:
 		return fmt.Errorf("cluster: autoscale period must be positive")
-	case c.Autoscale != nil && (c.Adaptive != nil || c.AutoRecruit != nil):
-		return fmt.Errorf("cluster: autoscale subsumes Adaptive and AutoRecruit; configure only one")
+	case c.Autoscale != nil && c.AutoRecruit != nil:
+		return fmt.Errorf("cluster: autoscale subsumes AutoRecruit; configure only one")
 	}
 	if _, err := disciplinedOS(c.OS, c.Discipline); err != nil {
 		return err
@@ -217,13 +190,6 @@ func (c Config) Validate() error {
 		for _, id := range c.AutoRecruit.Spares {
 			if id < 0 || id >= c.Nodes {
 				return fmt.Errorf("cluster: auto-recruit spare %d of %d", id, c.Nodes)
-			}
-		}
-	}
-	for script, nodes := range c.Affinity {
-		for _, id := range nodes {
-			if id < 0 || id >= c.Nodes {
-				return fmt.Errorf("cluster: affinity for script %d names node %d of %d", script, id, c.Nodes)
 			}
 		}
 	}
@@ -250,10 +216,9 @@ type Result struct {
 	TotalDynamics  int64
 	MasterDynamics int64
 	RemoteDynamics int64
-	// FinalMasters is the master count at the end (≠ initial under
-	// adaptation); MasterHistory records each adaptation decision.
-	FinalMasters  int
-	MasterHistory []int
+	// FinalMasters is the master count at the end (≠ initial when the
+	// autoscaler re-planned it).
+	FinalMasters int
 	// Failovers counts requests restarted after a node failure.
 	Failovers int64
 	// Shed counts dynamic requests refused by MasterAdmission (only
@@ -312,7 +277,6 @@ type Cluster struct {
 	totalDyn  int64
 	masterDyn int64
 	remoteDyn int64
-	history   []int
 
 	roleMasters int
 	available   []bool
@@ -368,7 +332,7 @@ type Cluster struct {
 	releases     int64
 	sparesActive bool
 
-	// windowed estimators for adaptive reconfiguration
+	// windowed estimators for the autoscaler
 	winStatic, winDynamic  int64
 	winDemandH, winDemandC float64
 	winDoneH, winDoneC     int64
@@ -423,7 +387,7 @@ func New(eng *sim.Engine, cfg Config, policy core.Policy) (*Cluster, error) {
 	c.poweredCount = cfg.Nodes
 	if cfg.Autoscale != nil {
 		c.asStats = &AutoscaleStats{}
-		c.asHold = cfg.Autoscale.holdInitial()
+		c.asHold = asHoldPeriods * cfg.Autoscale.Period
 	}
 	if cfg.Cache != nil {
 		hit := cfg.Cache.HitDemand
@@ -456,7 +420,7 @@ func New(eng *sim.Engine, cfg Config, policy core.Policy) (*Cluster, error) {
 		}
 		c.nodes[i] = n
 	}
-	c.view = core.View{Load: make([]core.Load, cfg.Nodes), Affinity: cfg.Affinity}
+	c.view = core.View{Load: make([]core.Load, cfg.Nodes)}
 	for i := range c.view.Load {
 		speed := 1.0
 		if cfg.Speeds != nil {
@@ -484,7 +448,6 @@ func (c *Cluster) setMasters(m int) {
 	}
 	c.roleMasters = m
 	c.recomputeView()
-	c.history = append(c.history, m)
 }
 
 // Masters returns the current master count.
@@ -508,45 +471,6 @@ func (c *Cluster) refreshLoad() {
 	}
 }
 
-// adapt re-plans the master count from the last window's measurements.
-func (c *Cluster) adapt() {
-	period := c.cfg.Adaptive.Period
-	stat, dyn := c.winStatic, c.winDynamic
-	c.winStatic, c.winDynamic = 0, 0
-	doneH, doneC := c.winDoneH, c.winDoneC
-	demH, demC := c.winDemandH, c.winDemandC
-	c.winDoneH, c.winDoneC, c.winDemandH, c.winDemandC = 0, 0, 0, 0
-
-	if stat == 0 || dyn == 0 || doneH == 0 || doneC == 0 {
-		return // not enough signal this window
-	}
-	params := queuemodel.Params{
-		P:       c.cfg.Nodes,
-		LambdaH: float64(stat) / period,
-		LambdaC: float64(dyn) / period,
-		MuH:     float64(doneH) / demH,
-		MuC:     float64(doneC) / demC,
-	}
-	plan, err := params.OptimalPlan()
-	if err != nil {
-		return // saturated or degenerate window; keep configuration
-	}
-	m := plan.M
-	if min := c.cfg.Adaptive.MinM; min > 0 && m < min {
-		m = min
-	}
-	max := c.cfg.Adaptive.MaxM
-	if max <= 0 {
-		max = c.cfg.Nodes - 1
-	}
-	if m > max {
-		m = max
-	}
-	if m != c.Masters() {
-		c.setMasters(m)
-	}
-}
-
 // dispatch routes one trace request at its arrival time.
 func (c *Cluster) dispatch(req trace.Request, countSample bool) {
 	c.dispatchAt(req, countSample, c.eng.Now())
@@ -564,7 +488,7 @@ func (c *Cluster) dispatchAt(req trace.Request, countSample bool, arrival float6
 func (c *Cluster) dispatchFull(req trace.Request, countSample bool, arrival float64, onDone func(now float64)) {
 	if len(c.view.Masters) == 0 {
 		// Whole cluster down: retry once capacity returns.
-		c.eng.After(c.cfg.RetryDelay, func() { c.dispatchFull(req, countSample, arrival, onDone) })
+		c.eng.After(retryDelay, func() { c.dispatchFull(req, countSample, arrival, onDone) })
 		return
 	}
 	c.winArrivals++
@@ -661,12 +585,12 @@ func (c *Cluster) dispatchFull(req trace.Request, countSample bool, arrival floa
 
 	latency := 0.0
 	if target != master && req.Class == trace.Dynamic {
-		latency = c.cfg.RemoteLatency
+		latency = remoteLatency
 		c.remoteDyn++
 	}
 	if spillTarget >= 0 {
 		// Spills relay through the remote shard's owner: two hops.
-		latency = 2 * c.cfg.RemoteLatency
+		latency = 2 * remoteLatency
 	}
 	if c.cfg.Tracer != nil {
 		c.cfg.Tracer.Emit(obs.Event{
@@ -760,7 +684,7 @@ func (c *Cluster) submitNow(pr *pendingRequest) {
 		c.failovers++
 		req, count, arrival, onDone := pr.req, pr.count, pr.arrival, pr.onDone
 		c.releasePending(pr)
-		c.eng.After(c.cfg.RetryDelay, func() { c.dispatchFull(req, count, arrival, onDone) })
+		c.eng.After(retryDelay, func() { c.dispatchFull(req, count, arrival, onDone) })
 		return
 	}
 	pr.submitted = true
@@ -960,10 +884,10 @@ func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 }
 
 // startTickers arms the periodic activities: load polling, policy
-// adaptation, master re-planning, auto-recruitment.
+// adaptation, gossip, autoscaling, auto-recruitment.
 func (c *Cluster) startTickers() {
 	c.tickers = append(c.tickers, c.eng.Every(c.cfg.LoadRefresh, c.refreshLoad))
-	c.tickers = append(c.tickers, c.eng.Every(c.cfg.PolicyTick, func() {
+	c.tickers = append(c.tickers, c.eng.Every(policyTick, func() {
 		c.policy.Tick(c.eng.Now(), &c.view)
 		if c.shardMap != nil {
 			c.sampleSummaryAge()
@@ -971,9 +895,6 @@ func (c *Cluster) startTickers() {
 	}))
 	if c.shardMap != nil {
 		c.tickers = append(c.tickers, c.eng.Every(c.gossipPeriod(), c.gossipShards))
-	}
-	if c.cfg.Adaptive != nil {
-		c.tickers = append(c.tickers, c.eng.Every(c.cfg.Adaptive.Period, c.adapt))
 	}
 	if c.cfg.Autoscale != nil {
 		c.tickers = append(c.tickers, c.eng.Every(c.cfg.Autoscale.Period, c.autoscaleTick))
@@ -1000,7 +921,6 @@ func (c *Cluster) buildResult() *Result {
 		MasterDynamics:   c.masterDyn,
 		RemoteDynamics:   c.remoteDyn,
 		FinalMasters:     c.Masters(),
-		MasterHistory:    append([]int(nil), c.history...),
 		Failovers:        c.failovers,
 		Shed:             c.shed,
 		SimulatedSeconds: c.eng.Now(),

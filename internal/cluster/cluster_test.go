@@ -35,11 +35,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Masters = 0 },
 		func(c *Config) { c.Masters = 99 },
 		func(c *Config) { c.LoadRefresh = 0 },
-		func(c *Config) { c.PolicyTick = 0 },
-		func(c *Config) { c.RemoteLatency = -1 },
 		func(c *Config) { c.WarmupFraction = 1 },
 		func(c *Config) { c.Speeds = []float64{1} },
-		func(c *Config) { c.Adaptive = &AdaptiveMasters{Period: 0} },
 		func(c *Config) { c.OS.CPUQuantum = 0 },
 	}
 	for i, mutate := range cases {
@@ -228,24 +225,6 @@ func TestWarmupDropsEarlySamples(t *testing.T) {
 	}
 	if res.Summary.Count >= 2000 || res.Summary.Count == 0 {
 		t.Fatalf("warmup kept %d samples of 2000", res.Summary.Count)
-	}
-}
-
-func TestAdaptiveMastersReconfigures(t *testing.T) {
-	// Heavily dynamic workload on a cluster misconfigured with too many
-	// masters: the adaptor must shrink the master tier.
-	tr := genTrace(t, trace.ADL, 400, 8000, 1.0/40, 7)
-	cfg := DefaultConfig(8, 6)
-	cfg.Adaptive = &AdaptiveMasters{Period: 2.0}
-	res, err := Simulate(cfg, core.NewMS(core.SampleW(tr, 16), 1), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.MasterHistory) < 2 {
-		t.Fatalf("adaptation never fired: history %v", res.MasterHistory)
-	}
-	if res.FinalMasters >= 6 {
-		t.Fatalf("adaptor kept %d masters for a CGI-heavy load", res.FinalMasters)
 	}
 }
 

@@ -85,7 +85,6 @@ func (c *Cluster) applyAvailability(e AvailabilityEvent) {
 	// must not be (their After events tie on time and fall back to
 	// insertion order, which would leak the set's order into the replay).
 	sort.Slice(lost, func(i, j int) bool { return lost[i].id < lost[j].id })
-	delay := c.cfg.RetryDelay
 	for _, p := range lost {
 		c.failovers++
 		// Copy the restart parameters out: once submitted, the struct's
@@ -97,7 +96,7 @@ func (c *Cluster) applyAvailability(e AvailabilityEvent) {
 		if p.submitted {
 			c.releasePending(p)
 		}
-		c.eng.After(delay, func() { c.dispatchFull(req, count, arrival, onDone) })
+		c.eng.After(retryDelay, func() { c.dispatchFull(req, count, arrival, onDone) })
 	}
 }
 

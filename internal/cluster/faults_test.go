@@ -165,11 +165,6 @@ func TestEventValidation(t *testing.T) {
 	if cfg.Validate() == nil {
 		t.Fatal("out-of-range initially-down node accepted")
 	}
-	cfg = DefaultConfig(4, 1)
-	cfg.RetryDelay = -1
-	if cfg.Validate() == nil {
-		t.Fatal("negative retry delay accepted")
-	}
 }
 
 func TestAvailableAccessor(t *testing.T) {
@@ -190,36 +185,4 @@ func TestAvailableAccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = eng
-}
-
-func TestClusterAffinityEndToEnd(t *testing.T) {
-	// All dynamics of every script are pinned to node 3; every fork in
-	// the run must land there.
-	tr := genTrace(t, trace.KSU, 150, 1500, 1.0/40, 26)
-	cfg := DefaultConfig(4, 1)
-	cfg.Affinity = core.ScriptAffinity{}
-	for s := 1; s <= trace.KSU.NumScripts; s++ {
-		cfg.Affinity[s] = []int{3}
-	}
-	res, err := Simulate(cfg, core.NewMS(core.SampleW(tr, 16), 1), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range res.NodeStats {
-		if i == 3 {
-			if st.Forks != uint64(res.TotalDynamics) {
-				t.Fatalf("pinned node ran %d forks of %d dynamics", st.Forks, res.TotalDynamics)
-			}
-		} else if st.Forks != 0 {
-			t.Fatalf("node %d ran %d forks despite the pin", i, st.Forks)
-		}
-	}
-}
-
-func TestClusterAffinityValidation(t *testing.T) {
-	cfg := DefaultConfig(4, 1)
-	cfg.Affinity = core.ScriptAffinity{1: {7}}
-	if cfg.Validate() == nil {
-		t.Fatal("affinity naming a missing node accepted")
-	}
 }

@@ -12,13 +12,13 @@ package cluster
 // digest of a fresh remote summary, paying a second dispatch hop.
 //
 // The map is epoch-versioned: every topology change — a node crash or
-// recovery, recruitment, an adaptive or autoscaler master-count change,
-// a graceful power-off — derives the successor map via Rebalanced
-// (consistent-hash ring, so only ~1/m of the slaves change owner per
-// master change) and bumps the epoch. Summaries carry the epoch of the
-// map they were built under; spill decisions accept the current and the
-// immediately preceding epoch (the bounded dual-epoch handoff window)
-// and discard anything older.
+// recovery, recruitment, an autoscaler master-count change, a graceful
+// power-off — derives the successor map via Rebalanced (consistent-hash
+// ring, so only ~1/m of the slaves change owner per master change) and
+// bumps the epoch. Summaries carry the epoch of the map they were built
+// under; spill decisions accept the current and the immediately
+// preceding epoch (the bounded dual-epoch handoff window) and discard
+// anything older.
 //
 // The simulation is the byte-deterministic side of the design: the same
 // trace and seed always produce the same placements, reshards and
@@ -62,7 +62,7 @@ type ShardStats struct {
 // setupShards builds the initial epoch-0 shard map and the per-master
 // views from the configured topology.
 func (c *Cluster) setupShards() error {
-	sm, err := core.NewShardMap(c.cfg.ShardMapMode, len(c.view.Masters), c.view.Slaves)
+	sm, err := core.NewShardMap(len(c.view.Masters), c.view.Slaves)
 	if err != nil {
 		return err
 	}
@@ -90,7 +90,7 @@ func (c *Cluster) reshard() {
 	}
 	next, err := c.shardMap.Rebalanced(m, c.view.Slaves)
 	if err != nil {
-		return // unreachable: the mode was validated at construction
+		return // unreachable: view slaves are distinct node IDs
 	}
 	c.shardMoved += int64(next.MovedFrom(c.shardMap))
 	c.shardMap = next
@@ -112,7 +112,6 @@ func (c *Cluster) pointShardViews() {
 		v.Masters = c.view.Masters[s : s+1 : s+1]
 		v.Slaves = c.shardMap.Members(s)
 		v.Load = c.view.Load
-		v.Affinity = c.cfg.Affinity
 		v.Now = c.view.Now
 	}
 }

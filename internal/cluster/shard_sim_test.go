@@ -14,24 +14,15 @@ func TestShardedConfigValidation(t *testing.T) {
 		func(c *Config) { c.Autoscale = &Autoscale{} }, // period unset
 		func(c *Config) {
 			c.Autoscale = &Autoscale{Period: 1}
-			c.Adaptive = &AdaptiveMasters{Period: 1}
+			c.AutoRecruit = &AutoRecruit{Period: 1, HighRate: 2, LowRate: 1}
 		},
 		func(c *Config) { c.Shards = 2; c.GossipEvery = -1 },
-		func(c *Config) { c.Shards = 2; c.ShardMapMode = "bogus" },
 	}
 	for i, mutate := range cases {
 		c := DefaultConfig(8, 2)
 		mutate(&c)
-		if c.Validate() == nil && i != 5 {
+		if c.Validate() == nil {
 			t.Fatalf("case %d: invalid sharded config accepted", i)
-		}
-		if i == 5 {
-			// The bad map mode surfaces at New (the map constructor owns
-			// mode validation), not Validate.
-			tr := genTrace(t, trace.KSU, 20, 50, 1.0/40, 1)
-			if _, err := Simulate(c, core.NewMS(nil, 1), tr); err == nil {
-				t.Fatal("unknown shard map mode accepted")
-			}
 		}
 	}
 }
@@ -60,14 +51,13 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 }
 
-// The O(shard) claim, exactly: with a static equal partition each
-// master's per-tick poll work is its shard plus itself, independent of
-// what the whole fleet's size would cost a global view.
+// The O(shard) claim, exactly: each master's per-tick poll work is its
+// shard plus itself, independent of what the whole fleet's size would
+// cost a global view.
 func TestShardedPollWorkIsShardSized(t *testing.T) {
 	tr := genTrace(t, trace.KSU, 100, 500, 1.0/40, 3)
 	cfg := DefaultConfig(40, 4)
 	cfg.Shards = 4
-	cfg.ShardMapMode = core.ShardStatic
 	res, err := Simulate(cfg, core.NewMS(nil, 7), tr)
 	if err != nil {
 		t.Fatal(err)
@@ -76,12 +66,24 @@ func TestShardedPollWorkIsShardSized(t *testing.T) {
 	if st == nil {
 		t.Fatal("no shard stats")
 	}
-	// 36 slaves over 4 static shards: 9 members + 1 self-sample each.
+	// 36 slaves over 4 shards: 9 members on average + 1 self-sample each.
 	if st.NodesPolledPerTick != 10 {
-		t.Fatalf("polled/tick = %v, want exactly 10 (shard 9 + self)", st.NodesPolledPerTick)
+		t.Fatalf("polled/tick = %v, want exactly 10 (mean shard 9 + self)", st.NodesPolledPerTick)
 	}
-	if st.MaxShardSize != 9 {
-		t.Fatalf("max shard %d, want 9", st.MaxShardSize)
+	slaves := make([]int, 0, 36)
+	for id := 4; id < 40; id++ {
+		slaves = append(slaves, id)
+	}
+	sm, err := core.NewShardMap(4, slaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxShard := 0
+	for s := 0; s < 4; s++ {
+		maxShard = max(maxShard, len(sm.Members(s)))
+	}
+	if st.MaxShardSize != maxShard {
+		t.Fatalf("max shard %d, want %d", st.MaxShardSize, maxShard)
 	}
 	if st.MeanSummaryAge < 0 {
 		t.Fatalf("summary age %v, want ≥ 0 once gossip ran", st.MeanSummaryAge)
@@ -100,13 +102,12 @@ func TestShardedPollWorkIsShardSized(t *testing.T) {
 // remote digests instead of shedding them — and every shed that does
 // happen is accounted as a spill with no fresh candidate.
 func TestShardedSpillFromEmptyShard(t *testing.T) {
-	// 6 nodes, 4 masters, static map over 2 slaves: shards 2 and 3 are
+	// 6 nodes, 4 masters, a map over 2 slaves: at least two shards are
 	// empty, so their masters must go cross-shard for every dynamic the
 	// reservation refuses at the master.
 	tr := genTrace(t, trace.KSU, 400, 3000, 1.0/40, 9)
 	cfg := DefaultConfig(6, 4)
 	cfg.Shards = 4
-	cfg.ShardMapMode = core.ShardStatic
 	cfg.EnableShedding = true
 	res, err := Simulate(cfg, core.NewMS(core.SampleW(tr, 16), 11), tr)
 	if err != nil {

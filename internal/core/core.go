@@ -56,26 +56,6 @@ type Load struct {
 	Speed float64 `json:"speed,omitempty"`
 }
 
-// ScriptAffinity restricts where CGI scripts may run — the paper's
-// future-work scenario in which "only portions of the data may be
-// replicated and some CGI scripts require specific servers". A script
-// absent from the map may run anywhere; an empty slice is treated the
-// same (no usable constraint).
-type ScriptAffinity map[int][]int
-
-// Allowed returns the node set a script is pinned to, or nil when the
-// script is unconstrained.
-func (a ScriptAffinity) Allowed(script int) []int {
-	if a == nil {
-		return nil
-	}
-	nodes := a[script]
-	if len(nodes) == 0 {
-		return nil
-	}
-	return nodes
-}
-
 // View is the cluster state a policy sees when placing a request: the
 // current role assignment and the latest (possibly stale) load snapshots.
 type View struct {
@@ -83,8 +63,6 @@ type View struct {
 	Masters []int
 	Slaves  []int
 	Load    []Load // indexed by node id; len(Load) = cluster size
-	// Affinity optionally pins scripts to node subsets.
-	Affinity ScriptAffinity
 }
 
 // P returns the cluster size.
@@ -380,18 +358,6 @@ func NewMS(wtable WTable, seed int64, opts ...MSOption) *MS {
 		WTable:          wtable,
 		DisableSampling: !c.sampling,
 	})
-}
-
-// intersect returns the members of a that also appear in b, preserving
-// a's order.
-func intersect(a, b []int) []int {
-	var out []int
-	for _, x := range a {
-		if isIn(x, b) {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 func isIn(id int, ids []int) bool {

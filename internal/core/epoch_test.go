@@ -11,7 +11,7 @@ func TestShardMapRebalancedEpochAndStability(t *testing.T) {
 	for i := range slaves {
 		slaves[i] = i + 8
 	}
-	m, err := NewShardMap(ShardHash, 8, slaves)
+	m, err := NewShardMap(8, slaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,6 @@ func TestSummaryWins(t *testing.T) {
 func TestMembershipWireRoundTrip(t *testing.T) {
 	in := Membership{
 		Epoch:   7,
-		Mode:    ShardHash,
 		Masters: []int{0, 2, 5},
 		Slaves:  []int{1, 3, 4, 6, 7},
 	}
@@ -115,7 +114,7 @@ func TestMembershipWireRoundTrip(t *testing.T) {
 	if err := ParseMembership(wire, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Epoch != in.Epoch || out.Mode != in.Mode {
+	if out.Epoch != in.Epoch {
 		t.Fatalf("header drift: %+v", out)
 	}
 	for i, id := range in.Masters {
@@ -147,15 +146,16 @@ func TestMembershipWireRoundTrip(t *testing.T) {
 func TestParseMembershipRejects(t *testing.T) {
 	cases := [][]byte{
 		[]byte(""),
-		[]byte("m1 "),
+		[]byte("m2 "),
 		[]byte("junk"),
-		[]byte("m1 1 9 1 0 0\n"),       // unknown mode
-		[]byte("m1 1 1 2 0\n"),         // claims 2 masters, carries 1
-		[]byte("m1 1 1 0 0\n"),         // no masters
-		[]byte("m1 1 1 1 0 1 0\n"),     // node 0 in both tiers
-		[]byte("m1 1 1 1 -3 0\n"),      // negative id
-		[]byte("m1 1 1 99999999 0\n"),  // count over cap
-		[]byte("m1 1 1 1 0 0 extra\n"), // trailing garbage
+		[]byte("m1 1 1 1 0 0\n"),     // the retired layout with a mode field
+		[]byte("m2 1 1 1 0 0\n"),     // an m1 body under the m2 prefix
+		[]byte("m2 1 2 0\n"),         // claims 2 masters, carries 1
+		[]byte("m2 1 0 0\n"),         // no masters
+		[]byte("m2 1 1 0 1 0\n"),     // node 0 in both tiers
+		[]byte("m2 1 1 -3 0\n"),      // negative id
+		[]byte("m2 1 99999999 0\n"),  // count over cap
+		[]byte("m2 1 1 0 0 extra\n"), // trailing garbage
 	}
 	var dst Membership
 	for _, b := range cases {

@@ -127,16 +127,14 @@ func (v *View) ApplyReport(id int, l Load) {
 }
 
 // Snapshot returns an independent deep copy of the view's role and load
-// slices (the Affinity map is shared; it is read-only after
-// construction). The live cluster publishes these behind an atomic
-// pointer: readers see either the old or the new snapshot, never a
-// half-updated one.
+// slices. The live cluster publishes these behind an atomic pointer:
+// readers see either the old or the new snapshot, never a half-updated
+// one.
 func (v *View) Snapshot() *View {
 	return &View{
-		Now:      v.Now,
-		Masters:  append([]int(nil), v.Masters...),
-		Slaves:   append([]int(nil), v.Slaves...),
-		Load:     append([]Load(nil), v.Load...),
-		Affinity: v.Affinity,
+		Now:     v.Now,
+		Masters: append([]int(nil), v.Masters...),
+		Slaves:  append([]int(nil), v.Slaves...),
+		Load:    append([]Load(nil), v.Load...),
 	}
 }

@@ -7,22 +7,22 @@ import (
 )
 
 // Membership is the epoch-versioned cluster topology the live control
-// plane gossips: which nodes currently serve as masters, which as
-// slaves, and which partition function maps slaves onto shards. Every
-// master derives the same ShardMap from the same Membership, so
-// shipping this small struct (not the map) is enough to converge the
-// whole tier — newest epoch wins, exactly like shard summaries.
+// plane gossips: which nodes currently serve as masters and which as
+// slaves. Every master derives the same ShardMap from the same
+// Membership, so shipping this small struct (not the map) is enough to
+// converge the whole tier — newest epoch wins, exactly like shard
+// summaries.
 //
 // The compact wire encoding is one line in the l1/s2 idiom:
 //
-//	m1 <epoch> <mode> <nm> <master>*nm <ns> <slave>*ns \n
+//	m2 <epoch> <nm> <master>*nm <ns> <slave>*ns \n
 //
-// where <mode> is 0 for ShardStatic and 1 for ShardHash.
+// (m1 lines carried a partition-mode field after the epoch; the prefix
+// changed with the field so an old line is refused, not misread.)
 type Membership struct {
 	Epoch   uint64
-	Mode    string // ShardStatic or ShardHash ("" = hash)
-	Masters []int  // node IDs serving as masters, ascending; master at index i owns shard i
-	Slaves  []int  // node IDs serving as slaves, ascending
+	Masters []int // node IDs serving as masters, ascending; master at index i owns shard i
+	Slaves  []int // node IDs serving as slaves, ascending
 }
 
 // MembershipWireContentType is the MIME type of the compact membership
@@ -30,7 +30,7 @@ type Membership struct {
 const MembershipWireContentType = "text/x-msweb-membership"
 
 // membershipWirePrefix introduces (and versions) a membership line.
-const membershipWirePrefix = "m1 "
+const membershipWirePrefix = "m2 "
 
 // MaxMembershipNodes caps the node count a membership line may carry so
 // a hostile or corrupt line cannot force an unbounded allocation.
@@ -41,11 +41,6 @@ const MaxMembershipNodes = 65536
 func (mb *Membership) Validate() error {
 	if len(mb.Masters) == 0 {
 		return fmt.Errorf("core: membership: no masters")
-	}
-	switch mb.Mode {
-	case "", ShardStatic, ShardHash:
-	default:
-		return fmt.Errorf("core: membership: unknown shard map mode %q", mb.Mode)
 	}
 	seen := make(map[int]bool, len(mb.Masters)+len(mb.Slaves))
 	for _, ids := range [][]int{mb.Masters, mb.Slaves} {
@@ -74,7 +69,7 @@ func (mb *Membership) Normalize() {
 // shard per master, owned by the master at the same index, at the
 // membership's epoch.
 func (mb *Membership) ShardMap() (*ShardMap, error) {
-	return NewShardMapAt(mb.Mode, len(mb.Masters), mb.Slaves, mb.Epoch)
+	return NewShardMapAt(len(mb.Masters), mb.Slaves, mb.Epoch)
 }
 
 // MasterIndex reports the shard index the given node owns, or -1 when
@@ -102,7 +97,6 @@ func (mb *Membership) HasSlave(node int) bool {
 func (mb *Membership) Clone() Membership {
 	return Membership{
 		Epoch:   mb.Epoch,
-		Mode:    mb.Mode,
 		Masters: append([]int(nil), mb.Masters...),
 		Slaves:  append([]int(nil), mb.Slaves...),
 	}
@@ -113,12 +107,6 @@ func (mb *Membership) Clone() Membership {
 func (mb *Membership) AppendWire(b []byte) []byte {
 	b = append(b, membershipWirePrefix...)
 	b = strconv.AppendUint(b, mb.Epoch, 10)
-	b = append(b, ' ')
-	mode := int64(1)
-	if mb.Mode == ShardStatic {
-		mode = 0
-	}
-	b = strconv.AppendInt(b, mode, 10)
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, int64(len(mb.Masters)), 10)
 	for _, id := range mb.Masters {
@@ -155,18 +143,6 @@ func ParseMembership(b []byte, dst *Membership) error {
 	var err error
 	if dst.Epoch, err = f.uint64(); err != nil {
 		return err
-	}
-	mode, err := f.int()
-	if err != nil {
-		return err
-	}
-	switch mode {
-	case 0:
-		dst.Mode = ShardStatic
-	case 1:
-		dst.Mode = ShardHash
-	default:
-		return fmt.Errorf("core: membership wire: unknown mode %d", mode)
 	}
 	if dst.Masters, err = parseIDList(&f, dst.Masters); err != nil {
 		return err

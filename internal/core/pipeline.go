@@ -192,19 +192,6 @@ func (p *Pipeline) Place(req Request, master int, v *View) int {
 		p.candScratch = append(append(p.candScratch[:0], candidates...), v.Masters...)
 		candidates = p.candScratch
 	}
-	if allowed := v.Affinity.Allowed(req.Script); allowed != nil {
-		// Partial replication: the script's data lives on a subset of
-		// nodes. Prefer allowed nodes within the admission-eligible
-		// candidates; if none qualify, the data constraint overrides
-		// the admission stage (the script cannot run elsewhere).
-		if c := intersect(candidates, allowed); len(c) > 0 {
-			candidates = c
-		} else if c := intersect(append(append([]int(nil), v.Slaves...), v.Masters...), allowed); len(c) > 0 {
-			candidates = c
-		}
-		// An allowed set with no live node degrades to the
-		// unconstrained candidates so the request still completes.
-	}
 	target, cost := p.route.Route(req, w, candidates, v)
 	p.last = Placement{Node: target, RSRC: cost, W: w, MasterAdmitted: mastersEligible}
 	p.adm.CountPlacement(isIn(target, v.Masters))

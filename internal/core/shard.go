@@ -9,28 +9,17 @@ import (
 
 // Shard map: the deterministic partition of the slave fleet across the
 // master tier. Every master computes the same map from the same inputs
-// (mode, shard count, slave ID list), so there is no coordination step:
-// master i owns shard i, polls only its members, tracks breakers for
-// them, and books placements against them. Cross-shard state travels as
-// compact ShardSummary digests (shardwire.go), never as full views, so
-// no component does O(cluster size) work per tick.
+// (shard count, slave ID list), so there is no coordination step: master
+// i owns shard i, polls only its members, tracks breakers for them, and
+// books placements against them. Cross-shard state travels as compact
+// ShardSummary digests (shardwire.go), never as full views, so no
+// component does O(cluster size) work per tick.
 //
-// Two modes:
-//
-//   - ShardStatic assigns the slave at position i of the input list to
-//     shard i mod shards — the predictable fallback whose membership a
-//     human can compute in their head.
-//   - ShardHash places shards on a consistent-hash ring (FNV-1a over
-//     virtual points) and assigns each slave to the first shard point
-//     clockwise from its own hash — membership stays mostly stable when
-//     the shard count changes, the property that matters for live
-//     resharding (the arktos partitioned-API-server move).
-
-// Shard map modes.
-const (
-	ShardStatic = "static"
-	ShardHash   = "hash"
-)
+// The partition is a consistent-hash ring: shards own virtual points
+// (splitmix64 over shard and point index) and each slave belongs to the
+// first shard point clockwise from its own hash — membership stays
+// mostly stable when the shard count changes, the property that matters
+// for live resharding (the arktos partitioned-API-server move).
 
 // ringPointsPerShard is the virtual-node multiplier of the hash ring;
 // enough points that shard sizes stay within a few percent of even for
@@ -54,40 +43,30 @@ const maxShardNodeID = 1<<24 - 1
 // slices of unaffected shards — so nothing reachable from a map is ever
 // written after construction.
 type ShardMap struct {
-	mode    string
 	shards  int
 	epoch   uint64
 	size    int         // mapped slave population
 	owner   []int32     // slave node ID → shard, -1 for IDs not in the map
 	members [][]int     // shard → slave node IDs, ascending
-	ring    []ringPoint // ShardHash with ≥ 2 shards: the sorted virtual points
+	ring    []ringPoint // ≥ 2 shards: the sorted virtual points
 }
 
 // NewShardMap partitions the given slave IDs into shards at epoch 0.
-// mode "" means ShardHash. shards < 1 or a single shard yields the
-// trivial one-shard map (every slave in shard 0) — the unsharded
-// degenerate case callers can still index uniformly.
-func NewShardMap(mode string, shards int, slaves []int) (*ShardMap, error) {
-	return NewShardMapAt(mode, shards, slaves, 0)
+// shards < 1 or a single shard yields the trivial one-shard map (every
+// slave in shard 0) — the unsharded degenerate case callers can still
+// index uniformly.
+func NewShardMap(shards int, slaves []int) (*ShardMap, error) {
+	return NewShardMapAt(shards, slaves, 0)
 }
 
 // NewShardMapAt is NewShardMap at an explicit epoch — for peers adopting
 // a map version learned from gossip rather than deriving it locally.
 // Slave IDs must be distinct and in [0, 2^24).
-func NewShardMapAt(mode string, shards int, slaves []int, epoch uint64) (*ShardMap, error) {
-	if mode == "" {
-		mode = ShardHash
-	}
-	if mode != ShardStatic && mode != ShardHash {
-		return nil, fmt.Errorf("core: unknown shard map mode %q (want %q or %q)", mode, ShardStatic, ShardHash)
-	}
+func NewShardMapAt(shards int, slaves []int, epoch uint64) (*ShardMap, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	m := &ShardMap{mode: mode, shards: shards, epoch: epoch}
-	if mode == ShardHash {
-		m.ring = deriveRing(nil, shards)
-	}
+	m := &ShardMap{shards: shards, epoch: epoch, ring: deriveRing(nil, shards)}
 	if err := m.assignOwners(slaves, nil); err != nil {
 		return nil, err
 	}
@@ -95,10 +74,9 @@ func NewShardMapAt(mode string, shards int, slaves []int, epoch uint64) (*ShardM
 	return m, nil
 }
 
-// assignOwners fills the owner table: every slave gets its shard by list
-// position under ShardStatic and by ring lookup under ShardHash. known,
-// when non-nil, is a map with the same partition function (ShardHash,
-// same shard count) whose answers are reused instead of looked up.
+// assignOwners fills the owner table: every slave gets its shard by ring
+// lookup. known, when non-nil, is a map with the same shard count whose
+// answers are reused instead of looked up.
 func (m *ShardMap) assignOwners(slaves []int, known *ShardMap) error {
 	n := 0
 	for _, id := range slaves {
@@ -114,7 +92,7 @@ func (m *ShardMap) assignOwners(slaves []int, known *ShardMap) error {
 	for i := range m.owner {
 		m.owner[i] = -1
 	}
-	for i, id := range slaves {
+	for _, id := range slaves {
 		if m.owner[id] >= 0 {
 			return fmt.Errorf("core: shard map: slave %d listed twice", id)
 		}
@@ -126,8 +104,6 @@ func (m *ShardMap) assignOwners(slaves []int, known *ShardMap) error {
 		case s >= 0:
 		case m.shards == 1:
 			s = 0
-		case m.mode == ShardStatic:
-			s = i % m.shards
 		default:
 			s = ringOwner(m.ring, hashID(id))
 		}
@@ -162,9 +138,6 @@ func (m *ShardMap) bucketMembers() {
 	}
 }
 
-// Mode reports the construction mode ("static" or "hash").
-func (m *ShardMap) Mode() string { return m.mode }
-
 // NumShards reports the shard count.
 func (m *ShardMap) NumShards() int { return m.shards }
 
@@ -173,11 +146,9 @@ func (m *ShardMap) Epoch() uint64 { return m.epoch }
 
 // Rebalanced derives the successor map at epoch+1 from a changed
 // membership: a new shard count (masters promoted/demoted) and/or a new
-// slave list (nodes joined, left or failed). The partition function is
-// unchanged, so under ShardHash only the slaves whose clockwise-first
-// ring point belongs to an added or removed shard move — about 1/m of
-// the fleet per master change — while ShardStatic reassigns by position
-// as always.
+// slave list (nodes joined, left or failed). Only the slaves whose
+// clockwise-first ring point belongs to an added or removed shard move —
+// about 1/m of the fleet per master change.
 //
 // The result equals NewShardMapAt on the same inputs, but is derived: a
 // shard's ring points do not depend on the other shards, so a changed
@@ -188,11 +159,8 @@ func (m *ShardMap) Rebalanced(shards int, slaves []int) (*ShardMap, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	next := &ShardMap{mode: m.mode, shards: shards, epoch: m.epoch + 1}
-	if m.mode == ShardHash {
-		next.ring = deriveRing(m.ring, shards)
-	}
-	if m.mode == ShardStatic || shards != m.shards {
+	next := &ShardMap{shards: shards, epoch: m.epoch + 1, ring: deriveRing(m.ring, shards)}
+	if shards != m.shards {
 		if err := next.assignOwners(slaves, nil); err != nil {
 			return nil, err
 		}

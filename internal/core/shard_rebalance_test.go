@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -12,11 +13,10 @@ import (
 // from.
 func sameShardMap(t *testing.T, step string, got, want *ShardMap, maxID int) {
 	t.Helper()
-	if got.Mode() != want.Mode() || got.NumShards() != want.NumShards() ||
-		got.Epoch() != want.Epoch() || got.Size() != want.Size() {
-		t.Fatalf("%s: shape (%s, %d shards, epoch %d, size %d), want (%s, %d, %d, %d)", step,
-			got.Mode(), got.NumShards(), got.Epoch(), got.Size(),
-			want.Mode(), want.NumShards(), want.Epoch(), want.Size())
+	if got.NumShards() != want.NumShards() || got.Epoch() != want.Epoch() || got.Size() != want.Size() {
+		t.Fatalf("%s: shape (%d shards, epoch %d, size %d), want (%d, %d, %d)", step,
+			got.NumShards(), got.Epoch(), got.Size(),
+			want.NumShards(), want.Epoch(), want.Size())
 	}
 	if !reflect.DeepEqual(got.ring, want.ring) {
 		t.Fatalf("%s: derived ring differs from the ring sorted from scratch", step)
@@ -46,79 +46,75 @@ func sameShardMap(t *testing.T, step string, got, want *ShardMap, maxID int) {
 // count and the predecessor staying untouched.
 func TestRebalancedEqualsFromScratch(t *testing.T) {
 	const fleet = 300
-	for _, mode := range []string{ShardHash, ShardStatic} {
-		for seed := int64(1); seed <= 12; seed++ {
-			rnd := rand.New(rand.NewSource(seed))
-			in := make([]bool, fleet)
-			for id := range in {
-				in[id] = rnd.Intn(3) > 0
-			}
-			list := func() []int {
-				var ids []int
-				for id, ok := range in {
-					if ok {
-						ids = append(ids, id)
-					}
+	for seed := int64(1); seed <= 12; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		in := make([]bool, fleet)
+		for id := range in {
+			in[id] = rnd.Intn(3) > 0
+		}
+		list := func() []int {
+			var ids []int
+			for id, ok := range in {
+				if ok {
+					ids = append(ids, id)
 				}
-				if mode == ShardHash {
-					// Hash ownership must not depend on list order.
-					rnd.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-				}
-				return ids
 			}
-			shards := 1 + rnd.Intn(12)
-			cur, err := NewShardMap(mode, shards, list())
+			// Ownership must not depend on list order.
+			rnd.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			return ids
+		}
+		shards := 1 + rnd.Intn(12)
+		cur, err := NewShardMap(shards, list())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 80; step++ {
+			switch rnd.Intn(6) {
+			case 0:
+				shards += 1 + rnd.Intn(3)
+			case 1:
+				if shards -= 1 + rnd.Intn(3); shards < 1 {
+					shards = 1
+				}
+			case 2:
+				shards = 1 + rnd.Intn(20)
+			}
+			for k := rnd.Intn(4); k > 0; k-- {
+				id := rnd.Intn(fleet)
+				in[id] = !in[id]
+			}
+			slaves := list()
+			before := make([][]int, cur.NumShards())
+			for s := range before {
+				before[s] = append([]int(nil), cur.Members(s)...)
+			}
+
+			next, err := cur.Rebalanced(shards, slaves)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for step := 0; step < 80; step++ {
-				switch rnd.Intn(6) {
-				case 0:
-					shards += 1 + rnd.Intn(3)
-				case 1:
-					if shards -= 1 + rnd.Intn(3); shards < 1 {
-						shards = 1
-					}
-				case 2:
-					shards = 1 + rnd.Intn(20)
-				}
-				for k := rnd.Intn(4); k > 0; k-- {
-					id := rnd.Intn(fleet)
-					in[id] = !in[id]
-				}
-				slaves := list()
-				before := make([][]int, cur.NumShards())
-				for s := range before {
-					before[s] = append([]int(nil), cur.Members(s)...)
-				}
-
-				next, err := cur.Rebalanced(shards, slaves)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := NewShardMapAt(mode, shards, slaves, cur.Epoch()+1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := mode + "/rebalance"
-				sameShardMap(t, name, next, want, fleet)
-
-				moved := 0
-				for id := 0; id < fleet; id++ {
-					if a, b := cur.ShardOf(id), next.ShardOf(id); a >= 0 && b >= 0 && a != b {
-						moved++
-					}
-				}
-				if got := next.MovedFrom(cur); got != moved {
-					t.Fatalf("%s: MovedFrom = %d, brute force %d", name, got, moved)
-				}
-				for s := range before {
-					if !reflect.DeepEqual(before[s], append([]int(nil), cur.Members(s)...)) {
-						t.Fatalf("%s: deriving a successor rewrote shard %d of its predecessor", name, s)
-					}
-				}
-				cur = next
+			want, err := NewShardMapAt(shards, slaves, cur.Epoch()+1)
+			if err != nil {
+				t.Fatal(err)
 			}
+			name := fmt.Sprintf("seed %d step %d", seed, step)
+			sameShardMap(t, name, next, want, fleet)
+
+			moved := 0
+			for id := 0; id < fleet; id++ {
+				if a, b := cur.ShardOf(id), next.ShardOf(id); a >= 0 && b >= 0 && a != b {
+					moved++
+				}
+			}
+			if got := next.MovedFrom(cur); got != moved {
+				t.Fatalf("%s: MovedFrom = %d, brute force %d", name, got, moved)
+			}
+			for s := range before {
+				if !reflect.DeepEqual(before[s], append([]int(nil), cur.Members(s)...)) {
+					t.Fatalf("%s: deriving a successor rewrote shard %d of its predecessor", name, s)
+				}
+			}
+			cur = next
 		}
 	}
 }
@@ -136,7 +132,7 @@ func TestSameShapeRebalanceTouchesOnlyChangedShards(t *testing.T) {
 		for id := shards; id < p; id++ {
 			slaves = append(slaves, id)
 		}
-		base, err := NewShardMap(ShardHash, shards, slaves)
+		base, err := NewShardMap(shards, slaves)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,10 +171,10 @@ func TestShardMapRejectsUnusableIDs(t *testing.T) {
 		"too large": {3, maxShardNodeID + 1},
 		"duplicate": {3, 4, 3},
 	} {
-		if _, err := NewShardMap(ShardHash, 2, slaves); err == nil {
+		if _, err := NewShardMap(2, slaves); err == nil {
 			t.Errorf("NewShardMap accepted a %s slave id", name)
 		}
-		base, err := NewShardMap(ShardHash, 2, []int{3, 4})
+		base, err := NewShardMap(2, []int{3, 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +187,7 @@ func TestShardMapRejectsUnusableIDs(t *testing.T) {
 // referenceOwners is the partition function written the obvious way —
 // hash every point of every shard, sort the whole ring, look each slave
 // up — as the oracle for the derived construction.
-func referenceOwners(mode string, shards int, slaves []int) map[int]int {
+func referenceOwners(shards int, slaves []int) map[int]int {
 	owners := make(map[int]int, len(slaves))
 	var ring []ringPoint
 	for s := 0; s < shards; s++ {
@@ -205,20 +201,17 @@ func referenceOwners(mode string, shards int, slaves []int) map[int]int {
 		}
 		return ring[i].shard < ring[j].shard
 	})
-	for i, id := range slaves {
-		switch {
-		case shards == 1:
+	for _, id := range slaves {
+		if shards == 1 {
 			owners[id] = 0
-		case mode == ShardStatic:
-			owners[id] = i % shards
-		default:
-			h := hashID(id)
-			k := sort.Search(len(ring), func(k int) bool { return ring[k].hash >= h })
-			if k == len(ring) {
-				k = 0
-			}
-			owners[id] = ring[k].shard
+			continue
 		}
+		h := hashID(id)
+		k := sort.Search(len(ring), func(k int) bool { return ring[k].hash >= h })
+		if k == len(ring) {
+			k = 0
+		}
+		owners[id] = ring[k].shard
 	}
 	return owners
 }
@@ -226,14 +219,13 @@ func referenceOwners(mode string, shards int, slaves []int) map[int]int {
 func TestShardMapMatchesReferencePartition(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
-		mode := []string{ShardHash, ShardStatic}[trial%2]
 		shards := 1 + rnd.Intn(40)
 		slaves := rnd.Perm(400)[:rnd.Intn(400)]
-		m, err := NewShardMap(mode, shards, slaves)
+		m, err := NewShardMap(shards, slaves)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := referenceOwners(mode, shards, slaves)
+		want := referenceOwners(shards, slaves)
 		if m.Size() != len(want) {
 			t.Fatalf("size %d, want %d", m.Size(), len(want))
 		}
@@ -242,20 +234,20 @@ func TestShardMapMatchesReferencePartition(t *testing.T) {
 			ids := m.Members(s)
 			members += len(ids)
 			if !sort.IntsAreSorted(ids) {
-				t.Fatalf("%s/%d: shard %d members not ascending: %v", mode, shards, s, ids)
+				t.Fatalf("%d: shard %d members not ascending: %v", shards, s, ids)
 			}
 			for _, id := range ids {
 				if want[id] != s {
-					t.Fatalf("%s/%d: slave %d in shard %d, reference says %d", mode, shards, id, s, want[id])
+					t.Fatalf("%d: slave %d in shard %d, reference says %d", shards, id, s, want[id])
 				}
 			}
 		}
 		if members != len(want) {
-			t.Fatalf("%s/%d: member lists hold %d slaves, want %d", mode, shards, members, len(want))
+			t.Fatalf("%d: member lists hold %d slaves, want %d", shards, members, len(want))
 		}
 		for id, s := range want {
 			if got := m.ShardOf(id); got != s {
-				t.Fatalf("%s/%d: ShardOf(%d) = %d, reference says %d", mode, shards, id, got, s)
+				t.Fatalf("%d: ShardOf(%d) = %d, reference says %d", shards, id, got, s)
 			}
 		}
 	}

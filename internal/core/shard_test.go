@@ -4,55 +4,16 @@ import (
 	"testing"
 )
 
-func TestShardMapStatic(t *testing.T) {
-	slaves := []int{2, 3, 4, 5, 6, 7, 8}
-	m, err := NewShardMap(ShardStatic, 3, slaves)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumShards() != 3 || m.Mode() != ShardStatic {
-		t.Fatalf("shape: %d shards, mode %q", m.NumShards(), m.Mode())
-	}
-	// Position-modulo assignment: slaves[i] → shard i%3.
-	want := map[int]int{2: 0, 3: 1, 4: 2, 5: 0, 6: 1, 7: 2, 8: 0}
-	total := 0
-	for id, s := range want {
-		if got := m.ShardOf(id); got != s {
-			t.Errorf("ShardOf(%d) = %d, want %d", id, got, s)
-		}
-	}
-	for s := 0; s < 3; s++ {
-		members := m.Members(s)
-		total += len(members)
-		for i := 1; i < len(members); i++ {
-			if members[i-1] >= members[i] {
-				t.Errorf("shard %d members not ascending: %v", s, members)
-			}
-		}
-		for _, id := range members {
-			if m.ShardOf(id) != s {
-				t.Errorf("member %d of shard %d maps to %d", id, s, m.ShardOf(id))
-			}
-		}
-	}
-	if total != len(slaves) {
-		t.Errorf("members cover %d slaves, want %d", total, len(slaves))
-	}
-	if m.ShardOf(0) != -1 || m.ShardOf(99) != -1 {
-		t.Errorf("unknown nodes must map to -1")
-	}
-}
-
 func TestShardMapHashDeterministicAndBalanced(t *testing.T) {
 	slaves := make([]int, 1000)
 	for i := range slaves {
 		slaves[i] = i + 4
 	}
-	a, err := NewShardMap(ShardHash, 4, slaves)
+	a, err := NewShardMap(4, slaves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewShardMap(ShardHash, 4, slaves)
+	b, err := NewShardMap(4, slaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +33,22 @@ func TestShardMapHashDeterministicAndBalanced(t *testing.T) {
 		if len(am) < 125 || len(am) > 375 {
 			t.Errorf("shard %d has %d members; want within [125,375] of even 250", s, len(am))
 		}
+		for i := 1; i < len(am); i++ {
+			if am[i-1] >= am[i] {
+				t.Errorf("shard %d members not ascending at %d: %d, %d", s, i, am[i-1], am[i])
+			}
+		}
+		for _, id := range am {
+			if a.ShardOf(id) != s {
+				t.Errorf("member %d of shard %d maps to %d", id, s, a.ShardOf(id))
+			}
+		}
 	}
 	if total != len(slaves) {
 		t.Errorf("shards cover %d slaves, want %d", total, len(slaves))
+	}
+	if a.ShardOf(0) != -1 || a.ShardOf(99999) != -1 {
+		t.Errorf("unknown nodes must map to -1")
 	}
 }
 
@@ -85,8 +59,8 @@ func TestShardMapHashStability(t *testing.T) {
 	for i := range slaves {
 		slaves[i] = i
 	}
-	m4, _ := NewShardMap(ShardHash, 4, slaves)
-	m5, _ := NewShardMap(ShardHash, 5, slaves)
+	m4, _ := NewShardMap(4, slaves)
+	m5, _ := NewShardMap(5, slaves)
 	moved := 0
 	for _, id := range slaves {
 		if m4.ShardOf(id) != m5.ShardOf(id) {
@@ -100,7 +74,7 @@ func TestShardMapHashStability(t *testing.T) {
 }
 
 func TestShardMapTrivial(t *testing.T) {
-	m, err := NewShardMap("", 1, []int{1, 2, 3})
+	m, err := NewShardMap(1, []int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +82,6 @@ func TestShardMapTrivial(t *testing.T) {
 		if m.ShardOf(id) != 0 {
 			t.Errorf("one-shard map: ShardOf(%d) = %d", id, m.ShardOf(id))
 		}
-	}
-	if _, err := NewShardMap("bogus", 2, nil); err == nil {
-		t.Error("bogus mode must be rejected")
 	}
 }
 

@@ -52,8 +52,8 @@ type fig5Cell struct {
 // workload by Theorem 1 — the administrator-style periodic
 // reconfiguration the paper describes ("the number of master nodes can
 // be changed by administrators periodically"; fully dynamic adaptation
-// "requires dynamic configuration change" and is available separately
-// via cluster.AdaptiveMasters). The paper observes at most 9%
+// "requires dynamic configuration change", which the online autoscaler,
+// cluster.Autoscale, provides). The paper observes at most 9%
 // degradation, 4% on average.
 func RunFig5(p int, opts Options) (*Fig5Result, error) {
 	opts = opts.withDefaults()

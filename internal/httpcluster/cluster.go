@@ -46,9 +46,6 @@ type Config struct {
 	// spilling shed dynamics cross-shard via gossiped summaries. Must
 	// equal Masters. 0 or 1 keeps the unsharded global view.
 	Shards int
-	// ShardMapMode selects the partitioning function: "hash" (consistent
-	// ring, the default) or "static" (position modulo).
-	ShardMapMode string
 	// GossipEvery is the master↔master /shard pull period (default
 	// 4×LoadRefresh).
 	GossipEvery time.Duration
@@ -166,7 +163,6 @@ func Start(cfg Config) (*Cluster, error) {
 			Discipline:       cfg.Discipline,
 			ListenerShards:   cfg.ListenerShards,
 			Shards:           cfg.Shards,
-			ShardMapMode:     cfg.ShardMapMode,
 			GossipEvery:      cfg.GossipEvery,
 			AutoscaleMasters: cfg.AutoscaleMasters,
 		})

@@ -40,7 +40,7 @@ import (
 // window rather than the breaker hold-down.
 
 // MembershipPath is the membership exchange endpoint on sharded
-// masters: GET returns the current m1 line, POST applies one
+// masters: GET returns the current m2 line, POST applies one
 // newest-wins.
 const MembershipPath = "/membership"
 
@@ -182,10 +182,9 @@ func (m *Master) ApplyMembership(mb core.Membership) (bool, error) {
 		at:     time.Now().UnixNano(),
 		atNode: append([]int64(nil), prev.atNode...),
 		view: core.View{
-			Masters:  ms.masters,
-			Slaves:   ms.slaves,
-			Affinity: prev.view.Affinity,
-			Load:     append([]core.Load(nil), prev.view.Load...),
+			Masters: ms.masters,
+			Slaves:  ms.slaves,
+			Load:    append([]core.Load(nil), prev.view.Load...),
 		},
 	})
 	m.rebuildShardStamp(ms, m.snap.Load())
@@ -222,7 +221,7 @@ func (m *Master) AnnounceMembership(mb core.Membership) error {
 	return nil
 }
 
-// postMembership best-effort POSTs an m1 line to one peer master.
+// postMembership best-effort POSTs an m2 line to one peer master.
 func (m *Master) postMembership(id int, wire []byte) {
 	base := m.nodeURL(id)
 	if base == "" {
@@ -244,7 +243,7 @@ func (m *Master) postMembership(id int, wire []byte) {
 }
 
 // handleMembership serves the membership exchange endpoint. GET returns
-// the current m1 line; POST folds one in newest-wins, answering 204 on
+// the current m2 line; POST folds one in newest-wins, answering 204 on
 // adoption and 200 with the (newer) current line otherwise so a
 // lagging sender converges from the response. Unsharded masters answer
 // 404, like /shard.

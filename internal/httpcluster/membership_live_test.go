@@ -11,7 +11,7 @@ import (
 	"msweb/internal/core"
 )
 
-// postMembershipLine POSTs an m1 line to a master's /membership and
+// postMembershipLine POSTs an m2 line to a master's /membership and
 // returns the response.
 func postMembershipLine(t *testing.T, m *Master, mb core.Membership) *http.Response {
 	t.Helper()
@@ -26,7 +26,7 @@ func postMembershipLine(t *testing.T, m *Master, mb core.Membership) *http.Respo
 }
 
 // The membership endpoint round-trips the epoch-versioned topology:
-// GET serves the current m1 line, POST folds one in newest-wins (204 on
+// GET serves the current m2 line, POST folds one in newest-wins (204 on
 // adoption, 200 + the newer current line otherwise), and unsharded
 // masters answer 404 like /shard.
 func TestMembershipEndpoint(t *testing.T) {
@@ -49,7 +49,7 @@ func TestMembershipEndpoint(t *testing.T) {
 	next := mb.Clone()
 	next.Epoch = 1
 	next.Masters = []int{0}
-	next.Slaves = []int{1, 2, 3}
+	next.Slaves = []int{1, 3, 4}
 	if resp := postMembershipLine(t, m, next); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("POST newer membership: status %d, want 204", resp.StatusCode)
 	}
@@ -94,7 +94,7 @@ func TestApplyMembershipRebalanceAndDemotion(t *testing.T) {
 
 	// Peer master 1 leaves: master 0 absorbs every slave.
 	applied, err := m.ApplyMembership(core.Membership{
-		Epoch: 1, Mode: core.ShardStatic, Masters: []int{0}, Slaves: []int{2, 3},
+		Epoch: 1, Masters: []int{0}, Slaves: []int{3, 4},
 	})
 	if err != nil || !applied {
 		t.Fatalf("apply: applied=%v err=%v", applied, err)
@@ -125,7 +125,7 @@ func TestApplyMembershipRebalanceAndDemotion(t *testing.T) {
 
 	// Now master 0 itself is demoted out of the tier.
 	applied, err = m.ApplyMembership(core.Membership{
-		Epoch: 2, Mode: core.ShardStatic, Masters: []int{1}, Slaves: []int{0, 2, 3},
+		Epoch: 2, Masters: []int{1}, Slaves: []int{0, 3, 4},
 	})
 	if err != nil || !applied {
 		t.Fatalf("demoting apply: applied=%v err=%v", applied, err)
@@ -165,7 +165,7 @@ func TestSummaryNewestWinsAcrossEpochs(t *testing.T) {
 	// An epoch-0 copy stamped *later* loses: epoch dominates AtNs.
 	stale0 := core.ShardSummary{
 		Shard: 1, Epoch: 0, AtNs: now + int64(time.Hour), Nodes: 9,
-		Top: []core.ShardDigest{{Node: 2, Load: core.Load{CPUIdle: 1, DiskAvail: 1, Speed: 1}}},
+		Top: []core.ShardDigest{{Node: 3, Load: core.Load{CPUIdle: 1, DiskAvail: 1, Speed: 1}}},
 	}
 	m.storeShardSummary(&stale0)
 	slot := &m.shardSums[1]
@@ -189,7 +189,7 @@ func TestSummaryNewestWinsAcrossEpochs(t *testing.T) {
 	// Two epochs behind the local map: dropped before the slot is even
 	// consulted — outside the dual-epoch handoff window.
 	if _, err := m.ApplyMembership(core.Membership{
-		Epoch: 2, Mode: core.ShardStatic, Masters: []int{0, 1}, Slaves: []int{2, 3},
+		Epoch: 2, Masters: []int{0, 1}, Slaves: []int{3, 4},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestRebalancingShedReason(t *testing.T) {
 	m := launchShardedTestMaster(t, core.NewMS(nil, 1), "http://192.0.2.1:1", "http://192.0.2.1:2")
 	// Saturate the local shard so dynamics shed (no fresh remote summary
 	// → no spill either), then open a handoff window.
-	m.brk.open(&m.brk.slots[2], time.Now().UnixNano())
+	m.brk.open(&m.brk.slots[4], time.Now().UnixNano())
 	windowEnd := time.Now().Add(30 * time.Second)
 	m.rebalanceUntil.Store(windowEnd.UnixNano())
 
@@ -296,14 +296,14 @@ func TestDetectDeadMasterAdoptsShard(t *testing.T) {
 func TestNextTierPlan(t *testing.T) {
 	m := launchShardedTestMaster(t, core.NewMS(nil, 1),
 		"http://192.0.2.1:1", "http://192.0.2.1:2")
-	m.masterCapable[2] = true // slave 2 was launched master-capable
+	m.masterCapable[4] = true // slave 4 was launched master-capable
 	ms := m.mem.Load()
 
 	grow := m.nextTierPlan(ms, 3)
 	if grow == nil || len(grow.Masters) != 3 || grow.Epoch != 1 {
 		t.Fatalf("grow plan %+v, want 3 masters at epoch 1", grow)
 	}
-	if grow.MasterIndex(2) < 0 {
+	if grow.MasterIndex(4) < 0 {
 		t.Fatalf("grow plan %+v skipped the capable slave", grow)
 	}
 

@@ -89,10 +89,6 @@ type NodeOptions struct {
 	// 0 or 1 keeps the unsharded single-view master, byte-identical to
 	// the pre-sharding behavior. Values > 1 must equal len(Masters).
 	Shards int
-	// ShardMapMode picks the partition function: core.ShardHash
-	// (consistent-hash ring, the default) or core.ShardStatic
-	// (position-modulo).
-	ShardMapMode string
 	// GossipEvery is the master↔master /shard pull period (default
 	// 4×LoadRefresh — deliberately slow; piggybacked summaries are the
 	// fast path).
@@ -139,15 +135,8 @@ func (o NodeOptions) Validate(master bool) error {
 			}
 		}
 	}
-	if o.Shards > 1 {
-		if o.Shards != len(o.Masters) {
-			return fmt.Errorf("httpcluster: %d shards need exactly that many masters (have %d)", o.Shards, len(o.Masters))
-		}
-		switch o.ShardMapMode {
-		case "", core.ShardHash, core.ShardStatic:
-		default:
-			return fmt.Errorf("httpcluster: unknown shard map mode %q", o.ShardMapMode)
-		}
+	if o.Shards > 1 && o.Shards != len(o.Masters) {
+		return fmt.Errorf("httpcluster: %d shards need exactly that many masters (have %d)", o.Shards, len(o.Masters))
 	}
 	if o.GossipEvery < 0 {
 		return fmt.Errorf("httpcluster: negative gossip period %v", o.GossipEvery)
@@ -255,7 +244,6 @@ func LaunchMaster(o NodeOptions) (*Master, error) {
 	if o.Shards > 1 {
 		m.sharded = true
 		mb := core.Membership{
-			Mode:    o.ShardMapMode,
 			Masters: append([]int(nil), o.Masters...),
 			Slaves:  append([]int(nil), o.Slaves...),
 		}

@@ -550,10 +550,13 @@ func TestMasterTracerLifecycle(t *testing.T) {
 }
 
 // The user-facing documents name none of the resilience settings that
-// became constants.
+// became constants, nor the simulator and shard-map surfaces that went
+// with them.
 func TestDocsNameNoRemovedResilienceKnob(t *testing.T) {
 	removed := []string{"httpcluster.Resilience", "Resilience{", "BreakerConfig", "HedgeAfter", "RetryBackoff",
-		"MaxInflight", "MaxQueue", "ShedRSRC", "DisableShedding", "DefaultOpenFor"}
+		"MaxInflight", "MaxQueue", "ShedRSRC", "DisableShedding", "DefaultOpenFor",
+		"AdaptiveMasters", "ScriptAffinity", "View.Affinity", "ShardStatic", "ShardMapMode", "-shard-map",
+		"HoldInitial", "MinSlaves"}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		raw, err := os.ReadFile(filepath.Join("..", "..", doc))
 		if err != nil {

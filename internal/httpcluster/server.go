@@ -513,7 +513,6 @@ func (m *Master) refreshWorkView() {
 	if epochMoved {
 		m.workEpoch = s.epoch
 		m.workView.Load = append(m.workView.Load[:0], s.view.Load...)
-		m.workView.Affinity = s.view.Affinity
 	}
 	// Overlay piggybacked reports fresher than what the view reflects,
 	// so placement sees every response's load sample, not just the last
@@ -681,10 +680,9 @@ func (m *Master) pollOnce(period time.Duration, reports []core.Load, fetched []b
 		atNode: make([]int64, len(reports)),
 		view: core.View{
 			// Role lists are immutable per memState generation and shared.
-			Masters:  ms.masters,
-			Slaves:   ms.slaves,
-			Affinity: prev.view.Affinity,
-			Load:     append([]core.Load(nil), prev.view.Load...),
+			Masters: ms.masters,
+			Slaves:  ms.slaves,
+			Load:    append([]core.Load(nil), prev.view.Load...),
 		},
 	}
 	// Un-polled nodes carry their previous sample stamp forward.

@@ -88,27 +88,29 @@ func TestStalenessGaugeUnderDelayedReports(t *testing.T) {
 }
 
 // launchShardedTestMaster wires master 0 of a two-shard pair: shard 0
-// (its own) holds slave 2, shard 1 holds slave 3, partitioned statically
-// so the test controls who owns what. Master 1 is a placeholder peer
-// (never launched).
-func launchShardedTestMaster(t *testing.T, pol core.Policy, slave2URL, slave3URL string) *Master {
+// (its own) holds slave 4, shard 1 holds slave 3 — the IDs are chosen so
+// the hash ring splits them one per shard, and the helper checks that it
+// did. Master 1 is a placeholder peer (never launched); node 2 is unused.
+func launchShardedTestMaster(t *testing.T, pol core.Policy, ownURL, remoteURL string) *Master {
 	t.Helper()
 	m, err := LaunchMaster(NodeOptions{
-		ID:           0,
-		TimeScale:    1e-6,
-		Masters:      []int{0, 1},
-		Slaves:       []int{2, 3},
-		NodeURLs:     []string{"", "", slave2URL, slave3URL},
-		Policy:       pol,
-		LoadRefresh:  time.Hour,
-		PolicyTick:   time.Hour,
-		Shards:       2,
-		ShardMapMode: core.ShardStatic,
+		ID:          0,
+		TimeScale:   1e-6,
+		Masters:     []int{0, 1},
+		Slaves:      []int{3, 4},
+		NodeURLs:    []string{"", "", "", remoteURL, ownURL},
+		Policy:      pol,
+		LoadRefresh: time.Hour,
+		PolicyTick:  time.Hour,
+		Shards:      2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Shutdown)
+	if ms := m.mem.Load(); len(ms.slaves) != 1 || ms.slaves[0] != 4 {
+		t.Fatalf("own shard holds %v, want just slave 4", ms.slaves)
+	}
 	return m
 }
 
@@ -129,12 +131,12 @@ func freshRemoteSummary(m *Master) {
 func TestSpillBreakerTaxonomyOverFrames(t *testing.T) {
 	bad := httptest.NewServer(http.HandlerFunc(hijackClose))
 	defer bad.Close()
-	// Own shard's slave 2 and remote shard's slave 3 both refuse.
+	// Own shard's slave 4 and remote shard's slave 3 both refuse.
 	m := launchShardedTestMaster(t, core.NewMS(nil, 1), bad.URL, bad.URL)
 
 	// The local shard is saturated: its only slave's circuit is open.
 	now := time.Now().UnixNano()
-	m.brk.open(&m.brk.slots[2], now)
+	m.brk.open(&m.brk.slots[4], now)
 	freshRemoteSummary(m)
 
 	fc, err := DialFrame(m.URL, 2*time.Second)
@@ -204,7 +206,7 @@ func TestSpillSkippedWithoutFreshSummary(t *testing.T) {
 	bad := httptest.NewServer(http.HandlerFunc(hijackClose))
 	defer bad.Close()
 	m := launchShardedTestMaster(t, core.NewMS(nil, 1), bad.URL, bad.URL)
-	m.brk.open(&m.brk.slots[2], time.Now().UnixNano())
+	m.brk.open(&m.brk.slots[4], time.Now().UnixNano())
 
 	sawShed := false
 	for i := 0; i < 5 && !sawShed; i++ {
