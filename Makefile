@@ -55,8 +55,7 @@ race:
 
 # The pre-merge gate: vet + lint plus the whole suite under the race
 # detector. The experiment grids run parallel by default, so this
-# exercises the worker pool, the shared trace cache, and the engine pool
-# under -race.
+# exercises the worker pool and the shared trace cache under -race.
 check: vet lint
 	$(GO) test -race ./...
 

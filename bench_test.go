@@ -179,11 +179,11 @@ func BenchmarkAblationStaleLoadInfo(b *testing.B) {
 // ---- Substrate microbenchmarks ---------------------------------------
 
 // BenchmarkEngineScheduleFire measures the schedule→fire hot path in
-// steady state. With the event free list this must run at 0 allocs/op:
-// every fired event is recycled into the next After call.
+// steady state. It must run at 0 allocs/op: every fired event's queue
+// entry is reused by the next After call.
 func BenchmarkEngineScheduleFire(b *testing.B) {
 	eng := sim.NewEngine()
-	eng.After(1, func() {}) // prime the free list
+	eng.After(1, func() {}) // prime the queue's arena
 	eng.Step()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -200,7 +200,7 @@ func BenchmarkEngineScheduleFireProbed(b *testing.B) {
 	eng := sim.NewEngine()
 	var fired int
 	eng.SetProbe(func(sim.Time) { fired++ })
-	eng.After(1, func() {}) // prime the free list
+	eng.After(1, func() {}) // prime the queue's arena
 	eng.Step()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -219,7 +219,7 @@ func BenchmarkEngineFeedFire(b *testing.B) {
 	eng.Feed(b.N+1, func(i int) sim.Time { return float64(i) }, func(any, float64) {
 		eng.AfterCall(0.5, noop, nil, 0)
 	}, nil)
-	eng.Step() // prime the free list
+	eng.Step() // prime the queue's arena
 	eng.Step()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -236,22 +236,32 @@ func BenchmarkEngineFeedFire(b *testing.B) {
 // is one pop and one push at that size. The other engine benchmarks keep
 // a single event pending, where no queue has work to do. Shapes: exp
 // (exponential increments, mean 1 ms), bimodal (90 % near at ~1 ms, 10 %
-// far at ~100 ms, like CPU bursts next to decay ticks) and burst (every
+// far at ~100 ms, like CPU bursts next to decay ticks), burst (every
 // increment 1 ms, so the pending events share one timestamp and fire as
-// an equal-time burst in seq order).
+// an equal-time burst in seq order) and drift (exponential, the mean
+// alternating between 1 ms and 10 µs every 32 768 increments, so the
+// density drifts 100× at a constant queue size and only a re-measure of
+// the slot width keeps up).
 func BenchmarkEngineHold(b *testing.B) {
+	const table = 1 << 16
 	shapes := []struct {
 		name string
-		incr func(r *rand.Rand) float64
+		incr func(r *rand.Rand, i int) float64
 	}{
-		{"exp", func(r *rand.Rand) float64 { return 1e-3 * r.ExpFloat64() }},
-		{"bimodal", func(r *rand.Rand) float64 {
+		{"exp", func(r *rand.Rand, _ int) float64 { return 1e-3 * r.ExpFloat64() }},
+		{"bimodal", func(r *rand.Rand, _ int) float64 {
 			if r.Float64() < 0.9 {
 				return 1e-3 * r.ExpFloat64()
 			}
 			return 0.1 * r.ExpFloat64()
 		}},
-		{"burst", func(*rand.Rand) float64 { return 1e-3 }},
+		{"burst", func(*rand.Rand, int) float64 { return 1e-3 }},
+		{"drift", func(r *rand.Rand, i int) float64 {
+			if i < table/2 {
+				return 1e-3 * r.ExpFloat64()
+			}
+			return 1e-5 * r.ExpFloat64()
+		}},
 	}
 	for _, shape := range shapes {
 		for _, pending := range []int{64, 600, 4096} {
@@ -259,9 +269,9 @@ func BenchmarkEngineHold(b *testing.B) {
 				// Increments are drawn up front so the RNG stays out of
 				// the timed loop.
 				r := rand.New(rand.NewSource(1))
-				incr := make([]float64, 1<<16)
+				incr := make([]float64, table)
 				for i := range incr {
-					incr[i] = shape.incr(r)
+					incr[i] = shape.incr(r, i)
 				}
 				eng := sim.NewEngine()
 				next := 0

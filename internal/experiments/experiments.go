@@ -18,7 +18,6 @@ import (
 	"msweb/internal/core"
 	"msweb/internal/obs"
 	"msweb/internal/queuemodel"
-	"msweb/internal/sim"
 	"msweb/internal/trace"
 )
 
@@ -143,6 +142,3 @@ func simulateCell(p int, masters int, pol core.Policy, tr *trace.Trace, warmup f
 	}
 	return res.StretchFactor, nil
 }
-
-// newEngine builds a fresh simulation engine (indirection for tests).
-func newEngine() *sim.Engine { return sim.NewEngine() }

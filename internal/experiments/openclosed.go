@@ -4,6 +4,7 @@ import (
 	"msweb/internal/cluster"
 	"msweb/internal/core"
 	"msweb/internal/queuemodel"
+	"msweb/internal/sim"
 	"msweb/internal/trace"
 	"msweb/internal/workload"
 )
@@ -107,5 +108,5 @@ func RunOpenClosed(p int, opts Options) ([]OpenClosedRow, error) {
 // newSimCluster builds an engine+cluster pair for the closed-loop runs.
 func newSimCluster(p, masters int, wt core.WTable, opts Options) (*cluster.Cluster, error) {
 	cfg := cluster.DefaultConfig(p, masters)
-	return cluster.New(newEngine(), cfg, core.NewMS(wt, opts.Seeds[0]))
+	return cluster.New(sim.NewEngine(), cfg, core.NewMS(wt, opts.Seeds[0]))
 }

@@ -210,7 +210,7 @@ func (d *orderScript) feedDrained() bool {
 type engineOrder struct {
 	e       *Engine
 	d       *orderScript
-	handles map[int]*Event
+	handles map[int]Event
 	call    CallFunc
 	cov     *calendarCoverage
 }
@@ -220,10 +220,11 @@ type calendarCoverage struct {
 	maxBuckets, minBuckets int // bucket counts seen (minBuckets after the peak)
 	belowCur               int // pushes below the scan position
 	clamped                int // pushes whose slot was capped at maxSlot
+	recalibrated           int // pushes that re-measured the width at an unchanged bucket count
 }
 
 func newEngineOrder(cov *calendarCoverage) *engineOrder {
-	o := &engineOrder{e: NewEngine(), handles: map[int]*Event{}, cov: cov}
+	o := &engineOrder{e: NewEngine(), handles: map[int]Event{}, cov: cov}
 	o.call = func(_ any, f64 float64) {
 		id := int(f64)
 		delete(o.handles, id)
@@ -242,10 +243,16 @@ func (o *engineOrder) schedule(at Time, id int) {
 	if q.buckets != nil && q.slot(at) == maxSlot {
 		o.cov.clamped++
 	}
+	nb, inv := len(q.buckets), q.inv
 	if id%2 == 0 {
 		o.handles[id] = o.e.ScheduleCall(at, o.call, nil, float64(id))
 	} else {
 		o.handles[id] = o.e.Schedule(at, func() { o.call(nil, float64(id)) })
+	}
+	// A push resizes at most once, and only the re-measure keeps the
+	// bucket count; only a resize sets the width.
+	if len(q.buckets) == nb && q.inv != inv {
+		o.cov.recalibrated++
 	}
 	o.observe()
 }
@@ -403,5 +410,46 @@ func TestCalendarMatchesSortedOrder(t *testing.T) {
 	}
 	if cov.clamped == 0 {
 		t.Error("no slot reached maxSlot")
+	}
+	if cov.recalibrated == 0 {
+		t.Error("the width was never re-measured at an unchanged bucket count")
+	}
+}
+
+// TestCalendarRecalibratesUnderDensityDrift runs the hold model (every
+// fired event schedules one successor, so 128 events stay pending)
+// with exponential increments whose mean drops 100× halfway. The queue
+// keeps its size, so only the re-measure can fit the width to the new
+// spacing. Without it, the width measured in the first half lumps the
+// pending events into a few slots and each push walks a long list:
+// 44.3 list steps plus scanned slots per push over the second half.
+// With it, 0.84 (0.63 in the first half).
+//
+// The bound is the re-measure's trigger. A re-measure can fire while
+// chains are still switching to the short increments; the front then
+// keeps getting denser after it, and at other seeds the work settles
+// at up to 1.3 per push, under the trigger, so nothing re-measures it.
+func TestCalendarRecalibratesUnderDensityDrift(t *testing.T) {
+	const pending, half = 128, 50000
+	e := NewEngine()
+	r := rand.New(rand.NewSource(1))
+	mean := 1e-3
+	var hold CallFunc
+	hold = func(any, float64) { e.AfterCall(mean*r.ExpFloat64(), hold, nil, 0) }
+	for range pending {
+		hold(nil, 0)
+	}
+	for range half {
+		e.Step()
+	}
+	mean /= 100
+	work, pushes := e.q.work, e.q.pushes
+	for range half {
+		e.Step()
+	}
+	perPush := float64(e.q.work-work) / float64(e.q.pushes-pushes)
+	t.Logf("second half: %.3f list steps plus scanned slots per push", perPush)
+	if perPush > 2 {
+		t.Errorf("second half: %.3f list steps plus scanned slots per push, want ≤ 2", perPush)
 	}
 }

@@ -9,24 +9,23 @@
 // trace replay can run in milliseconds.
 //
 // Allocation discipline. Steady-state simulations schedule and fire
-// millions of events, so the engine recycles Event structs through a
-// free list: an event returns to the pool the moment it fires (or is
-// skipped after cancellation) and the next Schedule reuses it. The
-// consequence is an ownership rule — an *Event handle is valid only
-// until the event fires or its cancellation is reclaimed; keeping a
-// handle beyond that and calling Cancel on it is a logic error (the
-// struct may already represent a different scheduled event). Code that
-// must cancel "whatever I armed last, unless it already fired" should
-// remember the event's Seq and compare before canceling, as Ticker does.
+// millions of events, so an event is nothing but an entry in the timer
+// queue's arena (calendar.go): its key, its links and its payload — a
+// CallFunc plus an (any, float64) argument pair. Schedule and After
+// store their func() as that argument under one fixed adapter, so there
+// is one payload shape. ScheduleCall/AfterCall take a pre-bound CallFunc
+// and its payload directly; storing a pointer in the any slot does not
+// allocate, so steady-state scheduling is allocation-free end-to-end
+// once the arena has grown to the queue's peak. The engine drops its
+// references to the payload the moment the event fires or its
+// cancellation is reclaimed.
 //
-// Schedule and After take a plain func() and therefore usually cost one
-// closure allocation at the call site. Hot callers that fire the same
-// handler millions of times (a node's CPU-burst completion, say) use the
-// typed form instead: ScheduleCall/AfterCall store a pre-bound CallFunc
-// plus its (pointer, float64) payload directly in the recycled Event
-// struct, so steady-state scheduling is allocation-free end-to-end. The
-// payload is owned by the engine only until the event fires; release
-// clears it so pooled Events never pin caller state.
+// The scheduling calls return an Event: a small value handle holding
+// the entry's arena index and the event's sequence number. Sequence
+// numbers are never reused and an entry never moves while it is queued,
+// so Cancel acts only while the handle's event is still queued; a handle
+// kept past the event's firing (its entry possibly reused by a newer
+// event) cancels nothing.
 //
 // The timer queue is a calendar queue (calendar.go): time is cut into
 // slots of one width, an event joins the bucket of its slot in a list
@@ -36,7 +35,8 @@
 // exactly (at, seq) — a total order (seq is unique), which makes pop
 // order, and therefore simulation output, independent of the queue's
 // shape. The bucket count follows the number of queued events and the
-// width follows their spacing; neither is a setting.
+// width follows their spacing, re-measured when pushes start walking
+// long lists or scanning empty slots; neither is a setting.
 //
 // A workload known in advance — a trace's arrivals — does not go through
 // the queue at all. Feed registers it as a time-sorted stream that Step
@@ -54,51 +54,40 @@ type Time = float64
 
 // CallFunc is the typed-event callback form: a handler bound once by the
 // caller (typically a method value stored in a struct field) invoked
-// with the payload that was stored in the Event at scheduling time.
+// with the payload that was stored with the event at scheduling time.
 type CallFunc func(arg any, f64 float64)
 
-// Event is a scheduled callback. Cancel marks the event so the engine
-// skips it when its time arrives; the engine never touches the queue on
-// cancellation, so Cancel is O(1).
+// callFunc is the CallFunc of every Schedule/After event: its arg is the
+// func() to run.
+func callFunc(arg any, _ float64) { arg.(func())() }
+
+// Event is the handle of a scheduled event: the index of its queue entry
+// and its sequence number. It is a value; copies are interchangeable,
+// and the zero Event cancels nothing.
 type Event struct {
 	eng *Engine
-	at  Time
+	i   int32
 	seq uint64
-	// queued is true from push until the event leaves the queue (fired
-	// or reclaimed after cancellation): what Cancel checks to ignore a
-	// handle whose event is gone.
-	queued   bool
-	canceled bool
-	// Exactly one of fn / call is set: fn for the closure form
-	// (Schedule/After), call+arg+f64 for the typed allocation-free form
-	// (ScheduleCall/AfterCall).
-	fn   func()
-	call CallFunc
-	arg  any
-	f64  float64
 }
 
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
+// Seq returns the engine-unique scheduling sequence number.
+func (h Event) Seq() uint64 { return h.seq }
 
-// Seq returns the engine-unique scheduling sequence number. Sequence
-// numbers are never reused, so a caller that retains a handle past the
-// event's firing can detect recycling by comparing the Seq it observed
-// at scheduling time with the handle's current value.
-func (e *Event) Seq() uint64 { return e.seq }
-
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op.
-func (e *Event) Cancel() {
-	if e.canceled || !e.queued {
+// Cancel prevents the event from firing. It marks the queue entry, so
+// the engine skips it when its time arrives, and never touches the
+// queue, so it is O(1). Canceling an event that already fired, was
+// already canceled, or whose entry now holds a newer event is a no-op.
+func (h Event) Cancel() {
+	if h.eng == nil {
 		return
 	}
-	e.canceled = true
-	e.eng.liveCanceled++
+	en := &h.eng.q.ents[h.i]
+	if en.seq != h.seq || en.call == nil || en.canceled {
+		return
+	}
+	en.canceled = true
+	h.eng.liveCanceled++
 }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
 
 // Engine drives a single simulation. It is not safe for concurrent use;
 // one simulation runs on one goroutine (separate experiment configurations
@@ -109,9 +98,6 @@ type Engine struct {
 	q       calendar // the timer queue, popped in (at, seq) order
 	fired   uint64
 	stopped bool
-	// free is the Event free list; fired and reclaimed-canceled events
-	// are recycled here so steady-state scheduling allocates nothing.
-	free []*Event
 	// liveCanceled counts canceled events still sitting in the queue, so
 	// Pending can report live events without scanning.
 	liveCanceled int
@@ -144,41 +130,39 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // un-fired feed events included.
 func (e *Engine) Pending() int { return e.q.n - e.liveCanceled + e.feedN - e.feedNext }
 
-// schedule pops a recycled Event (or allocates the pool's next one),
-// stamps it with (at, seq) and pushes it onto the timer queue. The
-// caller fills in the callback fields; the queue never reads them.
-func (e *Engine) schedule(at Time) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
+// schedule stamps the event with the next seq and queues it with its
+// payload.
+func (e *Engine) schedule(at Time, call CallFunc, arg any, f64 float64) Event {
+	// One test for the three ways a time can be wrong: NaN fails both
+	// comparisons, −Inf the first, +Inf the second.
+	if !(at >= e.now && at <= math.MaxFloat64) || call == nil {
+		e.badSchedule(at, call)
+	}
+	seq := e.seq
+	e.seq++
+	return Event{e, e.q.push(at, seq, call, arg, f64), seq}
+}
+
+// badSchedule panics with what is wrong with a schedule call.
+func (e *Engine) badSchedule(at Time, call CallFunc) {
+	if call == nil {
+		panic("sim: schedule with a nil CallFunc")
 	}
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		panic(fmt.Sprintf("sim: schedule at non-finite time %v", at))
 	}
-	if len(e.free) == 0 {
-		e.refill()
-	}
-	n := len(e.free)
-	ev := e.free[n-1]
-	e.free[n-1] = nil
-	e.free = e.free[:n-1]
-	ev.canceled = false
-	ev.at, ev.seq = at, e.seq
-	e.seq++
-	e.q.push(ev)
-	return ev
+	panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 }
 
 // Schedule runs fn at absolute virtual time at. Scheduling in the past
 // (before Now) panics: it always indicates a logic error in the model.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
-	ev := e.schedule(at)
-	ev.fn = fn
-	return ev
+func (e *Engine) Schedule(at Time, fn func()) Event {
+	return e.schedule(at, callFunc, fn, 0)
 }
 
 // After runs fn after delay d from the current time. Negative delays are
 // clamped to zero.
-func (e *Engine) After(d float64, fn func()) *Event {
+func (e *Engine) After(d float64, fn func()) Event {
 	if d < 0 {
 		d = 0
 	}
@@ -186,24 +170,22 @@ func (e *Engine) After(d float64, fn func()) *Event {
 }
 
 // ScheduleCall runs call(arg, f64) at absolute virtual time at. The
-// payload is stored in the recycled Event struct, so a caller holding a
+// payload is stored in the event's queue entry, so a caller holding a
 // pre-bound CallFunc schedules with zero allocations; converting a
 // pointer-typed arg to any does not allocate. The engine drops its
 // references to call and arg the moment the event fires or is reclaimed.
-func (e *Engine) ScheduleCall(at Time, call CallFunc, arg any, f64 float64) *Event {
-	ev := e.schedule(at)
-	ev.call, ev.arg, ev.f64 = call, arg, f64
-	return ev
+func (e *Engine) ScheduleCall(at Time, call CallFunc, arg any, f64 float64) Event {
+	return e.schedule(at, call, arg, f64)
 }
 
 // AfterCall runs call(arg, f64) after delay d from the current time,
 // clamping negative delays to zero — the typed, allocation-free
 // counterpart of After.
-func (e *Engine) AfterCall(d float64, call CallFunc, arg any, f64 float64) *Event {
+func (e *Engine) AfterCall(d float64, call CallFunc, arg any, f64 float64) Event {
 	if d < 0 {
 		d = 0
 	}
-	return e.ScheduleCall(e.now+d, call, arg, f64)
+	return e.schedule(e.now+d, call, arg, f64)
 }
 
 // Feed registers n events known in advance: event i fires call(arg,
@@ -239,13 +221,13 @@ func (e *Engine) feedTime(i int, floor Time) Time {
 	return at
 }
 
-// feedFirst reports whether the feed's head fires before the queue's top
-// (a canceled top still orders: it is reclaimed when its turn comes).
-func (e *Engine) feedFirst() bool {
+// feedFirst reports whether the feed's head fires before queue entry i,
+// the queue's top (-1: the queue is empty). A canceled top still orders:
+// it is reclaimed when its turn comes.
+func (e *Engine) feedFirst(i int32) bool {
 	if e.feedNext == e.feedN {
 		return false
 	}
-	i := e.q.top()
 	if i < 0 {
 		return true
 	}
@@ -274,27 +256,6 @@ func (e *Engine) fireFeed() {
 	call(arg, float64(i))
 }
 
-// eventSlab is the pool refill batch. Events are carved from slabs of
-// this many structs, so a cold engine scheduling a burst of events costs
-// one allocation per slab rather than one per event. Slab memory is
-// retained by the free list for the engine's lifetime — exactly the
-// lifetime the recycled events already had.
-const eventSlab = 64
-
-// refill grows the free list by one slab of events.
-func (e *Engine) refill() {
-	slab := make([]Event, eventSlab)
-	if cap(e.free) < len(e.free)+eventSlab {
-		grown := make([]*Event, len(e.free), len(e.free)+eventSlab)
-		copy(grown, e.free)
-		e.free = grown
-	}
-	for i := range slab {
-		slab[i].eng = e
-		e.free = append(e.free, &slab[i])
-	}
-}
-
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
@@ -307,48 +268,34 @@ func (e *Engine) Stop() { e.stopped = true }
 // that property is to survive with probing enabled.
 func (e *Engine) SetProbe(fn func(at Time)) { e.probe = fn }
 
-// release returns a popped event to the free list. Callback and payload
-// references are dropped immediately so captured state is collectable
-// even while the struct waits in the pool.
-func (e *Engine) release(ev *Event) {
-	ev.fn = nil
-	ev.call = nil
-	ev.arg = nil
-	e.free = append(e.free, ev)
-}
-
 // Step executes the single next event. It returns false when the queue is
 // empty. Canceled events are skipped without advancing the clock beyond
 // their timestamps.
 func (e *Engine) Step() bool {
 	for {
-		if e.feedFirst() {
+		i := e.q.top()
+		if e.feedFirst(i) {
 			e.fireFeed()
 			return true
 		}
-		if e.q.n == 0 {
+		if i < 0 {
 			return false
 		}
-		ev := e.q.pop()
-		if ev.canceled {
+		en := &e.q.ents[i]
+		at, canceled, call, arg, f64 := en.at, en.canceled, en.call, en.arg, en.f64
+		// Free the entry before running, so a callback that immediately
+		// re-schedules (a ticker re-arm) reuses it.
+		e.q.popTop(i)
+		if canceled {
 			e.liveCanceled--
-			e.release(ev)
 			continue
 		}
-		e.now = ev.at
+		e.now = at
 		e.fired++
 		if e.probe != nil {
-			e.probe(ev.at)
+			e.probe(at)
 		}
-		fn, call, arg, f64 := ev.fn, ev.call, ev.arg, ev.f64
-		// Recycle before running so a callback that immediately
-		// re-schedules (a ticker re-arm) reuses this very struct.
-		e.release(ev)
-		if fn != nil {
-			fn()
-		} else {
-			call(arg, f64)
-		}
+		call(arg, f64)
 		return true
 	}
 }
@@ -380,29 +327,25 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.compact()
 }
 
-// compact reclaims canceled events from the queue into the free list.
-// O(n); RunUntil calls it on return, where laziness would otherwise
-// strand canceled events indefinitely.
+// compact frees the entries of canceled events. O(n); RunUntil calls it
+// on return, where laziness would otherwise strand canceled events
+// indefinitely.
 func (e *Engine) compact() {
-	if e.liveCanceled == 0 {
-		return
+	if e.liveCanceled > 0 {
+		e.liveCanceled -= e.q.dropCanceled()
 	}
-	e.q.dropCanceled(func(ev *Event) {
-		e.liveCanceled--
-		e.release(ev)
-	})
 }
 
 // peek returns the timestamp of the next non-canceled event, queue or
 // feed.
 func (e *Engine) peek() (Time, bool) {
 	i := e.q.top()
-	for i >= 0 && e.q.ents[i].ev.canceled {
+	for i >= 0 && e.q.ents[i].canceled {
 		e.liveCanceled--
-		e.release(e.q.pop())
+		e.q.popTop(i)
 		i = e.q.top()
 	}
-	if e.feedFirst() {
+	if e.feedFirst(i) {
 		return e.feedAt, true
 	}
 	if i >= 0 {
@@ -418,15 +361,14 @@ func (e *Engine) NextEventTime() (Time, bool) { return e.peek() }
 // Ticker invokes fn every interval until canceled, a convenience for
 // periodic activities such as load-information refresh and the BSD
 // priority recomputation. The re-arm path allocates nothing in steady
-// state: the tick wrapper closure is built once, and the engine's free
-// list hands the fired event straight back to the re-arming Schedule.
+// state: the tick wrapper closure is built once, and the entry the fired
+// tick freed is the one the re-arming Schedule takes.
 type Ticker struct {
 	engine   *Engine
 	interval float64
 	fn       func()
 	tick     func() // persistent wrapper, allocated once in Every
-	next     *Event
-	nextSeq  uint64 // Seq of next at arm time, guards against recycling
+	next     Event
 	stopped  bool
 }
 
@@ -451,18 +393,12 @@ func (e *Engine) Every(interval float64, fn func()) *Ticker {
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.next = t.engine.After(t.interval, t.tick)
-	t.nextSeq = t.next.seq
-}
+func (t *Ticker) arm() { t.next = t.engine.After(t.interval, t.tick) }
 
-// Stop cancels future ticks. The Seq comparison makes Stop safe to call
-// at any point: if the armed event already fired and its struct was
-// recycled for an unrelated event, the stale handle is left alone.
+// Stop cancels future ticks. It is safe to call at any point: if the
+// armed tick already fired and its entry now holds an unrelated event,
+// the handle's seq no longer matches and the event is left alone.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.next != nil && t.next.seq == t.nextSeq {
-		t.next.Cancel()
-	}
-	t.next = nil
+	t.next.Cancel()
 }

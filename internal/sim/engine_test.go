@@ -86,24 +86,25 @@ func TestCancel(t *testing.T) {
 	fired := false
 	ev := e.Schedule(1, func() { fired = true })
 	ev.Cancel()
+	if got := e.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after Cancel, want 0", got)
+	}
 	e.Run()
 	if fired {
 		t.Fatal("canceled event fired")
-	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
 	}
 }
 
 func TestAfterClampsNegativeDelay(t *testing.T) {
 	e := NewEngine()
+	firedAt := -1.0
 	e.Schedule(3, func() {
-		ev := e.After(-1, func() {})
-		if ev.At() != 3 {
-			t.Errorf("After(-1) scheduled at %v, want 3", ev.At())
-		}
+		e.After(-1, func() { firedAt = e.Now() })
 	})
 	e.Run()
+	if firedAt != 3 {
+		t.Errorf("After(-1) at 3 fired at %v, want 3", firedAt)
+	}
 }
 
 func TestNestedScheduling(t *testing.T) {
@@ -254,21 +255,33 @@ func TestOrderProperty(t *testing.T) {
 	}
 }
 
-// ---- Free-list / allocation-discipline tests -------------------------
+// ---- Handle / allocation-discipline tests ----------------------------
+
+// freeEntries counts the entries on the calendar's free list.
+func freeEntries(q *calendar) int {
+	n := 0
+	for i := q.free; i >= 0; i = q.ents[i].next {
+		n++
+	}
+	return n
+}
 
 func TestEventRecycledAfterFire(t *testing.T) {
 	e := NewEngine()
 	ev1 := e.Schedule(1, func() {})
 	e.Step()
-	ev2 := e.Schedule(2, func() {})
-	if ev1 != ev2 {
-		t.Fatal("fired event was not recycled by the next Schedule")
+	fired := false
+	ev2 := e.Schedule(2, func() { fired = true })
+	if ev2.i != ev1.i {
+		t.Fatal("the fired event's entry was not reused by the next Schedule")
 	}
-	if ev2.Canceled() {
-		t.Fatal("recycled event inherited canceled state")
+	ev1.Cancel() // stale: its event fired and its entry now holds ev2's
+	if got := e.Pending(); got != 1 {
+		t.Fatalf("Pending() = %d after a stale Cancel, want 1", got)
 	}
-	if ev2.At() != 2 {
-		t.Fatalf("recycled event At() = %v, want 2", ev2.At())
+	e.Run()
+	if !fired {
+		t.Fatal("a stale handle canceled the event that reused its entry")
 	}
 }
 
@@ -277,17 +290,29 @@ func TestEventRecycledAfterCancelSkip(t *testing.T) {
 	ev := e.Schedule(1, func() { t.Error("canceled event fired") })
 	ev.Cancel()
 	e.Schedule(2, func() {})
-	before := len(e.free)
 	e.Run()
-	if got := len(e.free) - before; got != 2 {
-		t.Fatalf("run reclaimed %d events into the free list, want 2", got)
+	if got := freeEntries(&e.q); got != 2 {
+		t.Fatalf("run freed %d entries, want 2", got)
+	}
+	// Both freed entries are reused; the canceled event's stale handle
+	// must not cancel whichever newer event took its entry.
+	fired := 0
+	a := e.Schedule(3, func() { fired++ })
+	b := e.Schedule(4, func() { fired++ })
+	if a.i != ev.i && b.i != ev.i {
+		t.Fatal("the skipped event's entry was not reused")
+	}
+	ev.Cancel()
+	e.Run()
+	if fired != 2 {
+		t.Fatalf("%d of the 2 events reusing freed entries fired, want 2", fired)
 	}
 }
 
 func TestSteadyStateScheduleFireAllocsNothing(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
-	// Warm the pool.
+	// Warm the arena.
 	e.After(1, fn)
 	e.Step()
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -303,7 +328,7 @@ func TestTickerSteadyStateAllocsNothing(t *testing.T) {
 	e := NewEngine()
 	ticks := 0
 	e.Every(1, func() { ticks++ })
-	e.Step() // first tick warms the pool and the wrapper closure
+	e.Step() // first tick warms the arena and the wrapper closure
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.Step()
 	})
@@ -317,7 +342,7 @@ func TestTickerSteadyStateAllocsNothing(t *testing.T) {
 
 func TestPendingExcludesCanceled(t *testing.T) {
 	e := NewEngine()
-	var evs []*Event
+	var evs []Event
 	for i := 1; i <= 5; i++ {
 		evs = append(evs, e.Schedule(float64(i), func() {}))
 	}
@@ -335,7 +360,7 @@ func TestPendingExcludesCanceled(t *testing.T) {
 func TestRunUntilCompactsCanceled(t *testing.T) {
 	e := NewEngine()
 	// Live events beyond the deadline, canceled events interleaved.
-	var canceled []*Event
+	var canceled []Event
 	for i := 0; i < 10; i++ {
 		ev := e.Schedule(float64(10+i), func() {})
 		if i%2 == 0 {
@@ -345,7 +370,6 @@ func TestRunUntilCompactsCanceled(t *testing.T) {
 	for _, ev := range canceled {
 		ev.Cancel()
 	}
-	freeBefore := len(e.free)
 	e.RunUntil(5) // stops early: no event is due
 	if got := e.Pending(); got != 5 {
 		t.Fatalf("Pending() = %d after early RunUntil, want 5", got)
@@ -356,8 +380,8 @@ func TestRunUntilCompactsCanceled(t *testing.T) {
 	if e.liveCanceled != 0 {
 		t.Fatalf("liveCanceled = %d after compaction, want 0", e.liveCanceled)
 	}
-	if got := len(e.free) - freeBefore; got != 5 {
-		t.Fatalf("compaction reclaimed %d events into the free list, want 5", got)
+	if got := freeEntries(&e.q); got != 5 {
+		t.Fatalf("compaction freed %d entries, want 5", got)
 	}
 	// The surviving events must still fire in order.
 	var fired []float64
@@ -373,7 +397,7 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 	e := NewEngine()
 	ev := e.Schedule(1, func() {})
 	e.Step()
-	ev.Cancel() // fired, not yet reused: must not poison the pool
+	ev.Cancel() // fired, entry free: must not mark the entry's next event
 	fired := false
 	e.Schedule(2, func() { fired = true })
 	e.Run()
@@ -383,9 +407,9 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 }
 
 func TestTickerStopGuardsAgainstRecycledEvent(t *testing.T) {
-	// The hazard: a tick fires (its Event returns to the pool), the
-	// callback schedules an unrelated event (reusing that struct), then
-	// stops the ticker. Without the Seq guard, Stop would cancel the
+	// The hazard: a tick fires (its entry is freed), the callback
+	// schedules an unrelated event (reusing that entry), then stops the
+	// ticker. Without the handle's seq check, Stop would cancel the
 	// unrelated event through the stale handle.
 	e := NewEngine()
 	victimFired := false
@@ -467,7 +491,7 @@ func TestScheduleCallSteadyStateAllocsNothing(t *testing.T) {
 		}
 	}
 	e.AfterCall(1, call, s, 0.5)
-	e.Step() // warm the pool
+	e.Step() // warm the arena
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.Step()
 	})
@@ -479,23 +503,32 @@ func TestScheduleCallSteadyStateAllocsNothing(t *testing.T) {
 func TestReleaseClearsCallPayload(t *testing.T) {
 	e := NewEngine()
 	p := &struct{ x int }{}
-	e.ScheduleCall(1, func(any, float64) {}, p, 1)
+	pins := func(name string, ev Event) {
+		t.Helper()
+		if en := &e.q.ents[ev.i]; en.call != nil || en.arg != nil {
+			t.Fatalf("%s: freed entry retains its payload: call set=%v arg=%v", name, en.call != nil, en.arg)
+		}
+	}
+	fired := e.ScheduleCall(1, func(any, float64) {}, p, 1)
 	e.Step()
-	if len(e.free) == 0 {
-		t.Fatal("fired event was not reclaimed into the free list")
-	}
-	ev := e.free[len(e.free)-1]
-	if ev.call != nil || ev.arg != nil || ev.fn != nil {
-		t.Fatalf("pooled event retains payload: call set=%v arg=%v fn set=%v",
-			ev.call != nil, ev.arg, ev.fn != nil)
-	}
-	// A canceled typed event must also shed its payload when reclaimed.
-	victim := e.ScheduleCall(2, func(any, float64) {}, p, 1)
-	victim.Cancel()
+	pins("fired typed event", fired)
+	// A closure's func() is the entry's arg: it must go too.
+	closure := e.Schedule(2, func() { p.x++ })
+	e.Step()
+	pins("fired closure event", closure)
+	// A canceled event sheds its payload when it is skipped ...
+	skipped := e.ScheduleCall(3, func(any, float64) {}, p, 1)
+	skipped.Cancel()
 	e.Run()
-	for i, ev := range e.free {
-		if ev != nil && (ev.call != nil || ev.arg != nil) {
-			t.Fatalf("pooled event %d retains canceled payload", i)
+	pins("canceled event skipped at its turn", skipped)
+	// ... and when RunUntil compacts it away.
+	compacted := e.ScheduleCall(10, func(any, float64) {}, p, 1)
+	compacted.Cancel()
+	e.RunUntil(5)
+	pins("canceled event compacted", compacted)
+	for i := range e.q.ents {
+		if en := &e.q.ents[i]; en.call != nil || en.arg != nil {
+			t.Fatalf("entry %d retains a payload in an empty queue", i)
 		}
 	}
 }
@@ -535,7 +568,7 @@ func TestStressFiresInAtSeqOrder(t *testing.T) {
 	e := NewEngine()
 	const n = 5000
 	var fired []firedKey
-	handles := make([]*Event, n)
+	handles := make([]Event, n)
 	x := uint64(12345)
 	next := func() uint64 { // xorshift: deterministic pseudo-random times
 		x ^= x << 13
@@ -549,10 +582,8 @@ func TestStressFiresInAtSeqOrder(t *testing.T) {
 	}
 	canceled := 0
 	for i := 0; i < n; i += 7 {
-		if !handles[i].Canceled() {
-			handles[i].Cancel()
-			canceled++
-		}
+		handles[i].Cancel()
+		canceled++
 	}
 	e.Run()
 	if len(fired) != n-canceled {
@@ -569,7 +600,7 @@ func TestStressFiresInAtSeqOrder(t *testing.T) {
 func TestCompactKeepsAtSeqOrder(t *testing.T) {
 	e := NewEngine()
 	const n = 1000
-	var handles []*Event
+	var handles []Event
 	var fired []firedKey
 	for i := 0; i < n; i++ {
 		at := float64((i*37)%100) + 10
@@ -634,17 +665,17 @@ func feedScenario(register func(e *Engine, times []float64, call CallFunc)) []st
 
 	e.Schedule(2, func() { say("early@2") }) // scheduled first: wins ties against arrivals
 	times := []float64{1, 2, 2, 2, 3, 3, 4, 4.5, 5, 5, 6, 7, 7, 8}
-	var armed *Event // the live timeout; nil once it fired or was canceled
+	var armed Event // the live timeout; zero once it fired or was canceled
 	register(e, times, func(_ any, f64 float64) {
 		i := int(f64)
 		say("arrival %d @%v", i, e.Now())
 		e.After(0, func() { say("after0 of %d", i) })
 		if i%3 == 0 {
-			armed = e.After(0.75, func() { say("timeout of %d", i); armed = nil })
-		} else if i%3 == 1 && armed != nil {
-			say("cancel timeout @%v", e.Now()) // leaves a dead entry in the heap
+			armed = e.After(0.75, func() { say("timeout of %d", i); armed = Event{} })
+		} else if i%3 == 1 && armed != (Event{}) {
+			say("cancel timeout @%v", e.Now()) // leaves a dead entry in the queue
 			armed.Cancel()
-			armed = nil
+			armed = Event{}
 		}
 	})
 	tick := e.Every(1, func() { say("tick @%v", e.Now()) })
@@ -736,7 +767,7 @@ func TestFeedSteadyStateAllocsNothing(t *testing.T) {
 	e.Feed(1<<20, func(i int) Time { return float64(i) }, func(any, float64) {
 		e.AfterCall(0.5, noop, nil, 0)
 	}, nil)
-	e.Step() // warm the pool
+	e.Step() // warm the arena
 	e.Step()
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.Step() // an arrival
