@@ -2,18 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short race check tournament autoscale experiments results clean help
+.PHONY: all build fmt vet lint test test-short race check tournament autoscale experiments results clean help
 
 all: build vet test
 
 help:
 	@echo "msweb targets:"
 	@echo "  build       compile every package"
+	@echo "  fmt         fail when a tracked .go file is not gofmt-clean"
 	@echo "  vet         go vet ./..."
 	@echo "  lint        staticcheck ./... (skipped when staticcheck is not installed)"
 	@echo "  test        full test suite (includes live loopback replays)"
 	@echo "  test-short  test suite minus the wall-clock replays"
-	@echo "  check       go vet + go test -race ./... (the pre-merge gate;"
+	@echo "  check       gofmt + go vet + go test -race ./... (the pre-merge gate;"
 	@echo "              exercises the parallel experiment grid under the race detector)"
 	@echo "  race        race detector on the live-cluster packages only"
 	@echo "  tournament  head-to-head policy comparison on the simulator grid"
@@ -30,6 +31,9 @@ help:
 
 build:
 	$(GO) build ./...
+
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 vet:
 	$(GO) vet ./...
@@ -53,10 +57,10 @@ test-short:
 race:
 	$(GO) test -race ./internal/httpcluster/ ./internal/chaos/ ./internal/replay/ ./cmd/msload/
 
-# The pre-merge gate: vet + lint plus the whole suite under the race
+# The pre-merge gate: gofmt + vet + lint plus the whole suite under the race
 # detector. The experiment grids run parallel by default, so this
 # exercises the worker pool and the shared trace cache under -race.
-check: vet lint
+check: fmt vet lint
 	$(GO) test -race ./...
 
 # Head-to-head policy comparison: every registered competitor replays

@@ -1,24 +1,17 @@
 package cluster
 
-// Online autoscaler, the simulator's one online Theorem 1 re-planner. It
-// closes the loop the paper leaves open: besides re-planning the
-// master/slave split it sizes the fleet itself. Every Period it
-// re-estimates the offered load from the completed window, chooses how
-// many nodes are worth powering at all (offered erlangs over a target
-// utilization), re-runs Theorem 1's numeric minimization for the master
-// count on that fleet, and powers slaves on and off to match.
+// Online autoscaler: the simulator's call site of core.Planner, the
+// Theorem 1 re-planner both planes share. It closes the loop the paper
+// leaves open: besides re-planning the master/slave split it sizes the
+// fleet itself. Every Period it harvests the window, lets the planner
+// size the powered fleet (Planner.Fleet) and plan the master count on
+// it (Planner.Plan), and powers slaves on and off to match. The
+// planner's hold epochs defer power-offs as they defer demotions.
 //
-// Two classic ingredients keep it stable. Scale-down follows the c/μ
-// rule: the slowest slaves (lowest speed factor) are switched off
-// first, so the surviving capacity per watt is maximal; ties break
-// toward the highest node id, and scale-up mirrors the order, so every
-// decision is deterministic. And shrinking is rate-limited by
-// exponential hold epochs in the MSR dynamic-provisioning style: after
-// any action the controller holds scale-downs for asHold seconds and
-// doubles the hold (up to 16× the initial hold of two periods); quiet
-// ticks decay it back toward the initial hold. Scale-up is never held —
-// a flash crowd is answered within a control period, while a noisy λ
-// estimate cannot make the fleet flap off.
+// Scale-down follows the c/μ rule: the slowest slaves (lowest speed
+// factor) are switched off first, so the surviving capacity per watt is
+// maximal; ties break toward the highest node id, and scale-up mirrors
+// the order, so every decision is deterministic.
 //
 // Powering off is graceful, unlike a crash: the node leaves every
 // placement view (and the shard map, on a new epoch) so nothing new
@@ -28,7 +21,7 @@ import (
 	"cmp"
 	"slices"
 
-	"msweb/internal/queuemodel"
+	"msweb/internal/core"
 )
 
 // Autoscale configures the online autoscaler (Config.Autoscale).
@@ -38,21 +31,6 @@ type Autoscale struct {
 	// MinM/MaxM clamp the planned master count (defaults 1 and p−1).
 	MinM, MaxM int
 }
-
-// The autoscaler's fixed settings.
-const (
-	// asSlaveFloor is the floor on powered slave-role nodes, so the
-	// cluster always has somewhere to dispatch.
-	asSlaveFloor = 1
-	// asTargetRho is the per-node utilization the powered fleet is sized
-	// for: powered ≈ offered-erlangs / asTargetRho.
-	asTargetRho = 0.6
-	// asHoldPeriods is the first hold-epoch length after an action, in
-	// control periods; asHoldCap caps the exponential growth as a
-	// multiple of that first hold.
-	asHoldPeriods = 2
-	asHoldCap     = 16
-)
 
 // AutoscaleStats reports one run's autoscaler activity.
 type AutoscaleStats struct {
@@ -114,84 +92,20 @@ func (c *Cluster) nodeSpeed(id int) float64 {
 	return 1
 }
 
-// autoscaleTick is the controller loop body.
+// autoscaleTick is the controller loop body: harvest the window, let
+// the shared planner size the fleet and plan m on it, then apply.
 func (c *Cluster) autoscaleTick() {
-	as := c.cfg.Autoscale
+	period := c.cfg.Autoscale.Period
 	now := c.eng.Now()
-
-	// Harvest and reset the measurement window.
-	stat, dyn := c.winStatic, c.winDynamic
-	doneH, doneC := c.winDoneH, c.winDoneC
-	demH, demC := c.winDemandH, c.winDemandC
-	c.winStatic, c.winDynamic = 0, 0
-	c.winDoneH, c.winDoneC, c.winDemandH, c.winDemandC = 0, 0, 0, 0
-
-	if stat == 0 || dyn == 0 || doneH == 0 || doneC == 0 {
+	w := c.win
+	c.win = core.Window{}
+	r, ok := w.Rates(period)
+	if !ok {
 		return // not enough signal this window
 	}
-
-	lambdaH := float64(stat) / as.Period
-	lambdaC := float64(dyn) / as.Period
-	muH := float64(doneH) / demH
-	muC := float64(doneC) / demC
-
-	// Offered load in erlangs → powered fleet size at the target
-	// utilization, never below the structural floor or above the fleet.
-	// When completions lag arrivals the fleet is burning down a backlog
-	// the arrival rate alone cannot see; inflate the estimate by the
-	// deficit ratio (capped — a single bad window must not demand the
-	// whole fleet) so a flash crowd is answered within a period or two.
-	offered := lambdaH/muH + lambdaC/muC
-	if pressure := float64(stat+dyn) / float64(doneH+doneC); pressure > 1 {
-		if pressure > 4 {
-			pressure = 4
-		}
-		offered *= pressure
-	}
-	minPowered := as.MinM + asSlaveFloor
-	if min := 1 + asSlaveFloor; minPowered < min {
-		minPowered = min
-	}
-	target := int(offered/asTargetRho) + 1
-	if target < minPowered {
-		target = minPowered
-	}
-	if target > c.cfg.Nodes {
-		target = c.cfg.Nodes
-	}
-
-	// Theorem 1 on the powered fleet: how many of those nodes masters.
-	m := c.roleMasters
-	params := queuemodel.Params{
-		P: target, LambdaH: lambdaH, LambdaC: lambdaC, MuH: muH, MuC: muC,
-	}
-	if plan, err := params.OptimalPlan(); err == nil {
-		m = plan.M
-	}
-	if min := as.MinM; min > 0 && m < min {
-		m = min
-	}
-	max := as.MaxM
-	if max <= 0 {
-		max = c.cfg.Nodes - 1
-	}
-	if m > max {
-		m = max
-	}
-	if m > target-asSlaveFloor {
-		m = target - asSlaveFloor
-	}
-	if m < 1 {
-		m = 1
-	}
-
-	// Hold epochs gate only the shrink direction: a flash crowd must be
-	// answered within a period, while giving capacity back can always
-	// wait out the hold.
-	held := now < c.asHoldUntil
-	if m < c.roleMasters && held {
-		m = c.roleMasters // demotion deferred
-	}
+	target := c.as.Fleet(w, r, c.cfg.Nodes)
+	r.P = target
+	m, held := c.as.Plan(r, c.roleMasters, now)
 	acted := false
 
 	// Masters first: the role block 0..m−1 must be powered before the
@@ -213,7 +127,8 @@ func (c *Cluster) autoscaleTick() {
 		acted = true
 	}
 
-	// Then size the slave tier to the target total.
+	// Then size the slave tier to the target total. The hold that defers
+	// a demotion defers powering off too.
 	if c.poweredCount > target && held {
 		c.asStats.HeldTicks++
 	} else if c.poweredCount > target {
@@ -237,21 +152,7 @@ func (c *Cluster) autoscaleTick() {
 			acted = true
 		}
 	}
-
-	// Hold-epoch hysteresis: an action opens a hold that doubles with
-	// each acting tick; quiet ticks decay it back.
-	holdMin := asHoldPeriods * as.Period
-	if acted {
-		c.asHoldUntil = now + c.asHold
-		if c.asHold = 2 * c.asHold; c.asHold > asHoldCap*holdMin {
-			c.asHold = asHoldCap * holdMin
-		}
-	} else if c.asHold > holdMin {
-		c.asHold = c.asHold / 2
-		if c.asHold < holdMin {
-			c.asHold = holdMin
-		}
-	}
+	c.as.Settle(acted, now, period)
 }
 
 // scaleDownOrder lists powered slave-role nodes in switch-off order:

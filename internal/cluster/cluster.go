@@ -299,10 +299,9 @@ type Cluster struct {
 	nodeSeconds  float64
 
 	// Online autoscaler state (Config.Autoscale != nil); see autoscale.go.
-	asHold      float64 // current hold-epoch length (s)
-	asHoldUntil float64 // no scaling action before this virtual time
-	asStats     *AutoscaleStats
-	asOrder     []int // scratch for scaleDownOrder/scaleUpOrder
+	as      core.Planner
+	asStats *AutoscaleStats
+	asOrder []int // scratch for scaleDownOrder/scaleUpOrder
 
 	// trace and warmupUntil back the typed arrival events: the engine's
 	// feed delivers each arrival as an index into trace.Requests.
@@ -332,11 +331,8 @@ type Cluster struct {
 	releases     int64
 	sparesActive bool
 
-	// windowed estimators for the autoscaler
-	winStatic, winDynamic  int64
-	winDemandH, winDemandC float64
-	winDoneH, winDoneC     int64
-	tickers                []*sim.Ticker
+	win     core.Window // the autoscaler's measurement window
+	tickers []*sim.Ticker
 
 	// sharded control plane (nil/zero when Config.Shards ≤ 1); see
 	// shard.go for the per-master views, summaries and accounting. The
@@ -387,7 +383,7 @@ func New(eng *sim.Engine, cfg Config, policy core.Policy) (*Cluster, error) {
 	c.poweredCount = cfg.Nodes
 	if cfg.Autoscale != nil {
 		c.asStats = &AutoscaleStats{}
-		c.asHold = asHoldPeriods * cfg.Autoscale.Period
+		c.as = core.Planner{MinM: cfg.Autoscale.MinM, MaxM: cfg.Autoscale.MaxM}
 	}
 	if cfg.Cache != nil {
 		hit := cfg.Cache.HitDemand
@@ -573,14 +569,12 @@ func (c *Cluster) dispatchFull(req trace.Request, countSample bool, arrival floa
 		c.cfg.Tracer.Emit(ev)
 	}
 
+	c.win.Arrive(req.Class)
 	if req.Class == trace.Dynamic {
 		c.totalDyn++
-		c.winDynamic++
 		if isMaster(target, c.view.Masters) {
 			c.masterDyn++
 		}
-	} else {
-		c.winStatic++
 	}
 
 	latency := 0.0
@@ -722,13 +716,7 @@ func (c *Cluster) complete(arg any, now float64) {
 		})
 	}
 	c.policy.ObserveCompletion(req.Class, response, req.Demand)
-	if req.Class == trace.Dynamic {
-		c.winDoneC++
-		c.winDemandC += req.Demand
-	} else {
-		c.winDoneH++
-		c.winDemandH += req.Demand
-	}
+	c.win.Done(req.Class, req.Demand)
 	if pr.count {
 		c.observeSLO(response)
 		sample := metrics.Sample{

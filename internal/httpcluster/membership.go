@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"msweb/internal/core"
-	"msweb/internal/queuemodel"
-	"msweb/internal/trace"
 )
 
 // Live membership: the epoch-versioned topology a sharded master tier
@@ -412,16 +410,10 @@ func (m *Master) detectDeadMasters(ms *memState) {
 	}
 }
 
-// Live master-tier autoscaler. The simulator's controller powers whole
-// nodes on and off; live nodes have no power switch, so the live law
-// resizes only the master tier — the part of the fleet whose size
-// Theorem 1 actually plans. Each period the lowest-id master re-runs
-// the optimal-m computation from its own measured per-class arrival
-// and service rates (scaled by the master count, assuming the load
-// generator stripes uniformly) and announces promote/demote membership
-// changes. Demotions are gated by MSR-style exponential hold epochs so
-// a trough cannot thrash the tier; promotions always pass, because
-// under-provisioning during a flash crowd is the expensive failure.
+// Live master-tier autoscaler: the live call site of core.Planner, the
+// Theorem 1 re-planner the simulator shares. Live nodes have no power
+// switch, so the planner plans m on the current membership and the
+// lowest-id master announces the resized tier as a new epoch.
 
 // autoscaleLoop drives the controller; every sharded master runs it,
 // but autoscaleOnce acts only on the current membership's lowest-id
@@ -434,87 +426,42 @@ func (m *Master) autoscaleLoop(every time.Duration) {
 		select {
 		case <-m.stop:
 			return
-		case <-t.C:
-			m.autoscaleOnce(every)
+		case now := <-t.C:
+			m.autoscaleOnce(now)
 		}
 	}
 }
 
-// observeClass feeds the controller's per-class window estimators.
-// Callers hold placeMu.
-func (m *Master) observeClass(class trace.Class, demand float64) {
-	if class == trace.Static {
-		m.winStatics++
-		m.winDemandH += demand
-	} else {
-		m.winDynamics++
-		m.winDemandC += demand
-	}
-}
-
-// autoscaleOnce runs one controller period: harvest the measurement
-// window, re-plan m, and announce the change if the hold epoch allows.
-func (m *Master) autoscaleOnce(period time.Duration) {
+// autoscaleOnce runs one controller period ending at now: harvest the
+// window, plan m, and announce the resized tier when the plan moves.
+func (m *Master) autoscaleOnce(now time.Time) {
 	ms := m.mem.Load()
 	if ms.shard < 0 || len(ms.mb.Masters) == 0 || ms.mb.Masters[0] != m.ID {
 		return
 	}
 	m.placeMu.Lock()
-	sh, dy := m.winStatics, m.winDynamics
-	dh, dc := m.winDemandH, m.winDemandC
-	m.winStatics, m.winDynamics, m.winDemandH, m.winDemandC = 0, 0, 0, 0
+	w := m.win
+	m.win = core.Window{}
 	m.placeMu.Unlock()
-	if sh == 0 || dy == 0 || dh <= 0 || dc <= 0 {
+	// Rates in virtual time: demands are unscaled virtual seconds, and a
+	// wall window of one period spans period/timeScale virtual seconds.
+	r, ok := w.Rates(m.asEvery.Seconds() / m.timeScale)
+	if !ok {
 		return // no signal this window; keep the current plan
 	}
+	// This master sees its share of a load the generator stripes
+	// uniformly over the tier.
 	masters := len(ms.mb.Masters)
-	total := masters + len(ms.mb.Slaves)
-	// Rates in virtual time: demands are unscaled virtual seconds, and a
-	// wall window of `period` spans period/timeScale virtual seconds.
-	vwin := period.Seconds() / m.timeScale
-	p := queuemodel.Params{
-		P:       total,
-		LambdaH: float64(sh) / vwin * float64(masters),
-		LambdaC: float64(dy) / vwin * float64(masters),
-		MuH:     float64(sh) / dh,
-		MuC:     float64(dy) / dc,
+	r.LambdaH *= float64(masters)
+	r.LambdaC *= float64(masters)
+	r.P = masters + len(ms.mb.Slaves)
+	at := now.Sub(m.origin).Seconds()
+	target, _ := m.as.Plan(r, masters, at)
+	acted := false
+	if mb := m.nextTierPlan(ms, target); mb != nil {
+		acted = m.AnnounceMembership(*mb) == nil
 	}
-	plan, err := p.OptimalPlan()
-	if err != nil {
-		return // saturated or degenerate window; re-plan next period
-	}
-	target := plan.M
-	if target < 1 {
-		target = 1
-	}
-	if target > total-1 {
-		target = total - 1
-	}
-	now := time.Now().UnixNano()
-	held := now < m.asHoldUntil.Load()
-	if target == masters || (target < masters && held) {
-		// Idle period: halve the hold back toward its floor.
-		if h := m.asHold.Load(); h > int64(2*period) {
-			m.asHold.Store(h / 2)
-		}
-		return
-	}
-	mb := m.nextTierPlan(ms, target)
-	if mb == nil {
-		return
-	}
-	if err := m.AnnounceMembership(*mb); err != nil {
-		return
-	}
-	// Action taken: open the hold epoch and double it, capped.
-	h := m.asHold.Load()
-	if h < int64(2*period) {
-		h = int64(2 * period)
-	}
-	m.asHoldUntil.Store(now + h)
-	if h < int64(32*period) {
-		m.asHold.Store(2 * h)
-	}
+	m.as.Settle(acted, at, m.asEvery.Seconds())
 }
 
 // nextTierPlan builds the successor membership with the master tier

@@ -407,17 +407,12 @@ type Master struct {
 	memberApplies  atomic.Int64
 	// Live master-tier autoscaler (see membership.go): asEvery is the
 	// control period (0 = disabled), masterCapable the promotion
-	// candidate set (the initial masters), asHold/asHoldUntil the
-	// exponential hold epoch that gates demotions. The win* measurement
-	// window is guarded by placeMu.
+	// candidate set (the initial masters), as the planner state, owned
+	// by autoscaleLoop. The measurement window win is guarded by placeMu.
 	asEvery       time.Duration
 	masterCapable []bool
-	asHold        atomic.Int64
-	asHoldUntil   atomic.Int64
-	winStatics    int64
-	winDynamics   int64
-	winDemandH    float64
-	winDemandC    float64
+	as            core.Planner
+	win           core.Window
 	// spillView is the synthesized remote view handed to PlaceRemote:
 	// cluster-sized load array, candidate list rebuilt per spill from
 	// fresh summary digests. Guarded by placeMu.
@@ -829,6 +824,12 @@ func (m *Master) handleRequest(rw http.ResponseWriter, req *http.Request) {
 func (m *Master) serveReq(p reqParams, start time.Time, timeoutMs int64) (status, retryAfter int) {
 	deadline := reqDeadline(start, timeoutMs)
 	m.accepted.Add(1)
+	if m.asEvery > 0 {
+		// λ counts arrivals, so shed and exhausted requests load the plan.
+		m.placeMu.Lock()
+		m.win.Arrive(p.class)
+		m.placeMu.Unlock()
+	}
 	var reqID int64
 	if m.tracer != nil {
 		reqID = m.reqSeq.Add(1)
@@ -879,7 +880,7 @@ func (m *Master) serveReq(p reqParams, start time.Time, timeoutMs int64) (status
 	m.policy.ObserveCompletion(p.class, resp, p.demand)
 	m.respHist.Observe(resp)
 	if m.asEvery > 0 {
-		m.observeClass(p.class, p.demand)
+		m.win.Done(p.class, p.demand)
 	}
 	m.placeMu.Unlock()
 	m.served.Add(1)
