@@ -85,14 +85,17 @@ experiments:
 # The deterministic experiments: every one but the live table3, whose
 # results/table3.txt is a recorded replay. cmd/msbench's
 # TestMakefileResultsList keeps this list in step with the experiments.
-RESULTS = table1 table2 fig3 fig4a fig4b fig5 cachesweep failover flashcrowd autoscale hetero discipline openclosed wsense staleness tournament sharded
+RESULTS = table1 table2 fig3 fig4a fig4b fig5 failover autoscale hetero discipline openclosed wsense staleness tournament sharded
 
 # Regenerate results/<name>.txt (the table msbench prints) and
 # results/csv for every deterministic experiment, and the per-experiment
 # -quick CSV digests in cmd/msbench/testdata/digests.txt that tier-1
-# checks. CI runs this and fails when the checked-in files differ.
+# checks. CI runs this and fails when the checked-in files differ. The
+# CSVs are deleted first, so a removed experiment's CSV shows as a
+# deletion (no live table3 CSV is kept).
 results:
 	@mkdir -p results/csv .bench_build
+	rm -f results/csv/*.csv
 	$(GO) build -o .bench_build/msbench ./cmd/msbench
 	@for e in $(RESULTS); do \
 		.bench_build/msbench -experiment $$e -csv results/csv > results/$$e.txt || exit 1; \

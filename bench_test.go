@@ -16,7 +16,6 @@ import (
 
 	"msweb/internal/cluster"
 	"msweb/internal/core"
-	"msweb/internal/dyncache"
 	"msweb/internal/experiments"
 	"msweb/internal/queuemodel"
 	"msweb/internal/report"
@@ -610,21 +609,6 @@ func BenchmarkCLFParse(b *testing.B) {
 		}
 		if len(res.Trace.Requests) != 5000 {
 			b.Fatal("short parse")
-		}
-	}
-}
-
-func BenchmarkCacheOps(b *testing.B) {
-	c, err := dyncache.New(1024, 60)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := dyncache.Key{Script: i % 7, Param: int64(i % 2048)}
-		now := float64(i) / 1000
-		if !c.Lookup(k, now) {
-			c.Insert(k, 1000, now)
 		}
 	}
 }

@@ -7,11 +7,11 @@
 //	msbench -experiment fig4a -quick       # reduced fidelity
 //
 // Experiments, in the order "all" runs them: table1, table2, fig3,
-// fig4a, fig4b, fig5 (the paper's artifacts); cachesweep, failover,
-// flashcrowd, autoscale, hetero (extension studies); discipline,
-// openclosed (analysis and methodology); wsense, staleness (ablations);
-// tournament, sharded (policy and control-plane comparisons); table3
-// (the live loopback validation).
+// fig4a, fig4b, fig5 (the paper's artifacts); failover, autoscale,
+// hetero (extension studies); discipline, openclosed (analysis and
+// methodology); wsense, staleness (ablations); tournament, sharded
+// (policy and control-plane comparisons); table3 (the live loopback
+// validation).
 //
 // Each experiment builds one report.Table: stdout gets its text
 // rendering, -csv DIR its CSV, and stderr the progress lines, so
@@ -94,26 +94,12 @@ var experimentList = []experiment{
 		}
 		return experiments.Fig5Table(res), nil
 	}},
-	{"cachesweep", func(s *settings) (*report.Table, error) {
-		rows, err := experiments.RunCacheSweep(16, s.opts)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.CacheSweepTable(16, rows), nil
-	}},
 	{"failover", func(s *settings) (*report.Table, error) {
 		rows, err := experiments.RunFailoverStudy(16, s.opts)
 		if err != nil {
 			return nil, err
 		}
 		return experiments.FailoverTable(16, rows), nil
-	}},
-	{"flashcrowd", func(s *settings) (*report.Table, error) {
-		rows, err := experiments.RunFlashCrowd(16, s.opts)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.FlashCrowdTable(16, rows), nil
 	}},
 	{"autoscale", func(s *settings) (*report.Table, error) {
 		rows, err := experiments.RunAutoscale(16, s.opts)

@@ -12,6 +12,7 @@ import (
 	"go/token"
 	"io"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -57,10 +58,10 @@ func TestRunSimulatedExperimentQuick(t *testing.T) {
 		t.Skip("simulation experiment skipped in -short mode")
 	}
 	var out bytes.Buffer
-	if err := run([]string{"-experiment", "flashcrowd", "-quick"}, &out, io.Discard); err != nil {
+	if err := run([]string{"-experiment", "failover", "-quick"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "flash-crowd") {
+	if !strings.Contains(out.String(), "failover") {
 		t.Fatalf("missing output:\n%s", out.String())
 	}
 }
@@ -85,7 +86,11 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 }
 
 // TestMakefileResultsList keeps "make results" regenerating every
-// deterministic experiment: all of them but the live table3.
+// deterministic experiment: all of them but the live table3. It also
+// fails on a results/*.txt no experiment writes any more ("make results"
+// deletes nothing, so a removed experiment's table would stay unchanged
+// and pass the drift check); table3.txt and prN_*.txt evidence files
+// are kept by hand.
 func TestMakefileResultsList(t *testing.T) {
 	mk, err := os.ReadFile("../../Makefile")
 	if err != nil {
@@ -98,6 +103,20 @@ func TestMakefileResultsList(t *testing.T) {
 	want := deterministicNames()
 	if got := strings.Fields(string(m[1])); strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("Makefile RESULTS = %q, want %q", got, want)
+	}
+	kept := map[string]bool{"table3.txt": true}
+	for _, name := range want {
+		kept[name+".txt"] = true
+	}
+	evidence := regexp.MustCompile(`^pr[0-9]+_.*\.txt$`)
+	files, err := filepath.Glob("../../results/*.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if name := filepath.Base(f); !kept[name] && !evidence.MatchString(name) {
+			t.Errorf("results/%s is neither a RESULTS experiment, table3.txt nor a prN_*.txt evidence file", name)
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ func report(stdout io.Writer, res *replay.Result) error {
 	fmt.Fprintf(stdout, "stretch factor:   %.3f\n", s.StretchFactor)
 	fmt.Fprintf(stdout, "mean response:    %.4f s\n", s.MeanResponse)
 	fmt.Fprintf(stdout, "p50/p95/p99 stretch: %.2f / %.2f / %.2f\n", s.P50Stretch, s.P95Stretch, s.P99Stretch)
-	for _, class := range []string{"static", "dynamic", "cached"} {
+	for _, class := range []string{"static", "dynamic"} {
 		if cs, ok := s.ByClass[class]; ok {
 			fmt.Fprintf(stdout, "%-8s n=%-7d SF=%.3f meanResp=%.4fs\n", class, cs.Count, cs.StretchFactor, cs.MeanResponse)
 		}

@@ -71,20 +71,15 @@ func main() {
 	wt := core.SampleW(accelerated, 16)
 	cfg := cluster.DefaultConfig(*nodes, plan.M)
 	cfg.WarmupFraction = 0.1
-	cfg.Cache = &cluster.CacheConfig{Capacity: 1024, TTL: 60}
 	simRes, err := cluster.Simulate(cfg, core.NewMS(wt, 1), accelerated)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("simulated stretch factor: %.2f\n", simRes.StretchFactor)
-	for _, class := range []string{"static", "dynamic", "cached"} {
+	for _, class := range []string{"static", "dynamic"} {
 		if cs, ok := simRes.Summary.ByClass[class]; ok {
 			fmt.Printf("  %-8s n=%-6d SF=%.2f\n", class, cs.Count, cs.StretchFactor)
 		}
-	}
-	if simRes.CacheStats.Hits > 0 {
-		fmt.Printf("dynamic-content cache: %.0f%% hit rate on repeated query URLs\n",
-			100*simRes.CacheStats.HitRatio())
 	}
 }
 

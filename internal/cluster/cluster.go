@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"msweb/internal/core"
-	"msweb/internal/dyncache"
 	"msweb/internal/metrics"
 	"msweb/internal/obs"
 	"msweb/internal/rng"
@@ -21,30 +20,6 @@ import (
 	"msweb/internal/simos"
 	"msweb/internal/trace"
 )
-
-// CacheConfig sizes the shared dynamic-content cache.
-type CacheConfig struct {
-	// Capacity is the number of cached responses.
-	Capacity int
-	// TTL is each entry's freshness lifetime in seconds.
-	TTL float64
-	// HitDemand is the service demand of answering from the cache — a
-	// buffer copy plus protocol work, comparable to a small static
-	// fetch (default 1/2400 s, half the mean static demand).
-	HitDemand float64
-}
-
-// AutoRecruit reacts to load peaks: when the measured arrival rate
-// crosses HighRate, the listed non-dedicated spare nodes (which must be
-// in InitiallyDown) are brought into the slave tier; when it falls below
-// LowRate they are released again — the paper's "dynamically recruit
-// idle resources in handling peak load".
-type AutoRecruit struct {
-	Spares   []int
-	Period   float64
-	HighRate float64
-	LowRate  float64
-}
 
 // Config describes one simulated cluster.
 type Config struct {
@@ -76,26 +51,15 @@ type Config struct {
 	// fraction of the trace span from the reported statistics, so
 	// steady-state stretch is not diluted by the empty-system start.
 	WarmupFraction float64
-	// Cache enables the Swala-style dynamic-content cache at the
-	// master tier: repeat invocations of a cacheable script (same
-	// script, same parameters) are answered without content generation
-	// while the cached response is fresh.
-	Cache *CacheConfig
 	// Autoscale enables the online autoscaler: Theorem 1 re-planning of
 	// m plus powering slaves on and off against the measured load, with
 	// c/μ-rule scale-down ordering and exponential hold-epoch hysteresis
-	// (see Autoscale). Mutually exclusive with AutoRecruit.
+	// (see Autoscale).
 	Autoscale *Autoscale
 	// SLOResponse, when positive, counts every sampled request against a
 	// response-time SLO: Result.SLOAttainment reports the fraction of
 	// counted samples at or under this many (virtual) seconds.
 	SLOResponse float64
-	// AutoRecruit enables reactive recruitment of non-dedicated nodes
-	// at peak load (see AutoRecruit).
-	AutoRecruit *AutoRecruit
-	// SampleHook, when set, observes every counted sample with the
-	// request's arrival time — the feed for time-series analyses.
-	SampleHook func(arrival float64, sample metrics.Sample)
 	// Events is an optional availability schedule: node crashes,
 	// recoveries and dynamic recruitment (see AvailabilityEvent).
 	Events []AvailabilityEvent
@@ -161,9 +125,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: warmup fraction %v outside [0, 1)", c.WarmupFraction)
 	case c.Speeds != nil && len(c.Speeds) != c.Nodes:
 		return fmt.Errorf("cluster: %d speeds for %d nodes", len(c.Speeds), c.Nodes)
-	case c.AutoRecruit != nil && (c.AutoRecruit.Period <= 0 || c.AutoRecruit.HighRate <= 0 ||
-		c.AutoRecruit.LowRate < 0 || c.AutoRecruit.LowRate >= c.AutoRecruit.HighRate):
-		return fmt.Errorf("cluster: auto-recruit needs positive period and LowRate < HighRate")
 	case c.Shards > 1 && c.Shards != c.Masters:
 		return fmt.Errorf("cluster: shards %d must equal masters %d", c.Shards, c.Masters)
 	case c.GossipEvery < 0:
@@ -172,34 +133,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: negative SLO response bound")
 	case c.Autoscale != nil && c.Autoscale.Period <= 0:
 		return fmt.Errorf("cluster: autoscale period must be positive")
-	case c.Autoscale != nil && c.AutoRecruit != nil:
-		return fmt.Errorf("cluster: autoscale subsumes AutoRecruit; configure only one")
 	}
 	if _, err := disciplinedOS(c.OS, c.Discipline); err != nil {
 		return err
 	}
-	if c.Cache != nil {
-		if c.Cache.Capacity <= 0 || c.Cache.TTL <= 0 {
-			return fmt.Errorf("cluster: cache needs positive capacity and TTL")
-		}
-		if c.Cache.HitDemand < 0 {
-			return fmt.Errorf("cluster: negative cache hit demand")
-		}
-	}
-	if c.AutoRecruit != nil {
-		for _, id := range c.AutoRecruit.Spares {
-			if id < 0 || id >= c.Nodes {
-				return fmt.Errorf("cluster: auto-recruit spare %d of %d", id, c.Nodes)
-			}
-		}
-	}
-	if err := validateEvents(c.Events, c.Nodes); err != nil {
+	if err := validateEvents(c.Events, c.InitiallyDown, c.Nodes); err != nil {
 		return err
-	}
-	for _, id := range c.InitiallyDown {
-		if id < 0 || id >= c.Nodes {
-			return fmt.Errorf("cluster: initially-down node %d of %d", id, c.Nodes)
-		}
 	}
 	return c.OS.Validate()
 }
@@ -224,11 +163,6 @@ type Result struct {
 	// Shed counts dynamic requests refused by MasterAdmission (only
 	// with Config.EnableShedding).
 	Shed int64
-	// CacheStats reports dynamic-content cache activity (zero value
-	// when caching is disabled).
-	CacheStats dyncache.Stats
-	// Recruitments and Releases count auto-recruit transitions.
-	Recruitments, Releases int64
 	// SLOAttainment is the fraction of counted samples whose response
 	// met Config.SLOResponse (0 when the SLO is unset); SLOCount is the
 	// sample population behind it.
@@ -323,14 +257,6 @@ type Cluster struct {
 	// policies), consulted by the optional shedding path.
 	admission core.MasterAdmission
 
-	cache          *dyncache.Cache
-	cacheHitDemand float64
-
-	winArrivals  int64 // arrivals since the last auto-recruit check
-	recruitments int64
-	releases     int64
-	sparesActive bool
-
 	win     core.Window // the autoscaler's measurement window
 	tickers []*sim.Ticker
 
@@ -384,18 +310,6 @@ func New(eng *sim.Engine, cfg Config, policy core.Policy) (*Cluster, error) {
 	if cfg.Autoscale != nil {
 		c.asStats = &AutoscaleStats{}
 		c.as = core.Planner{MinM: cfg.Autoscale.MinM, MaxM: cfg.Autoscale.MaxM}
-	}
-	if cfg.Cache != nil {
-		hit := cfg.Cache.HitDemand
-		if hit == 0 {
-			hit = 1.0 / 2400
-		}
-		cache, err := dyncache.New(cfg.Cache.Capacity, cfg.Cache.TTL)
-		if err != nil {
-			return nil, err
-		}
-		c.cache = cache
-		c.cacheHitDemand = hit
 	}
 	osBase, err := disciplinedOS(cfg.OS, cfg.Discipline)
 	if err != nil {
@@ -487,7 +401,6 @@ func (c *Cluster) dispatchFull(req trace.Request, countSample bool, arrival floa
 		c.eng.After(retryDelay, func() { c.dispatchFull(req, countSample, arrival, onDone) })
 		return
 	}
-	c.winArrivals++
 	pick := c.front.Intn(len(c.view.Masters))
 	master := c.view.Masters[pick]
 	view := &c.view
@@ -535,21 +448,6 @@ func (c *Cluster) dispatchFull(req trace.Request, countSample bool, arrival floa
 			Kind: obs.KindArrival, Req: reqID, Time: arrival,
 			Class: req.Class.String(), Value: req.Demand,
 		})
-	}
-
-	// Swala extension: a fresh cached response short-circuits content
-	// generation — the master serves it like a small static fetch.
-	if c.cache != nil && req.Class == trace.Dynamic && req.Param != 0 {
-		key := dyncache.Key{Script: req.Script, Param: req.Param}
-		if c.cache.Lookup(key, c.eng.Now()) {
-			hit := req
-			hit.Class = trace.Static // served without a CGI process
-			hit.Demand = c.cacheHitDemand
-			hit.CPUWeight = 0.5
-			hit.MemPages = int(req.Size / c.cfg.OS.PageSize)
-			c.runCacheHit(hit, reqID, countSample, arrival, master, onDone)
-			return
-		}
 	}
 
 	var target int
@@ -699,15 +597,12 @@ func (c *Cluster) submitNow(pr *pendingRequest) {
 }
 
 // complete is the typed completion handler for every dispatched request:
-// accounting, cache fill, sample collection, and recycling of the
+// accounting, sample collection, and recycling of the
 // pendingRequest (pr is dead once released; onDone runs after).
 func (c *Cluster) complete(arg any, now float64) {
 	pr := arg.(*pendingRequest)
 	c.disown(pr)
 	req := &pr.req
-	if c.cache != nil && req.Class == trace.Dynamic && req.Param != 0 {
-		c.cache.Insert(dyncache.Key{Script: req.Script, Param: req.Param}, req.Size, now)
-	}
 	response := now - pr.arrival
 	if c.cfg.Tracer != nil {
 		c.cfg.Tracer.Emit(obs.Event{
@@ -719,87 +614,17 @@ func (c *Cluster) complete(arg any, now float64) {
 	c.win.Done(req.Class, req.Demand)
 	if pr.count {
 		c.observeSLO(response)
-		sample := metrics.Sample{
+		c.collector.Add(metrics.Sample{
 			Demand:   req.Demand,
 			Response: response,
 			Class:    req.Class.String(),
-		}
-		c.collector.Add(sample)
-		if c.cfg.SampleHook != nil {
-			c.cfg.SampleHook(pr.arrival, sample)
-		}
+		})
 	}
 	c.completed++
 	onDone := pr.onDone
 	c.releasePending(pr)
 	if onDone != nil {
 		onDone(now)
-	}
-}
-
-// runCacheHit serves a cached dynamic response at the master as a
-// lightweight job. The sample records the actual (tiny) demand so the
-// stretch metric stays consistent; the benefit appears in response time
-// and in the load the cluster no longer carries.
-func (c *Cluster) runCacheHit(req trace.Request, reqID int64, countSample bool, arrival float64, master int, onDone func(now float64)) {
-	traceID := int64(0)
-	if c.cfg.Tracer != nil {
-		traceID = reqID
-		c.cfg.Tracer.Emit(obs.Event{
-			Kind: obs.KindDispatch, Req: reqID, Time: c.eng.Now(), Node: master,
-		})
-	}
-	c.nodes[master].Submit(simos.Job{
-		CPUTime:  req.Demand * req.CPUWeight,
-		IOTime:   req.Demand * (1 - req.CPUWeight),
-		MemPages: req.MemPages,
-		TraceID:  traceID,
-		Done: func(now float64) {
-			if c.cfg.Tracer != nil {
-				c.cfg.Tracer.Emit(obs.Event{
-					Kind: obs.KindComplete, Req: reqID, Time: now,
-					Node: master, Value: now - arrival,
-				})
-			}
-			if countSample {
-				c.observeSLO(now - arrival)
-				sample := metrics.Sample{
-					Demand:   req.Demand,
-					Response: now - arrival,
-					Class:    "cached",
-				}
-				c.collector.Add(sample)
-				if c.cfg.SampleHook != nil {
-					c.cfg.SampleHook(arrival, sample)
-				}
-			}
-			c.completed++
-			if onDone != nil {
-				onDone(now)
-			}
-		},
-	})
-}
-
-// autoRecruit reacts to the measured arrival rate: spares join the
-// cluster above HighRate and leave below LowRate.
-func (c *Cluster) autoRecruit() {
-	ar := c.cfg.AutoRecruit
-	rate := float64(c.winArrivals) / ar.Period
-	c.winArrivals = 0
-	switch {
-	case !c.sparesActive && rate >= ar.HighRate:
-		for _, id := range ar.Spares {
-			c.applyAvailability(AvailabilityEvent{Node: id, At: c.eng.Now(), Available: true})
-		}
-		c.sparesActive = true
-		c.recruitments++
-	case c.sparesActive && rate <= ar.LowRate:
-		for _, id := range ar.Spares {
-			c.applyAvailability(AvailabilityEvent{Node: id, At: c.eng.Now(), Available: false})
-		}
-		c.sparesActive = false
-		c.releases++
 	}
 }
 
@@ -872,7 +697,7 @@ func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 }
 
 // startTickers arms the periodic activities: load polling, policy
-// adaptation, gossip, autoscaling, auto-recruitment.
+// adaptation, gossip, autoscaling.
 func (c *Cluster) startTickers() {
 	c.tickers = append(c.tickers, c.eng.Every(c.cfg.LoadRefresh, c.refreshLoad))
 	c.tickers = append(c.tickers, c.eng.Every(policyTick, func() {
@@ -886,9 +711,6 @@ func (c *Cluster) startTickers() {
 	}
 	if c.cfg.Autoscale != nil {
 		c.tickers = append(c.tickers, c.eng.Every(c.cfg.Autoscale.Period, c.autoscaleTick))
-	}
-	if c.cfg.AutoRecruit != nil {
-		c.tickers = append(c.tickers, c.eng.Every(c.cfg.AutoRecruit.Period, c.autoRecruit))
 	}
 }
 
@@ -914,11 +736,6 @@ func (c *Cluster) buildResult() *Result {
 		SimulatedSeconds: c.eng.Now(),
 		Events:           c.eng.Fired(),
 	}
-	if c.cache != nil {
-		res.CacheStats = c.cache.Stats()
-	}
-	res.Recruitments = c.recruitments
-	res.Releases = c.releases
 	res.Shards = c.shardStats()
 	if c.sloN > 0 {
 		res.SLOAttainment = float64(c.sloOK) / float64(c.sloN)

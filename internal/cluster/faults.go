@@ -26,8 +26,17 @@ type AvailabilityEvent struct {
 	Available bool
 }
 
-// validateEvents checks the availability schedule against the topology.
-func validateEvents(events []AvailabilityEvent, nodes int) error {
+// validateEvents checks the availability schedule against the topology
+// and rejects one that leaves no node available: applied in time order
+// (ties in slice order, as the engine fires them) after initiallyDown,
+// the schedule must end with at least one node up, or requests would
+// retry forever.
+func validateEvents(events []AvailabilityEvent, initiallyDown []int, nodes int) error {
+	for _, id := range initiallyDown {
+		if id < 0 || id >= nodes {
+			return fmt.Errorf("cluster: initially-down node %d of %d", id, nodes)
+		}
+	}
 	for i, e := range events {
 		if e.Node < 0 || e.Node >= nodes {
 			return fmt.Errorf("cluster: availability event %d targets node %d of %d", i, e.Node, nodes)
@@ -36,7 +45,24 @@ func validateEvents(events []AvailabilityEvent, nodes int) error {
 			return fmt.Errorf("cluster: availability event %d at negative time", i)
 		}
 	}
-	return nil
+	up := make([]bool, nodes)
+	for i := range up {
+		up[i] = true
+	}
+	for _, id := range initiallyDown {
+		up[id] = false
+	}
+	ordered := append([]AvailabilityEvent(nil), events...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
+	for _, e := range ordered {
+		up[e.Node] = e.Available
+	}
+	for _, u := range up {
+		if u {
+			return nil
+		}
+	}
+	return fmt.Errorf("cluster: availability schedule leaves no node available")
 }
 
 // pendingRequest records an in-flight request so it can be restarted if

@@ -165,6 +165,27 @@ func TestEventValidation(t *testing.T) {
 	if cfg.Validate() == nil {
 		t.Fatal("out-of-range initially-down node accepted")
 	}
+	// A schedule that ends with every node down would retry forever.
+	cfg = DefaultConfig(2, 1)
+	cfg.Events = []AvailabilityEvent{{Node: 0, At: 0.5}, {Node: 1, At: 0.5}}
+	if cfg.Validate() == nil {
+		t.Fatal("schedule taking every node down accepted")
+	}
+	cfg = DefaultConfig(2, 1)
+	cfg.InitiallyDown = []int{0, 1}
+	if cfg.Validate() == nil {
+		t.Fatal("every node initially down accepted")
+	}
+	tr := genTrace(t, trace.KSU, 100, 50, 1.0/40, 25)
+	if _, err := Simulate(cfg, core.NewMS(core.SampleW(tr, 16), 1), tr); err == nil {
+		t.Fatal("Simulate ran a cluster with every node down")
+	}
+	// Down then up again in time order, listed out of order: valid.
+	cfg = DefaultConfig(2, 1)
+	cfg.Events = []AvailabilityEvent{{Node: 0, At: 2, Available: true}, {Node: 0, At: 1}, {Node: 1, At: 0.5}}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("schedule ending with node 0 up rejected: %v", err)
+	}
 }
 
 func TestAvailableAccessor(t *testing.T) {

@@ -12,10 +12,6 @@ func TestShardedConfigValidation(t *testing.T) {
 		func(c *Config) { c.Shards = 3 }, // != masters
 		func(c *Config) { c.SLOResponse = -1 },
 		func(c *Config) { c.Autoscale = &Autoscale{} }, // period unset
-		func(c *Config) {
-			c.Autoscale = &Autoscale{Period: 1}
-			c.AutoRecruit = &AutoRecruit{Period: 1, HighRate: 2, LowRate: 1}
-		},
 		func(c *Config) { c.Shards = 2; c.GossipEvery = -1 },
 	}
 	for i, mutate := range cases {

@@ -1,10 +1,9 @@
 package experiments
 
-// Extension studies beyond the paper's published artifacts, covering the
-// future-work directions its Section 6 sketches: dynamic-content
-// caching (Swala), fault tolerance / dynamic recruitment, and
-// heterogeneous clusters. msbench exposes them as cachesweep, failover
-// and hetero.
+// Extension studies beyond the paper's published artifacts, covering two
+// of the future-work directions its Section 6 sketches: fault tolerance /
+// dynamic recruitment, and heterogeneous clusters. msbench exposes them
+// as failover and hetero.
 
 import (
 	"fmt"
@@ -14,88 +13,6 @@ import (
 	"msweb/internal/queuemodel"
 	"msweb/internal/trace"
 )
-
-// CacheSweepRow reports one cache configuration.
-type CacheSweepRow struct {
-	Capacity    int // 0 = caching disabled
-	TTL         float64
-	Stretch     float64
-	DynMeanResp float64 // mean response of uncached dynamics, seconds
-	HitRatio    float64
-}
-
-// RunCacheSweep replays a KSU-like workload (70% of CGI invocations
-// cacheable, Zipf-popular parameters) against increasing cache sizes.
-func RunCacheSweep(p int, opts Options) ([]CacheSweepRow, error) {
-	opts = opts.withDefaults()
-	prof := trace.KSU
-	r := 1.0 / 40
-	lambda := LambdaForRho(p, prof.ArrivalRatio(), r, opts.TargetRho)
-	n := opts.requestCount(lambda)
-
-	plan, err := queuemodel.NewParams(p, lambda, prof.ArrivalRatio(), MuH, r).OptimalPlan()
-	if err != nil {
-		return nil, err
-	}
-
-	capacities := []int{0, 64, 256, 1024, 4096}
-	type cell struct {
-		capacity int
-		seed     int64
-	}
-	type sample struct{ sf, resp, hit float64 }
-	var cells []cell
-	for _, capacity := range capacities {
-		for _, seed := range opts.Seeds {
-			cells = append(cells, cell{capacity, seed})
-		}
-	}
-	samples, err := runGrid(cells, func(c cell) (sample, error) {
-		tr, wt, err := genTraceW(prof, lambda, r, n, c.seed)
-		if err != nil {
-			return sample{}, err
-		}
-		cfg := cluster.DefaultConfig(p, 0)
-		cfg.Masters = plan.M
-		cfg.WarmupFraction = opts.Warmup
-		if c.capacity > 0 {
-			cfg.Cache = &cluster.CacheConfig{Capacity: c.capacity, TTL: 120}
-		}
-		res, err := cluster.Simulate(cfg, core.NewMS(wt, c.seed), tr)
-		if err != nil {
-			return sample{}, err
-		}
-		return sample{
-			sf:   res.StretchFactor,
-			resp: res.Summary.ByClass["dynamic"].MeanResponse,
-			hit:  res.CacheStats.HitRatio(),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	k := float64(len(opts.Seeds))
-	var rows []CacheSweepRow
-	i := 0
-	for _, capacity := range capacities {
-		var sumSF, sumResp, sumHit float64
-		for s := 0; s < len(opts.Seeds); s++ {
-			sumSF += samples[i].sf
-			sumResp += samples[i].resp
-			sumHit += samples[i].hit
-			i++
-		}
-		rows = append(rows, CacheSweepRow{
-			Capacity:    capacity,
-			TTL:         120,
-			Stretch:     sumSF / k,
-			DynMeanResp: sumResp / k,
-			HitRatio:    sumHit / k,
-		})
-	}
-	return rows, nil
-}
 
 // FailoverRow reports one availability scenario.
 type FailoverRow struct {

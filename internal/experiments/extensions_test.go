@@ -9,37 +9,6 @@ import (
 	"msweb/internal/rng"
 )
 
-func TestRunCacheSweep(t *testing.T) {
-	rows, err := RunCacheSweep(8, Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("%d rows, want 5", len(rows))
-	}
-	if rows[0].Capacity != 0 || rows[0].HitRatio != 0 {
-		t.Fatalf("baseline row wrong: %+v", rows[0])
-	}
-	// Hit ratio must grow with capacity.
-	for i := 2; i < len(rows); i++ {
-		if rows[i].HitRatio < rows[i-1].HitRatio-0.02 {
-			t.Fatalf("hit ratio fell with capacity: %+v then %+v", rows[i-1], rows[i])
-		}
-	}
-	// A large cache must beat no cache on overall stretch.
-	last := rows[len(rows)-1]
-	if last.HitRatio <= 0.2 {
-		t.Fatalf("large cache hit ratio %v implausibly low", last.HitRatio)
-	}
-	if last.Stretch >= rows[0].Stretch {
-		t.Fatalf("large cache (%v) did not beat baseline (%v)", last.Stretch, rows[0].Stretch)
-	}
-	tbl := CacheSweepTable(8, rows)
-	if !strings.Contains(tbl.Title, "cache") || tbl.Rows[0][column(t, tbl, "capacity")] != "0" || !noteContains(tbl, "capacity 0 = cache off") {
-		t.Fatalf("title %q first row %q notes %q", tbl.Title, tbl.Rows[0], tbl.Notes)
-	}
-}
-
 func TestRunFailoverStudy(t *testing.T) {
 	rows, err := RunFailoverStudy(8, Quick())
 	if err != nil {
@@ -102,32 +71,6 @@ func TestRunHeteroStudy(t *testing.T) {
 	}
 	if tbl := HeteroTable(8, rows); !strings.Contains(tbl.Title, "heterogeneous") {
 		t.Fatalf("title %q", tbl.Title)
-	}
-}
-
-func TestRunFlashCrowd(t *testing.T) {
-	rows, err := RunFlashCrowd(8, Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(rows))
-	}
-	dedicated, provisioned, reactive := rows[0], rows[1], rows[2]
-	if reactive.Recruitments == 0 {
-		t.Fatal("reactive scenario never recruited")
-	}
-	if dedicated.Recruitments != 0 || provisioned.Recruitments != 0 {
-		t.Fatal("non-reactive scenarios recruited")
-	}
-	// Reactive recruitment must land between dedicated-only and always-
-	// provisioned on the overall stretch (with slack for scheduling noise).
-	if reactive.Stretch > dedicated.Stretch*1.05 {
-		t.Fatalf("reactive (%v) no better than dedicated-only (%v)", reactive.Stretch, dedicated.Stretch)
-	}
-	tbl := FlashCrowdTable(8, rows)
-	if !strings.Contains(tbl.Title, "flash-crowd") || !noteContains(tbl, "worst 1-second window") {
-		t.Fatalf("title %q notes %q", tbl.Title, tbl.Notes)
 	}
 }
 

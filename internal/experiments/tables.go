@@ -136,19 +136,6 @@ func Table3Table(rows []Table3Row) *report.Table {
 	return t
 }
 
-// CacheSweepTable converts the cache study.
-func CacheSweepTable(p int, rows []CacheSweepRow) *report.Table {
-	t := &report.Table{
-		Title:   "Extension: dynamic-content cache sweep",
-		Columns: []string{"capacity", "ttl_s", "stretch", "dyn_mean_resp_s", "hit_ratio"},
-		Notes:   []string{fmt.Sprintf("Swala-style dynamic-content cache, KSU workload, p=%d; capacity 0 = cache off.", p)},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Capacity, r.TTL, round4(r.Stretch), round4(r.DynMeanResp), round4(r.HitRatio))
-	}
-	return t
-}
-
 // FailoverTable converts the failover study.
 func FailoverTable(p int, rows []FailoverRow) *report.Table {
 	t := &report.Table{
@@ -158,21 +145,6 @@ func FailoverTable(p int, rows []FailoverRow) *report.Table {
 	}
 	for _, r := range rows {
 		t.AddRow(r.Scenario, round4(r.Stretch), r.Failovers, r.Completed)
-	}
-	return t
-}
-
-// FlashCrowdTable converts the flash-crowd study.
-func FlashCrowdTable(p int, rows []FlashCrowdRow) *report.Table {
-	t := &report.Table{
-		Title:   "Extension: flash-crowd recruitment",
-		Columns: []string{"scenario", "stretch", "peak_stretch", "recruitments", "releases"},
-		Notes: []string{
-			fmt.Sprintf("Bursty KSU workload (MMPP 3x), p=%d; peak_stretch is the worst 1-second window.", p),
-		},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Scenario, round4(r.Stretch), round4(r.PeakStretch), r.Recruitments, r.Releases)
 	}
 	return t
 }

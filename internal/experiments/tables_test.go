@@ -23,9 +23,7 @@ func TestAllTablesValidate(t *testing.T) {
 		Fig4Table(32, []Fig4Row{{Trace: "UCB", InvR: 20, Lambda: 100, Masters: 3, MSStretch: 2}}),
 		Fig5Table(&Fig5Result{P: 32, NominalM: 5, Rows: []Fig5Row{{Trace: "KSU", InvR: 20, Rho: 0.4, FixedM: 5, AdaptedM: 6, FixedSF: 2, AdaptSF: 2}}}),
 		Table3Table([]Table3Row{{Trace: "ADL", Lambda: 20, Versus: "M/S-1", ActualPct: 5, SimPct: 7}}),
-		CacheSweepTable(16, []CacheSweepRow{{Capacity: 64, TTL: 120, Stretch: 3}}),
 		FailoverTable(16, []FailoverRow{{Scenario: "healthy", Stretch: 2, Completed: 100}}),
-		FlashCrowdTable(16, []FlashCrowdRow{{Scenario: "reactive", Stretch: 2, PeakStretch: 4}}),
 		HeteroTable(16, []HeteroRow{{Mix: "uniform", AnalyticFlat: 2, AnalyticMS: 1.5, Masters: []int{0}, SimFlat: 3, SimMS: 2}}),
 		WSensitivityTable(16, []WSensitivityRow{{Label: "exact", Stretch: 2}, {Label: "noisy", Stretch: 2.2}}),
 		StalenessTable(16, []StalenessRow{{RefreshSeconds: 0.2, WithBooking: 2, NoBooking: 3}}),

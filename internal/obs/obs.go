@@ -98,7 +98,7 @@ type Event struct {
 	Time float64
 	// Kind is the lifecycle point.
 	Kind EventKind
-	// Class is the request class ("static", "dynamic", "cached");
+	// Class is the request class ("static" or "dynamic");
 	// populated on Arrival events.
 	Class string
 	// Node is the node acting on the request (-1 when not applicable).
