@@ -23,7 +23,6 @@ import (
 	"msweb/internal/sim"
 	"msweb/internal/simos"
 	"msweb/internal/trace"
-	"msweb/internal/workload"
 )
 
 // ---- Paper artifacts -------------------------------------------------
@@ -448,27 +447,6 @@ func BenchmarkClusterSimulation(b *testing.B) {
 }
 
 // ---- Extension benchmarks --------------------------------------------
-
-func BenchmarkClosedLoopSimulation(b *testing.B) {
-	sessions, err := workload.Generate(workload.Config{
-		Profile: trace.KSU, Sessions: 300, SessionRate: 40,
-		MeanRequests: 6, MeanThink: 0.2, MuH: 1200, R: 1.0 / 40, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		c, err := cluster.New(eng, cluster.DefaultConfig(8, 2), core.NewMS(nil, 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.RunClosedLoop(sessions); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkShardedControlPlane simulates large fleets under the sharded
 // control plane and reports per-master per-tick poll work as a custom

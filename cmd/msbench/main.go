@@ -7,11 +7,10 @@
 //	msbench -experiment fig4a -quick       # reduced fidelity
 //
 // Experiments, in the order "all" runs them: table1, table2, fig3,
-// fig4a, fig4b, fig5 (the paper's artifacts); failover, autoscale,
-// hetero (extension studies); discipline, openclosed (analysis and
-// methodology); wsense, staleness (ablations); tournament, sharded
-// (policy and control-plane comparisons); table3 (the live loopback
-// validation).
+// fig4a, fig4b, fig5 (the paper's artifacts); failover, autoscale
+// (extension studies); wsense, staleness (ablations); tournament,
+// sharded (policy and control-plane comparisons); table3 (the live
+// loopback validation).
 //
 // Each experiment builds one report.Table: stdout gets its text
 // rendering, -csv DIR its CSV, and stderr the progress lines, so
@@ -107,27 +106,6 @@ var experimentList = []experiment{
 			return nil, err
 		}
 		return experiments.AutoscaleTable(16, rows), nil
-	}},
-	{"hetero", func(s *settings) (*report.Table, error) {
-		rows, err := experiments.RunHeteroStudy(16, s.opts)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.HeteroTable(16, rows), nil
-	}},
-	{"discipline", func(s *settings) (*report.Table, error) {
-		rows, err := experiments.RunDiscipline(32, s.opts)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.DisciplineTable(32, rows), nil
-	}},
-	{"openclosed", func(s *settings) (*report.Table, error) {
-		rows, err := experiments.RunOpenClosed(16, s.opts)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.OpenClosedTable(16, rows), nil
 	}},
 	{"wsense", func(s *settings) (*report.Table, error) {
 		rows, err := experiments.RunWSensitivity(16, s.opts)

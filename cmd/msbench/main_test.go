@@ -14,8 +14,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"unicode"
 
 	"msweb/internal/report"
 )
@@ -39,17 +41,26 @@ func TestRunFastExperiments(t *testing.T) {
 }
 
 // TestDocListsEveryExperiment keeps the package doc in step with the
-// experiment list (the -experiment help is built from the list).
+// experiment list (the -experiment help is built from the list): the
+// doc's "in the order "all" runs them" paragraph, its parenthesized
+// glosses dropped, must name exactly experimentNames(), in order.
 func TestDocListsEveryExperiment(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := f.Doc.Text()
-	for _, name := range experimentNames() {
-		if !regexp.MustCompile(`\b` + name + `\b`).MatchString(doc) {
-			t.Errorf("package doc does not list experiment %q", name)
-		}
+	const lead = `Experiments, in the order "all" runs them:`
+	_, list, ok := strings.Cut(f.Doc.Text(), lead)
+	if !ok {
+		t.Fatalf("package doc has no %q paragraph", lead)
+	}
+	list, _, _ = strings.Cut(list, "\n\n")
+	list = regexp.MustCompile(`\([^)]*\)`).ReplaceAllString(list, "")
+	listed := strings.FieldsFunc(list, func(r rune) bool {
+		return r == ',' || r == ';' || r == '.' || unicode.IsSpace(r)
+	})
+	if want := experimentNames(); !slices.Equal(listed, want) {
+		t.Fatalf("package doc lists experiments\n  %v\nbut \"all\" runs\n  %v", listed, want)
 	}
 }
 

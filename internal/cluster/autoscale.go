@@ -8,21 +8,15 @@ package cluster
 // it (Planner.Plan), and powers slaves on and off to match. The
 // planner's hold epochs defer power-offs as they defer demotions.
 //
-// Scale-down follows the c/μ rule: the slowest slaves (lowest speed
-// factor) are switched off first, so the surviving capacity per watt is
-// maximal; ties break toward the highest node id, and scale-up mirrors
-// the order, so every decision is deterministic.
+// Scale-down switches off the powered slave with the highest node id
+// first; scale-up switches on the unpowered slave with the lowest id
+// first, so every decision is deterministic.
 //
 // Powering off is graceful, unlike a crash: the node leaves every
 // placement view (and the shard map, on a new epoch) so nothing new
 // lands on it, but it finishes the work it holds and is never drained.
 
-import (
-	"cmp"
-	"slices"
-
-	"msweb/internal/core"
-)
+import "msweb/internal/core"
 
 // Autoscale configures the online autoscaler (Config.Autoscale).
 type Autoscale struct {
@@ -84,14 +78,6 @@ func (c *Cluster) setPowered(node int, on bool) {
 	c.recomputeView()
 }
 
-// nodeSpeed is the configured speed factor (1 when homogeneous).
-func (c *Cluster) nodeSpeed(id int) float64 {
-	if c.cfg.Speeds != nil {
-		return c.cfg.Speeds[id]
-	}
-	return 1
-}
-
 // autoscaleTick is the controller loop body: harvest the window, let
 // the shared planner size the fleet and plan m on it, then apply.
 func (c *Cluster) autoscaleTick() {
@@ -132,61 +118,21 @@ func (c *Cluster) autoscaleTick() {
 	if c.poweredCount > target && held {
 		c.asStats.HeldTicks++
 	} else if c.poweredCount > target {
-		off := c.scaleDownOrder()
-		for _, id := range off {
-			if c.poweredCount <= target {
-				break
+		for id := c.cfg.Nodes - 1; id >= c.roleMasters && c.poweredCount > target; id-- {
+			if c.powered[id] {
+				c.setPowered(id, false)
+				c.asStats.SlaveOffs++
+				acted = true
 			}
-			c.setPowered(id, false)
-			c.asStats.SlaveOffs++
-			acted = true
 		}
 	} else if c.poweredCount < target {
-		on := c.scaleUpOrder()
-		for _, id := range on {
-			if c.poweredCount >= target {
-				break
+		for id := c.roleMasters; id < c.cfg.Nodes && c.poweredCount < target; id++ {
+			if !c.powered[id] {
+				c.setPowered(id, true)
+				c.asStats.SlaveOns++
+				acted = true
 			}
-			c.setPowered(id, true)
-			c.asStats.SlaveOns++
-			acted = true
 		}
 	}
 	c.as.Settle(acted, now, period)
-}
-
-// scaleDownOrder lists powered slave-role nodes in switch-off order:
-// the c/μ rule powers off the slowest first (least service rate per
-// powered node), ties to the highest id. Deterministic by construction.
-// The list lives in a scratch slice the next ordering overwrites.
-func (c *Cluster) scaleDownOrder() []int {
-	return c.leastValuableFirst(true)
-}
-
-// scaleUpOrder mirrors scaleDownOrder: fastest unpowered node first,
-// ties to the lowest id.
-func (c *Cluster) scaleUpOrder() []int {
-	ids := c.leastValuableFirst(false)
-	slices.Reverse(ids)
-	return ids
-}
-
-// leastValuableFirst sorts the slave-role nodes in the given power state
-// by (speed ascending, id descending) into the autoscaler's scratch
-// slice.
-func (c *Cluster) leastValuableFirst(powered bool) []int {
-	ids := c.asOrder[:0]
-	for id := c.roleMasters; id < c.cfg.Nodes; id++ {
-		if c.powered[id] == powered {
-			ids = append(ids, id)
-		}
-	}
-	c.asOrder = ids
-	slices.SortFunc(ids, func(a, b int) int {
-		if sa, sb := c.nodeSpeed(a), c.nodeSpeed(b); sa != sb {
-			return cmp.Compare(sa, sb)
-		}
-		return cmp.Compare(b, a)
-	})
-	return ids
 }

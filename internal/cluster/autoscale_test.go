@@ -66,3 +66,33 @@ func TestAutoscaleTickPlansLikeTheLaw(t *testing.T) {
 		}
 	}
 }
+
+// Which slaves the autoscaler switches: a scale-down tick on eight
+// nodes powers off from the highest slave id down, and a following
+// scale-up tick powers on from the lowest unpowered id up, so after
+// either tick the powered nodes are exactly the lowest ids.
+func TestAutoscaleTickPowersByNodeID(t *testing.T) {
+	cfg := DefaultConfig(8, 2)
+	cfg.Autoscale = &Autoscale{Period: 1}
+	_, c := newClusterForTest(t, cfg)
+	steps := []struct {
+		name      string
+		w         core.Window
+		wantFleet int
+	}{
+		{"scale-down", simWindow(500, 20), 3}, // 1.5 erlangs
+		{"scale-up", simWindow(700, 40), 5},   // 2.7 erlangs
+	}
+	for _, st := range steps {
+		c.win = st.w
+		c.autoscaleTick()
+		if c.poweredCount != st.wantFleet {
+			t.Fatalf("%s: %d powered nodes, want %d", st.name, c.poweredCount, st.wantFleet)
+		}
+		for id, on := range c.powered {
+			if on != (id < st.wantFleet) {
+				t.Fatalf("%s: powered %v, want exactly nodes 0..%d", st.name, c.powered, st.wantFleet-1)
+			}
+		}
+	}
+}

@@ -9,10 +9,10 @@ import (
 )
 
 // The chaos property: with every feature enabled at once — failures,
-// event-driven recruitment of a spare, heterogeneous speeds and the
-// online autoscaler re-planning masters and powering slaves across the
-// failover restarts — the cluster must still complete every request
-// exactly once and return a sane stretch factor.
+// event-driven recruitment of a spare and the online autoscaler
+// re-planning masters and powering slaves across the failover restarts —
+// the cluster must still complete every request exactly once and return
+// a sane stretch factor.
 func TestEverythingAtOnceProperty(t *testing.T) {
 	var replans int64 // autoscaler master-count changes over all cases
 	f := func(seed int64, crashNodeRaw, crashTimeRaw uint8) bool {
@@ -29,7 +29,6 @@ func TestEverythingAtOnceProperty(t *testing.T) {
 		span := tr.Duration()
 
 		cfg := DefaultConfig(p, 2)
-		cfg.Speeds = []float64{1, 1, 1, 2, 1, 2, 1, 1}
 		cfg.Autoscale = &Autoscale{Period: 2, MinM: 1, MaxM: 4}
 		// A random mid-run crash and recovery of a non-spare slave, and
 		// the spare node 7 recruited at 0.3·span.

@@ -28,7 +28,7 @@ type Config struct {
 	// Masters is the initial master-tier size m; masters are nodes
 	// 0..m−1. Use Nodes for an all-master (flat / M/S-1) topology.
 	Masters int
-	// OS configures every node (per-node overrides via Speeds).
+	// OS configures every node.
 	OS simos.Config
 	// Discipline selects the per-node CPU scheduling discipline:
 	// core.DisciplineMLFQ (default), DisciplineRR (single-level
@@ -42,9 +42,6 @@ type Config struct {
 	// never shed). Off by default — the paper's replays run open-loop
 	// without shedding.
 	EnableShedding bool
-	// Speeds optionally assigns per-node CPU speed factors for the
-	// heterogeneous extension; nil means homogeneous.
-	Speeds []float64
 	// LoadRefresh is the load-information period (rstat polling).
 	LoadRefresh float64
 	// WarmupFraction drops samples of requests arriving in the first
@@ -52,9 +49,9 @@ type Config struct {
 	// steady-state stretch is not diluted by the empty-system start.
 	WarmupFraction float64
 	// Autoscale enables the online autoscaler: Theorem 1 re-planning of
-	// m plus powering slaves on and off against the measured load, with
-	// c/μ-rule scale-down ordering and exponential hold-epoch hysteresis
-	// (see Autoscale).
+	// m plus powering slaves on and off against the measured load, in
+	// node-id order and with exponential hold-epoch hysteresis (see
+	// Autoscale).
 	Autoscale *Autoscale
 	// SLOResponse, when positive, counts every sampled request against a
 	// response-time SLO: Result.SLOAttainment reports the fraction of
@@ -123,8 +120,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: load refresh period must be positive")
 	case c.WarmupFraction < 0 || c.WarmupFraction >= 1:
 		return fmt.Errorf("cluster: warmup fraction %v outside [0, 1)", c.WarmupFraction)
-	case c.Speeds != nil && len(c.Speeds) != c.Nodes:
-		return fmt.Errorf("cluster: %d speeds for %d nodes", len(c.Speeds), c.Nodes)
 	case c.Shards > 1 && c.Shards != c.Masters:
 		return fmt.Errorf("cluster: shards %d must equal masters %d", c.Shards, c.Masters)
 	case c.GossipEvery < 0:
@@ -235,7 +230,6 @@ type Cluster struct {
 	// Online autoscaler state (Config.Autoscale != nil); see autoscale.go.
 	as      core.Planner
 	asStats *AutoscaleStats
-	asOrder []int // scratch for scaleDownOrder/scaleUpOrder
 
 	// trace and warmupUntil back the typed arrival events: the engine's
 	// feed delivers each arrival as an index into trace.Requests.
@@ -317,11 +311,7 @@ func New(eng *sim.Engine, cfg Config, policy core.Policy) (*Cluster, error) {
 	}
 	c.nodes = make([]*simos.Node, cfg.Nodes)
 	for i := range c.nodes {
-		oscfg := osBase
-		if cfg.Speeds != nil {
-			oscfg.SpeedFactor = cfg.Speeds[i]
-		}
-		n, err := simos.NewNode(eng, i, oscfg)
+		n, err := simos.NewNode(eng, i, osBase)
 		if err != nil {
 			return nil, err
 		}
@@ -332,11 +322,7 @@ func New(eng *sim.Engine, cfg Config, policy core.Policy) (*Cluster, error) {
 	}
 	c.view = core.View{Load: make([]core.Load, cfg.Nodes)}
 	for i := range c.view.Load {
-		speed := 1.0
-		if cfg.Speeds != nil {
-			speed = cfg.Speeds[i]
-		}
-		c.view.Load[i] = core.Load{CPUIdle: 1, DiskAvail: 1, Speed: speed}
+		c.view.Load[i] = core.Load{CPUIdle: 1, DiskAvail: 1, Speed: 1}
 	}
 	c.setMasters(cfg.Masters)
 	if cfg.Shards > 1 {
@@ -390,15 +376,9 @@ func (c *Cluster) dispatch(req trace.Request, countSample bool) {
 // past (failover restarts keep the original arrival so the lost time
 // counts against the response).
 func (c *Cluster) dispatchAt(req trace.Request, countSample bool, arrival float64) {
-	c.dispatchFull(req, countSample, arrival, nil)
-}
-
-// dispatchFull additionally notifies onDone at completion — the hook the
-// closed-loop driver uses to issue a session's next request.
-func (c *Cluster) dispatchFull(req trace.Request, countSample bool, arrival float64, onDone func(now float64)) {
 	if len(c.view.Masters) == 0 {
 		// Whole cluster down: retry once capacity returns.
-		c.eng.After(retryDelay, func() { c.dispatchFull(req, countSample, arrival, onDone) })
+		c.eng.After(retryDelay, func() { c.dispatchAt(req, countSample, arrival) })
 		return
 	}
 	pick := c.front.Intn(len(c.view.Masters))
@@ -433,9 +413,6 @@ func (c *Cluster) dispatchFull(req trace.Request, countSample bool, arrival floa
 			c.completed++
 			if countSample && c.cfg.SLOResponse > 0 {
 				c.sloN++ // a shed counted request is an SLO miss
-			}
-			if onDone != nil {
-				onDone(c.eng.Now())
 			}
 			return
 		}
@@ -497,7 +474,6 @@ func (c *Cluster) dispatchFull(req trace.Request, countSample bool, arrival floa
 	pr.node = target
 	pr.arrival = arrival
 	pr.count = countSample
-	pr.onDone = onDone
 	c.own(pr)
 
 	if latency > 0 {
@@ -574,9 +550,9 @@ func (c *Cluster) submitNow(pr *pendingRequest) {
 		// re-place it ourselves.
 		c.disown(pr)
 		c.failovers++
-		req, count, arrival, onDone := pr.req, pr.count, pr.arrival, pr.onDone
+		req, count, arrival := pr.req, pr.count, pr.arrival
 		c.releasePending(pr)
-		c.eng.After(retryDelay, func() { c.dispatchFull(req, count, arrival, onDone) })
+		c.eng.After(retryDelay, func() { c.dispatchAt(req, count, arrival) })
 		return
 	}
 	pr.submitted = true
@@ -597,8 +573,7 @@ func (c *Cluster) submitNow(pr *pendingRequest) {
 }
 
 // complete is the typed completion handler for every dispatched request:
-// accounting, sample collection, and recycling of the
-// pendingRequest (pr is dead once released; onDone runs after).
+// accounting, sample collection, and recycling of the pendingRequest.
 func (c *Cluster) complete(arg any, now float64) {
 	pr := arg.(*pendingRequest)
 	c.disown(pr)
@@ -621,11 +596,7 @@ func (c *Cluster) complete(arg any, now float64) {
 		})
 	}
 	c.completed++
-	onDone := pr.onDone
 	c.releasePending(pr)
-	if onDone != nil {
-		onDone(now)
-	}
 }
 
 // disciplinedOS maps a scheduling-discipline name onto the OS model:

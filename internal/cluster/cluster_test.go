@@ -36,7 +36,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Masters = 99 },
 		func(c *Config) { c.LoadRefresh = 0 },
 		func(c *Config) { c.WarmupFraction = 1 },
-		func(c *Config) { c.Speeds = []float64{1} },
 		func(c *Config) { c.OS.CPUQuantum = 0 },
 	}
 	for i, mutate := range cases {
@@ -225,23 +224,6 @@ func TestWarmupDropsEarlySamples(t *testing.T) {
 	}
 	if res.Summary.Count >= 2000 || res.Summary.Count == 0 {
 		t.Fatalf("warmup kept %d samples of 2000", res.Summary.Count)
-	}
-}
-
-func TestHeterogeneousSpeeds(t *testing.T) {
-	tr := genTrace(t, trace.UCB, 300, 3000, 1.0/40, 8)
-	cfg := DefaultConfig(4, 1)
-	cfg.Speeds = []float64{1, 1, 1, 4} // node 3 is 4x faster
-	res, err := Simulate(cfg, core.NewMS(core.SampleW(tr, 16), 1), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The fast node must attract more CPU-bound CGI work than the slow
-	// slaves.
-	slow := res.NodeStats[1].Submitted + res.NodeStats[2].Submitted
-	fast := res.NodeStats[3].Submitted
-	if fast*2 < slow {
-		t.Fatalf("fast node got %d jobs vs %d on two slow slaves", fast, slow)
 	}
 }
 

@@ -81,7 +81,6 @@ type pendingRequest struct {
 	// While false, a dispatch-latency submit event still holds the
 	// struct and is responsible for releasing it if disowned.
 	submitted bool
-	onDone    func(now float64)
 }
 
 // applyAvailability executes one schedule entry.
@@ -118,11 +117,11 @@ func (c *Cluster) applyAvailability(e AvailabilityEvent) {
 		// so it recycles now. Unsubmitted structs are still referenced
 		// by their dispatch-latency event, which will find itself
 		// disowned and release them.
-		req, count, arrival, onDone := p.req, p.count, p.arrival, p.onDone
+		req, count, arrival := p.req, p.count, p.arrival
 		if p.submitted {
 			c.releasePending(p)
 		}
-		c.eng.After(retryDelay, func() { c.dispatchFull(req, count, arrival, onDone) })
+		c.eng.After(retryDelay, func() { c.dispatchAt(req, count, arrival) })
 	}
 }
 

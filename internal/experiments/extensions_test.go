@@ -40,40 +40,6 @@ func TestRunFailoverStudy(t *testing.T) {
 	}
 }
 
-func TestRunHeteroStudy(t *testing.T) {
-	rows, err := RunHeteroStudy(8, Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(rows))
-	}
-	for _, r := range rows {
-		if r.AnalyticMS > r.AnalyticFlat {
-			t.Fatalf("%s: analytic M/S %v worse than flat %v", r.Mix, r.AnalyticMS, r.AnalyticFlat)
-		}
-		if len(r.Masters) == 0 {
-			t.Fatalf("%s: empty master set", r.Mix)
-		}
-		if r.SimMS <= 0 || r.SimFlat <= 0 {
-			t.Fatalf("%s: missing simulation results: %+v", r.Mix, r)
-		}
-	}
-	// On every mix the simulated M/S should beat simulated flat.
-	wins := 0
-	for _, r := range rows {
-		if r.SimImprovePct > 0 {
-			wins++
-		}
-	}
-	if wins < 2 {
-		t.Fatalf("M/S won only %d/3 heterogeneous mixes", wins)
-	}
-	if tbl := HeteroTable(8, rows); !strings.Contains(tbl.Title, "heterogeneous") {
-		t.Fatalf("title %q", tbl.Title)
-	}
-}
-
 func TestRunWSensitivity(t *testing.T) {
 	rows, err := RunWSensitivity(8, Quick())
 	if err != nil {
@@ -132,56 +98,5 @@ func TestRunStaleness(t *testing.T) {
 	tbl := StalenessTable(8, rows)
 	if !strings.Contains(tbl.Title, "staleness") || !noteContains(tbl, "Herd cost at refresh 5s") {
 		t.Fatalf("title %q notes %q", tbl.Title, tbl.Notes)
-	}
-}
-
-func TestRunOpenClosed(t *testing.T) {
-	rows, err := RunOpenClosed(8, Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("%d rows, want 4", len(rows))
-	}
-	// Past saturation the open-loop stretch must exceed closed-loop.
-	last := rows[len(rows)-1]
-	if last.OpenSF <= last.ClosedSF {
-		t.Fatalf("overloaded open loop (%v) not above closed loop (%v)", last.OpenSF, last.ClosedSF)
-	}
-	// Open-loop stretch grows with load.
-	for i := 1; i < len(rows); i++ {
-		if rows[i].OpenSF < rows[i-1].OpenSF {
-			t.Fatalf("open-loop stretch fell with load: %+v", rows)
-		}
-	}
-	tbl := OpenClosedTable(8, rows)
-	if !strings.Contains(tbl.Title, "closed") {
-		t.Fatalf("title %q", tbl.Title)
-	}
-	column(t, tbl, "closed_sf")
-}
-
-func TestRunDiscipline(t *testing.T) {
-	rows, err := RunDiscipline(32, Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 { // quick InvRs
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.FCFSGainPct <= r.PSGainPct {
-			t.Fatalf("1/r=%v: FCFS gain %v not above PS gain %v", r.InvR, r.FCFSGainPct, r.PSGainPct)
-		}
-		if r.FCFSFlat <= r.PSFlat {
-			t.Fatalf("1/r=%v: FCFS flat %v not above PS flat %v", r.InvR, r.FCFSFlat, r.PSFlat)
-		}
-	}
-	tbl := DisciplineTable(32, rows)
-	if !strings.Contains(tbl.Title, "FCFS") || !noteContains(tbl, "FCFS charges statics") {
-		t.Fatalf("title %q notes %q", tbl.Title, tbl.Notes)
-	}
-	if err := tbl.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -149,25 +149,6 @@ func FailoverTable(p int, rows []FailoverRow) *report.Table {
 	return t
 }
 
-// HeteroTable converts the heterogeneous study.
-func HeteroTable(p int, rows []HeteroRow) *report.Table {
-	t := &report.Table{
-		Title: "Extension: heterogeneous cluster",
-		Columns: []string{"mix", "model_flat", "model_ms", "masters",
-			"sim_flat", "sim_ms", "improve_pct"},
-		Notes: []string{
-			fmt.Sprintf("Theorem 1 extended to mixed node speeds, KSU workload, p=%d.", p),
-			"Simulated flat uses speed-blind uniform dispatch, as DNS rotation does (slow nodes",
-			"saturate); the analytic flat column assumes speed-proportional routing.",
-		},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Mix, round4(r.AnalyticFlat), round4(r.AnalyticMS), len(r.Masters),
-			round4(r.SimFlat), round4(r.SimMS), round2(r.SimImprovePct))
-	}
-	return t
-}
-
 // WSensitivityTable converts the sampling ablation.
 func WSensitivityTable(p int, rows []WSensitivityRow) *report.Table {
 	t := &report.Table{
@@ -200,23 +181,6 @@ func StalenessTable(p int, rows []StalenessRow) *report.Table {
 		t.AddRow(r.RefreshSeconds, round4(r.WithBooking), round4(r.NoBooking))
 		t.Notes = append(t.Notes, fmt.Sprintf("Herd cost at refresh %gs (without vs with booking): %+.1f%%",
 			r.RefreshSeconds, (r.NoBooking/r.WithBooking-1)*100))
-	}
-	return t
-}
-
-// OpenClosedTable converts the methodology comparison.
-func OpenClosedTable(p int, rows []OpenClosedRow) *report.Table {
-	t := &report.Table{
-		Title:   "Methodology: open vs closed loop",
-		Columns: []string{"load_factor", "open_sf", "closed_sf"},
-		Notes: []string{
-			fmt.Sprintf("Open-loop replay vs closed-loop sessions, KSU workload, p=%d; load_factor is the", p),
-			"offered rate relative to cluster capacity. Past saturation (load > 1) the open-loop",
-			"stretch diverges with trace length, while closed-loop users self-throttle.",
-		},
-	}
-	for _, r := range rows {
-		t.AddRow(r.LoadFactor, round4(r.OpenSF), round4(r.ClosedSF))
 	}
 	return t
 }

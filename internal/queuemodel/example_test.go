@@ -35,21 +35,3 @@ func ExampleParams_BalancedTheta() {
 	// θ₂ small: 0.2031
 	// θ₂ big:   0.2031
 }
-
-// The heterogeneous extension picks which physical nodes become masters.
-func ExampleHeteroParams_OptimalHeteroPlan() {
-	h := queuemodel.HeteroParams{
-		Speeds:  []float64{1, 1, 1, 1, 2, 2, 2, 2}, // four fast slaves
-		LambdaH: 500, LambdaC: 200,
-		MuH: 1200, MuC: 30,
-	}
-	plan, err := h.OptimalHeteroPlan()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("masters: %d nodes\n", len(plan.Masters))
-	fmt.Printf("M/S beats flat: %v\n", plan.Stretch < plan.Flat)
-	// Output:
-	// masters: 1 nodes
-	// M/S beats flat: true
-}

@@ -87,25 +87,6 @@ func TestQuadraticEvaluationProperty(t *testing.T) {
 	}
 }
 
-// FCFS dominates PS in mean stretch for mixed traffic on the whole
-// studied grid (service variability hurts FIFO queues).
-func TestFCFSAlwaysWorseOnGrid(t *testing.T) {
-	for _, a := range []float64{0.25, 0.43, 0.67} {
-		for _, invR := range []float64{10, 20, 40, 80, 160} {
-			for _, load := range []float64{0.3, 0.6, 0.8} {
-				p := NewParams(32, 1, a, 1200, 1/invR)
-				lambda := load / p.FlatUtilization()
-				p = NewParams(32, lambda, a, 1200, 1/invR)
-				ps := p.FlatStretch()
-				fcfs := p.FCFSFlatStretch()
-				if fcfs < ps-1e-9 {
-					t.Fatalf("a=%v 1/r=%v load=%v: FCFS %v below PS %v", a, invR, load, fcfs, ps)
-				}
-			}
-		}
-	}
-}
-
 // Theta2 stays within [0, 1] for every feasible plan on the grid.
 func TestPlanThetaRangesOnGrid(t *testing.T) {
 	for _, a := range []float64{0.126, 0.41, 0.795} {

@@ -15,10 +15,9 @@ import (
 
 // RunClosed drives a live cluster with closed-loop sessions: each
 // session is a goroutine-user that waits for every response before
-// thinking and issuing its next request — the live counterpart of
-// cluster.RunClosedLoop. Master URLs are assigned to sessions round
-// robin (a user keeps its front-end server, as a browser keeps its
-// connection).
+// thinking and issuing its next request. Master URLs are assigned to
+// sessions round robin (a user keeps its front-end server, as a browser
+// keeps its connection).
 func RunClosed(ctx context.Context, masterURLs []string, sessions []workload.Session, opts Options) (*Result, error) {
 	if len(masterURLs) == 0 {
 		return nil, fmt.Errorf("replay: no master URLs")
@@ -28,11 +27,9 @@ func RunClosed(ctx context.Context, masterURLs []string, sessions []workload.Ses
 			return nil, fmt.Errorf("replay: session %d: %w", i, err)
 		}
 	}
-	if opts.TimeScale <= 0 {
-		opts.TimeScale = 1
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 120 * time.Second
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 
 	client := &http.Client{
@@ -56,7 +53,7 @@ func RunClosed(ctx context.Context, masterURLs []string, sessions []workload.Ses
 
 	runSession := func(master string, s workload.Session) {
 		defer wg.Done()
-		if wait := time.Duration(s.Start*opts.TimeScale*float64(time.Second)) - time.Since(start); wait > 0 {
+		if wait := opts.scaled(s.Start) - time.Since(start); wait > 0 {
 			select {
 			case <-time.After(wait):
 			case <-ctx.Done():
@@ -103,9 +100,8 @@ func RunClosed(ctx context.Context, masterURLs []string, sessions []workload.Ses
 			}
 			mu.Unlock()
 			if i < len(s.Thinks) {
-				think := time.Duration(s.Thinks[i] * opts.TimeScale * float64(time.Second))
 				select {
-				case <-time.After(think):
+				case <-time.After(opts.scaled(s.Thinks[i])):
 				case <-ctx.Done():
 					return
 				}

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -77,6 +78,29 @@ func TestRunClosedValidation(t *testing.T) {
 	bad := []workload.Session{{Start: 0}}
 	if _, err := RunClosed(context.Background(), []string{"http://x"}, bad, DefaultOptions()); err == nil {
 		t.Fatal("invalid session accepted")
+	}
+	good := []workload.Session{{Requests: make([]trace.Request, 1)}}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := RunClosed(context.Background(), []string{"http://x"}, good, Options{TimeScale: scale}); err == nil {
+			t.Fatalf("time scale %v accepted", scale)
+		}
+	}
+}
+
+// A think too long for a time.Duration still waits: the session sends
+// its first request and then nothing until the context ends.
+func TestRunClosedHugeThinkWaits(t *testing.T) {
+	c := startTestCluster(t, 1, 2, 1)
+	req := trace.Request{Class: trace.Static, Demand: 0.001, CPUWeight: 0.5}
+	s := workload.Session{Requests: []trace.Request{req, req}, Thinks: []float64{1e300}}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	res, err := RunClosed(ctx, c.MasterURLs(), []workload.Session{s}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sent != 1 || res.Duration < 200*time.Millisecond {
+		t.Fatalf("sent %d in %v, want 1 request and a wait until the context ended", res.Sent, res.Duration)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -23,7 +24,8 @@ import (
 type Options struct {
 	// TimeScale compresses (<1) or dilates (>1) the trace's arrival
 	// intervals and demands; it must match the cluster's TimeScale so
-	// stretch factors stay dimensionless.
+	// stretch factors stay dimensionless. ≤ 0 means 1; NaN and ±Inf are
+	// errors.
 	TimeScale float64
 	// Timeout bounds each request.
 	Timeout time.Duration
@@ -104,6 +106,32 @@ func DefaultOptions() Options {
 	return Options{TimeScale: 1, Timeout: 120 * time.Second}
 }
 
+// withDefaults checks opts and fills its defaults: a TimeScale ≤ 0
+// means real time and a Timeout ≤ 0 means 120 s.
+func (o Options) withDefaults() (Options, error) {
+	if math.IsNaN(o.TimeScale) || math.IsInf(o.TimeScale, 0) {
+		return o, fmt.Errorf("replay: time scale %v is not finite", o.TimeScale)
+	}
+	if o.TimeScale <= 0 {
+		o.TimeScale = 1
+	}
+	if o.Timeout <= 0 {
+		o.Timeout = 120 * time.Second
+	}
+	return o, nil
+}
+
+// scaled converts seconds of trace time to wall time at the replay's
+// time scale. It saturates at math.MaxInt64 (about 292 years) where a
+// bare conversion would wrap to a negative duration.
+func (o Options) scaled(seconds float64) time.Duration {
+	ns := seconds * o.TimeScale * float64(time.Second)
+	if !(ns < math.MaxInt64) {
+		return math.MaxInt64
+	}
+	return time.Duration(ns)
+}
+
 // Result carries replay statistics.
 type Result struct {
 	Summary  metrics.Summary
@@ -134,11 +162,9 @@ func Run(ctx context.Context, masterURLs []string, tr *trace.Trace, opts Options
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.TimeScale <= 0 {
-		opts.TimeScale = 1
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 120 * time.Second
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 
 	client := &http.Client{
@@ -172,7 +198,7 @@ func Run(ctx context.Context, masterURLs []string, tr *trace.Trace, opts Options
 		if ctx.Err() != nil {
 			break
 		}
-		at := time.Duration((req.Arrival - base) * opts.TimeScale * float64(time.Second))
+		at := opts.scaled(req.Arrival - base)
 		if wait := at - time.Since(start); wait > 0 {
 			select {
 			case <-time.After(wait):

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -117,6 +118,26 @@ func TestReplayErrors(t *testing.T) {
 	bad := &trace.Trace{Requests: []trace.Request{{Arrival: 5}, {Arrival: 1}}}
 	if _, err := Run(context.Background(), []string{"http://127.0.0.1:1"}, bad, DefaultOptions()); err == nil {
 		t.Fatal("invalid trace accepted")
+	}
+	good := &trace.Trace{Requests: []trace.Request{{Arrival: 0}, {Arrival: 1}}}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Run(context.Background(), []string{"http://127.0.0.1:1"}, good, Options{TimeScale: scale}); err == nil {
+			t.Fatalf("time scale %v accepted", scale)
+		}
+	}
+}
+
+// A scaled time past the range of time.Duration saturates instead of
+// wrapping negative.
+func TestScaledSaturates(t *testing.T) {
+	o := Options{TimeScale: 2}
+	if got := o.scaled(1.5); got != 3*time.Second {
+		t.Fatalf("scaled(1.5) at 2x = %v, want 3s", got)
+	}
+	for _, s := range []float64{1e300, math.Inf(1)} {
+		if got := o.scaled(s); got != math.MaxInt64 {
+			t.Fatalf("scaled(%v) = %v, want the largest duration", s, got)
+		}
 	}
 }
 

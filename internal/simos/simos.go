@@ -50,9 +50,6 @@ type Config struct {
 	// matching the high-end server calibration of the 1200 req/s
 	// SPECweb96 node capability).
 	TotalPages int
-	// SpeedFactor scales CPU speed for the heterogeneous-cluster
-	// extension; 1.0 is the homogeneous baseline.
-	SpeedFactor float64
 	// ReadyLevels is the number of multilevel-feedback priority levels.
 	ReadyLevels int
 }
@@ -67,7 +64,6 @@ func DefaultConfig() Config {
 		PageIOTime:     0.002,
 		PageSize:       8192,
 		TotalPages:     65536,
-		SpeedFactor:    1.0,
 		ReadyLevels:    32,
 	}
 }
@@ -85,8 +81,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("simos: page I/O time %v must be positive", c.PageIOTime)
 	case c.TotalPages <= 0:
 		return fmt.Errorf("simos: node needs memory pages")
-	case c.SpeedFactor <= 0:
-		return fmt.Errorf("simos: speed factor %v must be positive", c.SpeedFactor)
 	case c.ReadyLevels < 1:
 		return fmt.Errorf("simos: need at least one ready level")
 	}
@@ -512,7 +506,7 @@ func (n *Node) dispatchCPU() {
 	if p.curCPU < slice {
 		slice = p.curCPU
 	}
-	wall := overhead + slice/n.cfg.SpeedFactor
+	wall := overhead + slice
 	n.eng.AfterCall(wall, n.cpuDoneC, p, slice)
 }
 
@@ -628,8 +622,8 @@ func (n *Node) finish(p *process) {
 	n.stats.Completed++
 	n.active--
 	// Recycle before notifying: the completion hook may immediately
-	// Submit a follow-up job (closed-loop sessions) and should find
-	// this struct back in the pool. p is dead past this point.
+	// Submit a follow-up job and should find this struct back in the
+	// pool. p is dead past this point.
 	done, doneCall, doneArg := p.job.Done, p.job.DoneCall, p.job.DoneArg
 	n.releaseProcess(p)
 	switch {

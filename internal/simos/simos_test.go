@@ -32,7 +32,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ForkOverhead = -1 },
 		func(c *Config) { c.PageIOTime = 0 },
 		func(c *Config) { c.TotalPages = 0 },
-		func(c *Config) { c.SpeedFactor = 0 },
 		func(c *Config) { c.ReadyLevels = 0 },
 	}
 	for i, mutate := range cases {
@@ -268,29 +267,6 @@ func TestDiskServesFIFORoundRobin(t *testing.T) {
 	}
 	if last := math.Max(first, second); !approx(last, 0.040, 1e-9) {
 		t.Fatalf("total disk time %v, want 0.040", last)
-	}
-}
-
-func TestSpeedFactorScalesCPUOnly(t *testing.T) {
-	run := func(speed float64) float64 {
-		eng := sim.NewEngine()
-		cfg := DefaultConfig()
-		cfg.ContextSwitch = 0
-		cfg.SpeedFactor = speed
-		n, _ := NewNode(eng, 0, cfg)
-		var done float64
-		n.Submit(Job{CPUTime: 0.040, IOTime: 0.010, Done: func(now float64) { done = now }})
-		eng.Run()
-		return done
-	}
-	base := run(1)
-	fast := run(2)
-	if !approx(base, 0.050, 1e-9) {
-		t.Fatalf("base run = %v, want 0.050", base)
-	}
-	// CPU halves (0.020), I/O unchanged (0.010).
-	if !approx(fast, 0.030, 1e-9) {
-		t.Fatalf("2x run = %v, want 0.030", fast)
 	}
 }
 

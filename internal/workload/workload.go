@@ -3,9 +3,8 @@
 // not issue the next request until the previous response arrives. This
 // closed-loop behaviour self-throttles under overload, unlike the
 // paper's open-loop trace replay where the offered rate is fixed no
-// matter how slow the server gets. The cluster simulator can drive
-// either model; comparing them shows how much of an overloaded system's
-// apparent collapse is an artifact of open-loop methodology.
+// matter how slow the server gets. msload -closed drives a live cluster
+// with these sessions (replay.RunClosed).
 package workload
 
 import (
@@ -37,16 +36,20 @@ func (s Session) Validate() error {
 	if len(s.Thinks) != len(s.Requests)-1 {
 		return fmt.Errorf("workload: %d thinks for %d requests", len(s.Thinks), len(s.Requests))
 	}
-	if s.Start < 0 || math.IsNaN(s.Start) {
+	if !finiteNonNegative(s.Start) {
 		return fmt.Errorf("workload: bad session start %v", s.Start)
 	}
 	for i, th := range s.Thinks {
-		if th < 0 || math.IsNaN(th) {
+		if !finiteNonNegative(th) {
 			return fmt.Errorf("workload: bad think time %v at %d", th, i)
 		}
 	}
 	return nil
 }
+
+// finiteNonNegative reports whether x is a usable time: not negative,
+// NaN or +Inf.
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Config parameterizes session generation.
 type Config struct {
@@ -77,8 +80,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workload: session rate %v must be positive", c.SessionRate)
 	case c.MeanRequests < 1:
 		return fmt.Errorf("workload: mean session length %v must be ≥ 1", c.MeanRequests)
-	case c.MeanThink < 0:
-		return fmt.Errorf("workload: negative think time")
+	case !finiteNonNegative(c.MeanThink):
+		return fmt.Errorf("workload: mean think time %v must be finite and non-negative", c.MeanThink)
 	}
 	probe := trace.GenConfig{Profile: c.Profile, Lambda: 1, Requests: 1, MuH: c.MuH, R: c.R}
 	return probe.Validate()

@@ -124,6 +124,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.SessionRate = 0 },
 		func(c *Config) { c.MeanRequests = 0.5 },
 		func(c *Config) { c.MeanThink = -1 },
+		func(c *Config) { c.MeanThink = math.NaN() },
+		func(c *Config) { c.MeanThink = math.Inf(1) },
 		func(c *Config) { c.MuH = 0 },
 		func(c *Config) { c.R = 0 },
 	}
@@ -156,6 +158,14 @@ func TestSessionValidate(t *testing.T) {
 	bad4 := Session{Start: 0, Requests: make([]trace.Request, 2), Thinks: []float64{-1}}
 	if bad4.Validate() == nil {
 		t.Fatal("negative think accepted")
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1)} {
+		if (Session{Start: x, Requests: make([]trace.Request, 1)}).Validate() == nil {
+			t.Fatalf("start %v accepted", x)
+		}
+		if (Session{Requests: make([]trace.Request, 2), Thinks: []float64{x}}).Validate() == nil {
+			t.Fatalf("think %v accepted", x)
+		}
 	}
 }
 
