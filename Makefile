@@ -85,7 +85,7 @@ experiments:
 # The deterministic experiments: every one but the live table3, whose
 # results/table3.txt is a recorded replay. cmd/msbench's
 # TestMakefileResultsList keeps this list in step with the experiments.
-RESULTS = table1 table2 fig3 fig4a fig4b fig5 failover autoscale wsense staleness tournament sharded
+RESULTS = table1 table2 fig3 fig4a fig4b fig5 failover autoscale staleness tournament sharded
 
 # Regenerate results/<name>.txt (the table msbench prints) and
 # results/csv for every deterministic experiment, and the per-experiment

@@ -8,9 +8,9 @@
 //
 // Experiments, in the order "all" runs them: table1, table2, fig3,
 // fig4a, fig4b, fig5 (the paper's artifacts); failover, autoscale
-// (extension studies); wsense, staleness (ablations); tournament,
-// sharded (policy and control-plane comparisons); table3 (the live
-// loopback validation).
+// (extension studies); staleness (ablation); tournament, sharded
+// (policy and control-plane comparisons); table3 (the live loopback
+// validation).
 //
 // Each experiment builds one report.Table: stdout gets its text
 // rendering, -csv DIR its CSV, and stderr the progress lines, so
@@ -106,13 +106,6 @@ var experimentList = []experiment{
 			return nil, err
 		}
 		return experiments.AutoscaleTable(16, rows), nil
-	}},
-	{"wsense", func(s *settings) (*report.Table, error) {
-		rows, err := experiments.RunWSensitivity(16, s.opts)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.WSensitivityTable(16, rows), nil
 	}},
 	{"staleness", func(s *settings) (*report.Table, error) {
 		rows, err := experiments.RunStaleness(16, s.opts)

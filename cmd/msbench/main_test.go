@@ -77,15 +77,6 @@ func TestRunSimulatedExperimentQuick(t *testing.T) {
 	}
 }
 
-// msbench has no per-node discipline to set: -scheduling-policy is not
-// one of its flags.
-func TestRunRejectsSchedulingPolicy(t *testing.T) {
-	err := run([]string{"-experiment", "table1", "-scheduling-policy", "edf"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -scheduling-policy") {
-		t.Fatalf("want a flag parse error, got %v", err)
-	}
-}
-
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-experiment", "nope"}, &out, io.Discard); err == nil {
@@ -127,6 +118,41 @@ func TestMakefileResultsList(t *testing.T) {
 	for _, f := range files {
 		if name := filepath.Base(f); !kept[name] && !evidence.MatchString(name) {
 			t.Errorf("results/%s is neither a RESULTS experiment, table3.txt nor a prN_*.txt evidence file", name)
+		}
+	}
+}
+
+// goCommand matches a go run, test or build command in a document, up
+// to the end of its line or of the code span it sits in.
+var goCommand = regexp.MustCompile("\\bgo (?:run|test|build)\\b[^`\\n]*")
+
+// TestDocCommandsNamePackages keeps the go commands quoted in README.md
+// and DESIGN.md runnable: every ./path argument of a go run, go test or
+// go build must name a directory of the repository, so a deleted or
+// renamed package cannot leave a dead command in the docs.
+func TestDocCommandsNamePackages(t *testing.T) {
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile("../../" + doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := 0
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, cmd := range goCommand.FindAllString(line, -1) {
+				for _, arg := range strings.Fields(cmd) {
+					if !strings.HasPrefix(arg, "./") {
+						continue
+					}
+					paths++
+					dir := strings.TrimSuffix(strings.TrimSuffix(arg, "..."), "/")
+					if st, err := os.Stat("../../" + dir); err != nil || !st.IsDir() {
+						t.Errorf("%s:%d: %q names no directory of the repository", doc, i+1, arg)
+					}
+				}
+			}
+		}
+		if paths == 0 {
+			t.Errorf("%s quotes no go command with a ./path; the pattern no longer matches", doc)
 		}
 	}
 }

@@ -5,11 +5,10 @@
 //
 //	mscluster -nodes 6 -masters 3 -policy ms
 //	mscluster -nodes 6 -masters 2 -fast
-//	mscluster -policy jsq2 -scheduling-policy fcfs
+//	mscluster -policy jsq2
 //	mscluster -list-policies
 //
-// -policy names a preset of internal/policy (-list-policies prints them);
-// -scheduling-policy sets every node's CPU discipline: mlfq, rr or fcfs.
+// -policy names a preset of internal/policy (-list-policies prints them).
 //
 // -fast runs the slaves uncalibrated (virtual-time demand accounting,
 // no wall-clock sleeps). Masters always dispatch to slaves over the
@@ -102,7 +101,6 @@ func buildConfig(args []string) (httpcluster.Config, error) {
 	masters := fs.Int("masters", 2, "number of master nodes")
 	var pf policy.Flags
 	pf.Register(fs)
-	discipline := fs.String("scheduling-policy", "", "per-node discipline: mlfq (default), rr, fcfs")
 	scale := fs.Float64("timescale", 1, "duration scale factor (1 = real time)")
 	refresh := fs.Duration("refresh", 100*time.Millisecond, "load polling period")
 	seed := fs.Int64("seed", 1, "policy randomization seed")
@@ -130,7 +128,6 @@ func buildConfig(args []string) (httpcluster.Config, error) {
 	cfg.Nodes = *nodes
 	cfg.TimeScale = *scale
 	cfg.LoadRefresh = *refresh
-	cfg.Discipline = *discipline
 	cfg.Uncalibrated = *fast
 	cfg.ListenerShards = *lshards
 	cfg.Shards = *shards

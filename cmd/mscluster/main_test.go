@@ -27,7 +27,11 @@ func TestBuildConfigErrors(t *testing.T) {
 		{"-nodes", "0"},
 		{"-masters", "9", "-nodes", "2"},
 		{"-badflag"},
-		{"-scheduling-policy", "edf"},
+		// A time scale must be a non-negative finite factor: NaN
+		// would boot nodes whose quanta are non-finite durations.
+		{"-timescale", "NaN"},
+		{"-timescale", "+Inf"},
+		{"-timescale", "-1"},
 	}
 	for _, args := range cases {
 		if _, err := buildConfig(args); err == nil {
@@ -51,12 +55,9 @@ func TestAllPoliciesConstruct(t *testing.T) {
 }
 
 func TestCustomPipelineFlags(t *testing.T) {
-	cfg, err := buildConfig([]string{"-policy", "ms", "-scheduling-policy", "fcfs"})
+	cfg, err := buildConfig([]string{"-policy", "ms"})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.Discipline != "fcfs" {
-		t.Fatalf("discipline %q not forwarded", cfg.Discipline)
 	}
 	if p := cfg.MakePolicy(0); p == nil || p.Name() != "M/S" {
 		t.Fatal("the ms preset did not construct")

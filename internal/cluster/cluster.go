@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"msweb/internal/core"
 	"msweb/internal/metrics"
@@ -30,11 +31,6 @@ type Config struct {
 	Masters int
 	// OS configures every node.
 	OS simos.Config
-	// Discipline selects the per-node CPU scheduling discipline:
-	// core.DisciplineMLFQ (default), DisciplineRR (single-level
-	// round-robin) or DisciplineFCFS (single level, run-to-completion
-	// CPU chunks). It adjusts OS before node construction.
-	Discipline string
 	// EnableShedding lets the cluster shed requests the way the live
 	// master does: when no slaves are in view and the policy's
 	// MasterAdmission denies local execution, a dynamic request
@@ -116,27 +112,30 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: need at least one node")
 	case c.Masters < 1 || c.Masters > c.Nodes:
 		return fmt.Errorf("cluster: masters %d outside [1, %d]", c.Masters, c.Nodes)
-	case c.LoadRefresh <= 0:
-		return fmt.Errorf("cluster: load refresh period must be positive")
-	case c.WarmupFraction < 0 || c.WarmupFraction >= 1:
+	case !finite(c.LoadRefresh) || c.LoadRefresh <= 0:
+		return fmt.Errorf("cluster: load refresh period %v must be positive and finite", c.LoadRefresh)
+	case !finite(c.WarmupFraction) || c.WarmupFraction < 0 || c.WarmupFraction >= 1:
 		return fmt.Errorf("cluster: warmup fraction %v outside [0, 1)", c.WarmupFraction)
 	case c.Shards > 1 && c.Shards != c.Masters:
 		return fmt.Errorf("cluster: shards %d must equal masters %d", c.Shards, c.Masters)
-	case c.GossipEvery < 0:
-		return fmt.Errorf("cluster: negative gossip period")
-	case c.SLOResponse < 0:
-		return fmt.Errorf("cluster: negative SLO response bound")
-	case c.Autoscale != nil && c.Autoscale.Period <= 0:
-		return fmt.Errorf("cluster: autoscale period must be positive")
-	}
-	if _, err := disciplinedOS(c.OS, c.Discipline); err != nil {
-		return err
+	case !finite(c.GossipEvery) || c.GossipEvery < 0:
+		return fmt.Errorf("cluster: gossip period %v must be non-negative and finite", c.GossipEvery)
+	case !finite(c.SLOResponse) || c.SLOResponse < 0:
+		return fmt.Errorf("cluster: SLO response bound %v must be non-negative and finite", c.SLOResponse)
+	case c.Autoscale != nil && (!finite(c.Autoscale.Period) || c.Autoscale.Period <= 0):
+		return fmt.Errorf("cluster: autoscale period %v must be positive and finite", c.Autoscale.Period)
 	}
 	if err := validateEvents(c.Events, c.InitiallyDown, c.Nodes); err != nil {
 		return err
 	}
 	return c.OS.Validate()
 }
+
+// finite reports whether x is neither NaN nor infinite. Validate needs
+// it because a NaN compares false with everything, so it slips past each
+// range check, and an infinite period schedules an event at a
+// non-finite time.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Result summarizes one simulation run.
 type Result struct {
@@ -305,13 +304,9 @@ func New(eng *sim.Engine, cfg Config, policy core.Policy) (*Cluster, error) {
 		c.asStats = &AutoscaleStats{}
 		c.as = core.Planner{MinM: cfg.Autoscale.MinM, MaxM: cfg.Autoscale.MaxM}
 	}
-	osBase, err := disciplinedOS(cfg.OS, cfg.Discipline)
-	if err != nil {
-		return nil, err
-	}
 	c.nodes = make([]*simos.Node, cfg.Nodes)
 	for i := range c.nodes {
-		n, err := simos.NewNode(eng, i, osBase)
+		n, err := simos.NewNode(eng, i, cfg.OS)
 		if err != nil {
 			return nil, err
 		}
@@ -597,26 +592,6 @@ func (c *Cluster) complete(arg any, now float64) {
 	}
 	c.completed++
 	c.releasePending(pr)
-}
-
-// disciplinedOS maps a scheduling-discipline name onto the OS model:
-// MLFQ is the paper's default multilevel feedback queue; RR collapses
-// the ready queue to one level (pure quantum round-robin); FCFS
-// additionally stretches the quantum past any realistic burst so a CPU
-// chunk runs to completion once granted.
-func disciplinedOS(base simos.Config, discipline string) (simos.Config, error) {
-	switch discipline {
-	case "", core.DisciplineMLFQ:
-		return base, nil
-	case core.DisciplineRR:
-		base.ReadyLevels = 1
-		return base, nil
-	case core.DisciplineFCFS:
-		base.ReadyLevels = 1
-		base.CPUQuantum = 3600 // far beyond any burst: no preemption
-		return base, nil
-	}
-	return base, fmt.Errorf("cluster: unknown scheduling discipline %q", discipline)
 }
 
 func isMaster(id int, masters []int) bool {

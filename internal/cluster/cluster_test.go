@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -37,6 +38,18 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LoadRefresh = 0 },
 		func(c *Config) { c.WarmupFraction = 1 },
 		func(c *Config) { c.OS.CPUQuantum = 0 },
+		// A non-finite value fails every field that takes one: a NaN
+		// or infinite period would panic Simulate, and a NaN gossip
+		// period would fall back to the default.
+		func(c *Config) { c.LoadRefresh = math.NaN() },
+		func(c *Config) { c.LoadRefresh = math.Inf(1) },
+		func(c *Config) { c.Autoscale = &Autoscale{Period: math.NaN()} },
+		func(c *Config) { c.Autoscale = &Autoscale{Period: math.Inf(1)} },
+		func(c *Config) { c.GossipEvery = math.NaN() },
+		func(c *Config) { c.GossipEvery = math.Inf(1) },
+		func(c *Config) { c.WarmupFraction = math.NaN() },
+		func(c *Config) { c.SLOResponse = math.NaN() },
+		func(c *Config) { c.SLOResponse = math.Inf(1) },
 	}
 	for i, mutate := range cases {
 		c := DefaultConfig(8, 2)

@@ -11,10 +11,10 @@ import "msweb/internal/trace"
 // regime where no slave is routable, both planes ask the same verdict
 // through MasterAdmission to decide whether to shed. RoutingPolicy
 // picks the executing node among the admission-eligible candidates
-// (min-RSRC by default; see routing.go for the competitor set). The
-// per-node queueing discipline (Discipline) is not part of a policy:
-// each plane's node configuration names it and the node enacts it —
-// simos in simulation, Resource on live nodes.
+// (min-RSRC by default; see routing.go for the competitor set). How a
+// node orders the work it runs is not part of a policy; it belongs to
+// the node model: simos.Config (ReadyLevels, CPUQuantum) in simulation,
+// the round-robin Resource on live nodes.
 //
 // Pipeline implements Policy, so both internal/cluster (sim) and
 // internal/httpcluster (live) consume a pipeline exactly as they
@@ -61,25 +61,6 @@ type RoutingPolicy interface {
 	Name() string
 	Route(req Request, w float64, candidates []int, v *View) (node int, cost float64)
 }
-
-// Discipline names the per-node queue-ordering policy. The execution
-// planes enact it — simos.Config.WithDiscipline in simulation, the
-// Resource quantum configuration on live nodes — from their own node
-// configuration (cluster.Config.Discipline, httpcluster
-// NodeOptions.Discipline).
-const (
-	// DisciplineMLFQ is the default multi-level feedback queue (BSD-style
-	// decay-usage priorities in simos; round-robin time sharing live).
-	DisciplineMLFQ = "mlfq"
-	// DisciplineRR is single-level round-robin: quantum time sharing
-	// without priority aging.
-	DisciplineRR = "rr"
-	// DisciplineFCFS runs every job to completion in arrival order.
-	DisciplineFCFS = "fcfs"
-)
-
-// Disciplines lists the registered per-node scheduling disciplines.
-func Disciplines() []string { return []string{DisciplineMLFQ, DisciplineRR, DisciplineFCFS} }
 
 // PipelineConfig assembles a Pipeline. The zero value of every field
 // selects the default-M/S behavior for that aspect.

@@ -125,13 +125,9 @@ func seedMean(vals []float64) float64 {
 	return sum / float64(len(vals))
 }
 
-// simulateOnce builds the cluster for one policy and replays the trace.
-func simulateOnce(p int, masters int, pol core.Policy, tr *trace.Trace, warmup float64) (float64, error) {
-	return simulateCell(p, masters, pol, tr, warmup, nil)
-}
-
-// simulateCell is simulateOnce with an optional lifecycle tracer wired
-// into the cluster (nil runs untraced).
+// simulateCell builds the cluster for one policy and replays the trace,
+// with an optional lifecycle tracer wired into the cluster (nil runs
+// untraced).
 func simulateCell(p int, masters int, pol core.Policy, tr *trace.Trace, warmup float64, tracer obs.Tracer) (float64, error) {
 	cfg := cluster.DefaultConfig(p, masters)
 	cfg.WarmupFraction = warmup

@@ -149,27 +149,6 @@ func FailoverTable(p int, rows []FailoverRow) *report.Table {
 	return t
 }
 
-// WSensitivityTable converts the sampling ablation.
-func WSensitivityTable(p int, rows []WSensitivityRow) *report.Table {
-	t := &report.Table{
-		Title:   "Ablation: w sampling accuracy",
-		Columns: []string{"w_table", "stretch"},
-		Notes: []string{
-			fmt.Sprintf("Off-line w sampling accuracy, ADL workload, p=%d.", p),
-			"When the dominant resource saturates, its idle ratio floors out and the OTHER",
-			"resource (whose load correlates with CGI count) can be the better-conditioned",
-			"signal, so even inverted weights may score well here.",
-		},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Label, round4(r.Stretch))
-	}
-	for i := 1; i < len(rows); i++ {
-		t.Notes = append(t.Notes, fmt.Sprintf("%s vs exact: %+.1f%%", rows[i].Label, (rows[i].Stretch/rows[0].Stretch-1)*100))
-	}
-	return t
-}
-
 // StalenessTable converts the staleness ablation.
 func StalenessTable(p int, rows []StalenessRow) *report.Table {
 	t := &report.Table{

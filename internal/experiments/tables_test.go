@@ -24,7 +24,6 @@ func TestAllTablesValidate(t *testing.T) {
 		Fig5Table(&Fig5Result{P: 32, NominalM: 5, Rows: []Fig5Row{{Trace: "KSU", InvR: 20, Rho: 0.4, FixedM: 5, AdaptedM: 6, FixedSF: 2, AdaptSF: 2}}}),
 		Table3Table([]Table3Row{{Trace: "ADL", Lambda: 20, Versus: "M/S-1", ActualPct: 5, SimPct: 7}}),
 		FailoverTable(16, []FailoverRow{{Scenario: "healthy", Stretch: 2, Completed: 100}}),
-		WSensitivityTable(16, []WSensitivityRow{{Label: "exact", Stretch: 2}, {Label: "noisy", Stretch: 2.2}}),
 		StalenessTable(16, []StalenessRow{{RefreshSeconds: 0.2, WithBooking: 2, NoBooking: 3}}),
 		AutoscaleTable(16, []AutoscaleRow{{Workload: "diurnal", Scenario: "autoscaled", Stretch: 2, SLO: 0.99, NodeHours: 0.1, SavedPct: 30, SlaveOffs: 4, Epochs: 9}}),
 		TournamentTable(16, []TournamentRow{{Profile: "KSU", Rho: 0.5, Policy: "ms", MeanMs: 20, P99Ms: 200, Stretch: 6, CPUUtil: 0.5}}),

@@ -32,9 +32,6 @@ type Config struct {
 	// (virtual-time accounting, no wall-clock sleeps) — the uncapped
 	// configuration for throughput work. See NodeOptions.Uncalibrated.
 	Uncalibrated bool
-	// Discipline selects every node's CPU scheduling discipline; see
-	// NodeOptions.Discipline. Empty means the default round-robin.
-	Discipline string
 	// Deprecated: ignored; frames are the only dispatch transport.
 	BinaryFraming bool
 	// ListenerShards is how many SO_REUSEPORT accept sockets every node
@@ -86,8 +83,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("httpcluster: autoscale period must be non-negative")
 	case c.AutoscaleMasters > 0 && c.Shards <= 1:
 		return fmt.Errorf("httpcluster: the master-tier autoscaler needs a sharded cluster (shards > 1)")
+	case !validTimeScale(c.TimeScale):
+		return fmt.Errorf("httpcluster: time scale %v must be non-negative and finite", c.TimeScale)
 	}
-	return validDiscipline(c.Discipline)
+	return nil
 }
 
 // Cluster is a running set of master and slave HTTP servers.
@@ -142,7 +141,6 @@ func Start(cfg Config) (*Cluster, error) {
 		n, err := LaunchNode(NodeOptions{
 			ID: id, Origin: origin, TimeScale: cfg.TimeScale,
 			Uncalibrated:   cfg.Uncalibrated,
-			Discipline:     cfg.Discipline,
 			ListenerShards: cfg.ListenerShards,
 		})
 		if err != nil {
@@ -160,7 +158,6 @@ func Start(cfg Config) (*Cluster, error) {
 			LoadRefresh: cfg.LoadRefresh, PolicyTick: cfg.PolicyTick,
 			Tracer:           cfg.Tracer,
 			Uncalibrated:     cfg.Uncalibrated,
-			Discipline:       cfg.Discipline,
 			ListenerShards:   cfg.ListenerShards,
 			Shards:           cfg.Shards,
 			GossipEvery:      cfg.GossipEvery,

@@ -2,6 +2,7 @@ package httpcluster
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -218,6 +219,13 @@ func TestClusterValidate(t *testing.T) {
 	cfg.Nodes = 1
 	if cfg.Validate() == nil {
 		t.Fatal("masters > nodes accepted")
+	}
+	for _, s := range []float64{-1, math.NaN(), math.Inf(1)} {
+		cfg := DefaultConfig(1, func(int) core.Policy { return core.NewFlat() })
+		cfg.TimeScale = s
+		if cfg.Validate() == nil {
+			t.Fatalf("time scale %v accepted", s)
+		}
 	}
 }
 

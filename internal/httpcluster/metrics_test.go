@@ -3,6 +3,7 @@ package httpcluster
 import (
 	"flag"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -100,31 +101,6 @@ func TestMasterMetricsGolden(t *testing.T) {
 	}
 }
 
-// The policy-info family's scheduling label is the discipline the
-// master's node runs, not a property of the policy.
-func TestPolicyInfoReportsNodeDiscipline(t *testing.T) {
-	for _, d := range core.Disciplines() {
-		m, err := LaunchMaster(NodeOptions{
-			ID:          0,
-			Masters:     []int{0},
-			Slaves:      []int{1},
-			NodeURLs:    []string{"", "http://unused.invalid"},
-			Policy:      core.NewMS(nil, 1),
-			Discipline:  d,
-			LoadRefresh: time.Hour, PolicyTick: time.Hour,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := scrape(t, m.URL)
-		m.Shutdown()
-		want := `msweb_scheduler_policy_info{node="0",policy="M/S",admission="theta2",routing="rsrc",scheduling="` + d + `"} 1`
-		if !strings.Contains(got, want) {
-			t.Errorf("discipline %q: missing %q in:\n%s", d, want, got)
-		}
-	}
-}
-
 // After real traffic the histogram families must carry the samples.
 func TestMetricsReflectTraffic(t *testing.T) {
 	n, err := LaunchNode(NodeOptions{ID: 1, TimeScale: 0.05})
@@ -156,8 +132,10 @@ func TestNodeOptionsValidate(t *testing.T) {
 	if err := (NodeOptions{ID: -1}).Validate(false); err == nil {
 		t.Fatal("negative id accepted")
 	}
-	if err := (NodeOptions{TimeScale: -1}).Validate(false); err == nil {
-		t.Fatal("negative time scale accepted")
+	for _, s := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := (NodeOptions{TimeScale: s}).Validate(false); err == nil {
+			t.Fatalf("time scale %v accepted", s)
+		}
 	}
 	ok := NodeOptions{
 		ID: 0, Masters: []int{0}, Slaves: []int{1},

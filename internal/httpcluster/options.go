@@ -2,6 +2,7 @@ package httpcluster
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -49,12 +50,6 @@ type NodeOptions struct {
 	// data plane for throughput work; calibrated mode (the default)
 	// remains the paper-faithful configuration.
 	Uncalibrated bool
-	// Discipline selects the node's CPU scheduling discipline:
-	// core.DisciplineMLFQ / DisciplineRR (both the default 10 ms
-	// round-robin slicing — the live plane has no priority decay, so
-	// MLFQ degenerates to RR) or DisciplineFCFS (run-to-completion:
-	// the quantum is stretched past any realistic service demand).
-	Discipline string
 	// ListenerShards is how many SO_REUSEPORT accept sockets the node
 	// binds to its one loopback port, each with its own accept loop, so
 	// connection setup and the persistent-frame read paths spread across
@@ -109,13 +104,10 @@ func (o NodeOptions) Validate(master bool) error {
 	switch {
 	case o.ID < 0:
 		return fmt.Errorf("httpcluster: negative node id %d", o.ID)
-	case o.TimeScale < 0:
-		return fmt.Errorf("httpcluster: negative time scale %v", o.TimeScale)
+	case !validTimeScale(o.TimeScale):
+		return fmt.Errorf("httpcluster: time scale %v must be non-negative and finite", o.TimeScale)
 	case o.ListenerShards < 0 || o.ListenerShards > 256:
 		return fmt.Errorf("httpcluster: listener shards %d outside [0, 256]", o.ListenerShards)
-	}
-	if err := validDiscipline(o.Discipline); err != nil {
-		return err
 	}
 	if !master {
 		return nil
@@ -150,15 +142,11 @@ func (o NodeOptions) Validate(master bool) error {
 	return nil
 }
 
-// validDiscipline rejects an unknown CPU scheduling discipline name; ""
-// selects the default.
-func validDiscipline(name string) error {
-	switch name {
-	case "", core.DisciplineMLFQ, core.DisciplineRR, core.DisciplineFCFS:
-		return nil
-	}
-	return fmt.Errorf("httpcluster: unknown scheduling discipline %q", name)
-}
+// validTimeScale reports whether s can scale a service duration: 0
+// (real time) or a positive finite factor. A NaN would pass a plain
+// "s < 0" check and make every quantum and demand a non-finite
+// duration.
+func validTimeScale(s float64) bool { return s >= 0 && !math.IsInf(s, 1) }
 
 // withDefaults fills the zero values.
 func (o NodeOptions) withDefaults() NodeOptions {
@@ -168,15 +156,12 @@ func (o NodeOptions) withDefaults() NodeOptions {
 	if o.TimeScale == 0 {
 		o.TimeScale = 1
 	}
-	if o.Discipline == "" {
-		o.Discipline = core.DisciplineMLFQ
-	}
 	return o
 }
 
 // LaunchNode starts a slave node server on a loopback ephemeral port.
-// Only ID, Origin, TimeScale, ListenerShards, Uncalibrated and
-// Discipline are consulted.
+// Only ID, Origin, TimeScale, ListenerShards and Uncalibrated are
+// consulted.
 func LaunchNode(o NodeOptions) (*Node, error) {
 	if err := o.Validate(false); err != nil {
 		return nil, err
@@ -211,14 +196,13 @@ func LaunchMaster(o NodeOptions) (*Master, error) {
 		// membership announces. No global timeout — each call carries its
 		// own context deadline — and net/http's default pool sizes: these
 		// calls are a few per peer per period.
-		client:     &http.Client{Transport: &http.Transport{}},
-		stop:       make(chan struct{}),
-		self:       [1]int{o.ID},
-		tracer:     o.Tracer,
-		discipline: o.Discipline,
-		urls:       make([]atomic.Pointer[string], len(o.NodeURLs)),
-		brk:        newBreakerSet(len(o.NodeURLs), breakerPolls*o.LoadRefresh),
-		respHist:   obs.NewHistogram(),
+		client:   &http.Client{Transport: &http.Transport{}},
+		stop:     make(chan struct{}),
+		self:     [1]int{o.ID},
+		tracer:   o.Tracer,
+		urls:     make([]atomic.Pointer[string], len(o.NodeURLs)),
+		brk:      newBreakerSet(len(o.NodeURLs), breakerPolls*o.LoadRefresh),
+		respHist: obs.NewHistogram(),
 		// Piggybacked load reports are always on (nodes that never answer
 		// a frame simply never fill their slot).
 		piggy:          make([]piggySlot, len(o.NodeURLs)),

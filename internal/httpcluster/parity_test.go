@@ -124,18 +124,3 @@ func TestSimLivePolicyParity(t *testing.T) {
 		})
 	}
 }
-
-// TestDisciplineValidation exercises the unified discipline surface on
-// the live plane: every registered name launches, anything else fails.
-func TestDisciplineValidation(t *testing.T) {
-	for _, d := range core.Disciplines() {
-		n, err := LaunchNode(NodeOptions{ID: 0, Discipline: d})
-		if err != nil {
-			t.Fatalf("discipline %q: %v", d, err)
-		}
-		n.Shutdown()
-	}
-	if _, err := LaunchNode(NodeOptions{ID: 0, Discipline: "sjf"}); err == nil {
-		t.Fatal("unknown discipline must be rejected")
-	}
-}

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"msweb/internal/core"
 	"msweb/internal/metrics"
 )
 
@@ -326,14 +325,7 @@ type NodeResources struct {
 // are charged to virtual clocks instead of being slept off, so the node
 // executes at CPU speed while its load reports still reflect the
 // offered demand (see NewFastResource).
-//
-// discipline selects the CPU scheduling discipline. The live resource
-// slices by quantum, so core.DisciplineMLFQ and DisciplineRR are both
-// the default 10 ms round-robin (there is no priority decay to feed an
-// MLFQ); core.DisciplineFCFS stretches the quantum past any realistic
-// service demand, so a request's CPU phase runs to completion once
-// granted. An empty discipline means the default.
-func NewNodeResources(origin time.Time, timeScale float64, uncalibrated bool, discipline string) *NodeResources {
+func NewNodeResources(origin time.Time, timeScale float64, uncalibrated bool) *NodeResources {
 	if timeScale <= 0 {
 		timeScale = 1
 	}
@@ -341,12 +333,8 @@ func NewNodeResources(origin time.Time, timeScale float64, uncalibrated bool, di
 	if uncalibrated {
 		mk = NewFastResource
 	}
-	cpuQuantum := 10 * time.Millisecond
-	if discipline == core.DisciplineFCFS {
-		cpuQuantum = time.Hour // far beyond any demand: no preemption
-	}
 	return &NodeResources{
-		CPU:  mk(time.Duration(float64(cpuQuantum)*timeScale), origin),
+		CPU:  mk(time.Duration(float64(10*time.Millisecond)*timeScale), origin),
 		Disk: mk(time.Duration(float64(2*time.Millisecond)*timeScale), origin),
 	}
 }

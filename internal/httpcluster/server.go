@@ -108,7 +108,7 @@ func newNode(o NodeOptions) (*Node, error) {
 	return &Node{
 		ID:        o.ID,
 		URL:       "http://" + lis[0].Addr().String(),
-		res:       NewNodeResources(o.Origin, o.TimeScale, o.Uncalibrated, o.Discipline),
+		res:       NewNodeResources(o.Origin, o.TimeScale, o.Uncalibrated),
 		fork:      time.Duration(float64(3*time.Millisecond) * o.TimeScale),
 		timeScale: o.TimeScale,
 		origin:    o.Origin,
@@ -342,9 +342,6 @@ type Master struct {
 	wg       sync.WaitGroup
 	tracer   obs.Tracer
 	self     [1]int // masterless-view fallback: this master's own id
-	// discipline is the node's CPU scheduling discipline, reported on
-	// /metrics.
-	discipline string
 
 	// snap is the current load view generation (never nil after launch).
 	snap atomic.Pointer[loadSnapshot]

@@ -72,10 +72,10 @@ func (d *orderScript) untrack(id int) {
 }
 
 // delay draws a scheduling delay: zero (an After(0) chain), a tie on a
-// 1 ms grid, an exponential gap, or far future — the FCFS discipline's
-// 3 600 s quantum, or the clock pushed out to about 1e9 s. Far events
-// stay pending until the final drain, so they do not count toward the
-// population the phases steer.
+// 1 ms grid, an exponential gap, or far future — a 3 600 s quantum
+// that runs a burst to completion, or the clock pushed out to about
+// 1e9 s. Far events stay pending until the final drain, so they do not
+// count toward the population the phases steer.
 func (d *orderScript) delay() (dt float64, far bool) {
 	switch u := d.rng.Float64(); {
 	case d.tiny && u < 0.95:

@@ -180,26 +180,6 @@ func Characterize(t *Trace) Characteristics {
 // mean demands (service rate is the reciprocal of demand).
 func (c Characteristics) R() float64 { return c.DemandRatio }
 
-// ScaleIntervals returns a copy of the trace with all inter-arrival
-// intervals divided by factor (> 1 accelerates the replay), the paper's
-// mechanism for turning a lightly-loaded historical log into a heavy load
-// on the tested cluster. Demands and all other fields are unchanged.
-func ScaleIntervals(t *Trace, factor float64) *Trace {
-	if factor <= 0 {
-		factor = 1
-	}
-	out := &Trace{Name: t.Name, Requests: make([]Request, len(t.Requests))}
-	copy(out.Requests, t.Requests)
-	if len(out.Requests) == 0 {
-		return out
-	}
-	base := out.Requests[0].Arrival
-	for i := range out.Requests {
-		out.Requests[i].Arrival = base + (out.Requests[i].Arrival-base)/factor
-	}
-	return out
-}
-
 // Slice returns the sub-trace with arrivals in [from, to), rebased so the
 // first retained arrival keeps its absolute time. Used to extract
 // replayable segments as the paper does with the UCB log.

@@ -204,37 +204,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestScaleIntervals(t *testing.T) {
-	tr := &Trace{Name: "x", Requests: []Request{
-		{Arrival: 10}, {Arrival: 14}, {Arrival: 22},
-	}}
-	out := ScaleIntervals(tr, 2)
-	want := []float64{10, 12, 16}
-	for i, r := range out.Requests {
-		if !approx(r.Arrival, want[i], 1e-12) {
-			t.Fatalf("scaled arrival %d = %v, want %v", i, r.Arrival, want[i])
-		}
-	}
-	// Original untouched.
-	if tr.Requests[1].Arrival != 14 {
-		t.Fatal("ScaleIntervals mutated its input")
-	}
-	// Degenerate factor falls back to identity.
-	id := ScaleIntervals(tr, 0)
-	if id.Requests[2].Arrival != 22 {
-		t.Fatalf("factor=0 changed arrivals: %v", id.Requests[2].Arrival)
-	}
-}
-
-func TestScaleIntervalsChangesRate(t *testing.T) {
-	tr := genTestTrace(t, UCB, 5000, 100)
-	fast := ScaleIntervals(tr, 4)
-	c0, c1 := Characterize(tr), Characterize(fast)
-	if !approx(c1.MeanInterval*4, c0.MeanInterval, 1e-9) {
-		t.Fatalf("scale 4: intervals %v -> %v", c0.MeanInterval, c1.MeanInterval)
-	}
-}
-
 func TestSlice(t *testing.T) {
 	tr := &Trace{Name: "x", Requests: []Request{
 		{Arrival: 1}, {Arrival: 2}, {Arrival: 3}, {Arrival: 4},
