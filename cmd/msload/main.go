@@ -18,7 +18,6 @@ import (
 
 	"msweb/internal/replay"
 	"msweb/internal/trace"
-	"msweb/internal/workload"
 )
 
 func main() {
@@ -38,15 +37,6 @@ func run(args []string, stdout io.Writer) error {
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-request timeout")
 	conc := fs.Int("concurrency", 0, "max in-flight requests (0 = unlimited)")
 	frame := fs.Bool("frame", false, "drive masters over the persistent binary frame transport instead of HTTP")
-	closed := fs.Bool("closed", false, "closed-loop mode: generate sessions instead of replaying a trace")
-	profile := fs.String("profile", "KSU", "session profile for -closed (UCB, KSU, ADL)")
-	sessionsN := fs.Int("sessions", 50, "session count for -closed")
-	sessionRate := fs.Float64("session-rate", 5, "session arrival rate for -closed (sessions/second)")
-	meanReqs := fs.Float64("mean-requests", 8, "mean requests per session for -closed")
-	think := fs.Float64("think", 1, "mean think time for -closed (seconds)")
-	muH := fs.Float64("muh", 110, "node static capability for -closed demand calibration")
-	r := fs.Float64("r", 1.0/40, "service ratio for -closed demand calibration")
-	seed := fs.Int64("seed", 1, "generation seed for -closed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -54,36 +44,8 @@ func run(args []string, stdout io.Writer) error {
 	if *masters == "" {
 		return fmt.Errorf("-masters is required")
 	}
-	if *closed {
-		prof, ok := trace.ProfileByName(*profile)
-		if !ok {
-			return fmt.Errorf("unknown profile %q", *profile)
-		}
-		sessions, err := workload.Generate(workload.Config{
-			Profile:      prof,
-			Sessions:     *sessionsN,
-			SessionRate:  *sessionRate,
-			MeanRequests: *meanReqs,
-			MeanThink:    *think,
-			MuH:          *muH,
-			R:            *r,
-			Seed:         *seed,
-		})
-		if err != nil {
-			return err
-		}
-		res, err := replay.RunClosed(context.Background(), strings.Split(*masters, ","), sessions, replay.Options{
-			TimeScale: *scale,
-			Timeout:   *timeout,
-			Frames:    *frame,
-		})
-		if err != nil {
-			return err
-		}
-		return report(stdout, res)
-	}
 	if *traceFile == "" {
-		return fmt.Errorf("-trace is required (or use -closed)")
+		return fmt.Errorf("-trace is required")
 	}
 	f, err := os.Open(*traceFile)
 	if err != nil {

@@ -99,35 +99,3 @@ func TestMsloadErrors(t *testing.T) {
 		t.Fatalf("stretch factor printed with no successful request:\n%s", out.String())
 	}
 }
-
-func TestMsloadClosedLoop(t *testing.T) {
-	cfg := httpcluster.DefaultConfig(1, func(id int) core.Policy {
-		return core.NewMS(nil, int64(id)+1)
-	})
-	cfg.Nodes = 3
-	cfg.TimeScale = 0.2
-	cfg.LoadRefresh = 25 * time.Millisecond
-	cfg.PolicyTick = 50 * time.Millisecond
-	c, err := httpcluster.Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-
-	var out bytes.Buffer
-	err = run([]string{
-		"-masters", c.MasterURLs()[0],
-		"-closed", "-sessions", "10", "-session-rate", "50",
-		"-mean-requests", "3", "-think", "0.02",
-		"-timescale", "0.2",
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "stretch factor:") {
-		t.Fatalf("closed-loop report missing:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "replayed 0 requests") {
-		t.Fatalf("nothing replayed:\n%s", out.String())
-	}
-}

@@ -67,7 +67,12 @@ var edgeSeedHeads = []string{
 // edge keeps must not be decided before its last byte (cut stands in for
 // a head split across reads at any byte).
 func FuzzEdgeHead(f *testing.F) {
-	for _, s := range edgeSeedHeads {
+	// Demands past maxDemand: the edge keeps the head, serveReq refuses it.
+	huge := []string{
+		"GET /req?class=d&demand=1e10&w=0.5 HTTP/1.1\r\nHost: a\r\n\r\n",
+		"GET /req?class=s&demand=1e300&w=0.5 HTTP/1.1\r\nHost: a\r\n\r\n",
+	}
+	for _, s := range append(huge, edgeSeedHeads...) {
 		f.Add([]byte(s), uint16(len(s)/2))
 	}
 	f.Fuzz(func(t *testing.T, b []byte, cut uint16) {

@@ -257,8 +257,10 @@ func TestEdgeReplyMatchesHandler(t *testing.T) {
 		{"escaped values", plain, "class=%64&demand=%30&w=0%2e9", 200, 3},
 		{"no demand", plain, "w=0.5", 400, len("bad demand\n")},
 		{"negative demand", plain, "demand=-1&w=0.5", 400, len("bad demand\n")},
+		{"huge demand", plain, "demand=1e10&w=0.5", 400, len("bad demand\n")},
 		{"bad demand escape", plain, "demand=%zz&w=0.5", 400, len("bad demand\n")},
 		{"bad w", plain, "demand=0&w=x", 400, len("bad w\n")},
+		{"NaN w", plain, "demand=0&w=NaN", 400, len("bad w\n")},
 		{"empty query", plain, "", 400, len("bad demand\n")},
 		{"size 0", plain, "demand=0&w=0.5&size=0", 200, 3},
 		{"size 64", plain, "demand=0&w=0.5&size=64", 200, 64},

@@ -434,7 +434,7 @@ func (n *Node) serveFrames(conn net.Conn, br *bufio.Reader) {
 // loop and the node's HTTP /exec handler so the two cannot drift on
 // deadline semantics.
 func (n *Node) execOne(r frameExec) int {
-	if r.demand < 0 || math.IsNaN(r.demand) || math.IsInf(r.demand, 0) || math.IsNaN(r.w) {
+	if !validDemand(r.demand) || math.IsNaN(r.w) {
 		return http.StatusBadRequest
 	}
 	if r.deadlineNs > 0 && time.Now().UnixNano() >= r.deadlineNs {
@@ -635,7 +635,7 @@ func (m *Master) runFrameReqs(reqs []frameReq, statuses []int) {
 // serveFrameReq adapts one 'Q' entry to serveReq, returning the same
 // status taxonomy /req answers with (200, 400, 502, 503).
 func (m *Master) serveFrameReq(r frameReq) int {
-	if r.demand < 0 || math.IsNaN(r.demand) || math.IsInf(r.demand, 0) || math.IsNaN(r.w) {
+	if !validDemand(r.demand) || math.IsNaN(r.w) {
 		return http.StatusBadRequest
 	}
 	p := reqParams{demand: r.demand, w: r.w, demandOK: true, wOK: true,

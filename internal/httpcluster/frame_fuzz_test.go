@@ -25,6 +25,8 @@ func FuzzFrameDecode(f *testing.F) {
 	execSeed := appendExecFrame(nil, []frameExec{
 		{demand: 1, w: 0.5, deadlineNs: 42, fork: true},
 		{demand: 0, w: 1, deadlineNs: -7, fork: false},
+		{demand: 1e10, w: 0.5},
+		{demand: 1e300, w: 0.5},
 	})
 	respSeed := appendRespFrame(nil, []int{200, 503, 504},
 		core.Load{CPUIdle: 1, DiskAvail: 0.5, CPUQueue: 2, DiskQueue: 1, Speed: 1}, nil)
@@ -34,6 +36,8 @@ func FuzzFrameDecode(f *testing.F) {
 	reqSeed := appendReqFrame(nil, []frameReq{
 		{demand: 1, w: 0.5, script: 3, timeoutMs: 250, dynamic: true, idem: true},
 		{demand: 0, w: 1},
+		{demand: 1e10, w: 0.5, dynamic: true},
+		{demand: 1e300, w: 0.5},
 	})
 	for _, seed := range [][]byte{
 		execSeed[4:], // payloads (length prefix stripped)

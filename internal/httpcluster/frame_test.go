@@ -166,6 +166,49 @@ func TestFrameDeadlinePropagation(t *testing.T) {
 	}
 }
 
+// A demand past maxDemand is refused with 400 in an E entry (the
+// slave's frame loop) and in a Q entry (the master's), static or
+// dynamic.
+func TestFrameHugeDemandRefused(t *testing.T) {
+	n, err := LaunchNode(NodeOptions{ID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Shutdown()
+	m := launchTestMaster(t, n.URL)
+
+	sts, err := m.frames.exchange(1, []frameExec{
+		{demand: 1e10, w: 0.5},
+		{demand: 1e300, w: 0.5},
+		{demand: 0, w: 0.5},
+	}, nil, time.Now().Add(5*time.Second))
+	if err != nil {
+		t.Fatalf("exchange: %v", err)
+	}
+	if sts[0] != http.StatusBadRequest || sts[1] != http.StatusBadRequest || sts[2] != http.StatusOK {
+		t.Fatalf("E statuses %v, want [400 400 200]", sts)
+	}
+	if n.Executed() != 1 {
+		t.Fatalf("slave executed=%d, want only the zero-demand entry", n.Executed())
+	}
+
+	fc, err := DialFrame(m.URL, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	sts, err = fc.Do([]FrameRequest{
+		{Demand: 1e10, W: 0.5},
+		{Demand: 1e10, W: 0.5, Dynamic: true},
+	}, time.Now().Add(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sts[0] != http.StatusBadRequest || sts[1] != http.StatusBadRequest {
+		t.Fatalf("Q statuses %v, want [400 400]", sts)
+	}
+}
+
 // A client deadline tighter than a slow slave's service turns into a 502
 // (exhausted), not an unbounded wait.
 func TestFrameClientDeadlineExhausts(t *testing.T) {

@@ -117,7 +117,7 @@ func TestNodeExecRejectsBadParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
-	for _, q := range []string{"demand=-1&w=0.5", "demand=abc&w=0.5", "demand=0.01&w=zz"} {
+	for _, q := range []string{"demand=-1&w=0.5", "demand=abc&w=0.5", "demand=0.01&w=zz", "demand=1e10&w=0.5", "demand=1e300&w=0.5"} {
 		resp, err := http.Get(n.URL + "/exec?" + q)
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -156,10 +157,14 @@ func (n *Node) CGIServed() int64 { return n.cgiServed.Load() }
 // propagated deadline already passed.
 func (n *Node) DeadlineExpired() int64 { return n.deadlineExpired.Load() }
 
-// runWork performs a request's work on the node's virtual resources.
+// runWork performs a request's work on the node's virtual resources. A
+// scaled demand past time.Duration's range saturates instead of wrapping.
 func (n *Node) runWork(demand float64, w float64, forked bool) {
 	start := time.Now()
-	d := time.Duration(demand * n.timeScale * float64(time.Second))
+	d := time.Duration(math.MaxInt64)
+	if ns := demand * n.timeScale * float64(time.Second); ns < math.MaxInt64 {
+		d = time.Duration(ns)
+	}
 	if forked {
 		n.res.CPU.Use(n.fork)
 	}
@@ -177,14 +182,24 @@ func (n *Node) runWork(demand float64, w float64, forked bool) {
 	n.statsMu.Unlock()
 }
 
+// maxDemand bounds a request's demand in seconds: about 11.6 days, far
+// above any trace's demand, and inside time.Duration's range once scaled
+// at any time scale below 9000.
+const maxDemand = 1e6
+
+// validDemand reports whether d is a demand a node may run: finite,
+// non-negative and at most maxDemand seconds. /exec, /req and the E and
+// Q frame entries all refuse any other demand with 400.
+func validDemand(d float64) bool { return d >= 0 && d <= maxDemand }
+
 // badField names the required query field that is missing or invalid —
 // the 400 message of /exec and of both /req adapters — or "" when the
 // request is acceptable.
 func (p reqParams) badField() string {
-	if !p.demandOK || p.demand < 0 {
+	if !p.demandOK || !validDemand(p.demand) {
 		return "bad demand"
 	}
-	if !p.wOK {
+	if !p.wOK || math.IsNaN(p.w) {
 		return "bad w"
 	}
 	return ""

@@ -66,7 +66,6 @@ type running struct {
 	sumResponse float64
 	sumDemand   float64
 	maxStretch  float64
-	maxResponse float64
 }
 
 func (r *running) add(s Sample) {
@@ -77,9 +76,6 @@ func (r *running) add(s Sample) {
 	r.sumDemand += s.Demand
 	if st > r.maxStretch {
 		r.maxStretch = st
-	}
-	if s.Response > r.maxResponse {
-		r.maxResponse = s.Response
 	}
 }
 
@@ -171,9 +167,6 @@ func (c *Collector) MeanDemand() float64 {
 // MaxStretch returns the worst individual stretch observed.
 func (c *Collector) MaxStretch() float64 { return c.overall.maxStretch }
 
-// MaxResponse returns the worst response time observed.
-func (c *Collector) MaxResponse() float64 { return c.overall.maxResponse }
-
 // StretchPercentile returns the q-quantile (q in [0,1]) of individual
 // stretches by nearest rank.
 func (c *Collector) StretchPercentile(q float64) float64 {
@@ -248,14 +241,4 @@ func (c *Collector) Summarize() Summary {
 		}
 	}
 	return s
-}
-
-// Improvement returns the paper's comparison statistic,
-// (SF_other/SF_base − 1) × 100%: how much worse `other` is than `base`,
-// i.e. the percentage improvement of base over other.
-func Improvement(base, other float64) float64 {
-	if base <= 0 {
-		return 0
-	}
-	return (other/base - 1) * 100
 }

@@ -118,9 +118,6 @@ func TestMaxima(t *testing.T) {
 	if got := c.MaxStretch(); got != 10 {
 		t.Fatalf("MaxStretch = %v, want 10", got)
 	}
-	if got := c.MaxResponse(); got != 5 {
-		t.Fatalf("MaxResponse = %v, want 5", got)
-	}
 }
 
 func TestSummarize(t *testing.T) {
@@ -139,21 +136,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.ByClass["static"].Count != 1 || s.ByClass["dynamic"].Count != 1 {
 		t.Fatalf("summary ByClass = %+v", s.ByClass)
-	}
-}
-
-func TestImprovement(t *testing.T) {
-	if got := Improvement(2, 3); !approx(got, 50, 1e-12) {
-		t.Fatalf("Improvement(2,3) = %v, want 50", got)
-	}
-	if got := Improvement(2, 2); got != 0 {
-		t.Fatalf("Improvement(2,2) = %v, want 0", got)
-	}
-	if got := Improvement(0, 5); got != 0 {
-		t.Fatalf("Improvement(0,5) = %v, want 0", got)
-	}
-	if got := Improvement(4, 2); !approx(got, -50, 1e-12) {
-		t.Fatalf("Improvement(4,2) = %v, want -50", got)
 	}
 }
 

@@ -1,7 +1,5 @@
 package metrics
 
-import "math"
-
 // UtilizationTracker integrates a busy/idle signal over virtual time and
 // reports the time-weighted busy fraction. Simulated OS components use one
 // tracker per resource (CPU, disk) to expose the CPUIdleRatio and
@@ -77,32 +75,6 @@ func (u *UtilizationTracker) WindowSample(now float64) float64 {
 		frac = 1
 	}
 	return frac
-}
-
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Stddev returns the sample standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
 // EWMA is an exponentially-weighted moving average used for smoothing

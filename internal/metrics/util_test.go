@@ -80,22 +80,6 @@ func TestUtilizationNonMonotonicClamps(t *testing.T) {
 	}
 }
 
-func TestMeanStddev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); !approx(got, 5, 1e-12) {
-		t.Fatalf("Mean = %v, want 5", got)
-	}
-	if got := Stddev(xs); !approx(got, 2.138, 0.001) {
-		t.Fatalf("Stddev = %v, want ~2.138", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Fatalf("Mean(nil) = %v", got)
-	}
-	if got := Stddev([]float64{1}); got != 0 {
-		t.Fatalf("Stddev of singleton = %v", got)
-	}
-}
-
 func TestEWMA(t *testing.T) {
 	e := NewEWMA(0.5)
 	if e.Initialized() {

@@ -101,11 +101,6 @@ func (p *framePool) do(master string, req trace.Request) (ok bool, err error) {
 	return ok, nil
 }
 
-// DefaultOptions replays in real time.
-func DefaultOptions() Options {
-	return Options{TimeScale: 1, Timeout: 120 * time.Second}
-}
-
 // withDefaults checks opts and fills its defaults: a TimeScale ≤ 0
 // means real time and a Timeout ≤ 0 means 120 s.
 func (o Options) withDefaults() (Options, error) {

@@ -102,7 +102,7 @@ func TestReplayOverFrames(t *testing.T) {
 
 func TestReplayEmptyTrace(t *testing.T) {
 	c := startTestCluster(t, 1, 2, 0.25)
-	res, err := Run(context.Background(), c.MasterURLs(), &trace.Trace{Name: "empty"}, DefaultOptions())
+	res, err := Run(context.Background(), c.MasterURLs(), &trace.Trace{Name: "empty"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestReplayEmptyTrace(t *testing.T) {
 }
 
 func TestReplayErrors(t *testing.T) {
-	if _, err := Run(context.Background(), nil, &trace.Trace{}, DefaultOptions()); err == nil {
+	if _, err := Run(context.Background(), nil, &trace.Trace{}, Options{}); err == nil {
 		t.Fatal("no masters accepted")
 	}
 	bad := &trace.Trace{Requests: []trace.Request{{Arrival: 5}, {Arrival: 1}}}
-	if _, err := Run(context.Background(), []string{"http://127.0.0.1:1"}, bad, DefaultOptions()); err == nil {
+	if _, err := Run(context.Background(), []string{"http://127.0.0.1:1"}, bad, Options{}); err == nil {
 		t.Fatal("invalid trace accepted")
 	}
 	good := &trace.Trace{Requests: []trace.Request{{Arrival: 0}, {Arrival: 1}}}
@@ -151,7 +151,7 @@ func TestReplayCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	res, err := Run(ctx, c.MasterURLs(), tr, DefaultOptions())
+	res, err := Run(ctx, c.MasterURLs(), tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

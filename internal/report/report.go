@@ -11,7 +11,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -156,20 +155,4 @@ func Slug(title string) string {
 		}
 	}
 	return strings.TrimSuffix(b.String(), "-")
-}
-
-// SortRows orders rows lexically by the given column indexes, a
-// convenience for deterministic output when rows are built from maps.
-func (t *Table) SortRows(byColumns ...int) {
-	sort.SliceStable(t.Rows, func(a, b int) bool {
-		for _, c := range byColumns {
-			if c < 0 || c >= len(t.Columns) {
-				continue
-			}
-			if t.Rows[a][c] != t.Rows[b][c] {
-				return t.Rows[a][c] < t.Rows[b][c]
-			}
-		}
-		return false
-	})
 }

@@ -127,19 +127,6 @@ func TestSlug(t *testing.T) {
 	}
 }
 
-func TestSortRows(t *testing.T) {
-	tbl := &Table{Columns: []string{"k", "v"}}
-	tbl.AddRow("b", 2)
-	tbl.AddRow("a", 1)
-	tbl.AddRow("b", 1)
-	tbl.SortRows(0, 1)
-	if tbl.Rows[0][0] != "a" || tbl.Rows[1][1] != "1" || tbl.Rows[2][1] != "2" {
-		t.Fatalf("sorted rows: %v", tbl.Rows)
-	}
-	// Out-of-range column indexes are ignored, not panicking.
-	tbl.SortRows(99)
-}
-
 // Property: CSV round-trips cell counts for arbitrary string tables.
 func TestCSVWellFormedProperty(t *testing.T) {
 	f := func(cells [][2]string) bool {

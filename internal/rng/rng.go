@@ -55,11 +55,6 @@ func (s *Stream) Intn(n int) int { return s.r.Intn(n) }
 // Int63 returns a uniform non-negative 63-bit integer.
 func (s *Stream) Int63() int64 { return s.r.Int63() }
 
-// Uniform returns a uniform variate in [lo, hi).
-func (s *Stream) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.r.Float64()
-}
-
 // Exp returns an exponential variate with the given mean. A non-positive
 // mean returns 0, which callers use to model deterministic zero-cost steps.
 func (s *Stream) Exp(mean float64) float64 {
@@ -84,20 +79,6 @@ func (s *Stream) Normal(mean, stddev float64) float64 {
 // standard deviation of the underlying normal.
 func (s *Stream) Lognormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*s.r.NormFloat64())
-}
-
-// Pareto returns a Pareto variate with minimum xm and shape alpha.
-// Web file sizes and CGI demands are commonly heavy-tailed; alpha in
-// (1, 2) gives finite mean and infinite variance.
-func (s *Stream) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		return 0
-	}
-	u := s.r.Float64()
-	for u == 0 {
-		u = s.r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
 }
 
 // BoundedPareto returns a Pareto variate truncated to [lo, hi], the
@@ -153,38 +134,6 @@ func (z *Zipf) Next() int {
 	}
 	return lo
 }
-
-// WeightedChoice draws an index in [0, len(weights)) with probability
-// proportional to weights[i]. Zero or negative total weight yields 0.
-func (s *Stream) WeightedChoice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	u := s.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
 // Bernoulli returns true with probability p.
 func (s *Stream) Bernoulli(p float64) bool { return s.r.Float64() < p }

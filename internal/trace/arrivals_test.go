@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -17,17 +18,26 @@ func genArrival(t *testing.T, cfg GenConfig) *Trace {
 	return tr
 }
 
+// windowCounts counts arrivals in consecutive windows of the given
+// width from time 0.
+func windowCounts(tr *Trace, window float64) []float64 {
+	if len(tr.Requests) == 0 {
+		return nil
+	}
+	end := tr.Requests[len(tr.Requests)-1].Arrival
+	counts := make([]float64, int(end/window)+1)
+	for _, r := range tr.Requests {
+		counts[int(r.Arrival/window)]++
+	}
+	return counts
+}
+
 // indexOfDispersion measures burstiness: counts per window, var/mean.
 // Poisson ≈ 1; MMPP substantially above 1.
 func indexOfDispersion(tr *Trace, window float64) float64 {
-	if len(tr.Requests) == 0 {
+	counts := windowCounts(tr, window)
+	if len(counts) == 0 {
 		return 0
-	}
-	end := tr.Requests[len(tr.Requests)-1].Arrival
-	bins := int(end/window) + 1
-	counts := make([]float64, bins)
-	for _, r := range tr.Requests {
-		counts[int(r.Arrival/window)]++
 	}
 	mean := 0.0
 	for _, c := range counts {
@@ -57,6 +67,19 @@ func TestMMPPPreservesMeanRate(t *testing.T) {
 	rate := 1 / c.MeanInterval
 	if math.Abs(rate-200) > 20 {
 		t.Fatalf("MMPP mean rate = %.1f, want ~200", rate)
+	}
+}
+
+func TestMMPPPeakExceedsMean(t *testing.T) {
+	tr := genArrival(t, GenConfig{
+		Lambda: 300, Requests: 20000, Seed: 9,
+		Arrival: MMPPArrivals, BurstFactor: 4,
+		BurstDuration: 2, NormalDuration: 6,
+	})
+	peak := slices.Max(windowCounts(tr, 1))
+	mean := 1 / Characterize(tr).MeanInterval
+	if peak < 1.5*mean {
+		t.Fatalf("MMPP peak %v not well above mean %v", peak, mean)
 	}
 }
 

@@ -179,16 +179,3 @@ func Characterize(t *Trace) Characteristics {
 // R returns the service-rate ratio r = μ_c/μ_h implied by the measured
 // mean demands (service rate is the reciprocal of demand).
 func (c Characteristics) R() float64 { return c.DemandRatio }
-
-// Slice returns the sub-trace with arrivals in [from, to), rebased so the
-// first retained arrival keeps its absolute time. Used to extract
-// replayable segments as the paper does with the UCB log.
-func Slice(t *Trace, from, to float64) *Trace {
-	out := &Trace{Name: t.Name}
-	for _, r := range t.Requests {
-		if r.Arrival >= from && r.Arrival < to {
-			out.Requests = append(out.Requests, r)
-		}
-	}
-	return out
-}

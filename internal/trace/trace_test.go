@@ -204,16 +204,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	tr := &Trace{Name: "x", Requests: []Request{
-		{Arrival: 1}, {Arrival: 2}, {Arrival: 3}, {Arrival: 4},
-	}}
-	out := Slice(tr, 2, 4)
-	if len(out.Requests) != 2 || out.Requests[0].Arrival != 2 || out.Requests[1].Arrival != 3 {
-		t.Fatalf("Slice = %+v", out.Requests)
-	}
-}
-
 func TestDuration(t *testing.T) {
 	tr := &Trace{Requests: []Request{{Arrival: 3}, {Arrival: 10}}}
 	if got := tr.Duration(); got != 7 {
