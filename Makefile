@@ -25,7 +25,9 @@ help:
 	@echo "  experiments print every table and figure, the live table3 replay included"
 	@echo "  results     rewrite results/<name>.txt, results/csv and the tier-1"
 	@echo "              digests (cmd/msbench/testdata/digests.txt) for every"
-	@echo "              deterministic experiment (all but table3; CI diffs them)"
+	@echo "              deterministic experiment (all but table3; CI diffs them),"
+	@echo "              and EXPERIMENTS.md's scorecard block; fails when a"
+	@echo "              scorecard claim fails"
 	@echo "  clean       go clean ./..."
 	@echo "Performance claims: bench/pairs.sh BASE PAIRS [WORKLOAD] [SEED]"
 
@@ -85,14 +87,16 @@ experiments:
 # The deterministic experiments: every one but the live table3, whose
 # results/table3.txt is a recorded replay. cmd/msbench's
 # TestMakefileResultsList keeps this list in step with the experiments.
-RESULTS = table1 table2 fig3 fig4a fig4b fig5 failover autoscale staleness tournament sharded
+RESULTS = table1 table2 fig3 fig4a fig4b fig5 failover autoscale staleness tournament sharded scorecard
 
 # Regenerate results/<name>.txt (the table msbench prints) and
-# results/csv for every deterministic experiment, and the per-experiment
+# results/csv for every deterministic experiment, the per-experiment
 # -quick CSV digests in cmd/msbench/testdata/digests.txt that tier-1
-# checks. CI runs this and fails when the checked-in files differ. The
-# CSVs are deleted first, so a removed experiment's CSV shows as a
-# deletion (no live table3 CSV is kept).
+# checks, and EXPERIMENTS.md's copy of results/scorecard.txt. CI runs
+# this and fails when the checked-in files differ, or when a scorecard
+# claim fails (msbench exits 1 after writing the table). The CSVs are
+# deleted first, so a removed experiment's CSV shows as a deletion (no
+# live table3 CSV is kept).
 results:
 	@mkdir -p results/csv .bench_build
 	rm -f results/csv/*.csv
@@ -100,7 +104,7 @@ results:
 	@for e in $(RESULTS); do \
 		.bench_build/msbench -experiment $$e -csv results/csv > results/$$e.txt || exit 1; \
 	done
-	$(GO) test -count=1 ./cmd/msbench -run TestCSVEmission -update-golden
+	$(GO) test -count=1 ./cmd/msbench -run 'TestCSVEmission|TestScorecardBlock' -update-golden -update
 
 clean:
 	$(GO) clean ./...

@@ -9,8 +9,11 @@
 // Experiments, in the order "all" runs them: table1, table2, fig3,
 // fig4a, fig4b, fig5 (the paper's artifacts); failover, autoscale
 // (extension studies); staleness (ablation); tournament, sharded
-// (policy and control-plane comparisons); table3 (the live loopback
-// validation).
+// (policy and control-plane comparisons); scorecard (every checked
+// claim, paper's value against ours, with a verdict); table3 (the live
+// loopback validation).
+//
+// The scorecard exits 1 after printing when any claim fails.
 //
 // Each experiment builds one report.Table: stdout gets its text
 // rendering, -csv DIR its CSV, and stderr the progress lines, so
@@ -46,7 +49,9 @@ type settings struct {
 }
 
 // experiment is one selectable artifact: run computes its rows and
-// returns the table that is both printed and written as CSV.
+// returns the table that is both printed and written as CSV. A run may
+// return its table with an error (a failed scorecard claim): the table
+// is still printed and written, then the error ends the run.
 type experiment struct {
 	name string
 	run  func(s *settings) (*report.Table, error)
@@ -131,6 +136,19 @@ var experimentList = []experiment{
 			return nil, err
 		}
 		return experiments.ShardScaleTable(rows), nil
+	}},
+	{"scorecard", func(s *settings) (*report.Table, error) {
+		rows, err := experiments.RunScorecard(s.opts, s.quick)
+		if err != nil {
+			return nil, err
+		}
+		t := experiments.ScorecardTable(rows)
+		for _, r := range rows {
+			if r.Fails() {
+				return t, fmt.Errorf("claim %q fails", r.Claim)
+			}
+		}
+		return t, nil
 	}},
 	{"table3", func(s *settings) (*report.Table, error) {
 		t3 := experiments.DefaultTable3Options()
@@ -321,7 +339,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	for i, e := range selected {
 		start := time.Now()
 		tbl, err := e.run(&set)
-		if err != nil {
+		if err != nil && tbl == nil {
 			return fmt.Errorf("%s failed: %w", e.name, err)
 		}
 		if i > 0 {
@@ -332,6 +350,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if err := emit(tbl); err != nil {
 			return err
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
 		fmt.Fprintf(stderr, "[%s completed in %.1fs]\n", e.name, time.Since(start).Seconds())
 	}

@@ -77,6 +77,31 @@ func TestRunSimulatedExperimentQuick(t *testing.T) {
 	}
 }
 
+// An experiment that returns its table with an error (a failed
+// scorecard claim) still prints and writes the table, then fails the
+// run: "make results" keeps the failing scorecard and exits non-zero.
+func TestRunPrintsTableBeforeItsError(t *testing.T) {
+	saved := experimentList
+	defer func() { experimentList = saved }()
+	experimentList = []experiment{{"failing", func(*settings) (*report.Table, error) {
+		tbl := &report.Table{Title: "Failing claim", Columns: []string{"claim", "verdict"}}
+		tbl.AddRow("x", "fails")
+		return tbl, fmt.Errorf("claim %q fails", "x")
+	}}}
+	dir := t.TempDir()
+	var out bytes.Buffer
+	err := run([]string{"-experiment", "failing", "-csv", dir}, &out, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `claim "x" fails`) {
+		t.Fatalf("run error %v, want the claim's", err)
+	}
+	if !strings.Contains(out.String(), "x      fails") {
+		t.Fatalf("table not printed:\n%s", out.String())
+	}
+	if _, err := os.Stat(dir + "/failing-claim.csv"); err != nil {
+		t.Fatalf("csv not written: %v", err)
+	}
+}
+
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-experiment", "nope"}, &out, io.Discard); err == nil {
@@ -270,6 +295,48 @@ func deterministicNames() []string {
 }
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite "+digestPath+" from this run")
+
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's scorecard block from results/scorecard.txt")
+
+// The markers around EXPERIMENTS.md's scorecard block.
+const (
+	scorecardBegin = "<!-- scorecard: results/scorecard.txt -->\n"
+	scorecardEnd   = "<!-- end scorecard -->\n"
+)
+
+// TestScorecardBlock keeps EXPERIMENTS.md's scorecard the checked one:
+// between its markers it must hold results/scorecard.txt verbatim, in a
+// text fence. After an intended change,
+//
+//	go test ./cmd/msbench -run TestScorecardBlock -update
+//
+// rewrites the block ("make results" does, after results/scorecard.txt).
+func TestScorecardBlock(t *testing.T) {
+	card, err := os.ReadFile("../../results/scorecard.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "../../EXPERIMENTS.md"
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, rest, ok := strings.Cut(string(doc), scorecardBegin)
+	_, after, ok2 := strings.Cut(rest, scorecardEnd)
+	if !ok || !ok2 {
+		t.Fatalf("EXPERIMENTS.md has no %q … %q block", scorecardBegin, scorecardEnd)
+	}
+	want := before + scorecardBegin + "```text\n" + string(card) + "```\n" + scorecardEnd + after
+	switch {
+	case want == string(doc):
+	case *update:
+		if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Errorf("EXPERIMENTS.md's scorecard block differs from results/scorecard.txt (rerun with -update)")
+	}
+}
 
 // digestPath holds one "name sha256" line per deterministic experiment,
 // in experimentList order: the SHA-256 of the CSV it writes at -quick.

@@ -16,6 +16,9 @@ type StalenessRow struct {
 	RefreshSeconds float64
 	WithBooking    float64 // SF with the in-view booking correction
 	NoBooking      float64 // SF without it
+	// SeedWithBooking and SeedNoBooking are the two stretch factors seed
+	// by seed, in Options.Seeds order.
+	SeedWithBooking, SeedNoBooking []float64
 }
 
 // RunStaleness sweeps the rstat polling period with and without the
@@ -76,11 +79,12 @@ func RunStaleness(p int, opts Options) ([]StalenessRow, error) {
 	var rows []StalenessRow
 	i := 0
 	for _, refresh := range refreshes {
-		with := seedMean(stretches[i : i+nSeeds])
-		i += nSeeds
-		without := seedMean(stretches[i : i+nSeeds])
-		i += nSeeds
-		rows = append(rows, StalenessRow{RefreshSeconds: refresh, WithBooking: with, NoBooking: without})
+		with, without := stretches[i:i+nSeeds], stretches[i+nSeeds:i+2*nSeeds]
+		i += 2 * nSeeds
+		rows = append(rows, StalenessRow{
+			RefreshSeconds: refresh, WithBooking: seedMean(with), NoBooking: seedMean(without),
+			SeedWithBooking: with, SeedNoBooking: without,
+		})
 	}
 	return rows, nil
 }

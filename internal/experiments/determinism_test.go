@@ -77,13 +77,14 @@ func fig4GoldenText(rows []Fig4Row) string {
 
 // TestFig4GoldenRows replays the full Figure 4 quick grid (32 nodes,
 // every trace profile, two 1/r points, four policy variants) at the
-// default worker-pool width and demands bit-identical stretch rows.
+// default worker-pool width and demands bit-identical stretch rows. The
+// grid is the one the -quick scorecard reads (quickScorecardInputs).
 func TestFig4GoldenRows(t *testing.T) {
-	rows, err := RunFig4(32, Quick())
+	in, err := quickScorecardInputs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "fig4_p32_quick.golden", fig4GoldenText(rows))
+	checkGolden(t, "fig4_p32_quick.golden", fig4GoldenText(in.fig4[0].rows))
 }
 
 // TestFig4GoldenRowsAnyParallelism pins that the merged rows are the

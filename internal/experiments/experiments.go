@@ -1,7 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation. Each experiment has a Run function returning typed rows
 // and an XTable function rendering them as one report.Table, which is
-// both the text msbench prints and the CSV it writes.
+// both the text msbench prints and the CSV it writes. RunScorecard
+// checks every claim against those typed rows: the paper's value, ours,
+// a tolerance and a verdict per claim (scorecard.go).
 //
 // Load calibration note. The paper pairs each trace with absolute
 // arrival rates (Table 2) tuned to its testbed capacity so that "the
@@ -117,6 +119,7 @@ func genTrace(p trace.Profile, lambda, r float64, n int, seed int64) (*trace.Tra
 
 // seedMean averages one float per seed, summing in seed order so the
 // result is bit-identical however the per-seed cells were scheduled.
+// The scorecard averages its cells with it too.
 func seedMean(vals []float64) float64 {
 	sum := 0.0
 	for _, v := range vals {

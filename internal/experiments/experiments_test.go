@@ -109,25 +109,15 @@ func TestRunFig4Quick(t *testing.T) {
 	if len(rows) != 6 { // 3 traces × 2 quick r values
 		t.Fatalf("%d rows, want 6", len(rows))
 	}
-	winsOverNR, winsOver1 := 0, 0
+	// Whether the ablations lose is the scorecard's call
+	// (TestScorecardQuick); this checks the rows' shape.
 	for _, r := range rows {
 		if r.MSStretch < 1 {
 			t.Fatalf("impossible stretch %v", r.MSStretch)
 		}
-		if r.OverNR > -5 {
-			winsOverNR++
+		if len(r.SeedOverNR) != len(Quick().Seeds) {
+			t.Fatalf("%d per-seed improvements for %d seeds", len(r.SeedOverNR), len(Quick().Seeds))
 		}
-		if r.Over1 > -5 {
-			winsOver1++
-		}
-	}
-	// The headline direction must hold in the clear majority of cells:
-	// M/S at least matches the ablations.
-	if winsOverNR < 4 {
-		t.Fatalf("M/S lost to M/S-nr in %d/6 cells", 6-winsOverNR)
-	}
-	if winsOver1 < 4 {
-		t.Fatalf("M/S lost to M/S-1 in %d/6 cells", 6-winsOver1)
 	}
 	tbl := Fig4Table(8, rows)
 	if tbl.Title != "Figure 4: scheduling ablations p8" || !noteContains(tbl, "M/S-nr") {

@@ -21,6 +21,11 @@ type Fig4Row struct {
 	OverNS    float64 // benefit of demand sampling
 	OverNR    float64 // benefit of master reservation
 	Over1     float64 // benefit of separating static and CGI processing
+	// SeedOverNS, SeedOverNR and SeedOver1 are the same improvements
+	// seed by seed, in Options.Seeds order: each the ratio of two
+	// stretch factors measured on that seed's one trace. The scorecard
+	// reads their spread.
+	SeedOverNS, SeedOverNR, SeedOver1 []float64
 }
 
 // fig4Variants enumerates the compared policies; allMasters marks the
@@ -123,13 +128,14 @@ func RunFig4(p int, opts Options) ([]Fig4Row, error) {
 	rows := make([]Fig4Row, 0, len(groups))
 	i := 0
 	for _, g := range groups {
+		per := stretches[i : i+len(fig4Variants)*nSeeds] // variant-major
+		i += len(per)
 		means := make([]float64, len(fig4Variants))
 		for vi := range fig4Variants {
-			means[vi] = seedMean(stretches[i : i+nSeeds])
-			i += nSeeds
+			means[vi] = seedMean(per[vi*nSeeds : (vi+1)*nSeeds])
 		}
 		ms, ns, nr, one := means[0], means[1], means[2], means[3]
-		rows = append(rows, Fig4Row{
+		row := Fig4Row{
 			Trace:     g.prof.Name,
 			InvR:      g.invR,
 			Lambda:    g.lambda,
@@ -138,7 +144,14 @@ func RunFig4(p int, opts Options) ([]Fig4Row, error) {
 			OverNS:    (ns/ms - 1) * 100,
 			OverNR:    (nr/ms - 1) * 100,
 			Over1:     (one/ms - 1) * 100,
-		})
+		}
+		for s := 0; s < nSeeds; s++ {
+			ms := per[s]
+			row.SeedOverNS = append(row.SeedOverNS, (per[nSeeds+s]/ms-1)*100)
+			row.SeedOverNR = append(row.SeedOverNR, (per[2*nSeeds+s]/ms-1)*100)
+			row.SeedOver1 = append(row.SeedOver1, (per[3*nSeeds+s]/ms-1)*100)
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

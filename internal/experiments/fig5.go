@@ -22,6 +22,9 @@ type Fig5Row struct {
 	FixedSF   float64
 	AdaptSF   float64
 	DegradPct float64 // (FixedSF/AdaptSF − 1) × 100
+	// SeedDegradPct is the degradation seed by seed, in Options.Seeds
+	// order (both columns of a seed replay one trace).
+	SeedDegradPct []float64
 }
 
 // Fig5Result carries the rows plus the nominal plan.
@@ -126,20 +129,24 @@ func RunFig5(p int, opts Options) (*Fig5Result, error) {
 	res := &Fig5Result{P: p, NominalM: fixedM}
 	i := 0
 	for _, g := range groups {
-		fixedSF := seedMean(stretches[i : i+nSeeds])
-		i += nSeeds
-		adaptSF := seedMean(stretches[i : i+nSeeds])
-		i += nSeeds
+		fixed, adapt := stretches[i:i+nSeeds], stretches[i+nSeeds:i+2*nSeeds]
+		i += 2 * nSeeds
+		fixedSF, adaptSF := seedMean(fixed), seedMean(adapt)
+		seedDegrad := make([]float64, nSeeds)
+		for s := range seedDegrad {
+			seedDegrad[s] = (fixed[s]/adapt[s] - 1) * 100
+		}
 		res.Rows = append(res.Rows, Fig5Row{
-			Trace:     g.prof.Name,
-			InvR:      g.invR,
-			Rho:       g.rho,
-			Lambda:    g.lambda,
-			FixedM:    fixedM,
-			AdaptedM:  g.adaptedM,
-			FixedSF:   fixedSF,
-			AdaptSF:   adaptSF,
-			DegradPct: (fixedSF/adaptSF - 1) * 100,
+			Trace:         g.prof.Name,
+			InvR:          g.invR,
+			Rho:           g.rho,
+			Lambda:        g.lambda,
+			FixedM:        fixedM,
+			AdaptedM:      g.adaptedM,
+			FixedSF:       fixedSF,
+			AdaptSF:       adaptSF,
+			DegradPct:     (fixedSF/adaptSF - 1) * 100,
+			SeedDegradPct: seedDegrad,
 		})
 	}
 	return res, nil
@@ -152,11 +159,9 @@ func (r *Fig5Result) MeanDegradation() float64 {
 	if len(r.Rows) == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, row := range r.Rows {
-		if row.DegradPct > 0 {
-			sum += row.DegradPct
-		}
+	vals := make([]float64, len(r.Rows))
+	for i, row := range r.Rows {
+		vals[i] = row.DegradPct
 	}
-	return sum / float64(len(r.Rows))
+	return posMeanOf(vals)
 }

@@ -85,6 +85,19 @@ func (r Table3Row) Diff() float64 {
 	return d
 }
 
+// recordedTable3 is results/table3.txt: the full replay (6 nodes, 60 s
+// per cell, real time) recorded while masters still dispatched to
+// slaves over HTTP /exec, which no run has repeated since. The
+// scorecard's Table 3 row reads it.
+var recordedTable3 = []Table3Row{
+	{"UCB", 20, "M/S-1", 22.1, 28.0}, {"UCB", 20, "M/S-ns", 7.4, 0.1}, {"UCB", 20, "M/S-nr", 32.3, 20.5},
+	{"UCB", 40, "M/S-1", 16.9, 28.5}, {"UCB", 40, "M/S-ns", 16.7, -0.9}, {"UCB", 40, "M/S-nr", 11.2, 15.9},
+	{"KSU", 20, "M/S-1", 35.4, 48.7}, {"KSU", 20, "M/S-ns", -8.6, 0.1}, {"KSU", 20, "M/S-nr", 13.2, 34.5},
+	{"KSU", 40, "M/S-1", 61.6, 37.1}, {"KSU", 40, "M/S-ns", -1.0, -1.7}, {"KSU", 40, "M/S-nr", 70.5, 36.8},
+	{"ADL", 20, "M/S-1", 26.6, 7.4}, {"ADL", 20, "M/S-ns", 4.5, 0.9}, {"ADL", 20, "M/S-nr", 16.2, 5.7},
+	{"ADL", 40, "M/S-1", 25.5, 24.7}, {"ADL", 40, "M/S-ns", 17.4, 1.8}, {"ADL", 40, "M/S-nr", 18.3, 3.8},
+}
+
 // table3Variants enumerates the compared policies in the paper's order.
 var table3Variants = []struct {
 	key  string

@@ -55,6 +55,9 @@ type TournamentRow struct {
 	CPUUtil float64
 	// ShedRate is the fraction of requests refused by admission.
 	ShedRate float64
+	// SeedStretch is the stretch factor seed by seed, in Options.Seeds
+	// order.
+	SeedStretch []float64
 }
 
 // tournCell is one seed's worth of measurements.
@@ -150,7 +153,9 @@ func RunTournament(p int, opts Options, tc TournamentConfig) ([]TournamentRow, e
 		for _, rho := range tc.Rhos {
 			for _, preset := range presets {
 				var agg tournCell
+				seedSF := make([]float64, nSeeds)
 				for s := 0; s < nSeeds; s++ {
+					seedSF[s] = results[i].stretch
 					agg.mean += results[i].mean
 					agg.p99 += results[i].p99
 					agg.stretch += results[i].stretch
@@ -163,7 +168,7 @@ func RunTournament(p int, opts Options, tc TournamentConfig) ([]TournamentRow, e
 					Profile: prof.Name, Rho: rho, Policy: preset.Name,
 					MeanMs: agg.mean / f, P99Ms: agg.p99 / f,
 					Stretch: agg.stretch / f, CPUUtil: agg.util / f,
-					ShedRate: agg.shed / f,
+					ShedRate: agg.shed / f, SeedStretch: seedSF,
 				})
 			}
 		}

@@ -39,8 +39,13 @@ func (d *nullRW) Write(p []byte) (int, error) {
 // than exactly zero. TimeScale shrinks the virtual fork charge below
 // the sleep resolution so the measurement is deterministic (no sleeps,
 // no serve-goroutine handoff).
+//
+// testing.AllocsPerRun counts every malloc in the process, so the pins
+// build their masters and nodes with newMaster and newSlave: handlers
+// only, with no server, accept loop, poller or ticker whose first steps
+// could land inside the measured window on a busy host.
 func TestReqPathAllocPins(t *testing.T) {
-	m, err := LaunchMaster(NodeOptions{
+	m, err := newMaster(NodeOptions{
 		ID: 0, Masters: []int{0}, NodeURLs: []string{""},
 		Policy:      core.NewMS(nil, 1),
 		TimeScale:   1e-6,
@@ -50,14 +55,14 @@ func TestReqPathAllocPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Shutdown()
-	n, err := LaunchNode(NodeOptions{ID: 1, TimeScale: 1e-6})
+	n, err := newSlave(NodeOptions{ID: 1, TimeScale: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Shutdown()
 	// Sharded master (2 shards, master 0 owning an empty shard): the /req
 	// pipeline plus the shard-stamp header attach must stay pinned too.
-	ms, err := LaunchMaster(NodeOptions{
+	ms, err := newMaster(NodeOptions{
 		ID: 0, Masters: []int{0, 1}, NodeURLs: []string{"", ""},
 		Policy:      core.NewMS(nil, 1, core.WithoutReservation()),
 		TimeScale:   1e-6,
@@ -117,7 +122,7 @@ func (c *replayConn) Write(p []byte) (int, error) {
 // body — allocates nothing server-side once the connection's scratch is
 // warm: the steady state of (*edgeConn).next on a keep-alive connection.
 func TestEdgeHotPathAllocPin(t *testing.T) {
-	m, err := LaunchMaster(NodeOptions{
+	m, err := newMaster(NodeOptions{
 		ID: 0, Masters: []int{0}, NodeURLs: []string{""},
 		Policy:      core.NewMS(nil, 1),
 		TimeScale:   1e-6,
@@ -157,7 +162,7 @@ func TestEdgeHotPathAllocPin(t *testing.T) {
 // This is the steady state of (*Node).serveFrames for a persistent
 // connection.
 func TestFrameHotPathAllocPin(t *testing.T) {
-	n, err := LaunchNode(NodeOptions{ID: 1, TimeScale: 1e-6})
+	n, err := newSlave(NodeOptions{ID: 1, TimeScale: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +205,7 @@ func TestFrameHotPathAllocPin(t *testing.T) {
 	// same pin: encode, length-prefixed read, decode, the full /req
 	// pipeline (admission, placement, completion), response encode with
 	// the piggybacked load, and the client-side status decode.
-	m, err := LaunchMaster(NodeOptions{
+	m, err := newMaster(NodeOptions{
 		ID: 0, Masters: []int{0}, NodeURLs: []string{""},
 		Policy:      core.NewMS(nil, 1),
 		TimeScale:   1e-6,

@@ -163,6 +163,18 @@ func (o NodeOptions) withDefaults() NodeOptions {
 // Only ID, Origin, TimeScale, ListenerShards and Uncalibrated are
 // consulted.
 func LaunchNode(o NodeOptions) (*Node, error) {
+	n, err := newSlave(o)
+	if err != nil {
+		return nil, err
+	}
+	n.serve()
+	return n, nil
+}
+
+// newSlave builds a slave node with its listener bound and its mux set
+// but no goroutine running: LaunchNode serves it, and the allocation
+// pins measure its handlers with nothing else in the process allocating.
+func newSlave(o NodeOptions) (*Node, error) {
 	if err := o.Validate(false); err != nil {
 		return nil, err
 	}
@@ -171,16 +183,38 @@ func LaunchNode(o NodeOptions) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/exec", n.handleExec)
-	mux.HandleFunc("/load", n.handleLoad)
-	mux.HandleFunc("/metrics", n.handleMetrics)
-	n.serve(mux)
+	n.mux = http.NewServeMux()
+	n.mux.HandleFunc("/exec", n.handleExec)
+	n.mux.HandleFunc("/load", n.handleLoad)
+	n.mux.HandleFunc("/metrics", n.handleMetrics)
 	return n, nil
 }
 
 // LaunchMaster starts a master node server on a loopback ephemeral port.
 func LaunchMaster(o NodeOptions) (*Master, error) {
+	m, err := newMaster(o)
+	if err != nil {
+		return nil, err
+	}
+	m.serve()
+	m.wg.Add(2)
+	go m.pollLoop(o.LoadRefresh)
+	go m.tickLoop(o.PolicyTick)
+	if m.sharded {
+		m.wg.Add(1)
+		go m.gossipLoop(m.gossipEvery)
+		if m.asEvery > 0 {
+			m.wg.Add(1)
+			go m.autoscaleLoop(m.asEvery)
+		}
+	}
+	return m, nil
+}
+
+// newMaster builds a master — listener bound, view primed, mux set —
+// without starting its server, poller, policy ticker or gossip: the
+// goroutines LaunchMaster starts.
+func newMaster(o NodeOptions) (*Master, error) {
 	if err := o.Validate(true); err != nil {
 		return nil, err
 	}
@@ -290,25 +324,12 @@ func LaunchMaster(o NodeOptions) (*Master, error) {
 	m.serveClientFrames = m.runFrameReqs
 	m.serveClientReq = m.serveReq
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/req", m.handleRequest)
-	mux.HandleFunc("/exec", m.handleExec)
-	mux.HandleFunc("/load", m.handleLoad)
-	mux.HandleFunc("/shard", m.handleShard)
-	mux.HandleFunc(MembershipPath, m.handleMembership)
-	mux.HandleFunc("/metrics", m.handleMetrics)
-	m.serve(mux)
-
-	m.wg.Add(2)
-	go m.pollLoop(o.LoadRefresh)
-	go m.tickLoop(o.PolicyTick)
-	if m.sharded {
-		m.wg.Add(1)
-		go m.gossipLoop(m.gossipEvery)
-		if m.asEvery > 0 {
-			m.wg.Add(1)
-			go m.autoscaleLoop(m.asEvery)
-		}
-	}
+	m.mux = http.NewServeMux()
+	m.mux.HandleFunc("/req", m.handleRequest)
+	m.mux.HandleFunc("/exec", m.handleExec)
+	m.mux.HandleFunc("/load", m.handleLoad)
+	m.mux.HandleFunc("/shard", m.handleShard)
+	m.mux.HandleFunc(MembershipPath, m.handleMembership)
+	m.mux.HandleFunc("/metrics", m.handleMetrics)
 	return m, nil
 }

@@ -90,6 +90,39 @@ func TestPollSkipsFreshPiggyback(t *testing.T) {
 	}
 }
 
+// A master reads its own load column in process: a lone master's
+// poller hands nothing to net/http, so across poll rounds the edge
+// counts no hand-off (a /load GET to itself would be one), and the
+// column is stamped by every round.
+func TestPollReadsOwnLoadInProcess(t *testing.T) {
+	m, err := LaunchMaster(NodeOptions{
+		ID: 0, Masters: []int{0}, NodeURLs: []string{""},
+		Policy:      core.NewMS(nil, 1),
+		TimeScale:   1e-6,
+		LoadRefresh: 2 * time.Millisecond, PolicyTick: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	deadline := time.Now().Add(5 * time.Second)
+	for m.snap.Load().epoch < 6 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d poll rounds in 5 s", m.snap.Load().epoch-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := m.edgeHandoffs.Load(); got != 0 {
+		t.Fatalf("%d hand-offs to net/http: the poller fetched its own /load", got)
+	}
+	if m.snap.Load().atNode[0] == 0 {
+		t.Fatal("the master's own column was never sampled")
+	}
+	if m.pollSkipped.Load() != 0 {
+		t.Fatalf("poll_skipped=%d: the master's own column counted as a skip", m.pollSkipped.Load())
+	}
+}
+
 // A /load reply that parses but reports a load no node can have is a
 // failed poll: the node's breaker opens and its view column keeps the
 // last valid report instead of pricing the node at ~0 RSRC.

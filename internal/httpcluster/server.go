@@ -120,15 +120,14 @@ func newNode(o NodeOptions) (*Node, error) {
 	}, nil
 }
 
-// serve attaches the role-specific mux and starts one edge accept loop
-// per listener shard. The http.Server never sees a socket of its own:
-// it serves the connections the edge hands off, under the same head
-// bounds the edge enforces.
-func (n *Node) serve(mux *http.ServeMux) {
-	n.mux = mux
+// serve starts the http.Server over the role-specific mux and one edge
+// accept loop per listener shard. The http.Server never sees a socket
+// of its own: it serves the connections the edge hands off, under the
+// same head bounds the edge enforces.
+func (n *Node) serve() {
 	n.handoff = newHandoffListener(n.lis[0].Addr())
 	n.srv = &http.Server{
-		Handler:           mux,
+		Handler:           n.mux,
 		ReadHeaderTimeout: edgeHeadTimeout,
 		MaxHeaderBytes:    edgeMaxHead,
 	}
@@ -635,7 +634,8 @@ func (m *Master) pollLoop(every time.Duration) {
 // fetch, saving the connection (the poller is the fallback,
 // piggybacking the fast path). fetchedAt records each sampled node's
 // actual sample time (piggyback receipt or fetch completion), which
-// becomes the snapshot's per-node atNode stamp.
+// becomes the snapshot's per-node atNode stamp. The master's own column
+// is read in process (currentLoad), never fetched over HTTP.
 func (m *Master) pollOnce(period time.Duration, reports []core.Load, fetched []bool, fetchedAt []int64) {
 	// Floor the shared fetch deadline: with very fast polling periods a
 	// deadline equal to the period misclassifies every node as failed the
@@ -650,6 +650,14 @@ func (m *Master) pollOnce(period time.Duration, reports []core.Load, fetched []b
 	var wg sync.WaitGroup
 	for _, id := range ms.pollSet {
 		fetched[id] = false
+		if id == m.ID {
+			own := m.currentLoad()
+			reports[id] = own.load
+			fetched[id] = true
+			fetchedAt[id] = own.at
+			m.fresh.Touch(id, own.at)
+			continue
+		}
 		base := m.nodeURL(id)
 		if base == "" {
 			continue
