@@ -225,7 +225,7 @@ func (c *Cluster) pickSimSpill(shard int) int {
 			continue
 		}
 		sum := &c.remoteSums[shard][s]
-		if sum.Epoch+1 < epoch {
+		if core.SummaryStale(sum.Epoch, epoch) {
 			continue // outside the dual-epoch window
 		}
 		for _, d := range sum.Top {

@@ -125,16 +125,3 @@ func (v *View) ApplyReport(id int, l Load) {
 	}
 	v.Load[id] = l
 }
-
-// Snapshot returns an independent deep copy of the view's role and load
-// slices. The live cluster publishes these behind an atomic pointer:
-// readers see either the old or the new snapshot, never a half-updated
-// one.
-func (v *View) Snapshot() *View {
-	return &View{
-		Now:     v.Now,
-		Masters: append([]int(nil), v.Masters...),
-		Slaves:  append([]int(nil), v.Slaves...),
-		Load:    append([]Load(nil), v.Load...),
-	}
-}

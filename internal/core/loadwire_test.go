@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"math"
 	"testing"
 )
 
@@ -93,24 +92,5 @@ func TestLoadWireMatchesJSON(t *testing.T) {
 	}
 	if fromJSON != fromWire {
 		t.Fatalf("JSON %+v != wire %+v", fromJSON, fromWire)
-	}
-}
-
-func TestViewSnapshotIsDeep(t *testing.T) {
-	v := View{
-		Now:     3,
-		Masters: []int{0, 1},
-		Slaves:  []int{2, 3},
-		Load:    []Load{{CPUIdle: 1}, {CPUIdle: 0.5}, {CPUIdle: 0.25}, {CPUIdle: 0.125}},
-	}
-	s := v.Snapshot()
-	s.Masters[0] = 9
-	s.Slaves[0] = 9
-	s.Load[0].CPUIdle = math.Pi
-	if v.Masters[0] != 0 || v.Slaves[0] != 2 || v.Load[0].CPUIdle != 1 {
-		t.Fatalf("snapshot shares state with the source view: %+v", v)
-	}
-	if s.Now != 3 || len(s.Load) != 4 {
-		t.Fatalf("snapshot dropped fields: %+v", s)
 	}
 }

@@ -83,16 +83,6 @@ func (mb *Membership) MasterIndex(node int) int {
 	return -1
 }
 
-// HasSlave reports whether the node serves as a slave.
-func (mb *Membership) HasSlave(node int) bool {
-	for _, id := range mb.Slaves {
-		if id == node {
-			return true
-		}
-	}
-	return false
-}
-
 // Clone deep-copies the membership.
 func (mb *Membership) Clone() Membership {
 	return Membership{

@@ -81,9 +81,6 @@ func jsqName(d int) string {
 	return RoutingJSQPrefix
 }
 
-// D reports the sample width.
-func (r *JSQRouting) D() int { return r.d }
-
 // Route implements RoutingPolicy.
 func (r *JSQRouting) Route(req Request, w float64, candidates []int, v *View) (int, float64) {
 	pool := candidates

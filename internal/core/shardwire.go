@@ -70,11 +70,12 @@ func SummaryWins(newEpoch uint64, newAt int64, oldEpoch uint64, oldAt int64) boo
 	return newAt >= oldAt
 }
 
-// RSRCCost reports the aggregate RSRC of the shard at the given CPU
-// share — the scalar remote masters rank spill targets by.
-func (s *ShardSummary) RSRCCost(w float64) float64 {
-	return RSRC(w, s.CPUIdle, s.DiskAvail)
-}
+// SummaryStale reports whether a summary stamped epoch is outside the
+// dual-epoch window of a map at epoch cur: more than one epoch behind.
+// The window admits the previous owner's last words during a handoff,
+// nothing older; both planes drop such a summary and skip it when
+// spilling.
+func SummaryStale(epoch, cur uint64) bool { return epoch+1 < cur }
 
 // BuildShardSummary computes the summary of one shard into dst, reusing
 // dst.Top. ids are the shard's node IDs (indices into loads, which is

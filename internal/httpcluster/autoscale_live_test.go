@@ -34,7 +34,12 @@ func launchAutoscaleMaster(t *testing.T, id int, pol core.Policy) *Master {
 	}
 	t.Cleanup(m.Shutdown)
 	m.asEvery = asPeriod
-	m.masterCapable[4] = true
+	m.memMu.Lock()
+	m.tier, err = core.NewTier(id, 5, m.Membership(), []int{0, 1, 4})
+	m.memMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return m
 }
 

@@ -6,34 +6,27 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"time"
 
 	"msweb/internal/core"
 )
 
-// Live membership: the epoch-versioned topology a sharded master tier
-// converges on. Each master holds one immutable memState behind an
-// atomic pointer — the live analogue of the simulator's reshard() — and
-// every membership change swaps in a whole new state, so the request
-// path never sees a half-rebalanced view.
+// Live membership: this master drives core.Tier, the I/O-free
+// membership protocol (its doc states the rules). Sockets and tickers
+// become Tier inputs:
 //
-// Convergence is newest-wins by epoch over three channels:
+//   - a POST to /membership, and each gossip round's pull of every peer
+//     master's /membership, are received memberships (Adopt);
+//   - a gossip round's /shard pulls are Gossip's input, and each suspect
+//     it names gets a direct probe (Probe) before Failover;
+//   - the autoscaler's plan is Resize's target.
 //
-//   - announce: the initiator of a change (failure detector, autoscaler,
-//     operator) applies the new membership locally and POSTs it to every
-//     master of the old and new tiers;
-//   - gossip pull: each gossip round also GETs peers' /membership, so a
-//     master that missed the announce catches up within one round;
-//   - epoch hints: an s2 shard summary stamped with a higher epoch than
-//     the local map marks the membership stale, forcing a pull on the
-//     next gossip round instead of waiting for a scheduled one.
-//
-// Failure detection rides the gossip channel: gossipMissThreshold
-// consecutive failed /shard pulls from a shard owner declare it dead,
-// and the lowest-id surviving master announces the successor membership
-// with the dead peer removed — its shard redistributes by consistent
-// hash, so ~1/m of the fleet changes owner. During the handoff window
-// (rebalanceWindow × GossipEvery after any epoch move) sheds are
+// memMu serializes the inputs, and change publishes whatever the Tier
+// adopts as one immutable memState behind an atomic pointer — the live
+// analogue of the simulator's reshard() — so the request path never
+// takes the lock nor sees a half-rebalanced view. During the handoff
+// window (rebalanceWindow × GossipEvery after any epoch move) sheds are
 // labeled "rebalancing" and their Retry-After reflects the remaining
 // window rather than the breaker hold-down.
 
@@ -41,10 +34,6 @@ import (
 // masters: GET returns the current m2 line, POST applies one
 // newest-wins.
 const MembershipPath = "/membership"
-
-// gossipMissThreshold is how many consecutive failed /shard pulls from
-// one shard owner declare it dead.
-const gossipMissThreshold = 3
 
 // rebalanceWindow scales GossipEvery into the handoff window after an
 // epoch move: long enough for every peer to converge via one gossip
@@ -58,8 +47,6 @@ type memState struct {
 	mb    core.Membership // normalized; mb.Epoch versions this state
 	sm    *core.ShardMap  // derived partition (nil only on unsharded masters)
 	shard int             // own shard index; -1 when this node is not a master of mb
-	// owners maps shard index → owning master node id (mb.Masters).
-	owners []int
 	// pollSet is the node set this master samples each poll round;
 	// masters/slaves are the scheduling-view tier lists every snapshot
 	// publishes.
@@ -75,12 +62,7 @@ type memState struct {
 // slave: peers poll its /load and dispatch 'E' frames to it like any other
 // shard member.
 func newMemState(self int, mb core.Membership, sm *core.ShardMap) *memState {
-	ms := &memState{
-		mb:     mb,
-		sm:     sm,
-		shard:  mb.MasterIndex(self),
-		owners: mb.Masters,
-	}
+	ms := &memState{mb: mb, sm: sm, shard: mb.MasterIndex(self)}
 	ms.masters = []int{self}
 	if ms.shard >= 0 {
 		ms.slaves = append([]int(nil), sm.Members(ms.shard)...)
@@ -91,23 +73,11 @@ func newMemState(self int, mb core.Membership, sm *core.ShardMap) *memState {
 
 // Membership returns a copy of the master's current membership (zero
 // value on unsharded masters).
-func (m *Master) Membership() core.Membership {
-	ms := m.mem.Load()
-	if !m.sharded {
-		return core.Membership{}
-	}
-	return ms.mb.Clone()
-}
+func (m *Master) Membership() core.Membership { return m.mem.Load().mb.Clone() }
 
 // Epoch reports the master's current shard-map epoch (0 when unsharded
 // or never rebalanced).
-func (m *Master) Epoch() uint64 {
-	ms := m.mem.Load()
-	if ms.sm == nil {
-		return 0
-	}
-	return ms.sm.Epoch()
-}
+func (m *Master) Epoch() uint64 { return m.mem.Load().mb.Epoch }
 
 // ShedRebalancing reports how many sheds fell inside a handoff window
 // and were labeled "rebalancing" rather than "overload".
@@ -137,37 +107,39 @@ func (m *Master) shedRetryAfter(ra int) int {
 
 // ApplyMembership adopts mb if it is newer than the current epoch
 // (newest-wins; ties and older epochs are ignored, so re-delivered
-// announcements are harmless). On adoption the shard map, poll set and
-// view tier lists all swap atomically, a fresh snapshot publishes the
-// new topology without waiting for the next poll round, and the handoff
-// window opens. Returns whether mb was adopted.
+// announcements are harmless). Returns whether mb was adopted.
 func (m *Master) ApplyMembership(mb core.Membership) (bool, error) {
+	return m.change(false, func(t *core.Tier) (bool, error) { return t.Adopt(mb) })
+}
+
+// AnnounceMembership applies mb locally and, when adopted, broadcasts
+// it like any change this master initiates. Broadcast failures are
+// expected (the change may exist precisely because a peer died) and
+// are not errors.
+func (m *Master) AnnounceMembership(mb core.Membership) error {
+	_, err := m.change(true, func(t *core.Tier) (bool, error) { return t.Adopt(mb) })
+	return err
+}
+
+// change feeds one input to the Tier under memMu. When the Tier adopts
+// a new generation, the shard map, poll set and view tier lists swap
+// atomically, a fresh snapshot publishes the new topology without
+// waiting for the next poll round, and the handoff window opens. With
+// announce (the initiator half of the protocol) the new line then goes
+// to every master of both the old and the new tier; receivers do not
+// re-broadcast, the gossip pull is the convergence backstop.
+func (m *Master) change(announce bool, input func(*core.Tier) (bool, error)) (bool, error) {
 	if !m.sharded {
 		return false, fmt.Errorf("httpcluster: unsharded master %d has no membership", m.ID)
 	}
-	if err := mb.Validate(); err != nil {
-		return false, err
-	}
-	for _, ids := range [][]int{mb.Masters, mb.Slaves} {
-		for _, id := range ids {
-			if id >= len(m.urls) {
-				return false, fmt.Errorf("httpcluster: membership node %d outside cluster (len %d)", id, len(m.urls))
-			}
-		}
-	}
 	m.memMu.Lock()
-	defer m.memMu.Unlock()
-	cur := m.mem.Load()
-	if mb.Epoch <= cur.mb.Epoch {
-		return false, nil
-	}
-	next := mb.Clone()
-	next.Normalize()
-	sm, err := next.ShardMap()
-	if err != nil {
+	old := m.mem.Load()
+	adopted, err := input(m.tier)
+	if !adopted {
+		m.memMu.Unlock()
 		return false, err
 	}
-	ms := newMemState(m.ID, next, sm)
+	ms := newMemState(m.ID, m.tier.Membership(), m.tier.ShardMap())
 	m.mem.Store(ms)
 	m.memberApplies.Add(1)
 	m.rebalanceUntil.Store(time.Now().Add(rebalanceWindow * m.gossipEvery).UnixNano())
@@ -186,37 +158,17 @@ func (m *Master) ApplyMembership(mb core.Membership) (bool, error) {
 		},
 	})
 	m.rebuildShardStamp(ms, m.snap.Load())
+	m.memMu.Unlock()
+	if announce {
+		wire := ms.mb.AppendWire(make([]byte, 0, 128))
+		peers := slices.Concat(old.mb.Masters, ms.mb.Masters)
+		for i, id := range peers {
+			if id != m.ID && slices.Index(peers, id) == i {
+				m.postMembership(id, wire)
+			}
+		}
+	}
 	return true, nil
-}
-
-// AnnounceMembership applies mb locally and broadcasts it to every
-// master of both the old and the new tier — the initiator half of the
-// protocol (receivers do not re-broadcast; the gossip pull is the
-// convergence backstop). Broadcast failures are expected (the change
-// may exist precisely because a peer died) and are not errors.
-func (m *Master) AnnounceMembership(mb core.Membership) error {
-	old := m.Membership()
-	applied, err := m.ApplyMembership(mb)
-	if err != nil {
-		return err
-	}
-	if !applied {
-		return nil
-	}
-	peers := map[int]bool{}
-	for _, id := range old.Masters {
-		peers[id] = true
-	}
-	for _, id := range mb.Masters {
-		peers[id] = true
-	}
-	delete(peers, m.ID)
-	cur := m.Membership()
-	wire := cur.AppendWire(make([]byte, 0, 128))
-	for id := range peers {
-		m.postMembership(id, wire)
-	}
-	return nil
 }
 
 // postMembership best-effort POSTs an m2 line to one peer master.
@@ -288,126 +240,37 @@ func (m *Master) writeMembership(rw http.ResponseWriter, status int) {
 	rw.Write(mb.AppendWire(make([]byte, 0, 128))) //nolint:errcheck
 }
 
-// fetchMembership pulls one peer's /membership into dst.
-func (m *Master) fetchMembership(ctx context.Context, base string, dst *core.Membership) error {
+// probe fetches peer id's membership, adopts it newest-wins and reports
+// whether the peer answered. Each gossip round probes every peer master
+// (the convergence backstop) under the round's shared deadline, and
+// each suspect once more under its own.
+func (m *Master) probe(ctx context.Context, id int) bool {
+	base := m.nodeURL(id)
+	if base == "" {
+		return false
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+MembershipPath, nil)
 	if err != nil {
-		return err
+		return false
 	}
 	resp, err := m.client.Do(req)
 	if err != nil {
-		return err
+		return false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("membership: status %d", resp.StatusCode)
+		return false
 	}
 	buf := wireBufPool.Get().(*[]byte)
 	defer wireBufPool.Put(buf)
 	b, err := readAllInto((*buf)[:0], io.LimitReader(resp.Body, 1<<16))
 	*buf = b[:0]
-	if err != nil {
-		return err
-	}
-	return core.ParseMembership(b, dst)
-}
-
-// pullMembership fetches every peer master's membership and adopts the
-// newest — the gossip-round backstop that bounds convergence to one
-// round after any announce is lost.
-func (m *Master) pullMembership(ctx context.Context, ms *memState) {
 	var mb core.Membership
-	for _, id := range ms.owners {
-		if id == m.ID {
-			continue
-		}
-		base := m.nodeURL(id)
-		if base == "" {
-			continue
-		}
-		if err := m.fetchMembership(ctx, base, &mb); err != nil {
-			continue
-		}
-		if mb.Epoch > m.Epoch() {
-			m.ApplyMembership(mb) //nolint:errcheck // older/invalid lines just don't apply
-		}
+	if err != nil || core.ParseMembership(b, &mb) != nil {
+		return false
 	}
-}
-
-// confirmDead re-probes one suspect with its own generous deadline
-// before it is declared dead. The gossip round's pulls run sequentially
-// under one shared deadline, so on a loaded box a slow early fetch can
-// starve the later ones into spurious misses — a slow-but-alive master
-// must not be rebalanced away over that. A genuinely dead server
-// refuses the dial in microseconds, so real failures still converge
-// within the same round. A newer membership learned from the probe is
-// adopted on the spot.
-func (m *Master) confirmDead(id int) bool {
-	base := m.nodeURL(id)
-	if base == "" {
-		return true
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*pollDeadlineFloor)
-	defer cancel()
-	var mb core.Membership
-	if err := m.fetchMembership(ctx, base, &mb); err != nil {
-		return true
-	}
-	if mb.Epoch > m.Epoch() {
-		m.ApplyMembership(mb) //nolint:errcheck // older/invalid lines just don't apply
-	}
-	return false
-}
-
-// detectDeadMasters turns gossip silence into a membership change: once
-// a shard owner has missed gossipMissThreshold consecutive pulls and
-// failed a direct confirmation probe, the lowest-id surviving master
-// (deterministic initiator — no election) announces the successor
-// membership with every dead peer removed. Callers run on the gossip
-// goroutine (single writer of gossipMiss).
-func (m *Master) detectDeadMasters(ms *memState) {
-	if ms.shard < 0 {
-		return
-	}
-	var dead []int
-	lowestLive := m.ID
-	for _, id := range ms.owners {
-		if id == m.ID {
-			continue
-		}
-		if m.gossipMiss[id] >= gossipMissThreshold {
-			if m.confirmDead(id) {
-				dead = append(dead, id)
-				continue
-			}
-			m.gossipMiss[id] = 0
-		}
-		if id < lowestLive {
-			lowestLive = id
-		}
-	}
-	if len(dead) == 0 || lowestLive != m.ID || len(dead) >= len(ms.owners) {
-		return
-	}
-	mb := ms.mb.Clone()
-	kept := mb.Masters[:0]
-	isDead := map[int]bool{}
-	for _, id := range dead {
-		isDead[id] = true
-	}
-	for _, id := range mb.Masters {
-		if !isDead[id] {
-			kept = append(kept, id)
-		}
-	}
-	mb.Masters = kept
-	mb.Epoch++
-	if err := m.AnnounceMembership(mb); err != nil {
-		return
-	}
-	for _, id := range dead {
-		m.gossipMiss[id] = 0
-	}
+	m.ApplyMembership(mb) //nolint:errcheck // older/invalid lines just don't apply
+	return true
 }
 
 // Live master-tier autoscaler: the live call site of core.Planner, the
@@ -436,7 +299,7 @@ func (m *Master) autoscaleLoop(every time.Duration) {
 // window, plan m, and announce the resized tier when the plan moves.
 func (m *Master) autoscaleOnce(now time.Time) {
 	ms := m.mem.Load()
-	if ms.shard < 0 || len(ms.mb.Masters) == 0 || ms.mb.Masters[0] != m.ID {
+	if ms.mb.Masters[0] != m.ID {
 		return
 	}
 	m.placeMu.Lock()
@@ -457,43 +320,6 @@ func (m *Master) autoscaleOnce(now time.Time) {
 	r.P = masters + len(ms.mb.Slaves)
 	at := now.Sub(m.origin).Seconds()
 	target, _ := m.as.Plan(r, masters, at)
-	acted := false
-	if mb := m.nextTierPlan(ms, target); mb != nil {
-		acted = m.AnnounceMembership(*mb) == nil
-	}
+	acted, _ := m.change(true, func(t *core.Tier) (bool, error) { return t.Resize(target), nil })
 	m.as.Settle(acted, at, m.asEvery.Seconds())
-}
-
-// nextTierPlan builds the successor membership with the master tier
-// resized to target: promotions take the lowest-id master-capable
-// slaves, demotions return the highest-id masters to the slave tier
-// (they re-register as slaves and keep executing). Returns nil when no
-// legal move exists.
-func (m *Master) nextTierPlan(ms *memState, target int) *core.Membership {
-	mb := ms.mb.Clone()
-	for target > len(mb.Masters) {
-		picked := -1
-		for i, id := range mb.Slaves {
-			if m.masterCapable[id] {
-				picked = i
-				break
-			}
-		}
-		if picked < 0 {
-			break
-		}
-		mb.Masters = append(mb.Masters, mb.Slaves[picked])
-		mb.Slaves = append(mb.Slaves[:picked], mb.Slaves[picked+1:]...)
-	}
-	for target < len(mb.Masters) && len(mb.Masters) > 1 && len(mb.Slaves) > 0 {
-		last := len(mb.Masters) - 1
-		mb.Slaves = append(mb.Slaves, mb.Masters[last])
-		mb.Masters = mb.Masters[:last]
-	}
-	if len(mb.Masters) == len(ms.mb.Masters) {
-		return nil
-	}
-	mb.Normalize()
-	mb.Epoch++
-	return &mb
 }

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -146,6 +147,58 @@ func TestApplyMembershipRebalanceAndDemotion(t *testing.T) {
 	}
 }
 
+// Membership inputs from several goroutines at once serialize on the
+// Tier's lock while readers load generations without it: the master
+// ends on the highest epoch, a reader never sees the epoch fall, and
+// the last generation's memState and snapshot agree.
+func TestMembershipInputsConcurrent(t *testing.T) {
+	m := launchShardedTestMaster(t, core.NewMS(nil, 1),
+		"http://192.0.2.1:1", "http://192.0.2.1:2")
+	const epochs = 16
+	var wg sync.WaitGroup
+	for e := uint64(1); e <= epochs; e++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mb := core.Membership{Epoch: e, Masters: []int{0, 1}, Slaves: []int{3, 4}}
+			if e%2 == 0 {
+				mb = core.Membership{Epoch: e, Masters: []int{0}, Slaves: []int{1, 3, 4}}
+			}
+			if _, err := m.ApplyMembership(mb); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 8; i++ {
+			m.gossipOnce(time.Millisecond)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		var last uint64
+		for i := 0; i < 2000; i++ {
+			e := m.Epoch()
+			if e < last {
+				t.Errorf("epoch fell from %d to %d", last, e)
+				return
+			}
+			last = e
+			m.storeShardSummary(&core.ShardSummary{Shard: 1, Epoch: e, AtNs: int64(i)})
+		}
+	}()
+	wg.Wait()
+	ms := m.mem.Load()
+	if ms.mb.Epoch != epochs || len(ms.slaves) != 3 {
+		t.Fatalf("final generation epoch %d owning %v, want epoch %d owning slaves 1, 3, 4", ms.mb.Epoch, ms.slaves, epochs)
+	}
+	if v := m.snap.Load().view; len(v.Slaves) != 3 {
+		t.Fatalf("final snapshot slaves %v, want the final generation's", v.Slaves)
+	}
+}
+
 // Summary ordering across epochs is (epoch, AtNs) with epoch dominant:
 // a pre-rebalance summary — however fresh its owner clock stamp — must
 // never overwrite a post-rebalance one, and anything two epochs behind
@@ -256,10 +309,10 @@ func TestRebalancingShedReason(t *testing.T) {
 	}
 }
 
-// Gossip silence is the failure detector: once a peer owner misses
-// three consecutive /shard pulls, the lowest-id surviving master bumps
-// the epoch and adopts the dead peer's shard — no coordinator, no
-// election, just the deterministic initiator rule.
+// Gossip silence is the failure detector, wired end to end: rounds
+// against a dead peer master end in a failover epoch (core's Tier
+// tests pin when), after which the survivor owns the dead peer's
+// shard and the handoff window is open.
 func TestDetectDeadMasterAdoptsShard(t *testing.T) {
 	// Peer master 1 is a real listener that dies immediately: dials fail
 	// fast, so gossip rounds record misses instead of timing out.
@@ -271,11 +324,11 @@ func TestDetectDeadMasterAdoptsShard(t *testing.T) {
 		"http://192.0.2.1:1", "http://192.0.2.1:2")
 	m.SetNodeURL(1, deadURL)
 
-	for i := 0; i < gossipMissThreshold; i++ {
+	for i := 0; i < 10 && m.Epoch() == 0; i++ {
 		m.gossipOnce(50 * time.Millisecond)
 	}
 	if got := m.Epoch(); got != 1 {
-		t.Fatalf("epoch %d after %d silent gossip rounds, want 1 (dead peer removed)", got, gossipMissThreshold)
+		t.Fatalf("epoch %d after silent gossip rounds, want 1 (dead peer removed)", got)
 	}
 	mb := m.Membership()
 	if len(mb.Masters) != 1 || mb.Masters[0] != 0 {
@@ -287,40 +340,5 @@ func TestDetectDeadMasterAdoptsShard(t *testing.T) {
 	}
 	if m.rebalanceUntil.Load() == 0 {
 		t.Fatal("failover did not open a handoff window")
-	}
-}
-
-// The tier-resize planner: promotions take the lowest master-capable
-// slaves, demotions return the highest masters to the slave tier, and
-// illegal moves (no capable slave, last master) degrade to no-ops.
-func TestNextTierPlan(t *testing.T) {
-	m := launchShardedTestMaster(t, core.NewMS(nil, 1),
-		"http://192.0.2.1:1", "http://192.0.2.1:2")
-	m.masterCapable[4] = true // slave 4 was launched master-capable
-	ms := m.mem.Load()
-
-	grow := m.nextTierPlan(ms, 3)
-	if grow == nil || len(grow.Masters) != 3 || grow.Epoch != 1 {
-		t.Fatalf("grow plan %+v, want 3 masters at epoch 1", grow)
-	}
-	if grow.MasterIndex(4) < 0 {
-		t.Fatalf("grow plan %+v skipped the capable slave", grow)
-	}
-
-	shrink := m.nextTierPlan(ms, 1)
-	if shrink == nil || len(shrink.Masters) != 1 || shrink.MasterIndex(0) < 0 {
-		t.Fatalf("shrink plan %+v, want master 0 alone", shrink)
-	}
-	if !shrink.HasSlave(1) {
-		t.Fatalf("shrink plan %+v did not return the demoted master to the slave tier", shrink)
-	}
-
-	// Growing beyond the capable pool stalls at what's legal (slave 3 is
-	// not capable), and a no-op target returns nil.
-	if p := m.nextTierPlan(ms, 4); p == nil || len(p.Masters) != 3 {
-		t.Fatalf("over-grow plan %+v, want to stall at 3 masters", p)
-	}
-	if p := m.nextTierPlan(ms, 2); p != nil {
-		t.Fatalf("same-size plan %+v, want nil", p)
 	}
 }

@@ -261,16 +261,14 @@ func newMaster(o NodeOptions) (*Master, error) {
 	var ms *memState
 	if o.Shards > 1 {
 		m.sharded = true
-		mb := core.Membership{
-			Masters: append([]int(nil), o.Masters...),
-			Slaves:  append([]int(nil), o.Slaves...),
-		}
-		mb.Normalize()
-		sm, err := mb.ShardMap()
+		// The initial masters are the promotion candidate set.
+		mb := core.Membership{Masters: o.Masters, Slaves: o.Slaves}
+		tier, err := core.NewTier(o.ID, len(o.NodeURLs), mb, o.Masters)
 		if err != nil {
 			return nil, err
 		}
-		ms = newMemState(o.ID, mb, sm)
+		m.tier = tier
+		ms = newMemState(o.ID, tier.Membership(), tier.ShardMap())
 		m.gossipEvery = o.GossipEvery
 		if m.gossipEvery <= 0 {
 			m.gossipEvery = 4 * o.LoadRefresh
@@ -280,12 +278,7 @@ func newMaster(o NodeOptions) (*Master, error) {
 		// count: promotions can grow the tier up to one shard per node.
 		m.shardSums = make([]shardSumSlot, len(o.NodeURLs))
 		m.shardFresh = obs.NewFreshness(len(o.NodeURLs))
-		m.gossipMiss = make([]int, len(o.NodeURLs))
 		m.asEvery = o.AutoscaleMasters
-		m.masterCapable = make([]bool, len(o.NodeURLs))
-		for _, id := range o.Masters {
-			m.masterCapable[id] = true
-		}
 	} else {
 		viewMasters := append([]int(nil), o.Masters...)
 		viewSlaves := append([]int(nil), o.Slaves...)

@@ -386,8 +386,10 @@ type Master struct {
 	// immutable one (sm == nil) that never changes.
 	sharded bool
 	mem     atomic.Pointer[memState]
-	// memMu serializes membership applies (gossip pull vs POST vs
-	// failure detector); readers never take it.
+	// tier is this master's side of the membership protocol; memMu
+	// serializes its inputs (POST, gossip, failure detector, autoscaler).
+	// Readers of mem never take it.
+	tier        *core.Tier
 	memMu       sync.Mutex
 	gossipEvery time.Duration
 	summaryTTL  time.Duration // spill candidates ignore older summaries
@@ -402,13 +404,6 @@ type Master struct {
 	ownSum     core.ShardSummary
 	quality    obs.PlacementQuality
 	gossipRx   atomic.Int64
-	// gossipMiss counts consecutive failed /shard pulls per peer master
-	// (indexed by node id; single writer: the gossip goroutine) — the
-	// failure-detection input behind detectDeadMasters. gossipEpochSeen
-	// is the same goroutine's last-seen membership epoch, used to grant
-	// every new membership a fresh detection window.
-	gossipMiss      []int
-	gossipEpochSeen uint64
 	// rebalanceUntil marks the end of the current shard-handoff window
 	// (unixnano; 0 = no epoch move yet). Sheds inside the window are
 	// counted in shedRebalance and hint Retry-After from the window's
@@ -417,13 +412,11 @@ type Master struct {
 	shedRebalance  atomic.Int64
 	memberApplies  atomic.Int64
 	// Live master-tier autoscaler (see membership.go): asEvery is the
-	// control period (0 = disabled), masterCapable the promotion
-	// candidate set (the initial masters), as the planner state, owned
-	// by autoscaleLoop. The measurement window win is guarded by placeMu.
-	asEvery       time.Duration
-	masterCapable []bool
-	as            core.Planner
-	win           core.Window
+	// control period (0 = disabled), as the planner state, owned by
+	// autoscaleLoop. The measurement window win is guarded by placeMu.
+	asEvery time.Duration
+	as      core.Planner
+	win     core.Window
 	// spillView is the synthesized remote view handed to PlaceRemote:
 	// cluster-sized load array, candidate list rebuilt per spill from
 	// fresh summary digests. Guarded by placeMu.

@@ -119,11 +119,7 @@ func (m *Master) storeShardSummary(sum *core.ShardSummary) {
 	if s < 0 || s >= len(m.shardSums) || s == ms.shard {
 		return
 	}
-	var cur uint64
-	if ms.sm != nil {
-		cur = ms.sm.Epoch()
-	}
-	if sum.Epoch+1 < cur {
+	if core.SummaryStale(sum.Epoch, ms.mb.Epoch) {
 		return
 	}
 	now := time.Now().UnixNano()
@@ -158,50 +154,60 @@ func (m *Master) gossipLoop(every time.Duration) {
 	}
 }
 
-// gossipOnce runs one gossip round: pull every peer owner's /shard
-// summary (counting consecutive misses — the failure-detection signal),
-// pull peer memberships (the convergence backstop that bounds how long
-// a master can lag an epoch move to one round), then let the failure
-// detector act on the accumulated silence.
+// gossipOnce runs one gossip round: pull every peer master's /shard
+// summary (the failure-detection signal), probe every peer master's
+// membership (the convergence backstop that bounds how long a master
+// can lag an epoch move to one round), and hand the pulls to the Tier.
+// Each suspect it names gets a probe of its own before Failover.
 func (m *Master) gossipOnce(period time.Duration) {
 	deadline := max(period, pollDeadlineFloor)
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	ms := m.mem.Load()
-	if e := ms.mb.Epoch; e != m.gossipEpochSeen {
-		// New membership: every peer gets a fresh detection window, so a
-		// rejoined master cannot be re-declared dead off counters it
-		// accumulated before it left.
-		m.gossipEpochSeen = e
-		for i := range m.gossipMiss {
-			m.gossipMiss[i] = 0
-		}
-	}
+	var pulls []core.GossipPull
 	var sum core.ShardSummary
-	for s, owner := range ms.owners {
-		if s == ms.shard || owner == m.ID {
-			continue
-		}
+	for _, owner := range ms.mb.Masters {
 		base := m.nodeURL(owner)
-		if base == "" {
+		if owner == m.ID || base == "" {
 			continue
 		}
-		if err := m.fetchShard(ctx, base, &sum); err != nil {
-			if owner < len(m.gossipMiss) {
-				m.gossipMiss[owner]++
-			}
-			continue
+		err := m.fetchShard(ctx, base, &sum)
+		pulls = append(pulls, core.GossipPull{Node: owner, OK: err == nil})
+		if err == nil {
+			m.storeShardSummary(&sum)
 		}
-		if owner < len(m.gossipMiss) {
-			m.gossipMiss[owner] = 0
-		}
-		m.storeShardSummary(&sum)
 	}
-	m.pullMembership(ctx, ms)
-	// Detect against the generation this round actually fetched from; if
-	// the pull just advanced the epoch, the successor announce below is
-	// stale and ApplyMembership's newest-wins rule discards it.
-	m.detectDeadMasters(ms)
+	for _, owner := range ms.mb.Masters {
+		if owner != m.ID {
+			m.probe(ctx, owner)
+		}
+	}
+	m.memMu.Lock()
+	suspects := m.tier.Gossip(ms.mb.Epoch, pulls)
+	m.memMu.Unlock()
+	if len(suspects) == 0 {
+		return
+	}
+	for _, id := range suspects {
+		m.confirm(id)
+	}
+	m.change(true, func(t *core.Tier) (bool, error) { return t.Failover(), nil }) //nolint:errcheck // never fails
+}
+
+// confirm re-probes one suspect with its own generous deadline and
+// hands the verdict to the Tier. The gossip round's pulls run
+// sequentially under one shared deadline, so on a loaded box a slow
+// early fetch can starve the later ones into spurious misses — a
+// slow-but-alive master must not be rebalanced away over that. A
+// genuinely dead server refuses the dial in microseconds, so real
+// failures still converge within the same round.
+func (m *Master) confirm(id int) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*pollDeadlineFloor)
+	defer cancel()
+	alive := m.probe(ctx, id)
+	m.memMu.Lock()
+	m.tier.Probe(id, alive)
+	m.memMu.Unlock()
 }
 
 // fetchShard pulls one peer's /shard summary into dst.
@@ -283,10 +289,6 @@ func (m *Master) pickSpill(pl *core.Pipeline, p reqParams, tried uint64) int {
 	now := time.Now().UnixNano()
 	maxAge := int64(m.summaryTTL)
 	ms := m.mem.Load()
-	var cur uint64
-	if ms.sm != nil {
-		cur = ms.sm.Epoch()
-	}
 	m.placeMu.Lock()
 	defer m.placeMu.Unlock()
 	if len(m.spillView.Load) < len(m.urls) {
@@ -303,7 +305,7 @@ func (m *Master) pickSpill(pl *core.Pipeline, p reqParams, tried uint64) int {
 			slot.mu.Unlock()
 			continue
 		}
-		if slot.sum.Epoch+1 < cur {
+		if core.SummaryStale(slot.sum.Epoch, ms.mb.Epoch) {
 			// A membership adopted after this summary landed left it two
 			// epochs behind; its owner assignment is no longer meaningful.
 			slot.mu.Unlock()
