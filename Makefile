@@ -84,26 +84,20 @@ autoscale:
 experiments:
 	$(GO) run ./cmd/msbench -experiment all
 
-# The deterministic experiments: every one but the live table3, whose
-# results/table3.txt is a recorded replay. cmd/msbench's
-# TestMakefileResultsList keeps this list in step with the experiments.
-RESULTS = table1 table2 fig3 fig4a fig4b fig5 failover autoscale staleness tournament sharded scorecard
-
 # Regenerate results/<name>.txt (the table msbench prints) and
 # results/csv for every deterministic experiment, the per-experiment
 # -quick CSV digests in cmd/msbench/testdata/digests.txt that tier-1
-# checks, and EXPERIMENTS.md's copy of results/scorecard.txt. CI runs
-# this and fails when the checked-in files differ, or when a scorecard
-# claim fails (msbench exits 1 after writing the table). The CSVs are
-# deleted first, so a removed experiment's CSV shows as a deletion (no
-# live table3 CSV is kept).
+# checks, and EXPERIMENTS.md's copy of results/scorecard.txt. The
+# experiments run in one process (TestResults, under -update-golden),
+# so the scorecard reads the rows of the inputs that ran before it
+# instead of running them again. CI runs this and fails when the
+# checked-in files differ, or when a scorecard claim fails (the
+# scorecard is written first). The CSVs are deleted first, so a removed
+# experiment's CSV shows as a deletion (no live table3 CSV is kept).
 results:
-	@mkdir -p results/csv .bench_build
+	@mkdir -p results/csv
 	rm -f results/csv/*.csv
-	$(GO) build -o .bench_build/msbench ./cmd/msbench
-	@for e in $(RESULTS); do \
-		.bench_build/msbench -experiment $$e -csv results/csv > results/$$e.txt || exit 1; \
-	done
+	$(GO) test -count=1 ./cmd/msbench -run '^TestResults$$' -update-golden
 	$(GO) test -count=1 ./cmd/msbench -run 'TestCSVEmission|TestScorecardBlock' -update-golden -update
 
 clean:

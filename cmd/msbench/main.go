@@ -13,7 +13,9 @@
 // claim, paper's value against ours, with a verdict); table3 (the live
 // loopback validation).
 //
-// The scorecard exits 1 after printing when any claim fails.
+// The scorecard exits 1 after printing when any claim fails. In a run
+// that selects it after its inputs ("all"), it reads their rows instead
+// of running them again.
 //
 // Each experiment builds one report.Table: stdout gets its text
 // rendering, -csv DIR its CSV, and stderr the progress lines, so
@@ -41,11 +43,14 @@ import (
 	"msweb/internal/report"
 )
 
-// settings is what the experiment runners read from the command line.
+// settings is what the experiment runners read from the command line,
+// plus the rows of the scorecard's inputs this run has computed, so a
+// run that selects an input and the scorecard runs the input once.
 type settings struct {
 	quick bool
 	opts  experiments.Options
-	tourn experiments.TournamentConfig
+	tourn []string // the tournament field; nil is the default one
+	done  experiments.ScorecardRuns
 }
 
 // experiment is one selectable artifact: run computes its rows and
@@ -82,6 +87,7 @@ var experimentList = []experiment{
 		if err != nil {
 			return nil, err
 		}
+		s.done.Fig4a = rows
 		return experiments.Fig4Table(32, rows), nil
 	}},
 	{"fig4b", func(s *settings) (*report.Table, error) {
@@ -89,6 +95,7 @@ var experimentList = []experiment{
 		if err != nil {
 			return nil, err
 		}
+		s.done.Fig4b = rows
 		return experiments.Fig4Table(128, rows), nil
 	}},
 	{"fig5", func(s *settings) (*report.Table, error) {
@@ -96,6 +103,7 @@ var experimentList = []experiment{
 		if err != nil {
 			return nil, err
 		}
+		s.done.Fig5 = res
 		return experiments.Fig5Table(res), nil
 	}},
 	{"failover", func(s *settings) (*report.Table, error) {
@@ -103,6 +111,7 @@ var experimentList = []experiment{
 		if err != nil {
 			return nil, err
 		}
+		s.done.Failover = rows
 		return experiments.FailoverTable(16, rows), nil
 	}},
 	{"autoscale", func(s *settings) (*report.Table, error) {
@@ -117,12 +126,16 @@ var experimentList = []experiment{
 		if err != nil {
 			return nil, err
 		}
+		s.done.Staleness = rows
 		return experiments.StalenessTable(16, rows), nil
 	}},
 	{"tournament", func(s *settings) (*report.Table, error) {
 		rows, err := experiments.RunTournament(16, s.opts, s.tourn)
 		if err != nil {
 			return nil, err
+		}
+		if s.tourn == nil { // the scorecard reads the default field
+			s.done.Tournament = rows
 		}
 		return experiments.TournamentTable(16, rows), nil
 	}},
@@ -138,7 +151,7 @@ var experimentList = []experiment{
 		return experiments.ShardScaleTable(rows), nil
 	}},
 	{"scorecard", func(s *settings) (*report.Table, error) {
-		rows, err := experiments.RunScorecard(s.opts, s.quick)
+		rows, err := experiments.RunScorecard(s.opts, s.quick, s.done)
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +236,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if policySet {
 		for _, name := range strings.Split(pf.Preset, ",") {
 			if name = strings.TrimSpace(name); name != "" {
-				set.tourn.Policies = append(set.tourn.Policies, name)
+				set.tourn = append(set.tourn, name)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"go/parser"
@@ -19,6 +20,7 @@ import (
 	"testing"
 	"unicode"
 
+	"msweb/internal/experiments"
 	"msweb/internal/report"
 )
 
@@ -113,24 +115,22 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 }
 
 // TestMakefileResultsList keeps "make results" regenerating every
-// deterministic experiment: all of them but the live table3. It also
-// fails on a results/*.txt no experiment writes any more ("make results"
-// deletes nothing, so a removed experiment's table would stay unchanged
-// and pass the drift check); table3.txt and prN_*.txt evidence files
-// are kept by hand.
+// deterministic experiment: its recipe must run TestResults, which
+// writes all of them but the live table3. It also fails on a
+// results/*.txt no experiment writes any more ("make results" deletes
+// nothing, so a removed experiment's table would stay unchanged and pass
+// the drift check); table3.txt and prN_*.txt evidence files are kept by
+// hand.
 func TestMakefileResultsList(t *testing.T) {
 	mk, err := os.ReadFile("../../Makefile")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := regexp.MustCompile(`(?m)^RESULTS = (.*)$`).FindSubmatch(mk)
-	if m == nil {
-		t.Fatal("Makefile has no RESULTS line")
+	recipe := regexp.MustCompile(`(?m)^results:\n((?:\t.*\n)+)`).FindSubmatch(mk)
+	if recipe == nil || !strings.Contains(string(recipe[1]), "-run '^TestResults$$' -update-golden") {
+		t.Fatal("the Makefile's results recipe does not run TestResults with -update-golden")
 	}
 	want := deterministicNames()
-	if got := strings.Fields(string(m[1])); strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("Makefile RESULTS = %q, want %q", got, want)
-	}
 	kept := map[string]bool{"table3.txt": true}
 	for _, name := range want {
 		kept[name+".txt"] = true
@@ -142,7 +142,7 @@ func TestMakefileResultsList(t *testing.T) {
 	}
 	for _, f := range files {
 		if name := filepath.Base(f); !kept[name] && !evidence.MatchString(name) {
-			t.Errorf("results/%s is neither a RESULTS experiment, table3.txt nor a prN_*.txt evidence file", name)
+			t.Errorf("results/%s is neither a deterministic experiment's table, table3.txt nor a prN_*.txt evidence file", name)
 		}
 	}
 }
@@ -297,6 +297,72 @@ func deterministicNames() []string {
 var updateGolden = flag.Bool("update-golden", false, "rewrite "+digestPath+" from this run")
 
 var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's scorecard block from results/scorecard.txt")
+
+// TestResults rewrites results/<name>.txt and results/csv/ at full
+// fidelity for every deterministic experiment, under -update-golden
+// only ("make results" runs it): each table's text, as msbench prints
+// it, and its CSV, as -csv writes it. The experiments share one
+// settings, as in one msbench run, so the scorecard reuses the inputs
+// that ran before it instead of running them again.
+func TestResults(t *testing.T) {
+	if !*updateGolden {
+		t.Skip("rewrites results/ under -update-golden only (make results)")
+	}
+	set := settings{opts: experiments.Default()}
+	for _, e := range experimentList {
+		if e.name == "table3" {
+			continue
+		}
+		tbl, err := e.run(&set)
+		if tbl != nil {
+			var text, csv bytes.Buffer
+			if err := errors.Join(tbl.WriteText(&text), tbl.WriteCSV(&csv),
+				os.WriteFile("../../results/"+e.name+".txt", text.Bytes(), 0o644),
+				os.WriteFile("../../results/csv/"+report.Slug(tbl.Title)+".csv", csv.Bytes(), 0o644)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+	}
+}
+
+// TestScorecardReusesInputs runs the scorecard's -quick inputs and then
+// the scorecard on one settings, as "msbench -experiment all -quick"
+// does. The scorecard reads their rows instead of running them again,
+// and its CSV must still be the digest TestCSVEmission pins for a
+// scorecard run alone.
+func TestScorecardReusesInputs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiments skipped in -short mode")
+	}
+	inputs := map[string]bool{"fig4a": true, "fig5": true, "failover": true, "staleness": true, "tournament": true}
+	set := settings{quick: true, opts: experiments.Quick()}
+	var card *report.Table
+	for _, e := range experimentList {
+		if !inputs[e.name] && e.name != "scorecard" {
+			continue
+		}
+		tbl, err := e.run(&set)
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		card = tbl
+	}
+	if set.done.Fig4a == nil || set.done.Fig5 == nil || set.done.Failover == nil ||
+		set.done.Staleness == nil || set.done.Tournament == nil {
+		t.Fatal("an input's rows were not kept for the scorecard")
+	}
+	var csv bytes.Buffer
+	if err := card.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(csv.Bytes())
+	if got, want := hex.EncodeToString(sum[:]), readDigests(t, deterministicNames())["scorecard"]; got != want {
+		t.Fatalf("scorecard from reused inputs: digest %s, want %s (%s)", got, want, digestPath)
+	}
+}
 
 // The markers around EXPERIMENTS.md's scorecard block.
 const (

@@ -5,10 +5,10 @@ package core
 // I/O: each plane harvests a Window once per control period, asks the
 // Planner for the master count and applies the answer itself — the
 // simulator by powering nodes and moving the role block, a live master
-// by announcing a membership epoch. Demotions wait out exponential hold
-// epochs in the MSR dynamic-provisioning style; growth is never held,
-// so a flash crowd is answered within a period while a noisy λ estimate
-// cannot make the tier flap. Fleet sizing is a separate step only the
+// by announcing a membership epoch. Demotions wait out exponentially
+// distributed hold epochs; growth is never held, so a flash crowd is
+// answered within a period while a noisy λ estimate cannot make the
+// tier flap. Fleet sizing is a separate step only the
 // simulator takes, because only simulated nodes have a power switch.
 
 import (

@@ -20,8 +20,6 @@ const (
 	RoutingJSQPrefix = "jsq"
 	RoutingMaxWeight = "maxweight"
 	RoutingCMu       = "cmu"
-	RoutingBalanced  = "balanced"
-	RoutingMSR       = "msr"
 	RoutingRandom    = "random"
 )
 
@@ -197,145 +195,6 @@ func (r *CMuRouting) Route(req Request, w float64, candidates []int, v *View) (i
 	// Report the index negated so lower still reads as "better" in
 	// placement traces, matching the cost convention.
 	return target, -best
-}
-
-// BalancedRouting is the balanced-fairness dispatcher (Bonald & Comte,
-// "Balanced fair resource sharing in computer clusters"): under balanced
-// fairness the stationary distribution is insensitive to service-time
-// distributions and the per-class performance is governed by the
-// bottleneck resource's occupancy. Read as a routing index, the request
-// joins the node whose bottleneck — the busier of the two resources it
-// needs, weighted by its own mix w and normalized by node speed — is
-// least occupied after the join:
-//
-//	argmin max(w·(Q_cpu+1), (1−w)·(Q_disk+1)) / μ
-//
-// The +1 accounts for the request itself, so an empty fast node beats an
-// empty slow one and the index stays finite.
-type BalancedRouting struct {
-	rng *rng.Stream
-	tie []int
-}
-
-// NewBalancedRouting constructs the balanced-fairness stage.
-func NewBalancedRouting(seed int64) *BalancedRouting {
-	return &BalancedRouting{rng: rng.New(seed)}
-}
-
-// Name implements RoutingPolicy.
-func (*BalancedRouting) Name() string { return RoutingBalanced }
-
-// Route implements RoutingPolicy.
-func (r *BalancedRouting) Route(req Request, w float64, candidates []int, v *View) (int, float64) {
-	best := math.Inf(1)
-	tie := r.tie[:0]
-	for _, id := range candidates {
-		l := v.Load[id]
-		mu := l.Speed
-		if mu <= 0 {
-			mu = 1
-		}
-		cpu := w * float64(l.CPUQueue+1)
-		disk := (1 - w) * float64(l.DiskQueue+1)
-		cost := cpu
-		if disk > cost {
-			cost = disk
-		}
-		cost /= mu
-		switch {
-		case cost < best-1e-12:
-			best = cost
-			tie = append(tie[:0], id)
-		case cost <= best+1e-12:
-			tie = append(tie, id)
-		}
-	}
-	target := tie[r.rng.Intn(len(tie))]
-	r.tie = tie[:0]
-	return target, best
-}
-
-// MSRRouting is Markovian service-rate routing (after Chen, Grosof &
-// Berg's analysis of service-rate control under Markovian regimes): the
-// dispatcher commits to the candidate with the best queue-discounted
-// effective service rate and holds that commitment for an exponentially
-// distributed number of placements — memoryless decision epochs, so the
-// (target, residual-hold) pair is a Markov chain and re-scoring cost is
-// amortized to O(1) per request in expectation. The index is the
-// c/μ-style rate the request would actually see,
-//
-//	μ·(w·CPUIdle + (1−w)·DiskAvail) / (1 + Q_cpu + Q_disk)
-//
-// — idle capacity of the resources this request needs, discounted by the
-// backlog it must share the node with. The hold breaks early when the
-// committed target drops out of the candidate set (breaker open, shed),
-// so faults still re-route immediately.
-type MSRRouting struct {
-	rng      *rng.Stream
-	tie      []int
-	meanHold float64
-	hold     int
-	target   int
-	cost     float64
-}
-
-// DefaultMSRHold is the mean commitment length in placements. Short
-// enough that a 100 ms load-report cadence is never more than a few
-// requests stale at typical per-master rates; long enough to amortize
-// scoring.
-const DefaultMSRHold = 8
-
-// NewMSRRouting constructs the Markovian service-rate stage. meanHold
-// ≤ 0 selects DefaultMSRHold; meanHold < 1 effectively re-scores every
-// placement.
-func NewMSRRouting(seed int64, meanHold float64) *MSRRouting {
-	if meanHold <= 0 {
-		meanHold = DefaultMSRHold
-	}
-	return &MSRRouting{rng: rng.New(seed), meanHold: meanHold, target: -1}
-}
-
-// Name implements RoutingPolicy.
-func (*MSRRouting) Name() string { return RoutingMSR }
-
-// Route implements RoutingPolicy.
-func (r *MSRRouting) Route(req Request, w float64, candidates []int, v *View) (int, float64) {
-	if r.hold > 0 {
-		for _, id := range candidates {
-			if id == r.target {
-				r.hold--
-				return r.target, r.cost
-			}
-		}
-		// Committed target no longer eligible: fall through and re-score.
-	}
-	best := math.Inf(-1)
-	tie := r.tie[:0]
-	for _, id := range candidates {
-		l := v.Load[id]
-		mu := l.Speed
-		if mu <= 0 {
-			mu = 1
-		}
-		idx := mu * (w*l.CPUIdle + (1-w)*l.DiskAvail) /
-			float64(1+l.CPUQueue+l.DiskQueue)
-		switch {
-		case idx > best+1e-12:
-			best = idx
-			tie = append(tie[:0], id)
-		case idx >= best-1e-12:
-			tie = append(tie, id)
-		}
-	}
-	r.target = tie[r.rng.Intn(len(tie))]
-	r.tie = tie[:0]
-	// Exponential epoch length, floored at 0 extra placements: this one
-	// is always served by the fresh decision.
-	r.hold = int(r.rng.Exp(r.meanHold))
-	// Negate so lower reads as "better" in placement traces, matching
-	// the cost convention.
-	r.cost = -best
-	return r.target, r.cost
 }
 
 // RandomRouting dispatches uniformly at random — the memoryless baseline

@@ -5,6 +5,9 @@ package experiments
 // booking correction counters).
 
 import (
+	"math"
+	"slices"
+
 	"msweb/internal/cluster"
 	"msweb/internal/core"
 	"msweb/internal/queuemodel"
@@ -24,7 +27,8 @@ type StalenessRow struct {
 // RunStaleness sweeps the rstat polling period with and without the
 // placement-booking correction, quantifying the stale-information herd
 // effect: without booking, every request between two refreshes piles
-// onto the node that looked idlest at the last poll.
+// onto the node that looked idlest at the last poll. Only the periods
+// shorter than the run's simulated span are swept.
 func RunStaleness(p int, opts Options) ([]StalenessRow, error) {
 	opts = opts.withDefaults()
 	prof := trace.ADL
@@ -36,7 +40,18 @@ func RunStaleness(p int, opts Options) ([]StalenessRow, error) {
 		return nil, err
 	}
 
-	refreshes := []float64{0.05, 0.2, 1.0, 5.0}
+	// A period as long as the run never refreshes, so there is no herd
+	// to measure: keep the periods shorter than the shortest seed's
+	// trace span (its last arrival).
+	span := math.Inf(1)
+	for _, seed := range opts.Seeds {
+		tr, _, err := genTraceW(prof, lambda, r, n, seed)
+		if err != nil {
+			return nil, err
+		}
+		span = min(span, tr.Requests[n-1].Arrival)
+	}
+	refreshes := slices.DeleteFunc([]float64{0.05, 0.2, 1.0, 5.0}, func(s float64) bool { return s >= span })
 	impacts := []float64{core.DefaultPlacementImpact, 0}
 	type cell struct {
 		refresh float64

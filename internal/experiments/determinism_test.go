@@ -84,7 +84,7 @@ func TestFig4GoldenRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "fig4_p32_quick.golden", fig4GoldenText(in.fig4[0].rows))
+	checkGolden(t, "fig4_p32_quick.golden", fig4GoldenText(in.Fig4a))
 }
 
 // TestFig4GoldenRowsAnyParallelism pins that the merged rows are the

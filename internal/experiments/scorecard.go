@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"msweb/internal/cluster"
+	"msweb/internal/policy"
 	"msweb/internal/queuemodel"
 	"msweb/internal/report"
 )
@@ -60,26 +61,36 @@ func (r ScoreRow) Fails() bool { return r.Verdict == verdictFails }
 
 // scorecardInputs holds the typed rows the claims read.
 type scorecardInputs struct {
-	table1     [][]Table1Row // one set per seed
-	fig3       []queuemodel.Fig3Curve
-	fig4       []fig4Run // Figure 4(a), then 4(b) when run
-	fig5       *Fig5Result
-	failover   []FailoverRow
-	staleness  []StalenessRow
-	tournament []TournamentRow
+	ScorecardRuns
+	table1    [][]Table1Row // one set per seed
+	fig3      []queuemodel.Fig3Curve
+	maxweight []scoreCell // MaxWeight over JSQ(p), one cell per load
+}
+
+// ScorecardRuns holds the rows of scorecard inputs a caller has already
+// run with the scorecard's options, at the cluster sizes msbench runs
+// them alone: Figure 4 at p=32 and p=128, Figure 5 at p=32, failover,
+// staleness and the default tournament field at p=16. RunScorecard runs
+// each one left nil.
+type ScorecardRuns struct {
+	Fig4a, Fig4b []Fig4Row
+	Fig5         *Fig5Result
+	Failover     []FailoverRow
+	Staleness    []StalenessRow
+	Tournament   []TournamentRow
 }
 
 // scorecardTable1Requests sizes the scorecard's Table 1 traces at both
 // fidelities: msbench's full Table 1 size, which costs milliseconds.
 const scorecardTable1Requests = 20000
 
-// RunScorecard runs every experiment a claim reads — at the cluster
-// sizes msbench runs them alone — and returns the rows in claim order.
-// quick leaves Figure 4(b) (p=128) out: its rows then read Figure 4(a).
-// Table 1 always runs two seeds of scorecardTable1Requests requests.
-// Lifecycle tracing stays with fig4a and fig4b: opts.Trace is ignored.
-func RunScorecard(opts Options, quick bool) ([]ScoreRow, error) {
-	in, err := runScorecardInputs(opts, quick)
+// RunScorecard runs every experiment a claim reads that done does not
+// hold, and returns the rows in claim order. quick leaves Figure 4(b)
+// (p=128) out: its rows then read Figure 4(a). Table 1 always runs two
+// seeds of scorecardTable1Requests requests. Lifecycle tracing stays
+// with fig4a and fig4b: opts.Trace is ignored.
+func RunScorecard(opts Options, quick bool, done ScorecardRuns) ([]ScoreRow, error) {
+	in, err := runScorecardInputs(opts, quick, done)
 	if err != nil {
 		return nil, err
 	}
@@ -87,9 +98,9 @@ func RunScorecard(opts Options, quick bool) ([]ScoreRow, error) {
 }
 
 // runScorecardInputs runs the experiments RunScorecard reads.
-func runScorecardInputs(opts Options, quick bool) (scorecardInputs, error) {
+func runScorecardInputs(opts Options, quick bool, done ScorecardRuns) (scorecardInputs, error) {
 	opts.Trace = nil
-	var in scorecardInputs
+	in := scorecardInputs{ScorecardRuns: done, fig3: RunFig3()}
 	for _, seed := range []int64{1, 2} {
 		rows, err := RunTable1(scorecardTable1Requests, seed)
 		if err != nil {
@@ -97,47 +108,58 @@ func runScorecardInputs(opts Options, quick bool) (scorecardInputs, error) {
 		}
 		in.table1 = append(in.table1, rows)
 	}
-	in.fig3 = RunFig3()
-	sizes := []int{32, 128}
-	if quick {
-		sizes = sizes[:1]
-	}
-	for _, p := range sizes {
-		rows, err := RunFig4(p, opts)
-		if err != nil {
-			return in, err
-		}
-		in.fig4 = append(in.fig4, fig4Run{p, rows})
-	}
 	var err error
-	if in.fig5, err = RunFig5(32, opts); err != nil {
+	if in.Fig4a == nil {
+		in.Fig4a, err = RunFig4(32, opts)
+	}
+	if quick {
+		in.Fig4b = nil
+	} else if err == nil && in.Fig4b == nil {
+		in.Fig4b, err = RunFig4(128, opts)
+	}
+	if err == nil && in.Fig5 == nil {
+		in.Fig5, err = RunFig5(32, opts)
+	}
+	if err == nil && in.Failover == nil {
+		in.Failover, err = RunFailoverStudy(16, opts)
+	}
+	if err == nil && in.Staleness == nil {
+		in.Staleness, err = RunStaleness(16, opts)
+	}
+	if err == nil && in.Tournament == nil {
+		in.Tournament, err = RunTournament(16, opts, nil)
+	}
+	if err != nil {
 		return in, err
 	}
-	if in.failover, err = RunFailoverStudy(16, opts); err != nil {
+	mw, err := policy.Lookup("maxweight")
+	if err != nil {
 		return in, err
 	}
-	if in.staleness, err = RunStaleness(16, opts); err != nil {
-		return in, err
-	}
-	in.tournament, err = RunTournament(16, opts, TournamentConfig{})
+	in.maxweight, err = runJSQLimit(opts, mw.Build)
 	return in, err
 }
 
 // scorecard checks every claim, in the order of the paper's evaluation
 // and then the extensions.
 func scorecard(in scorecardInputs) []ScoreRow {
-	fig4 := fig4Cells(in.fig4)
+	runs := []fig4Run{{32, in.Fig4a}}
+	if in.Fig4b != nil {
+		runs = append(runs, fig4Run{128, in.Fig4b})
+	}
+	fig4 := fig4Cells(runs)
 	return []ScoreRow{
 		table1Claim(in.table1),
 		fig3Claim(in.fig3),
 		reservationClaim(fig4.nr),
 		separationClaim(fig4.one),
 		samplingClaim(fig4.ns),
-		fig5Claim(in.fig5),
+		fig5Claim(in.Fig5),
 		table3Claim(recordedTable3),
-		failoverClaim(in.failover),
-		bookingClaim(in.staleness),
-		tournamentClaim(in.tournament),
+		failoverClaim(in.Failover),
+		bookingClaim(in.Staleness),
+		tournamentClaim(in.Tournament),
+		maxweightClaim(in.maxweight),
 	}
 }
 
@@ -501,9 +523,7 @@ func failoverClaim(rows []FailoverRow) ScoreRow {
 // the next refresh removes the stale-load herd. Statistic: the herd
 // cost (SF without booking over SF with, minus one) at the simulator's
 // default refresh period, which must reach 10 % less the tolerance
-// (the seed spread: no base). Other periods are not judged: at -quick
-// sizing a 5 s period outlasts the whole run, so nothing refreshes and
-// there is no herd to measure.
+// (the seed spread: no base). Other periods are not judged.
 func bookingClaim(rows []StalenessRow) ScoreRow {
 	def := cluster.DefaultConfig(1, 1).LoadRefresh
 	row := ScoreRow{Claim: "Placement booking removes the herd", Paper: "-",
@@ -591,4 +611,29 @@ func msWins(block []TournamentRow, sf func(TournamentRow) float64) (float64, str
 		return 1, best.Policy
 	}
 	return 0, best.Policy
+}
+
+// maxweightClaim (the maxweight preset's citation): MaxWeight with
+// join-shortest-queue routing is heavy-traffic optimal
+// (Maguluri–Srikant–Ying), so on a homogeneous workload the maxweight
+// preset's mean response time over full JSQ's tends to 1 as ρ → 1.
+// Statistic: the largest |ratio − 1| over ρ 0.9, 0.95 and 0.98, in
+// percent; base tolerance 5 %.
+func maxweightClaim(cells []scoreCell) ScoreRow {
+	row := ScoreRow{Claim: "MaxWeight ≈ JSQ(p) as ρ → 1", Paper: "ratio → 1",
+		Spread: seedSpread(cells, maxDevPct)}
+	row.Tol = widen(5, row.Spread)
+	row.TolText = fmt.Sprintf("|ratio − 1| ≤ %.1f %%", row.Tol)
+	var ratios []string
+	for _, c := range cells {
+		ratios = append(ratios, fmt.Sprintf("%.3f (%s)", c.v, c.label))
+	}
+	row.Ours = "MaxWeight/JSQ(p) " + strings.Join(ratios, ", ")
+	row.judgeCells(cells, func(skip int) string {
+		if maxDevPct(cellValues(cells, skip)) <= row.Tol {
+			return verdictHolds
+		}
+		return verdictFails
+	})
+	return row
 }

@@ -15,7 +15,7 @@ import (
 // quickScorecardInputs runs the -quick scorecard's experiments once for
 // every test that reads them (TestFig4GoldenRows reads its Figure 4(a)).
 var quickScorecardInputs = sync.OnceValues(func() (scorecardInputs, error) {
-	return runScorecardInputs(Quick(), true)
+	return runScorecardInputs(Quick(), true, ScorecardRuns{})
 })
 
 // TestScorecardQuick pins every verdict of the -quick scorecard, the one
@@ -38,6 +38,7 @@ func TestScorecardQuick(t *testing.T) {
 		{"Failover: crashes lose no request", "holds"},
 		{"Placement booking removes the herd", "holds"},
 		{"Tournament: M/S lowest stretch", "holds"},
+		{"MaxWeight ≈ JSQ(p) as ρ → 1", "holds"},
 	}
 	if len(rows) != len(want) {
 		t.Fatalf("%d rows, want %d", len(rows), len(want))
@@ -77,13 +78,17 @@ func TestScorecardToleranceCoversSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tourn, err := RunTournament(16, opts, TournamentConfig{Policies: []string{"ms", "ms-nr", "cmu"}, Profiles: []string{"KSU"}})
+	tourn, err := RunTournament(16, opts, []string{"ms", "ms-nr", "cmu"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mw, err := runJSQLimit(opts, randomRouting)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := fig4Cells([]fig4Run{{32, fig4}})
 	for _, r := range []ScoreRow{reservationClaim(c.nr), separationClaim(c.one), samplingClaim(c.ns),
-		fig5Claim(fig5), bookingClaim(stale), tournamentClaim(tourn)} {
+		fig5Claim(fig5), bookingClaim(stale), tournamentClaim(tourn), maxweightClaim(mw)} {
 		if math.IsNaN(r.Spread) || r.Tol < r.Spread {
 			t.Errorf("%s: tolerance %g, seed spread %g", r.Claim, r.Tol, r.Spread)
 		}
@@ -108,7 +113,7 @@ func TestScorecardFailsWithoutReservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in.fig4 = []fig4Run{{32, rows}}
+		in.Fig4a = rows
 		r := scorecard(in)[2]
 		if !strings.HasPrefix(r.Claim, "Figure 4 reservation") {
 			t.Fatalf("row 2 is %q", r.Claim)
@@ -125,6 +130,33 @@ func TestScorecardFailsWithoutReservation(t *testing.T) {
 	}
 	if r := reservation(); !r.Fails() {
 		t.Fatalf("without θ₂ the reservation row reads %q (ours: %s)", r.Verdict, r.Ours)
+	}
+}
+
+// randomRouting is open admission with uniform random routing.
+func randomRouting(wt core.WTable, seed int64) core.Policy {
+	return core.NewPipeline(core.PipelineConfig{
+		Admission: core.NewOpenAdmission(), Routing: core.NewRandomRouting(seed), WTable: wt,
+	})
+}
+
+// Random routing in place of the maxweight preset must fail the
+// MaxWeight row of the -quick scorecard: the row checks the heavy-traffic
+// JSQ limit, which a load-blind router does not reach.
+func TestScorecardFailsWithRandomRouting(t *testing.T) {
+	in, err := quickScorecardInputs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const i = 10
+	if r := scorecard(in)[i]; r.Claim != "MaxWeight ≈ JSQ(p) as ρ → 1" || r.Verdict != verdictHolds {
+		t.Fatalf("row %d: %q reads %q (ours: %s)", i, r.Claim, r.Verdict, r.Ours)
+	}
+	if in.maxweight, err = runJSQLimit(Quick(), randomRouting); err != nil {
+		t.Fatal(err)
+	}
+	if r := scorecard(in)[i]; !r.Fails() {
+		t.Fatalf("with random routing the MaxWeight row reads %q (ours: %s)", r.Verdict, r.Ours)
 	}
 }
 

@@ -16,31 +16,6 @@ import (
 	"msweb/internal/trace"
 )
 
-// TournamentConfig selects the tournament field and grid.
-type TournamentConfig struct {
-	// Policies are registry preset names; empty means the default
-	// competitor field (policy.TournamentNames()).
-	Policies []string
-	// Profiles are trace profile names; empty means UCB, KSU, ADL.
-	Profiles []string
-	// Rhos are the target flat-utilization load levels; empty means
-	// moderate and heavy load (0.5, 0.8).
-	Rhos []float64
-}
-
-func (tc TournamentConfig) withDefaults() TournamentConfig {
-	if len(tc.Policies) == 0 {
-		tc.Policies = policy.TournamentNames()
-	}
-	if len(tc.Profiles) == 0 {
-		tc.Profiles = []string{"UCB", "KSU", "ADL"}
-	}
-	if len(tc.Rhos) == 0 {
-		tc.Rhos = []float64{0.5, 0.8}
-	}
-	return tc
-}
-
 // TournamentRow is one (profile, load, policy) aggregate over seeds.
 type TournamentRow struct {
 	Profile string
@@ -65,31 +40,31 @@ type tournCell struct {
 	mean, p99, stretch, util, shed float64
 }
 
-// RunTournament fans (policy × profile × load × seed) through the
-// deterministic grid and aggregates per-seed means. Every policy in a
-// (profile, rho) block replays byte-identical traces on an identically
-// planned cluster, so row differences are pure policy effects.
-func RunTournament(p int, opts Options, tc TournamentConfig) ([]TournamentRow, error) {
-	opts = opts.withDefaults()
-	tc = tc.withDefaults()
-	const r = 1.0 / 40
+// tournamentRhos are the tournament's load levels: moderate and heavy.
+var tournamentRhos = []float64{0.5, 0.8}
 
-	presets := make([]policy.Preset, 0, len(tc.Policies))
-	for _, name := range tc.Policies {
+// RunTournament fans (policy × profile × load × seed) through the
+// deterministic grid over the UCB, KSU and ADL profiles at
+// tournamentRhos, and aggregates per-seed means. policies are registry
+// preset names; nil means the default competitor field
+// (policy.TournamentNames()). Every policy in a (profile, rho) block
+// replays byte-identical traces on an identically planned cluster, so
+// row differences are pure policy effects.
+func RunTournament(p int, opts Options, policies []string) ([]TournamentRow, error) {
+	opts = opts.withDefaults()
+	if policies == nil {
+		policies = policy.TournamentNames()
+	}
+	const r = 1.0 / 40
+	presets := make([]policy.Preset, 0, len(policies))
+	for _, name := range policies {
 		pr, err := policy.Lookup(name)
 		if err != nil {
 			return nil, err
 		}
 		presets = append(presets, pr)
 	}
-	profiles := make([]trace.Profile, len(tc.Profiles))
-	for i, name := range tc.Profiles {
-		prof, ok := trace.ProfileByName(name)
-		if !ok {
-			return nil, fmt.Errorf("tournament: unknown profile %q", name)
-		}
-		profiles[i] = prof
-	}
+	profiles := []trace.Profile{trace.UCB, trace.KSU, trace.ADL}
 
 	type cell struct {
 		prof    trace.Profile
@@ -101,7 +76,7 @@ func RunTournament(p int, opts Options, tc TournamentConfig) ([]TournamentRow, e
 	}
 	var cells []cell
 	for _, prof := range profiles {
-		for _, rho := range tc.Rhos {
+		for _, rho := range tournamentRhos {
 			lambda := LambdaForRho(p, prof.ArrivalRatio(), r, rho)
 			plan, err := queuemodel.NewParams(p, lambda, prof.ArrivalRatio(), MuH, r).OptimalPlan()
 			if err != nil {
@@ -150,7 +125,7 @@ func RunTournament(p int, opts Options, tc TournamentConfig) ([]TournamentRow, e
 	var rows []TournamentRow
 	i := 0
 	for _, prof := range profiles {
-		for _, rho := range tc.Rhos {
+		for _, rho := range tournamentRhos {
 			for _, preset := range presets {
 				var agg tournCell
 				seedSF := make([]float64, nSeeds)

@@ -64,26 +64,12 @@ var presets = []Preset{
 				Routing: core.NewCMuRouting(seed), WTable: wt,
 			})
 		}},
-	{"balanced", "balanced fairness (Bonald & Comte): least bottleneck occupancy per unit speed", true,
-		func(wt core.WTable, seed int64) core.Policy {
-			return core.NewPipeline(core.PipelineConfig{
-				Name: "Balanced", Admission: core.NewOpenAdmission(),
-				Routing: core.NewBalancedRouting(seed), WTable: wt,
-			})
-		}},
 	{"greedy-rsrc", "greedy min-RSRC: no reservation, no sampling, no booking", true,
 		func(wt core.WTable, seed int64) core.Policy {
 			return core.NewPipeline(core.PipelineConfig{
 				Name: "Greedy-RSRC", Admission: core.NewOpenAdmission(),
 				Routing: core.NewRSRCRouting(seed), DisableSampling: true,
 				PlacementImpact: core.NoPlacementImpact,
-			})
-		}},
-	{"msr", "Markovian service-rate routing: commit to the best queue-discounted rate, hold for a memoryless epoch", true,
-		func(wt core.WTable, seed int64) core.Policy {
-			return core.NewPipeline(core.PipelineConfig{
-				Name: "MSR", Admission: core.NewOpenAdmission(),
-				Routing: core.NewMSRRouting(seed, 0), WTable: wt,
 			})
 		}},
 	{"random", "uniform random dispatch over eligible nodes", true,

@@ -49,23 +49,13 @@ func TestLookupUnknownPreset(t *testing.T) {
 	}
 }
 
+// TestTournamentNamesAreCompetitors pins the default tournament field:
+// the paper's scheduler, its θ₂ ablation, maxweight (its citation is a
+// scorecard row) and the uncited baselines.
 func TestTournamentNamesAreCompetitors(t *testing.T) {
-	names := TournamentNames()
-	if len(names) < 6 {
-		t.Fatalf("tournament field too small: %v", names)
-	}
-	has := func(n string) bool {
-		for _, x := range names {
-			if x == n {
-				return true
-			}
-		}
-		return false
-	}
-	for _, want := range []string{"ms", "jsq2", "maxweight", "cmu", "greedy-rsrc", "random"} {
-		if !has(want) {
-			t.Fatalf("tournament field %v missing %q", names, want)
-		}
+	want := []string{"ms", "ms-nr", "jsq2", "maxweight", "cmu", "greedy-rsrc", "random"}
+	if got := TournamentNames(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("tournament field %v, want %v", got, want)
 	}
 }
 
