@@ -528,7 +528,8 @@ func BenchmarkShardMapRebalance(b *testing.B) {
 // BenchmarkAutoscaleChurn replays one cell of the benchmark's
 // sim_sharded_autoscale workload: p = 512 under 16 shards, a diurnal KSU
 // trace and the online autoscaler, whose c/µ scale-down flips dozens of
-// slaves (one shard-map epoch each) per control period.
+// slaves per control period — one shard-map epoch per plan, which the
+// epochs metric pins.
 func BenchmarkAutoscaleChurn(b *testing.B) {
 	const p, shards, seconds = 512, 16, 4.0
 	prof, r := trace.KSU, 1.0/40

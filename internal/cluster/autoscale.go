@@ -61,13 +61,11 @@ func (c *Cluster) accrueNodeSeconds(now float64) {
 	}
 }
 
-// setPowered flips one node's power state and recomputes the view (and,
-// under sharding, the shard map epoch). Graceful: a node powering off
+// setPowered flips one node's power state. It leaves the view alone:
+// the autoscaler writes a whole plan, then recomputes the view (and,
+// under sharding, the shard map) once. Graceful: a node powering off
 // keeps running what it holds.
 func (c *Cluster) setPowered(node int, on bool) {
-	if c.powered[node] == on {
-		return
-	}
 	c.accrueNodeSeconds(c.eng.Now())
 	c.powered[node] = on
 	if on {
@@ -75,11 +73,12 @@ func (c *Cluster) setPowered(node int, on bool) {
 	} else {
 		c.poweredCount--
 	}
-	c.recomputeView()
 }
 
 // autoscaleTick is the controller loop body: harvest the window, let
-// the shared planner size the fleet and plan m on it, then apply.
+// the shared planner size the fleet and plan m on it, then apply the
+// plan as one topology change — one view recompute, one shard-map
+// epoch, as the live autoscaler announces one membership per plan.
 func (c *Cluster) autoscaleTick() {
 	period := c.cfg.Autoscale.Period
 	now := c.eng.Now()
@@ -94,8 +93,8 @@ func (c *Cluster) autoscaleTick() {
 	m, held := c.as.Plan(r, c.roleMasters, now)
 	acted := false
 
-	// Masters first: the role block 0..m−1 must be powered before the
-	// view recomputes around it.
+	// Masters first: the role block 0..m−1 is powered, then the role
+	// moves.
 	for id := 0; id < m; id++ {
 		if !c.powered[id] {
 			c.setPowered(id, true)
@@ -109,7 +108,7 @@ func (c *Cluster) autoscaleTick() {
 		} else {
 			c.asStats.Demotions += int64(c.roleMasters - m)
 		}
-		c.setMasters(m)
+		c.roleMasters = m
 		acted = true
 	}
 
@@ -133,6 +132,9 @@ func (c *Cluster) autoscaleTick() {
 				acted = true
 			}
 		}
+	}
+	if acted {
+		c.recomputeView()
 	}
 	c.as.Settle(acted, now, period)
 }

@@ -319,26 +319,14 @@ func New(eng *sim.Engine, cfg Config, policy core.Policy) (*Cluster, error) {
 	for i := range c.view.Load {
 		c.view.Load[i] = core.Load{CPUIdle: 1, DiskAvail: 1, Speed: 1}
 	}
-	c.setMasters(cfg.Masters)
+	c.roleMasters = cfg.Masters
+	c.recomputeView()
 	if cfg.Shards > 1 {
 		if err := c.setupShards(); err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
-}
-
-// setMasters assigns the master role to nodes 0..m−1; the effective
-// tiers are the role filtered by current availability.
-func (c *Cluster) setMasters(m int) {
-	if m < 1 {
-		m = 1
-	}
-	if m > c.cfg.Nodes {
-		m = c.cfg.Nodes
-	}
-	c.roleMasters = m
-	c.recomputeView()
 }
 
 // Masters returns the current master count.

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"msweb/internal/core"
+	"msweb/internal/sim"
 	"msweb/internal/trace"
 )
 
@@ -145,23 +147,32 @@ func TestAutoscaleSavesNodeHours(t *testing.T) {
 	}
 }
 
-// Autoscaling composes with sharding: master-count changes and power
-// transitions rebalance the epoch-versioned map, and the run stays
-// deterministic and lossless.
+// Autoscaling composes with sharding: each plan that changes the
+// topology rebalances the epoch-versioned map once — one epoch per
+// control period at most, as the live autoscaler announces one
+// membership per plan — onto the map the live plane would derive from
+// the same tiers, and the run stays deterministic and lossless.
 func TestAutoscaleUnderSharding(t *testing.T) {
 	tr := autoscaleTrace(t, 8000, 52)
-	run := func() *Result {
-		cfg := DefaultConfig(10, 2)
+	// 24 nodes: the trough powers off more slaves than the run has
+	// control periods, so a per-node epoch would break the bound below.
+	const period = 1.0
+	run := func() (*Result, *Cluster) {
+		cfg := DefaultConfig(24, 2)
 		cfg.Shards = 2
 		cfg.SLOResponse = 2.0
-		cfg.Autoscale = &Autoscale{Period: 1.0, MinM: 1, MaxM: 4}
-		res, err := Simulate(cfg, core.NewMS(core.SampleW(tr, 16), 13), tr)
+		cfg.Autoscale = &Autoscale{Period: period, MinM: 1, MaxM: 4}
+		c, err := New(sim.NewEngine(), cfg, core.NewMS(core.SampleW(tr, 16), 13))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		res, err := c.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, c
 	}
-	res := run()
+	res, c := run()
 	if res.Summary.Count != 8000 {
 		t.Fatalf("completed %d/8000 under autoscaled sharding", res.Summary.Count)
 	}
@@ -171,7 +182,26 @@ func TestAutoscaleUnderSharding(t *testing.T) {
 	if res.Autoscale.SlaveOffs > 0 && res.Shards.EpochChanges == 0 {
 		t.Fatal("power transitions did not rebalance the shard map")
 	}
-	res2 := run()
+	if res.Shards.Epoch != uint64(res.Shards.EpochChanges) {
+		t.Fatalf("final epoch %d vs %d changes: every reshard must bump exactly once", res.Shards.Epoch, res.Shards.EpochChanges)
+	}
+	if periods := int64(res.SimulatedSeconds / period); res.Shards.EpochChanges > periods {
+		t.Fatalf("%d epochs in %d control periods: a plan must be one epoch, not one per node flipped", res.Shards.EpochChanges, periods)
+	}
+	final := core.Membership{Masters: c.view.Masters, Slaves: c.view.Slaves}
+	want, err := final.ShardMap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.shardMap.NumShards(); got != want.NumShards() {
+		t.Fatalf("final map has %d shards, the final view's membership %d", got, want.NumShards())
+	}
+	for s := 0; s < want.NumShards(); s++ {
+		if got := c.shardMap.Members(s); !slices.Equal(got, want.Members(s)) {
+			t.Fatalf("shard %d members %v, the final view's membership gives %v", s, got, want.Members(s))
+		}
+	}
+	res2, _ := run()
 	if res.StretchFactor != res2.StretchFactor || res.Shards.Epoch != res2.Shards.Epoch ||
 		*res.Autoscale != *res2.Autoscale {
 		t.Fatalf("sharded autoscale diverged: %+v vs %+v", res.Shards, res2.Shards)
