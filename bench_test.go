@@ -480,51 +480,6 @@ func BenchmarkShardedControlPlane(b *testing.B) {
 	}
 }
 
-// BenchmarkShardMapRebalance measures deriving a successor shard map at
-// p = 512: "flip" is the autoscaler's unit of work (same shard count, one
-// slave leaves or rejoins), "grow" and "shrink" change the shard count by
-// one (a promotion or demotion).
-func BenchmarkShardMapRebalance(b *testing.B) {
-	const p = 512
-	for _, shards := range []int{16, 256} {
-		slaves := make([]int, 0, p-shards)
-		for id := shards; id < p; id++ {
-			slaves = append(slaves, id)
-		}
-		base, err := core.NewShardMap(shards, slaves)
-		if err != nil {
-			b.Fatal(err)
-		}
-		without := slaves[:len(slaves)-1]
-		b.Run(fmt.Sprintf("shards=%d/flip", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			m := base
-			for i := 0; i < b.N; i++ {
-				next := without
-				if i%2 == 1 {
-					next = slaves
-				}
-				if m, err = m.Rebalanced(shards, next); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		for _, c := range []struct {
-			name  string
-			delta int
-		}{{"grow", 1}, {"shrink", -1}} {
-			b.Run(fmt.Sprintf("shards=%d/%s", shards, c.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := base.Rebalanced(shards+c.delta, slaves); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAutoscaleChurn replays one cell of the benchmark's
 // sim_sharded_autoscale workload: p = 512 under 16 shards, a diurnal KSU
 // trace and the online autoscaler, whose c/µ scale-down flips dozens of

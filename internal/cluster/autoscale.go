@@ -10,11 +10,15 @@ package cluster
 //
 // Scale-down switches off the powered slave with the highest node id
 // first; scale-up switches on the unpowered slave with the lowest id
-// first, so every decision is deterministic.
+// first, so every decision is deterministic. A plan is applied whole:
+// the power and role state take every change, then the view (and, under
+// sharding, the shard map) is recomputed once, so one plan is one
+// epoch, as on the live plane.
 //
 // Powering off is graceful, unlike a crash: the node leaves every
-// placement view (and the shard map, on a new epoch) so nothing new
-// lands on it, but it finishes the work it holds and is never drained.
+// placement view (and the shard map, at the plan's epoch) so nothing
+// new lands on it, but it finishes the work it holds and is never
+// drained.
 
 import "msweb/internal/core"
 
@@ -93,8 +97,8 @@ func (c *Cluster) autoscaleTick() {
 	m, held := c.as.Plan(r, c.roleMasters, now)
 	acted := false
 
-	// Masters first: the role block 0..m−1 is powered, then the role
-	// moves.
+	// Masters first: the slave sizing below counts the role block's
+	// power-ons in poweredCount.
 	for id := 0; id < m; id++ {
 		if !c.powered[id] {
 			c.setPowered(id, true)

@@ -260,8 +260,8 @@ type Cluster struct {
 	shardMap     *core.ShardMap
 	shardViews   []core.View
 	shardSums    []core.ShardSummary
-	remoteSums   [][]core.ShardSummary
-	remoteAt     [][]float64
+	remoteSums   []core.ShardSummary // shard → its last gossiped summary
+	remoteAt     []float64           // shard → when it was gossiped, −1 before
 	pollWork     int64
 	pollSamples  int64
 	ageSum       float64

@@ -12,13 +12,14 @@ package cluster
 // digest of a fresh remote summary, paying a second dispatch hop.
 //
 // The map is epoch-versioned: every topology change — a node crash or
-// recovery, recruitment, an autoscaler master-count change, a graceful
-// power-off — derives the successor map via Rebalanced (consistent-hash
-// ring, so only ~1/m of the slaves change owner per master change) and
-// bumps the epoch. Summaries carry the epoch of the map they were built
-// under; spill decisions accept the current and the immediately
-// preceding epoch (the bounded dual-epoch handoff window) and discard
-// anything older.
+// recovery, or one autoscaler plan, however many nodes it powers on or
+// off and whether or not it moves the master count — builds the next
+// map with core.NewShardMapAt at the next epoch, the function the live
+// plane's Membership.ShardMap calls (consistent-hash ring, so only ~1/m
+// of the slaves change owner per master change). Summaries carry the
+// epoch of the map they were built under; spill decisions accept the
+// current and the immediately preceding epoch (the bounded dual-epoch
+// handoff window) and discard anything older.
 //
 // The simulation is the byte-deterministic side of the design: the same
 // trace and seed always produce the same placements, reshards and
@@ -73,8 +74,8 @@ func (c *Cluster) setupShards() error {
 }
 
 // reshard rebalances the shard map after a topology change: the next
-// epoch's map is derived from the current one over the new master count
-// and slave list, and the per-shard views are pointed at it. Remote
+// epoch's map is built over the new master count and slave list, and
+// the per-shard views are pointed at it. Remote
 // summaries survive a rebalance that keeps the shard count (they are one
 // epoch old — inside the handoff window); a master-count change resizes
 // the gossip state and starts the new shards cold.
@@ -88,7 +89,7 @@ func (c *Cluster) reshard() {
 		// parked on the retry path until capacity returns.
 		return
 	}
-	next, err := c.shardMap.Rebalanced(m, c.view.Slaves)
+	next, err := core.NewShardMapAt(m, c.view.Slaves, c.shardMap.Epoch()+1)
 	if err != nil {
 		return // unreachable: view slaves are distinct node IDs
 	}
@@ -117,7 +118,7 @@ func (c *Cluster) pointShardViews() {
 }
 
 // resizeShardState sizes the per-shard views, summaries and gossip
-// mailboxes to the current shard count and empties them: shard indices
+// table to the current shard count and empties them: shard indices
 // mean different owners now, so every master starts with no remote
 // summaries held. Backing arrays (the summaries' digest lists included)
 // are kept across resizes.
@@ -129,12 +130,8 @@ func (c *Cluster) resizeShardState() {
 	c.remoteAt = resized(c.remoteAt, m)
 	for s := 0; s < m; s++ {
 		c.shardSums[s] = core.ShardSummary{Top: c.shardSums[s].Top[:0]}
-		c.remoteSums[s] = resized(c.remoteSums[s], m)
-		c.remoteAt[s] = resized(c.remoteAt[s], m)
-		for t := 0; t < m; t++ {
-			c.remoteSums[s][t] = core.ShardSummary{Top: c.remoteSums[s][t].Top[:0]}
-			c.remoteAt[s][t] = -1
-		}
+		c.remoteSums[s] = core.ShardSummary{Top: c.remoteSums[s].Top[:0]}
+		c.remoteAt[s] = -1
 	}
 }
 
@@ -175,29 +172,26 @@ func (c *Cluster) refreshShardSummaries() {
 // gossipShards delivers every shard's current summary to every other
 // master — the sim analogue of the /shard pull round (piggybacked copies
 // only make summaries fresher in the live plane; the slow tick is the
-// guaranteed floor modeled here).
+// guaranteed floor modeled here). Every master receives the same copy at
+// the same instant, so the table holds it once per shard; master o
+// reads every entry but its own.
 func (c *Cluster) gossipShards() {
 	now := c.eng.Now()
-	for o := range c.remoteSums {
-		for s := range c.shardSums {
-			if s == o {
-				continue
-			}
-			dst := &c.remoteSums[o][s]
-			top := append(dst.Top[:0], c.shardSums[s].Top...)
-			*dst = c.shardSums[s]
-			dst.Top = top
-			c.remoteAt[o][s] = now
-		}
+	for s := range c.shardSums {
+		dst := &c.remoteSums[s]
+		top := append(dst.Top[:0], c.shardSums[s].Top...)
+		*dst = c.shardSums[s]
+		dst.Top = top
+		c.remoteAt[s] = now
 	}
 }
 
-// sampleSummaryAge accumulates the age of every held remote summary —
-// the staleness a spill decision would act on right now.
+// sampleSummaryAge accumulates the age of every remote summary each
+// master holds — the staleness a spill decision would act on right now.
 func (c *Cluster) sampleSummaryAge() {
 	now := c.eng.Now()
 	for o := range c.remoteAt {
-		for s, at := range c.remoteAt[o] {
+		for s, at := range c.remoteAt {
 			if s == o || at < 0 {
 				continue
 			}
@@ -220,11 +214,11 @@ func (c *Cluster) pickSimSpill(shard int) int {
 	ttl := 3 * c.gossipPeriod()
 	epoch := c.shardMap.Epoch()
 	best, bestCost := -1, 0.0
-	for s := range c.remoteSums[shard] {
-		if s == shard || c.remoteAt[shard][s] < 0 || now-c.remoteAt[shard][s] > ttl {
+	for s, at := range c.remoteAt {
+		if s == shard || at < 0 || now-at > ttl {
 			continue
 		}
-		sum := &c.remoteSums[shard][s]
+		sum := &c.remoteSums[s]
 		if core.SummaryStale(sum.Epoch, epoch) {
 			continue // outside the dual-epoch window
 		}

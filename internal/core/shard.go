@@ -19,7 +19,10 @@ import (
 // (splitmix64 over shard and point index) and each slave belongs to the
 // first shard point clockwise from its own hash — membership stays
 // mostly stable when the shard count changes, the property that matters
-// for live resharding (the arktos partitioned-API-server move).
+// for live resharding (the arktos partitioned-API-server move). Each
+// epoch's map is built from scratch by NewShardMapAt on both planes: the
+// live plane per adopted membership, the simulator per topology change
+// (one per autoscaler plan).
 
 // ringPointsPerShard is the virtual-node multiplier of the hash ring;
 // enough points that shard sizes stay within a few percent of even for
@@ -35,20 +38,15 @@ const maxShardNodeID = 1<<24 - 1
 // usable; construct with NewShardMap. Maps are versioned by a
 // monotonically increasing epoch: the initial map of a run is epoch 0,
 // and every membership change (node join/leave/fail, master-count
-// change) derives a successor via Rebalanced, which bumps the epoch.
+// change) builds the next map with NewShardMapAt at a higher epoch.
 // Gossip carries the epoch so masters converge newest-wins on the same
 // partition without a coordination step.
-//
-// Successors share what the change did not touch — the ring, the member
-// slices of unaffected shards — so nothing reachable from a map is ever
-// written after construction.
 type ShardMap struct {
 	shards  int
 	epoch   uint64
-	size    int         // mapped slave population
-	owner   []int32     // slave node ID → shard, -1 for IDs not in the map
-	members [][]int     // shard → slave node IDs, ascending
-	ring    []ringPoint // ≥ 2 shards: the sorted virtual points
+	size    int     // mapped slave population
+	owner   []int32 // slave node ID → shard, -1 for IDs not in the map
+	members [][]int // shard → slave node IDs, ascending
 }
 
 // NewShardMap partitions the given slave IDs into shards at epoch 0.
@@ -59,25 +57,24 @@ func NewShardMap(shards int, slaves []int) (*ShardMap, error) {
 	return NewShardMapAt(shards, slaves, 0)
 }
 
-// NewShardMapAt is NewShardMap at an explicit epoch — for peers adopting
-// a map version learned from gossip rather than deriving it locally.
-// Slave IDs must be distinct and in [0, 2^24).
+// NewShardMapAt is NewShardMap at an explicit epoch: the map of a
+// membership (Membership.ShardMap) and the simulator's next map after a
+// topology change. Slave IDs must be distinct and in [0, 2^24).
 func NewShardMapAt(shards int, slaves []int, epoch uint64) (*ShardMap, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	m := &ShardMap{shards: shards, epoch: epoch, ring: deriveRing(nil, shards)}
-	if err := m.assignOwners(slaves, nil); err != nil {
+	m := &ShardMap{shards: shards, epoch: epoch}
+	if err := m.assignOwners(slaves, newRing(shards)); err != nil {
 		return nil, err
 	}
 	m.bucketMembers()
 	return m, nil
 }
 
-// assignOwners fills the owner table: every slave gets its shard by ring
-// lookup. known, when non-nil, is a map with the same shard count whose
-// answers are reused instead of looked up.
-func (m *ShardMap) assignOwners(slaves []int, known *ShardMap) error {
+// assignOwners fills the owner table: every slave gets its shard by
+// lookup on the ring (nil for a single shard, which owns everything).
+func (m *ShardMap) assignOwners(slaves []int, ring []ringPoint) error {
 	n := 0
 	for _, id := range slaves {
 		if id < 0 || id > maxShardNodeID {
@@ -96,16 +93,9 @@ func (m *ShardMap) assignOwners(slaves []int, known *ShardMap) error {
 		if m.owner[id] >= 0 {
 			return fmt.Errorf("core: shard map: slave %d listed twice", id)
 		}
-		s := -1
-		if known != nil {
-			s = known.ShardOf(id)
-		}
-		switch {
-		case s >= 0:
-		case m.shards == 1:
-			s = 0
-		default:
-			s = ringOwner(m.ring, hashID(id))
+		s := 0
+		if ring != nil {
+			s = ringOwner(ring, hashID(id))
 		}
 		m.owner[id] = int32(s)
 	}
@@ -144,71 +134,8 @@ func (m *ShardMap) NumShards() int { return m.shards }
 // Epoch reports the map's membership version.
 func (m *ShardMap) Epoch() uint64 { return m.epoch }
 
-// Rebalanced derives the successor map at epoch+1 from a changed
-// membership: a new shard count (masters promoted/demoted) and/or a new
-// slave list (nodes joined, left or failed). Only the slaves whose
-// clockwise-first ring point belongs to an added or removed shard move —
-// about 1/m of the fleet per master change.
-//
-// The result equals NewShardMapAt on the same inputs, but is derived: a
-// shard's ring points do not depend on the other shards, so a changed
-// shard count merges or filters the ring instead of re-sorting it, and
-// an unchanged one (where a slave's owner depends on its ID alone) keeps
-// the ring and every member list no slave joined or left.
-func (m *ShardMap) Rebalanced(shards int, slaves []int) (*ShardMap, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	next := &ShardMap{shards: shards, epoch: m.epoch + 1, ring: deriveRing(m.ring, shards)}
-	if shards != m.shards {
-		if err := next.assignOwners(slaves, nil); err != nil {
-			return nil, err
-		}
-		next.bucketMembers()
-		return next, nil
-	}
-	if err := next.assignOwners(slaves, m); err != nil {
-		return nil, err
-	}
-	// Nobody changed owner, so the member lists differ only where a slave
-	// left or joined. Copy-on-write: the outer slice on the first
-	// difference, a shard's list each time it loses or gains a slave.
-	next.members = m.members
-	shared := true
-	for id := 0; id < len(next.owner) || id < len(m.owner); id++ {
-		was, now := m.ShardOf(id), next.ShardOf(id)
-		if was == now {
-			continue
-		}
-		if shared {
-			next.members = append([][]int(nil), m.members...)
-			shared = false
-		}
-		if was >= 0 {
-			next.members[was] = withoutID(next.members[was], id)
-		} else {
-			next.members[now] = withID(next.members[now], id)
-		}
-	}
-	return next, nil
-}
-
-// withoutID returns a copy of the ascending list without id.
-func withoutID(ids []int, id int) []int {
-	i := sort.SearchInts(ids, id)
-	out := make([]int, 0, len(ids)-1)
-	return append(append(out, ids[:i]...), ids[i+1:]...)
-}
-
-// withID returns a copy of the ascending list with id inserted in order.
-func withID(ids []int, id int) []int {
-	i := sort.SearchInts(ids, id)
-	out := make([]int, 0, len(ids)+1)
-	return append(append(append(out, ids[:i]...), id), ids[i:]...)
-}
-
 // MovedFrom reports how many slaves present in both maps are owned by a
-// different shard in m than in old — the churn a rebalance imposes on
+// different shard in m than in old — the churn a reshard imposes on
 // pollers and breakers.
 func (m *ShardMap) MovedFrom(old *ShardMap) int {
 	moved := 0
@@ -258,50 +185,20 @@ func cmpRingPoint(a, b ringPoint) int {
 	return cmp.Compare(a.shard, b.shard)
 }
 
-// deriveRing returns the ring of the given shard count from the ring of
-// another (nil: none). Point hashes mix the shard index and the point
-// index, so a shard's points are the same on every ring that has the
-// shard: fewer shards filter the old ring, more shards sort only the new
-// shards' points and merge them in, an equal count shares it. A single
-// shard owns everything and needs no ring.
-func deriveRing(old []ringPoint, shards int) []ringPoint {
-	have := len(old) / ringPointsPerShard
-	switch {
-	case shards == 1:
+// newRing returns the sorted ring of the given shard count, or nil for
+// a single shard, which owns everything and needs no ring.
+func newRing(shards int) []ringPoint {
+	if shards == 1 {
 		return nil
-	case shards == have:
-		return old
-	case shards < have:
-		ring := make([]ringPoint, 0, shards*ringPointsPerShard)
-		for _, pt := range old {
-			if pt.shard < shards {
-				ring = append(ring, pt)
-			}
-		}
-		return ring
-	}
-	added := make([]ringPoint, 0, (shards-have)*ringPointsPerShard)
-	for s := have; s < shards; s++ {
-		for p := 0; p < ringPointsPerShard; p++ {
-			added = append(added, ringPoint{hash: hashPoint(s, p), shard: s})
-		}
-	}
-	slices.SortFunc(added, cmpRingPoint)
-	if have == 0 {
-		return added
 	}
 	ring := make([]ringPoint, 0, shards*ringPointsPerShard)
-	i, j := 0, 0
-	for i < len(old) && j < len(added) {
-		if cmpRingPoint(added[j], old[i]) < 0 {
-			ring = append(ring, added[j])
-			j++
-		} else {
-			ring = append(ring, old[i])
-			i++
+	for s := 0; s < shards; s++ {
+		for p := 0; p < ringPointsPerShard; p++ {
+			ring = append(ring, ringPoint{hash: hashPoint(s, p), shard: s})
 		}
 	}
-	return append(append(ring, old[i:]...), added[j:]...)
+	slices.SortFunc(ring, cmpRingPoint)
+	return ring
 }
 
 // ringOwner finds the shard of the first ring point clockwise from h.
