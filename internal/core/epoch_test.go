@@ -6,6 +6,54 @@ import (
 	"testing"
 )
 
+func TestShardMapRebalancedEpochAndStability(t *testing.T) {
+	slaves := make([]int, 1000)
+	for i := range slaves {
+		slaves[i] = i + 8
+	}
+	m, err := NewShardMap(8, slaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Epoch() != 0 {
+		t.Fatalf("initial epoch %d, want 0", m.Epoch())
+	}
+
+	// A master leaves: 8 → 7 shards over the same slaves, rebalanced into
+	// the next epoch. Only the departed shard's slaves need a new owner —
+	// about 1/8 of the fleet.
+	m2, err := NewShardMapAt(7, slaves, m.Epoch()+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2.Epoch() != 1 {
+		t.Fatalf("rebalanced epoch %d, want 1", m2.Epoch())
+	}
+	moved := m2.MovedFrom(m)
+	if moved == 0 || moved > 300 {
+		t.Errorf("8→7 shards moved %d/1000 slaves; consistent hashing should move roughly 1/8", moved)
+	}
+
+	// A slave joins: same shard count, one extra node. Nobody else moves.
+	joined := append(append([]int(nil), slaves...), 5000)
+	m3, err := NewShardMapAt(7, joined, m2.Epoch()+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m3.Epoch() != 2 {
+		t.Fatalf("epoch after join %d, want 2", m3.Epoch())
+	}
+	if moved := m3.MovedFrom(m2); moved != 0 {
+		t.Errorf("slave join moved %d existing slaves; want 0", moved)
+	}
+	if m3.ShardOf(5000) < 0 {
+		t.Error("joined slave is unmapped")
+	}
+	if m3.Size() != len(joined) {
+		t.Errorf("size %d, want %d", m3.Size(), len(joined))
+	}
+}
+
 func TestShardSummaryWireEpochFraming(t *testing.T) {
 	s := ShardSummary{Shard: 4, AtNs: 77, Nodes: 3, CPUIdle: 0.5, DiskAvail: 0.5}
 

@@ -3,23 +3,26 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
 
-// TestShardMapReshardHistory walks seeded random topology histories —
-// shard count up and down by one, unchanged, and jumping (through 1
-// too); slaves joining and leaving — building each epoch's map from
-// scratch with NewShardMapAt, as both planes do, and checks what a
+// TestRebalancedEqualsFromScratch walks seeded random topology histories
+// — shard count up and down by one, unchanged, and jumping (through 1
+// too); slaves joining and leaving — rebalancing at each step the way
+// both planes do, with NewShardMapAt at the next epoch, and checks what a
 // holder of the previous map relies on:
 //   - the epoch advances by one and the size is the slave count;
+//   - the successor partitions exactly as a map built from scratch on
+//     the same slaves in another order, whatever its epoch;
 //   - MovedFrom equals a brute-force count;
 //   - consistent hashing: at an unchanged shard count nobody moves, and
 //     at ±1 shard only the added or removed shard's slaves move — about
 //     1/m of the fleet over the walk;
 //   - an unusable slave list (negative, too large or duplicate id) is
 //     refused at every step.
-func TestShardMapReshardHistory(t *testing.T) {
+func TestRebalancedEqualsFromScratch(t *testing.T) {
 	const fleet = 300
 	var moved1, want1 float64 // ±1-shard steps: slaves moved, expected 1/m share
 	for seed := int64(1); seed <= 12; seed++ {
@@ -73,6 +76,20 @@ func TestShardMapReshardHistory(t *testing.T) {
 			for _, id := range slaves {
 				if next.ShardOf(id) < 0 {
 					t.Fatalf("%s: slave %d is unmapped", name, id)
+				}
+			}
+			scratch, err := NewShardMap(shards, list())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := -1; id <= fleet; id++ {
+				if a, b := next.ShardOf(id), scratch.ShardOf(id); a != b {
+					t.Fatalf("%s: ShardOf(%d) = %d, from scratch %d", name, id, a, b)
+				}
+			}
+			for s := 0; s < shards; s++ {
+				if a, b := next.Members(s), scratch.Members(s); !slices.Equal(a, b) {
+					t.Fatalf("%s: shard %d members %v, from scratch %v", name, s, a, b)
 				}
 			}
 
