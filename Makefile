@@ -26,8 +26,8 @@ help:
 	@echo "  results     rewrite results/<name>.txt, results/csv and the tier-1"
 	@echo "              digests (cmd/msbench/testdata/digests.txt) for every"
 	@echo "              deterministic experiment (all but table3; CI diffs them),"
-	@echo "              and EXPERIMENTS.md's scorecard block; fails when a"
-	@echo "              scorecard claim fails"
+	@echo "              and EXPERIMENTS.md's scorecard, sharded and autoscale"
+	@echo "              blocks; fails when a scorecard claim fails"
 	@echo "  clean       go clean ./..."
 	@echo "Performance claims: bench/pairs.sh BASE PAIRS [WORKLOAD] [SEED]"
 
@@ -87,18 +87,18 @@ experiments:
 # Regenerate results/<name>.txt (the table msbench prints) and
 # results/csv for every deterministic experiment, the per-experiment
 # -quick CSV digests in cmd/msbench/testdata/digests.txt that tier-1
-# checks, and EXPERIMENTS.md's copy of results/scorecard.txt. The
-# experiments run in one process (TestResults, under -update-golden),
-# so the scorecard reads the rows of the inputs that ran before it
-# instead of running them again. CI runs this and fails when the
-# checked-in files differ, or when a scorecard claim fails (the
-# scorecard is written first). The CSVs are deleted first, so a removed
+# checks, and EXPERIMENTS.md's copies of results/scorecard.txt,
+# sharded.txt and autoscale.txt. The experiments run in one process
+# (TestResults, under -update-golden), so the scorecard reads the rows
+# of the inputs that ran before it instead of running them again. CI
+# runs this and fails when the checked-in files differ, or when a
+# scorecard claim fails (the scorecard is written first). The CSVs are deleted first, so a removed
 # experiment's CSV shows as a deletion (no live table3 CSV is kept).
 results:
 	@mkdir -p results/csv
 	rm -f results/csv/*.csv
 	$(GO) test -count=1 ./cmd/msbench -run '^TestResults$$' -update-golden
-	$(GO) test -count=1 ./cmd/msbench -run 'TestCSVEmission|TestScorecardBlock' -update-golden -update
+	$(GO) test -count=1 ./cmd/msbench -run 'TestCSVEmission|TestScorecardBlock|TestResultBlocks' -update-golden -update
 
 clean:
 	$(GO) clean ./...

@@ -151,12 +151,12 @@ func TestMakefileResultsList(t *testing.T) {
 // to the end of its line or of the code span it sits in.
 var goCommand = regexp.MustCompile("\\bgo (?:run|test|build)\\b[^`\\n]*")
 
-// TestDocCommandsNamePackages keeps the go commands quoted in README.md
-// and DESIGN.md runnable: every ./path argument of a go run, go test or
-// go build must name a directory of the repository, so a deleted or
+// TestDocCommandsNamePackages keeps the go commands quoted in the docs
+// (docFiles) runnable: every ./path argument of a go run, go test or go
+// build must name a directory of the repository, so a deleted or
 // renamed package cannot leave a dead command in the docs.
 func TestDocCommandsNamePackages(t *testing.T) {
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range docFiles {
 		data, err := os.ReadFile("../../" + doc)
 		if err != nil {
 			t.Fatal(err)
@@ -296,7 +296,7 @@ func deterministicNames() []string {
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite "+digestPath+" from this run")
 
-var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's scorecard block from results/scorecard.txt")
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated blocks from results/")
 
 // TestResults rewrites results/<name>.txt and results/csv/ at full
 // fidelity for every deterministic experiment, under -update-golden
@@ -364,12 +364,6 @@ func TestScorecardReusesInputs(t *testing.T) {
 	}
 }
 
-// The markers around EXPERIMENTS.md's scorecard block.
-const (
-	scorecardBegin = "<!-- scorecard: results/scorecard.txt -->\n"
-	scorecardEnd   = "<!-- end scorecard -->\n"
-)
-
 // TestScorecardBlock keeps EXPERIMENTS.md's scorecard the checked one:
 // between its markers it must hold results/scorecard.txt verbatim, in a
 // text fence. After an intended change,
@@ -377,8 +371,24 @@ const (
 //	go test ./cmd/msbench -run TestScorecardBlock -update
 //
 // rewrites the block ("make results" does, after results/scorecard.txt).
-func TestScorecardBlock(t *testing.T) {
-	card, err := os.ReadFile("../../results/scorecard.txt")
+func TestScorecardBlock(t *testing.T) { checkResultBlock(t, "scorecard") }
+
+// TestResultBlocks does for EXPERIMENTS.md's sharded and autoscale
+// tables what TestScorecardBlock does for the scorecard.
+func TestResultBlocks(t *testing.T) {
+	for _, name := range []string{"sharded", "autoscale"} {
+		t.Run(name, func(t *testing.T) { checkResultBlock(t, name) })
+	}
+}
+
+// checkResultBlock checks that EXPERIMENTS.md holds results/<name>.txt
+// verbatim, in a text fence, between the markers
+// "<!-- name: results/name.txt -->" and "<!-- end name -->"; under
+// -update it rewrites the block instead.
+func checkResultBlock(t *testing.T, name string) {
+	t.Helper()
+	file := "results/" + name + ".txt"
+	table, err := os.ReadFile("../../" + file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,12 +397,13 @@ func TestScorecardBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, rest, ok := strings.Cut(string(doc), scorecardBegin)
-	_, after, ok2 := strings.Cut(rest, scorecardEnd)
+	begin, end := "<!-- "+name+": "+file+" -->\n", "<!-- end "+name+" -->\n"
+	before, rest, ok := strings.Cut(string(doc), begin)
+	_, after, ok2 := strings.Cut(rest, end)
 	if !ok || !ok2 {
-		t.Fatalf("EXPERIMENTS.md has no %q … %q block", scorecardBegin, scorecardEnd)
+		t.Fatalf("EXPERIMENTS.md has no %q … %q block", begin, end)
 	}
-	want := before + scorecardBegin + "```text\n" + string(card) + "```\n" + scorecardEnd + after
+	want := before + begin + "```text\n" + string(table) + "```\n" + end + after
 	switch {
 	case want == string(doc):
 	case *update:
@@ -400,7 +411,7 @@ func TestScorecardBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	default:
-		t.Errorf("EXPERIMENTS.md's scorecard block differs from results/scorecard.txt (rerun with -update)")
+		t.Errorf("EXPERIMENTS.md's %s block differs from %s (rerun with -update)", name, file)
 	}
 }
 

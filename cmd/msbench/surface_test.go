@@ -1,11 +1,15 @@
 package main
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
+	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -27,6 +31,7 @@ var deadAllowed = map[string]string{
 // goFile is one parsed Go file of the repository.
 type goFile struct {
 	dir  string // slash path relative to the repository root
+	name string // base name
 	test bool
 	ast  *ast.File
 }
@@ -58,7 +63,7 @@ func parseRepo(t *testing.T) []goFile {
 		if err != nil {
 			return err
 		}
-		files = append(files, goFile{dir: filepath.ToSlash(filepath.Dir(rel)), test: strings.HasSuffix(rel, "_test.go"), ast: f})
+		files = append(files, goFile{dir: filepath.ToSlash(filepath.Dir(rel)), name: d.Name(), test: strings.HasSuffix(rel, "_test.go"), ast: f})
 		return nil
 	})
 	if err != nil {
@@ -236,4 +241,199 @@ func TestBenchmarkNamesDeclared(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("benchmark/ names no msweb/internal identifier; the scan no longer sees it")
 	}
+}
+
+// docRefAllowed lists the references in the docs that do not resolve,
+// each with the reason it stays. A stale entry (the reference resolves
+// now, or no doc makes it) fails TestDocReferences, as in deadAllowed.
+var docRefAllowed = map[string]string{
+	"trace.generate": "a span name of the benchmark's tracer (benchmark/sim.go), which EXPERIMENTS.md's setup_s table quotes",
+	"core.sample_w":  "a span name of the benchmark's tracer (benchmark/sim.go), which EXPERIMENTS.md's setup_s table quotes",
+}
+
+// The documents whose references TestDocReferences checks, and the
+// shapes of reference it resolves in their code spans and fences.
+var (
+	docFiles     = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+	codeSpan     = regexp.MustCompile("`([^`]+)`")
+	testFuncRef  = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	qualifiedRef = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Za-z_]\w*)`)
+)
+
+// docIndex is what a doc reference may resolve to, from parseRepo's
+// files and the repository's top-level entries.
+type docIndex struct {
+	names   map[string]bool // top-level names of any file, methods left out
+	decls   map[string]bool // "pkg.Name" for every top-level name of an internal/ package
+	pkgs    map[string]bool // internal/ package names
+	goFiles map[string]bool // Go file base names
+	top     map[string]bool // top-level entries of the repository, dot entries left out
+}
+
+func newDocIndex(t *testing.T, files []goFile) docIndex {
+	t.Helper()
+	ix := docIndex{names: map[string]bool{}, decls: map[string]bool{}, pkgs: map[string]bool{}, goFiles: map[string]bool{}, top: map[string]bool{}}
+	for _, f := range files {
+		ix.goFiles[f.name] = true
+		pkg, internal := strings.CutPrefix(f.dir, "internal/")
+		if internal {
+			ix.pkgs[pkg] = true
+		}
+		declared(f.ast, func(id *ast.Ident, method bool) {
+			if method {
+				return
+			}
+			ix.names[id.Name] = true
+			if internal {
+				ix.decls[pkg+"."+id.Name] = true
+			}
+		})
+	}
+	entries, err := os.ReadDir("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), ".") {
+			ix.top[e.Name()] = true
+		}
+	}
+	return ix
+}
+
+// refs returns the references that code (a code span or a fenced
+// line) makes: Test/Benchmark/Fuzz names, pkg.Name of an internal/
+// package, and repository paths (a path whose first element is a
+// top-level entry, or a bare Go file name). Paths with placeholders
+// (<name>, {a,b}, $VAR) are skipped; * is a glob. A pkg.go is a file
+// name, not a qualified identifier.
+func (ix docIndex) refs(code string) []string {
+	out := testFuncRef.FindAllString(code, -1)
+	for _, m := range qualifiedRef.FindAllStringSubmatch(code, -1) {
+		if ix.pkgs[m[1]] && m[2] != "go" {
+			out = append(out, m[0])
+		}
+	}
+	for _, field := range strings.Fields(code) {
+		p := strings.Trim(field, "()[],;:'\"")
+		p = strings.TrimSuffix(strings.TrimSuffix(strings.TrimPrefix(p, "./"), "..."), "/")
+		if p == "" || strings.ContainsAny(p, "<{$") {
+			continue
+		}
+		first, _, nested := strings.Cut(p, "/")
+		if nested && ix.top[first] || !nested && strings.HasSuffix(p, ".go") {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func (ix docIndex) resolves(ref string) bool {
+	switch {
+	case testFuncRef.FindString(ref) == ref:
+		return ix.names[ref]
+	case strings.Contains(ref, "/"):
+		m, _ := filepath.Glob("../../" + ref)
+		return len(m) > 0
+	case strings.HasSuffix(ref, ".go"):
+		return ix.goFiles[ref]
+	default:
+		return ix.decls[ref]
+	}
+}
+
+// unresolvedDocRefs maps each reference of docs (name → text) that does
+// not resolve to the "doc:line" places that make it. Code spans may wrap
+// across lines; fenced lines are code whole.
+func unresolvedDocRefs(ix docIndex, docs map[string]string) map[string][]string {
+	bad := map[string][]string{}
+	note := func(doc string, line int, code string) {
+		for _, ref := range ix.refs(code) {
+			if !ix.resolves(ref) {
+				bad[ref] = append(bad[ref], fmt.Sprintf("%s:%d", doc, line))
+			}
+		}
+	}
+	for doc, text := range docs {
+		lines := strings.Split(text, "\n")
+		prose := make([]string, len(lines))
+		fenced := false
+		for i, line := range lines {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				note(doc, i+1, line)
+			} else {
+				prose[i] = line
+			}
+		}
+		joined := strings.Join(prose, "\n")
+		for _, m := range codeSpan.FindAllStringSubmatchIndex(joined, -1) {
+			note(doc, 1+strings.Count(joined[:m[0]], "\n"), strings.ReplaceAll(joined[m[2]:m[3]], "\n", " "))
+		}
+	}
+	return bad
+}
+
+// docRefProblems reports every unresolved reference that allowed does
+// not list, and every allowed entry without a reason or no longer
+// unresolved.
+func docRefProblems(unresolved map[string][]string, allowed map[string]string) []string {
+	var problems []string
+	for ref, at := range unresolved {
+		if _, ok := allowed[ref]; !ok {
+			slices.Sort(at)
+			problems = append(problems, fmt.Sprintf("%s: %s resolves to no test, internal/ declaration or repository path: fix the doc, or add it to docRefAllowed with a reason", strings.Join(at, ", "), ref))
+		}
+	}
+	for ref, reason := range allowed {
+		switch _, still := unresolved[ref]; {
+		case reason == "":
+			problems = append(problems, fmt.Sprintf("docRefAllowed[%q] has no reason", ref))
+		case !still:
+			problems = append(problems, fmt.Sprintf("docRefAllowed[%q]: no doc makes this reference unresolved any more; drop the entry", ref))
+		}
+	}
+	slices.Sort(problems)
+	return problems
+}
+
+// TestDocReferences keeps README.md, DESIGN.md and EXPERIMENTS.md in step
+// with the code: in their code spans and fences, every Test, Benchmark or
+// Fuzz name must be declared, every pkg.Name of an internal/ package must
+// be a top-level name of it, and every repository path must exist,
+// unless docRefAllowed gives a reason.
+func TestDocReferences(t *testing.T) {
+	ix := newDocIndex(t, parseRepo(t))
+	docs := map[string]string{}
+	for _, doc := range docFiles {
+		data, err := os.ReadFile("../../" + doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[doc] = string(data)
+	}
+	for _, p := range docRefProblems(unresolvedDocRefs(ix, docs), docRefAllowed) {
+		t.Error(p)
+	}
+
+	t.Run("shapes", func(t *testing.T) {
+		got := unresolvedDocRefs(ix, map[string]string{"x.md": "`TestNoDeadExports` and `TestGone`,\n" +
+			"`core.NewShardMap`, `core.Gone`, `trace.go`, `cmd/msbench/surface_test.go`, `edge.go`, `gone.go`,\n" +
+			"`bench/gone.txt`, `results/<name>.txt`, `go test ./cmd/gone/...` and a `span\nthat wraps: metrics.Gone`\n" +
+			"```sh\ngo run ./internal/gone\n```\n"})
+		want := map[string][]string{"TestGone": {"x.md:1"}, "core.Gone": {"x.md:2"}, "gone.go": {"x.md:2"},
+			"bench/gone.txt": {"x.md:3"}, "cmd/gone": {"x.md:3"}, "metrics.Gone": {"x.md:3"}, "internal/gone": {"x.md:6"}}
+		if !maps.EqualFunc(got, want, slices.Equal) {
+			t.Errorf("unresolved %v, want %v", got, want)
+		}
+	})
+	t.Run("stale allowlist entry", func(t *testing.T) {
+		got := docRefProblems(map[string][]string{"core.Gone": {"x.md:1"}}, map[string]string{"core.Gone": "kept", "metrics.Percentile": "kept as history"})
+		if len(got) != 1 || !strings.Contains(got[0], `docRefAllowed["metrics.Percentile"]`) {
+			t.Errorf("problems %q, want one stale entry for metrics.Percentile", got)
+		}
+	})
 }
