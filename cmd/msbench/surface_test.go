@@ -94,6 +94,65 @@ func declared(f *ast.File, fn func(id *ast.Ident, method bool)) {
 	}
 }
 
+// typeMembers calls fn with the name of each type that a top-level
+// declaration of f declares, member "", and with each of its fields,
+// embedded types (embedded true) and interface methods; for each method
+// f declares, fn gets the receiver's type and the method's name.
+func typeMembers(f *ast.File, fn func(typ, member string, embedded bool)) {
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv != nil {
+				fn(typeName(d.Recv.List[0].Type), d.Name.Name, false)
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				ts, ok := s.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				fn(ts.Name.Name, "", false)
+				var fields []*ast.Field
+				switch t := ts.Type.(type) {
+				case *ast.StructType:
+					fields = t.Fields.List
+				case *ast.InterfaceType:
+					fields = t.Methods.List
+				}
+				for _, fld := range fields {
+					for _, id := range fld.Names {
+						fn(ts.Name.Name, id.Name, false)
+					}
+					if len(fld.Names) == 0 {
+						fn(ts.Name.Name, typeName(fld.Type), true)
+					}
+				}
+			}
+		}
+	}
+}
+
+// typeName is the bare name of a receiver or embedded type: T for T,
+// *T, T[P] and pkg.T.
+func typeName(x ast.Expr) string {
+	for {
+		switch t := x.(type) {
+		case *ast.StarExpr:
+			x = t.X
+		case *ast.IndexExpr:
+			x = t.X
+		case *ast.IndexListExpr:
+			x = t.X
+		case *ast.SelectorExpr:
+			return t.Sel.Name
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
+		}
+	}
+}
+
 // exportedDecls returns the exported top-level funcs, types, vars and
 // consts that the non-test files declare, as "dir.Name". Methods are
 // left out: interface satisfaction hides their callers.
@@ -254,25 +313,27 @@ var docRefAllowed = map[string]string{
 // The documents whose references TestDocReferences checks, and the
 // shapes of reference it resolves in their code spans and fences.
 var (
-	docFiles     = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
-	codeSpan     = regexp.MustCompile("`([^`]+)`")
-	testFuncRef  = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
-	qualifiedRef = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Za-z_]\w*)`)
+	docFiles    = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+	codeSpan    = regexp.MustCompile("`([^`]+)`")
+	testFuncRef = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	dottedRef   = regexp.MustCompile(`(?:^|[^\w./])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`)
 )
 
 // docIndex is what a doc reference may resolve to, from parseRepo's
 // files and the repository's top-level entries.
 type docIndex struct {
-	names   map[string]bool // top-level names of any file, methods left out
-	decls   map[string]bool // "pkg.Name" for every top-level name of an internal/ package
-	pkgs    map[string]bool // internal/ package names
-	goFiles map[string]bool // Go file base names
-	top     map[string]bool // top-level entries of the repository, dot entries left out
+	names   map[string]bool            // top-level names of any file, methods left out
+	decls   map[string]bool            // "pkg.Name" for every top-level name of an internal/ package
+	pkgs    map[string]bool            // internal/ package names
+	members map[string]map[string]bool // fields and methods of each type, keyed "Type" and, in internal/, "pkg.Type"
+	embeds  map[string][]string        // the bare names of the types each type embeds, keyed as members
+	goFiles map[string]bool            // Go file base names
+	top     map[string]bool            // top-level entries of the repository, dot entries left out
 }
 
 func newDocIndex(t *testing.T, files []goFile) docIndex {
 	t.Helper()
-	ix := docIndex{names: map[string]bool{}, decls: map[string]bool{}, pkgs: map[string]bool{}, goFiles: map[string]bool{}, top: map[string]bool{}}
+	ix := docIndex{names: map[string]bool{}, decls: map[string]bool{}, pkgs: map[string]bool{}, members: map[string]map[string]bool{}, embeds: map[string][]string{}, goFiles: map[string]bool{}, top: map[string]bool{}}
 	for _, f := range files {
 		ix.goFiles[f.name] = true
 		pkg, internal := strings.CutPrefix(f.dir, "internal/")
@@ -286,6 +347,21 @@ func newDocIndex(t *testing.T, files []goFile) docIndex {
 			ix.names[id.Name] = true
 			if internal {
 				ix.decls[pkg+"."+id.Name] = true
+			}
+		})
+		typeMembers(f.ast, func(typ, member string, embedded bool) {
+			keys := []string{typ}
+			if internal {
+				keys = append(keys, pkg+"."+typ)
+			}
+			for _, k := range keys {
+				if ix.members[k] == nil {
+					ix.members[k] = map[string]bool{}
+				}
+				ix.members[k][member] = true
+				if embedded {
+					ix.embeds[k] = append(ix.embeds[k], member)
+				}
 			}
 		})
 	}
@@ -303,15 +379,25 @@ func newDocIndex(t *testing.T, files []goFile) docIndex {
 
 // refs returns the references that code (a code span or a fenced
 // line) makes: Test/Benchmark/Fuzz names, pkg.Name of an internal/
-// package, and repository paths (a path whose first element is a
-// top-level entry, or a bare Go file name). Paths with placeholders
-// (<name>, {a,b}, $VAR) are skipped; * is a glob. A pkg.go is a file
-// name, not a qualified identifier.
+// package, Type.Member and pkg.Type.Member of a declared type (a field,
+// embedded type or method), and repository paths (a path whose first
+// element is a top-level entry, or a bare Go file name). Paths with
+// placeholders (<name>, {a,b}, $VAR) are skipped; * is a glob. A pkg.go
+// is a file name, not a qualified identifier, and a dotted name inside
+// a path or after another dot is not a reference of its own.
 func (ix docIndex) refs(code string) []string {
 	out := testFuncRef.FindAllString(code, -1)
-	for _, m := range qualifiedRef.FindAllStringSubmatch(code, -1) {
-		if ix.pkgs[m[1]] && m[2] != "go" {
-			out = append(out, m[0])
+	for _, m := range dottedRef.FindAllStringSubmatch(code, -1) {
+		parts := strings.Split(m[1], ".")
+		switch {
+		case ix.pkgs[parts[0]] && parts[1] != "go":
+			n := 2
+			if len(parts) > 2 && ix.members[parts[0]+"."+parts[1]] != nil {
+				n = 3
+			}
+			out = append(out, strings.Join(parts[:n], "."))
+		case !ix.pkgs[parts[0]] && ix.members[parts[0]] != nil:
+			out = append(out, parts[0]+"."+parts[1])
 		}
 	}
 	for _, field := range strings.Fields(code) {
@@ -337,9 +423,27 @@ func (ix docIndex) resolves(ref string) bool {
 		return len(m) > 0
 	case strings.HasSuffix(ref, ".go"):
 		return ix.goFiles[ref]
-	default:
+	}
+	owner, member := ref[:strings.LastIndexByte(ref, '.')], ref[strings.LastIndexByte(ref, '.')+1:]
+	if ix.pkgs[owner] {
 		return ix.decls[ref]
 	}
+	return ix.hasMember(owner, member, 4)
+}
+
+// hasMember reports whether typ declares member or promotes it from a
+// type it embeds, looking at most depth embeddings deep: types are
+// matched by bare name, so an embedding chain may loop.
+func (ix docIndex) hasMember(typ, member string, depth int) bool {
+	if ix.members[typ][member] {
+		return true
+	}
+	for _, e := range ix.embeds[typ] {
+		if depth > 0 && ix.hasMember(e, member, depth-1) {
+			return true
+		}
+	}
+	return false
 }
 
 // unresolvedDocRefs maps each reference of docs (name → text) that does
@@ -385,7 +489,7 @@ func docRefProblems(unresolved map[string][]string, allowed map[string]string) [
 	for ref, at := range unresolved {
 		if _, ok := allowed[ref]; !ok {
 			slices.Sort(at)
-			problems = append(problems, fmt.Sprintf("%s: %s resolves to no test, internal/ declaration or repository path: fix the doc, or add it to docRefAllowed with a reason", strings.Join(at, ", "), ref))
+			problems = append(problems, fmt.Sprintf("%s: %s resolves to no test, internal/ declaration, type member or repository path: fix the doc, or add it to docRefAllowed with a reason", strings.Join(at, ", "), ref))
 		}
 	}
 	for ref, reason := range allowed {
@@ -403,8 +507,10 @@ func docRefProblems(unresolved map[string][]string, allowed map[string]string) [
 // TestDocReferences keeps README.md, DESIGN.md and EXPERIMENTS.md in step
 // with the code: in their code spans and fences, every Test, Benchmark or
 // Fuzz name must be declared, every pkg.Name of an internal/ package must
-// be a top-level name of it, and every repository path must exist,
-// unless docRefAllowed gives a reason.
+// be a top-level name of it, every Type.Member and pkg.Type.Member of a
+// declared type must be a field or method of it (promoted ones count),
+// and every repository path must exist, unless docRefAllowed gives a
+// reason.
 func TestDocReferences(t *testing.T) {
 	ix := newDocIndex(t, parseRepo(t))
 	docs := map[string]string{}
@@ -423,9 +529,12 @@ func TestDocReferences(t *testing.T) {
 		got := unresolvedDocRefs(ix, map[string]string{"x.md": "`TestNoDeadExports` and `TestGone`,\n" +
 			"`core.NewShardMap`, `core.Gone`, `trace.go`, `cmd/msbench/surface_test.go`, `edge.go`, `gone.go`,\n" +
 			"`bench/gone.txt`, `results/<name>.txt`, `go test ./cmd/gone/...` and a `span\nthat wraps: metrics.Gone`\n" +
+			"`core.Load.Validate`, `core.Load.Gone`, `Cluster.submitNow`, `Cluster.gone`, `Engine.Feed(n, at)`,\n" +
+			"`Node.acceptLoop`, `Master.Handler()`, `trace.Request.Arrival.x`, `internal/trace/io.go`, `x.Gone`\n" +
 			"```sh\ngo run ./internal/gone\n```\n"})
 		want := map[string][]string{"TestGone": {"x.md:1"}, "core.Gone": {"x.md:2"}, "gone.go": {"x.md:2"},
-			"bench/gone.txt": {"x.md:3"}, "cmd/gone": {"x.md:3"}, "metrics.Gone": {"x.md:3"}, "internal/gone": {"x.md:6"}}
+			"bench/gone.txt": {"x.md:3"}, "cmd/gone": {"x.md:3"}, "metrics.Gone": {"x.md:3"},
+			"core.Load.Gone": {"x.md:5"}, "Cluster.gone": {"x.md:5"}, "internal/gone": {"x.md:8"}}
 		if !maps.EqualFunc(got, want, slices.Equal) {
 			t.Errorf("unresolved %v, want %v", got, want)
 		}

@@ -547,7 +547,7 @@ func (c *Cluster) submitNow(pr *pendingRequest) {
 	c.nodes[pr.node].Submit(simos.Job{
 		CPUTime:  req.Demand * req.CPUWeight,
 		IOTime:   req.Demand * (1 - req.CPUWeight),
-		MemPages: req.MemPages,
+		MemPages: int(req.MemPages),
 		Fork:     req.Class == trace.Dynamic,
 		TraceID:  traceID,
 		DoneCall: c.completeC,

@@ -438,27 +438,3 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 			plain.StretchFactor, plain.Events, traced.StretchFactor, traced.Events)
 	}
 }
-
-func TestGeneratedParamsFollowProfile(t *testing.T) {
-	tr := genTrace(t, trace.KSU, 300, 8000, 1.0/40, 34)
-	cacheable, dynamics := 0, 0
-	for _, r := range tr.Requests {
-		if r.Class != trace.Dynamic {
-			if r.Param != 0 {
-				t.Fatal("static request carries a cache parameter")
-			}
-			continue
-		}
-		dynamics++
-		if r.Param != 0 {
-			cacheable++
-			if r.Param < 1 || r.Param > int64(trace.KSU.ParamCardinality) {
-				t.Fatalf("param %d outside cardinality", r.Param)
-			}
-		}
-	}
-	frac := float64(cacheable) / float64(dynamics)
-	if frac < 0.6 || frac > 0.8 {
-		t.Fatalf("cacheable fraction %.2f, profile wants 0.7", frac)
-	}
-}

@@ -17,7 +17,7 @@ import (
 // Stream is a deterministic source of random variates. It wraps the
 // standard library generator with the distribution samplers the paper's
 // workloads require (exponential inter-arrivals and demands, heavy-tailed
-// file sizes, Zipf popularity).
+// file sizes).
 type Stream struct {
 	r *rand.Rand
 }
@@ -93,46 +93,6 @@ func (s *Stream) BoundedPareto(lo, hi, alpha float64) float64 {
 	ha := math.Pow(hi, alpha)
 	x := -(u*ha - u*la - ha) / (ha * la)
 	return math.Pow(1/x, 1/alpha)
-}
-
-// Zipf returns integers in [0, n) with Zipf popularity of exponent theta
-// (theta = 0 is uniform; larger theta concentrates mass on low indices).
-// It is used for file popularity in the SPECweb96-like fileset.
-type Zipf struct {
-	cdf []float64
-	s   *Stream
-}
-
-// NewZipf constructs a Zipf sampler over n items.
-func (s *Stream) NewZipf(n int, theta float64) *Zipf {
-	if n <= 0 {
-		n = 1
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), theta)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, s: s}
-}
-
-// Next draws the next Zipf-distributed index.
-func (z *Zipf) Next() int {
-	u := z.s.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Bernoulli returns true with probability p.

@@ -139,47 +139,6 @@ func TestBoundedParetoDegenerate(t *testing.T) {
 	}
 }
 
-func TestZipfRangeAndSkew(t *testing.T) {
-	s := New(7)
-	z := s.NewZipf(100, 1.0)
-	counts := make([]int, 100)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		idx := z.Next()
-		if idx < 0 || idx >= 100 {
-			t.Fatalf("Zipf index %d out of range", idx)
-		}
-		counts[idx]++
-	}
-	if counts[0] <= counts[50] {
-		t.Fatalf("Zipf(theta=1) not skewed: counts[0]=%d counts[50]=%d", counts[0], counts[50])
-	}
-}
-
-func TestZipfUniformWhenThetaZero(t *testing.T) {
-	s := New(8)
-	z := s.NewZipf(10, 0)
-	counts := make([]int, 10)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[z.Next()]++
-	}
-	for i, c := range counts {
-		frac := float64(c) / n
-		if math.Abs(frac-0.1) > 0.01 {
-			t.Fatalf("Zipf(theta=0) bucket %d has fraction %.4f, want ~0.1", i, frac)
-		}
-	}
-}
-
-func TestZipfDegenerateN(t *testing.T) {
-	s := New(9)
-	z := s.NewZipf(0, 1)
-	if got := z.Next(); got != 0 {
-		t.Fatalf("Zipf over empty domain returned %d, want 0", got)
-	}
-}
-
 func TestBernoulliExtremes(t *testing.T) {
 	s := New(12)
 	for i := 0; i < 1000; i++ {

@@ -13,15 +13,15 @@ package trace
 // Classification: a request is dynamic if its URL path contains
 // "/cgi-bin/", ends in a script suffix (.cgi, .pl, .php, .asp) or
 // carries a query string; everything else is a static fetch. The script
-// id of a dynamic request is a stable hash of its path; the cache
-// parameter is a stable hash of the full URL (path + query), so
-// repeated invocations with identical parameters are cacheable.
+// id of a dynamic request is a stable hash of its path, so invocations
+// of one script with different parameters share it.
 
 import (
 	"bufio"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,7 +105,6 @@ func ReadCLF(r io.Reader, opts CLFOptions) (*CLFResult, error) {
 			base = rc.at
 		}
 		req := rc.req
-		req.ID = int64(i)
 		req.Arrival = rc.at.Sub(base).Seconds()
 		// Synthesize the unobservable service demand from calibration.
 		if req.Class == Dynamic {
@@ -115,7 +114,7 @@ func ReadCLF(r io.Reader, opts CLFOptions) (*CLFResult, error) {
 		} else {
 			req.Demand = demandS(1 / opts.MuH)
 			req.CPUWeight = 0.3
-			req.MemPages = int(req.Size/8192) + 1
+			req.MemPages = int32(min(req.Size/8192+1, math.MaxInt32))
 		}
 		res.Trace.Requests = append(res.Trace.Requests, req)
 	}
@@ -199,9 +198,6 @@ func parseCLFLine(line string, opts CLFOptions) (time.Time, Request, error) {
 	if isDynamicURL(path, query, opts.DynamicMarkers) {
 		req.Class = Dynamic
 		req.Script = 1 + int(hash32(path)%997)
-		if query != "" {
-			req.Param = 1 + int64(hash32(path+"?"+query)%1_000_000)
-		}
 	} else {
 		req.Class = Static
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,15 @@ func TestCLFBasicImport(t *testing.T) {
 			t.Fatalf("request %d arrival %v, want %d", i, r.Arrival, i)
 		}
 	}
+	// A static's memory is its size in 8 KiB pages, rounded up, and held
+	// to what the trace format's 32-bit column carries.
+	if got := tr.Requests[0].MemPages; got != 1 {
+		t.Fatalf("2326-byte static has %d pages, want 1", got)
+	}
+	huge := readCLF(t, `h - - [02/Jun/1999:04:05:06 -0700] "GET /dump.tar HTTP/1.0" 200 99999999999999999`+"\n", CLFOptions{})
+	if got := huge.Trace.Requests[0].MemPages; got != math.MaxInt32 {
+		t.Fatalf("huge static has %d pages, want %d", got, math.MaxInt32)
+	}
 }
 
 func TestCLFClassification(t *testing.T) {
@@ -55,28 +65,26 @@ func TestCLFClassification(t *testing.T) {
 			t.Fatalf("request %d class %v, want dynamic=%v", i, r.Class, wantDynamic[i])
 		}
 	}
-	// The query-string request is cacheable.
-	if res.Trace.Requests[2].Param == 0 {
-		t.Fatal("query-string request has no cache parameter")
-	}
-	// The bare cgi-bin request (no query) is not.
-	if res.Trace.Requests[1].Param != 0 {
-		t.Fatal("query-less CGI carries a cache parameter")
-	}
 	// Sizes carried over; "-" means zero.
 	if res.Trace.Requests[0].Size != 2326 || res.Trace.Requests[3].Size != 0 {
 		t.Fatalf("sizes: %d, %d", res.Trace.Requests[0].Size, res.Trace.Requests[3].Size)
 	}
 }
 
+// A script id depends on the URL path alone: stable from import to
+// import, and shared by invocations of one script with other parameters.
 func TestCLFScriptAndParamStability(t *testing.T) {
 	res1 := readCLF(t, clfSample, CLFOptions{})
 	res2 := readCLF(t, clfSample, CLFOptions{})
 	for i := range res1.Trace.Requests {
-		if res1.Trace.Requests[i].Script != res2.Trace.Requests[i].Script ||
-			res1.Trace.Requests[i].Param != res2.Trace.Requests[i].Param {
-			t.Fatal("script/param hashing unstable")
+		if res1.Trace.Requests[i].Script != res2.Trace.Requests[i].Script {
+			t.Fatal("script hashing unstable")
 		}
+	}
+	other := readCLF(t, `h - - [02/Jun/1999:04:05:08 -0700] "GET /catalog?q=roads HTTP/1.1" 200 2027
+`, CLFOptions{})
+	if got, want := other.Trace.Requests[0].Script, res1.Trace.Requests[2].Script; got != want {
+		t.Fatalf("/catalog with other parameters has script %d, want %d", got, want)
 	}
 }
 

@@ -42,12 +42,11 @@ web1 - - [02/Jun/1999:04:05:08 -0700] "GET /cgi-bin/search?q=maps HTTP/1.0" 200 
 		panic(err)
 	}
 	for _, r := range res.Trace.Requests {
-		fmt.Printf("t=%.0fs %s %d bytes cacheable=%v\n",
-			r.Arrival, r.Class, r.Size, r.Param != 0)
+		fmt.Printf("t=%.0fs %s %d bytes\n", r.Arrival, r.Class, r.Size)
 	}
 	// Output:
-	// t=0s static 2326 bytes cacheable=false
-	// t=2s dynamic 8730 bytes cacheable=true
+	// t=0s static 2326 bytes
+	// t=2s dynamic 8730 bytes
 }
 
 // The SPECweb96 fileset maps any requested size to its closest file.

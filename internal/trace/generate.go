@@ -26,14 +26,6 @@ type Profile struct {
 	NumScripts int
 	// MemPagesMean is the mean resident set of a CGI process in pages.
 	MemPagesMean int
-	// CacheableFrac is the fraction of CGI requests whose responses are
-	// cacheable (repeatable parameters); 0 disables caching entirely,
-	// as for UCB's unique generated documents.
-	CacheableFrac float64
-	// ParamCardinality is the number of distinct parameter values per
-	// script, drawn with Zipf(ParamZipfTheta) popularity.
-	ParamCardinality int
-	ParamZipfTheta   float64
 	// LogInterval is the historical mean inter-arrival time (Table 1),
 	// retained for the Table 1 report; replay always rescales it.
 	LogInterval float64
@@ -64,7 +56,6 @@ var (
 	KSU = Profile{
 		Name: "KSU", DynamicFrac: 0.291, CPUWeight: 0.90, CPUWeightSD: 0.05,
 		MeanHTMLSize: 482, MeanCGISize: 8730, NumScripts: 4, MemPagesMean: 192,
-		CacheableFrac: 0.7, ParamCardinality: 400, ParamZipfTheta: 0.8,
 		LogInterval: 18.486, LogRequests: 47_364,
 	}
 	// ADL is the Alexandria Digital Library trace; CGI replaced by a
@@ -72,7 +63,6 @@ var (
 	ADL = Profile{
 		Name: "ADL", DynamicFrac: 0.443, CPUWeight: 0.10, CPUWeightSD: 0.05,
 		MeanHTMLSize: 2186, MeanCGISize: 2027, NumScripts: 6, MemPagesMean: 256,
-		CacheableFrac: 0.5, ParamCardinality: 800, ParamZipfTheta: 0.8,
 		LogInterval: 22.418, LogRequests: 73_610,
 	}
 	// DEC is Digital's proxy trace, reported in Table 1 only.
@@ -174,8 +164,7 @@ func (c GenConfig) Validate() error {
 		{"normal duration", c.NormalDuration}, {"diurnal period", c.DiurnalPeriod},
 		{"dynamic fraction", p.DynamicFrac}, {"CPU weight", p.CPUWeight},
 		{"CPU weight spread", p.CPUWeightSD}, {"mean HTML size", p.MeanHTMLSize},
-		{"mean CGI size", p.MeanCGISize}, {"cacheable fraction", p.CacheableFrac},
-		{"parameter Zipf exponent", p.ParamZipfTheta},
+		{"mean CGI size", p.MeanCGISize},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("trace: %s %v is not finite", f.name, f.v)
@@ -267,8 +256,8 @@ func arrivalProcess(cfg GenConfig, s *rng.Stream) func(now float64) float64 {
 // and per-script CPU weights sampled once per script (the ground truth
 // that off-line w sampling estimates).
 //
-// Generation reads six independent substreams of the seed (arrival,
-// class, size, demand, script, param) and draws each record's fields on
+// Generation reads five independent substreams of the seed (arrival,
+// class, size, demand, script) and draws each record's fields on
 // two goroutines, each writing its own fields of the one record slice:
 // drawWork on a new goroutine and drawSizes on the caller's. Every
 // stream except the class stream is read by exactly one of them, in
@@ -285,30 +274,25 @@ func Generate(cfg GenConfig) (*Trace, error) {
 	// must follow this order, run here.
 	s := rng.New(cfg.Seed)
 	arrivalSeed, classSeed, sizeSeed := s.ForkSeed(1), s.ForkSeed(2), s.ForkSeed(3)
-	demandSeed, scriptSeed, paramSeed := s.ForkSeed(4), s.ForkSeed(5), s.ForkSeed(6)
+	demandSeed, scriptSeed := s.ForkSeed(4), s.ForkSeed(5)
 
 	reqs := make([]Request, cfg.Requests)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		drawWork(cfg, reqs, rng.New(classSeed), rng.New(arrivalSeed),
-			rng.New(demandSeed), rng.New(scriptSeed), rng.New(paramSeed))
+			rng.New(demandSeed), rng.New(scriptSeed))
 	}()
 	drawSizes(cfg.Profile, reqs, rng.New(classSeed), rng.New(sizeSeed))
 	<-done
 	return &Trace{Name: cfg.Profile.Name, Requests: reqs}, nil
 }
 
-// drawWork fills in each record's ID, Arrival, Demand, Script, CPUWeight
-// and Param: everything drawn from the arrival, demand, script and param
+// drawWork fills in each record's Arrival, Demand, Script and
+// CPUWeight: everything drawn from the arrival, demand and script
 // streams. classS must replay the class stream drawSizes reads.
-func drawWork(cfg GenConfig, reqs []Request, classS, arrivalS, demandS, scriptS, paramS *rng.Stream) {
+func drawWork(cfg GenConfig, reqs []Request, classS, arrivalS, demandS, scriptS *rng.Stream) {
 	p := cfg.Profile
-	var paramZipf *rng.Zipf
-	if p.ParamCardinality > 0 {
-		paramZipf = paramS.NewZipf(p.ParamCardinality, p.ParamZipfTheta)
-	}
-
 	// Ground-truth per-script CPU weights.
 	weights := make([]float64, p.NumScripts)
 	for i := range weights {
@@ -343,14 +327,11 @@ func drawWork(cfg GenConfig, reqs []Request, classS, arrivalS, demandS, scriptS,
 	for i := range reqs {
 		r := &reqs[i]
 		now += nextInterval(now)
-		r.ID, r.Arrival = int64(i), now
+		r.Arrival = now
 		if classS.Bernoulli(p.DynamicFrac) {
 			r.Script = 1 + scriptS.Intn(p.NumScripts)
 			r.CPUWeight = weights[r.Script-1]
 			r.Demand = drawDemand(meanDC)
-			if paramZipf != nil && paramS.Bernoulli(p.CacheableFrac) {
-				r.Param = 1 + int64(paramZipf.Next())
-			}
 		} else {
 			r.CPUWeight = 0.3 // statics: mostly I/O with protocol CPU
 			r.Demand = drawDemand(meanDH)
@@ -373,13 +354,13 @@ func drawSizes(p Profile, reqs []Request, classS, sizeS *rng.Stream) {
 		if classS.Bernoulli(p.DynamicFrac) {
 			r.Class = Dynamic
 			r.Size = max(int64(sizeS.Lognormal(muCGI, 0.5)), 64)
-			r.MemPages = 1 + int(sizeS.Exp(float64(p.MemPagesMean)))
+			r.MemPages = 1 + int32(sizeS.Exp(float64(p.MemPagesMean)))
 		} else {
 			// Draw a target size around the profile's HTML mean, then
 			// map to the closest SPECweb96 file as the paper does.
 			f := fileset.Closest(int64(sizeS.Lognormal(muHTML, 0.8)))
 			r.Size = f.Size
-			r.MemPages = int((f.Size + pageSize - 1) / pageSize)
+			r.MemPages = int32((f.Size + pageSize - 1) / pageSize)
 		}
 	}
 }

@@ -13,11 +13,11 @@ import (
 // by cmd/msload:
 //
 //	# msweb-trace v1 <name>
-//	<arrival> <class> <size> <demand> <cpuweight> <mempages> <script> [param]
+//	<arrival> <class> <size> <demand> <cpuweight> <mempages> <script>
 //
-// Arrival and demand are seconds in decimal; class is "s" or "d"; the
-// trailing cache parameter is optional (0 = uncacheable) for backward
-// compatibility with traces written before the Swala extension.
+// Arrival and demand are seconds in decimal; class is "s" or "d". Files
+// written while traces carried a cache parameter have an eighth integer
+// column; Read checks that it is an integer and ignores it.
 
 const traceMagic = "# msweb-trace v1"
 
@@ -32,8 +32,8 @@ func Write(w io.Writer, t *Trace) error {
 		if r.Class == Dynamic {
 			class = "d"
 		}
-		if _, err := fmt.Fprintf(bw, "%.9f %s %d %.9f %.4f %d %d %d\n",
-			r.Arrival, class, r.Size, r.Demand, r.CPUWeight, r.MemPages, r.Script, r.Param); err != nil {
+		if _, err := fmt.Fprintf(bw, "%.9f %s %d %.9f %.4f %d %d\n",
+			r.Arrival, class, r.Size, r.Demand, r.CPUWeight, r.MemPages, r.Script); err != nil {
 			return err
 		}
 	}
@@ -96,14 +96,13 @@ func Read(r io.Reader) (*Trace, error) {
 		if script, err = strconv.ParseInt(fields[6], 10, 32); err != nil {
 			return nil, fmt.Errorf("trace: line %d: script: %v", lineNo, err)
 		}
-		req.MemPages = int(mem)
+		req.MemPages = int32(mem)
 		req.Script = int(script)
 		if len(fields) == 8 {
-			if req.Param, err = strconv.ParseInt(fields[7], 10, 64); err != nil {
+			if _, err = strconv.ParseInt(fields[7], 10, 64); err != nil {
 				return nil, fmt.Errorf("trace: line %d: param: %v", lineNo, err)
 			}
 		}
-		req.ID = int64(len(t.Requests))
 		t.Requests = append(t.Requests, req)
 	}
 	if err := sc.Err(); err != nil {

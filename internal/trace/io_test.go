@@ -12,6 +12,11 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
+	for i, line := range strings.Split(strings.TrimSpace(buf.String()), "\n")[1:] {
+		if n := len(strings.Fields(line)); n != 7 {
+			t.Fatalf("record %d written with %d columns, want 7: %q", i, n, line)
+		}
+	}
 	got, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -82,19 +87,33 @@ func TestReadSkipsCommentsAndBlankLines(t *testing.T) {
 	}
 }
 
-func TestReadAssignsSequentialIDs(t *testing.T) {
-	tr := genTestTrace(t, UCB, 50, 100)
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+// Traces written while records carried a cache parameter end each line
+// with an eighth integer column. Read still accepts such a file, reads
+// the same records as from its seven-column form, and still refuses an
+// eighth column that is not an integer.
+func TestReadIgnoresLegacyParamColumn(t *testing.T) {
+	legacy := "# msweb-trace v1 KSU\n" +
+		"0.005178200 s 102 0.000679209 0.3000 1 0 0\n" +
+		"0.005459258 d 15867 0.010497922 0.8944 555 1 14\n" +
+		"0.008209350 d 9302 0.042720716 0.9591 270 3 0\n"
+	got, err := Read(strings.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range got.Requests {
-		if r.ID != int64(i) {
-			t.Fatalf("record %d has ID %d", i, r.ID)
-		}
+	want, err := Read(strings.NewReader("# msweb-trace v1 KSU\n" +
+		"0.005178200 s 102 0.000679209 0.3000 1 0\n" +
+		"0.005459258 d 15867 0.010497922 0.8944 555 1\n" +
+		"0.008209350 d 9302 0.042720716 0.9591 270 3\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i, ok := sameRecords(got, want); !ok {
+		t.Fatalf("record %d read from the eight-column form differs", i)
+	}
+	if r := got.Requests[1]; r.Class != Dynamic || r.Size != 15867 || r.MemPages != 555 || r.Script != 1 {
+		t.Fatalf("second record = %+v", r)
+	}
+	if _, err := Read(strings.NewReader("# msweb-trace v1 x\n1.0 d 500 0.040 0.90 8 2 x7\n")); err == nil {
+		t.Fatal("non-integer eighth column accepted")
 	}
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // Class distinguishes the two request types of the paper.
-type Class int
+type Class uint8
 
 const (
 	// Static requests are plain file fetches, cheap and I/O-light.
@@ -43,14 +43,11 @@ func (c Class) String() string {
 	}
 }
 
-// Request is one trace record.
+// Request is one trace record. The two narrow fields come last and share
+// one word, so a record is six words.
 type Request struct {
-	// ID is the record's position in the trace, starting at 0.
-	ID int64
 	// Arrival is the request's arrival time in seconds since trace start.
 	Arrival float64
-	// Class is Static or Dynamic.
-	Class Class
 	// Size is the response size in bytes (the fetched file for statics,
 	// the generated document for dynamics).
 	Size int64
@@ -62,17 +59,14 @@ type Request struct {
 	// to CPU (the rest is disk I/O). The RSRC formula consumes the
 	// per-script off-line sample of this value.
 	CPUWeight float64
-	// MemPages is the resident working-set size of the handling process
-	// in pages; the simulated VM manager allocates and touches them.
-	MemPages int
 	// Script identifies the CGI program for dynamic requests (statics
 	// use 0). Off-line w sampling is performed per script.
 	Script int
-	// Param identifies the CGI invocation's parameters: two dynamic
-	// requests with the same (Script, Param) produce the same response
-	// and are cacheable (the Swala extension). 0 marks unique or
-	// uncacheable invocations.
-	Param int64
+	// MemPages is the resident working-set size of the handling process
+	// in pages; the simulated VM manager allocates and touches them.
+	MemPages int32
+	// Class is Static or Dynamic.
+	Class Class
 }
 
 // Trace is an ordered sequence of requests plus provenance.
@@ -111,8 +105,6 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("trace %s: request %d has CPU weight %v outside [0,1]", t.Name, i, r.CPUWeight)
 		case r.MemPages < 0:
 			return fmt.Errorf("trace %s: request %d has negative memory requirement", t.Name, i)
-		case r.Param < 0:
-			return fmt.Errorf("trace %s: request %d has negative cache parameter", t.Name, i)
 		case r.Class != Static && r.Class != Dynamic:
 			return fmt.Errorf("trace %s: request %d has unknown class %d", t.Name, i, r.Class)
 		}
