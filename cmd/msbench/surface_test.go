@@ -424,11 +424,11 @@ func (ix docIndex) resolves(ref string) bool {
 	case strings.HasSuffix(ref, ".go"):
 		return ix.goFiles[ref]
 	}
-	owner, member := ref[:strings.LastIndexByte(ref, '.')], ref[strings.LastIndexByte(ref, '.')+1:]
-	if ix.pkgs[owner] {
+	dot := strings.LastIndexByte(ref, '.')
+	if ix.pkgs[ref[:dot]] {
 		return ix.decls[ref]
 	}
-	return ix.hasMember(owner, member, 4)
+	return ix.hasMember(ref[:dot], ref[dot+1:], 4)
 }
 
 // hasMember reports whether typ declares member or promotes it from a
