@@ -20,7 +20,11 @@
 # only when it is worse in every change pair and its median "B worse"
 # exceeds its bound plus the absolute A/A "B worse". A simulator digest
 # (or traced sim_ metric) row FAILs when it reads DIFFERS in any pair, the
-# A/A pair included. Nothing is compared against a stored number. Exit
+# A/A pair included. Every compare output and the summary open with two
+# lines naming their sides: "A = base <sha>" and "B = checkout <HEAD sha>",
+# plus "+ uncommitted changes" when git status shows any (benchmark/run.sh
+# stamps both sides of an uncommitted change with HEAD's hash), or
+# "B = base <sha> (A/A)". Nothing is compared against a stored number. Exit
 # status: 0 when no row fails, 1 when one does, 2 on a usage error or a
 # failed run.
 set -euo pipefail
@@ -38,6 +42,11 @@ base="$(git -C "$root" rev-parse --verify --quiet "$1^{commit}")" || {
 	echo "pairs: $1 is not a commit" >&2
 	exit 2
 }
+side_a="A = base $base"
+side_b="B = checkout $(git -C "$root" rev-parse HEAD)"
+if [[ -n "$(git -C "$root" status --porcelain)" ]]; then
+	side_b+=" + uncommitted changes"
+fi
 mkdir -p "$root/.bench_build"
 out="$(mktemp -d "$root/.bench_build/pairs.XXXXXX")"
 tree="$out/base"
@@ -56,10 +65,12 @@ bench() {
 	fi
 }
 
-# compare A B NAME: compare's exit 1 (a row worse) is data, not an error.
+# compare A B NAME SIDE_B: compare's exit 1 (a row worse) is data, not an
+# error. The output opens with the two sides' labels.
 compare() {
 	local rc=0
-	bash "$root/benchmark/run.sh" compare "$1" "$2" >"$out/$3.compare" || rc=$?
+	printf '%s\n%s\n' "$side_a" "$4" >"$out/$3.compare"
+	bash "$root/benchmark/run.sh" compare "$1" "$2" >>"$out/$3.compare" || rc=$?
 	if ((rc > 1)); then
 		echo "pairs: compare $3 failed" >&2
 		exit 2
@@ -74,11 +85,13 @@ for ((i = 1; i <= pairs; i++)); do
 		bench "$root" "$out/pair$i-change.json"
 		bench "$tree" "$out/pair$i-base.json"
 	fi
-	compare "$out/pair$i-base.json" "$out/pair$i-change.json" "pair$i"
+	compare "$out/pair$i-base.json" "$out/pair$i-change.json" "pair$i" "$side_b"
 done
 bench "$tree" "$out/aa-1.json"
 bench "$tree" "$out/aa-2.json"
-compare "$out/aa-1.json" "$out/aa-2.json" aa
+compare "$out/aa-1.json" "$out/aa-2.json" aa "B = base $base (A/A)"
 
-awk -v pairs="$pairs" -f "$root/bench/summary.awk" $(for ((i = 1; i <= pairs; i++)); do echo "$out/pair$i.compare"; done) "$out/aa.compare" |
-	tee "$out/summary.txt"
+{
+	printf '%s\n%s\n' "$side_a" "$side_b"
+	awk -v pairs="$pairs" -f "$root/bench/summary.awk" $(for ((i = 1; i <= pairs; i++)); do echo "$out/pair$i.compare"; done) "$out/aa.compare"
+} | tee "$out/summary.txt"

@@ -7,7 +7,8 @@
 # aa.compare), prints one line per (workload, metric) row and exits 1
 # when a row fails the gate, 0 otherwise.
 #
-# Rows of a compare output: 8 fields for an end-to-end metric (workload,
+# Lines opening "A = " or "B = " name the sides and are skipped. Rows of
+# a compare output: 8 fields for an end-to-end metric (workload,
 # metric, A median, B median, B worse %, A iqr %, bound %, verdict) and 5
 # for an exact simulator row, a digest or a traced sim_ metric (workload,
 # metric, A, B, identical|DIFFERS).
@@ -25,6 +26,7 @@ function median(k,    n, i, j, v, a) {
 	return n % 2 ? a[(n+1)/2] : (a[n/2] + a[n/2+1]) / 2
 }
 FNR == 1 { aa = FILENAME ~ /(^|\/)aa\.compare$/; if (!aa) pair++ }
+/^[AB] = / { next } # bench/pairs.sh's side labels
 (NF == 8 || NF == 5) && $1 != "workload" {
 	k = $1 " " $2
 	if (!(k in seen)) { seen[k] = 1; order[++rows] = k; fields[k] = NF }

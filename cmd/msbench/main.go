@@ -158,7 +158,7 @@ var experimentList = []experiment{
 		t := experiments.ScorecardTable(rows)
 		for _, r := range rows {
 			if r.Fails() {
-				return t, fmt.Errorf("claim %q fails", r.Claim)
+				return t, fmt.Errorf("claim %q reads %s", r.Claim, r.Verdict)
 			}
 		}
 		return t, nil

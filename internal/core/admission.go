@@ -78,8 +78,8 @@ func (a *Theta2Admission) ArrivalRatio() float64 { return a.res.A() }
 func (a *Theta2Admission) ServiceRatio() float64 { return a.res.R() }
 
 // OpenAdmission admits every dynamic request at every tier and keeps no
-// estimators — the stage most modern dispatch policies (JSQ, MaxWeight,
-// c/μ) assume, where admission control is someone else's job.
+// estimators — the stage most modern dispatch policies (JSQ, MaxWeight)
+// assume, where admission control is someone else's job.
 type OpenAdmission struct{}
 
 // NewOpenAdmission constructs the open admission stage.

@@ -211,61 +211,31 @@ func (t WTable) W(script int) float64 {
 
 // SampleW performs the off-line sampling pass: it averages the observed
 // CPU share of the first maxPerScript instances of each script in the
-// trace, mimicking profiling each CGI program on an unloaded system.
+// trace, mimicking profiling each CGI program on an unloaded system. On
+// a trace that knows its script count (tr.Scripts > 0) the scan stops
+// once scripts 1..Scripts all hold maxPerScript samples.
 func SampleW(tr *trace.Trace, maxPerScript int) WTable {
 	if maxPerScript <= 0 {
 		maxPerScript = 16
 	}
-	// Scripts in [0, maxDenseScript) — every generated trace's 1..NumScripts
-	// and a converted access log's 1..997 — accumulate in slices indexed
-	// by script; any other script number a trace file may carry falls
-	// back to a map. Either way each script's weights are summed in trace
-	// order, so the table does not depend on which one held them.
-	const maxDenseScript = 1 << 12
-	type acc struct {
-		sum float64
-		n   int
-	}
-	dense := make([]acc, 0, 64) // on the stack unless a script ≥ 64 grows it
-	var sparse map[int]*acc
+	sum, n := map[int]float64{}, map[int]int{}
+	full := 0 // scripts of 1..tr.Scripts holding maxPerScript samples
 	for i := range tr.Requests {
 		r := &tr.Requests[i]
-		if r.Class != trace.Dynamic {
+		if r.Class != trace.Dynamic || n[r.Script] >= maxPerScript {
 			continue
 		}
-		var a *acc
-		if s := r.Script; s >= 0 && s < maxDenseScript {
-			if s >= len(dense) {
-				dense = append(dense, make([]acc, s+1-len(dense))...)
+		sum[r.Script] += r.CPUWeight
+		n[r.Script]++
+		if n[r.Script] == maxPerScript && r.Script >= 1 && r.Script <= tr.Scripts {
+			if full++; full == tr.Scripts {
+				break
 			}
-			a = &dense[s]
-		} else {
-			// p, not a, goes into the map: a may point into dense, which
-			// would then escape to the heap.
-			p := sparse[s]
-			if p == nil {
-				if sparse == nil {
-					sparse = map[int]*acc{}
-				}
-				p = &acc{}
-				sparse[s] = p
-			}
-			a = p
-		}
-		if a.n >= maxPerScript {
-			continue
-		}
-		a.sum += r.CPUWeight
-		a.n++
-	}
-	t := WTable{}
-	for s, a := range dense {
-		if a.n > 0 {
-			t[s] = a.sum / float64(a.n)
 		}
 	}
-	for s, a := range sparse {
-		t[s] = a.sum / float64(a.n)
+	t := make(WTable, len(n))
+	for s, k := range n {
+		t[s] = sum[s] / float64(k)
 	}
 	return t
 }

@@ -103,8 +103,8 @@ func TestSampleW(t *testing.T) {
 	}
 }
 
-// sampleWMap is SampleW as it was written with two maps keyed by script:
-// the reference the slice-indexed version must match exactly.
+// sampleWMap is the full scan with no early stop: the reference SampleW
+// must match exactly.
 func sampleWMap(tr *trace.Trace, maxPerScript int) WTable {
 	if maxPerScript <= 0 {
 		maxPerScript = 16
@@ -140,20 +140,29 @@ func sameWTable(a, b WTable) bool {
 	return true
 }
 
-// SampleW equals the map version bit for bit on every profile's traces
-// and on script numbers outside the slice-indexed range.
+// SampleW equals the full scan bit for bit on every profile's traces at
+// several sizes, where it stops early at the trace's script count, on
+// the same traces with the count unknown, and on odd script numbers.
 func TestSampleWMatchesMapVersion(t *testing.T) {
 	for _, p := range []trace.Profile{trace.UCB, trace.KSU, trace.ADL, trace.DEC} {
-		for seed := int64(1); seed <= 3; seed++ {
+		for seed, n := range map[int64]int{1: 40, 2: 700, 3: 5000, 4: 30000} {
 			tr, err := trace.Generate(trace.GenConfig{
-				Profile: p, Lambda: 500, Requests: 5000, MuH: 1200, R: 1.0 / 40, Seed: seed,
+				Profile: p, Lambda: 500, Requests: n, MuH: 1200, R: 1.0 / 40, Seed: seed,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tr.Scripts != p.NumScripts {
+				t.Fatalf("%s: Generate records %d scripts, profile has %d", p.Name, tr.Scripts, p.NumScripts)
+			}
+			unknown := &trace.Trace{Requests: tr.Requests}
 			for _, limit := range []int{0, 1, 16, 1 << 20} {
-				if got, want := SampleW(tr, limit), sampleWMap(tr, limit); !sameWTable(got, want) {
-					t.Fatalf("%s seed %d limit %d: SampleW %v, map version %v", p.Name, seed, limit, got, want)
+				want := sampleWMap(tr, limit)
+				if got := SampleW(tr, limit); !sameWTable(got, want) {
+					t.Fatalf("%s %d requests limit %d: SampleW %v, map version %v", p.Name, n, limit, got, want)
+				}
+				if got := SampleW(unknown, limit); !sameWTable(got, want) {
+					t.Fatalf("%s %d requests limit %d, Scripts 0: SampleW %v, map version %v", p.Name, n, limit, got, want)
 				}
 			}
 		}

@@ -107,20 +107,6 @@ func TestMaxWeightRoutingDrainTime(t *testing.T) {
 	}
 }
 
-func TestCMuRoutingPrefersEffectiveCapacity(t *testing.T) {
-	v := testView([]int{0}, []int{1, 2})
-	v.Load[1] = Load{CPUIdle: 0.9, DiskAvail: 0.9, Speed: 1}
-	v.Load[2] = Load{CPUIdle: 0.5, DiskAvail: 0.5, Speed: 4}
-	p := NewPipeline(PipelineConfig{
-		Admission: closedCap(), Routing: NewCMuRouting(1),
-		PlacementImpact: NoPlacementImpact,
-	})
-	// 4×0.5 = 2 effective capacity beats 1×0.9.
-	if got := p.Place(Request{Class: trace.Dynamic}, 0, v); got != 2 {
-		t.Fatalf("c/mu placed at %d, want fast node 2", got)
-	}
-}
-
 func TestRandomRoutingSpreads(t *testing.T) {
 	v := testView([]int{0}, []int{1, 2, 3})
 	p := NewPipeline(PipelineConfig{
@@ -178,7 +164,6 @@ func TestPipelinePlaceDoesNotAllocate(t *testing.T) {
 		"rsrc":      func() RoutingPolicy { return NewRSRCRouting(1) },
 		"jsq2":      func() RoutingPolicy { return NewJSQRouting(2, 1) },
 		"maxweight": func() RoutingPolicy { return NewMaxWeightRouting(1) },
-		"cmu":       func() RoutingPolicy { return NewCMuRouting(1) },
 		"random":    func() RoutingPolicy { return NewRandomRouting(1) },
 	}
 	for name, mk := range routings {
@@ -204,9 +189,6 @@ func TestPoliciesReturnValidNodesPipeline(t *testing.T) {
 		},
 		func() Policy {
 			return NewPipeline(PipelineConfig{Admission: NewOpenAdmission(), Routing: NewMaxWeightRouting(2)})
-		},
-		func() Policy {
-			return NewPipeline(PipelineConfig{Admission: closedCap(), Routing: NewCMuRouting(3)})
 		},
 		func() Policy {
 			return NewPipeline(PipelineConfig{Admission: NewOpenAdmission(), Routing: NewRandomRouting(4)})

@@ -8,10 +8,9 @@ import (
 
 // Routing-stage implementations: the paper's min-RSRC predictor plus the
 // competitor set from the related-work literature — JSQ(d)
-// (power-of-d-choices), MaxWeight-style weighted-backlog routing, the
-// c/μ-rule, and uniform random — all consuming the same View and
-// tie-breaking through the same seeded RNG discipline so experiment runs
-// stay deterministic.
+// (power-of-d-choices), MaxWeight-style weighted-backlog routing and
+// uniform random — all consuming the same View and tie-breaking through
+// the same seeded RNG discipline so experiment runs stay deterministic.
 
 // Registered routing-stage names (metric labels). JSQ(d) reports
 // "jsq<d>"; RoutingJSQPrefix is the common stem.
@@ -19,7 +18,6 @@ const (
 	RoutingRSRC      = "rsrc"
 	RoutingJSQPrefix = "jsq"
 	RoutingMaxWeight = "maxweight"
-	RoutingCMu       = "cmu"
 	RoutingRandom    = "random"
 )
 
@@ -151,50 +149,6 @@ func (r *MaxWeightRouting) Route(req Request, w float64, candidates []int, v *Vi
 	target := tie[r.rng.Intn(len(tie))]
 	r.tie = tie[:0]
 	return target, best
-}
-
-// CMuRouting is the c/μ-rule read as a routing index: every request has
-// the same holding cost c, so serve it where the effective service rate
-// is highest — argmax μ·(w·CPUIdle + (1−w)·DiskAvail), the node offering
-// the most idle capacity of the resources this request actually needs
-// (Xia et al. ground the rule for dynamic server allocation).
-type CMuRouting struct {
-	rng *rng.Stream
-	tie []int
-}
-
-// NewCMuRouting constructs the c/μ-index stage.
-func NewCMuRouting(seed int64) *CMuRouting {
-	return &CMuRouting{rng: rng.New(seed)}
-}
-
-// Name implements RoutingPolicy.
-func (*CMuRouting) Name() string { return RoutingCMu }
-
-// Route implements RoutingPolicy.
-func (r *CMuRouting) Route(req Request, w float64, candidates []int, v *View) (int, float64) {
-	best := math.Inf(-1)
-	tie := r.tie[:0]
-	for _, id := range candidates {
-		l := v.Load[id]
-		mu := l.Speed
-		if mu <= 0 {
-			mu = 1
-		}
-		idx := mu * (w*l.CPUIdle + (1-w)*l.DiskAvail)
-		switch {
-		case idx > best+1e-12:
-			best = idx
-			tie = append(tie[:0], id)
-		case idx >= best-1e-12:
-			tie = append(tie, id)
-		}
-	}
-	target := tie[r.rng.Intn(len(tie))]
-	r.tie = tie[:0]
-	// Report the index negated so lower still reads as "better" in
-	// placement traces, matching the cost convention.
-	return target, -best
 }
 
 // RandomRouting dispatches uniformly at random — the memoryless baseline

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // Shard map: the deterministic partition of the slave fleet across the
@@ -65,7 +66,7 @@ func NewShardMapAt(shards int, slaves []int, epoch uint64) (*ShardMap, error) {
 		shards = 1
 	}
 	m := &ShardMap{shards: shards, epoch: epoch}
-	if err := m.assignOwners(slaves, newRing(shards)); err != nil {
+	if err := m.assignOwners(slaves, sharedRing(shards)); err != nil {
 		return nil, err
 	}
 	m.bucketMembers()
@@ -199,6 +200,31 @@ func newRing(shards int) []ringPoint {
 	}
 	slices.SortFunc(ring, cmpRingPoint)
 	return ring
+}
+
+// maxSharedRing is the largest shard count whose ring is kept: the kept
+// rings then hold at most about 8 MB, whatever counts a membership names.
+const maxSharedRing = 128
+
+// sharedRings holds the ring of each shard count up to maxSharedRing,
+// built on first use and read-only after. A ring depends on the count
+// alone, so every map of that count shares one, across simulator grid
+// workers and the live plane alike.
+var sharedRings [maxSharedRing + 1]atomic.Pointer[[]ringPoint]
+
+// sharedRing returns the ring of the given shard count (≥ 1): the kept
+// one, or a fresh build above maxSharedRing.
+func sharedRing(shards int) []ringPoint {
+	if shards > maxSharedRing {
+		return newRing(shards)
+	}
+	slot := &sharedRings[shards]
+	if r := slot.Load(); r != nil {
+		return *r
+	}
+	r := newRing(shards)
+	slot.CompareAndSwap(nil, &r)
+	return *slot.Load()
 }
 
 // ringOwner finds the shard of the first ring point clockwise from h.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -86,6 +88,89 @@ func TestShardMapTrivial(t *testing.T) {
 		if m.ShardOf(id) != 0 {
 			t.Errorf("one-shard map: ShardOf(%d) = %d", id, m.ShardOf(id))
 		}
+	}
+}
+
+// The kept ring of every shard count equals a fresh build, and a second
+// map of that count gets the same backing array, not a copy.
+func TestSharedRingEqualsFreshBuild(t *testing.T) {
+	for k := 1; k <= 64; k++ {
+		got, fresh := sharedRing(k), newRing(k)
+		if !slices.Equal(got, fresh) {
+			t.Fatalf("%d shards: shared ring differs from a fresh build", k)
+		}
+		if again := sharedRing(k); k > 1 && &again[0] != &got[0] {
+			t.Fatalf("%d shards: the ring was built twice", k)
+		}
+	}
+	if !slices.Equal(sharedRing(maxSharedRing+1), newRing(maxSharedRing+1)) {
+		t.Fatal("a count above maxSharedRing builds a wrong ring")
+	}
+}
+
+// Grid workers and the live plane build maps concurrently: racing first
+// builds of every count (run under -race) all see one ring, and every
+// map partitions as the ring says.
+func TestSharedRingConcurrentBuilders(t *testing.T) {
+	for k := range sharedRings {
+		sharedRings[k].Store(nil)
+	}
+	slaves := make([]int, 300)
+	for i := range slaves {
+		slaves[i] = i + 2
+	}
+	const workers = 4
+	maps := make([][]*ShardMap, workers)
+	var wg sync.WaitGroup
+	for w := range maps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 1; k <= 64; k++ {
+				m, err := NewShardMapAt(k, slaves, uint64(w))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				maps[w] = append(maps[w], m)
+			}
+		}()
+	}
+	wg.Wait()
+	for k := 1; k <= 64; k++ {
+		ring := newRing(k)
+		for w := range maps {
+			m := maps[w][k-1]
+			for _, id := range slaves {
+				want := 0
+				if ring != nil {
+					want = ringOwner(ring, hashID(id))
+				}
+				if m.ShardOf(id) != want {
+					t.Fatalf("worker %d, %d shards: slave %d in shard %d, ring says %d", w, k, id, m.ShardOf(id), want)
+				}
+			}
+		}
+	}
+}
+
+// A map at a shard count already seen builds no ring: five allocations
+// (the map, its owner table, the bucket sizes, the member array and its
+// per-shard windows) where a fresh ring made six.
+func TestNewShardMapAtAllocsAtSeenCount(t *testing.T) {
+	slaves := make([]int, 256)
+	for i := range slaves {
+		slaves[i] = i + 16
+	}
+	if _, err := NewShardMapAt(16, slaves, 0); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		if _, err := NewShardMapAt(16, slaves, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 5 {
+		t.Fatalf("NewShardMapAt at a seen count: %v allocs/op, want 5", avg)
 	}
 }
 

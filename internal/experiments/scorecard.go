@@ -17,7 +17,7 @@ import (
 	"strings"
 
 	"msweb/internal/cluster"
-	"msweb/internal/policy"
+	"msweb/internal/core"
 	"msweb/internal/queuemodel"
 	"msweb/internal/report"
 )
@@ -28,6 +28,10 @@ const (
 	verdictHolds    = "holds"
 	verdictFails    = "fails"
 	verdictDeviates = "deviates: "
+	// verdictVacuous: the row's preset and its reference stage picked
+	// different nodes on under minShare of the placements, so the row
+	// cannot tell them apart. It counts as a failure.
+	verdictVacuous = "vacuous"
 	// verdictRecorded prefixes the live Table 3 row's verdict: its cells
 	// come from the recorded replay (recordedTable3), not this run.
 	verdictRecorded = "recorded (HTTP /exec dispatch, before frame-only dispatch)"
@@ -54,17 +58,20 @@ type ScoreRow struct {
 	// rows).
 	Spread  float64
 	Verdict string
+	// Presets names the registry presets whose placements the row
+	// judges. Every tournament competitor needs a row.
+	Presets []string
 }
 
-// Fails reports whether the row's claim failed.
-func (r ScoreRow) Fails() bool { return r.Verdict == verdictFails }
+// Fails reports whether the row's claim failed or cannot fail.
+func (r ScoreRow) Fails() bool { return r.Verdict == verdictFails || r.Verdict == verdictVacuous }
 
 // scorecardInputs holds the typed rows the claims read.
 type scorecardInputs struct {
 	ScorecardRuns
 	table1    [][]Table1Row // one set per seed
 	fig3      []queuemodel.Fig3Curve
-	maxweight []scoreCell // MaxWeight over JSQ(p), one cell per load
+	maxweight jsqLimit
 }
 
 // ScorecardRuns holds the rows of scorecard inputs a caller has already
@@ -132,11 +139,7 @@ func runScorecardInputs(opts Options, quick bool, done ScorecardRuns) (scorecard
 	if err != nil {
 		return in, err
 	}
-	mw, err := policy.Lookup("maxweight")
-	if err != nil {
-		return in, err
-	}
-	in.maxweight, err = runJSQLimit(opts, mw.Build)
+	in.maxweight, err = runJSQLimit(opts, func(seed int64) core.RoutingPolicy { return core.NewMaxWeightRouting(seed) })
 	return in, err
 }
 
@@ -172,6 +175,7 @@ func ScorecardTable(rows []ScoreRow) *report.Table {
 			"tolerance: the row's base tolerance, widened to seed_spread when that is larger;",
 			"seed_spread: max − min across seeds of the row's statistic (- when there are fewer than two seeds).",
 			"A row that holds only because of one cell names it.",
+			"vacuous: the row's preset and its reference stage pick different nodes in under 5 % of placements; it fails the scorecard.",
 			"-quick runs the grids at 1 seed and Figure 4 at p=32 alone; Table 1 always runs 2 seeds.",
 		},
 	}
@@ -381,7 +385,7 @@ func fig4Cells(runs []fig4Run) fig4Claims {
 // spread of the maximum at -quick sizing (9.5) and at full size (1.4).
 func reservationClaim(cells []scoreCell) ScoreRow {
 	row := ScoreRow{Claim: "Figure 4 reservation (M/S over M/S-nr)", Paper: "up to 68 %",
-		Spread: seedSpread(cells, slices.Max[[]float64])}
+		Spread: seedSpread(cells, slices.Max[[]float64]), Presets: []string{"ms", "ms-nr"}}
 	row.Tol = widen(15, row.Spread)
 	row.TolText = fmt.Sprintf("±%.1f pts on the max", row.Tol)
 	vals := cellValues(cells, -1)
@@ -402,7 +406,7 @@ func reservationClaim(cells []scoreCell) ScoreRow {
 // for the reservation; the full grid's spread (64 points) widens it.
 func separationClaim(cells []scoreCell) ScoreRow {
 	row := ScoreRow{Claim: "Figure 4 separation (M/S over M/S-1)", Paper: "≤ 26 %",
-		Spread: seedSpread(cells, slices.Max[[]float64])}
+		Spread: seedSpread(cells, slices.Max[[]float64]), Presets: []string{"ms"}}
 	row.Tol = widen(15, row.Spread)
 	row.TolText = fmt.Sprintf("max ≤ 26 + %.1f pts", row.Tol)
 	vals := cellValues(cells, -1)
@@ -425,7 +429,7 @@ func separationClaim(cells []scoreCell) ScoreRow {
 // the base tolerance is half the paper's per-cell band.
 func samplingClaim(cells []scoreCell) ScoreRow {
 	row := ScoreRow{Claim: "Figure 4 sampling (M/S over M/S-ns)", Paper: "average 14 % (5–22 %)",
-		Spread: seedSpread(cells, seedMean)}
+		Spread: seedSpread(cells, seedMean), Presets: []string{"ms", "ms-ns"}}
 	row.Tol = widen(8.5, row.Spread)
 	row.TolText = fmt.Sprintf("±%.1f pts on the mean", row.Tol)
 	vals := cellValues(cells, -1)
@@ -452,7 +456,7 @@ func fig5Claim(res *Fig5Result) ScoreRow {
 		cells = append(cells, scoreCell{fmt.Sprintf("%s 1/r=%g ρ=%g", r.Trace, r.InvR, r.Rho), r.DegradPct, r.SeedDegradPct})
 	}
 	row := ScoreRow{Claim: "Figure 5 fixed-m degradation", Paper: "≤ 9 %, average 4 %",
-		Spread: seedSpread(cells, posMeanOf)}
+		Spread: seedSpread(cells, posMeanOf), Presets: []string{"ms"}}
 	row.Tol = widen(6, row.Spread)
 	row.TolText = fmt.Sprintf("mean ≤ 4 + %.1f pts", row.Tol)
 	vals := cellValues(cells, -1)
@@ -503,7 +507,7 @@ func table3Claim(rows []Table3Row) ScoreRow {
 // failoverClaim (extension): slave crashes lose no request, and the
 // crashes really caught in-flight work.
 func failoverClaim(rows []FailoverRow) ScoreRow {
-	row := ScoreRow{Claim: "Failover: crashes lose no request", Paper: "-",
+	row := ScoreRow{Claim: "Failover: crashes lose no request", Paper: "-", Presets: []string{"ms"},
 		TolText: "0 lost", Spread: math.NaN(), Verdict: verdictHolds}
 	var sfs []string
 	least := rows[0].Completed
@@ -526,7 +530,7 @@ func failoverClaim(rows []FailoverRow) ScoreRow {
 // (the seed spread: no base). Other periods are not judged.
 func bookingClaim(rows []StalenessRow) ScoreRow {
 	def := cluster.DefaultConfig(1, 1).LoadRefresh
-	row := ScoreRow{Claim: "Placement booking removes the herd", Paper: "-",
+	row := ScoreRow{Claim: "Placement booking removes the herd", Paper: "-", Presets: []string{"ms"},
 		Spread: math.NaN(), Verdict: verdictFails, Ours: fmt.Sprintf("no %g s refresh row", def)}
 	for _, r := range rows {
 		if r.RefreshSeconds != def {
@@ -549,7 +553,8 @@ func bookingClaim(rows []StalenessRow) ScoreRow {
 
 // tournamentClaim (extension): M/S has the lowest stretch factor of the
 // competitor field in most (profile, load) blocks. Statistic: blocks
-// won; the base tolerance admits any strict majority.
+// won; the base tolerance admits any strict majority. jsq2 and random,
+// which no other row reads, are its named baselines.
 func tournamentClaim(rows []TournamentRow) ScoreRow {
 	var cells []scoreCell
 	var lost []string
@@ -581,13 +586,14 @@ func tournamentClaim(rows []TournamentRow) ScoreRow {
 	}
 	base := float64((len(cells) - 1) / 2)
 	row := ScoreRow{Claim: "Tournament: M/S lowest stretch", Paper: "-",
-		Spread: seedSpread(cells, sum)}
+		Spread: seedSpread(cells, sum), Presets: []string{"ms", "jsq2", "random"}}
 	row.Tol = widen(base, row.Spread)
 	row.TolText = fmt.Sprintf("wins ≥ blocks − %g", row.Tol)
 	row.Ours = fmt.Sprintf("%g of %d blocks", sum(cellValues(cells, -1)), len(cells))
 	if len(lost) > 0 {
 		row.Ours += " (lost " + strings.Join(lost, ", ") + ")"
 	}
+	row.Ours += "; baselines jsq2: load-aware at two probes, random: load-blind"
 	row.judgeCells(cells, func(skip int) string {
 		v := cellValues(cells, skip)
 		if sum(v) >= float64(len(v))-row.Tol {
@@ -618,19 +624,25 @@ func msWins(block []TournamentRow, sf func(TournamentRow) float64) (float64, str
 // (Maguluri–Srikant–Ying), so on a homogeneous workload the maxweight
 // preset's mean response time over full JSQ's tends to 1 as ρ → 1.
 // Statistic: the largest |ratio − 1| over ρ 0.9, 0.95 and 0.98, in
-// percent; base tolerance 5 %.
-func maxweightClaim(cells []scoreCell) ScoreRow {
+// percent; base tolerance 5 %. Vacuous when the two stages pick
+// different nodes on under minShare of the placements.
+func maxweightClaim(l jsqLimit) ScoreRow {
 	row := ScoreRow{Claim: "MaxWeight ≈ JSQ(p) as ρ → 1", Paper: "ratio → 1",
-		Spread: seedSpread(cells, maxDevPct)}
+		Spread: seedSpread(l.cells, maxDevPct), Presets: []string{"maxweight"}}
 	row.Tol = widen(5, row.Spread)
 	row.TolText = fmt.Sprintf("|ratio − 1| ≤ %.1f %%", row.Tol)
 	var ratios []string
-	for _, c := range cells {
+	for _, c := range l.cells {
 		ratios = append(ratios, fmt.Sprintf("%.3f (%s)", c.v, c.label))
 	}
-	row.Ours = "MaxWeight/JSQ(p) " + strings.Join(ratios, ", ")
-	row.judgeCells(cells, func(skip int) string {
-		if maxDevPct(cellValues(cells, skip)) <= row.Tol {
+	row.Ours = fmt.Sprintf("MaxWeight/JSQ(p) %s at %g ms views; %.1f %% of placements differ",
+		strings.Join(ratios, ", "), jsqLimitRefresh*1000, l.share*100)
+	if l.share < minShare {
+		row.Verdict = verdictVacuous
+		return row
+	}
+	row.judgeCells(l.cells, func(skip int) string {
+		if maxDevPct(cellValues(l.cells, skip)) <= row.Tol {
 			return verdictHolds
 		}
 		return verdictFails

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"msweb/internal/core"
+	"msweb/internal/policy"
 )
 
 // quickScorecardInputs runs the -quick scorecard's experiments once for
@@ -78,7 +79,7 @@ func TestScorecardToleranceCoversSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tourn, err := RunTournament(16, opts, []string{"ms", "ms-nr", "cmu"})
+	tourn, err := RunTournament(16, opts, []string{"ms", "ms-nr", "jsq2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,30 +134,70 @@ func TestScorecardFailsWithoutReservation(t *testing.T) {
 	}
 }
 
-// randomRouting is open admission with uniform random routing.
-func randomRouting(wt core.WTable, seed int64) core.Policy {
-	return core.NewPipeline(core.PipelineConfig{
-		Admission: core.NewOpenAdmission(), Routing: core.NewRandomRouting(seed), WTable: wt,
-	})
+// randomRouting is the uniform random stage.
+func randomRouting(seed int64) core.RoutingPolicy { return core.NewRandomRouting(seed) }
+
+// maxweightRow returns the MaxWeight row of the -quick scorecard with
+// route's stage in place of MaxWeight's.
+func maxweightRow(t *testing.T, route func(seed int64) core.RoutingPolicy) ScoreRow {
+	t.Helper()
+	in, err := quickScorecardInputs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if route != nil {
+		if in.maxweight, err = runJSQLimit(Quick(), route); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const i = 10
+	r := scorecard(in)[i]
+	if r.Claim != "MaxWeight ≈ JSQ(p) as ρ → 1" {
+		t.Fatalf("row %d is %q", i, r.Claim)
+	}
+	return r
 }
 
 // Random routing in place of the maxweight preset must fail the
 // MaxWeight row of the -quick scorecard: the row checks the heavy-traffic
 // JSQ limit, which a load-blind router does not reach.
 func TestScorecardFailsWithRandomRouting(t *testing.T) {
+	if r := maxweightRow(t, nil); r.Verdict != verdictHolds {
+		t.Fatalf("MaxWeight row reads %q (ours: %s)", r.Verdict, r.Ours)
+	}
+	if r := maxweightRow(t, randomRouting); r.Verdict != verdictFails {
+		t.Fatalf("with random routing the MaxWeight row reads %q (ours: %s)", r.Verdict, r.Ours)
+	}
+}
+
+// JSQ(p) in place of the maxweight preset makes the same placements as
+// the row's reference stage, so the row must read vacuous: a ratio of 1
+// there says nothing about MaxWeight.
+func TestScorecardVacuousWithJSQ(t *testing.T) {
+	r := maxweightRow(t, func(seed int64) core.RoutingPolicy { return core.NewJSQRouting(16, seed) })
+	if r.Verdict != verdictVacuous || !r.Fails() || !strings.Contains(r.Ours, "; 0.0 % of placements differ") {
+		t.Fatalf("with JSQ(p) the MaxWeight row reads %q (ours: %s)", r.Verdict, r.Ours)
+	}
+}
+
+// Every competitor in the default tournament field must be a preset some
+// scorecard row judges: a preset no row can fail has no place in the
+// field.
+func TestEveryCompetitorHasARow(t *testing.T) {
 	in, err := quickScorecardInputs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const i = 10
-	if r := scorecard(in)[i]; r.Claim != "MaxWeight ≈ JSQ(p) as ρ → 1" || r.Verdict != verdictHolds {
-		t.Fatalf("row %d: %q reads %q (ours: %s)", i, r.Claim, r.Verdict, r.Ours)
+	read := map[string]bool{}
+	for _, r := range scorecard(in) {
+		for _, p := range r.Presets {
+			read[p] = true
+		}
 	}
-	if in.maxweight, err = runJSQLimit(Quick(), randomRouting); err != nil {
-		t.Fatal(err)
-	}
-	if r := scorecard(in)[i]; !r.Fails() {
-		t.Fatalf("with random routing the MaxWeight row reads %q (ours: %s)", r.Verdict, r.Ours)
+	for _, name := range policy.TournamentNames() {
+		if !read[name] {
+			t.Errorf("competitor %q is read by no scorecard row", name)
+		}
 	}
 }
 

@@ -92,7 +92,7 @@ func noteContains(tbl *report.Table, sub string) bool {
 func TestTournamentTableBestPerBlock(t *testing.T) {
 	tbl := TournamentTable(16, []TournamentRow{
 		{Profile: "KSU", Rho: 0.5, Policy: "ms", MeanMs: 20.4},
-		{Profile: "KSU", Rho: 0.5, Policy: "cmu", MeanMs: 20.9},
+		{Profile: "KSU", Rho: 0.5, Policy: "jsq2", MeanMs: 20.9},
 		{Profile: "KSU", Rho: 0.8, Policy: "ms", MeanMs: 34.7},
 		{Profile: "KSU", Rho: 0.8, Policy: "ms-nr", MeanMs: 33.5},
 	})

@@ -23,7 +23,8 @@ type Preset struct {
 	Name string
 	// Desc is the one-line help text.
 	Desc string
-	// Competitor marks policies that enter the default tournament field.
+	// Competitor marks policies that enter the default tournament field;
+	// each needs a scorecard row that judges it.
 	Competitor bool
 	// Build constructs an instance.
 	Build Builder
@@ -55,21 +56,6 @@ var presets = []Preset{
 			return core.NewPipeline(core.PipelineConfig{
 				Name: "MaxWeight", Admission: core.NewOpenAdmission(),
 				Routing: core.NewMaxWeightRouting(seed), WTable: wt,
-			})
-		}},
-	{"cmu", "c/μ-rule: highest effective idle capacity for the request's mix", true,
-		func(wt core.WTable, seed int64) core.Policy {
-			return core.NewPipeline(core.PipelineConfig{
-				Name: "c/mu", Admission: core.NewOpenAdmission(),
-				Routing: core.NewCMuRouting(seed), WTable: wt,
-			})
-		}},
-	{"greedy-rsrc", "greedy min-RSRC: no reservation, no sampling, no booking", true,
-		func(wt core.WTable, seed int64) core.Policy {
-			return core.NewPipeline(core.PipelineConfig{
-				Name: "Greedy-RSRC", Admission: core.NewOpenAdmission(),
-				Routing: core.NewRSRCRouting(seed), DisableSampling: true,
-				PlacementImpact: core.NoPlacementImpact,
 			})
 		}},
 	{"random", "uniform random dispatch over eligible nodes", true,

@@ -285,7 +285,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 	}()
 	drawSizes(cfg.Profile, reqs, rng.New(classSeed), rng.New(sizeSeed))
 	<-done
-	return &Trace{Name: cfg.Profile.Name, Requests: reqs}, nil
+	return &Trace{Name: cfg.Profile.Name, Requests: reqs, Scripts: cfg.Profile.NumScripts}, nil
 }
 
 // drawWork fills in each record's Arrival, Demand, Script and

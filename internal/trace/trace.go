@@ -73,6 +73,10 @@ type Request struct {
 type Trace struct {
 	Name     string
 	Requests []Request
+	// Scripts, when positive, is the script count: every dynamic
+	// request's Script is in 1..Scripts. Generate sets it; 0 (Read,
+	// ReadCLF, literals) means unknown.
+	Scripts int
 }
 
 // Duration returns the arrival span of the trace in seconds.
