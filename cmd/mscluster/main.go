@@ -105,7 +105,6 @@ func buildConfig(args []string) (httpcluster.Config, error) {
 	refresh := fs.Duration("refresh", 100*time.Millisecond, "load polling period")
 	seed := fs.Int64("seed", 1, "policy randomization seed")
 	fast := fs.Bool("fast", false, "run uncalibrated: virtual-time demand accounting, no wall-clock sleeps")
-	lshards := fs.Int("listener-shards", 0, "SO_REUSEPORT accept sockets per node (0/1: single listener)")
 	shards := fs.Int("shards", 0, "partition the slave tier across the masters (must equal -masters; 0/1 = global view)")
 	gossip := fs.Duration("gossip", 0, "master↔master shard-summary pull period (0 = 4×refresh)")
 	autoscale := fs.Duration("autoscale-masters", 0, "live master-tier autoscaler period (0: off; needs -shards)")
@@ -129,7 +128,6 @@ func buildConfig(args []string) (httpcluster.Config, error) {
 	cfg.TimeScale = *scale
 	cfg.LoadRefresh = *refresh
 	cfg.Uncalibrated = *fast
-	cfg.ListenerShards = *lshards
 	cfg.Shards = *shards
 	cfg.GossipEvery = *gossip
 	cfg.AutoscaleMasters = *autoscale

@@ -34,10 +34,6 @@ type Config struct {
 	Uncalibrated bool
 	// Deprecated: ignored; frames are the only dispatch transport.
 	BinaryFraming bool
-	// ListenerShards is how many SO_REUSEPORT accept sockets every node
-	// binds to its port (see NodeOptions.ListenerShards); 0/1 keeps the
-	// single listener.
-	ListenerShards int
 	// Shards > 1 partitions the slave fleet across the master tier:
 	// master i polls, tracks breakers for and books against only shard i,
 	// spilling shed dynamics cross-shard via gossiped summaries. Must
@@ -140,8 +136,7 @@ func Start(cfg Config) (*Cluster, error) {
 	for _, id := range slaves {
 		n, err := LaunchNode(NodeOptions{
 			ID: id, Origin: origin, TimeScale: cfg.TimeScale,
-			Uncalibrated:   cfg.Uncalibrated,
-			ListenerShards: cfg.ListenerShards,
+			Uncalibrated: cfg.Uncalibrated,
 		})
 		if err != nil {
 			c.Shutdown()
@@ -158,7 +153,6 @@ func Start(cfg Config) (*Cluster, error) {
 			LoadRefresh: cfg.LoadRefresh, PolicyTick: cfg.PolicyTick,
 			Tracer:           cfg.Tracer,
 			Uncalibrated:     cfg.Uncalibrated,
-			ListenerShards:   cfg.ListenerShards,
 			Shards:           cfg.Shards,
 			GossipEvery:      cfg.GossipEvery,
 			AutoscaleMasters: cfg.AutoscaleMasters,

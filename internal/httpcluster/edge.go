@@ -308,51 +308,33 @@ func (c *handedConn) CloseWrite() error {
 	return nil
 }
 
-// edgeConnShard is one slot of the sharded edge-connection registry —
-// per-listener-shard pools, so connection churn on one accept loop never
-// takes a lock any other loop's connections contend on.
-type edgeConnShard struct {
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-}
-
 // trackEdgeConn registers an accepted connection so Shutdown can close
 // it. ok is false when the node is already shutting down.
-func (n *Node) trackEdgeConn(shard int, c net.Conn) (ok bool) {
-	reg := &n.edgeReg[shard]
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
+func (n *Node) trackEdgeConn(c net.Conn) (ok bool) {
+	n.edgeMu.Lock()
+	defer n.edgeMu.Unlock()
 	if n.edgeClosed.Load() {
 		return false
 	}
-	if reg.conns == nil {
-		reg.conns = make(map[net.Conn]struct{})
-	}
-	reg.conns[c] = struct{}{}
+	n.edgeConns[c] = struct{}{}
 	n.edgeWG.Add(1)
 	return true
 }
 
-func (n *Node) untrackEdgeConn(shard int, c net.Conn) {
-	reg := &n.edgeReg[shard]
-	reg.mu.Lock()
-	delete(reg.conns, c)
-	reg.mu.Unlock()
+func (n *Node) untrackEdgeConn(c net.Conn) {
+	n.edgeMu.Lock()
+	delete(n.edgeConns, c)
+	n.edgeMu.Unlock()
 	n.edgeWG.Done()
 }
 
 // EdgeConns reports the live connections the edge owns, upgraded frame
-// connections included, across every registry shard. Connections handed
-// to net/http are not among them.
+// connections included. Connections handed to net/http are not among
+// them.
 func (n *Node) EdgeConns() int {
-	total := 0
-	for i := range n.edgeReg {
-		reg := &n.edgeReg[i]
-		reg.mu.Lock()
-		total += len(reg.conns)
-		reg.mu.Unlock()
-	}
-	return total
+	n.edgeMu.Lock()
+	defer n.edgeMu.Unlock()
+	return len(n.edgeConns)
 }
 
 // FrameConns reports the live connections upgraded to the frame
@@ -360,28 +342,25 @@ func (n *Node) EdgeConns() int {
 func (n *Node) FrameConns() int { return int(n.frameConns.Load()) }
 
 // closeEdgeConns kills every connection the edge owns and waits for
-// their loops and the accept loops to exit. Shutdown has flipped
-// edgeClosed first, so a track racing the per-shard walk either lands in
-// the map before the walk locks its shard (and is closed by it) or
-// observes the flag and refuses.
+// their loops and the accept loop to exit. Shutdown has flipped
+// edgeClosed first, so a track racing the walk either lands in the map
+// before the walk locks it (and is closed by it) or observes the flag
+// and refuses.
 func (n *Node) closeEdgeConns() {
-	for i := range n.edgeReg {
-		reg := &n.edgeReg[i]
-		reg.mu.Lock()
-		for c := range reg.conns {
-			c.Close() //nolint:errcheck // unblocks the connection's loop
-		}
-		reg.mu.Unlock()
+	n.edgeMu.Lock()
+	for c := range n.edgeConns {
+		c.Close() //nolint:errcheck // unblocks the connection's loop
 	}
+	n.edgeMu.Unlock()
 	n.edgeWG.Wait()
 }
 
-// acceptLoop owns one listener shard until Shutdown closes it.
-func (n *Node) acceptLoop(shard int, l net.Listener) {
+// acceptLoop owns the node's listener until Shutdown closes it.
+func (n *Node) acceptLoop() {
 	defer n.edgeWG.Done()
 	var delay time.Duration
 	for {
-		c, err := l.Accept()
+		c, err := n.lis.Accept()
 		if err != nil {
 			if n.edgeClosed.Load() || errors.Is(err, net.ErrClosed) {
 				return
@@ -394,11 +373,11 @@ func (n *Node) acceptLoop(shard int, l net.Listener) {
 			continue
 		}
 		delay = 0
-		if !n.trackEdgeConn(shard, c) {
+		if !n.trackEdgeConn(c) {
 			c.Close() //nolint:errcheck // shutting down
 			return
 		}
-		go n.serveEdgeConn(shard, c)
+		go n.serveEdgeConn(c)
 	}
 }
 
@@ -418,13 +397,13 @@ type edgeConn struct {
 
 // serveEdgeConn runs one tracked connection until it ends or changes
 // hands.
-func (n *Node) serveEdgeConn(shard int, c net.Conn) {
+func (n *Node) serveEdgeConn(c net.Conn) {
 	ec := &edgeConn{n: n, c: c, br: bufio.NewReaderSize(c, edgeMaxHead)}
 	for ec.next() {
 	}
 	// Leave the registry before net/http can run a handler on the
 	// connection, so /metrics never counts the connection it is served on.
-	n.untrackEdgeConn(shard, c)
+	n.untrackEdgeConn(c)
 	if ec.handoff {
 		n.edgeHandoffs.Add(1)
 		if n.handoff.push(&handedConn{Conn: c, br: ec.br}) {

@@ -340,10 +340,10 @@ func TestEdgeHeadSplitAtEveryByte(t *testing.T) {
 	m := launchEdgeMaster(t, NodeOptions{})
 	client, server := net.Pipe()
 	defer client.Close()
-	if !m.trackEdgeConn(0, server) {
+	if !m.trackEdgeConn(server) {
 		t.Fatal("registry refused the connection")
 	}
-	go m.serveEdgeConn(0, server)
+	go m.serveEdgeConn(server)
 
 	client.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
 	br := bufio.NewReader(client)

@@ -24,10 +24,10 @@ import (
 // connection is upgraded once (HTTP/1.1 Upgrade on GET /frame, so the
 // protocol rides the node's one port; the serving side is the edge loop
 // in edge.go) and then pooled per target. A peer that refuses or drops
-// the upgrade is a dispatch failure like any other: it feeds the retry
-// and breaker taxonomy, and the request fails over. Frame buffers are
-// connection-owned and reused, so the steady-state exchange allocates
-// nothing on either side.
+// the upgrade is a dispatch failure like any other (core.NotSent): it
+// feeds the breaker and core.Attempts, and the request fails over.
+// Frame buffers are connection-owned and reused, so the steady-state
+// exchange allocates nothing on either side.
 //
 // Wire format (all integers little-endian):
 //
@@ -356,18 +356,6 @@ func readFrame(br *bufio.Reader, buf []byte) (payload, nbuf []byte, err error) {
 	return buf, buf, nil
 }
 
-// statusToErr maps a frame status to the dispatch error taxonomy.
-func statusToErr(st int) error {
-	switch st {
-	case http.StatusOK:
-		return nil
-	case http.StatusGatewayTimeout:
-		return errDeadline
-	default:
-		return remoteStatusError(st)
-	}
-}
-
 // slave side --------------------------------------------------------------
 
 // serveFrames is one connection's exchange loop, dispatching on the
@@ -488,45 +476,36 @@ func (f *frameDialer) close() {
 	}
 }
 
-// notSentError marks a dispatch that failed before its 'E' frame was
-// written: no URL, the dial, or the /frame upgrade (its write, its
-// reply, or a refusal). The slave never saw the work, so retrying is
-// safe even for a non-idempotent request (see mayHaveExecuted).
-type notSentError struct{ err error }
-
-func (e notSentError) Error() string { return "dispatch not sent: " + e.err.Error() }
-func (e notSentError) Unwrap() error { return e.err }
-
 // acquire returns a framed connection to target, dialing and upgrading
-// when the pool is empty. Every failure is a notSentError.
-func (f *frameDialer) acquire(target int, deadline time.Time) (*frameConn, error) {
+// when the pool is empty. When it cannot, nothing was sent: the outcome
+// is Expired when the deadline left no time to dial, else NotSent (no
+// URL, a failed dial or upgrade). It is Served when fc is usable.
+func (f *frameDialer) acquire(target int, deadline time.Time) (fc *frameConn, out core.Outcome) {
 	select {
 	case fc := <-f.idle[target]:
-		return fc, nil
+		return fc, core.Served
 	default:
 	}
-	fc, err := f.dial(target, deadline)
+	dialTO := time.Until(deadline)
+	if dialTO <= 0 {
+		return nil, core.Expired
+	}
+	fc, err := f.dial(target, min(dialTO, 5*time.Second), deadline)
 	if err != nil {
-		return nil, notSentError{err}
+		return nil, core.NotSent
 	}
 	f.m.frameDials.Add(1)
-	return fc, nil
+	return fc, core.Served
 }
 
-// dial opens one connection to target and upgrades it to frames.
-func (f *frameDialer) dial(target int, deadline time.Time) (*frameConn, error) {
+// dial opens one connection to target within dialTO and upgrades it to
+// frames.
+func (f *frameDialer) dial(target int, dialTO time.Duration, deadline time.Time) (*frameConn, error) {
 	base := f.m.nodeURL(target)
 	if base == "" {
 		return nil, fmt.Errorf("no URL for node %d", target)
 	}
 	addr := strings.TrimPrefix(base, "http://")
-	dialTO := time.Until(deadline)
-	if dialTO <= 0 {
-		return nil, errDeadline
-	}
-	if dialTO > 5*time.Second {
-		dialTO = 5 * time.Second
-	}
 	c, err := net.DialTimeout("tcp", addr, dialTO)
 	if err != nil {
 		return nil, err
@@ -573,32 +552,31 @@ func (f *frameDialer) release(target int, fc *frameConn) {
 
 // exchange performs one framed request/response round trip: statuses
 // for every entry are appended to dst, and the response's piggybacked
-// load report is folded into the master's view. Any transport or
-// protocol error closes the connection (the next call dials fresh).
-func (f *frameDialer) exchange(target int, reqs []frameExec, dst []int, deadline time.Time) ([]int, error) {
-	fc, err := f.acquire(target, deadline)
-	if err != nil {
-		return dst, err
+// load report is folded into the master's view. The outcome is Served
+// when a well-formed reply came back, whatever its statuses; a failure
+// after the frame was written is MayHaveRun, and closes the connection
+// (the next call dials fresh).
+func (f *frameDialer) exchange(target int, reqs []frameExec, dst []int, deadline time.Time) ([]int, core.Outcome) {
+	fc, out := f.acquire(target, deadline)
+	if fc == nil {
+		return dst, out
 	}
 	fc.c.SetDeadline(deadline) //nolint:errcheck
 	fc.buf = appendExecFrame(fc.buf[:0], reqs)
 	if _, err := fc.c.Write(fc.buf); err != nil {
 		fc.c.Close()
-		return dst, err
+		return dst, core.MayHaveRun
 	}
 	payload, nbuf, err := readFrame(fc.br, fc.buf)
 	fc.buf = nbuf
 	if err != nil {
 		fc.c.Close()
-		return dst, err
+		return dst, core.MayHaveRun
 	}
 	dst, load, hasLoad, sum, err := parseRespPayload(payload, dst)
 	if err != nil || len(dst) != len(reqs) {
 		fc.c.Close()
-		if err == nil {
-			err = errFrameCount
-		}
-		return dst, err
+		return dst, core.MayHaveRun
 	}
 	if hasLoad {
 		f.m.storePiggy(target, load)
@@ -609,7 +587,7 @@ func (f *frameDialer) exchange(target int, reqs []frameExec, dst []int, deadline
 		f.m.storeShardSummaryWire(sum)
 	}
 	f.release(target, fc)
-	return dst, nil
+	return dst, core.Served
 }
 
 // runFrameReqs serves a 'Q' batch through the master's /req pipeline —

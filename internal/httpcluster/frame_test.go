@@ -151,9 +151,9 @@ func TestFrameDeadlinePropagation(t *testing.T) {
 		{demand: 0, w: 0.5, deadlineNs: time.Now().Add(-time.Second).UnixNano(), fork: true},
 		{demand: 0, w: 0.5, deadlineNs: time.Now().Add(time.Minute).UnixNano(), fork: true},
 	}
-	sts, err := m.frames.exchange(1, reqs, nil, time.Now().Add(5*time.Second))
-	if err != nil {
-		t.Fatalf("exchange: %v", err)
+	sts, out := m.frames.exchange(1, reqs, nil, time.Now().Add(5*time.Second))
+	if out != core.Served {
+		t.Fatalf("exchange: outcome %d, want a reply", out)
 	}
 	if sts[0] != http.StatusGatewayTimeout || sts[1] != http.StatusOK {
 		t.Fatalf("statuses %v, want [504 200]", sts)
@@ -177,13 +177,13 @@ func TestFrameHugeDemandRefused(t *testing.T) {
 	defer n.Shutdown()
 	m := launchTestMaster(t, n.URL)
 
-	sts, err := m.frames.exchange(1, []frameExec{
+	sts, out := m.frames.exchange(1, []frameExec{
 		{demand: 1e10, w: 0.5},
 		{demand: 1e300, w: 0.5},
 		{demand: 0, w: 0.5},
 	}, nil, time.Now().Add(5*time.Second))
-	if err != nil {
-		t.Fatalf("exchange: %v", err)
+	if out != core.Served {
+		t.Fatalf("exchange: outcome %d, want a reply", out)
 	}
 	if sts[0] != http.StatusBadRequest || sts[1] != http.StatusBadRequest || sts[2] != http.StatusOK {
 		t.Fatalf("E statuses %v, want [400 400 200]", sts)

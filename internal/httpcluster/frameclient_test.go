@@ -10,15 +10,14 @@ import (
 )
 
 // startFrameTestCluster boots a small uncalibrated cluster with a
-// sharded master for the concurrent frame-client tests.
+// master for the concurrent frame-client tests.
 func startFrameTestCluster(t *testing.T) *Cluster {
 	t.Helper()
 	c, err := Start(Config{
 		Nodes: 3, Masters: 1, TimeScale: 1,
 		LoadRefresh: 50 * time.Millisecond, PolicyTick: 100 * time.Millisecond,
-		MakePolicy:     func(int) core.Policy { return core.NewMS(nil, 1) },
-		Uncalibrated:   true,
-		ListenerShards: 2,
+		MakePolicy:   func(int) core.Policy { return core.NewMS(nil, 1) },
+		Uncalibrated: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -27,12 +26,12 @@ func startFrameTestCluster(t *testing.T) *Cluster {
 	return c
 }
 
-// Many frame clients hammering one sharded master concurrently: every
+// Many frame clients hammering one master concurrently: every
 // connection sends its own deterministic accept/reject pattern, so any
 // cross-connection response mixup (a status delivered to the wrong
 // client, or out of order within one connection) is detected by a
 // status that does not match that connection's own schedule. Run under
-// -race this also exercises the per-shard connection registries.
+// -race this also exercises the edge's connection registry.
 func TestConcurrentFrameClientsNoCrossTalk(t *testing.T) {
 	c := startFrameTestCluster(t)
 	url := c.Masters[0].URL

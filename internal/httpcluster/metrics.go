@@ -60,8 +60,6 @@ func (n *Node) writeMetrics(w io.Writer) {
 	p.Value("msweb_node_deadline_expired_total", label, float64(n.deadlineExpired.Load()))
 	p.Header("msweb_node_frames_served_total", "Binary exec frames answered over persistent connections.", "counter")
 	p.Value("msweb_node_frames_served_total", label, float64(n.framesServed.Load()))
-	p.Header("msweb_node_listener_shards", "SO_REUSEPORT accept sockets bound to this node's port.", "gauge")
-	p.Value("msweb_node_listener_shards", label, float64(len(n.lis)))
 	p.Header("msweb_node_frame_conns", "Live persistent frame connections tracked by this node.", "gauge")
 	p.Value("msweb_node_frame_conns", label, float64(n.FrameConns()))
 	p.Header("msweb_node_edge_conns", "Live connections served by the node's own edge loop (frame connections included; handed-off ones not).", "gauge")

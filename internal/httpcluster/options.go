@@ -12,16 +12,15 @@ import (
 )
 
 // The live data plane's failure handling has no knobs; these constants
-// are its whole configuration. A request's deadline is the client's
-// budget (TimeoutHeader, or a 'Q' entry's timeoutMs) capped at
-// dispatchTimeout. A dynamic gets
-// retryBudget placement attempts, each re-placed at once on a node not
-// yet tried, then runs locally while the deadline stands. A breaker
-// that opened re-admits its node for one probe after breakerPolls poll
-// periods.
+// and core.RetryBudget are its whole configuration. A request's
+// deadline is the client's budget (TimeoutHeader, or a 'Q' entry's
+// timeoutMs) capped at dispatchTimeout. A dynamic gets core.RetryBudget
+// placement attempts, each re-placed at once on a node not yet tried,
+// then runs locally while the deadline stands (see runDynamic). A
+// breaker that opened re-admits its node for one probe after
+// breakerPolls poll periods.
 const (
 	dispatchTimeout = 120 * time.Second
-	retryBudget     = 3
 	breakerPolls    = 20
 )
 
@@ -50,14 +49,6 @@ type NodeOptions struct {
 	// data plane for throughput work; calibrated mode (the default)
 	// remains the paper-faithful configuration.
 	Uncalibrated bool
-	// ListenerShards is how many SO_REUSEPORT accept sockets the node
-	// binds to its one loopback port, each with its own accept loop, so
-	// connection setup and the persistent-frame read paths spread across
-	// cores instead of serializing on one listener goroutine (see
-	// listener.go). 0 or 1 keeps the single pre-sharding listener; on
-	// platforms without SO_REUSEPORT the option quietly degrades to 1
-	// (Node.ListenerShards reports the effective count).
-	ListenerShards int
 	// Tracer receives request lifecycle events (arrival, retry, shed,
 	// exhausted, complete) from a master's /req path. nil disables
 	// tracing. A live master emits from concurrent handlers, so the
@@ -106,8 +97,6 @@ func (o NodeOptions) Validate(master bool) error {
 		return fmt.Errorf("httpcluster: negative node id %d", o.ID)
 	case !validTimeScale(o.TimeScale):
 		return fmt.Errorf("httpcluster: time scale %v must be non-negative and finite", o.TimeScale)
-	case o.ListenerShards < 0 || o.ListenerShards > 256:
-		return fmt.Errorf("httpcluster: listener shards %d outside [0, 256]", o.ListenerShards)
 	}
 	if !master {
 		return nil
@@ -160,8 +149,7 @@ func (o NodeOptions) withDefaults() NodeOptions {
 }
 
 // LaunchNode starts a slave node server on a loopback ephemeral port.
-// Only ID, Origin, TimeScale, ListenerShards and Uncalibrated are
-// consulted.
+// Only ID, Origin, TimeScale and Uncalibrated are consulted.
 func LaunchNode(o NodeOptions) (*Node, error) {
 	n, err := newSlave(o)
 	if err != nil {

@@ -95,7 +95,7 @@ func TestSimLivePolicyParity(t *testing.T) {
 				req := core.Request{Class: cls, Script: i % 4}
 
 				m.placeMu.Lock()
-				m.refreshWorkView()
+				m.refreshWorkView(nil)
 				liveTarget := m.policy.Place(req, m.ID, &m.workView)
 				m.placeMu.Unlock()
 
@@ -115,7 +115,7 @@ func TestSimLivePolicyParity(t *testing.T) {
 				if i%32 == 31 {
 					now := float64(i)
 					m.placeMu.Lock()
-					m.refreshWorkView()
+					m.refreshWorkView(nil)
 					m.policy.Tick(now, &m.workView)
 					m.placeMu.Unlock()
 					ref.Tick(now, &refView)

@@ -42,7 +42,7 @@ func TestPiggybackRefreshesView(t *testing.T) {
 		t.Fatal("piggy slot empty")
 	}
 	m.placeMu.Lock()
-	m.refreshWorkView()
+	m.refreshWorkView(nil)
 	got := m.workView.Load[1]
 	m.placeMu.Unlock()
 	if got != l {

@@ -556,7 +556,8 @@ func TestDocsNameNoRemovedResilienceKnob(t *testing.T) {
 	removed := []string{"httpcluster.Resilience", "Resilience{", "BreakerConfig", "HedgeAfter", "RetryBackoff",
 		"MaxInflight", "MaxQueue", "ShedRSRC", "DisableShedding", "DefaultOpenFor",
 		"AdaptiveMasters", "ScriptAffinity", "View.Affinity", "ShardStatic", "ShardMapMode", "-shard-map",
-		"HoldInitial", "MinSlaves"}
+		"HoldInitial", "MinSlaves", "ListenerShards", "-listener-shards", "msweb_node_listener_shards",
+		"mayHaveExecuted", "notSentError"}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		raw, err := os.ReadFile(filepath.Join("..", "..", doc))
 		if err != nil {

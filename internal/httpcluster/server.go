@@ -2,12 +2,12 @@ package httpcluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -46,12 +46,8 @@ type Node struct {
 	timeScale float64
 	origin    time.Time
 	srv       *http.Server
-	// lis holds the node's listener shards: SO_REUSEPORT sockets sharing
-	// one port, each served by its own accept loop (see listener.go).
-	// One entry — the pre-sharding layout — unless ListenerShards asked
-	// for more and the platform cooperated.
-	lis []net.Listener
-	mux *http.ServeMux
+	lis       net.Listener
+	mux       *http.ServeMux
 	// handoff feeds srv the connections the edge does not serve itself.
 	handoff *handoffListener
 
@@ -80,12 +76,10 @@ type Node struct {
 
 	// Connections the edge owns — in its HTTP request loop or upgraded
 	// to frames — are invisible to srv.Shutdown and tracked here so
-	// Shutdown can close them (see edge.go). The registry is sharded
-	// alongside the listeners: connection open/close on one shard never
-	// contends with the others, so a listener shard's accept path stays
-	// independent end to end. edgeWG counts the accept loops and every
-	// connection loop.
-	edgeReg      []edgeConnShard
+	// Shutdown can close them (see edge.go); edgeMu guards the registry.
+	// edgeWG counts the accept loop and every connection loop.
+	edgeMu       sync.Mutex
+	edgeConns    map[net.Conn]struct{}
 	edgeClosed   atomic.Bool
 	edgeWG       sync.WaitGroup
 	frameConns   atomic.Int64
@@ -102,45 +96,39 @@ type Node struct {
 // attached by serve() once the role-specific mux exists. The options
 // must already carry defaults (withDefaults).
 func newNode(o NodeOptions) (*Node, error) {
-	lis, err := multiListen(o.ListenerShards)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
 	return &Node{
 		ID:        o.ID,
-		URL:       "http://" + lis[0].Addr().String(),
+		URL:       "http://" + lis.Addr().String(),
 		res:       NewNodeResources(o.Origin, o.TimeScale, o.Uncalibrated),
 		fork:      time.Duration(float64(3*time.Millisecond) * o.TimeScale),
 		timeScale: o.TimeScale,
 		origin:    o.Origin,
 		lis:       lis,
-		edgeReg:   make([]edgeConnShard, len(lis)),
+		edgeConns: make(map[net.Conn]struct{}),
 		svcHist:   obs.NewHistogram(),
 		reqRate:   obs.NewWindowedCounter(10, 10),
 	}, nil
 }
 
-// serve starts the http.Server over the role-specific mux and one edge
-// accept loop per listener shard. The http.Server never sees a socket
-// of its own: it serves the connections the edge hands off, under the
-// same head bounds the edge enforces.
+// serve starts the http.Server over the role-specific mux and the edge
+// accept loop. The http.Server never sees a socket of its own: it
+// serves the connections the edge hands off, under the same head bounds
+// the edge enforces.
 func (n *Node) serve() {
-	n.handoff = newHandoffListener(n.lis[0].Addr())
+	n.handoff = newHandoffListener(n.lis.Addr())
 	n.srv = &http.Server{
 		Handler:           n.mux,
 		ReadHeaderTimeout: edgeHeadTimeout,
 		MaxHeaderBytes:    edgeMaxHead,
 	}
 	go n.srv.Serve(n.handoff) //nolint:errcheck // Serve returns on Shutdown
-	for shard, l := range n.lis {
-		n.edgeWG.Add(1)
-		go n.acceptLoop(shard, l)
-	}
+	n.edgeWG.Add(1)
+	go n.acceptLoop()
 }
-
-// ListenerShards reports how many accept loops the node actually runs —
-// the requested shard count, or 1 after a portability fallback.
-func (n *Node) ListenerShards() int { return len(n.lis) }
 
 // Handler returns the node's HTTP mux, so the serving path can be
 // exercised (benchmarked, embedded) without a TCP round trip.
@@ -298,9 +286,7 @@ func (n *Node) handleLoad(rw http.ResponseWriter, _ *http.Request) {
 // dead connection.
 func (n *Node) Shutdown() {
 	n.edgeClosed.Store(true)
-	for _, l := range n.lis {
-		l.Close() //nolint:errcheck // only stops the accept loop
-	}
+	n.lis.Close() //nolint:errcheck // only stops the accept loop
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	if n.srv != nil {
@@ -504,9 +490,10 @@ func (m *Master) emit(kind obs.EventKind, req int64, node int, value float64) {
 // snapshot: load columns are re-copied only when the snapshot epoch
 // moved (preserving intra-window booking charges, exactly as the
 // locked-view implementation did), and the tier lists are re-filtered
-// against the circuit breakers into a reused scratch buffer. Callers
-// must hold placeMu. Allocation-free in steady state.
-func (m *Master) refreshWorkView() {
+// against the circuit breakers and the request's tried nodes
+// (core.Attempts.Tried) into a reused scratch buffer. Callers must hold
+// placeMu. Allocation-free in steady state.
+func (m *Master) refreshWorkView(tried []int) {
 	s := m.snap.Load()
 	epochMoved := s.epoch != m.workEpoch
 	if epochMoved {
@@ -520,7 +507,7 @@ func (m *Master) refreshWorkView() {
 	now := time.Now().UnixNano()
 	live := func(id int) bool {
 		// The master itself is always placeable (last-resort local run).
-		return id == m.ID || m.brk.Allow(id, now)
+		return id == m.ID || m.brk.Allow(id, now) && !slices.Contains(tried, id)
 	}
 	buf := core.FilterLive(m.aliveBuf[:0], s.view.Masters, live)
 	nMasters := len(buf)
@@ -534,55 +521,6 @@ func (m *Master) refreshWorkView() {
 		// would overwrite Slaves[0], which aliases the same scratch.
 		m.workView.Masters = m.self[:]
 	}
-}
-
-// bitOf maps a node id to its distinct-node tracking bit. Ids beyond 63
-// are untracked (retries may revisit them), which only relaxes the
-// distinctness preference on clusters larger than the paper's by an
-// order of magnitude.
-func bitOf(id int) uint64 {
-	if uint(id) < 64 {
-		return 1 << uint(id)
-	}
-	return 0
-}
-
-// dropTried removes already-tried nodes from the working view's tier
-// lists so retries prefer distinct nodes. The lists are rebuilt from the
-// snapshot on every refresh, so in-place compaction is safe; when
-// filtering would leave no candidate at all the lists stay untouched —
-// re-trying a node beats dropping the request. Callers hold placeMu.
-func (m *Master) dropTried(tried uint64) {
-	if tried == 0 {
-		return
-	}
-	survivors := 0
-	for _, id := range m.workView.Masters {
-		if bitOf(id)&tried == 0 {
-			survivors++
-		}
-	}
-	for _, id := range m.workView.Slaves {
-		if bitOf(id)&tried == 0 {
-			survivors++
-		}
-	}
-	if survivors == 0 {
-		return
-	}
-	m.workView.Masters = compactUntried(m.workView.Masters, tried)
-	m.workView.Slaves = compactUntried(m.workView.Slaves, tried)
-}
-
-// compactUntried filters ids in place, keeping those not in the mask.
-func compactUntried(ids []int, tried uint64) []int {
-	kept := ids[:0]
-	for _, id := range ids {
-		if bitOf(id)&tried == 0 {
-			kept = append(kept, id)
-		}
-	}
-	return kept
 }
 
 // SetNodeURL fills in a peer URL learned after startup.
@@ -763,7 +701,7 @@ func (m *Master) tickLoop(every time.Duration) {
 			return
 		case <-t.C:
 			m.placeMu.Lock()
-			m.refreshWorkView()
+			m.refreshWorkView(nil)
 			m.policy.Tick(time.Since(m.origin).Seconds(), &m.workView)
 			m.placeMu.Unlock()
 		}
@@ -859,32 +797,25 @@ func (m *Master) serveReq(p reqParams, start time.Time, timeoutMs int64) (status
 	if p.class == trace.Static {
 		m.runWork(p.demand, p.w, false)
 		m.quality.Local.Add(1)
-	} else if ra, shed := m.shouldShed(); shed {
-		// The local shard is saturated. A sharded master first tries to
-		// spill to the best remote shard it knows a fresh summary for;
-		// only when no remote candidate exists (or the spill exhausts its
-		// budget the same way local dispatch would) does the request reach
-		// the shed/exhausted outcome — so sharding never converts a
-		// servable request into a 503.
-		st, attempted := m.spillRemote(p, reqID, deadline)
-		if !attempted {
+	} else {
+		// A saturated local shard sheds. A sharded master first spills the
+		// request to the best remote node it knows a fresh summary for, so
+		// sharding never turns a servable request into a 503.
+		ra, shed := m.shouldShed()
+		switch m.runDynamic(p, reqID, deadline, shed) {
+		case http.StatusServiceUnavailable:
 			m.shedCount.Add(1)
 			ra = m.shedRetryAfter(ra)
 			m.emit(obs.KindShed, reqID, m.ID, float64(ra))
 			return http.StatusServiceUnavailable, ra
-		}
-		if st != 0 {
+		case http.StatusBadGateway:
 			m.exhausted.Add(1)
-			m.emit(obs.KindExhausted, reqID, m.ID, float64(retryBudget))
-			return st, 0
+			m.emit(obs.KindExhausted, reqID, m.ID, float64(core.RetryBudget))
+			return http.StatusBadGateway, 0
 		}
-	} else {
-		if st := m.runDynamic(p, reqID, deadline); st != 0 {
-			m.exhausted.Add(1)
-			m.emit(obs.KindExhausted, reqID, m.ID, float64(retryBudget))
-			return st, 0
+		if !shed {
+			m.quality.Local.Add(1)
 		}
-		m.quality.Local.Add(1)
 	}
 	// Feed the reservation estimators with the server-side response
 	// time, normalized back to unscaled seconds.
@@ -935,114 +866,109 @@ func (m *Master) shouldShed() (retryAfter int, shed bool) {
 	return 0, false
 }
 
-// Dispatch error taxonomy. errDeadline means the request's global
-// deadline is the problem, not the node — retrying cannot help.
-var (
-	errCircuitOpen = errors.New("dispatch: circuit open")
-	errDeadline    = errors.New("dispatch: request deadline exceeded")
-)
-
-// remoteStatusError is a non-200 exec status: the node answered and
-// refused, so the work did not run — always safe to retry.
-type remoteStatusError int
-
-func (e remoteStatusError) Error() string {
-	return "remote exec: status " + strconv.Itoa(int(e))
-}
-
-// mayHaveExecuted reports whether a failed dispatch could have run the
-// work remotely anyway — the conservative classification behind the
-// "never retry non-idempotent work that may have started" rule. Only
-// failures provably raised before the 'E' frame was written (open
-// circuit, notSentError) or refused with a status are known-safe.
-func mayHaveExecuted(err error) bool {
-	if errors.Is(err, errCircuitOpen) {
-		return false
-	}
-	var st remoteStatusError
-	if errors.As(err, &st) {
-		return false
-	}
-	var ns notSentError
-	return !errors.As(err, &ns)
-}
-
-// runDynamic places and executes one dynamic request under its deadline
-// and retry budget, failing over at once to a node not yet tried (and
-// ultimately to local execution) when a remote exec errs — the restart-
-// on-another-node behavior the paper requires of masters when a slave
-// fails, bounded instead of unconditional. Returns 0 on success or the
-// HTTP status for a terminal failure.
-func (m *Master) runDynamic(p reqParams, reqID int64, deadline time.Time) int {
-	var tried uint64
-	for attempt := 0; attempt < retryBudget; attempt++ {
-		if attempt > 0 {
+// runDynamic runs one dynamic request's attempts under core.Attempts:
+// the restart-on-another-node behaviour the paper requires of masters
+// when a slave fails, bounded by the retry budget, the deadline and the
+// request's idempotence. Only two things depend on spill. A request of
+// the own shard (spill false) places within the working view, and once
+// the budget is spent runs here while the deadline stands. A request
+// the own shard shed (spill true) places among the remote shards'
+// summaries, and is shed when no candidate is left or the budget is
+// spent. Returns 0 (served), 502 (exhausted) or 503 (shed).
+func (m *Master) runDynamic(p reqParams, reqID int64, deadline time.Time, spill bool) int {
+	a := core.NewAttempts(p.idem, deadline.UnixNano())
+	step := a.Next(time.Now().UnixNano())
+	for {
+		switch step {
+		case core.StepDone:
+			return 0
+		case core.StepFail:
+			return http.StatusBadGateway
+		case core.StepSpent:
+			if spill {
+				return http.StatusServiceUnavailable
+			}
+			if !time.Now().Before(deadline) {
+				return http.StatusBadGateway
+			}
+			m.runWork(p.demand, p.w, true)
+			return 0
+		}
+		var target int
+		if spill {
+			target = m.pickSpill(p, a.Tried())
+		} else {
+			target = m.placeLocal(p, a.Tried())
+		}
+		if target < 0 {
+			return http.StatusServiceUnavailable
+		}
+		if len(a.Tried()) > 0 {
 			m.retryCount.Add(1)
 		}
-		if !time.Now().Before(deadline) {
-			return http.StatusBadGateway
-		}
-		m.placeMu.Lock()
-		m.refreshWorkView()
-		m.dropTried(tried)
-		target := m.policy.Place(core.Request{Class: trace.Dynamic, Script: p.script}, m.ID, &m.workView)
-		m.placeMu.Unlock()
 		if target == m.ID {
 			m.runWork(p.demand, p.w, true)
 			return 0
 		}
-		err := m.dispatch(target, p, deadline)
-		if err == nil {
-			return 0
+		out := m.dispatch(target, p, deadline)
+		step = a.Report(target, out, time.Now().UnixNano())
+		if out == core.Served {
+			if spill {
+				m.quality.Spilled.Add(1)
+			}
+			continue
 		}
 		m.failovers.Add(1)
-		tried |= bitOf(target)
-		m.emit(obs.KindRetry, reqID, target, float64(attempt+1))
-		if errors.Is(err, errDeadline) {
-			return http.StatusBadGateway
+		if spill {
+			m.quality.SpillFailed.Add(1)
 		}
-		if !p.idem && mayHaveExecuted(err) {
-			// The remote may have performed the side-effecting work;
-			// running it again is worse than failing loudly.
-			return http.StatusBadGateway
-		}
+		m.emit(obs.KindRetry, reqID, target, float64(len(a.Tried())))
 	}
-	// Budget exhausted: last-resort local execution, as before the retry
-	// budget existed — but only while the deadline still stands.
-	if time.Now().Before(deadline) {
-		m.runWork(p.demand, p.w, true)
-		return 0
-	}
-	return http.StatusBadGateway
 }
 
-// dispatch runs one placement attempt under circuit-breaker
-// accounting: the breaker must admit the dispatch, and its outcome feeds
-// the breaker's failure detection.
-func (m *Master) dispatch(target int, p reqParams, deadline time.Time) error {
-	if !time.Now().Before(deadline) {
-		return errDeadline
+// placeLocal places a dynamic within the working view, minus the nodes
+// already tried; m.ID means "run it here".
+func (m *Master) placeLocal(p reqParams, tried []int) int {
+	m.placeMu.Lock()
+	defer m.placeMu.Unlock()
+	m.refreshWorkView(tried)
+	return m.policy.Place(core.Request{Class: trace.Dynamic, Script: p.script}, m.ID, &m.workView)
+}
+
+// dispatch runs one placement attempt under circuit-breaker accounting:
+// the breaker must admit the dispatch (an open circuit is NotSent), and
+// its outcome feeds the breaker's failure detection.
+func (m *Master) dispatch(target int, p reqParams, deadline time.Time) core.Outcome {
+	now := time.Now()
+	if !now.Before(deadline) {
+		return core.Expired
 	}
-	if !m.brk.Acquire(target, time.Now().UnixNano()) {
-		return errCircuitOpen
+	if !m.brk.Acquire(target, now.UnixNano()) {
+		return core.NotSent
 	}
-	err := m.forward(target, p, deadline)
-	m.brk.Release(target, err == nil, time.Now().UnixNano())
-	return err
+	out := m.forward(target, p, deadline)
+	m.brk.Release(target, out == core.Served, time.Now().UnixNano())
+	return out
 }
 
 // forward executes the CGI remotely — the paper's low-overhead remote
 // execution path: one 'E' frame on a pooled connection to the target,
 // carrying the request deadline so the slave can refuse work that
-// expired in its queue.
-func (m *Master) forward(target int, p reqParams, deadline time.Time) error {
+// expired in its queue (a 504, which ends the request).
+func (m *Master) forward(target int, p reqParams, deadline time.Time) core.Outcome {
 	reqs := [1]frameExec{{demand: p.demand, w: p.w, deadlineNs: deadline.UnixNano(), fork: true}}
 	var sts [1]int
-	got, err := m.frames.exchange(target, reqs[:], sts[:0], deadline)
-	if err != nil {
-		return err
+	got, out := m.frames.exchange(target, reqs[:], sts[:0], deadline)
+	switch {
+	case out != core.Served:
+		return out
+	case got[0] == http.StatusOK:
+		return core.Served
+	case got[0] == http.StatusGatewayTimeout:
+		return core.Expired
+	default:
+		return core.Refused
 	}
-	return statusToErr(got[0])
 }
 
 // Shutdown stops the master's loops and server, then releases any

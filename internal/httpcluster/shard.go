@@ -2,15 +2,14 @@ package httpcluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"msweb/internal/core"
-	"msweb/internal/obs"
 	"msweb/internal/trace"
 )
 
@@ -30,8 +29,8 @@ import (
 // view exactly as an unsharded master would. Only when shouldShed sheds
 // locally does the master spill — synthesize a view from the freshest
 // remote summaries' digests and let the same routing stage pick a
-// concrete node, dispatched over the existing transport with the
-// existing breaker/retry taxonomy.
+// concrete node, dispatched by the same attempt loop (runDynamic) as a
+// local placement: same transport, breakers and core.Attempts rule.
 
 // shardTopK is how many least-loaded node digests the own-shard summary
 // carries — enough spill candidates for routing to rank, small enough
@@ -234,58 +233,18 @@ func (m *Master) fetchShard(ctx context.Context, base string, dst *core.ShardSum
 	return core.ParseShardSummary(b, dst)
 }
 
-// spillRemote tries to serve a dynamic request on a remote shard after
-// the local shard shed it. Returns attempted=false when no remote
-// candidate exists (the caller sheds, exactly as unsharded would);
-// otherwise status 0 on success or 502 when the spill exhausted its
-// budget / deadline — the same terminal taxonomy as local dispatch,
-// because every attempt goes through the same m.dispatch path
-// (breakers and deadline propagation).
-func (m *Master) spillRemote(p reqParams, reqID int64, deadline time.Time) (status int, attempted bool) {
-	if !m.sharded {
-		return 0, false
-	}
-	pl, ok := m.policy.(*core.Pipeline)
-	if !ok {
-		return 0, false
-	}
-	var tried uint64
-	for attempt := 0; attempt < retryBudget; attempt++ {
-		if !time.Now().Before(deadline) {
-			break
-		}
-		target := m.pickSpill(pl, p, tried)
-		if target < 0 {
-			break
-		}
-		err := m.dispatch(target, p, deadline)
-		if err == nil {
-			m.quality.Spilled.Add(1)
-			return 0, true
-		}
-		m.failovers.Add(1)
-		m.quality.SpillFailed.Add(1)
-		tried |= bitOf(target)
-		m.emit(obs.KindRetry, reqID, target, float64(attempt+1))
-		if errors.Is(err, errDeadline) {
-			return http.StatusBadGateway, true
-		}
-		if !p.idem && mayHaveExecuted(err) {
-			return http.StatusBadGateway, true
-		}
-	}
-	// Exhausted without a terminal error (e.g. remote breakers raced
-	// open, every candidate refused with a status): the caller sheds,
-	// exactly as local dispatch does when every slave is circuit-open.
-	return 0, false
-}
-
 // pickSpill synthesizes a view from the freshest remote summaries'
-// digests and routes within it. Candidates are filtered the same way
-// the local working view is (breaker state, known URL, not yet tried);
-// the view is O(digests) = O(shards·k), never O(cluster). Returns -1
-// when nothing remains.
-func (m *Master) pickSpill(pl *core.Pipeline, p reqParams, tried uint64) int {
+// digests and routes within it — the spill's candidate source in
+// runDynamic. Candidates are filtered the same way the local working
+// view is (breaker state, known URL, not in tried); the view is
+// O(digests) = O(shards·k), never O(cluster). Returns -1 when nothing
+// remains, and always on an unsharded master or one whose policy is no
+// core.Pipeline.
+func (m *Master) pickSpill(p reqParams, tried []int) int {
+	pl, ok := m.policy.(*core.Pipeline)
+	if !m.sharded || !ok {
+		return -1
+	}
 	now := time.Now().UnixNano()
 	maxAge := int64(m.summaryTTL)
 	ms := m.mem.Load()
@@ -313,7 +272,7 @@ func (m *Master) pickSpill(pl *core.Pipeline, p reqParams, tried uint64) int {
 		}
 		for _, d := range slot.sum.Top {
 			id := d.Node
-			if id < 0 || id >= len(m.urls) || bitOf(id)&tried != 0 {
+			if id < 0 || id >= len(m.urls) || slices.Contains(tried, id) {
 				continue
 			}
 			if ms.sm != nil && ms.sm.ShardOf(id) < 0 {

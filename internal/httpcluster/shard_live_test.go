@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"msweb/internal/core"
+	"msweb/internal/trace"
 )
 
 // A piggybacked report that arrives mid-poll-round — older than the
@@ -44,7 +45,7 @@ func TestPiggybackSurvivesEpochMove(t *testing.T) {
 	publish(receipt - 1)
 
 	m.placeMu.Lock()
-	m.refreshWorkView()
+	m.refreshWorkView(nil)
 	got := m.workView.Load[1]
 	m.placeMu.Unlock()
 	if got != piggyLoad {
@@ -55,7 +56,7 @@ func TestPiggybackSurvivesEpochMove(t *testing.T) {
 	// than the stored report, the epoch move keeps the polled column.
 	publish(receipt + 1)
 	m.placeMu.Lock()
-	m.refreshWorkView()
+	m.refreshWorkView(nil)
 	got = m.workView.Load[1]
 	m.placeMu.Unlock()
 	if got != polled {
@@ -166,7 +167,7 @@ func TestSpillBreakerTaxonomyOverFrames(t *testing.T) {
 	}
 	// The failed spill attempt was a real dispatch: it tripped node 3's
 	// breaker and was counted, so the *next* shed skipped the remote
-	// (attempted=false → 503), exactly like all-breakers-open locally.
+	// (no candidate left → 503), exactly like all-breakers-open locally.
 	if m.quality.SpillFailed.Load() == 0 {
 		t.Fatal("spill failure not counted")
 	}
@@ -196,6 +197,87 @@ func TestSpillBreakerTaxonomyOverFrames(t *testing.T) {
 	}
 	if !sawShed {
 		t.Fatal("HTTP path never shed under the same saturation")
+	}
+}
+
+// denyAll is an admission stage that never admits a dynamic at a
+// master, so a master whose own-shard breakers are all open sheds — and
+// spills — every dynamic.
+type denyAll struct{}
+
+func (denyAll) Name() string                                    { return "deny" }
+func (denyAll) ObserveArrival(trace.Class)                      {}
+func (denyAll) AdmitAtMaster() bool                             { return false }
+func (denyAll) CountPlacement(bool)                             {}
+func (denyAll) ObserveCompletion(trace.Class, float64, float64) {}
+func (denyAll) Tick(int, int)                                   {}
+
+// firstCandidate routes to the first candidate, so a spill tries the
+// remote digests in the order their summary lists them.
+type firstCandidate struct{}
+
+func (firstCandidate) Name() string { return "first" }
+func (firstCandidate) Route(_ core.Request, _ float64, cands []int, _ *core.View) (int, float64) {
+	return cands[0], 0
+}
+
+// A spill whose first remote candidate refuses retries on the next one,
+// and counts that second attempt in Retries() as a local failover does:
+// the benchmark's "nothing executed twice" check trusts Retries() to be
+// 0 only when no request was dispatched twice.
+func TestSpillRetryCounted(t *testing.T) {
+	refuses := newFakeFrameSlave(t, frameReply{status: http.StatusInternalServerError})
+	good := newFakeFrameSlave(t, frameReply{status: http.StatusOK})
+	slaves := []int{2, 3, 4, 5, 6, 7, 8, 9}
+	m, err := LaunchMaster(NodeOptions{
+		ID:          0,
+		TimeScale:   1e-6,
+		Masters:     []int{0, 1},
+		Slaves:      slaves,
+		NodeURLs:    make([]string, 10),
+		Policy:      core.NewPipeline(core.PipelineConfig{Admission: denyAll{}, Routing: firstCandidate{}}),
+		LoadRefresh: time.Hour,
+		PolicyTick:  time.Hour,
+		Shards:      2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Shutdown)
+	ms := m.mem.Load()
+	var remote []int
+	for _, id := range slaves {
+		if ms.sm.ShardOf(id) == 1 {
+			remote = append(remote, id)
+		}
+	}
+	if len(ms.slaves) == 0 || len(remote) < 2 {
+		t.Fatalf("shards hold %v and %v, want both non-empty and two remote slaves", ms.slaves, remote)
+	}
+	now := time.Now().UnixNano()
+	for _, id := range ms.slaves {
+		m.brk.open(&m.brk.slots[id], now)
+	}
+	m.SetNodeURL(remote[0], refuses.URL)
+	m.SetNodeURL(remote[1], good.URL)
+	idle := core.Load{CPUIdle: 1, DiskAvail: 1, Speed: 1}
+	m.storeShardSummary(&core.ShardSummary{
+		Shard: 1, AtNs: now, Nodes: 2, CPUIdle: 1, DiskAvail: 1, Idle: 2,
+		Top: []core.ShardDigest{{Node: remote[0], Load: idle}, {Node: remote[1], Load: idle}},
+	})
+
+	resp, _ := getStatus(t, m.URL+"/req?class=d&demand=0&w=0.5", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200 from the second remote candidate", resp.StatusCode)
+	}
+	if refuses.hits.Load() != 1 || good.hits.Load() != 1 {
+		t.Fatalf("frames read %d/%d, want one each", refuses.hits.Load(), good.hits.Load())
+	}
+	if m.Retries() != 1 || m.Failovers() != 1 {
+		t.Fatalf("retries=%d failovers=%d, want 1/1", m.Retries(), m.Failovers())
+	}
+	if m.quality.Spilled.Load() != 1 || m.quality.SpillFailed.Load() != 1 {
+		t.Fatalf("spilled=%d spill_failures=%d, want 1/1", m.quality.Spilled.Load(), m.quality.SpillFailed.Load())
 	}
 }
 
