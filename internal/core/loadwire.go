@@ -110,18 +110,3 @@ func (l Load) Validate() error {
 	}
 	return nil
 }
-
-// ApplyReport merges a freshly reported load into the view's slot for
-// node id, preserving the previously known Speed when the report omits
-// it (Speed <= 0). This is the single merge rule for every report
-// source — the master's /load poller and the load trailer of every
-// frame reply — so the two paths cannot drift.
-func (v *View) ApplyReport(id int, l Load) {
-	if id < 0 || id >= len(v.Load) {
-		return
-	}
-	if l.Speed <= 0 {
-		l.Speed = v.Load[id].Speed
-	}
-	v.Load[id] = l
-}

@@ -107,7 +107,7 @@ func TestReqFrameCodecRoundTrip(t *testing.T) {
 
 // A dynamic request over binary framing is executed by the slave's
 // frame loop, and the response's piggybacked load lands in the
-// master's freshness stamps.
+// master's report table.
 func TestFrameTransportEndToEnd(t *testing.T) {
 	n, err := LaunchNode(NodeOptions{ID: 1, TimeScale: 1e-6})
 	if err != nil {
@@ -131,8 +131,8 @@ func TestFrameTransportEndToEnd(t *testing.T) {
 	if m.piggyTotal.Load() == 0 {
 		t.Fatal("no piggybacked load report arrived over the frame transport")
 	}
-	if m.fresh.Stamp(1) == 0 {
-		t.Fatal("freshness stamp for the slave never touched")
+	if _, at := m.report(1); at == 0 {
+		t.Fatal("report stamp for the slave never touched")
 	}
 }
 

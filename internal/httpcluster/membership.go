@@ -47,9 +47,9 @@ type memState struct {
 	mb    core.Membership // normalized; mb.Epoch versions this state
 	sm    *core.ShardMap  // derived partition (nil only on unsharded masters)
 	shard int             // own shard index; -1 when this node is not a master of mb
-	// pollSet is the node set this master samples each poll round;
-	// masters/slaves are the scheduling-view tier lists every snapshot
-	// publishes.
+	// pollSet is the node set this master samples each poll round and
+	// the placement overlay walks; masters/slaves are the
+	// scheduling-view tier lists.
 	pollSet []int
 	masters []int
 	slaves  []int
@@ -123,8 +123,8 @@ func (m *Master) AnnounceMembership(mb core.Membership) error {
 
 // change feeds one input to the Tier under memMu. When the Tier adopts
 // a new generation, the shard map, poll set and view tier lists swap
-// atomically, a fresh snapshot publishes the new topology without
-// waiting for the next poll round, and the handoff window opens. With
+// atomically — the next placement sees the new topology without
+// waiting for a poll round — and the handoff window opens. With
 // announce (the initiator half of the protocol) the new line then goes
 // to every master of both the old and the new tier; receivers do not
 // re-broadcast, the gossip pull is the convergence backstop.
@@ -144,20 +144,11 @@ func (m *Master) change(announce bool, input func(*core.Tier) (bool, error)) (bo
 	m.memberApplies.Add(1)
 	m.rebalanceUntil.Store(time.Now().Add(rebalanceWindow * m.gossipEvery).UnixNano())
 
-	// Publish the new tier lists immediately: load columns and per-node
-	// stamps carry over, only the roles change.
-	prev := m.snap.Load()
-	m.snap.Store(&loadSnapshot{
-		epoch:  prev.epoch + 1,
-		at:     time.Now().UnixNano(),
-		atNode: append([]int64(nil), prev.atNode...),
-		view: core.View{
-			Masters: ms.masters,
-			Slaves:  ms.slaves,
-			Load:    append([]core.Load(nil), prev.view.Load...),
-		},
-	})
-	m.rebuildShardStamp(ms, m.snap.Load())
+	// The overlay walks the poll set only when the report table's
+	// version moved; bump it so the next placement applies the reports
+	// of nodes the new poll set brought in.
+	m.reportVer.Add(1)
+	m.rebuildShardStamp(ms)
 	m.memMu.Unlock()
 	if announce {
 		wire := ms.mb.AppendWire(make([]byte, 0, 128))

@@ -104,9 +104,12 @@ func TestApplyMembershipRebalanceAndDemotion(t *testing.T) {
 	if ms.shard != 0 || len(ms.slaves) != 2 {
 		t.Fatalf("memState shard=%d slaves=%v, want shard 0 owning both slaves", ms.shard, ms.slaves)
 	}
-	snap := m.snap.Load()
-	if len(snap.view.Slaves) != 2 {
-		t.Fatalf("snapshot slaves %v published on apply, want both", snap.view.Slaves)
+	m.placeMu.Lock()
+	m.refreshWorkView(nil)
+	slaves := m.workView.Slaves
+	m.placeMu.Unlock()
+	if len(slaves) != 2 {
+		t.Fatalf("working view slaves %v on apply, want both", slaves)
 	}
 	if until := m.rebalanceUntil.Load(); until <= time.Now().Add(-time.Second).UnixNano() {
 		t.Fatalf("rebalance window not opened (until=%d)", until)
@@ -150,7 +153,7 @@ func TestApplyMembershipRebalanceAndDemotion(t *testing.T) {
 // Membership inputs from several goroutines at once serialize on the
 // Tier's lock while readers load generations without it: the master
 // ends on the highest epoch, a reader never sees the epoch fall, and
-// the last generation's memState and snapshot agree.
+// the last generation's memState and working view agree.
 func TestMembershipInputsConcurrent(t *testing.T) {
 	m := launchShardedTestMaster(t, core.NewMS(nil, 1),
 		"http://192.0.2.1:1", "http://192.0.2.1:2")
@@ -194,8 +197,12 @@ func TestMembershipInputsConcurrent(t *testing.T) {
 	if ms.mb.Epoch != epochs || len(ms.slaves) != 3 {
 		t.Fatalf("final generation epoch %d owning %v, want epoch %d owning slaves 1, 3, 4", ms.mb.Epoch, ms.slaves, epochs)
 	}
-	if v := m.snap.Load().view; len(v.Slaves) != 3 {
-		t.Fatalf("final snapshot slaves %v, want the final generation's", v.Slaves)
+	m.placeMu.Lock()
+	m.refreshWorkView(nil)
+	slaves := m.workView.Slaves
+	m.placeMu.Unlock()
+	if len(slaves) != 3 {
+		t.Fatalf("final working view slaves %v, want the final generation's", slaves)
 	}
 }
 

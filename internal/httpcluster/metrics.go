@@ -18,9 +18,10 @@ import (
 // exactly what the placement decisions are being made from.
 //
 // Reads never disturb the scheduler: busy fractions come from
-// Resource.BusyFraction (no rstat-window reset) and the view is read
-// from the master's immutable snapshot — a scrape takes no lock the
-// request path contends on (only the narrow histogram/policy shard).
+// Resource.BusyFraction (no rstat-window reset) and the loads are read
+// from the master's report table — a scrape takes no lock the request
+// path holds for long (only per-node report slots and the narrow
+// histogram/policy shard).
 
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -74,7 +75,6 @@ func (m *Master) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	m.Node.writeMetrics(rw)
 
 	label := `node="` + strconv.Itoa(m.ID) + `"`
-	loads := m.snap.Load().view.Load // immutable snapshot; no copy needed
 	failovers := m.failovers.Load()
 	m.placeMu.Lock()
 	hist := *m.respHist
@@ -102,7 +102,8 @@ func (m *Master) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 		p.Value("msweb_scheduler_service_ratio", label, r)
 	}
 	p.Header("msweb_scheduler_rsrc", "RSRC cost of each node in this master's latest load view (w=0.5).", "gauge")
-	for id, l := range loads {
+	for id := range m.reports {
+		l, _ := m.report(id)
 		p.Value("msweb_scheduler_rsrc", `node="`+strconv.Itoa(id)+`"`, core.RSRC(core.DefaultW, l.CPUIdle, l.DiskAvail))
 	}
 	p.Header("msweb_master_failovers_total", "Dynamic requests re-placed after a remote execution failure.", "counter")
@@ -126,11 +127,11 @@ func (m *Master) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	p.Header("msweb_master_retries_total", "Placement attempts beyond each request's first.", "counter")
 	p.Value("msweb_master_retries_total", label, float64(m.retryCount.Load()))
 	p.Header("msweb_master_breaker_state", "Per-node circuit state seen by this master (0 closed, 1 half-open, 2 open).", "gauge")
-	for id := range loads {
+	for id := range m.reports {
 		p.Value("msweb_master_breaker_state", `node="`+strconv.Itoa(id)+`"`, float64(m.brk.State(id)))
 	}
 	p.Header("msweb_master_breaker_opens_total", "Per-node circuit open transitions at this master.", "counter")
-	for id := range loads {
+	for id := range m.reports {
 		p.Value("msweb_master_breaker_opens_total", `node="`+strconv.Itoa(id)+`"`, float64(m.brk.Opens(id)))
 	}
 	p.Header("msweb_master_piggyback_total", "Piggybacked load reports received on responses (all transports).", "counter")
@@ -141,8 +142,8 @@ func (m *Master) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	p.Value("msweb_master_frame_dials_total", label, float64(m.frameDials.Load()))
 	p.Header("msweb_master_view_staleness_seconds", "Age of this master's freshest load information per node (-1 = never updated).", "gauge")
 	nowNs := time.Now().UnixNano()
-	for id := range loads {
-		p.Value("msweb_master_view_staleness_seconds", `node="`+strconv.Itoa(id)+`"`, m.fresh.AgeSeconds(id, nowNs))
+	for id := range m.reports {
+		p.Value("msweb_master_view_staleness_seconds", `node="`+strconv.Itoa(id)+`"`, m.reportAge(id, nowNs))
 	}
 	p.Histogram("msweb_master_response_seconds", "Client-visible /req response time at this master (unscaled seconds).", label, &hist)
 
@@ -161,7 +162,7 @@ func (m *Master) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 			if s == ms.shard {
 				continue
 			}
-			p.Value("msweb_master_shard_summary_age_seconds", `shard="`+strconv.Itoa(s)+`"`, m.shardFresh.AgeSeconds(s, nowNs))
+			p.Value("msweb_master_shard_summary_age_seconds", `shard="`+strconv.Itoa(s)+`"`, m.summaryAge(s, nowNs))
 		}
 		p.Header("msweb_master_epoch", "Shard-map epoch this master currently operates under.", "gauge")
 		p.Value("msweb_master_epoch", label, float64(ms.sm.Epoch()))

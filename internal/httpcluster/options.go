@@ -214,10 +214,10 @@ func newMaster(o NodeOptions) (*Master, error) {
 	m := &Master{
 		Node:   n,
 		policy: o.Policy,
-		// The control plane's client: load polls, gossip pulls and
-		// membership announces. No global timeout — each call carries its
-		// own context deadline — and net/http's default pool sizes: these
-		// calls are a few per peer per period.
+		// The control plane's client: /load polls, /shard gossip pulls,
+		// and membership probes and announces. No global timeout — each
+		// call carries its own context deadline — and net/http's default
+		// pool sizes: these calls are a few per peer per period.
 		client:   &http.Client{Transport: &http.Transport{}},
 		stop:     make(chan struct{}),
 		self:     [1]int{o.ID},
@@ -226,10 +226,9 @@ func newMaster(o NodeOptions) (*Master, error) {
 		brk:      newBreakerSet(len(o.NodeURLs), breakerPolls*o.LoadRefresh),
 		respHist: obs.NewHistogram(),
 		// Piggybacked load reports are always on (nodes that never answer
-		// a frame simply never fill their slot).
-		piggy:          make([]piggySlot, len(o.NodeURLs)),
-		piggyAppliedAt: make([]int64, len(o.NodeURLs)),
-		fresh:          obs.NewFreshness(len(o.NodeURLs)),
+		// a frame simply never reach the table that way).
+		reports:   make([]reportSlot, len(o.NodeURLs)),
+		appliedAt: make([]int64, len(o.NodeURLs)),
 	}
 	m.frames = newFrameDialer(m, len(o.NodeURLs))
 	for id, u := range o.NodeURLs {
@@ -241,8 +240,8 @@ func newMaster(o NodeOptions) (*Master, error) {
 
 	// The scheduling view: the whole cluster when unsharded, this
 	// master's own shard (itself plus its shard's slaves) when sharded —
-	// the tier lists are shared by every snapshot generation, so they
-	// bound the placement, breaker-filter and shed scans to O(shard).
+	// the memState's tier lists and poll set bound the placement,
+	// overlay, breaker-filter and shed scans to O(shard).
 	// Both shapes live in a memState: the unsharded one is immutable,
 	// the sharded one is the epoch-0 generation of the membership the
 	// tier gossips and rebalances from (see membership.go).
@@ -265,7 +264,7 @@ func newMaster(o NodeOptions) (*Master, error) {
 		// Per-shard state is sized to the cluster, not the initial shard
 		// count: promotions can grow the tier up to one shard per node.
 		m.shardSums = make([]shardSumSlot, len(o.NodeURLs))
-		m.shardFresh = obs.NewFreshness(len(o.NodeURLs))
+		m.ownLoads = make([]core.Load, len(o.NodeURLs))
 		m.asEvery = o.AutoscaleMasters
 	} else {
 		viewMasters := append([]int(nil), o.Masters...)
@@ -275,32 +274,23 @@ func newMaster(o NodeOptions) (*Master, error) {
 	}
 	m.mem.Store(ms)
 
-	initial := core.View{
-		Masters: ms.masters,
-		Slaves:  ms.slaves,
-		Load:    make([]core.Load, len(o.NodeURLs)),
-	}
-	for i := range initial.Load {
-		initial.Load[i] = core.Load{CPUIdle: 1, DiskAvail: 1, Speed: 1}
+	// Every node starts idle in the report table (stamp 0: never heard
+	// from) and in the working view.
+	m.workView.Load = make([]core.Load, len(o.NodeURLs))
+	for i := range m.reports {
+		m.reports[i].load = core.Load{CPUIdle: 1, DiskAvail: 1, Speed: 1}
+		m.workView.Load[i] = m.reports[i].load
 	}
 	// Prime the policy once so adaptive state (θ₂ in particular) reflects
 	// the configured topology before the first ticker fires — and so a
 	// /metrics scrape of a fresh master reports the topology-derived cap
 	// rather than a placeholder. Sharded masters prime against their own
 	// shard: the reservation becomes a per-shard control loop.
-	m.policy.Tick(0, &initial)
-	// Publish generation 1; the zero workEpoch forces the first placement
-	// to seed its working copy from this snapshot.
-	m.snap.Store(&loadSnapshot{
-		epoch:  1,
-		at:     time.Now().UnixNano(),
-		atNode: make([]int64, len(o.NodeURLs)),
-		view:   initial,
-	})
+	m.policy.Tick(0, &core.View{Masters: ms.masters, Slaves: ms.slaves, Load: m.workView.Load})
 	if m.sharded {
 		// Publish the first own-shard stamp immediately so /shard and the
 		// response piggyback are live before the first poll round.
-		m.rebuildShardStamp(ms, m.snap.Load())
+		m.rebuildShardStamp(ms)
 	}
 	m.serveClientFrames = m.runFrameReqs
 	m.serveClientReq = m.serveReq

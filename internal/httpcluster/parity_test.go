@@ -40,8 +40,8 @@ func copyView(v core.View) core.View {
 }
 
 // TestSimLivePolicyParity drives every registered policy preset through
-// the live master's actual placement path (snapshot → refreshWorkView →
-// Place under placeMu) and through a reference instance placing on an
+// the live master's actual placement path (report table →
+// refreshWorkView → Place under placeMu) and through a reference instance placing on an
 // identical plain view — the way the simulator consumes policies. The
 // decision streams must match exactly: both planes feed one pipeline
 // implementation, and this test is what keeps them from drifting.
@@ -63,7 +63,7 @@ func TestSimLivePolicyParity(t *testing.T) {
 					"http://127.0.0.1:1", "http://127.0.0.1:1",
 				},
 				// Pushed far out so no background poll or tick replaces the
-				// snapshot this test injects.
+				// reports this test injects.
 				LoadRefresh: time.Hour,
 				PolicyTick:  time.Hour,
 			})
@@ -84,7 +84,10 @@ func TestSimLivePolicyParity(t *testing.T) {
 			ref.Tick(0, &initial)
 
 			crafted := parityView()
-			m.snap.Store(&loadSnapshot{epoch: 2, at: time.Now().UnixNano(), view: crafted})
+			now := time.Now().UnixNano()
+			for id, l := range crafted.Load {
+				m.storeReport(id, l, now, true)
+			}
 			refView := copyView(crafted)
 
 			for i := 0; i < 200; i++ {

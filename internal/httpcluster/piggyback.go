@@ -7,22 +7,24 @@ import (
 	"msweb/internal/core"
 )
 
-// Piggybacked load reports. A poll-only master's view of a node is on
-// average half a poll interval stale; every dispatch round trip is a
-// fresher sample the master already paid for. Nodes therefore attach
-// their load report to every frame reply (the 'R' frame's load
-// trailer), and masters fold it into the scheduling view on receipt.
-// The /load poller stays as the slow-path fallback that covers idle
-// pairs (no replies → no piggybacks) and skips nodes whose piggybacked
-// report is younger than the poll interval.
+// Load reports. A poll-only master's view of a node is on average half
+// a poll interval stale; every dispatch round trip is a fresher sample
+// the master already paid for. Nodes therefore attach their load report
+// to every frame reply (the 'R' frame's load trailer). The /load poller
+// stays as the slow-path fallback that covers idle pairs (no replies →
+// no piggybacks) and skips nodes whose piggybacked report is younger
+// than the poll interval.
 //
 // Node side, the report is a cached stamp refreshed at most every
 // loadStampTTL: the hot path pays one atomic load — nothing per reply
 // is allocated or sampled, which keeps the 0 allocs/op pins and stops
-// piggybacking from hammering the rstat windows. Master side, reports
-// land in per-node slots guarded by tiny mutexes and are overlaid onto
-// the policy's working view only when the version counter moved — the
-// placement path's steady-state cost is one atomic load.
+// piggybacking from hammering the rstat windows. Master side, both
+// channels write one per-node report table (slots guarded by tiny
+// mutexes, one version counter over the table), the newest receipt
+// winning — the paper's periodically refreshed rstat() view of each
+// node. Placement folds a slot into the policy's working view only
+// when it is newer than the one last applied, so the placement path's
+// steady-state cost is one atomic load.
 
 // loadStampTTL bounds how stale a node's cached piggyback report may
 // be. Well under the default 100 ms poll period, so piggybacked views
@@ -59,67 +61,77 @@ func (n *Node) sampleLoad() core.Load {
 	}
 }
 
-// piggySlot is a master's mailbox for one node's piggybacked reports.
-type piggySlot struct {
-	mu   sync.Mutex
-	load core.Load
-	at   int64 // unixnano of receipt; 0 = never
+// reportSlot is a master's latest report from one node, by whichever
+// channel it came: a poll fetch or a frame reply's load trailer.
+type reportSlot struct {
+	mu     sync.Mutex
+	load   core.Load
+	at     int64 // unixnano of receipt (sample time for the own column); 0 = never
+	polled bool  // the report came from the poller, not a piggyback
 }
 
-// storePiggy records a piggybacked report from node id and bumps the
-// version so the next placement folds it in.
+// storeReport writes node id's report, received at at, into the report
+// table if it is newer than the one held: polls and piggybacks race, and
+// the newest receipt wins. A report without a Speed (Speed <= 0) keeps
+// the node's known one. A winning write bumps the table's version so
+// the next placement folds it in.
+func (m *Master) storeReport(id int, l core.Load, at int64, polled bool) {
+	s := &m.reports[id]
+	s.mu.Lock()
+	won := at > s.at
+	if won {
+		if l.Speed <= 0 {
+			l.Speed = s.load.Speed
+		}
+		s.load, s.at, s.polled = l, at, polled
+	}
+	s.mu.Unlock()
+	if won {
+		m.reportVer.Add(1)
+	}
+}
+
+// storePiggy records the report a frame reply from node id carried.
 func (m *Master) storePiggy(id int, l core.Load) {
-	if id < 0 || id >= len(m.piggy) {
+	if id < 0 || id >= len(m.reports) {
 		return
 	}
-	now := time.Now().UnixNano()
-	s := &m.piggy[id]
-	s.mu.Lock()
-	s.load = l
-	s.at = now
-	s.mu.Unlock()
-	m.fresh.Touch(id, now)
-	m.piggyVer.Add(1)
+	m.storeReport(id, l, time.Now().UnixNano(), false)
 	m.piggyTotal.Add(1)
 }
 
-// peekPiggy returns node id's latest piggybacked report and its
-// receipt time (0 when none ever arrived).
-func (m *Master) peekPiggy(id int) (core.Load, int64) {
-	s := &m.piggy[id]
+// report returns node id's latest report and its receipt stamp (0 when
+// none ever arrived).
+func (m *Master) report(id int) (core.Load, int64) {
+	s := &m.reports[id]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.load, s.at
 }
 
-// applyPiggy overlays piggybacked reports newer than what the working
-// view already reflects. Callers hold placeMu. epochMoved means the
-// working view was just re-seeded from snapshot s: each node's
-// applied-at floor resets to that node's own sample time (s.atNode),
-// NOT the snapshot publish time — a report that arrives mid-round is
-// older than the publish stamp yet fresher than the node's actual
-// sample, and flooring at publish time would silently drop it on every
-// epoch move (reordered-report race). Reports newer than the floor are
-// re-applied (the copy wiped them); older ones are not (the poll is
-// fresher). Steady state with no new reports is one atomic load.
-func (m *Master) applyPiggy(epochMoved bool, s *loadSnapshot) {
-	v := m.piggyVer.Load()
-	if !epochMoved && v == m.piggyApplied {
-		return
+// reportAge returns how long before now (unixnano) node id's report
+// arrived, in seconds, or -1 when none ever did.
+func (m *Master) reportAge(id int, now int64) float64 {
+	_, at := m.report(id)
+	return ageSeconds(at, now)
+}
+
+// ageSeconds returns how long before now receipt stamp at lies, in
+// seconds, or -1 for the never-received stamp 0. Reporting -1 rather
+// than the age since launch keeps a fresh master's metrics
+// deterministic.
+func ageSeconds(at, now int64) float64 {
+	if at == 0 {
+		return -1
 	}
-	m.piggyApplied = v
-	for id := range m.piggy {
-		if epochMoved {
-			floor := s.at
-			if id < len(s.atNode) {
-				floor = s.atNode[id]
-			}
-			m.piggyAppliedAt[id] = floor
-		}
-		l, at := m.peekPiggy(id)
-		if at > m.piggyAppliedAt[id] {
-			m.piggyAppliedAt[id] = at
-			m.workView.ApplyReport(id, l)
-		}
-	}
+	return float64(now-at) / 1e9
+}
+
+// piggyFresh reports whether node id's latest report is a piggyback
+// younger than period at now, which a poll round need not refetch.
+func (m *Master) piggyFresh(id int, now int64, period time.Duration) bool {
+	s := &m.reports[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.at > 0 && !s.polled && now-s.at < int64(period)
 }

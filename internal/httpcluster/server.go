@@ -296,35 +296,20 @@ func (n *Node) Shutdown() {
 	n.closeEdgeConns()
 }
 
-// loadSnapshot is one immutable generation of the master's scheduling
-// view. The poller builds a fresh snapshot per round and publishes it
-// with an atomic pointer swap; the request path only ever reads
-// published snapshots, so no lock covers the view.
-type loadSnapshot struct {
-	epoch uint64
-	at    int64 // unixnano publish time
-	// atNode stamps when each node's load column was actually sampled:
-	// fetch completion for polled nodes, piggyback receipt for nodes the
-	// poller skipped, carried forward for nodes the round never reached.
-	// The piggyback overlay compares against these — not the publish
-	// time — so a report that arrives mid-round (older than publish,
-	// newer than its node's sample) survives the epoch move.
-	atNode []int64
-	view   core.View
-}
-
 // Master is a level-I node: it serves client requests, executes statics
 // locally, and schedules dynamics through a core.Policy over the latest
-// polled load view.
+// load report of each node.
 //
-// Concurrency design: the polled view is an immutable snapshot behind an
-// atomic pointer, swapped by a fan-out poller (one goroutine per node
-// per round, sharing one deadline). Node health lives in per-slot
-// lock-free circuit breakers (see breakerSet); failover counts and peer
-// URLs are per-slot atomics. The only lock on the request path is
-// placeMu — a narrow shard covering the policy's own mutable state
-// (estimators, booking charges, tie-break RNG) and the response
-// histograms; nothing under it blocks or does I/O.
+// Concurrency design: reports land in one per-node table (see
+// piggyback.go), written by a fan-out poller (one goroutine per node
+// per round, sharing one deadline) and by every frame reply's load
+// trailer; tier lists come from the immutable memState. Node health
+// lives in per-slot lock-free circuit breakers (see breakerSet);
+// failover counts and peer URLs are per-slot atomics. The only lock on
+// the request path is placeMu — a narrow shard covering the policy's
+// own mutable state (estimators, working view with its booking charges,
+// tie-break RNG) and the response histograms; nothing under it blocks
+// or does I/O.
 //
 // Resilience has no knobs (see the constants in options.go): every /req
 // carries a deadline (the client's budget, capped at 120 s) that
@@ -343,8 +328,6 @@ type Master struct {
 	tracer   obs.Tracer
 	self     [1]int // masterless-view fallback: this master's own id
 
-	// snap is the current load view generation (never nil after launch).
-	snap atomic.Pointer[loadSnapshot]
 	// urls maps node id to its base URL; slots fill in as peers launch.
 	urls []atomic.Pointer[string]
 	// brk holds the per-node circuit breakers — sub-second failure
@@ -352,17 +335,12 @@ type Master struct {
 	// half-open rehabilitation probes.
 	brk *breakerSet
 
-	// Piggybacked-report state (see piggyback.go): per-node mailboxes, a
-	// version counter the placement path polls, and per-node freshness
-	// stamps behind the staleness gauge.
-	piggy      []piggySlot
-	piggyVer   atomic.Uint64
-	fresh      *obs.Freshness
+	// reports is the per-node load-report table (see piggyback.go), one
+	// slot per node id; reportVer counts the writes that won. Its stamps
+	// are what the staleness gauge reads.
+	reports    []reportSlot
+	reportVer  atomic.Uint64
 	piggyTotal atomic.Int64
-	// piggyApplied/piggyAppliedAt are the placement side's high-water
-	// marks, guarded by placeMu.
-	piggyApplied   uint64
-	piggyAppliedAt []int64
 
 	// Sharded control plane (see shard.go and membership.go). mem holds
 	// the current epoch-versioned memState — shard map, own shard, poll
@@ -381,15 +359,16 @@ type Master struct {
 	summaryTTL  time.Duration // spill candidates ignore older summaries
 	// shardSums holds the freshest summary per remote shard (slots sized
 	// to the cluster — the shard count can grow as masters are
-	// promoted); shardFresh stamps receipt times behind the per-shard
-	// staleness gauge. ownSum is the own-summary build scratch, guarded
-	// by ownMu (the poll loop and membership applies both rebuild it).
-	shardSums  []shardSumSlot
-	shardFresh *obs.Freshness
-	ownMu      sync.Mutex
-	ownSum     core.ShardSummary
-	quality    obs.PlacementQuality
-	gossipRx   atomic.Int64
+	// promoted); each slot's receipt time is the per-shard staleness
+	// gauge. ownSum and ownLoads are the own-summary build scratch,
+	// guarded by ownMu (the poll loop and membership applies both
+	// rebuild it).
+	shardSums []shardSumSlot
+	ownMu     sync.Mutex
+	ownSum    core.ShardSummary
+	ownLoads  []core.Load
+	quality   obs.PlacementQuality
+	gossipRx  atomic.Int64
 	// rebalanceUntil marks the end of the current shard-handoff window
 	// (unixnano; 0 = no epoch move yet). Sheds inside the window are
 	// counted in shedRebalance and hint Retry-After from the window's
@@ -426,13 +405,15 @@ type Master struct {
 	reqSeq     atomic.Int64
 
 	// placeMu is the policy shard lock; see the type comment. The working
-	// view under it carries the booking charges (placement impact)
-	// accumulated since the last snapshot swap, re-seeded from the
-	// snapshot whenever the epoch moves.
-	placeMu   sync.Mutex
-	workView  core.View
-	workEpoch uint64
-	aliveBuf  []int // masters+slaves filter scratch, reused per request
+	// view under it carries each node's latest applied report plus the
+	// booking charges (placement impact) accumulated since; appliedVer
+	// and appliedAt (per node) mark the table version and the receipt
+	// stamps it reflects.
+	placeMu    sync.Mutex
+	workView   core.View
+	appliedVer uint64
+	appliedAt  []int64
+	aliveBuf   []int // masters+slaves filter scratch, reused per request
 
 	// respHist aggregates client-visible /req response times (unscaled
 	// seconds). Guarded by placeMu.
@@ -486,32 +467,35 @@ func (m *Master) emit(kind obs.EventKind, req int64, node int, value float64) {
 	})
 }
 
-// refreshWorkView rebuilds the policy's working view from the current
-// snapshot: load columns are re-copied only when the snapshot epoch
-// moved (preserving intra-window booking charges, exactly as the
-// locked-view implementation did), and the tier lists are re-filtered
-// against the circuit breakers and the request's tried nodes
-// (core.Attempts.Tried) into a reused scratch buffer. Callers must hold
-// placeMu. Allocation-free in steady state.
+// refreshWorkView brings the policy's working view up to date. Each
+// poll-set node whose report in the table is newer than the one the
+// view last applied gets that report's column; writing a column drops
+// the booking charges placement made against the node since its
+// previous report, and nothing else does — the paper's
+// charge-until-refresh rule, per node. The tier lists come from the
+// memState, re-filtered against the circuit breakers and the request's
+// tried nodes (core.Attempts.Tried) into a reused scratch buffer.
+// Callers must hold placeMu. Allocation-free, and with no new report
+// the overlay costs one atomic load.
 func (m *Master) refreshWorkView(tried []int) {
-	s := m.snap.Load()
-	epochMoved := s.epoch != m.workEpoch
-	if epochMoved {
-		m.workEpoch = s.epoch
-		m.workView.Load = append(m.workView.Load[:0], s.view.Load...)
+	ms := m.mem.Load()
+	if v := m.reportVer.Load(); v != m.appliedVer {
+		m.appliedVer = v
+		for _, id := range ms.pollSet {
+			if l, at := m.report(id); at > m.appliedAt[id] {
+				m.appliedAt[id] = at
+				m.workView.Load[id] = l
+			}
+		}
 	}
-	// Overlay piggybacked reports fresher than what the view reflects,
-	// so placement sees every response's load sample, not just the last
-	// poll round's.
-	m.applyPiggy(epochMoved, s)
 	now := time.Now().UnixNano()
 	live := func(id int) bool {
 		// The master itself is always placeable (last-resort local run).
 		return id == m.ID || m.brk.Allow(id, now) && !slices.Contains(tried, id)
 	}
-	buf := core.FilterLive(m.aliveBuf[:0], s.view.Masters, live)
+	buf := core.FilterLive(m.aliveBuf[:0], ms.masters, live)
 	nMasters := len(buf)
-	buf = core.FilterLive(buf, s.view.Slaves, live)
+	buf = core.FilterLive(buf, ms.slaves, live)
 	m.aliveBuf = buf
 	m.workView.Masters = buf[:nMasters]
 	m.workView.Slaves = buf[nMasters:]
@@ -536,67 +520,57 @@ func (m *Master) nodeURL(id int) string {
 	return ""
 }
 
-// pollLoop refreshes the load view from the poll set's /load endpoints
-// — every node when unsharded, this master's own shard when sharded.
-// Each round fans out one fetch goroutine per polled node under a
-// shared deadline (the polling period), so one slow or dead node delays
-// the snapshot swap by at most the period instead of serializing behind
-// every other fetch.
+// pollLoop refreshes the report table from the poll set's /load
+// endpoints — every node when unsharded, this master's own shard when
+// sharded. Each round fans out one fetch goroutine per polled node
+// under a shared deadline (the polling period), so one slow or dead
+// node delays the round by at most the period instead of serializing
+// behind every other fetch.
 func (m *Master) pollLoop(every time.Duration) {
 	defer m.wg.Done()
 	t := time.NewTicker(every)
 	defer t.Stop()
-	reports := make([]core.Load, len(m.urls))
-	fetched := make([]bool, len(m.urls))
-	fetchedAt := make([]int64, len(m.urls))
 	for {
 		select {
 		case <-m.stop:
 			return
 		case <-t.C:
-			m.pollOnce(every, reports, fetched, fetchedAt)
+			m.pollOnce(every)
 		}
 	}
 }
 
-// pollOnce runs one fan-out poll round over m.pollSet and publishes the
-// next snapshot. Nodes whose piggybacked report is younger than the
+// pollOnce runs one fan-out poll round over the poll set, writing each
+// fetched report into the report table stamped with its fetch
+// completion. Nodes whose latest report is a piggyback younger than the
 // poll period are not polled again — the report stands in for the
 // fetch, saving the connection (the poller is the fallback,
-// piggybacking the fast path). fetchedAt records each sampled node's
-// actual sample time (piggyback receipt or fetch completion), which
-// becomes the snapshot's per-node atNode stamp. The master's own column
-// is read in process (currentLoad), never fetched over HTTP.
-func (m *Master) pollOnce(period time.Duration, reports []core.Load, fetched []bool, fetchedAt []int64) {
+// piggybacking the fast path). The master's own column is read in
+// process (currentLoad, stamped with its sample time), never fetched
+// over HTTP.
+func (m *Master) pollOnce(period time.Duration) {
 	// Floor the shared fetch deadline: with very fast polling periods a
 	// deadline equal to the period misclassifies every node as failed the
 	// moment the host is briefly loaded. Rounds longer than the period
 	// simply make the ticker skip beats.
 	deadline := max(period, pollDeadlineFloor)
-	prev := m.snap.Load()
-	ms := m.mem.Load()
 	now := time.Now().UnixNano()
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	var wg sync.WaitGroup
-	for _, id := range ms.pollSet {
-		fetched[id] = false
+	for _, id := range m.mem.Load().pollSet {
 		if id == m.ID {
 			own := m.currentLoad()
-			reports[id] = own.load
-			fetched[id] = true
-			fetchedAt[id] = own.at
-			m.fresh.Touch(id, own.at)
+			m.storeReport(id, own.load, own.at, true)
+			m.brk.PollSuccess(id)
 			continue
 		}
 		base := m.nodeURL(id)
 		if base == "" {
 			continue
 		}
-		if l, at := m.peekPiggy(id); at > 0 && now-at < int64(period) {
-			reports[id] = l
-			fetched[id] = true
-			fetchedAt[id] = at
+		if m.piggyFresh(id, now, period) {
+			m.brk.PollSuccess(id)
 			m.pollSkipped.Add(1)
 			continue
 		}
@@ -608,44 +582,16 @@ func (m *Master) pollOnce(period time.Duration, reports []core.Load, fetched []b
 				m.brk.PollFailure(id, time.Now().UnixNano())
 				return
 			}
-			sampled := time.Now().UnixNano()
-			reports[id] = rep
-			fetched[id] = true
-			fetchedAt[id] = sampled
-			m.fresh.Touch(id, sampled)
+			m.storeReport(id, rep, time.Now().UnixNano(), true)
+			m.brk.PollSuccess(id) // node answers again
 		}(id, base)
 	}
 	wg.Wait()
-
-	// Re-load the memState: a membership applied mid-round must not have
-	// its tier lists overwritten by a snapshot built from the old one.
-	ms = m.mem.Load()
-	next := &loadSnapshot{
-		epoch:  prev.epoch + 1,
-		at:     time.Now().UnixNano(),
-		atNode: make([]int64, len(reports)),
-		view: core.View{
-			// Role lists are immutable per memState generation and shared.
-			Masters: ms.masters,
-			Slaves:  ms.slaves,
-			Load:    append([]core.Load(nil), prev.view.Load...),
-		},
-	}
-	// Un-polled nodes carry their previous sample stamp forward.
-	copy(next.atNode, prev.atNode)
-	for id := range reports {
-		if !fetched[id] {
-			continue
-		}
-		next.view.ApplyReport(id, reports[id])
-		next.atNode[id] = fetchedAt[id]
-		m.brk.PollSuccess(id) // node answers again
-	}
-	m.snap.Store(next)
 	if m.sharded {
 		// Slow path (once per poll round): refresh the own-shard summary
-		// stamp that responses piggyback and /shard serves.
-		m.rebuildShardStamp(ms, next)
+		// stamp that responses piggyback and /shard serves, under the
+		// memState current now (a membership may have applied mid-round).
+		m.rebuildShardStamp(m.mem.Load())
 	}
 }
 
@@ -839,8 +785,8 @@ func (m *Master) serveReq(p reqParams, start time.Time, timeoutMs int64) (status
 // keep serving the dynamic share it grants and shed the excess. A
 // policy without core.MasterAdmission never sheds.
 func (m *Master) shouldShed() (retryAfter int, shed bool) {
-	s := m.snap.Load()
-	if len(s.view.Slaves) == 0 && !m.sharded {
+	slaves := m.mem.Load().slaves
+	if len(slaves) == 0 && !m.sharded {
 		// Single-tier (M/S-1-style) deployments have no degraded regime
 		// to protect; locals are the design, not a fallback. A sharded
 		// master that drew an empty shard is different: its peers have
@@ -848,7 +794,7 @@ func (m *Master) shouldShed() (retryAfter int, shed bool) {
 		return 0, false
 	}
 	now := time.Now().UnixNano()
-	for _, id := range s.view.Slaves {
+	for _, id := range slaves {
 		if m.brk.Allow(id, now) {
 			return 0, false
 		}

@@ -44,20 +44,21 @@ type shardStamp struct {
 }
 
 // shardSumSlot is a master's mailbox for one remote shard's summary.
+// Gossip pulls and frame-reply trailers both land here, newest-wins.
 type shardSumSlot struct {
 	mu  sync.Mutex
 	sum core.ShardSummary
 	at  int64 // receipt time (unixnano); 0 = never heard from
 }
 
-// rebuildShardStamp refreshes the own-shard summary from a just-
-// published snapshot under the given memState. Runs once per poll round
-// plus once per membership apply — both off the request path, so the
-// allocations here are irrelevant; ownMu covers the shared build
-// scratch against exactly that pair of writers. The summary is stamped
-// with the memState's epoch, so receivers can order generations across
+// rebuildShardStamp refreshes the own-shard summary from the report
+// table under the given memState. Runs once per poll round plus once
+// per membership apply — both off the request path, so the allocations
+// here are irrelevant; ownMu covers the shared build scratch against
+// exactly that pair of writers. The summary is stamped with the
+// memState's epoch, so receivers can order generations across
 // membership changes.
-func (m *Master) rebuildShardStamp(ms *memState, snap *loadSnapshot) {
+func (m *Master) rebuildShardStamp(ms *memState) {
 	m.ownMu.Lock()
 	defer m.ownMu.Unlock()
 	if ms.shard < 0 {
@@ -68,7 +69,10 @@ func (m *Master) rebuildShardStamp(ms *memState, snap *loadSnapshot) {
 		return
 	}
 	members := ms.sm.Members(ms.shard)
-	core.BuildShardSummary(&m.ownSum, ms.shard, snap.at, members, snap.view.Load, shardTopK)
+	for _, id := range members {
+		m.ownLoads[id], _ = m.report(id)
+	}
+	core.BuildShardSummary(&m.ownSum, ms.shard, time.Now().UnixNano(), members, m.ownLoads, shardTopK)
 	m.ownSum.Epoch = ms.sm.Epoch()
 	wire := m.ownSum.AppendWire(make([]byte, 0, 80+48*len(m.ownSum.Top)))
 	m.shardWire.Store(&shardStamp{wire: wire})
@@ -107,8 +111,10 @@ func (m *Master) storeShardSummaryWire(b []byte) {
 // order proves nothing: gossip and piggybacked copies of the same
 // generation race). Summaries more than one epoch behind the local map
 // are dropped outright — the dual-epoch window admits the previous
-// owner's last words during a handoff, nothing older. The caller keeps
-// ownership of sum; the slot deep-copies the digest slice.
+// owner's last words during a handoff, nothing older. Only a winning
+// copy restamps the slot's receipt time, so the slot's age is that of
+// the copy held. The caller keeps ownership of sum; the slot
+// deep-copies the digest slice.
 func (m *Master) storeShardSummary(sum *core.ShardSummary) {
 	if !m.sharded {
 		return
@@ -121,17 +127,15 @@ func (m *Master) storeShardSummary(sum *core.ShardSummary) {
 	if core.SummaryStale(sum.Epoch, ms.mb.Epoch) {
 		return
 	}
-	now := time.Now().UnixNano()
 	slot := &m.shardSums[s]
 	slot.mu.Lock()
 	if slot.at == 0 || core.SummaryWins(sum.Epoch, sum.AtNs, slot.sum.Epoch, slot.sum.AtNs) {
 		top := append(slot.sum.Top[:0], sum.Top...)
 		slot.sum = *sum
 		slot.sum.Top = top
-		slot.at = now
+		slot.at = time.Now().UnixNano()
 	}
 	slot.mu.Unlock()
-	m.shardFresh.Touch(s, now)
 	m.gossipRx.Add(1)
 }
 
@@ -295,4 +299,13 @@ func (m *Master) pickSpill(p reqParams, tried []int) int {
 	m.spillView.Slaves = cands
 	target, _ := pl.PlaceRemote(core.Request{Class: trace.Dynamic, Script: p.script}, &m.spillView)
 	return target
+}
+
+// summaryAge returns how long before now (unixnano) the summary held for
+// remote shard s arrived, in seconds, or -1 when none ever did.
+func (m *Master) summaryAge(s int, now int64) float64 {
+	slot := &m.shardSums[s]
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	return ageSeconds(slot.at, now)
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,57 +15,6 @@ import (
 	"msweb/internal/trace"
 )
 
-// A piggybacked report that arrives mid-poll-round — older than the
-// round's publish stamp, newer than the node's actual sample — must
-// survive the epoch move. Flooring the overlay at the snapshot publish
-// time (the reordered-report race this regression pins) would silently
-// drop such a report on every round.
-func TestPiggybackSurvivesEpochMove(t *testing.T) {
-	m := launchTestMaster(t, "http://192.0.2.1:1")
-
-	piggyLoad := core.Load{CPUIdle: 0.25, DiskAvail: 0.5, CPUQueue: 3, Speed: 1}
-	m.storePiggy(1, piggyLoad)
-	_, receipt := m.peekPiggy(1)
-
-	// Simulate the race: the poller sampled node 1 *before* the piggyback
-	// arrived, then published *after* it.
-	polled := core.Load{CPUIdle: 1, DiskAvail: 1, Speed: 1}
-	publish := func(sampleAt int64) {
-		prev := m.snap.Load()
-		view := prev.view
-		view.Load = append([]core.Load(nil), prev.view.Load...)
-		view.Load[1] = polled
-		atNode := make([]int64, len(view.Load))
-		atNode[1] = sampleAt
-		m.snap.Store(&loadSnapshot{
-			epoch:  prev.epoch + 1,
-			at:     time.Now().UnixNano(),
-			atNode: atNode,
-			view:   view,
-		})
-	}
-	publish(receipt - 1)
-
-	m.placeMu.Lock()
-	m.refreshWorkView(nil)
-	got := m.workView.Load[1]
-	m.placeMu.Unlock()
-	if got != piggyLoad {
-		t.Fatalf("working view %+v after epoch move, want the fresher piggybacked %+v", got, piggyLoad)
-	}
-
-	// Newest-wins cuts the other way too: when the poll sample is fresher
-	// than the stored report, the epoch move keeps the polled column.
-	publish(receipt + 1)
-	m.placeMu.Lock()
-	m.refreshWorkView(nil)
-	got = m.workView.Load[1]
-	m.placeMu.Unlock()
-	if got != polled {
-		t.Fatalf("working view %+v, want the fresher polled %+v over the stale report", got, polled)
-	}
-}
-
 // The staleness gauge tracks report receipt: -1 before any report, then
 // the age of the last one — so delayed reports surface as growing age,
 // not as a silently frozen view.
@@ -71,20 +22,46 @@ func TestStalenessGaugeUnderDelayedReports(t *testing.T) {
 	m := launchTestMaster(t, "http://192.0.2.1:1")
 
 	now := time.Now().UnixNano()
-	if age := m.fresh.AgeSeconds(1, now); age != -1 {
+	if age := m.reportAge(1, now); age != -1 {
 		t.Fatalf("age %v before any report, want -1", age)
 	}
 	m.storePiggy(1, core.Load{CPUIdle: 1, DiskAvail: 1, Speed: 1})
-	stamp := m.fresh.Stamp(1)
+	_, stamp := m.report(1)
 	if stamp == 0 {
-		t.Fatal("freshness stamp not touched by the report")
+		t.Fatal("report stamp not set by the report")
 	}
-	if age := m.fresh.AgeSeconds(1, stamp); age != 0 {
+	if age := m.reportAge(1, stamp); age != 0 {
 		t.Fatalf("age %v at receipt instant, want 0", age)
 	}
 	// No further reports for (a simulated) 7 s: the gauge must say so.
-	if age := m.fresh.AgeSeconds(1, stamp+7e9); age != 7 {
+	if age := m.reportAge(1, stamp+7e9); age != 7 {
 		t.Fatalf("age %v after a 7s report gap, want 7", age)
+	}
+}
+
+// The summary-age gauge reads the age of the copy a master holds: a
+// strictly older copy (same epoch, smaller AtNs) loses newest-wins and
+// leaves the gauge where it was, ageing with the held copy that spill
+// reads.
+func TestSummaryAgeGaugeReadsHeldCopy(t *testing.T) {
+	m := launchShardedTestMaster(t, core.NewMS(nil, 1), "http://192.0.2.1:1", "http://192.0.2.1:2")
+	now := time.Now().UnixNano()
+	m.storeShardSummary(&core.ShardSummary{Shard: 1, AtNs: now, Nodes: 1})
+	slot := &m.shardSums[1]
+	slot.mu.Lock()
+	slot.at -= int64(5 * time.Second) // the held copy landed 5 s ago
+	slot.mu.Unlock()
+
+	m.storeShardSummary(&core.ShardSummary{Shard: 1, AtNs: now - 1, Nodes: 9})
+	const series = `msweb_master_shard_summary_age_seconds{shard="1"} `
+	var age float64 = -1
+	for _, line := range strings.Split(scrape(t, m.URL), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			age, _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	if age < 5 {
+		t.Fatalf("summary age %v s after a losing older copy, want the held copy's ≥ 5 s", age)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // failover and the hold-down atomics), /metrics scrapes racing the
 // serving path, and finally a clean Shutdown with requests still in
 // flight. Its job is to give `go test -race` every pair of accesses the
-// lock-free view design relies on: snapshot swaps vs placement reads,
+// view design relies on: report-table writes vs placement reads,
 // URL and hold-down atomics, pooled rrJobs, and the narrow stat locks.
 func TestReqRaceStress(t *testing.T) {
 	if testing.Short() {

@@ -55,9 +55,6 @@ type Collector struct {
 	responses []float64
 	byClass   map[string]*running
 	overall   running
-	// stretchQ and responseQ answer percentile reads from scratch copies
-	// of the two streams, refreshed on the first read after an Add.
-	stretchQ, responseQ quantiles
 }
 
 type running struct {
@@ -105,8 +102,6 @@ func (c *Collector) Add(s Sample) {
 		c.byClass[s.Class] = rc
 	}
 	rc.add(s)
-	c.stretchQ.fresh = false
-	c.responseQ.fresh = false
 }
 
 // Count returns the number of recorded samples.
@@ -168,21 +163,22 @@ func (c *Collector) MeanDemand() float64 {
 func (c *Collector) MaxStretch() float64 { return c.overall.maxStretch }
 
 // StretchPercentile returns the q-quantile (q in [0,1]) of individual
-// stretches by nearest rank.
+// stretches by nearest rank. It selects in the stream itself: nothing
+// reads the streams in order, and the value does not depend on it.
 func (c *Collector) StretchPercentile(q float64) float64 {
 	if c.overall.n == 0 {
 		return 1
 	}
-	return c.stretchQ.at(c.stretches, q)
+	return nearestRank(c.stretches, q)
 }
 
 // ResponsePercentile returns the q-quantile of response times by nearest
-// rank.
+// rank, selecting in the stream like StretchPercentile.
 func (c *Collector) ResponsePercentile(q float64) float64 {
 	if c.overall.n == 0 {
 		return 0
 	}
-	return c.responseQ.at(c.responses, q)
+	return nearestRank(c.responses, q)
 }
 
 // Classes returns the class labels seen, sorted for deterministic output.

@@ -201,11 +201,11 @@ func TestResponsePercentiles(t *testing.T) {
 	if !approx(s.P95Response, 0.95, 1e-12) || !approx(s.P99Response, 0.99, 1e-12) {
 		t.Fatalf("summary percentiles: %v %v", s.P95Response, s.P99Response)
 	}
-	// Cache invalidation on Add.
+	// A read after an Add sees the new sample.
 	_ = c.ResponsePercentile(0.5)
 	c.Add(Sample{Demand: 1, Response: 50})
 	if got := c.ResponsePercentile(1); got != 50 {
-		t.Fatalf("stale response percentile cache: %v", got)
+		t.Fatalf("response percentile missed the new sample: %v", got)
 	}
 }
 

@@ -6,27 +6,6 @@ import (
 	"slices"
 )
 
-// quantiles answers nearest-rank reads over one sample stream by
-// selection in a scratch copy of it, so a read costs O(n) expected
-// instead of a sort. The copy is taken on the first read after the
-// stream changed and reused, in whatever order earlier selections left
-// it, by the reads that follow; its backing array is reused as well.
-type quantiles struct {
-	buf   []float64
-	fresh bool
-}
-
-// at returns the nearest-rank q-quantile of src, which must not be
-// empty and must not have changed since the last read unless fresh was
-// cleared.
-func (qs *quantiles) at(src []float64, q float64) float64 {
-	if !qs.fresh {
-		qs.buf = append(qs.buf[:0], src...)
-		qs.fresh = true
-	}
-	return nearestRank(qs.buf, q)
-}
-
 // nearestRank returns the q-quantile of xs by nearest rank — the
 // ⌈q·n⌉-th smallest value, the minimum for q ≤ 0 and the maximum for
 // q ≥ 1 — reordering xs. xs must not be empty.

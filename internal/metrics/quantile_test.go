@@ -25,7 +25,7 @@ var testQs = []float64{0, 0.01, 0.5, 0.95, 0.99, 1}
 // The collector's percentiles equal sorted nearest rank at every size,
 // on samples full of duplicates, with reads interleaved between Adds so
 // that every read after an Add must see the new sample and every read
-// after another read selects in a copy earlier reads have reordered.
+// after another read selects in streams earlier reads have reordered.
 func TestPercentilesMatchSortedNearestRank(t *testing.T) {
 	for _, n := range []int{1, 2, 17, 20000} {
 		r := rand.New(rand.NewPCG(uint64(n), 7))
