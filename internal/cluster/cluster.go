@@ -12,6 +12,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"msweb/internal/core"
 	"msweb/internal/metrics"
@@ -35,8 +36,10 @@ type Config struct {
 	// master does: when no slaves are in view and the policy's
 	// MasterAdmission denies local execution, a dynamic request
 	// completes immediately as shed instead of queueing (statics are
-	// never shed). Off by default — the paper's replays run open-loop
-	// without shedding.
+	// never shed). An unsharded cluster with no slave-role node never
+	// sheds: like a live master with no slaves, it has no degraded
+	// regime to protect. Off by default — the paper's replays run
+	// open-loop without shedding.
 	EnableShedding bool
 	// LoadRefresh is the load-information period (rstat polling).
 	LoadRefresh float64
@@ -88,9 +91,8 @@ const (
 	// remoteLatency is the remote CGI dispatch latency (paper: 1 ms, the
 	// TCP connection time; fork is charged separately by the node).
 	remoteLatency = 0.001
-	// retryDelay is the failover-detection delay before requests lost to
-	// a node failure are restarted elsewhere (paper: switches give
-	// "sub-second failure detection").
+	// retryDelay is how long a request waits to be dispatched while
+	// the whole cluster is down.
 	retryDelay = 0.100
 )
 
@@ -152,11 +154,16 @@ type Result struct {
 	// FinalMasters is the master count at the end (≠ initial when the
 	// autoscaler re-planned it).
 	FinalMasters int
-	// Failovers counts requests restarted after a node failure.
+	// Failovers counts dispatches a node failure lost (each is reported
+	// to the request's core.Attempts).
 	Failovers int64
 	// Shed counts dynamic requests refused by MasterAdmission (only
 	// with Config.EnableShedding).
 	Shed int64
+	// Exhausted counts requests their core.Attempts gave up on: the
+	// deadline passed, or no master was left that had not failed them.
+	// Every request is served, shed or exhausted.
+	Exhausted int64
 	// SLOAttainment is the fraction of counted samples whose response
 	// met Config.SLOResponse (0 when the SLO is unset); SLOCount is the
 	// sample population behind it.
@@ -216,8 +223,10 @@ type Cluster struct {
 	// in no particular order; pendingRequest.slot indexes it.
 	inflight  []*pendingRequest
 	nextReqID int64
+	parked    int // requests backing off while the whole cluster is down
 	failovers int64
 	shed      int64
+	exhausted int64
 
 	// SLO accounting (Config.SLOResponse > 0).
 	sloOK, sloN int64
@@ -249,6 +258,10 @@ type Cluster struct {
 	// admission is the policy's MasterAdmission side (pipeline
 	// policies), consulted by the optional shedding path.
 	admission core.MasterAdmission
+	// untriedBuf and untriedView are the scratch a re-dispatch places
+	// in: the view without the nodes the request already failed on.
+	untriedBuf  []int
+	untriedView core.View
 
 	win     core.Window // the autoscaler's measurement window
 	tickers []*sim.Ticker
@@ -350,22 +363,90 @@ func (c *Cluster) refreshLoad() {
 	}
 }
 
-// dispatch routes one trace request at its arrival time.
-func (c *Cluster) dispatch(req trace.Request, countSample bool) {
-	c.dispatchAt(req, countSample, c.eng.Now())
+// accept takes one trace request in at its arrival time and gives it
+// its failover rule: idempotent (every trace record is a GET) with a
+// deadline core.DispatchTimeout after arrival, as on the live master.
+func (c *Cluster) accept(req trace.Request, countSample bool) {
+	now := c.eng.Now()
+	pr := c.newPending()
+	pr.id = c.nextReqID
+	c.nextReqID++
+	pr.req = req
+	pr.arrival = now
+	pr.count = countSample
+	pr.master = -1
+	pr.att = core.NewAttempts(true, pr.deadline())
+	if c.cfg.Tracer != nil {
+		c.cfg.Tracer.Emit(obs.Event{
+			Kind: obs.KindArrival, Req: pr.id, Time: now,
+			Class: req.Class.String(), Value: req.Demand,
+		})
+	}
+	c.advance(pr, pr.att.Next(simNs(now)))
 }
 
-// dispatchAt routes a request whose logical arrival time may lie in the
-// past (failover restarts keep the original arrival so the lost time
-// counts against the response).
-func (c *Cluster) dispatchAt(req trace.Request, countSample bool, arrival float64) {
+// simNs converts virtual seconds to the unixnano scale core.Attempts
+// keeps its deadline in.
+func simNs(t float64) int64 { return int64(t * 1e9) }
+
+// advance carries out the step pr's failover rule returned: place it
+// on a node not yet tried, run it at its master once the budget is
+// spent and the deadline stands, or count it exhausted. pr is not in
+// the in-flight set when advance runs.
+func (c *Cluster) advance(pr *pendingRequest, step core.Step) {
+	switch {
+	case step == core.StepDispatch:
+		c.dispatch(pr, false)
+	case step == core.StepSpent && simNs(c.eng.Now()) < pr.deadline():
+		c.dispatch(pr, true)
+	default:
+		c.exhausted++
+		c.drop(pr, obs.KindExhausted, float64(len(pr.att.Tried())))
+	}
+}
+
+// drop ends pr without serving it (shed or exhausted): it completes
+// with no sample, counts as an SLO miss, and recycles.
+func (c *Cluster) drop(pr *pendingRequest, kind obs.EventKind, value float64) {
+	c.completed++
+	if pr.count && c.cfg.SLOResponse > 0 {
+		c.sloN++
+	}
+	if c.cfg.Tracer != nil {
+		c.cfg.Tracer.Emit(obs.Event{Kind: kind, Req: pr.id, Time: c.eng.Now(), Node: pr.master, Value: value})
+	}
+	c.releasePending(pr)
+}
+
+// dispatch hands pr to its master, which places it on a node outside
+// pr.att.Tried() — or, when spent, runs it itself. A request whose
+// master is gone goes back to the front end, which picks a master the
+// request has not failed on; with none left the request is exhausted.
+func (c *Cluster) dispatch(pr *pendingRequest, spent bool) {
 	if len(c.view.Masters) == 0 {
-		// Whole cluster down: retry once capacity returns.
-		c.eng.After(retryDelay, func() { c.dispatchAt(req, countSample, arrival) })
+		// Whole cluster down: nothing is dispatched; try again once
+		// capacity returns (a live client could not even connect).
+		c.parked++
+		c.eng.After(retryDelay, func() {
+			c.parked--
+			c.advance(pr, pr.att.Next(simNs(c.eng.Now())))
+		})
 		return
 	}
-	pick := c.front.Intn(len(c.view.Masters))
-	master := c.view.Masters[pick]
+	tried := pr.att.Tried()
+	pick := -1
+	if pr.master >= 0 {
+		pick = slices.Index(c.view.Masters, pr.master)
+	}
+	if pick < 0 {
+		if pick = c.frontEnd(tried); pick < 0 {
+			c.exhausted++
+			c.drop(pr, obs.KindExhausted, float64(len(tried)))
+			return
+		}
+		pr.master = c.view.Masters[pick]
+	}
+	master := pr.master
 	view := &c.view
 	shard := -1
 	if c.shardMap != nil {
@@ -375,51 +456,45 @@ func (c *Cluster) dispatchAt(req trace.Request, countSample bool, arrival float6
 		shard = pick
 		view = &c.shardViews[shard]
 	}
+	req := &pr.req
 
 	// Optional live-parity shedding: with no slaves in view and the
 	// policy's reservation refusing local execution, the master
 	// refuses a dynamic request outright (the sim analogue of the 503
-	// path; statics always run at the master). A sharded master first
-	// tries to spill onto the least-loaded fresh remote digest, the way
-	// the live master does after shouldShed.
+	// path; statics always run at the master). As on the live master, a
+	// cluster with no slave tier at all has no degraded regime and
+	// never sheds. A sharded master first tries to spill onto the
+	// least-loaded fresh remote digest, the way the live master does
+	// after shouldShed.
 	spillTarget := -1
-	if c.cfg.EnableShedding && req.Class == trace.Dynamic && c.admission != nil &&
-		len(view.Slaves) == 0 && !c.admission.AdmitsAtMaster() {
+	if !spent && c.cfg.EnableShedding && req.Class == trace.Dynamic && c.admission != nil &&
+		len(view.Slaves) == 0 && (shard >= 0 || c.roleMasters < c.cfg.Nodes) &&
+		!c.admission.AdmitsAtMaster() {
 		if shard >= 0 {
-			spillTarget = c.pickSimSpill(shard)
+			spillTarget = c.pickSimSpill(shard, tried)
 		}
 		if spillTarget < 0 {
 			if c.shardMap != nil {
 				c.spillShed++
 			}
 			c.shed++
-			c.completed++
-			if countSample && c.cfg.SLOResponse > 0 {
-				c.sloN++ // a shed counted request is an SLO miss
-			}
+			c.drop(pr, obs.KindShed, 0)
 			return
 		}
 	}
 
-	reqID := c.nextReqID
-	c.nextReqID++
-	if c.cfg.Tracer != nil {
-		c.cfg.Tracer.Emit(obs.Event{
-			Kind: obs.KindArrival, Req: reqID, Time: arrival,
-			Class: req.Class.String(), Value: req.Demand,
-		})
-	}
-
-	var target int
-	if spillTarget >= 0 {
+	target := master
+	switch {
+	case spent:
+	case spillTarget >= 0:
 		target = spillTarget
 		c.spilled++
-	} else {
-		target = c.policy.Place(core.Request{Class: req.Class, Script: req.Script}, master, view)
+	default:
+		target = c.policy.Place(core.Request{Class: req.Class, Script: req.Script}, master, c.untried(view, tried))
 	}
 	if c.cfg.Tracer != nil {
-		ev := obs.Event{Kind: obs.KindDecision, Req: reqID, Time: c.eng.Now(), Node: target}
-		if c.explainer != nil && spillTarget < 0 {
+		ev := obs.Event{Kind: obs.KindDecision, Req: pr.id, Time: c.eng.Now(), Node: target}
+		if c.explainer != nil && !spent && spillTarget < 0 {
 			pl := c.explainer.LastPlacement()
 			ev.Value = pl.RSRC
 			ev.Admit = pl.MasterAdmitted
@@ -430,7 +505,7 @@ func (c *Cluster) dispatchAt(req trace.Request, countSample bool, arrival float6
 	c.win.Arrive(req.Class)
 	if req.Class == trace.Dynamic {
 		c.totalDyn++
-		if isMaster(target, c.view.Masters) {
+		if slices.Contains(c.view.Masters, target) {
 			c.masterDyn++
 		}
 	}
@@ -446,24 +521,51 @@ func (c *Cluster) dispatchAt(req trace.Request, countSample bool, arrival float6
 	}
 	if c.cfg.Tracer != nil {
 		c.cfg.Tracer.Emit(obs.Event{
-			Kind: obs.KindDispatch, Req: reqID, Time: c.eng.Now(),
+			Kind: obs.KindDispatch, Req: pr.id, Time: c.eng.Now(),
 			Node: target, Remote: latency > 0,
 		})
 	}
 
-	pr := c.newPending()
-	pr.id = reqID
-	pr.req = req
 	pr.node = target
-	pr.arrival = arrival
-	pr.count = countSample
+	pr.submitted = false
 	c.own(pr)
-
 	if latency > 0 {
 		c.eng.AfterCall(latency, c.submitC, pr, 0)
 	} else {
 		c.submitNow(pr)
 	}
+}
+
+// frontEnd picks the master a request goes to — uniformly among the
+// masters not in tried — and returns its index in the master list, or
+// −1 when every master is in tried.
+func (c *Cluster) frontEnd(tried []int) int {
+	if len(tried) == 0 {
+		return c.front.Intn(len(c.view.Masters))
+	}
+	ok := core.FilterLive(c.untriedBuf[:0], c.view.Masters, func(id int) bool { return !slices.Contains(tried, id) })
+	c.untriedBuf = ok
+	if len(ok) == 0 {
+		return -1
+	}
+	return slices.Index(c.view.Masters, ok[c.front.Intn(len(ok))])
+}
+
+// untried returns view without the nodes in tried, in a scratch view
+// that shares view's load array, so placement books as usual. The
+// placing master is never in tried (frontEnd sees to that), so the
+// result keeps a master.
+func (c *Cluster) untried(view *core.View, tried []int) *core.View {
+	if len(tried) == 0 {
+		return view
+	}
+	keep := func(id int) bool { return !slices.Contains(tried, id) }
+	buf := core.FilterLive(c.untriedBuf[:0], view.Masters, keep)
+	nMasters := len(buf)
+	buf = core.FilterLive(buf, view.Slaves, keep)
+	c.untriedBuf = buf
+	c.untriedView = core.View{Now: view.Now, Masters: buf[:nMasters:nMasters], Slaves: buf[nMasters:], Load: view.Load}
+	return &c.untriedView
 }
 
 // newPending pops a recycled pendingRequest (zeroed) or allocates one.
@@ -507,35 +609,20 @@ func (c *Cluster) disown(pr *pendingRequest) {
 // index in c.trace.Requests, exact for any realistic trace length).
 func (c *Cluster) arrival(_ any, f64 float64) {
 	req := c.trace.Requests[int(f64)]
-	c.dispatch(req, req.Arrival >= c.warmupUntil)
+	c.accept(req, req.Arrival >= c.warmupUntil)
 }
 
 // submitCall unpacks the dispatch-latency event.
 func (c *Cluster) submitCall(arg any, _ float64) { c.submitNow(arg.(*pendingRequest)) }
 
 // submitNow hands pr's job to its target node. Ownership: pr may have
-// been disowned while the dispatch-latency event was in flight. A
-// disowned struct is not recycled before this event releases it, so its
-// slot < 0 cannot belong to a newer request.
+// been disowned while the dispatch-latency event was in flight (its
+// target crashed, and the request carries on in a copy; see
+// applyAvailability). A disowned struct is not recycled before this
+// event releases it, so its slot < 0 cannot belong to a newer request.
 func (c *Cluster) submitNow(pr *pendingRequest) {
 	if pr.slot < 0 {
-		// A node-failure handler already took ownership of this
-		// request (it was in the dispatch-latency window when its
-		// target crashed) and restarted it; submitting now would
-		// duplicate the work and corrupt completion accounting. This
-		// event held the last reference to the orphaned struct.
 		c.releasePending(pr)
-		return
-	}
-	if !c.available[pr.node] {
-		// The target failed inside the dispatch latency window;
-		// the failure handler has not seen this request, so
-		// re-place it ourselves.
-		c.disown(pr)
-		c.failovers++
-		req, count, arrival := pr.req, pr.count, pr.arrival
-		c.releasePending(pr)
-		c.eng.After(retryDelay, func() { c.dispatchAt(req, count, arrival) })
 		return
 	}
 	pr.submitted = true
@@ -582,15 +669,6 @@ func (c *Cluster) complete(arg any, now float64) {
 	c.releasePending(pr)
 }
 
-func isMaster(id int, masters []int) bool {
-	for _, m := range masters {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
-
 // Run replays the trace to completion and returns the result summary.
 func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 	if err := tr.Validate(); err != nil {
@@ -624,6 +702,12 @@ func (c *Cluster) Run(tr *trace.Trace) (*Result, error) {
 	for c.completed < c.total {
 		if !c.eng.Step() {
 			return nil, fmt.Errorf("cluster: simulation drained with %d/%d requests outstanding", c.total-c.completed, c.total)
+		}
+		if len(c.inflight) == 0 && c.parked == 0 && c.nextReqID-1 == int64(c.total) && c.completed < c.total {
+			// Every request arrived and none is dispatched or waiting
+			// for capacity, yet some never ended: only the tickers are
+			// left, and they would spin forever.
+			return nil, fmt.Errorf("cluster: %d/%d requests lost", c.total-c.completed, c.total)
 		}
 	}
 	c.stopTickers()
@@ -667,6 +751,7 @@ func (c *Cluster) buildResult() *Result {
 		FinalMasters:     c.Masters(),
 		Failovers:        c.failovers,
 		Shed:             c.shed,
+		Exhausted:        c.exhausted,
 		SimulatedSeconds: c.eng.Now(),
 		Events:           c.eng.Fired(),
 	}

@@ -37,8 +37,9 @@ func ExampleSimulate() {
 	// stretch factor is finite and ≥ 1: true
 }
 
-// A failure schedule exercises the fault-tolerance path: the crashed
-// slave's in-flight work restarts elsewhere and nothing is lost.
+// A failure schedule exercises the fault-tolerance path: each request
+// the crashed slave held is reported to its core.Attempts and re-placed
+// at once on another node, so nothing is lost.
 func ExampleSimulate_failover() {
 	tr, err := trace.Generate(trace.GenConfig{
 		Profile: trace.ADL, Lambda: 250, Requests: 2500,
@@ -56,6 +57,8 @@ func ExampleSimulate_failover() {
 		panic(err)
 	}
 	fmt.Printf("all requests completed: %v\n", res.Summary.Count == 2500)
+	fmt.Printf("failovers: %d, exhausted: %d\n", res.Failovers, res.Exhausted)
 	// Output:
 	// all requests completed: true
+	// failovers: 1, exhausted: 0
 }

@@ -6,14 +6,17 @@ package cluster
 // idle", and "if a slave node fails, a master node may need to restart a
 // dynamic content process on another node". This file adds both to the
 // simulated cluster: an availability schedule takes nodes down (crash or
-// reclamation) and brings them up (recovery or recruitment), and the
-// dispatcher restarts the lost in-flight requests elsewhere after a
-// failover-detection delay.
+// reclamation) and brings them up (recovery or recruitment), and each
+// in-flight request the crash lost is reported to its core.Attempts —
+// the live master's failover rule — and re-placed at once on a node it
+// has not failed on.
 
 import (
 	"fmt"
 	"sort"
 
+	"msweb/internal/core"
+	"msweb/internal/obs"
 	"msweb/internal/trace"
 )
 
@@ -65,22 +68,33 @@ func validateEvents(events []AvailabilityEvent, initiallyDown []int, nodes int) 
 	return fmt.Errorf("cluster: availability schedule leaves no node available")
 }
 
-// pendingRequest records an in-flight request so it can be restarted if
-// its execution node fails. Structs recycle through Cluster.freePending;
-// slot decides ownership: the struct's index in c.inflight while the
-// cluster owns it, −1 once a failure handler has disowned it.
+// pendingRequest records an accepted request until it is served, shed
+// or exhausted. Structs recycle through Cluster.freePending; slot
+// decides ownership: the struct's index in c.inflight while its job is
+// dispatched, −1 otherwise.
 type pendingRequest struct {
 	id      int64
 	slot    int
 	req     trace.Request
-	node    int
 	arrival float64
 	count   bool
+	// master is the node whose placement the request is under (−1
+	// before the front end picks one); node is where it was dispatched.
+	master int
+	node   int
+	// att is the request's failover rule: the nodes it failed on, its
+	// budget and its deadline.
+	att core.Attempts
 	// submitted flips when the job reaches its node: from then on the
 	// only live references are the inflight set and the job's DoneArg.
 	// While false, a dispatch-latency submit event still holds the
 	// struct and is responsible for releasing it if disowned.
 	submitted bool
+}
+
+// deadline is pr's absolute deadline in simNs units.
+func (pr *pendingRequest) deadline() int64 {
+	return simNs(pr.arrival) + int64(core.DispatchTimeout)
 }
 
 // applyAvailability executes one schedule entry.
@@ -94,8 +108,8 @@ func (c *Cluster) applyAvailability(e AvailabilityEvent) {
 	if e.Available {
 		return
 	}
-	// The node went down: abort its processes and restart the lost
-	// requests elsewhere after the failover-detection delay.
+	// The node went down: abort its processes and report each lost
+	// request to its failover rule.
 	c.nodes[e.Node].Drain()
 	var lost []*pendingRequest
 	for _, p := range c.inflight {
@@ -106,22 +120,40 @@ func (c *Cluster) applyAvailability(e AvailabilityEvent) {
 	for _, p := range lost {
 		c.disown(p)
 	}
-	// Swap-removes leave the inflight set out of id order; the restarts
-	// must not be (their After events tie on time and fall back to
-	// insertion order, which would leak the set's order into the replay).
+	// Swap-removes leave the inflight set out of id order; the
+	// re-dispatches must not be (each draws on the front end and books
+	// the view, so the set's order would leak into the replay).
 	sort.Slice(lost, func(i, j int) bool { return lost[i].id < lost[j].id })
+	nowNs := simNs(c.eng.Now())
 	for _, p := range lost {
 		c.failovers++
-		// Copy the restart parameters out: once submitted, the struct's
-		// job died with the drained node and we hold the last reference,
-		// so it recycles now. Unsubmitted structs are still referenced
-		// by their dispatch-latency event, which will find itself
-		// disowned and release them.
-		req, count, arrival := p.req, p.count, p.arrival
-		if p.submitted {
-			c.releasePending(p)
+		out := core.MayHaveRun
+		if !p.submitted {
+			// Still in the dispatch-latency window: the work never
+			// reached the node. That event holds p and will release it,
+			// so the request carries on in a copy.
+			out = core.NotSent
+			cp := c.newPending()
+			*cp = *p
+			p = cp
 		}
-		c.eng.After(retryDelay, func() { c.dispatchAt(req, count, arrival) })
+		if p.master == e.Node {
+			p.master = -1 // the front end picks another master
+		}
+		if len(p.att.Tried()) == core.RetryBudget {
+			// It was running at its master after the budget ran out.
+			c.exhausted++
+			c.drop(p, obs.KindExhausted, core.RetryBudget)
+			continue
+		}
+		step := p.att.Report(e.Node, out, nowNs)
+		if c.cfg.Tracer != nil {
+			c.cfg.Tracer.Emit(obs.Event{
+				Kind: obs.KindRetry, Req: p.id, Time: c.eng.Now(),
+				Node: e.Node, Value: float64(len(p.att.Tried())),
+			})
+		}
+		c.advance(p, step)
 	}
 }
 

@@ -31,38 +31,44 @@ func TestSlaveFailureRestartsWork(t *testing.T) {
 	}
 }
 
-// arrivalLog records the arrival events of a run in emission order.
-type arrivalLog []obs.Event
+// restartLog records, in emission order, each re-dispatch of a run:
+// the instant it happened and when its request first arrived.
+type restartLog struct {
+	arrived  map[int64]float64
+	restarts []struct{ at, arrived float64 }
+}
 
-func (l *arrivalLog) Emit(ev obs.Event) {
-	if ev.Kind == obs.KindArrival {
-		*l = append(*l, ev)
+func (l *restartLog) Emit(ev obs.Event) {
+	switch ev.Kind {
+	case obs.KindArrival:
+		l.arrived[ev.Req] = ev.Time
+	case obs.KindRetry:
+		l.restarts = append(l.restarts, struct{ at, arrived float64 }{ev.Time, l.arrived[ev.Req]})
 	}
 }
 
 // The requests a crash loses restart in the order they first arrived,
-// whatever order the in-flight set holds them in: their retry events tie
-// on time, so any other order would reach the replay.
+// whatever order the in-flight set holds them in: they restart at one
+// instant, each drawing on the front end and booking the view, so any
+// other order would reach the replay.
 func TestFailoverRestartsInArrivalOrder(t *testing.T) {
 	tr := genTrace(t, trace.ADL, 300, 4000, 1.0/40, 21)
 	cfg := DefaultConfig(6, 2)
 	cfg.Events = []AvailabilityEvent{{Node: 5, At: 3.0, Available: false}}
-	var log arrivalLog
+	log := restartLog{arrived: map[int64]float64{}}
 	cfg.Tracer = &log
 	if _, err := Simulate(cfg, core.NewMS(core.SampleW(tr, 16), 1), tr); err != nil {
 		t.Fatal(err)
 	}
-	// A restart re-emits its original arrival time, which lies before
-	// the latest first arrival already seen; consecutive restarts are
-	// one batch of tied retry events.
-	latest, batch, longest := 0.0, 0, 0
-	for i, ev := range log {
-		if ev.Time >= latest {
-			latest, batch = ev.Time, 0
+	// Consecutive restarts at one instant are one crash's batch.
+	batch, longest := 0, 0
+	for i, r := range log.restarts {
+		if i == 0 || r.at != log.restarts[i-1].at {
+			batch = 1
 			continue
 		}
-		if batch > 0 && ev.Time < log[i-1].Time {
-			t.Fatalf("restart of the request that arrived at %v follows the one that arrived at %v", ev.Time, log[i-1].Time)
+		if prev := log.restarts[i-1].arrived; r.arrived < prev {
+			t.Fatalf("restart of the request that arrived at %v follows the one that arrived at %v", r.arrived, prev)
 		}
 		batch++
 		longest = max(longest, batch)

@@ -27,6 +27,8 @@ package cluster
 // control planes — and autoscaled against fixed fleets — exactly.
 
 import (
+	"slices"
+
 	"msweb/internal/core"
 )
 
@@ -85,8 +87,8 @@ func (c *Cluster) reshard() {
 	}
 	m := len(c.view.Masters)
 	if m < 1 {
-		// Whole cluster down: keep the last map; dispatch is already
-		// parked on the retry path until capacity returns.
+		// Whole cluster down: keep the last map; dispatch backs off
+		// until capacity returns.
 		return
 	}
 	next, err := core.NewShardMapAt(m, c.view.Slaves, c.shardMap.Epoch()+1)
@@ -208,8 +210,9 @@ func (c *Cluster) sampleSummaryAge() {
 // from the current or the immediately preceding map epoch (the bounded
 // dual-epoch handoff window), and the node is available, powered, and a
 // slave of the current map — a digest naming a node that a newer epoch
-// demoted or removed is dead information, not a spill target.
-func (c *Cluster) pickSimSpill(shard int) int {
+// demoted or removed is dead information, not a spill target — and not
+// one the request already failed on (tried).
+func (c *Cluster) pickSimSpill(shard int, tried []int) int {
 	now := c.eng.Now()
 	ttl := 3 * c.gossipPeriod()
 	epoch := c.shardMap.Epoch()
@@ -223,7 +226,8 @@ func (c *Cluster) pickSimSpill(shard int) int {
 			continue // outside the dual-epoch window
 		}
 		for _, d := range sum.Top {
-			if !c.available[d.Node] || !c.powered[d.Node] || c.shardMap.ShardOf(d.Node) < 0 {
+			if !c.available[d.Node] || !c.powered[d.Node] || c.shardMap.ShardOf(d.Node) < 0 ||
+				slices.Contains(tried, d.Node) {
 				continue
 			}
 			cost := core.NodeRSRC(core.DefaultW, d.Load)

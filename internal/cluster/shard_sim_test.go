@@ -130,26 +130,30 @@ func TestShardedSpillFromEmptyShard(t *testing.T) {
 // MasterAdmission: the enforcing θ₂ reservation sheds, the observe-only
 // one (M/S-nr) and flat, which has no MasterAdmission, shed nothing. The
 // reservation caps dynamic work only, so, as on the live master, a
-// static is never shed.
+// static is never shed. A cluster with no slave-role node never sheds:
+// like a live master with no slaves, it has no degraded regime to
+// protect.
 func TestShedAsksMasterAdmission(t *testing.T) {
 	mixed := genTrace(t, trace.KSU, 100, 2000, 1.0/40, 5)
 	staticOnly := trace.KSU
 	staticOnly.DynamicFrac = 0
 	statics := genTrace(t, staticOnly, 100, 2000, 1.0/40, 5)
-	cfg := DefaultConfig(2, 1)
-	cfg.EnableShedding = true
-	cfg.Events = []AvailabilityEvent{{Node: 1, At: 0, Available: false}}
 	for _, c := range []struct {
-		name string
-		pol  core.Policy
-		tr   *trace.Trace
-		shed bool
+		name    string
+		masters int
+		pol     core.Policy
+		tr      *trace.Trace
+		shed    bool
 	}{
-		{"ms", core.NewMS(nil, 1), mixed, true},
-		{"ms statics", core.NewMS(nil, 1), statics, false},
-		{"ms-nr", core.NewMS(nil, 1, core.WithoutReservation()), mixed, false},
-		{"flat", core.NewFlat(), mixed, false},
+		{"ms", 1, core.NewMS(nil, 1), mixed, true},
+		{"ms statics", 1, core.NewMS(nil, 1), statics, false},
+		{"ms-nr", 1, core.NewMS(nil, 1, core.WithoutReservation()), mixed, false},
+		{"flat", 1, core.NewFlat(), mixed, false},
+		{"ms, no slave tier", 2, core.NewMS(nil, 1), mixed, false},
 	} {
+		cfg := DefaultConfig(2, c.masters)
+		cfg.EnableShedding = true
+		cfg.Events = []AvailabilityEvent{{Node: 1, At: 0, Available: false}}
 		res, err := Simulate(cfg, c.pol, c.tr)
 		if err != nil {
 			t.Fatal(err)

@@ -1,5 +1,7 @@
 package core
 
+import "time"
+
 // Attempts is the failover rule for one dynamic request: the paper's
 // "restart the dynamic content process on another node" when a
 // dispatch does not serve it, bounded by a retry budget of distinct
@@ -18,6 +20,11 @@ type Attempts struct {
 // RetryBudget is how many dispatches one request gets, each to a node
 // not tried before.
 const RetryBudget = 3
+
+// DispatchTimeout caps a request's deadline: a live client's budget
+// may only tighten it, and a simulated request's deadline is its
+// arrival plus DispatchTimeout.
+const DispatchTimeout = 120 * time.Second
 
 // Outcome classifies one dispatch.
 type Outcome uint8

@@ -18,6 +18,8 @@ type FailoverRow struct {
 	Scenario  string
 	Stretch   float64
 	Failovers int64
+	// Exhausted counts requests the failover rule gave up on.
+	Exhausted int64
 	Completed int
 }
 
@@ -56,6 +58,7 @@ func RunFailoverStudy(p int, opts Options) ([]FailoverRow, error) {
 			Scenario:  scenario,
 			Stretch:   res.StretchFactor,
 			Failovers: res.Failovers,
+			Exhausted: res.Exhausted,
 			Completed: res.Summary.Count,
 		}, nil
 	}

@@ -140,11 +140,11 @@ func Table3Table(rows []Table3Row) *report.Table {
 func FailoverTable(p int, rows []FailoverRow) *report.Table {
 	t := &report.Table{
 		Title:   "Extension: failover and recruitment",
-		Columns: []string{"scenario", "stretch", "failovers", "completed"},
+		Columns: []string{"scenario", "stretch", "failovers", "exhausted", "completed"},
 		Notes:   []string{fmt.Sprintf("ADL workload, p=%d of which 2 are non-dedicated spares.", p)},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Scenario, round4(r.Stretch), r.Failovers, r.Completed)
+		t.AddRow(r.Scenario, round4(r.Stretch), r.Failovers, r.Exhausted, r.Completed)
 	}
 	return t
 }

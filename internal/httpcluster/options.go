@@ -11,18 +11,16 @@ import (
 	"msweb/internal/obs"
 )
 
-// The live data plane's failure handling has no knobs; these constants
-// and core.RetryBudget are its whole configuration. A request's
-// deadline is the client's budget (TimeoutHeader, or a 'Q' entry's
-// timeoutMs) capped at dispatchTimeout. A dynamic gets core.RetryBudget
-// placement attempts, each re-placed at once on a node not yet tried,
-// then runs locally while the deadline stands (see runDynamic). A
-// breaker that opened re-admits its node for one probe after
-// breakerPolls poll periods.
-const (
-	dispatchTimeout = 120 * time.Second
-	breakerPolls    = 20
-)
+// The live data plane's failure handling has no knobs; breakerPolls,
+// core.RetryBudget and core.DispatchTimeout are its whole
+// configuration. A request's deadline is the client's budget
+// (TimeoutHeader, or a 'Q' entry's timeoutMs) capped at
+// core.DispatchTimeout. A dynamic gets core.RetryBudget placement
+// attempts, each re-placed at once on a node not yet tried, then runs
+// locally while the deadline stands (see runDynamic). A breaker that
+// opened re-admits its node for one probe after breakerPolls poll
+// periods.
+const breakerPolls = 20
 
 // pollDeadlineFloor floors the shared /load fan-out deadline (and the
 // control plane's other per-round deadlines) so very fast polling

@@ -418,8 +418,8 @@ func TestBackoffRespectsDeadline(t *testing.T) {
 	}
 }
 
-// A client budget at or above dispatchTimeout resolves to
-// dispatchTimeout, however large: converting it to a Duration first
+// A client budget at or above core.DispatchTimeout resolves to
+// core.DispatchTimeout, however large: converting it to a Duration first
 // would overflow from 9 223 372 036 855 ms on and yield an already
 // expired (or, further up, a sub-millisecond) deadline.
 func TestReqDeadlineCapsLongBudgets(t *testing.T) {
@@ -428,14 +428,14 @@ func TestReqDeadlineCapsLongBudgets(t *testing.T) {
 		timeoutMs int64
 		want      time.Duration
 	}{
-		{0, dispatchTimeout},
+		{0, core.DispatchTimeout},
 		{80, 80 * time.Millisecond},
-		{dispatchTimeout.Milliseconds() - 1, dispatchTimeout - time.Millisecond},
-		{dispatchTimeout.Milliseconds(), dispatchTimeout},
-		{9223372036854, dispatchTimeout},  // the last budget that fits a Duration
-		{9223372036855, dispatchTimeout},  // the first that wraps negative
-		{18446744073710, dispatchTimeout}, // wraps to about 448 µs
-		{math.MaxInt64, dispatchTimeout},
+		{core.DispatchTimeout.Milliseconds() - 1, core.DispatchTimeout - time.Millisecond},
+		{core.DispatchTimeout.Milliseconds(), core.DispatchTimeout},
+		{9223372036854, core.DispatchTimeout},  // the last budget that fits a Duration
+		{9223372036855, core.DispatchTimeout},  // the first that wraps negative
+		{18446744073710, core.DispatchTimeout}, // wraps to about 448 µs
+		{math.MaxInt64, core.DispatchTimeout},
 	} {
 		if got := reqDeadline(start, c.timeoutMs).Sub(start); got != c.want {
 			t.Errorf("budget %d ms: deadline in %v, want %v", c.timeoutMs, got, c.want)

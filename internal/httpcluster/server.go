@@ -668,12 +668,12 @@ func parseTimeoutMs(h string) int64 {
 
 // reqDeadline derives a request's absolute deadline: the client's
 // budget (TimeoutHeader, or a 'Q' entry's timeoutMs) when present and
-// tighter than dispatchTimeout, else dispatchTimeout. The budget is
+// tighter than core.DispatchTimeout, else core.DispatchTimeout. The budget is
 // compared in milliseconds before it becomes a Duration, which would
 // overflow for budgets of about 292 years.
 func reqDeadline(start time.Time, timeoutMs int64) time.Time {
-	if timeoutMs <= 0 || timeoutMs >= dispatchTimeout.Milliseconds() {
-		return start.Add(dispatchTimeout)
+	if timeoutMs <= 0 || timeoutMs >= core.DispatchTimeout.Milliseconds() {
+		return start.Add(core.DispatchTimeout)
 	}
 	return start.Add(time.Duration(timeoutMs) * time.Millisecond)
 }

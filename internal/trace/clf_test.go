@@ -111,17 +111,20 @@ func TestCLFMalformedHandling(t *testing.T) {
 	}
 }
 
+// clfMalformed are lines a strict import must reject; they also seed
+// FuzzReadCLF.
+var clfMalformed = []string{
+	`a - - [bad-time] "GET / HTTP/1.0" 200 1`,
+	`a - - [02/Jun/1999:04:05:06 -0700] GET-no-quotes 200 1`,
+	`a - - [02/Jun/1999:04:05:06 -0700] "GET / HTTP/1.0" xyz 1`,
+	`a - - [02/Jun/1999:04:05:06 -0700] "GET / HTTP/1.0" 999 1`,
+	`a - - [02/Jun/1999:04:05:06 -0700] "GET / HTTP/1.0" 200 -5`,
+	`a - - [02/Jun/1999:04:05:06 -0700] "GETONLY" 200 1`,
+	`a - - [02/Jun/1999:04:05:06 -0700] "GET / HTTP/1.0" 200`,
+}
+
 func TestCLFMalformedVariants(t *testing.T) {
-	cases := []string{
-		`a - - [bad-time] "GET / HTTP/1.0" 200 1`,
-		`a - - [02/Jun/1999:04:05:06 -0700] GET-no-quotes 200 1`,
-		`a - - [02/Jun/1999:04:05:06 -0700] "GET / HTTP/1.0" xyz 1`,
-		`a - - [02/Jun/1999:04:05:06 -0700] "GET / HTTP/1.0" 999 1`,
-		`a - - [02/Jun/1999:04:05:06 -0700] "GET / HTTP/1.0" 200 -5`,
-		`a - - [02/Jun/1999:04:05:06 -0700] "GETONLY" 200 1`,
-		`a - - [02/Jun/1999:04:05:06 -0700] "GET / HTTP/1.0" 200`,
-	}
-	for i, line := range cases {
+	for i, line := range clfMalformed {
 		if _, err := ReadCLF(strings.NewReader(line+"\n"), CLFOptions{MuH: 1200, R: 1.0 / 40}); err == nil {
 			t.Fatalf("case %d accepted: %s", i, line)
 		}

@@ -41,3 +41,35 @@ func FuzzRead(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadCLF hardens the access-log importer: arbitrary bytes must
+// never panic it, strictly or skipping malformed lines, and every trace
+// it accepts is in arrival order and passes Validate.
+func FuzzReadCLF(f *testing.F) {
+	f.Add(clfSample, false)
+	f.Add(clfSample+"garbage line without brackets\n", true)
+	for _, line := range strings.Split(clfSample, "\n") {
+		f.Add(line, false)
+	}
+	f.Add(`a - - [02/Jun/1999:04:05:08 -0700] "GET /b.html HTTP/1.0" 200 100
+a - - [02/Jun/1999:04:05:06 -0700] "GET /a.html HTTP/1.0" 200 100
+`, false)
+	for _, line := range clfMalformed {
+		f.Add(line, true)
+	}
+	f.Fuzz(func(t *testing.T, input string, skip bool) {
+		res, err := ReadCLF(strings.NewReader(input), CLFOptions{MuH: 1200, R: 1.0 / 40, SkipErrors: skip})
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		reqs := res.Trace.Requests
+		for i := 1; i < len(reqs); i++ {
+			if reqs[i].Arrival < reqs[i-1].Arrival {
+				t.Fatalf("request %d arrives at %v, before %v", i, reqs[i].Arrival, reqs[i-1].Arrival)
+			}
+		}
+		if vErr := res.Trace.Validate(); vErr != nil {
+			t.Fatalf("ReadCLF accepted a trace Validate rejects: %v", vErr)
+		}
+	})
+}
