@@ -119,6 +119,7 @@ var experimentList = []experiment{
 		if err != nil {
 			return nil, err
 		}
+		s.done.Autoscale = rows
 		return experiments.AutoscaleTable(16, rows), nil
 	}},
 	{"staleness", func(s *settings) (*report.Table, error) {

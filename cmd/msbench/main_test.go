@@ -337,7 +337,7 @@ func TestScorecardReusesInputs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiments skipped in -short mode")
 	}
-	inputs := map[string]bool{"fig4a": true, "fig5": true, "failover": true, "staleness": true, "tournament": true}
+	inputs := map[string]bool{"fig4a": true, "fig5": true, "failover": true, "autoscale": true, "staleness": true, "tournament": true}
 	set := settings{quick: true, opts: experiments.Quick()}
 	var card *report.Table
 	for _, e := range experimentList {
@@ -351,7 +351,7 @@ func TestScorecardReusesInputs(t *testing.T) {
 		card = tbl
 	}
 	if set.done.Fig4a == nil || set.done.Fig5 == nil || set.done.Failover == nil ||
-		set.done.Staleness == nil || set.done.Tournament == nil {
+		set.done.Autoscale == nil || set.done.Staleness == nil || set.done.Tournament == nil {
 		t.Fatal("an input's rows were not kept for the scorecard")
 	}
 	var csv bytes.Buffer

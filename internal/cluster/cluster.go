@@ -145,9 +145,11 @@ type Result struct {
 	Summary metrics.Summary
 	// StretchFactor is the headline metric (== Summary.StretchFactor).
 	StretchFactor float64
-	// TotalDynamics counts dynamic requests; MasterDynamics those
-	// executed at masters; RemoteDynamics those dispatched off the
-	// receiving master.
+	// TotalDynamics counts accepted dynamic requests, once each (shed
+	// and exhausted ones included). MasterDynamics and RemoteDynamics
+	// count dispatches, not requests: those placed on a master, and
+	// those sent off the placing master. A request re-placed after a
+	// crash counts once per dispatch.
 	TotalDynamics  int64
 	MasterDynamics int64
 	RemoteDynamics int64
@@ -376,6 +378,13 @@ func (c *Cluster) accept(req trace.Request, countSample bool) {
 	pr.count = countSample
 	pr.master = -1
 	pr.att = core.NewAttempts(true, pr.deadline())
+	// Counted once here, not per dispatch: a re-placement after a crash
+	// is no new arrival. As on the live master, λ counts every accepted
+	// request, shed and exhausted ones included.
+	c.win.Arrive(req.Class)
+	if req.Class == trace.Dynamic {
+		c.totalDyn++
+	}
 	if c.cfg.Tracer != nil {
 		c.cfg.Tracer.Emit(obs.Event{
 			Kind: obs.KindArrival, Req: pr.id, Time: now,
@@ -502,12 +511,8 @@ func (c *Cluster) dispatch(pr *pendingRequest, spent bool) {
 		c.cfg.Tracer.Emit(ev)
 	}
 
-	c.win.Arrive(req.Class)
-	if req.Class == trace.Dynamic {
-		c.totalDyn++
-		if slices.Contains(c.view.Masters, target) {
-			c.masterDyn++
-		}
+	if req.Class == trace.Dynamic && slices.Contains(c.view.Masters, target) {
+		c.masterDyn++
 	}
 
 	latency := 0.0

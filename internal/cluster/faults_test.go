@@ -31,6 +31,32 @@ func TestSlaveFailureRestartsWork(t *testing.T) {
 	}
 }
 
+// A request a crash re-places is one request: TotalDynamics and the
+// autoscaler's arrival window count it once, however often it is
+// dispatched.
+func TestFailoverCountsEachDynamicOnce(t *testing.T) {
+	tr := genTrace(t, trace.ADL, 300, 4000, 1.0/40, 21)
+	var dyn int64
+	for _, r := range tr.Requests {
+		if r.Class == trace.Dynamic {
+			dyn++
+		}
+	}
+	cfg := DefaultConfig(6, 2)
+	cfg.Events = []AvailabilityEvent{{Node: 5, At: 3.0, Available: false}, {Node: 4, At: 4.0, Available: false}}
+	res, err := Simulate(cfg, core.NewMS(core.SampleW(tr, 16), 1), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failovers == 0 {
+		t.Fatal("the crashes caught no in-flight work")
+	}
+	if dyn != 1801 || res.TotalDynamics != dyn {
+		t.Fatalf("TotalDynamics %d over %d failovers, want the trace's %d dynamic requests (1801)",
+			res.TotalDynamics, res.Failovers, dyn)
+	}
+}
+
 // restartLog records, in emission order, each re-dispatch of a run:
 // the instant it happened and when its request first arrived.
 type restartLog struct {

@@ -30,6 +30,9 @@ type AutoscaleRow struct {
 	Workload string
 	Scenario string
 	Stretch  float64
+	// SeedStretch holds each seed's stretch factor, in Options.Seeds
+	// order.
+	SeedStretch []float64
 	// SLO is the fraction of counted requests answered within
 	// autoscaleSLO seconds.
 	SLO float64
@@ -147,6 +150,7 @@ func RunAutoscale(p int, opts Options) ([]AutoscaleRow, error) {
 				cr := results[i]
 				i++
 				agg.Stretch += cr.sf / seeds
+				agg.SeedStretch = append(agg.SeedStretch, cr.sf)
 				agg.SLO += cr.slo / seeds
 				agg.NodeHours += cr.nh / seeds
 				agg.SlaveOffs += cr.offs

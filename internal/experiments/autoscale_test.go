@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // The autoscaling study's headline claims at quick fidelity: the
 // autoscaler saves node-hours on both workloads without giving up SLO
@@ -35,9 +38,7 @@ func TestAutoscaleStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range rows {
-		if rows[i] != again[i] {
-			t.Fatalf("row %d diverged between runs: %+v vs %+v", i, rows[i], again[i])
-		}
+	if !reflect.DeepEqual(rows, again) {
+		t.Fatalf("rows diverged between runs:\n%+v\n%+v", rows, again)
 	}
 }

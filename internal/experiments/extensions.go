@@ -9,6 +9,7 @@ import (
 
 	"msweb/internal/cluster"
 	"msweb/internal/core"
+	"msweb/internal/obs"
 	"msweb/internal/queuemodel"
 	"msweb/internal/trace"
 )
@@ -45,14 +46,15 @@ func RunFailoverStudy(p int, opts Options) ([]FailoverRow, error) {
 		return nil, err
 	}
 
-	run := func(scenario string, events []cluster.AvailabilityEvent) (FailoverRow, error) {
+	run := func(scenario string, events []cluster.AvailabilityEvent, tracer obs.Tracer) (FailoverRow, error) {
 		cfg := cluster.DefaultConfig(p, plan.M)
 		cfg.WarmupFraction = opts.Warmup
 		cfg.InitiallyDown = []int{p - 2, p - 1}
 		cfg.Events = events
+		cfg.Tracer = tracer
 		res, err := cluster.Simulate(cfg, core.NewMS(wt, opts.Seeds[0]), tr)
 		if err != nil {
-			return FailoverRow{}, err
+			return FailoverRow{}, fmt.Errorf("failover %s: %w", scenario, err)
 		}
 		return FailoverRow{
 			Scenario:  scenario,
@@ -63,41 +65,94 @@ func RunFailoverStudy(p int, opts Options) ([]FailoverRow, error) {
 		}, nil
 	}
 
-	// Two slaves crash at staggered times so the scenario reliably
-	// catches in-flight work (a single instant can find a node idle).
-	crashAt := 0.3 * span
-	crashAt2 := 0.5 * span
+	// Two slaves crash at staggered times. A fixed instant can find its
+	// victim idle, so each crash is aimed by a probe run: it lands midway
+	// through the stay of the first dynamic request the probe dispatched
+	// to its victim from 0.3 (0.5) of the span on. The healthy run probes
+	// the first crash, and a run with the first crash alone probes the
+	// second. A run replays its probe up to the instant aimed, so the
+	// slave-crash scenario catches work at both crashes, and the recruit
+	// scenario at the first and at the second when it comes before the
+	// recruits.
 	victim, victim2 := plan.M, plan.M+1 // first two slaves
+	probe := newCrashProbe(victim, 0.3*span)
+	healthy, err := run("healthy", nil, probe)
+	if err != nil {
+		return nil, err
+	}
+	crashAt, err := probe.aim()
+	if err != nil {
+		return nil, err
+	}
+	crash := cluster.AvailabilityEvent{Node: victim, At: crashAt, Available: false}
+	probe = newCrashProbe(victim2, 0.5*span)
+	if _, err := run("first crash", []cluster.AvailabilityEvent{crash}, probe); err != nil {
+		return nil, err
+	}
+	crashAt2, err := probe.aim()
+	if err != nil {
+		return nil, err
+	}
 	scenarios := []struct {
 		name   string
 		events []cluster.AvailabilityEvent
 	}{
-		{"healthy", nil},
 		{"slave crashes", []cluster.AvailabilityEvent{
-			{Node: victim, At: crashAt, Available: false},
+			crash,
 			{Node: victim2, At: crashAt2, Available: false},
 		}},
 		{"crashes + recruit 2", []cluster.AvailabilityEvent{
-			{Node: victim, At: crashAt, Available: false},
+			crash,
 			{Node: victim2, At: crashAt2, Available: false},
 			{Node: p - 2, At: crashAt + 1, Available: true},
 			{Node: p - 1, At: crashAt + 1, Available: true},
 		}},
 	}
-	// The scenarios replay the same shared (read-only) trace, each on an
-	// independent engine, so they run as parallel grid cells.
+	// The crash scenarios replay the same shared (read-only) trace, each
+	// on an independent engine, so they run as parallel grid cells.
 	rows, err := runGrid(scenarios, func(sc struct {
 		name   string
 		events []cluster.AvailabilityEvent
 	}) (FailoverRow, error) {
-		row, err := run(sc.name, sc.events)
-		if err != nil {
-			return FailoverRow{}, fmt.Errorf("failover %s: %w", sc.name, err)
-		}
-		return row, nil
+		return run(sc.name, sc.events, nil)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	return append([]FailoverRow{healthy}, rows...), nil
+}
+
+// crashProbe is a tracer that aims a crash of node: it finds the first
+// dynamic request dispatched to node at or after from.
+type crashProbe struct {
+	node     int
+	from     float64
+	dynamic  map[int64]bool
+	req      int64   // the request found; 0 until then (ids are positive)
+	sent, at float64 // its dispatch, and the crash instant
+}
+
+func newCrashProbe(node int, from float64) *crashProbe {
+	return &crashProbe{node: node, from: from, dynamic: map[int64]bool{}}
+}
+
+// Emit implements obs.Tracer.
+func (h *crashProbe) Emit(ev obs.Event) {
+	switch {
+	case ev.Kind == obs.KindArrival && ev.Class == trace.Dynamic.String():
+		h.dynamic[ev.Req] = true
+	case ev.Kind == obs.KindDispatch && h.req == 0 && ev.Node == h.node && ev.Time >= h.from && h.dynamic[ev.Req]:
+		h.req, h.sent = ev.Req, ev.Time
+	case ev.Kind == obs.KindComplete && ev.Req == h.req:
+		h.at = (h.sent + ev.Time) / 2
+	}
+}
+
+// aim returns the crash instant: midway through the found request's
+// stay on the node.
+func (h *crashProbe) aim() (float64, error) {
+	if h.at == 0 {
+		return 0, fmt.Errorf("failover: node %d holds no dynamic work after %g s", h.node, h.from)
+	}
+	return h.at, nil
 }

@@ -76,3 +76,21 @@ func TestRunStaleness(t *testing.T) {
 		t.Fatalf("title %q notes %q", tbl.Title, tbl.Notes)
 	}
 }
+
+// Each crash of the failover study lands on work in flight, whatever the
+// seed: the slave-crash scenario records a failover at each of its two
+// crashes, and the recruit scenario at least one.
+func TestFailoverCrashesCatchWork(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		opts := Quick()
+		opts.Seeds = []int64{seed}
+		rows, err := RunFailoverStudy(16, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if crash, recruited := rows[1], rows[2]; crash.Failovers < 2 || recruited.Failovers == 0 {
+			t.Errorf("seed %d: %d failovers in %q, %d in %q", seed,
+				crash.Failovers, crash.Scenario, recruited.Failovers, recruited.Scenario)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +38,7 @@ func TestScorecardQuick(t *testing.T) {
 		{"Figure 5 fixed-m degradation", verdictDeviates + causeFig5},
 		{"Table 3 live vs simulated gap", verdictRecorded + ": " + verdictDeviates + causeTable3},
 		{"Failover: crashes lose no request", "holds"},
+		{"Autoscaling saves node-hours at the fixed fleet's SLO", verdictDeviates + causeFlash},
 		{"Placement booking removes the herd", "holds"},
 		{"Tournament: M/S lowest stretch", "holds"},
 		{"MaxWeight ≈ JSQ(p) as ρ → 1", "holds"},
@@ -150,12 +152,41 @@ func maxweightRow(t *testing.T, route func(seed int64) core.RoutingPolicy) Score
 			t.Fatal(err)
 		}
 	}
-	const i = 10
+	const i = 11
 	r := scorecard(in)[i]
 	if r.Claim != "MaxWeight ≈ JSQ(p) as ρ → 1" {
 		t.Fatalf("row %d is %q", i, r.Claim)
 	}
 	return r
+}
+
+// The autoscale row fails on either of the two things it demands of the
+// -quick study's own rows: an autoscaler that saves nothing (its rows
+// replaced by the fixed fleet's) and one that gives up SLO attainment
+// (0.02 off each autoscaled row).
+func TestScorecardAutoscaleRowCanFail(t *testing.T) {
+	in, err := quickScorecardInputs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := autoscaleClaim(in.Autoscale); r.Fails() {
+		t.Fatalf("the study's own rows read %q (ours: %s)", r.Verdict, r.Ours)
+	}
+	for _, m := range []struct {
+		name   string
+		mutate func(fixed AutoscaleRow, auto *AutoscaleRow)
+	}{
+		{"no node-hours saved", func(fixed AutoscaleRow, auto *AutoscaleRow) { *auto = fixed }},
+		{"SLO attainment 0.02 lower", func(_ AutoscaleRow, auto *AutoscaleRow) { auto.SLO -= 0.02 }},
+	} {
+		rows := slices.Clone(in.Autoscale)
+		for i := 0; i+1 < len(rows); i += 2 {
+			m.mutate(rows[i], &rows[i+1])
+		}
+		if r := autoscaleClaim(rows); r.Verdict != verdictFails {
+			t.Errorf("%s: the row reads %q (ours: %s)", m.name, r.Verdict, r.Ours)
+		}
+	}
 }
 
 // Random routing in place of the maxweight preset must fail the
